@@ -7,15 +7,22 @@
 //! coarser proximity graphs used for zoom-in routing, and layer 0 holds the
 //! full graph with up to `2·m` links per node.
 //!
+//! **One core, two scorers.** [`Hnsw<S>`] owns the links, level sampling,
+//! beam search, insertion and pruning; the vectors live behind a
+//! [`RowStore`], which only hands out scoring closures. This module
+//! supplies the f32 store ([`HnswIndex`]); [`crate::qhnsw`] supplies the
+//! int8 one. Same seed and insertion order give the same hierarchy under
+//! either.
+//!
 //! **Maximum-inner-product handling.** Greedy graph search is only
 //! navigable under a (near-)metric; raw inner product is not one — nodes
 //! with large norms become universal hubs and recall collapses (we measured
 //! ~0.5 on trained SISG output vectors, whose norms track popularity). The
-//! index therefore applies the standard MIPS→cosine reduction internally:
-//! each vector is augmented with one extra coordinate
-//! `sqrt(M² − ‖x‖²)` (M = max norm), making all augmented norms equal `M`;
-//! queries get a zero extra coordinate, so augmented inner products equal
-//! the original ones exactly while the geometry becomes navigable.
+//! f32 store therefore applies the standard MIPS→cosine reduction: each
+//! vector is augmented with one extra coordinate `sqrt(M² − ‖x‖²)`
+//! (M = max norm), making all augmented norms equal `M`; queries get a
+//! zero extra coordinate, so augmented inner products equal the original
+//! ones exactly while the geometry becomes navigable.
 
 use crate::{AnnIndex, Hit};
 use rand::rngs::StdRng;
@@ -23,7 +30,8 @@ use rand::{Rng, SeedableRng};
 use sisg_corpus::TokenId;
 use sisg_embedding::math::dot;
 use sisg_embedding::Matrix;
-use std::cmp::Ordering;
+use std::cell::RefCell;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// HNSW build/search parameters.
@@ -50,7 +58,23 @@ impl Default for HnswConfig {
     }
 }
 
-/// A max-heap entry ordered by score.
+/// The vectors behind an [`Hnsw`] graph. The graph never sees a vector:
+/// it asks the store for a closure that scores row ids against one fixed
+/// query, so each representation keeps its own query encoding. A scorer
+/// must not search an [`Hnsw`] itself: the beam's working memory is one
+/// per thread and already borrowed while it runs.
+pub trait RowStore {
+    /// Number of indexed rows.
+    fn n_rows(&self) -> usize;
+    /// Dimensionality of the f32 queries [`RowStore::query_scorer`] takes.
+    fn query_dim(&self) -> usize;
+    /// Scores rows against an external query (encoded once, here).
+    fn query_scorer(&self, query: &[f32]) -> impl Fn(u32) -> f32;
+    /// Scores rows against stored row `anchor` — construction's query.
+    fn row_scorer(&self, anchor: u32) -> impl Fn(u32) -> f32;
+}
+
+/// A max-heap entry ordered by score, ties broken towards the lower id.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Scored {
     score: f32,
@@ -71,80 +95,152 @@ impl PartialOrd for Scored {
     }
 }
 
-/// The built index (owns an augmented copy of the vectors).
+/// Per-thread working memory of the beam search, reused across every
+/// search and every insert of a build so neither allocates per call.
+#[derive(Default)]
+struct Scratch {
+    /// `stamps[node] == epoch` ⇔ visited during the current beam.
+    stamps: Vec<u32>,
+    epoch: u32,
+    candidates: BinaryHeap<Scored>,
+    results: BinaryHeap<Reverse<Scored>>,
+    /// Output of the last [`Links::search_layer`], best first.
+    found: Vec<Scored>,
+    /// Sort buffer of [`Links::prune`].
+    ranked: Vec<Scored>,
+}
+
+impl Scratch {
+    /// Starts a fresh visited set over `n` nodes by advancing the epoch —
+    /// no clearing except once per 2³² beams, when the stamps wrap.
+    fn begin(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The link graph. Split from [`Hnsw`] so insertion can mutate links
+/// while scoring closures borrow the store.
 #[derive(Debug)]
-pub struct HnswIndex {
-    config: HnswConfig,
-    /// MIPS-augmented vectors (`dim + 1` columns, constant norm).
-    vectors: Matrix,
-    /// Original dimensionality (queries arrive un-augmented).
-    dim: usize,
-    /// `links[node][layer]` = neighbor ids.
-    links: Vec<Vec<Vec<u32>>>,
+struct Links {
+    /// Words per layer-0 record `[len, n0 … n_2m]`: the `2·m` kept links
+    /// plus one slot for the link whose arrival triggers a prune.
+    stride: usize,
+    /// Layer 0 of every node, one fixed-stride record each.
+    layer0: Vec<u32>,
+    /// Layers ≥ 1 of the few nodes that have them (`lists[l - 1]` is
+    /// layer `l`), sorted by node id because nodes arrive in id order.
+    upper: Vec<(u32, Vec<Vec<u32>>)>,
     entry: Option<u32>,
     max_layer: usize,
 }
 
-impl HnswIndex {
-    /// Builds the graph by inserting the rows of `vectors` in id order.
-    pub fn build(vectors: &Matrix, config: HnswConfig) -> Self {
-        assert!(config.m >= 2, "m must be at least 2");
-        let dim = vectors.dim();
-        // MIPS→cosine augmentation (see module docs).
-        let max_norm2 = (0..vectors.rows())
-            .map(|i| dot(vectors.row(i), vectors.row(i)))
-            .fold(0.0f32, f32::max);
-        let mut data = Vec::with_capacity(vectors.rows() * (dim + 1));
-        for i in 0..vectors.rows() {
-            let row = vectors.row(i);
-            data.extend_from_slice(row);
-            data.push((max_norm2 - dot(row, row)).max(0.0).sqrt());
-        }
-        let augmented = Matrix::from_data(vectors.rows(), dim + 1, data);
-        let mut index = Self {
-            config,
-            vectors: augmented,
-            dim,
-            links: Vec::with_capacity(vectors.rows()),
+impl Links {
+    fn new(rows: usize, m: usize) -> Self {
+        let stride = 2 * m + 2;
+        Self {
+            stride,
+            layer0: vec![0; rows * stride],
+            upper: Vec::new(),
             entry: None,
             max_layer: 0,
-        };
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9A53);
-        let ml = 1.0 / (config.m as f64).ln();
-        for id in 0..vectors.rows() as u32 {
-            let level = sample_level(&mut rng, ml);
-            index.insert(id, level);
         }
-        index
     }
 
-    fn score(&self, a: u32, q: &[f32]) -> f32 {
-        dot(q, self.vectors.row(a as usize))
+    fn len(&self) -> usize {
+        self.layer0.len() / self.stride
     }
 
-    /// Greedy beam search on one layer; returns up to `ef` best nodes,
-    /// best first. `hops` counts score evaluations (node visits) so the
-    /// serving path can report search effort; construction passes a dummy.
+    fn upper_at(&self, node: u32) -> Option<usize> {
+        self.upper.binary_search_by_key(&node, |(id, _)| *id).ok()
+    }
+
+    /// Highest layer `node` is linked on.
+    fn level_of(&self, node: u32) -> usize {
+        self.upper_at(node).map_or(0, |at| self.upper[at].1.len())
+    }
+
+    /// Links of `node` on `layer`; empty when the node has no such layer.
+    #[inline]
+    fn neighbours(&self, node: u32, layer: usize) -> &[u32] {
+        if layer == 0 {
+            let base = node as usize * self.stride;
+            let len = self.layer0[base] as usize;
+            &self.layer0[base + 1..base + 1 + len]
+        } else {
+            self.upper_at(node)
+                .and_then(|at| self.upper[at].1.get(layer - 1))
+                .map_or(&[], Vec::as_slice)
+        }
+    }
+
+    /// The list of `node` on upper layer `layer ≥ 1`, for mutation.
+    fn upper_list(&mut self, node: u32, layer: usize) -> Option<&mut Vec<u32>> {
+        let at = self.upper_at(node)?;
+        self.upper[at].1.get_mut(layer - 1)
+    }
+
+    /// Appends `nb` to `node`'s list on `layer`; returns the new length.
+    fn push(&mut self, node: u32, layer: usize, nb: u32) -> usize {
+        if layer == 0 {
+            let base = node as usize * self.stride;
+            let len = self.layer0[base] as usize + 1;
+            self.layer0[base + len] = nb;
+            self.layer0[base] = len as u32;
+            return len;
+        }
+        let list = self.upper_list(node, layer);
+        debug_assert!(list.is_some(), "node {node} has no layer {layer}");
+        list.map_or(0, |list| {
+            list.push(nb);
+            list.len()
+        })
+    }
+
+    /// Greedy beam search on one layer; leaves up to `ef` best nodes in
+    /// `scratch.found`, best first. `hops` counts score evaluations (node
+    /// visits) so the serving path can report search effort.
     fn search_layer(
         &self,
-        query: &[f32],
+        score: &impl Fn(u32) -> f32,
         entry: u32,
         ef: usize,
         layer: usize,
         hops: &mut u64,
-    ) -> Vec<Scored> {
-        let mut visited = vec![false; self.links.len()];
-        visited[entry as usize] = true;
+        scratch: &mut Scratch,
+    ) {
+        scratch.begin(self.len());
+        let Scratch {
+            stamps,
+            epoch,
+            candidates,
+            results,
+            found,
+            ..
+        } = scratch;
+        let epoch = *epoch;
+        stamps[entry as usize] = epoch;
         *hops += 1;
         let e = Scored {
-            score: self.score(entry, query),
+            score: score(entry),
             id: entry,
         };
         // Candidates: max-heap by score. Results: min-heap (via Reverse) of
         // size ef.
-        let mut candidates = BinaryHeap::from([e]);
-        let mut results: BinaryHeap<std::cmp::Reverse<Scored>> =
-            BinaryHeap::from([std::cmp::Reverse(e)]);
+        candidates.clear();
+        results.clear();
+        candidates.push(e);
+        results.push(Reverse(e));
         while let Some(best) = candidates.pop() {
             // `results` starts with the entry node and `pop` only fires
             // above `ef`, so `peek` never sees it empty; fall back to -inf
@@ -153,69 +249,100 @@ impl HnswIndex {
             if best.score < worst && results.len() >= ef {
                 break;
             }
-            for &nb in &self.links[best.id as usize][layer] {
-                if visited[nb as usize] {
+            for &nb in self.neighbours(best.id, layer) {
+                if stamps[nb as usize] == epoch {
                     continue;
                 }
-                visited[nb as usize] = true;
+                stamps[nb as usize] = epoch;
                 *hops += 1;
                 let s = Scored {
-                    score: self.score(nb, query),
+                    score: score(nb),
                     id: nb,
                 };
                 let worst = results.peek().map_or(f32::NEG_INFINITY, |r| r.0.score);
                 if results.len() < ef || s.score > worst {
                     candidates.push(s);
-                    results.push(std::cmp::Reverse(s));
+                    results.push(Reverse(s));
                     if results.len() > ef {
                         results.pop();
                     }
                 }
             }
         }
-        let mut out: Vec<Scored> = results.into_iter().map(|r| r.0).collect();
-        out.sort_by(|a, b| b.cmp(a));
-        out
+        found.clear();
+        found.extend(results.drain().map(|r| r.0));
+        // Ids are distinct, so the order is total and needs no stable sort.
+        found.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    fn insert(&mut self, id: u32, level: usize) {
-        debug_assert_eq!(id as usize, self.links.len());
-        self.links.push(vec![Vec::new(); level + 1]);
+    /// One greedy hill-climb on `layer` from `from`. `hops` counts score
+    /// evaluations, matching [`Links::search_layer`].
+    fn greedy_step(
+        &self,
+        score: &impl Fn(u32) -> f32,
+        from: u32,
+        layer: usize,
+        hops: &mut u64,
+    ) -> u32 {
+        let mut current = from;
+        let mut best = score(current);
+        *hops += 1;
+        loop {
+            // The walk starts at the entry point (top layer) and follows
+            // layer-`layer` links, whose targets all have that layer.
+            debug_assert!(layer <= self.level_of(current), "walked below {layer}");
+            let mut improved = false;
+            for &nb in self.neighbours(current, layer) {
+                let s = score(nb);
+                *hops += 1;
+                if s > best {
+                    best = s;
+                    current = nb;
+                    improved = true;
+                }
+            }
+            if !improved {
+                return current;
+            }
+        }
+    }
+
+    /// Links node `id` (the next unused id) into layers `0..=level`.
+    fn insert<S: RowStore>(
+        &mut self,
+        store: &S,
+        config: &HnswConfig,
+        id: u32,
+        level: usize,
+        scratch: &mut Scratch,
+    ) {
+        if level > 0 {
+            self.upper.push((id, vec![Vec::new(); level]));
+        }
         let Some(mut current) = self.entry else {
             self.entry = Some(id);
             self.max_layer = level;
             return;
         };
-        let query: Vec<f32> = self.vectors.row(id as usize).to_vec();
+        let score = store.row_scorer(id);
+        // Construction effort is not a serving metric; the hops are dropped.
+        let mut hops = 0u64;
 
         // Zoom down through layers above the node's level.
-        let mut zoom_hops = 0u64;
         for layer in ((level + 1)..=self.max_layer).rev() {
-            current = self.greedy_step(&query, current, layer, &mut zoom_hops);
+            current = self.greedy_step(&score, current, layer, &mut hops);
         }
 
         // Insert into each layer from min(level, max_layer) down to 0.
-        // Construction effort is not a serving metric; discard the hops.
-        let mut build_hops = 0u64;
         for layer in (0..=level.min(self.max_layer)).rev() {
-            let found = self.search_layer(
-                &query,
-                current,
-                self.config.ef_construction,
-                layer,
-                &mut build_hops,
-            );
-            let max_links = if layer == 0 {
-                self.config.m * 2
-            } else {
-                self.config.m
-            };
-            let chosen: Vec<u32> = found.iter().take(self.config.m).map(|s| s.id).collect();
-            for &nb in &chosen {
-                self.links[id as usize][layer].push(nb);
-                self.links[nb as usize][layer].push(id);
-                if self.links[nb as usize][layer].len() > max_links {
-                    self.prune(nb, layer, max_links);
+            let ef = config.ef_construction;
+            self.search_layer(&score, current, ef, layer, &mut hops, scratch);
+            let max_links = if layer == 0 { config.m * 2 } else { config.m };
+            let Scratch { found, ranked, .. } = &mut *scratch;
+            for nb in found.iter().take(config.m).map(|s| s.id) {
+                self.push(id, layer, nb);
+                if self.push(nb, layer, id) > max_links {
+                    self.prune(store, nb, layer, max_links, ranked);
                 }
             }
             if let Some(best) = found.first() {
@@ -230,64 +357,147 @@ impl HnswIndex {
     }
 
     /// Keeps only the `max_links` highest-scoring neighbors of `node`.
-    fn prune(&mut self, node: u32, layer: usize, max_links: usize) {
-        let anchor: Vec<f32> = self.vectors.row(node as usize).to_vec();
-        let mut scored: Vec<Scored> = self.links[node as usize][layer]
-            .iter()
-            .map(|&nb| Scored {
-                score: self.score(nb, &anchor),
-                id: nb,
-            })
-            .collect();
-        scored.sort_by(|a, b| b.cmp(a));
-        scored.dedup_by_key(|s| s.id);
-        self.links[node as usize][layer] =
-            scored.into_iter().take(max_links).map(|s| s.id).collect();
-    }
-
-    /// One greedy hill-climb on `layer` from `from`. `hops` counts score
-    /// evaluations, matching [`HnswIndex::search_layer`].
-    fn greedy_step(&self, query: &[f32], from: u32, layer: usize, hops: &mut u64) -> u32 {
-        let mut current = from;
-        let mut best = self.score(current, query);
-        *hops += 1;
-        loop {
-            let mut improved = false;
-            for &nb in &self.links[current as usize]
-                [layer.min(self.links[current as usize].len().saturating_sub(1))]
-            {
-                let s = self.score(nb, query);
-                *hops += 1;
-                if s > best {
-                    best = s;
-                    current = nb;
-                    improved = true;
-                }
+    fn prune<S: RowStore>(
+        &mut self,
+        store: &S,
+        node: u32,
+        layer: usize,
+        max_links: usize,
+        ranked: &mut Vec<Scored>,
+    ) {
+        let score = store.row_scorer(node);
+        ranked.clear();
+        ranked.extend(self.neighbours(node, layer).iter().map(|&nb| Scored {
+            score: score(nb),
+            id: nb,
+        }));
+        ranked.sort_unstable_by(|a, b| b.cmp(a));
+        ranked.dedup_by_key(|s| s.id);
+        ranked.truncate(max_links);
+        let kept = ranked.iter().map(|s| s.id);
+        if layer == 0 {
+            let base = node as usize * self.stride;
+            self.layer0[base] = kept.len() as u32;
+            for (slot, nb) in self.layer0[base + 1..].iter_mut().zip(kept) {
+                *slot = nb;
             }
-            if !improved {
-                return current;
-            }
+        } else if let Some(list) = self.upper_list(node, layer) {
+            list.clear();
+            list.extend(kept);
         }
-    }
-
-    /// Graph diagnostics: mean out-degree on layer 0.
-    pub fn mean_degree(&self) -> f64 {
-        if self.links.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.links.iter().map(|l| l[0].len()).sum();
-        total as f64 / self.links.len() as f64
-    }
-
-    /// Number of layers in the hierarchy.
-    pub fn layers(&self) -> usize {
-        self.max_layer + 1
     }
 }
 
 fn sample_level(rng: &mut StdRng, ml: f64) -> usize {
     let u: f64 = rng.gen::<f64>().max(1e-12);
     ((-u.ln() * ml).floor() as usize).min(24)
+}
+
+/// The HNSW graph over the rows of a store `S`; owns the store.
+#[derive(Debug)]
+pub struct Hnsw<S> {
+    config: HnswConfig,
+    store: S,
+    links: Links,
+}
+
+impl<S: RowStore> Hnsw<S> {
+    /// Builds the graph by inserting the rows of `store` in id order.
+    pub(crate) fn from_store(store: S, config: HnswConfig) -> Self {
+        assert!(config.m >= 2, "m must be at least 2");
+        let rows = store.n_rows();
+        let mut links = Links::new(rows, config.m);
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9A53);
+        let ml = 1.0 / (config.m as f64).ln();
+        SCRATCH.with_borrow_mut(|scratch| {
+            for id in 0..rows as u32 {
+                let level = sample_level(&mut rng, ml);
+                links.insert(&store, &config, id, level, scratch);
+            }
+        });
+        links.upper.shrink_to_fit();
+        Self {
+            config,
+            store,
+            links,
+        }
+    }
+
+    /// Runs the full zoom-down + layer-0 beam for `query`, returning up
+    /// to `k` hits (store scores, best first) and the number of score
+    /// evaluations — the serving path records the latter as
+    /// `serve.ann_hops`.
+    ///
+    /// # Panics
+    /// Panics when `query.len()` differs from the store's dimensionality.
+    pub fn search_with_effort(&self, query: &[f32], k: usize) -> (Vec<Hit>, u64) {
+        assert_eq!(
+            query.len(),
+            self.store.query_dim(),
+            "query dimensionality mismatch"
+        );
+        let Some(mut current) = self.links.entry else {
+            return (Vec::new(), 0);
+        };
+        let score = self.store.query_scorer(query);
+        let mut hops = 0u64;
+        for layer in (1..=self.links.max_layer).rev() {
+            current = self.links.greedy_step(&score, current, layer, &mut hops);
+        }
+        let ef = self.config.ef_search.max(k);
+        let hits = SCRATCH.with_borrow_mut(|scratch| {
+            self.links
+                .search_layer(&score, current, ef, 0, &mut hops, scratch);
+            let hit = |s: &Scored| Hit {
+                id: TokenId(s.id),
+                score: s.score,
+            };
+            scratch.found.iter().take(k).map(hit).collect()
+        });
+        (hits, hops)
+    }
+
+    /// Heap bytes allocated for the link graph (graph overhead beyond the
+    /// vector payload — reported separately in the serving memory
+    /// accounting). Capacities, not lengths: exact for the layer-0 arena;
+    /// allocator headers of the sparse upper lists are not counted.
+    pub fn link_bytes(&self) -> usize {
+        let word = std::mem::size_of::<u32>();
+        let list = std::mem::size_of::<Vec<u32>>();
+        let entry = std::mem::size_of::<(u32, Vec<Vec<u32>>)>();
+        let upper = &self.links.upper;
+        self.links.layer0.capacity() * word
+            + upper.capacity() * entry
+            + upper
+                .iter()
+                .flat_map(|(_, lists)| {
+                    std::iter::once(lists.capacity() * list)
+                        .chain(lists.iter().map(|l| l.capacity() * word))
+                })
+                .sum::<usize>()
+    }
+
+    /// FNV-1a over the whole link graph: per node its layer count, then
+    /// per layer the list length and the neighbour ids in stored order.
+    /// Identical graphs agree on it; the identity tests pin it.
+    pub fn graph_checksum(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u32| {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for node in 0..self.links.len() as u32 {
+            let layers = self.links.level_of(node) + 1;
+            fold(layers as u32);
+            for layer in 0..layers {
+                let nbs = self.links.neighbours(node, layer);
+                fold(nbs.len() as u32);
+                nbs.iter().copied().for_each(&mut fold);
+            }
+        }
+        h
+    }
 }
 
 /// Cached obs handles so each search pays two relaxed-atomic records, not
@@ -305,40 +515,67 @@ fn hnsw_metrics() -> &'static HnswMetrics {
     })
 }
 
-impl AnnIndex for HnswIndex {
+impl<S: RowStore> AnnIndex for Hnsw<S> {
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         let m = hnsw_metrics();
         let watch = sisg_obs::Stopwatch::start();
-        // Augment the query with a zero coordinate: augmented inner
-        // products equal the original ones exactly.
-        let mut query = query.to_vec();
-        query.push(0.0);
-        let query = &query[..];
-        let Some(mut current) = self.entry else {
-            return Vec::new();
-        };
-        let mut hops = 0u64;
-        for layer in (1..=self.max_layer).rev() {
-            current = self.greedy_step(query, current, layer, &mut hops);
-        }
-        let ef = self.config.ef_search.max(k);
-        let out: Vec<Hit> = self
-            .search_layer(query, current, ef, 0, &mut hops)
-            .into_iter()
-            .take(k)
-            .map(|s| Hit {
-                id: TokenId(s.id),
-                score: s.score,
-            })
-            .collect();
+        let (hits, hops) = self.search_with_effort(query, k);
         m.hops.record(hops);
         m.search_us.record_duration(watch.elapsed());
-        out
+        hits
     }
 
     fn len(&self) -> usize {
         self.links.len()
+    }
+}
+
+/// MIPS-augmented f32 rows (`dim + 1` columns, constant norm — see the
+/// module docs).
+#[derive(Debug)]
+pub struct MipsRows(Matrix);
+
+impl RowStore for MipsRows {
+    fn n_rows(&self) -> usize {
+        self.0.rows()
+    }
+
+    fn query_dim(&self) -> usize {
+        self.0.dim() - 1
+    }
+
+    fn query_scorer(&self, query: &[f32]) -> impl Fn(u32) -> f32 {
+        // A zero extra coordinate: augmented inner products equal the
+        // original ones exactly.
+        let mut q = query.to_vec();
+        q.push(0.0);
+        move |row| dot(&q, self.0.row(row as usize))
+    }
+
+    fn row_scorer(&self, anchor: u32) -> impl Fn(u32) -> f32 {
+        let q = self.0.row(anchor as usize);
+        move |row| dot(q, self.0.row(row as usize))
+    }
+}
+
+/// The f32 index (owns an augmented copy of the vectors).
+pub type HnswIndex = Hnsw<MipsRows>;
+
+impl Hnsw<MipsRows> {
+    /// Builds the graph by inserting the rows of `vectors` in id order.
+    pub fn build(vectors: &Matrix, config: HnswConfig) -> Self {
+        let dim = vectors.dim();
+        let max_norm2 = (0..vectors.rows())
+            .map(|i| dot(vectors.row(i), vectors.row(i)))
+            .fold(0.0f32, f32::max);
+        let mut data = Vec::with_capacity(vectors.rows() * (dim + 1));
+        for i in 0..vectors.rows() {
+            let row = vectors.row(i);
+            data.extend_from_slice(row);
+            data.push((max_norm2 - dot(row, row)).max(0.0).sqrt());
+        }
+        let augmented = Matrix::from_data(vectors.rows(), dim + 1, data);
+        Self::from_store(MipsRows(augmented), config)
     }
 }
 
@@ -413,30 +650,39 @@ mod tests {
     }
 
     #[test]
-    fn degrees_are_bounded() {
+    fn degrees_are_bounded_and_missing_layers_read_empty() {
         let m = random_matrix(300, 8, 4);
         let cfg = HnswConfig {
             m: 8,
             ..Default::default()
         };
         let idx = HnswIndex::build(&m, cfg);
-        for node in &idx.links {
-            assert!(node[0].len() <= 16, "layer-0 degree exceeds 2m");
-            for layer in &node[1..] {
-                assert!(layer.len() <= 8 + 8, "upper-layer degree far over m");
+        let links = &idx.links;
+        for node in 0..300u32 {
+            assert!(links.neighbours(node, 0).len() <= 16, "layer 0 over 2m");
+            let level = links.level_of(node);
+            for layer in 1..=level {
+                assert!(links.neighbours(node, layer).len() <= 8, "upper over m");
             }
+            // The accessor never substitutes a lower layer for a missing one.
+            assert!(links.neighbours(node, level + 1).is_empty());
         }
-        assert!(idx.mean_degree() > 2.0, "graph too sparse to navigate");
-        assert!(idx.layers() >= 1);
+        let links0: usize = (0..300).map(|n| links.neighbours(n, 0).len()).sum();
+        assert!(links0 > 2 * 300, "graph too sparse to navigate");
+        // One `[len, 2·m links, spill slot]` record per node at least.
+        assert!(idx.link_bytes() >= 300 * (2 * 8 + 2) * 4);
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let m = random_matrix(200, 4, 5);
-        let a = HnswIndex::build(&m, HnswConfig::default());
-        let b = HnswIndex::build(&m, HnswConfig::default());
-        let qa: Vec<u32> = a.search(m.row(9), 5).iter().map(|h| h.id.0).collect();
-        let qb: Vec<u32> = b.search(m.row(9), 5).iter().map(|h| h.id.0).collect();
-        assert_eq!(qa, qb);
+    fn visited_epochs_survive_the_stamp_wrap() {
+        let mut scratch = Scratch {
+            epoch: u32::MAX - 1,
+            ..Scratch::default()
+        };
+        scratch.begin(4);
+        scratch.stamps[2] = scratch.epoch;
+        scratch.begin(4);
+        assert_eq!(scratch.epoch, 1, "the wrap restarts the epochs");
+        assert_eq!(scratch.stamps, [0; 4], "and forgets every old stamp");
     }
 }

@@ -9,9 +9,10 @@
 //!   coarse quantizer for IVF);
 //! - [`ivf`] — an IVF-Flat index: cluster the vectors, probe the `nprobe`
 //!   nearest cells at query time, scan those exactly;
-//! - [`hnsw`] — a Hierarchical Navigable Small World graph index;
-//! - [`qhnsw`] — the same graph over int8 scale-per-row quantized vectors,
-//!   the bounded-memory variant behind the serve shards' cold paths;
+//! - [`hnsw`] — the Hierarchical Navigable Small World graph, one generic
+//!   core ([`Hnsw`]) over a [`RowStore`] scorer, and its f32 store;
+//! - [`qhnsw`] — the int8 scale-per-row store for that core, the
+//!   bounded-memory variant behind the serve shards' cold paths;
 //! - [`recall`] — recall@K against exact brute force, the metric by which
 //!   index parameters are tuned.
 //!
@@ -26,7 +27,7 @@ pub mod kmeans;
 pub mod qhnsw;
 pub mod recall;
 
-pub use hnsw::{HnswConfig, HnswIndex};
+pub use hnsw::{Hnsw, HnswConfig, HnswIndex, RowStore};
 pub use ivf::{IvfConfig, IvfIndex};
 pub use kmeans::{kmeans, KmeansConfig, KmeansResult};
 pub use qhnsw::QHnswIndex;

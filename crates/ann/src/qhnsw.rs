@@ -1,15 +1,15 @@
 //! HNSW over int8 scale-per-row quantized vectors — the bounded-memory
-//! sibling of [`crate::hnsw`], built for the in-shard cold-path indexes of
-//! `crates/serve` (DESIGN.md §11).
+//! scorer of the [`crate::hnsw`] graph core, built for the in-shard
+//! cold-path indexes of `crates/serve` (DESIGN.md §11).
 //!
-//! The graph structure, beam search, pruning and level sampling mirror
-//! [`crate::hnsw::HnswIndex`] exactly; only the scorer changes: nodes are
-//! scored with the quantized kernel `dot_q8` (i32 accumulation, one
-//! rescale by `row_scale · query_scale`), and the query is quantized once
-//! per search. Storage is generic over [`QuantRows`], so the index can
-//! navigate an owned [`sisg_embedding::QuantMatrix`] or score straight
-//! out of an encoded blob (`sisg_embedding::codec::QuantBlob`) without a
-//! deserialization pass.
+//! The graph is [`Hnsw`] itself; this module only teaches it to score
+//! [`QuantRows`] storage: nodes are scored with the quantized kernel
+//! `dot_q8` (i32 accumulation, one rescale by `row_scale · query_scale`),
+//! and the query is quantized once per search. Any [`QuantRows`] store
+//! works, so the index can navigate an owned
+//! [`sisg_embedding::QuantMatrix`] or score straight out of an encoded
+//! blob (`sisg_embedding::codec::QuantBlob`) without a deserialization
+//! pass.
 //!
 //! **No MIPS augmentation.** The f32 index augments vectors to equalize
 //! norms because raw inner product is not navigable. This index instead
@@ -23,324 +23,62 @@
 //! element), so callers that need exact order re-rank the returned
 //! candidates with the f32 kernels; `crates/serve` does exactly that.
 
-use crate::{AnnIndex, Hit};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sisg_corpus::TokenId;
+use crate::hnsw::{Hnsw, RowStore};
 use sisg_embedding::kernels::dot_q8;
 use sisg_embedding::{QuantQuery, QuantRows};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 pub use crate::hnsw::HnswConfig;
 
-/// A max-heap entry ordered by score (same tie-break as the f32 index).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scored {
-    score: f32,
-    id: u32,
-}
-impl Eq for Scored {}
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.score
-            .partial_cmp(&other.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The built quantized index; owns its storage `S`.
+/// A [`QuantRows`] store as the graph's scorer.
 #[derive(Debug)]
-pub struct QHnswIndex<S> {
-    config: HnswConfig,
-    store: S,
-    /// `links[node][layer]` = neighbor ids.
-    links: Vec<Vec<Vec<u32>>>,
-    entry: Option<u32>,
-    max_layer: usize,
+pub struct QuantStore<S>(S);
+
+impl<S: QuantRows> RowStore for QuantStore<S> {
+    fn n_rows(&self) -> usize {
+        self.0.rows()
+    }
+
+    fn query_dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn query_scorer(&self, query: &[f32]) -> impl Fn(u32) -> f32 {
+        let q = QuantQuery::new(query);
+        move |row| {
+            let i = row as usize;
+            dot_q8(self.0.row(i), q.weights(), self.0.scale(i) * q.scale())
+        }
+    }
+
+    fn row_scorer(&self, anchor: u32) -> impl Fn(u32) -> f32 {
+        // The anchor's own quantized row is the query; its scale folds
+        // into each per-row combined scale at score time.
+        let a = anchor as usize;
+        let (q, q_scale) = (self.0.row(a), self.0.scale(a));
+        move |row| {
+            let i = row as usize;
+            dot_q8(self.0.row(i), q, self.0.scale(i) * q_scale)
+        }
+    }
 }
 
-impl<S: QuantRows> QHnswIndex<S> {
+/// The quantized index; owns its storage `S`.
+pub type QHnswIndex<S> = Hnsw<QuantStore<S>>;
+
+impl<S: QuantRows> Hnsw<QuantStore<S>> {
     /// Builds the graph by inserting the rows of `store` in id order.
     pub fn build(store: S, config: HnswConfig) -> Self {
-        assert!(config.m >= 2, "m must be at least 2");
-        let rows = store.rows();
-        let mut index = Self {
-            config,
-            store,
-            links: Vec::with_capacity(rows),
-            entry: None,
-            max_layer: 0,
-        };
-        // Same level-sampling stream as the f32 index: identical seeds
-        // give identical hierarchies over the same insertion order.
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9A53);
-        let ml = 1.0 / (config.m as f64).ln();
-        for id in 0..rows as u32 {
-            let level = sample_level(&mut rng, ml);
-            index.insert(id, level);
-        }
-        index
-    }
-
-    /// The underlying quantized storage.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Heap bytes held by the link graph (graph overhead beyond the
-    /// quantized payload — reported separately in the serving memory
-    /// accounting).
-    pub fn link_bytes(&self) -> usize {
-        self.links
-            .iter()
-            .map(|node| {
-                std::mem::size_of::<Vec<u32>>()
-                    + node
-                        .iter()
-                        .map(|l| std::mem::size_of::<Vec<u32>>() + l.len() * 4)
-                        .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Number of layers in the hierarchy.
-    pub fn layers(&self) -> usize {
-        self.max_layer + 1
-    }
-
-    #[inline]
-    fn score(&self, a: u32, q: &[i8], q_scale: f32) -> f32 {
-        let i = a as usize;
-        dot_q8(self.store.row(i), q, self.store.scale(i) * q_scale)
-    }
-
-    /// Greedy beam search on one layer; returns up to `ef` best nodes,
-    /// best first. `hops` counts score evaluations, as in the f32 index.
-    fn search_layer(
-        &self,
-        q: &[i8],
-        q_scale: f32,
-        entry: u32,
-        ef: usize,
-        layer: usize,
-        hops: &mut u64,
-    ) -> Vec<Scored> {
-        let mut visited = vec![false; self.links.len()];
-        visited[entry as usize] = true;
-        *hops += 1;
-        let e = Scored {
-            score: self.score(entry, q, q_scale),
-            id: entry,
-        };
-        let mut candidates = BinaryHeap::from([e]);
-        let mut results: BinaryHeap<std::cmp::Reverse<Scored>> =
-            BinaryHeap::from([std::cmp::Reverse(e)]);
-        while let Some(best) = candidates.pop() {
-            // `results` starts non-empty and `pop` only fires above `ef`;
-            // fall back to -inf rather than panic on the serving path.
-            let worst = results.peek().map_or(f32::NEG_INFINITY, |r| r.0.score);
-            if best.score < worst && results.len() >= ef {
-                break;
-            }
-            for &nb in &self.links[best.id as usize][layer] {
-                if visited[nb as usize] {
-                    continue;
-                }
-                visited[nb as usize] = true;
-                *hops += 1;
-                let s = Scored {
-                    score: self.score(nb, q, q_scale),
-                    id: nb,
-                };
-                let worst = results.peek().map_or(f32::NEG_INFINITY, |r| r.0.score);
-                if results.len() < ef || s.score > worst {
-                    candidates.push(s);
-                    results.push(std::cmp::Reverse(s));
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
-            }
-        }
-        let mut out: Vec<Scored> = results.into_iter().map(|r| r.0).collect();
-        out.sort_by(|a, b| b.cmp(a));
-        out
-    }
-
-    fn insert(&mut self, id: u32, level: usize) {
-        debug_assert_eq!(id as usize, self.links.len());
-        self.links.push(vec![Vec::new(); level + 1]);
-        let Some(mut current) = self.entry else {
-            self.entry = Some(id);
-            self.max_layer = level;
-            return;
-        };
-        // The inserted node's own quantized row is the insertion query; its
-        // scale folds into each per-row combined scale at score time.
-        let q: Vec<i8> = self.store.row(id as usize).to_vec();
-        let q_scale = self.store.scale(id as usize);
-
-        let mut zoom_hops = 0u64;
-        for layer in ((level + 1)..=self.max_layer).rev() {
-            current = self.greedy_step(&q, q_scale, current, layer, &mut zoom_hops);
-        }
-
-        let mut build_hops = 0u64;
-        for layer in (0..=level.min(self.max_layer)).rev() {
-            let found = self.search_layer(
-                &q,
-                q_scale,
-                current,
-                self.config.ef_construction,
-                layer,
-                &mut build_hops,
-            );
-            let max_links = if layer == 0 {
-                self.config.m * 2
-            } else {
-                self.config.m
-            };
-            let chosen: Vec<u32> = found.iter().take(self.config.m).map(|s| s.id).collect();
-            for &nb in &chosen {
-                self.links[id as usize][layer].push(nb);
-                self.links[nb as usize][layer].push(id);
-                if self.links[nb as usize][layer].len() > max_links {
-                    self.prune(nb, layer, max_links);
-                }
-            }
-            if let Some(best) = found.first() {
-                current = best.id;
-            }
-        }
-
-        if level > self.max_layer {
-            self.max_layer = level;
-            self.entry = Some(id);
-        }
-    }
-
-    /// Keeps only the `max_links` highest-scoring neighbors of `node`.
-    fn prune(&mut self, node: u32, layer: usize, max_links: usize) {
-        let anchor: Vec<i8> = self.store.row(node as usize).to_vec();
-        let anchor_scale = self.store.scale(node as usize);
-        let mut scored: Vec<Scored> = self.links[node as usize][layer]
-            .iter()
-            .map(|&nb| Scored {
-                score: self.score(nb, &anchor, anchor_scale),
-                id: nb,
-            })
-            .collect();
-        scored.sort_by(|a, b| b.cmp(a));
-        scored.dedup_by_key(|s| s.id);
-        self.links[node as usize][layer] =
-            scored.into_iter().take(max_links).map(|s| s.id).collect();
-    }
-
-    /// One greedy hill-climb on `layer` from `from`.
-    fn greedy_step(&self, q: &[i8], q_scale: f32, from: u32, layer: usize, hops: &mut u64) -> u32 {
-        let mut current = from;
-        let mut best = self.score(current, q, q_scale);
-        *hops += 1;
-        loop {
-            let mut improved = false;
-            for &nb in &self.links[current as usize]
-                [layer.min(self.links[current as usize].len().saturating_sub(1))]
-            {
-                let s = self.score(nb, q, q_scale);
-                *hops += 1;
-                if s > best {
-                    best = s;
-                    current = nb;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return current;
-            }
-        }
-    }
-
-    /// Quantizes `query` once and runs the full zoom-down + layer-0 beam,
-    /// returning up to `k` hits (quantized scores, best first) and the
-    /// number of score evaluations — the serving path records the latter
-    /// as `serve.ann_hops` and re-ranks the hits in f32.
-    ///
-    /// # Panics
-    /// Panics when `query.len()` differs from the store's dimensionality.
-    pub fn search_with_effort(&self, query: &[f32], k: usize) -> (Vec<Hit>, u64) {
-        assert_eq!(
-            query.len(),
-            self.store.dim(),
-            "query dimensionality mismatch"
-        );
-        let Some(mut current) = self.entry else {
-            return (Vec::new(), 0);
-        };
-        let qq = QuantQuery::new(query);
-        let (q, q_scale) = (qq.weights(), qq.scale());
-        let mut hops = 0u64;
-        for layer in (1..=self.max_layer).rev() {
-            current = self.greedy_step(q, q_scale, current, layer, &mut hops);
-        }
-        let ef = self.config.ef_search.max(k);
-        let hits = self
-            .search_layer(q, q_scale, current, ef, 0, &mut hops)
-            .into_iter()
-            .take(k)
-            .map(|s| Hit {
-                id: TokenId(s.id),
-                score: s.score,
-            })
-            .collect();
-        (hits, hops)
-    }
-}
-
-fn sample_level(rng: &mut StdRng, ml: f64) -> usize {
-    let u: f64 = rng.gen::<f64>().max(1e-12);
-    ((-u.ln() * ml).floor() as usize).min(24)
-}
-
-/// Cached obs handles, as in the f32 index (same catalog names — the
-/// quantized index is the same retrieval surface over different storage).
-struct QMetrics {
-    search_us: &'static sisg_obs::Histogram,
-    hops: &'static sisg_obs::Histogram,
-}
-
-fn qhnsw_metrics() -> &'static QMetrics {
-    static M: std::sync::OnceLock<QMetrics> = std::sync::OnceLock::new();
-    M.get_or_init(|| QMetrics {
-        search_us: sisg_obs::registry().histogram(sisg_obs::names::ANN_SEARCH_US),
-        hops: sisg_obs::registry().histogram(sisg_obs::names::ANN_HNSW_HOPS),
-    })
-}
-
-impl<S: QuantRows> AnnIndex for QHnswIndex<S> {
-    fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let m = qhnsw_metrics();
-        let watch = sisg_obs::Stopwatch::start();
-        let (hits, hops) = self.search_with_effort(query, k);
-        m.hops.record(hops);
-        m.search_us.record_duration(watch.elapsed());
-        hits
-    }
-
-    fn len(&self) -> usize {
-        self.links.len()
+        Self::from_store(QuantStore(store), config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnnIndex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sisg_corpus::TokenId;
     use sisg_embedding::codec::{encode_quant, QuantBlob};
     use sisg_embedding::math::normalize;
     use sisg_embedding::{retrieve_top_k, Matrix, QuantMatrix};
@@ -419,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn degrees_are_bounded_and_effort_is_reported() {
+    fn link_bytes_and_effort_are_reported() {
         let m = normalized_matrix(300, 8, 4);
         let idx = QHnswIndex::build(
             QuantMatrix::from_matrix(&m),
@@ -428,22 +166,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        for node in &idx.links {
-            assert!(node[0].len() <= 16, "layer-0 degree exceeds 2m");
-        }
-        assert!(idx.link_bytes() > 0);
+        assert!(idx.link_bytes() >= 300 * (2 * 8 + 2) * 4);
         let (hits, hops) = idx.search_with_effort(m.row(9), 5);
         assert_eq!(hits.len(), 5);
         assert!(hops >= 5, "beam search must score at least k nodes");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let m = normalized_matrix(200, 4, 5);
-        let a = QHnswIndex::build(QuantMatrix::from_matrix(&m), HnswConfig::default());
-        let b = QHnswIndex::build(QuantMatrix::from_matrix(&m), HnswConfig::default());
-        let qa: Vec<u32> = a.search(m.row(9), 5).iter().map(|h| h.id.0).collect();
-        let qb: Vec<u32> = b.search(m.row(9), 5).iter().map(|h| h.id.0).collect();
-        assert_eq!(qa, qb);
     }
 }

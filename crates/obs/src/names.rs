@@ -128,6 +128,13 @@ pub const SERVE_QUANT_BYTES_PER_ITEM: &str = "serve.quant.bytes_per_item";
 /// Histogram: nodes scored per quantized in-shard ANN search, summed over
 /// the shards a cold request fanned out to.
 pub const SERVE_ANN_HOPS: &str = "serve.ann_hops";
+/// Histogram: wall-clock **milliseconds** of one `ColdIndex` build (all
+/// shards, built in parallel) — once at engine start and once per
+/// `swap`/`install`/stream publish under `ColdPathMode::QuantAnn`.
+pub const SERVE_COLD_INDEX_BUILD_MS: &str = "serve.cold_index.build_ms";
+/// `ColdIndex` builds that failed on some shard, leaving the snapshot on
+/// the brute-force cold path although `QuantAnn` was configured.
+pub const SERVE_COLD_INDEX_FALLBACK_TOTAL: &str = "serve.cold_index.fallback_total";
 
 /// Prefix of the tenant-labeled `serve.tenant.<label>.<suffix>` family.
 ///
@@ -271,6 +278,8 @@ pub const ALL: &[&str] = &[
     SERVE_QUANT_RERANKED_TOTAL,
     SERVE_QUANT_BYTES_PER_ITEM,
     SERVE_ANN_HOPS,
+    SERVE_COLD_INDEX_BUILD_MS,
+    SERVE_COLD_INDEX_FALLBACK_TOTAL,
     STREAM_EVENTS_TOTAL,
     STREAM_BATCHES_TOTAL,
     STREAM_PUBLISHES_TOTAL,

@@ -24,14 +24,14 @@
 use crate::api::{ServeError, ServeRequest, ServeResponse};
 use crate::cache::{AdmissionCache, CacheKey};
 use crate::config::{ColdPathMode, TenantId};
-use crate::metrics::{ServeMetrics, TenantMetrics};
+use crate::metrics::{serve_metrics, ServeMetrics, TenantMetrics};
 use sisg_ann::qhnsw::{HnswConfig, QHnswIndex};
 use sisg_core::cold_start;
 use sisg_core::serving::MatchingParts;
 use sisg_core::{MatchingService, Recommendation, SiAggregation, SisgModel};
 use sisg_corpus::{ItemId, TokenId, UserRegistry};
 use sisg_embedding::codec::{encode_quant, QuantBlob};
-use sisg_embedding::{Neighbor, QuantMatrix};
+use sisg_embedding::{Matrix, Neighbor, QuantMatrix};
 use sisg_obs::Stopwatch;
 
 /// Per-request tenant context threaded from the engine's submit path into
@@ -65,43 +65,49 @@ pub struct ColdIndex {
     indexes: Vec<QHnswIndex<QuantBlob>>,
     /// Quantized payload bytes per item (`dim` int8 weights + f32 scale).
     bytes_per_item: usize,
-    /// Link-graph overhead across all shards, reported separately from
-    /// the payload in the memory accounting.
-    link_bytes: usize,
 }
 
 impl ColdIndex {
-    /// Quantizes and indexes the model's normalized item matrix, sharded
-    /// the same way as the warm lists. Returns `None` only if an encoded
-    /// shard blob fails to parse back (cannot happen for blobs we just
-    /// encoded; the caller degrades to brute force rather than panicking —
-    /// this crate's API is panic-free).
-    fn build(model: &SisgModel, n_shards: usize, ef_search: usize) -> Option<Self> {
-        let item_norm = model.item_norm_matrix();
-        let n_items = item_norm.rows();
-        let dim = item_norm.dim();
+    /// Quantizes and indexes the normalized item matrix, sharded the same
+    /// way as the warm lists, one scoped thread per shard. Shards share
+    /// nothing but the read-only matrix, so every graph is the one a
+    /// sequential build would produce. Returns `None` if a shard fails —
+    /// its encoded blob does not parse back (cannot happen for blobs we
+    /// just encoded), its thread cannot start, or it panics; the caller
+    /// degrades to brute force rather than panicking (this crate's API is
+    /// panic-free) and `serve.cold_index.fallback_total` says so.
+    fn build(item_norm: &Matrix, n_shards: usize, ef_search: usize) -> Option<Self> {
+        let watch = Stopwatch::start();
         let config = HnswConfig {
             ef_search,
             ..HnswConfig::default()
         };
-        let mut indexes = Vec::with_capacity(n_shards);
-        let mut link_bytes = 0usize;
-        for s in 0..n_shards {
-            let count = if s < n_items {
-                (n_items - s - 1) / n_shards + 1
-            } else {
-                0
-            };
-            let qm = QuantMatrix::from_rows(count, dim, |l| item_norm.row(l * n_shards + s));
-            let blob = QuantBlob::new(encode_quant(&qm)).ok()?;
-            let index = QHnswIndex::build(blob, config);
-            link_bytes += index.link_bytes();
-            indexes.push(index);
-        }
+        // Every shard is joined before the first failure is acted on: a
+        // handle dropped unjoined re-raises its thread's panic at scope exit.
+        let shards: Vec<Option<_>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (0..n_shards)
+                .map(|s| {
+                    std::thread::Builder::new()
+                        .spawn_scoped(scope, move || build_shard(item_norm, s, n_shards, config))
+                })
+                .collect();
+            spawned
+                .into_iter()
+                .map(|shard| shard.ok()?.join().ok()?)
+                .collect()
+        });
+        let indexes: Option<Vec<_>> = shards.into_iter().collect();
+        let metrics = serve_metrics();
+        metrics
+            .cold_index_build_ms
+            .record(watch.elapsed().as_millis() as u64);
+        let Some(indexes) = indexes else {
+            metrics.cold_index_fallback.inc();
+            return None;
+        };
         Some(Self {
             indexes,
-            bytes_per_item: dim + std::mem::size_of::<f32>(),
-            link_bytes,
+            bytes_per_item: item_norm.dim() + std::mem::size_of::<f32>(),
         })
     }
 
@@ -110,10 +116,28 @@ impl ColdIndex {
         self.bytes_per_item
     }
 
-    /// Link-graph bytes across all shard indexes.
+    /// Link-graph bytes allocated across all shard indexes, reported
+    /// separately from the payload in the memory accounting.
     pub fn link_bytes(&self) -> usize {
-        self.link_bytes
+        self.indexes.iter().map(QHnswIndex::link_bytes).sum()
     }
+}
+
+/// Shard `s`'s index: items `s, s + n_shards, …` quantized, encoded into
+/// the codec blob and navigated zero-copy from it.
+fn build_shard(
+    item_norm: &Matrix,
+    s: usize,
+    n_shards: usize,
+    config: HnswConfig,
+) -> Option<QHnswIndex<QuantBlob>> {
+    let count = item_norm.rows().saturating_sub(s).div_ceil(n_shards);
+    let rows = QuantMatrix::from_rows(count, item_norm.dim(), |l| item_norm.row(l * n_shards + s));
+    let blob = QuantBlob::new(encode_quant(&rows)).ok()?;
+    // The blob is the copy the index keeps; every shard builds at once, so
+    // holding the matrix through the build would add its size per shard.
+    drop(rows);
+    Some(QHnswIndex::build(blob, config))
 }
 
 impl std::fmt::Debug for ColdIndex {
@@ -182,7 +206,9 @@ impl ServingSnapshot {
         }
         let cold_index = match cold_path {
             ColdPathMode::BruteForce => None,
-            ColdPathMode::QuantAnn { ef_search } => ColdIndex::build(&model, n_shards, ef_search),
+            ColdPathMode::QuantAnn { ef_search } => {
+                ColdIndex::build(model.item_norm_matrix(), n_shards, ef_search)
+            }
         };
         Self {
             n_shards,
@@ -430,5 +456,41 @@ impl ServingSnapshot {
                 score: n.score,
             })
             .collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sisg_ann::AnnIndex;
+
+    #[test]
+    fn parallel_cold_index_equals_sequential_per_shard_builds() {
+        const EF: usize = 48;
+        let config = HnswConfig {
+            ef_search: EF,
+            ..HnswConfig::default()
+        };
+        // Uneven shards (601 % 4 ≠ 0), one shard, and more shards than
+        // items (shards 5.. are empty).
+        for (n_items, n_shards) in [(601, 4), (300, 1), (5, 8)] {
+            let m = Matrix::uniform_init(n_items, 8, 11);
+            let cold = ColdIndex::build(&m, n_shards, EF).expect("every shard builds");
+            assert_eq!(cold.indexes.len(), n_shards);
+            let mut items = 0;
+            for (s, index) in cold.indexes.iter().enumerate() {
+                let count = (s..n_items).step_by(n_shards).count();
+                let rows = QuantMatrix::from_rows(count, 8, |l| m.row(l * n_shards + s));
+                let sequential = QHnswIndex::build(rows, config);
+                assert_eq!(index.len(), count, "shard {s} of {n_shards} holds {count}");
+                assert_eq!(
+                    index.graph_checksum(),
+                    sequential.graph_checksum(),
+                    "shard {s} of {n_shards} over {n_items} items"
+                );
+                items += count;
+            }
+            assert_eq!(items, n_items);
+        }
     }
 }

@@ -4,18 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-step() { printf '\n==> %s\n' "$*"; }
+ran=()
+skipped=()
+step() { ran+=("$1"); printf '\n==> %s\n' "$*"; }
+# A gate whose toolchain is absent: it leaves the "ran" list, joins the
+# "skipped" list, and the summary line says so.
+skip() { unset 'ran[-1]'; skipped+=("$1"); echo "$2 — skipping (not a failure)"; }
 
-step "cargo fmt --check"
+step fmt "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "cargo clippy -D warnings"
+step clippy "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "xtask lint"
+step xtask-lint
 cargo run -p xtask --quiet -- lint
 
-step "miri (single-threaded embedding + sgns unit tests)"
+step miri "(single-threaded embedding + sgns unit tests)"
 # Miri proves the refactored Hogwild core UB-free on the non-racy tests.
 # The component only exists on nightly toolchains; skip gracefully where
 # it is unavailable instead of failing the whole gate.
@@ -23,14 +28,14 @@ if cargo miri --version >/dev/null 2>&1; then
   # MIRIFLAGS: isolation stays on; these tests touch no files or clocks.
   cargo miri test -p sisg-embedding -p sisg-sgns --lib
 else
-  echo "miri unavailable on this toolchain — skipping (not a failure)"
+  skip miri "miri unavailable on this toolchain"
 fi
 
-step "tier-1: cargo build --release && cargo test -q"
+step tier-1 "cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-step "interleave: schedule-exhaustive protocol model checks"
+step interleave "schedule-exhaustive protocol model checks"
 # Enumerates every interleaving of the modeled hot-swap, cache-clear and
 # RowPtr protocols and pins the exact schedule counts (DESIGN.md §7). The
 # trees are a few hundred schedules, so the exhaustive run is seconds-scale.
@@ -39,7 +44,7 @@ step "interleave: schedule-exhaustive protocol model checks"
 # current models exhaustive while bounding runaway tree growth.
 cargo test --release -q -p sisg-interleave
 
-step "tsan (best effort): interleave models + hogwild stress under ThreadSanitizer"
+step tsan "(best effort): interleave models + hogwild stress under ThreadSanitizer"
 # ThreadSanitizer needs a nightly toolchain with rust-src (-Zbuild-std).
 # Skip cleanly when either is absent instead of failing the gate — the
 # exhaustive interleave pass above is the authoritative concurrency check.
@@ -51,15 +56,15 @@ if rustup toolchain list 2>/dev/null | grep -q '^nightly' \
     cargo +nightly test -Zbuild-std --target "$host" -q \
       -p sisg-interleave -p sisg-embedding
 else
-  echo "nightly + rust-src unavailable — skipping TSan (not a failure)"
+  skip tsan "nightly + rust-src unavailable"
 fi
 
-step "benches compile"
+step benches-compile
 # Criterion benches are not run in CI (too slow, too noisy) but must keep
 # compiling — they pin the public kernel/trainer APIs.
 cargo build --release --benches -p sisg-bench
 
-step "metrics smoke: emit a snapshot and validate its shape"
+step metrics-smoke "emit a snapshot and validate its shape"
 # A fast instrumented experiment writes its obs snapshot into a scratch
 # results tree; validate-metrics fails on unparsable or misshapen JSON.
 # See docs/OBSERVABILITY.md for the snapshot format.
@@ -69,13 +74,13 @@ SISG_RESULTS=target/ci-results SISG_ITEMS=400 SISG_EPOCHS=1 \
 cargo run -p xtask --quiet -- validate-metrics \
   --catalog docs/OBSERVABILITY.md target/ci-results/metrics/ablation_ann.json
 
-step "simtest smoke: pinned fault seeds replay to their recorded traces"
+step simtest-smoke "pinned fault seeds replay to their recorded traces"
 # Three seeded fault schedules (drop+duplicate+delay) must reproduce their
 # pinned event-trace hashes exactly — the deterministic-simulation contract
 # of DESIGN.md §9. Seconds-scale: the virtual cluster needs no threads.
 cargo test --release -q -p sisg-simtest --test determinism
 
-step "perf smoke: seconds-scale perf_train run + schema validation"
+step perf-smoke "seconds-scale perf_train run + schema validation"
 # --smoke trains small 1- and 2-thread configurations end to end (the
 # 2-thread tier runs both engines: partitioned and atomic Hogwild) and
 # writes a BENCH_perf.json with the same sisg.perf.v1 schema as the full
@@ -86,7 +91,7 @@ SISG_RESULTS=target/ci-results \
 cargo run -p xtask --quiet -- validate-metrics \
   --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_perf.json
 
-step "serve smoke: seconds-scale perf_serve run + schema validation"
+step serve-smoke "seconds-scale perf_serve run + schema validation"
 # --smoke load-tests the sharded serve engine (warm/cold/cold-user mix,
 # cache, batching) against the sequential baseline on a small model, then
 # replays a two-tenant scenario matrix (head_heavy + adversarial hot-key)
@@ -100,7 +105,7 @@ cargo run -p xtask --quiet -- validate-metrics \
 cargo run -p xtask --quiet -- validate-metrics \
   --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_scenario.json
 
-step "fresh smoke: seconds-scale perf_fresh run + schema validation"
+step fresh-smoke "seconds-scale perf_fresh run + schema validation"
 # --smoke streams a tomorrow slice through the ingest pipeline while query
 # threads hammer the engine across repeated snapshot publications, then
 # writes a snapshot-shaped BENCH_fresh.json (freshness percentiles, swap
@@ -110,4 +115,19 @@ SISG_RESULTS=target/ci-results \
 cargo run -p xtask --quiet -- validate-metrics \
   --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_fresh.json
 
-printf '\ncheck.sh: all gates passed\n'
+step benchmark "its unit tests + a 1 s correctness-gate smoke of every workload"
+# The repo benchmark (BENCHMARK.json, benchmark/README.md) is a package of
+# its own, so `cargo test --workspace` never builds it. Its tests cover
+# its own maths; the smoke runs each workload for one second untraced and
+# reads only the exit code, which is 1 when a workload's output check
+# (parity, recall floor, HR@10 floor, failed requests) does not hold. No
+# timing is read here — numbers come from full runs on a quiet host.
+cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+for workload in $(python3 -c \
+  'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])'); do
+  cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
+
+printf '\ncheck.sh: %d gates passed (%s); %d skipped (%s)\n' \
+  "${#ran[@]}" "${ran[*]}" "${#skipped[@]}" "${skipped[*]:-none}"
