@@ -481,12 +481,8 @@ impl<S: RowStore> Hnsw<S> {
     /// per layer the list length and the neighbour ids in stored order.
     /// Identical graphs agree on it; the identity tests pin it.
     pub fn graph_checksum(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |word: u32| {
-            for b in word.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = sisg_obs::Fnv1a::new();
+        let mut fold = |word: u32| h.bytes(&word.to_le_bytes());
         for node in 0..self.links.len() as u32 {
             let layers = self.links.level_of(node) + 1;
             fold(layers as u32);
@@ -496,7 +492,7 @@ impl<S: RowStore> Hnsw<S> {
                 nbs.iter().copied().for_each(&mut fold);
             }
         }
-        h
+        h.finish()
     }
 }
 

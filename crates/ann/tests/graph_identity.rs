@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use sisg_ann::{Hit, HnswConfig, HnswIndex, QHnswIndex};
 use sisg_embedding::math::normalize;
 use sisg_embedding::{Matrix, QuantMatrix};
+use sisg_obs::Fnv1a;
 
 const ROWS: usize = 2_000;
 const DIM: usize = 16;
@@ -30,36 +31,20 @@ fn corpus() -> Matrix {
     Matrix::from_data(ROWS, DIM, data)
 }
 
-/// FNV-1a over the little-endian bytes of each folded word.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Runs the probe queries (every 97th row) and returns total hops and a
 /// checksum of every hit's id and score bits.
 fn probe(m: &Matrix, search: impl Fn(&[f32]) -> (Vec<Hit>, u64)) -> (u64, u64) {
     let mut hops = 0u64;
-    let mut answers = Fnv::new();
+    let mut answers = Fnv1a::new();
     for q in (0..ROWS).step_by(97) {
         let (hits, h) = search(m.row(q));
         hops += h;
         for hit in hits {
-            answers.fold(hit.id.0);
-            answers.fold(hit.score.to_bits());
+            answers.bytes(&hit.id.0.to_le_bytes());
+            answers.bytes(&hit.score.to_bits().to_le_bytes());
         }
     }
-    (hops, answers.0)
+    (hops, answers.finish())
 }
 
 #[test]

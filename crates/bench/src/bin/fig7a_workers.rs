@@ -106,11 +106,5 @@ fn main() {
     let path = results_dir().join("fig7a_workers.json");
     table.write_json(&path).expect("write results");
     let metrics = sisg_bench::emit_metrics("fig7a_workers");
-    let obs = sisg_bench::update_bench_obs("fig7a_workers");
-    println!(
-        "wrote {}, {} and {}",
-        path.display(),
-        metrics.display(),
-        obs.display()
-    );
+    println!("wrote {} and {}", path.display(), metrics.display());
 }

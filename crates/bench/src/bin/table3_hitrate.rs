@@ -150,11 +150,5 @@ fn main() {
     let path = results_dir().join("table3_hitrate.json");
     table.write_json(&path).expect("write results");
     let metrics = sisg_bench::emit_metrics("table3_hitrate");
-    let obs = sisg_bench::update_bench_obs("table3_hitrate");
-    println!(
-        "wrote {}, {} and {}",
-        path.display(),
-        metrics.display(),
-        obs.display()
-    );
+    println!("wrote {} and {}", path.display(), metrics.display());
 }

@@ -114,38 +114,6 @@ fn default_metrics_path(name: &str) -> PathBuf {
     results_dir().join("metrics").join(format!("{name}.json"))
 }
 
-/// Merges this run's snapshot into `results_dir()/BENCH_obs.json`, the
-/// consolidated observability record the headline experiments maintain.
-///
-/// The file maps run name to snapshot; re-running an experiment replaces
-/// its own entry and leaves the others intact.
-pub fn update_bench_obs(run_name: &str) -> PathBuf {
-    update_bench_obs_in(&results_dir(), run_name)
-}
-
-/// [`update_bench_obs`] against an explicit results directory.
-pub fn update_bench_obs_in(dir: &std::path::Path, run_name: &str) -> PathBuf {
-    use serde::Value;
-    let path = dir.join("BENCH_obs.json");
-    let mut entries: Vec<(String, Value)> = match std::fs::read_to_string(&path) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Object(fields)) => fields,
-            // A hand-edited or corrupt file is rebuilt from scratch rather
-            // than aborting the experiment that produced real results.
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    let snapshot = sisg_obs::registry().snapshot(run_name).to_json();
-    let snapshot: Value = serde_json::from_str(&snapshot).expect("snapshot is valid JSON");
-    entries.retain(|(k, _)| k != run_name);
-    entries.push((run_name.to_string(), snapshot));
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let doc = serde_json::to_string_pretty(&Value::Object(entries)).expect("emit JSON");
-    std::fs::write(&path, doc + "\n").expect("write BENCH_obs.json");
-    path
-}
-
 /// Human-readable description of an item for the case-study printouts:
 /// `item 42 [leaf_category_7, brand_3, shop_19, F/26-30/p2]`.
 pub fn describe_item(corpus: &GeneratedCorpus, item: sisg_corpus::ItemId) -> String {
@@ -182,27 +150,6 @@ mod tests {
         let swapped = with_sessions(&c, Corpus::new());
         assert_eq!(swapped.sessions.len(), 0);
         assert_eq!(swapped.config.n_items, c.config.n_items);
-    }
-
-    #[test]
-    fn bench_obs_merge_replaces_only_the_rerun_entry() {
-        use serde::Value;
-        let dir = std::env::temp_dir().join(format!("sisg_bench_obs_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = update_bench_obs_in(&dir, "run_b");
-        update_bench_obs_in(&dir, "run_a");
-        update_bench_obs_in(&dir, "run_b"); // re-run replaces, not duplicates
-        let doc: Value = serde_json::from_str(&std::fs::read_to_string(&path).expect("read back"))
-            .expect("valid JSON");
-        let Value::Object(entries) = doc else {
-            panic!("BENCH_obs.json must be an object");
-        };
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["run_a", "run_b"], "sorted, deduplicated run names");
-        for (_, snapshot) in &entries {
-            snapshot.get_field("counters").expect("snapshot shape");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! HR@10 tolerance gate for the partitioned parallel engine (ISSUE 7 /
 //! ROADMAP item 1): multi-thread partitioned training must retrieve
 //! within tolerance of the exact single-threaded reference. This is the
-//! quality half of the scaling acceptance — docs/PARALLELISM.md §6 has
-//! the throughput half (`perf_train`).
+//! quality half of the scaling acceptance; docs/PARALLELISM.md §6 says
+//! what measures the throughput half.
 
 use sisg_core::{SisgModel, Variant};
 use sisg_corpus::split::{NextItemSplit, SplitStage};

@@ -303,9 +303,10 @@ impl MatchingService {
         Ok(out)
     }
 
-    /// True when `item` is served through the cold path.
+    /// True when `item` is served through the cold path; an id outside
+    /// the catalog is not (its request fails with `UnknownItem` instead).
     pub fn is_cold(&self, item: ItemId) -> bool {
-        self.cold[item.index()]
+        self.cold.get(item.index()).copied().unwrap_or(false)
     }
 
     /// Fraction of the catalog served cold.
@@ -498,7 +499,9 @@ mod tests {
             let item = ItemId(i);
             assert_eq!(svc.warm_list(item).is_some(), !svc.is_cold(item));
         }
+        // Outside the catalog: neither warm nor cold, and no panic.
         assert!(svc.warm_list(ItemId(u32::MAX)).is_none());
+        assert!(!svc.is_cold(ItemId(u32::MAX)));
     }
 
     #[test]

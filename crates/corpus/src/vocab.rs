@@ -253,17 +253,6 @@ impl Vocab {
         &self.freqs
     }
 
-    /// Tokens whose frequency is at least `threshold`, descending by
-    /// frequency. Used to build the ATNS shared hot set `Q`.
-    pub fn tokens_with_freq_at_least(&self, threshold: u64) -> Vec<TokenId> {
-        let mut hot: Vec<TokenId> = (0..self.freqs.len())
-            .filter(|&i| self.freqs[i] >= threshold)
-            .map(|i| TokenId(i as u32))
-            .collect();
-        hot.sort_by_key(|t| std::cmp::Reverse(self.freqs[t.index()]));
-        hot
-    }
-
     /// The `k` most frequent tokens, descending.
     pub fn top_k(&self, k: usize) -> Vec<TokenId> {
         let mut all: Vec<u32> = (0..self.freqs.len() as u32).collect();
@@ -405,6 +394,5 @@ mod tests {
         assert_eq!(v.freq(TokenId(0)), 0);
         assert_eq!(v.total_tokens(), 6);
         assert_eq!(v.top_k(1), vec![TokenId(3)]);
-        assert_eq!(v.tokens_with_freq_at_least(2), vec![TokenId(3)]);
     }
 }

@@ -72,22 +72,6 @@ impl CategoryGraph {
         Self { weights, mass }
     }
 
-    /// Builds a graph directly from symmetric edge weights and node mass —
-    /// the nodes need not be leaf categories. `crate::intra` uses this to
-    /// run the same merge heuristic over *token* transition graphs for
-    /// intra-process vocabulary sharding.
-    ///
-    /// # Panics
-    /// Panics when an edge key is not `(low, high)` with `low < high`, or
-    /// indexes past `mass`.
-    pub fn from_parts(weights: HashMap<(u32, u32), u64>, mass: Vec<u64>) -> Self {
-        for &(a, b) in weights.keys() {
-            assert!(a < b, "edge key must be (low, high), got ({a}, {b})");
-            assert!((b as usize) < mass.len(), "edge node {b} out of range");
-        }
-        Self { weights, mass }
-    }
-
     /// Total frequency mass `|V|`.
     pub fn total_mass(&self) -> u64 {
         self.mass.iter().sum()

@@ -27,11 +27,6 @@ impl HotSet {
         Self::from_tokens(vocab.len(), vocab.top_k(k))
     }
 
-    /// All tokens with frequency ≥ `threshold` — stage 4 of the pipeline.
-    pub fn from_threshold(vocab: &Vocab, threshold: u64) -> Self {
-        Self::from_tokens(vocab.len(), vocab.tokens_with_freq_at_least(threshold))
-    }
-
     /// Builds the set from an explicit token list.
     pub fn from_tokens(space_len: usize, tokens: Vec<TokenId>) -> Self {
         let mut slot_plus_one = vec![0u32; space_len];
@@ -230,15 +225,6 @@ mod tests {
         assert!(hot.contains(TokenId(7)));
         assert!(!hot.contains(TokenId(1)));
         assert_eq!(hot.slot(TokenId(3)), Some(0));
-    }
-
-    #[test]
-    fn threshold_selects_by_frequency() {
-        let v = vocab();
-        let hot = HotSet::from_threshold(&v, 5);
-        assert_eq!(hot.len(), 2);
-        let none = HotSet::from_threshold(&v, 1_000);
-        assert!(none.is_empty());
     }
 
     #[test]

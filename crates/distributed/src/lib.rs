@@ -11,9 +11,6 @@
 //! - [`hbgp`] — Heuristic Balanced Graph Partitioning (Section III-B):
 //!   coarsen the item graph to leaf categories, then greedily merge the
 //!   heaviest-edge pair under the `β·|V|/w` balance constraint;
-//! - [`intra`] — the same HBGP heuristic over *token* transition graphs,
-//!   producing the `OwnershipPlan` the intra-process partitioned trainer
-//!   (`sisg_sgns::partitioned`, docs/PARALLELISM.md) shards threads with;
 //! - [`hotset`] — the ATNS shared set `Q` (Section III-A): tokens above a
 //!   frequency threshold are replicated on every worker and their replicas
 //!   averaged at regular intervals;
@@ -39,7 +36,6 @@ pub mod channels;
 pub mod fault;
 pub mod hbgp;
 pub mod hotset;
-pub mod intra;
 pub mod partition;
 pub mod pipeline;
 pub mod protocol;
@@ -53,7 +49,6 @@ pub use channels::{
 pub use fault::{CrashSpec, FaultDecision, FaultPlan, RetryPolicy, StallSpec};
 pub use hbgp::{partition_categories_traced, HbgpPartitioner, HbgpTrace};
 pub use hotset::{HotSet, SyncMode};
-pub use intra::plan_intra_process;
 pub use partition::{HashPartitioner, PartitionMap, Partitioner};
 pub use pipeline::{PipelinePreflight, ResumeError, TrainingPipeline};
 pub use protocol::{

@@ -142,23 +142,17 @@ impl ShardCheckpoint {
 /// resume, and any divergence means the checkpointed partition would be
 /// meaningless.
 pub fn enriched_fingerprint(enriched: &EnrichedCorpus) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(enriched.space().len() as u64);
-    eat(enriched.len() as u64);
-    eat(enriched.total_tokens());
+    let mut h = sisg_obs::Fnv1a::new();
+    h.u64(enriched.space().len() as u64);
+    h.u64(enriched.len() as u64);
+    h.u64(enriched.total_tokens());
     for i in 0..enriched.len() {
-        eat(enriched.user(i).0 as u64);
+        h.u64(enriched.user(i).0 as u64);
         for t in enriched.sequence(i) {
-            eat(t.0 as u64);
+            h.u64(t.0 as u64);
         }
     }
-    h
+    h.finish()
 }
 
 /// The stage-boundary artifacts of the preparation pipeline, ready to be

@@ -5,16 +5,16 @@
 //! of the hot top-K rows so the contended head of the frequency
 //! distribution is written without any sharing at all; between training
 //! rounds the replicas are reconciled — the distributed hot set of
-//! Section III-A, but across threads instead of machines. Two merges are
-//! offered: [`ReplicaBank::merge_mean`] (plain ATNS averaging) and
-//! [`ReplicaBank::merge_deltas`] (trust-region-clipped delta sum, the
-//! trainer's default — averaging shrinks the round's aggregate gradient
-//! by the replica count, so the sum is what preserves quality, and the
-//! per-row movement clip is what keeps correlated overshoot from
-//! compounding into divergence; see docs/PARALLELISM.md §4).
+//! Section III-A, but across threads instead of machines. The merge is
+//! [`ReplicaBank::merge_deltas`]: a trust-region-clipped delta sum, not an
+//! average — averaging shrinks the round's aggregate gradient by the
+//! replica count, so the sum is what preserves quality, and the per-row
+//! movement clip is what keeps correlated overshoot from compounding into
+//! divergence (docs/PARALLELISM.md §4 has the measurement that rejected
+//! plain ATNS averaging).
 //!
 //! The merge arithmetic runs through the order-preserving kernels
-//! ([`kernels::add_assign`] / [`kernels::scale`]), so a merge is
+//! ([`kernels::accumulate_delta`] / [`kernels::add_assign`]), so a merge is
 //! deterministic: replicas are accumulated in index order and the result
 //! is bit-identical to the sequential scalar reference (pinned by a test
 //! below). Per-element accessors are lint-banned here (`xtask lint`
@@ -86,30 +86,6 @@ impl ReplicaBank {
     /// to each training thread.
     pub fn replicas_mut(&mut self) -> Vec<&mut Matrix> {
         self.replicas.iter_mut().collect()
-    }
-
-    /// Averages every row across the replicas and writes the mean back into
-    /// each of them, leaving all replicas identical. Returns the number of
-    /// rows merged.
-    ///
-    /// `scratch` must have length [`ReplicaBank::dim`]. Accumulation order
-    /// is replica `0, 1, …, n−1` through the ordered kernels, so the result
-    /// is deterministic and matches the sequential scalar mean bit for bit.
-    pub fn merge_mean(&mut self, scratch: &mut [f32]) -> u64 {
-        assert_eq!(scratch.len(), self.dim, "scratch/dim mismatch");
-        let inv = 1.0f32 / self.replicas.len() as f32;
-        for slot in 0..self.rows {
-            scratch.copy_from_slice(self.replicas[0].row(slot));
-            for r in 1..self.replicas.len() {
-                kernels::add_assign(scratch, self.replicas[r].row(slot));
-            }
-            kernels::scale(scratch, inv);
-            self.base.row_mut(slot).copy_from_slice(scratch);
-            for replica in &mut self.replicas {
-                replica.row_mut(slot).copy_from_slice(scratch);
-            }
-        }
-        self.rows as u64
     }
 
     /// Per-element RMS bound on one row's movement in a single
@@ -200,30 +176,31 @@ mod tests {
     }
 
     #[test]
-    fn merge_mean_matches_the_scalar_reference_bit_for_bit() {
+    fn merge_deltas_matches_the_scalar_reference_bit_for_bit() {
         let mut b = bank();
-        // Drift the replicas apart deterministically.
+        let base: Vec<Vec<f32>> = (0..3).map(|slot| b.replica(0).row(slot).to_vec()).collect();
+        // Drift the replicas apart deterministically, inside the trust
+        // region so no clip applies.
         for (r, m) in b.replicas_mut().into_iter().enumerate() {
             for slot in 0..3 {
                 for x in m.row_mut(slot) {
-                    *x += (r as f32 + 1.0) * 0.125;
+                    *x += (r as f32 + 1.0) * 0.03125;
                 }
             }
         }
-        // Scalar reference mean, same accumulation order.
+        // Scalar reference: base + Σᵣ (replicaᵣ − base), same order.
         let mut expect = [[0.0f32; 8]; 3];
         for (slot, row) in expect.iter_mut().enumerate() {
-            let mut acc = b.replica(0).row(slot).to_vec();
-            for r in 1..3 {
-                for (a, v) in acc.iter_mut().zip(b.replica(r).row(slot)) {
-                    *a += v;
+            for r in 0..3 {
+                for ((e, v), base) in row.iter_mut().zip(b.replica(r).row(slot)).zip(&base[slot]) {
+                    *e += v - base;
                 }
             }
-            for (e, a) in row.iter_mut().zip(&acc) {
-                *e = a * (1.0 / 3.0);
+            for (e, base) in row.iter_mut().zip(&base[slot]) {
+                *e += base;
             }
         }
-        let merged = b.merge_mean(&mut [0.0; 8]);
+        let merged = b.merge_deltas(&mut [0.0; 8]);
         assert_eq!(merged, 3);
         for (slot, row) in expect.iter().enumerate() {
             for r in 0..3 {
@@ -232,28 +209,6 @@ mod tests {
                 assert_eq!(got, want, "slot {slot} replica {r}");
             }
         }
-    }
-
-    #[test]
-    fn merge_of_identical_replicas_is_a_fixed_point() {
-        // With two replicas the mean is (x + x) · 0.5 — both operations are
-        // exact in f32, so a merge with no drift must not perturb any bit.
-        let source = Matrix::uniform_init(6, 8, 42);
-        let mut b = ReplicaBank::gather(2, &source, &[4, 0, 2]);
-        let before: Vec<u32> = b
-            .replica(1)
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        b.merge_mean(&mut [0.0; 8]);
-        let after: Vec<u32> = b
-            .replica(1)
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(before, after);
     }
 
     #[test]
@@ -372,7 +327,7 @@ mod tests {
     #[test]
     fn publish_row_writes_the_merged_value() {
         let mut b = bank();
-        b.merge_mean(&mut [0.0; 8]);
+        b.merge_deltas(&mut [0.0; 8]);
         let mut canonical = Matrix::zeros(6, 8);
         b.publish_row(1, &mut canonical, 5);
         assert_eq!(canonical.row(5), b.replica(0).row(1));
@@ -382,7 +337,7 @@ mod tests {
     fn empty_bank_merges_nothing() {
         let source = Matrix::uniform_init(2, 4, 1);
         let mut b = ReplicaBank::gather(2, &source, &[]);
-        assert_eq!(b.merge_mean(&mut [0.0; 4]), 0);
+        assert_eq!(b.merge_deltas(&mut [0.0; 4]), 0);
     }
 
     #[test]

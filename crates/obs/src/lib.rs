@@ -51,12 +51,14 @@
 //! assert!(snap.to_json().contains("example.pairs_total"));
 //! ```
 
+mod fnv;
 mod metrics;
 pub mod names;
 mod registry;
 mod snapshot;
 mod span;
 
+pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{registry, Registry};
 pub use snapshot::{write_snapshot, HistogramSnapshot, Snapshot};

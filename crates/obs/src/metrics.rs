@@ -461,7 +461,7 @@ mod tests {
     #[test]
     #[cfg(feature = "enabled")]
     fn sub_microsecond_durations_round_trip_at_ns_resolution() {
-        // Regression for the BENCH_serve percentile-zero bug: a known
+        // Regression for the serve-latency percentile-zero bug: a known
         // sub-µs latency distribution recorded in whole µs collapses into
         // bucket 0 (all percentiles 0), while the same distribution at ns
         // resolution keeps non-zero, monotone, bucket-accurate quantiles.

@@ -17,6 +17,7 @@ use sisg_core::CoreError;
 use sisg_corpus::{GeneratedCorpus, ItemId, UserId};
 use sisg_eval::ctr::click_propensity;
 use sisg_obs::names::tenant_metric;
+use sisg_obs::Fnv1a;
 use sisg_serve::{ServeEngine, ServeEngineConfig, ServeError, ServeRequest, TenantId};
 
 /// Scenario-level knobs: how long to run and the master seed every
@@ -170,27 +171,6 @@ pub fn engine_config(profiles: &[TenantProfile]) -> Result<ServeEngineConfig, Co
         .cache_admit_after(1)
         .tenants(profiles.iter().map(|p| p.config.clone()).collect())
         .build()
-}
-
-/// FNV-1a, the same deterministic hash the engine uses for cold-user
-/// routing — no `DefaultHasher` seed instability across runs.
-struct TraceHash(u64);
-
-impl TraceHash {
-    fn new() -> Self {
-        TraceHash(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
 }
 
 /// One generated request plus the click-model context it is scored in.
@@ -390,7 +370,8 @@ pub fn run_scenario(
         });
     }
 
-    let mut trace = TraceHash::new();
+    // Ids and counts fold as 4-byte little-endian words, flags as one byte.
+    let mut trace = Fnv1a::new();
     for tick in 0..cfg.ticks {
         // Submit every tenant's arrivals for this tick. Accepted requests
         // hold their tenant's budget slot until collected below, so the
@@ -402,10 +383,10 @@ pub fn run_scenario(
             for _ in 0..arrivals {
                 let generated = generate(corpus, profile, &mut runs[pi], &pools);
                 runs[pi].submitted += 1;
-                trace.u32(tick);
-                trace.u32(profile.config.id.0);
+                trace.bytes(&tick.to_le_bytes());
+                trace.bytes(&profile.config.id.0.to_le_bytes());
                 trace.bytes(&[generated.class]);
-                trace.u32(generated.key);
+                trace.bytes(&generated.key.to_le_bytes());
                 match engine.submit(generated.req.for_tenant(profile.config.id)) {
                     Ok(p) => {
                         trace.bytes(&[0]);
@@ -428,8 +409,9 @@ pub fn run_scenario(
             };
             runs[pi].completed += 1;
             trace.bytes(&[u8::from(resp.cache_hit)]);
-            trace.u32(resp.recommendations.len() as u32);
-            trace.u32(resp.recommendations.first().map_or(u32::MAX, |r| r.item.0));
+            let top = resp.recommendations.first().map_or(u32::MAX, |r| r.item.0);
+            trace.bytes(&(resp.recommendations.len() as u32).to_le_bytes());
+            trace.bytes(&top.to_le_bytes());
             for (pos, rec) in resp.recommendations.iter().enumerate() {
                 runs[pi].shown += 1;
                 let p_click = click_propensity(
@@ -502,7 +484,7 @@ pub fn run_scenario(
         tenants,
         ticks: cfg.ticks,
         seed: cfg.seed,
-        trace_hash: trace.0,
+        trace_hash: trace.finish(),
     })
 }
 
@@ -510,21 +492,6 @@ pub fn run_scenario(
 mod tests {
     use super::*;
     use crate::profile::standard_matrix;
-
-    #[test]
-    fn trace_hash_is_order_sensitive_and_stable() {
-        let mut a = TraceHash::new();
-        a.u32(1);
-        a.u32(2);
-        let mut b = TraceHash::new();
-        b.u32(2);
-        b.u32(1);
-        assert_ne!(a.0, b.0, "hash must be order sensitive");
-        let mut c = TraceHash::new();
-        c.u32(1);
-        c.u32(2);
-        assert_eq!(a.0, c.0, "hash must be deterministic");
-    }
 
     #[test]
     fn standard_matrix_builds_a_valid_engine_config() {

@@ -64,8 +64,8 @@ pub struct RequestMix {
 }
 
 impl RequestMix {
-    /// The 75/20/5 mix `perf_serve` has always driven — the head-heavy
-    /// browse profile of the paper's deployment setting.
+    /// The 75/20/5 mix — the head-heavy browse profile of the paper's
+    /// deployment setting.
     pub const BROWSE: RequestMix = RequestMix {
         warm: 75,
         cold_item: 20,

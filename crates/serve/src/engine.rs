@@ -447,19 +447,16 @@ impl ServeEngine {
                 // FNV-1a over the demographic bytes: deterministic across
                 // runs (unlike `DefaultHasher`), so a repeating cold-user
                 // key always lands on the shard holding its cache entry.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for byte in [
+                let mut h = sisg_obs::Fnv1a::new();
+                h.bytes(&[
                     gender.map_or(0xff, |g| g),
                     age.map_or(0xff, |a| a),
                     purchase.map_or(0xff, |p| p),
                     gender.is_some() as u8
                         | (age.is_some() as u8) << 1
                         | (purchase.is_some() as u8) << 2,
-                ] {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-                (h % self.config.n_shards() as u64) as usize
+                ]);
+                (h.finish() % self.config.n_shards() as u64) as usize
             }
         }
     }
@@ -547,22 +544,6 @@ impl ServeEngine {
     /// Submits a request and blocks for the answer.
     pub fn serve(&self, req: impl Into<TenantRequest>) -> Result<ServeResponse, ServeError> {
         self.submit(req)?.wait()
-    }
-
-    /// Submits a batch, then collects every answer. Requests are pipelined
-    /// per shard, so a batch overlaps queueing with computation; each slot
-    /// fails independently (a shed request is `Overloaded` or
-    /// `SloBudgetExhausted`, the rest proceed).
-    pub fn serve_batch<R: Into<TenantRequest>>(
-        &self,
-        reqs: impl IntoIterator<Item = R>,
-    ) -> Vec<Result<ServeResponse, ServeError>> {
-        let pending: Vec<Result<PendingResponse, ServeError>> =
-            reqs.into_iter().map(|r| self.submit(r)).collect();
-        pending
-            .into_iter()
-            .map(|p| p.and_then(PendingResponse::wait))
-            .collect()
     }
 
     /// Atomically installs a new snapshot built from `service` and returns

@@ -8,8 +8,9 @@
 //!   resharded snapshot** — the snapshot serves without calling back into
 //!   `MatchingService`, so engine traffic never moves `serving.*`.
 //!
-//! A bench that does both (perf_serve warms its request stream against
-//! the service, then replays it through the engine) therefore reports
+//! A process that does both (the benchmark's `serve_hot` takes its
+//! parity reference from the service, then replays the stream through
+//! the engine) therefore reports
 //! `serving.*` ≥ `serve.*` for the overlapping kinds, with the delta
 //! exactly the direct calls. This file is a single test in its own
 //! binary: the obs registry is process-global, so sharing a binary with

@@ -35,10 +35,10 @@ pub mod trainer;
 pub use config::{SgnsConfig, TrainEngine};
 pub use noise::NoiseTable;
 pub use partition::OwnershipPlan;
-pub use partitioned::{train_partitioned, train_partitioned_into};
+pub use partitioned::train_partitioned_into;
 pub use sampler::{PairSampler, SubsampleTable, WindowMode};
 pub use sgd::{train_pair, train_pair_mut, PairScratch};
 pub use trainer::{
-    count_freqs, resolve_engine, train, train_increment, train_into, train_parallel,
-    train_with_freqs, Sequences, TrainStats,
+    count_freqs, resolve_engine, train, train_increment, train_into, train_with_freqs, Sequences,
+    TrainStats,
 };

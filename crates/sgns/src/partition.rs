@@ -9,12 +9,8 @@
 //! the entire output-side update mass runs on the non-atomic kernel path
 //! with zero sharing. See docs/PARALLELISM.md for the scaling model.
 //!
-//! Plans can come from two builders:
-//! - [`OwnershipPlan::balanced_by_frequency`] — the self-contained default:
-//!   greedy frequency-mass balancing, ignores co-occurrence structure;
-//! - `sisg_distributed::intra` — reuses the paper's HBGP merge heuristic
-//!   over the token transition graph to also minimize the cross-shard cut,
-//!   then hands the owner vector to [`OwnershipPlan::from_owners`].
+//! Plans come from [`OwnershipPlan::balanced_by_frequency`]: greedy
+//! frequency-mass balancing that ignores co-occurrence structure.
 
 use sisg_corpus::TokenId;
 
@@ -80,8 +76,7 @@ impl OwnershipPlan {
     /// The self-contained default plan: the `hot_k` most frequent tokens
     /// are replicated; the remaining tokens are assigned greedily, most
     /// frequent first, to the shard with the least frequency mass (ties by
-    /// shard index). Balanced by construction but blind to co-occurrence —
-    /// use `sisg_distributed::intra` for a cut-minimizing HBGP plan.
+    /// shard index). Balanced by construction but blind to co-occurrence.
     pub fn balanced_by_frequency(freqs: &[u64], threads: usize, hot_k: usize) -> Self {
         assert!(threads > 0, "need at least one shard");
         let hot = top_k_by_frequency(freqs, hot_k);

@@ -44,7 +44,7 @@ use crate::sampler::{PairSampler, SubsampleTable};
 use crate::sgd::{build_kept, split_steps, SplitRow};
 use crate::sigmoid::SigmoidTable;
 use crate::trainer::{
-    count_freqs, publish_throughput, train_single, ChunkBuffers, ChunkStats, Sequences, TrainStats,
+    publish_throughput, train_single, ChunkBuffers, ChunkStats, Sequences, TrainStats,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,32 +111,9 @@ struct ShardState {
     pending: PendingGrads,
 }
 
-/// [`train_partitioned_into`] with a fresh store and a default
-/// frequency-balanced plan — mirror of [`crate::train_with_freqs`].
-pub fn train_partitioned<S: Sequences + ?Sized>(
-    seqs: &S,
-    n_tokens: usize,
-    config: &SgnsConfig,
-) -> (EmbeddingStore, TrainStats) {
-    config.validate().expect("invalid SGNS config");
-    let freqs = count_freqs(seqs, n_tokens);
-    let plan = OwnershipPlan::balanced_by_frequency(
-        &freqs,
-        config.threads,
-        if config.hot_set_size == 0 {
-            OwnershipPlan::auto_hot_k(n_tokens)
-        } else {
-            config.hot_set_size
-        },
-    );
-    let store = EmbeddingStore::new(n_tokens, config.dim, config.seed);
-    train_partitioned_into(seqs, &freqs, config, store, &plan)
-}
-
 /// Ownership-partitioned training over an explicit [`OwnershipPlan`]
-/// (built by `balanced_by_frequency` or `sisg_distributed::intra`'s HBGP
-/// partitioner). Continues from `store` (warm starts work as in
-/// [`crate::train_into`]).
+/// (built by `balanced_by_frequency`). Continues from `store` (warm
+/// starts work as in [`crate::train_into`]).
 ///
 /// A 1-shard plan delegates to the exact single-threaded path, so its
 /// output is bit-identical to `threads == 1` training (golden-pinned).

@@ -83,8 +83,8 @@ impl TrainStats {
         }
     }
 
-    /// Training throughput in positive pairs per second — the headline
-    /// number of the perf trajectory (`results/BENCH_perf.json`).
+    /// Training throughput in positive pairs per second — what the
+    /// benchmark's `train_local` workload reports as `sgns.pairs_per_s`.
     pub fn pairs_per_second(&self) -> f64 {
         if self.seconds > 0.0 {
             self.pairs as f64 / self.seconds
@@ -549,15 +549,6 @@ pub(crate) fn publish_throughput(stats: &TrainStats) {
 
 /// Hogwild parallel training: threads share the matrices without locks and
 /// split the sequence range per epoch.
-pub fn train_parallel<S: Sequences + ?Sized>(
-    seqs: &S,
-    freqs: &[u64],
-    config: &SgnsConfig,
-) -> (EmbeddingStore, TrainStats) {
-    let store = EmbeddingStore::new(freqs.len(), config.dim, config.seed);
-    train_parallel_into(seqs, freqs, config, store)
-}
-
 fn train_parallel_into<S: Sequences + ?Sized>(
     seqs: &S,
     freqs: &[u64],

@@ -11,19 +11,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sisg_corpus::TokenId;
+use sisg_obs::Fnv1a;
 use sisg_sgns::{train, SgnsConfig};
-
-/// FNV-1a over the little-endian bit patterns of every f32 in `data`.
-fn fnv1a_bits(data: &[f32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
 
 /// Two-topic synthetic corpus, the same shape the trainer tests use.
 fn golden_corpus(seed: u64) -> Vec<Vec<TokenId>> {
@@ -42,9 +31,14 @@ fn checksum(cfg: &SgnsConfig) -> u64 {
     let seqs = golden_corpus(77);
     let (store, stats) = train(&seqs, 20, cfg);
     assert!(stats.pairs > 0, "golden corpus must produce pairs");
-    let mut all: Vec<f32> = store.input_matrix().as_slice().to_vec();
-    all.extend_from_slice(store.output_matrix().as_slice());
-    fnv1a_bits(&all)
+    // The little-endian bit pattern of every f32: input rows, then output.
+    let mut h = Fnv1a::new();
+    for m in [store.input_matrix(), store.output_matrix()] {
+        for v in m.as_slice() {
+            h.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+    h.finish()
 }
 
 #[test]

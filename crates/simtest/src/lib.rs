@@ -46,7 +46,7 @@ use sisg_distributed::{
 };
 use sisg_embedding::{EmbeddingStore, Matrix};
 use sisg_eval::hitrate::{evaluate_hit_rates, ItemRetriever};
-use sisg_obs::names as obs_names;
+use sisg_obs::{names as obs_names, Fnv1a};
 use sisg_sgns::sigmoid::SigmoidTable;
 use sisg_sgns::{NoiseTable, PairSampler, SubsampleTable};
 use std::cmp::Reverse;
@@ -95,30 +95,6 @@ pub struct SimOutcome {
     /// True when the event queue drained with every worker finished and
     /// every inbox empty — the no-deadlock/no-livelock verdict.
     pub completed: bool,
-}
-
-/// Streaming FNV-1a over event records.
-struct TraceHasher {
-    h: u64,
-}
-
-impl TraceHasher {
-    fn new() -> Self {
-        Self {
-            h: 0xCBF2_9CE4_8422_2325,
-        }
-    }
-
-    fn eat_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h ^= b as u64;
-            self.h = self.h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn eat(&mut self, v: u64) {
-        self.eat_bytes(&v.to_le_bytes());
-    }
 }
 
 const TAG_TURN: u64 = 1;
@@ -238,7 +214,7 @@ struct Sim<'a> {
     workers: Vec<SimWorker<'a>>,
     heap: BinaryHeap<Reverse<Event>>,
     next_eid: u64,
-    trace: TraceHasher,
+    trace: Fnv1a,
     events: u64,
     now: u64,
     faults_injected: u64,
@@ -254,7 +230,7 @@ impl<'a> Sim<'a> {
             workers: Vec::with_capacity(w),
             heap: BinaryHeap::new(),
             next_eid: 0,
-            trace: TraceHasher::new(),
+            trace: Fnv1a::new(),
             events: 0,
             now: 0,
             faults_injected: 0,
@@ -321,9 +297,9 @@ impl<'a> Sim<'a> {
             FaultDecision::Deliver => self.push(now + 1, EventKind::Deliver { to, msg }),
             FaultDecision::Drop => {
                 self.faults_injected += 1;
-                self.trace.eat(TAG_DROP);
-                self.trace.eat(now);
-                self.trace.eat(from as u64);
+                self.trace.u64(TAG_DROP);
+                self.trace.u64(now);
+                self.trace.u64(from as u64);
             }
             FaultDecision::Duplicate => {
                 self.faults_injected += 1;
@@ -378,9 +354,9 @@ impl<'a> Sim<'a> {
             }
             TurnAction::Stalled(until) => {
                 self.faults_injected += 1;
-                self.trace.eat(TAG_STALL);
-                self.trace.eat(now);
-                self.trace.eat(w as u64);
+                self.trace.u64(TAG_STALL);
+                self.trace.u64(now);
+                self.trace.u64(w as u64);
                 self.schedule_turn(w, until);
             }
         }
@@ -398,9 +374,9 @@ impl<'a> Sim<'a> {
             }
         };
         if lost {
-            self.trace.eat(TAG_LOST);
-            self.trace.eat(now);
-            self.trace.eat(to as u64);
+            self.trace.u64(TAG_LOST);
+            self.trace.u64(now);
+            self.trace.u64(to as u64);
         } else {
             self.schedule_turn(to, now);
         }
@@ -433,9 +409,9 @@ impl<'a> Sim<'a> {
             wk.turn_time = None;
         }
         self.faults_injected += 1;
-        self.trace.eat(TAG_CRASH);
-        self.trace.eat(now);
-        self.trace.eat(w as u64);
+        self.trace.u64(TAG_CRASH);
+        self.trace.u64(now);
+        self.trace.u64(w as u64);
         self.push(
             now + spec.down_ticks.max(1),
             EventKind::Restart { worker: w },
@@ -485,24 +461,24 @@ impl<'a> Sim<'a> {
                     }
                     self.workers[worker].turn_time = None;
                     self.events += 1;
-                    self.trace.eat(TAG_TURN);
-                    self.trace.eat(ev.time);
-                    self.trace.eat(worker as u64);
+                    self.trace.u64(TAG_TURN);
+                    self.trace.u64(ev.time);
+                    self.trace.u64(worker as u64);
                     self.on_turn(worker, ev.time);
                 }
                 EventKind::Deliver { to, msg } => {
                     self.events += 1;
-                    self.trace.eat(TAG_DELIVER);
-                    self.trace.eat(ev.time);
-                    self.trace.eat(to as u64);
-                    self.trace.eat_bytes(&msg.to_bytes());
+                    self.trace.u64(TAG_DELIVER);
+                    self.trace.u64(ev.time);
+                    self.trace.u64(to as u64);
+                    self.trace.bytes(&msg.to_bytes());
                     self.on_deliver(to, msg, ev.time);
                 }
                 EventKind::Restart { worker } => {
                     self.events += 1;
-                    self.trace.eat(TAG_RESTART);
-                    self.trace.eat(ev.time);
-                    self.trace.eat(worker as u64);
+                    self.trace.u64(TAG_RESTART);
+                    self.trace.u64(ev.time);
+                    self.trace.u64(worker as u64);
                     self.on_restart(worker, ev.time);
                 }
             }
@@ -660,7 +636,7 @@ pub fn simulate(
         recoveries,
         ..
     } = engine;
-    let trace_hash = trace.h;
+    let trace_hash = trace.finish();
 
     // Assemble the store and the report from the final shards. A worker
     // still down at the end contributes its last checkpoint.
@@ -775,24 +751,12 @@ pub fn hit_rate_at_10(store: &EmbeddingStore, sessions: &Corpus, n_items: u32) -
         .unwrap_or(0.0)
 }
 
-/// FNV-1a over every float bit of the store's two matrices — the
-/// bit-identity fingerprint the determinism tests compare.
-pub fn store_checksum(store: &EmbeddingStore) -> u64 {
-    let mut h = TraceHasher::new();
-    for v in store.input_matrix().as_slice() {
-        h.eat_bytes(&v.to_bits().to_le_bytes());
-    }
-    for v in store.output_matrix().as_slice() {
-        h.eat_bytes(&v.to_bits().to_le_bytes());
-    }
-    h.h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
     use sisg_distributed::runtime::PartitionStrategy;
+    use sisg_embedding::codec;
 
     fn dist(workers: usize) -> DistConfig {
         DistConfig {
@@ -822,7 +786,7 @@ mod tests {
         let b = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
         assert_eq!(a.trace_hash, b.trace_hash, "virtual clock must replay");
         assert_eq!(a.events, b.events);
-        assert_eq!(store_checksum(&a.store), store_checksum(&b.store));
+        assert_eq!(codec::encode(&a.store), codec::encode(&b.store));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_distributed::runtime::PartitionStrategy;
 use sisg_distributed::{DistConfig, FaultPlan};
-use sisg_simtest::{simulate, store_checksum, SimConfig};
+use sisg_embedding::codec;
+use sisg_simtest::{simulate, SimConfig};
 
 fn dist() -> DistConfig {
     DistConfig {
@@ -45,8 +46,8 @@ fn same_seed_replays_to_identical_trace_and_bits() {
     assert_eq!(a.ticks, b.ticks);
     assert_eq!(a.report, b.report, "counters diverged");
     assert_eq!(
-        store_checksum(&a.store),
-        store_checksum(&b.store),
+        codec::encode(&a.store),
+        codec::encode(&b.store),
         "trained float bits diverged"
     );
 }

@@ -31,7 +31,8 @@
 //!   same [`ReplayOutcome::trace_hash`] (the PR-4 simulation discipline).
 //! - [`IngestPipeline::run_live`] drives the *same* pipeline from a real
 //!   producer thread over a bounded channel, stamping events with real
-//!   wall-clock arrival times — the mode `perf_fresh` benchmarks.
+//!   wall-clock arrival times. (The benchmark's `stream_fresh` workload
+//!   calls the same `ingest_batch` / `publish` stages on its own clock.)
 //!
 //! The drift rules (how online tables relate to a from-scratch build over
 //! the same prefix) are documented in DESIGN.md §12 and property-tested in
@@ -44,7 +45,7 @@ pub mod pipeline;
 pub mod trace;
 
 pub use pipeline::{IngestPipeline, ReplayOutcome, StreamConfig};
-pub use trace::{bytes_checksum, store_checksum, TraceHasher};
+pub use trace::store_checksum;
 
 use sisg_core::CoreError;
 use sisg_serve::ServeError;

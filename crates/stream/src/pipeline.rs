@@ -27,7 +27,7 @@
 //! bounded channel, trading determinism for real arrival clocks.
 
 use crate::metrics::stream_metrics;
-use crate::trace::{store_checksum, TraceHasher, TAG_BATCH, TAG_DONE, TAG_PUBLISH, TAG_WARM_START};
+use crate::trace::{store_checksum, TAG_BATCH, TAG_DONE, TAG_PUBLISH, TAG_WARM_START};
 use crate::StreamError;
 use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_corpus::vocab::TokenSpace;
@@ -35,7 +35,7 @@ use sisg_corpus::{
     Corpus, EnrichedCorpus, EventLog, ItemCatalog, ItemId, SessionEvent, TokenId, UserRegistry,
 };
 use sisg_embedding::{codec, EmbeddingStore};
-use sisg_obs::{names, span, Stopwatch};
+use sisg_obs::{names, span, Fnv1a, Stopwatch};
 use sisg_serve::{ServeEngine, ServeRequest, ServingSnapshot};
 use sisg_sgns::{train_increment, train_into, SgnsConfig, SubsampleTable, TrainStats};
 
@@ -130,7 +130,7 @@ pub struct IngestPipeline {
     vocab_admitted: u64,
     /// Arrival stamps of events ingested but not yet published.
     pending: Vec<u64>,
-    trace: TraceHasher,
+    trace: Fnv1a,
 }
 
 impl std::fmt::Debug for IngestPipeline {
@@ -162,11 +162,11 @@ impl IngestPipeline {
         let n_tokens = space.len();
         let n_items = space.n_items() as usize;
         let store = EmbeddingStore::new(n_tokens, config.sgns.dim, config.sgns.seed);
-        let mut trace = TraceHasher::new();
-        trace.fold_u64(config.sgns.seed);
-        trace.fold_u64(config.batch_sessions as u64);
-        trace.fold_u64(config.publish_every as u64);
-        trace.fold_u64(n_tokens as u64);
+        let mut trace = Fnv1a::new();
+        trace.u64(config.sgns.seed);
+        trace.u64(config.batch_sessions as u64);
+        trace.u64(config.publish_every as u64);
+        trace.u64(n_tokens as u64);
         Ok(Self {
             config,
             catalog,
@@ -223,10 +223,10 @@ impl IngestPipeline {
         };
         let (store, stats) = train_into(&enriched, &self.freqs, &cfg, store);
         self.store = Some(store);
-        self.trace.fold_u64(TAG_WARM_START);
-        self.trace.fold_u64(sessions.len() as u64);
-        self.trace.fold_u64(admitted);
-        self.trace.fold_u64(stats.pairs);
+        self.trace.u64(TAG_WARM_START);
+        self.trace.u64(sessions.len() as u64);
+        self.trace.u64(admitted);
+        self.trace.u64(stats.pairs);
         Ok(stats)
     }
 
@@ -238,9 +238,9 @@ impl IngestPipeline {
         self.batches += 1;
         stream_metrics().batches.inc();
         if events.is_empty() {
-            self.trace.fold_u64(TAG_BATCH);
-            self.trace.fold_u64(batch_idx);
-            self.trace.fold_u64(0);
+            self.trace.u64(TAG_BATCH);
+            self.trace.u64(batch_idx);
+            self.trace.u64(0);
             return Ok(TrainStats::default());
         }
         let mut sessions =
@@ -271,12 +271,12 @@ impl IngestPipeline {
         drop(fold_span);
         self.store = Some(store);
 
-        self.trace.fold_u64(TAG_BATCH);
-        self.trace.fold_u64(batch_idx);
-        self.trace.fold_u64(events.len() as u64);
-        self.trace.fold_u64(admitted);
-        self.trace.fold_u64(stats.pairs);
-        self.trace.fold_u64(events.last().map_or(0, |e| e.time));
+        self.trace.u64(TAG_BATCH);
+        self.trace.u64(batch_idx);
+        self.trace.u64(events.len() as u64);
+        self.trace.u64(admitted);
+        self.trace.u64(stats.pairs);
+        self.trace.u64(events.last().map_or(0, |e| e.time));
         Ok(stats)
     }
 
@@ -331,11 +331,11 @@ impl IngestPipeline {
         } else {
             u64::MAX
         };
-        self.trace.fold_u64(TAG_PUBLISH);
-        self.trace.fold_u64(epoch);
-        self.trace.fold_u64(drained);
-        self.trace.fold_u64(now);
-        self.trace.fold_u64(probe_epoch);
+        self.trace.u64(TAG_PUBLISH);
+        self.trace.u64(epoch);
+        self.trace.u64(drained);
+        self.trace.u64(now);
+        self.trace.u64(probe_epoch);
         Ok(epoch)
     }
 
@@ -507,18 +507,18 @@ impl IngestPipeline {
     }
 
     fn outcome(&mut self, final_epoch: u64) -> ReplayOutcome {
-        self.trace.fold_u64(TAG_DONE);
-        self.trace.fold_u64(self.events);
-        self.trace.fold_u64(self.batches);
-        self.trace.fold_u64(self.publishes);
-        self.trace.fold_u64(self.vocab_admitted);
-        self.trace.fold_u64(final_epoch);
+        self.trace.u64(TAG_DONE);
+        self.trace.u64(self.events);
+        self.trace.u64(self.batches);
+        self.trace.u64(self.publishes);
+        self.trace.u64(self.vocab_admitted);
+        self.trace.u64(final_epoch);
         let (checksum, codec) = match &self.store {
             Some(store) => (store_checksum(store), codec::encode(store).to_vec()),
             None => (0, Vec::new()),
         };
         ReplayOutcome {
-            trace_hash: self.trace.hash(),
+            trace_hash: self.trace.finish(),
             events: self.events,
             batches: self.batches,
             publishes: self.publishes,

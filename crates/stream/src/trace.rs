@@ -2,16 +2,17 @@
 //!
 //! The pipeline folds every control-flow decision (batch boundaries, event
 //! counts, vocabulary admissions, trained-pair counts, publication epochs)
-//! into an FNV-1a hash, exactly like the simtest traces: two runs of the
-//! same seeded plan must produce the same hash, and one hash per seed is
-//! pinned in CI.
+//! into an FNV-1a hash ([`Fnv1a`]), exactly like the simtest traces: two
+//! runs of the same seeded plan must produce the same hash, and one hash
+//! per seed is pinned in CI.
 //!
 //! The trace deliberately contains **no float bits** — it stays portable
 //! across FMA/rounding differences. Float determinism is covered
 //! separately by [`store_checksum`] and the encoded snapshot bytes, which
 //! the replay tests compare *run-to-run within one host*.
 
-use sisg_embedding::{EmbeddingStore, Matrix};
+use sisg_embedding::EmbeddingStore;
+use sisg_obs::Fnv1a;
 
 /// Trace-tag folded before a warm start record.
 pub const TAG_WARM_START: u64 = 0x5741_524D;
@@ -22,90 +23,22 @@ pub const TAG_PUBLISH: u64 = 0x5055_424C;
 /// Trace-tag folded once when a run completes.
 pub const TAG_DONE: u64 = 0x444F_4E45;
 
-/// An incremental FNV-1a hasher over `u64` words (little-endian bytes).
-#[derive(Debug, Clone)]
-pub struct TraceHasher {
-    state: u64,
-}
-
-impl Default for TraceHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceHasher {
-    /// Starts at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Self {
-            state: 0xCBF2_9CE4_8422_2325,
-        }
-    }
-
-    /// Folds one word into the trace.
-    pub fn fold_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Folds a byte slice into the trace.
-    pub fn fold_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// The current hash (the hasher stays usable).
-    pub fn hash(&self) -> u64 {
-        self.state
-    }
-}
-
-/// FNV-1a over a byte slice — for comparing encoded snapshot codecs
-/// without holding both byte vectors.
-pub fn bytes_checksum(bytes: &[u8]) -> u64 {
-    let mut h = TraceHasher::new();
-    h.fold_bytes(bytes);
-    h.hash()
-}
-
-fn fold_matrix(h: &mut TraceHasher, m: &Matrix) {
-    for i in 0..m.rows() {
-        for &v in m.row(i) {
-            h.fold_u64(u64::from(v.to_bits()));
-        }
-    }
-}
-
 /// Hashes the exact f32 bit patterns of both store matrices — the
 /// run-to-run float-determinism check of the replay tests (not part of
 /// the pinned trace hash; see the module docs).
 pub fn store_checksum(store: &EmbeddingStore) -> u64 {
-    let mut h = TraceHasher::new();
-    fold_matrix(&mut h, store.input_matrix());
-    fold_matrix(&mut h, store.output_matrix());
-    h.hash()
+    let mut h = Fnv1a::new();
+    for m in [store.input_matrix(), store.output_matrix()] {
+        for &v in m.as_slice() {
+            h.u64(u64::from(v.to_bits()));
+        }
+    }
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_reference_vector() {
-        // FNV-1a of the bytes of 0u64 (eight zero bytes).
-        let mut h = TraceHasher::new();
-        h.fold_u64(0);
-        let mut expect: u64 = 0xCBF2_9CE4_8422_2325;
-        for _ in 0..8 {
-            expect = expect.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        assert_eq!(h.hash(), expect);
-        assert_ne!(h.hash(), TraceHasher::new().hash());
-    }
 
     #[test]
     fn store_checksum_is_deterministic_and_sensitive() {
@@ -114,11 +47,5 @@ mod tests {
         assert_eq!(store_checksum(&a), store_checksum(&b));
         let c = EmbeddingStore::new(4, 3, 8);
         assert_ne!(store_checksum(&a), store_checksum(&c));
-    }
-
-    #[test]
-    fn bytes_checksum_orders_matter() {
-        assert_ne!(bytes_checksum(&[1, 2]), bytes_checksum(&[2, 1]));
-        assert_eq!(bytes_checksum(&[]), TraceHasher::new().hash());
     }
 }

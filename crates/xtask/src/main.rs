@@ -12,14 +12,11 @@
 //! `guard-across-channel` and `no-sleep` (rules 8–10).
 //!
 //! `cargo run -p xtask -- validate-metrics [--catalog <md>] <file>...`
-//! checks that emitted metrics files (`results/metrics/*.json`,
-//! `results/BENCH_obs.json`) parse and have the documented snapshot
-//! shape, and that perf trajectory files (`results/BENCH_perf.json`,
-//! schema `sisg.perf.v1`) carry well-formed corpus/kernels/runs sections.
-//! With `--catalog docs/OBSERVABILITY.md` every snapshot metric must also
-//! be declared in the doc's metric table. Failure classes exit
-//! distinctly: usage 2, unreadable/malformed JSON 3, wrong shape 4,
-//! undeclared metric 5.
+//! checks that emitted metrics files (`results/metrics/*.json`) parse
+//! and have the documented snapshot shape. With `--catalog
+//! docs/OBSERVABILITY.md` every snapshot metric must also be declared in
+//! the doc's metric table. Failure classes exit distinctly: usage 2,
+//! unreadable/malformed JSON 3, wrong shape 4, undeclared metric 5.
 #![warn(missing_docs)]
 // This crate talks *about* SAFETY comments (it implements the lint that
 // requires them); clippy's `unnecessary_safety_comment` misreads that
@@ -92,21 +89,20 @@ fn main() -> ExitCode {
                 }
                 None => None,
             };
-            let mut snapshots = 0usize;
             let mut count = 0usize;
-            for path in files {
+            for path in &files {
                 match metrics::validate_metrics_file(Path::new(path), catalog.as_ref()) {
-                    Ok((s, m)) => {
-                        snapshots += s;
-                        count += m;
-                    }
+                    Ok(n) => count += n,
                     Err(err) => {
                         eprintln!("xtask validate-metrics: {path}: {err}");
                         return ExitCode::from(err.exit_code());
                     }
                 }
             }
-            println!("xtask validate-metrics: OK ({snapshots} snapshot(s), {count} metric(s))");
+            println!(
+                "xtask validate-metrics: OK ({} snapshot(s), {count} metric(s))",
+                files.len()
+            );
             ExitCode::SUCCESS
         }
         _ => {

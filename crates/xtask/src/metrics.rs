@@ -87,16 +87,15 @@ fn parse_catalog(text: &str) -> BTreeSet<String> {
     names
 }
 
-/// Validates one emitted metrics file: either a single registry snapshot
-/// (`results/metrics/<run>.json`), the consolidated run-name → snapshot
-/// map (`results/BENCH_obs.json`), or a `sisg.perf.v1` perf trajectory.
-/// With a catalog, every snapshot metric must be declared in it (perf
-/// docs are exempt — their kernels/runs are not registry metrics).
-/// Returns (snapshots, metrics) counted.
+/// Validates one emitted metrics file — a single registry snapshot
+/// (`results/metrics/<run>.json`). With a catalog, every metric must be
+/// declared in it. A document carrying a `schema` key is some other
+/// format and is rejected as [`MetricsError::Shape`], never skipped.
+/// Returns the number of metrics checked.
 pub fn validate_metrics_file(
     path: &Path,
     catalog: Option<&BTreeSet<String>>,
-) -> Result<(usize, usize), MetricsError> {
+) -> Result<usize, MetricsError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| MetricsError::Parse(format!("read: {e}")))?;
     let doc: Value =
@@ -107,31 +106,13 @@ pub fn validate_metrics_file(
             doc.kind()
         )));
     };
-    if let Some((_, schema)) = fields.iter().find(|(k, _)| k == "schema") {
-        return match schema {
-            Value::Str(s) if s == "sisg.perf.v1" => {
-                Ok((1, validate_perf_doc(&doc).map_err(MetricsError::Shape)?))
-            }
-            Value::Str(s) => Err(MetricsError::Shape(format!("unknown schema `{s}`"))),
-            other => Err(MetricsError::Shape(format!(
-                "`schema` must be a string, got {}",
-                other.kind()
-            ))),
-        };
+    if fields.iter().any(|(k, _)| k == "schema") {
+        return Err(MetricsError::Shape(
+            "a `schema` key marks a non-snapshot document; only registry snapshots are validated"
+                .into(),
+        ));
     }
-    if fields.iter().any(|(k, _)| k == "counters") {
-        let n = validate_snapshot(&doc, catalog)?;
-        return Ok((1, n));
-    }
-    // Consolidated map: every value must be a snapshot.
-    let mut metrics = 0usize;
-    for (run, snapshot) in fields {
-        metrics += validate_snapshot(snapshot, catalog).map_err(|e| match e {
-            MetricsError::Shape(msg) => MetricsError::Shape(format!("run `{run}`: {msg}")),
-            other => other,
-        })?;
-    }
-    Ok((fields.len(), metrics))
+    validate_snapshot(&doc, catalog)
 }
 
 /// Checks the documented snapshot shape (and catalog membership when a
@@ -179,83 +160,6 @@ fn validate_snapshot(
     Ok(metrics)
 }
 
-/// Checks a `sisg.perf.v1` perf trajectory document
-/// (`results/BENCH_perf.json`, written by the `perf_train` bench):
-/// `corpus` totals, nanosecond kernel timings, per-run throughput rows,
-/// and a `reference` section that is either `null` (no baseline captured
-/// yet) or a nested object of pre-change numbers. Returns the number of
-/// validated measurements (kernel timings + runs).
-fn validate_perf_doc(doc: &Value) -> Result<usize, String> {
-    let name = doc.get_field("name").map_err(|e| e.to_string())?;
-    if !matches!(name, Value::Str(_)) {
-        return Err(format!("`name` must be a string, got {}", name.kind()));
-    }
-
-    let Value::Object(corpus) = doc.get_field("corpus").map_err(|e| e.to_string())? else {
-        return Err("`corpus` must be an object".into());
-    };
-    for key in ["tokens", "sequences", "seq_len"] {
-        let Some((_, v)) = corpus.iter().find(|(k, _)| k == key) else {
-            return Err(format!("`corpus.{key}` missing"));
-        };
-        if !is_u64(v) {
-            return Err(format!("`corpus.{key}` must be a u64, got {}", v.kind()));
-        }
-    }
-    if !corpus
-        .iter()
-        .any(|(k, v)| k == "smoke" && matches!(v, Value::Bool(_)))
-    {
-        return Err("`corpus.smoke` must be a bool".into());
-    }
-
-    let reference = doc.get_field("reference").map_err(|e| e.to_string())?;
-    if !matches!(reference, Value::Null | Value::Object(_)) {
-        return Err(format!(
-            "`reference` must be null or an object, got {}",
-            reference.kind()
-        ));
-    }
-
-    let Value::Object(kernels) = doc.get_field("kernels").map_err(|e| e.to_string())? else {
-        return Err("`kernels` must be an object".into());
-    };
-    for (kernel, v) in kernels {
-        if !is_number(v) {
-            return Err(format!("`kernels.{kernel}` must be a number"));
-        }
-    }
-
-    let Value::Array(runs) = doc.get_field("runs").map_err(|e| e.to_string())? else {
-        return Err("`runs` must be an array".into());
-    };
-    if runs.is_empty() {
-        return Err("`runs` must not be empty".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        for key in ["threads", "dim", "pairs", "tokens"] {
-            let v = run
-                .get_field(key)
-                .map_err(|_| format!("`runs[{i}].{key}` missing"))?;
-            if !is_u64(v) {
-                return Err(format!("`runs[{i}].{key}` must be a u64, got {}", v.kind()));
-            }
-        }
-        for key in ["seconds", "pairs_per_sec", "tokens_per_sec"] {
-            let v = run
-                .get_field(key)
-                .map_err(|_| format!("`runs[{i}].{key}` missing"))?;
-            if !is_number(v) {
-                return Err(format!(
-                    "`runs[{i}].{key}` must be a number, got {}",
-                    v.kind()
-                ));
-            }
-        }
-    }
-    Ok(kernels.len() + runs.len())
-}
-
 /// Per-tenant metrics are a *template* family: the engine mints one
 /// `serve.tenant.<label>.<suffix>` slice per configured tenant, so the
 /// catalog cannot enumerate concrete labels. A name that parses under
@@ -268,10 +172,6 @@ fn declared_as_tenant_template(metric: &str, declared: &BTreeSet<String>) -> boo
 
 fn is_u64(v: &Value) -> bool {
     matches!(v, Value::U64(_))
-}
-
-fn is_number(v: &Value) -> bool {
-    matches!(v, Value::U64(_) | Value::I64(_) | Value::F64(_))
 }
 
 fn is_number_or_null(v: &Value) -> bool {
@@ -442,61 +342,5 @@ prose mentioning `not.a.row` stays out\n";
             .exit_code(),
             5
         );
-    }
-
-    const PERF_DOC: &str = r#"{
-      "schema": "sisg.perf.v1",
-      "name": "perf_train",
-      "corpus": {"tokens": 2000, "sequences": 3000, "seq_len": 40, "smoke": false},
-      "reference": null,
-      "kernels": {"dot_ordered_d128_ns": 41.5},
-      "runs": [{"threads": 1, "dim": 32, "pairs": 100, "tokens": 50,
-                "seconds": 0.5, "pairs_per_sec": 200.0, "tokens_per_sec": 100.0}]
-    }"#;
-
-    #[test]
-    fn validate_perf_doc_accepts_the_documented_shape() {
-        let doc = snapshot(PERF_DOC);
-        // One kernel timing + one run row.
-        assert_eq!(validate_perf_doc(&doc).expect("valid"), 2);
-    }
-
-    #[test]
-    fn validate_perf_doc_accepts_an_object_reference() {
-        let with_ref = PERF_DOC.replace(
-            "\"reference\": null",
-            "\"reference\": {\"runs\": [], \"kernels\": {}}",
-        );
-        let doc = snapshot(&with_ref);
-        assert!(validate_perf_doc(&doc).is_ok());
-    }
-
-    #[test]
-    fn validate_perf_doc_rejects_malformed_sections() {
-        for (from, to) in [
-            ("\"tokens\": 2000", "\"tokens\": -3"),
-            ("\"smoke\": false", "\"smoke\": 1"),
-            ("\"reference\": null", "\"reference\": 7"),
-            (
-                "\"dot_ordered_d128_ns\": 41.5",
-                "\"dot_ordered_d128_ns\": \"fast\"",
-            ),
-            ("\"pairs_per_sec\": 200.0", "\"pairs_per_sec\": null"),
-            ("\"threads\": 1, ", ""),
-        ] {
-            let bad = PERF_DOC.replace(from, to);
-            let doc = snapshot(&bad);
-            assert!(validate_perf_doc(&doc).is_err(), "accepted: {bad}");
-        }
-    }
-
-    #[test]
-    fn validate_perf_doc_rejects_empty_runs() {
-        let bad = PERF_DOC.replace(
-            "\"runs\": [{\"threads\": 1, \"dim\": 32, \"pairs\": 100, \"tokens\": 50,\n                \"seconds\": 0.5, \"pairs_per_sec\": 200.0, \"tokens_per_sec\": 100.0}]",
-            "\"runs\": []",
-        );
-        let doc = snapshot(&bad);
-        assert!(validate_perf_doc(&doc).is_err());
     }
 }

@@ -78,6 +78,22 @@ fn wrong_value_shape_exits_4() {
 }
 
 #[test]
+fn schema_tagged_document_exits_4() {
+    // Only registry snapshots are validated. A document that announces
+    // some other format through a `schema` key is a shape error whatever
+    // else it carries — it must not be waved through or skipped.
+    let tagged = GOOD_SNAPSHOT.replacen('{', "{\n  \"schema\": \"some.format.v1\",", 1);
+    let p = scratch("schema-tagged.json", &tagged);
+    let out = validate(&[&p]);
+    assert_eq!(out.status.code(), Some(4), "stderr: {}", text(&out.stderr));
+    assert!(
+        text(&out.stderr).contains("schema"),
+        "{}",
+        text(&out.stderr)
+    );
+}
+
+#[test]
 fn undeclared_metric_with_catalog_exits_5() {
     let catalog = scratch(
         "mini-catalog.md",

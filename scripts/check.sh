@@ -80,41 +80,6 @@ step simtest-smoke "pinned fault seeds replay to their recorded traces"
 # of DESIGN.md §9. Seconds-scale: the virtual cluster needs no threads.
 cargo test --release -q -p sisg-simtest --test determinism
 
-step perf-smoke "seconds-scale perf_train run + schema validation"
-# --smoke trains small 1- and 2-thread configurations end to end (the
-# 2-thread tier runs both engines: partitioned and atomic Hogwild) and
-# writes a BENCH_perf.json with the same sisg.perf.v1 schema as the full
-# run, so the perf pipeline (both trainer engines, kernel micro-timings,
-# JSON emission) is exercised on every change without minutes of benching.
-SISG_RESULTS=target/ci-results \
-  cargo run --release --quiet -p sisg-bench --bin perf_train -- --smoke >/dev/null
-cargo run -p xtask --quiet -- validate-metrics \
-  --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_perf.json
-
-step serve-smoke "seconds-scale perf_serve run + schema validation"
-# --smoke load-tests the sharded serve engine (warm/cold/cold-user mix,
-# cache, batching) against the sequential baseline on a small model, then
-# replays a two-tenant scenario matrix (head_heavy + adversarial hot-key)
-# through crates/scenario. Writes snapshot-shaped BENCH_serve.json and
-# BENCH_scenario.json; validate-metrics checks both, including the
-# per-tenant serve.tenant.<label>.* template instantiations.
-SISG_RESULTS=target/ci-results \
-  cargo run --release --quiet -p sisg-bench --bin perf_serve -- --smoke >/dev/null
-cargo run -p xtask --quiet -- validate-metrics \
-  --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_serve.json
-cargo run -p xtask --quiet -- validate-metrics \
-  --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_scenario.json
-
-step fresh-smoke "seconds-scale perf_fresh run + schema validation"
-# --smoke streams a tomorrow slice through the ingest pipeline while query
-# threads hammer the engine across repeated snapshot publications, then
-# writes a snapshot-shaped BENCH_fresh.json (freshness percentiles, swap
-# accounting, frozen-vs-fresh HR@10); validate-metrics checks it.
-SISG_RESULTS=target/ci-results \
-  cargo run --release --quiet -p sisg-bench --bin perf_fresh -- --smoke >/dev/null
-cargo run -p xtask --quiet -- validate-metrics \
-  --catalog docs/OBSERVABILITY.md target/ci-results/BENCH_fresh.json
-
 step benchmark "its unit tests + a 1 s correctness-gate smoke of every workload"
 # The repo benchmark (BENCHMARK.json, benchmark/README.md) is a package of
 # its own, so `cargo test --workspace` never builds it. Its tests cover

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper plus the ablations.
-# Results (text + JSON) land in results/.
+# Results (text + JSON) land in results/. A failing experiment does not
+# stop the rest; the failures are listed at the end and the exit code is 1.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 
+failed=()
 run() {
   local name="$1"
   shift
   echo "=== $name ==="
-  ( "$@" 2>&1 | tee "results/${name}.txt" ) || echo "FAILED: $name"
+  if ! ( "$@" 2>&1 | tee "results/${name}.txt" ); then
+    echo "FAILED: $name"
+    failed+=("$name")
+  fi
   echo
 }
 
@@ -28,4 +33,8 @@ run ablation_beta     cargo run -q --release -p sisg-bench --bin ablation_beta
 run ablation_ann      cargo run -q --release -p sisg-bench --bin ablation_ann
 run ablation_sync     cargo run -q --release -p sisg-bench --bin ablation_sync
 
+if (( ${#failed[@]} )); then
+  echo "${#failed[@]} experiment(s) FAILED: ${failed[*]}"
+  exit 1
+fi
 echo "all experiments complete"
