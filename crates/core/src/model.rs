@@ -8,7 +8,7 @@ use sisg_corpus::{
 };
 use sisg_embedding::math::normalize;
 use sisg_embedding::{retrieve_top_k, EmbeddingStore, Matrix, Neighbor};
-use sisg_sgns::{train_with_freqs, SgnsConfig, TrainStats};
+use sisg_sgns::{train_into, SgnsConfig, TrainStats};
 
 /// Statistics of one SISG training run.
 #[derive(Debug, Clone)]
@@ -119,7 +119,9 @@ impl SisgModel {
         if variant.uses_si() {
             config.window = sgns.window * enriched_stride(&enriched, config.subsample);
         }
-        let (store, stats) = train_with_freqs(&enriched, enriched.vocab().freqs(), &config);
+        let freqs = enriched.vocab().freqs();
+        let store = EmbeddingStore::new(freqs.len(), config.dim, config.seed);
+        let (store, stats) = train_into(&enriched, freqs, &config, store);
 
         let report = SisgTrainReport {
             variant,

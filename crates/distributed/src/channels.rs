@@ -14,8 +14,10 @@
 //!
 //! The protocol itself — pair scanning, sequence-numbered idempotent
 //! requests, retry/give-up, checkpointing — lives in the driver-agnostic
-//! [`crate::protocol::WorkerMachine`]; this module is the *threaded
-//! driver*: one thread per worker, one bounded inbox per worker, and a
+//! [`crate::protocol::WorkerMachine`], and the run around the machines
+//! (partition, tables, schedule, store assembly) in
+//! [`crate::protocol::TnsRun`]; this module is the *threaded driver*: one
+//! thread per worker, one bounded inbox per worker, and a
 //! seeded [`FaultPlan`] optionally applied at every send (drop/duplicate;
 //! crash/stall schedules need the virtual-clock simulator in
 //! `crates/simtest`).
@@ -36,15 +38,13 @@
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::partition::PartitionMap;
 use crate::protocol::{
-    Delivered, MachineCounters, MachineEnv, Message, RetryVerdict, Shard, Step, WorkerMachine,
+    Delivered, MachineCounters, Message, RetryVerdict, Step, TnsRun, WorkerMachine,
 };
-use crate::runtime::{build_partition, DistConfig};
+use crate::runtime::DistConfig;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog};
-use sisg_embedding::{EmbeddingStore, Matrix};
+use sisg_embedding::EmbeddingStore;
 use sisg_obs::names as obs_names;
-use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{NoiseTable, PairSampler, SubsampleTable};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -162,43 +162,18 @@ pub fn train_distributed_channels_with(
     config: &DistConfig,
     options: &ChannelOptions,
 ) -> (EmbeddingStore, ChannelReport) {
-    assert!(config.workers > 0, "need at least one worker");
     assert!(options.capacity > 0, "need a nonzero channel capacity");
     assert!(
         options.faults.threaded_compatible(),
         "crash/stall schedules require the simtest virtual-clock scheduler"
     );
+    let run = TnsRun::new(enriched, sessions, catalog, config);
     let w = config.workers;
-    let space = enriched.space();
-    let vocab = enriched.vocab();
-    let partition = build_partition(config, sessions, catalog, space);
-    let members = partition.members();
-    let noise_tables: Vec<NoiseTable> = (0..w)
-        .map(|j| {
-            let freqs: Vec<u64> = members[j].iter().map(|t| vocab.freq(*t).max(1)).collect();
-            NoiseTable::from_token_freqs(&members[j], &freqs, config.noise_exponent)
-        })
-        .collect();
-    let subsample = SubsampleTable::new(vocab.freqs(), config.subsample);
-    let sigmoid = SigmoidTable::new();
-    let sampler = PairSampler {
-        window: config.window,
-        mode: config.window_mode,
-        dynamic: false,
-    };
 
     // One bounded inbox per worker.
     let (senders, receivers): (Vec<Sender<Message>>, Vec<Receiver<Message>>) =
         (0..w).map(|_| bounded(options.capacity)).unzip();
     let scanning_done = AtomicUsize::new(0);
-    let progress = AtomicU64::new(0);
-    let schedule_pairs: u64 = {
-        let directional = config.window_mode == sisg_sgns::WindowMode::RightOnly;
-        enriched
-            .count_positive_pairs(config.window, directional)
-            .max(1)
-            * config.epochs as u64
-    };
 
     // Channel-depth tracking: senders increment, receivers decrement, and
     // the peak is the run's backpressure high-water mark. Signed because a
@@ -207,79 +182,44 @@ pub fn train_distributed_channels_with(
     let depth_peak = AtomicU64::new(0);
 
     let span = sisg_obs::span(obs_names::DIST_CHANNELS_TRAIN_SPAN);
-    let mut results: Vec<Option<(Shard, MachineCounters, u64)>> = Vec::new();
+    let mut machines = Vec::with_capacity(w);
+    let mut faults_injected = 0;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(w);
         for (me, receiver) in receivers.iter().enumerate() {
-            let rx = receiver.clone();
-            let senders = senders.clone();
-            let partition = &partition;
-            let noise_tables = &noise_tables;
-            let subsample = &subsample;
-            let sigmoid = &sigmoid;
+            let driver = Driver {
+                machine: WorkerMachine::new(&run, me),
+                partition: run.partition(),
+                outbox: VecDeque::new(),
+                senders: senders.clone(),
+                rx: receiver.clone(),
+                plan: &options.faults,
+                me,
+                send_index: 0,
+                faults_injected: 0,
+                in_flight: &in_flight,
+                depth_peak: &depth_peak,
+            };
             let scanning_done = &scanning_done;
-            let progress = &progress;
-            let in_flight = &in_flight;
-            let depth_peak = &depth_peak;
-            handles.push(scope.spawn(move || {
-                let machine = WorkerMachine::new(MachineEnv {
-                    me,
-                    workers: w,
-                    config,
-                    enriched,
-                    partition,
-                    noise_tables,
-                    subsample,
-                    sampler,
-                    sigmoid,
-                    progress,
-                    schedule_pairs,
-                });
-                let driver = Driver {
-                    machine,
-                    partition,
-                    outbox: VecDeque::new(),
-                    senders,
-                    rx,
-                    plan: &options.faults,
-                    me,
-                    send_index: 0,
-                    faults_injected: 0,
-                    in_flight,
-                    depth_peak,
-                };
-                driver.run(scanning_done, w)
-            }));
+            handles.push(scope.spawn(move || driver.run(scanning_done, w)));
         }
         for h in handles {
-            results.push(Some(h.join().expect("worker thread panicked")));
+            let (machine, faults) = h.join().expect("worker thread panicked");
+            machines.push(machine);
+            faults_injected += faults;
         }
     });
-    let seconds = span.finish().as_secs_f64();
-
-    // Assemble the global store from the shards.
-    let dim = config.dim;
-    let mut input = Matrix::zeros(space.len(), dim);
-    let mut output = Matrix::zeros(space.len(), dim);
-    let mut report = ChannelReport {
-        seconds,
+    let report = ChannelReport {
+        seconds: span.finish().as_secs_f64(),
+        faults_injected,
         ..Default::default()
     };
-    for (me, slot) in results.into_iter().enumerate() {
-        let (shard, counters, faults) = slot.expect("worker result present");
-        report.absorb(&counters);
-        report.faults_injected += faults;
-        shard.export_into(&partition, me, &mut input, &mut output);
-    }
-
-    report.publish_to_obs();
     sisg_obs::registry()
         .gauge(obs_names::DIST_CHANNEL_DEPTH_PEAK)
         // ORDERING: Relaxed — all workers have joined; reading a stat
         // counter after join needs no extra synchronization.
         .record_max(depth_peak.load(Ordering::Relaxed) as f64);
-
-    (EmbeddingStore::from_matrices(input, output), report)
+    run.assemble(machines, report)
 }
 
 /// How long a worker parks on its own inbox when it has nothing else to
@@ -312,7 +252,7 @@ struct Driver<'a> {
     depth_peak: &'a AtomicU64,
 }
 
-impl Driver<'_> {
+impl<'a> Driver<'a> {
     /// Applies the fault plan to one outgoing message and enqueues the
     /// surviving copies. Delay decisions degrade to plain delivery here;
     /// only the simulator models latency.
@@ -396,7 +336,7 @@ impl Driver<'_> {
         }
     }
 
-    fn run(mut self, scanning_done: &AtomicUsize, w: usize) -> (Shard, MachineCounters, u64) {
+    fn run(mut self, scanning_done: &AtomicUsize, w: usize) -> (WorkerMachine<'a>, u64) {
         let retry = self.plan.retry;
         loop {
             // Service first, pump second: replies generated while draining
@@ -455,9 +395,7 @@ impl Driver<'_> {
         self.service_inbox();
         self.flush_best_effort();
 
-        let faults = self.faults_injected;
-        let (shard, counters) = self.machine.into_parts();
-        (shard, counters, faults)
+        (self.machine, self.faults_injected)
     }
 }
 

@@ -28,7 +28,15 @@
 //! requests, bounded retries, checkpoint/restore), and [`recovery`] the
 //! stage-boundary checkpoint artifacts. The [`channels`] engine is the
 //! threaded driver of that protocol; the `sisg-simtest` crate drives the
-//! same machines under a deterministic virtual-clock scheduler.
+//! same machines under a deterministic virtual-clock scheduler. Both are
+//! transports around one [`protocol::TnsRun`], which owns the partition,
+//! the per-worker noise tables, the subsample/sigmoid/sampler tables and
+//! the learning-rate schedule, and assembles the store and report.
+//!
+//! Every engine here steps pairs through the one SGNS kernel,
+//! `sisg_sgns::sgd::steps` ([`runtime`] over Hogwild `RowPtr` resolvers,
+//! [`protocol`] over each worker's exclusive shard matrix), and decays the
+//! learning rate through the one schedule, `sisg_sgns::linear_lr`.
 
 #![warn(missing_docs)]
 
@@ -52,7 +60,7 @@ pub use hotset::{HotSet, SyncMode};
 pub use partition::{HashPartitioner, PartitionMap, Partitioner};
 pub use pipeline::{PipelinePreflight, ResumeError, TrainingPipeline};
 pub use protocol::{
-    Delivered, MachineCounters, MachineEnv, Message, RetryVerdict, Step, TnsRequest, TnsResponse,
+    Delivered, MachineCounters, Message, RetryVerdict, Step, TnsRequest, TnsResponse, TnsRun,
     WireError, WorkerMachine,
 };
 pub use recovery::{PipelineCheckpoint, ShardCheckpoint};

@@ -15,6 +15,12 @@
 //! - the single-threaded virtual-clock scheduler in `crates/simtest`,
 //!   which replays seeded fault schedules deterministically.
 //!
+//! What surrounds the machines is shared too: a [`TnsRun`] builds the
+//! partition, the per-worker noise tables, the subsample/sigmoid/sampler
+//! tables and the learning-rate schedule once, every machine borrows it,
+//! and it assembles the trained store and report from the finished
+//! machines — the drivers own only their transport.
+//!
 //! Fault tolerance lives in the protocol, not the drivers:
 //!
 //! - **Sequence numbers + duplicate suppression.** Every request carries a
@@ -39,17 +45,19 @@
 //! `xtask lint` panic-free set: no `unwrap`/`expect` — every fallible path
 //! returns a `Result` or degrades gracefully.
 
+use crate::channels::ChannelReport;
 use crate::fault::mix64;
 use crate::partition::PartitionMap;
 use crate::recovery::ShardCheckpoint;
-use crate::runtime::DistConfig;
+use crate::runtime::{build_partition, DistConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sisg_corpus::{EnrichedCorpus, TokenId};
-use sisg_embedding::math::dot;
-use sisg_embedding::Matrix;
+use sisg_corpus::vocab::Vocab;
+use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, TokenId};
+use sisg_embedding::{kernels, EmbeddingStore, Matrix};
+use sisg_sgns::sgd::steps;
 use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{NoiseTable, PairSampler, SubsampleTable};
+use sisg_sgns::{NoiseTable, PairSampler, PairScratch, SubsampleTable};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Seed of a worker's *scan* RNG (subsampling + pair sampling) for one
@@ -350,62 +358,104 @@ impl Shard {
     }
 }
 
-/// The local part of a TNS step executed on the context owner's shard:
-/// output updates for the context and negatives, returning the input
-/// gradient.
-pub(crate) fn tns_remote_step(
-    shard: &mut Shard,
-    input: &[f32],
-    context: TokenId,
-    negatives: &[TokenId],
-    lr: f32,
-    sigmoid: &SigmoidTable,
-) -> Vec<f32> {
-    let mut grad = vec![0.0f32; input.len()];
-    let mut step = |token: TokenId, label: f32| {
-        let vp = shard.output.row_mut(shard.row(token));
-        let f = dot(input, vp);
-        let g = (label - sigmoid.sigmoid(f)) * lr;
-        for d in 0..grad.len() {
-            grad[d] += g * vp[d];
-        }
-        for d in 0..vp.len() {
-            vp[d] += g * input[d];
-        }
-    };
-    step(context, 1.0);
-    for &neg in negatives {
-        if neg != context {
-            step(neg, 0.0);
-        }
+/// Per-worker local noise distributions (Section III-C): worker `j` draws
+/// negatives over the tokens it owns plus the `shared` set every worker
+/// holds (ATNS's `Q`; empty for the message-passing engines).
+pub(crate) fn local_noise_tables(
+    partition: &PartitionMap,
+    vocab: &Vocab,
+    shared: &[TokenId],
+    noise_exponent: f64,
+) -> Vec<NoiseTable> {
+    let mut members = partition.members();
+    for (j, tokens) in members.iter_mut().enumerate() {
+        tokens.extend(shared.iter().filter(|&&t| partition.owner(t) != j));
     }
-    grad
+    members
+        .iter()
+        .map(|tokens| {
+            let freqs: Vec<u64> = tokens.iter().map(|t| vocab.freq(*t).max(1)).collect();
+            NoiseTable::from_token_freqs(tokens, &freqs, noise_exponent)
+        })
+        .collect()
 }
 
-/// Everything a machine borrows from its run (shared, immutable).
-pub struct MachineEnv<'a> {
-    /// This worker's index.
-    pub me: usize,
-    /// Total worker count.
-    pub workers: usize,
-    /// Run configuration.
-    pub config: &'a DistConfig,
-    /// The enriched corpus every worker scans.
-    pub enriched: &'a EnrichedCorpus,
-    /// Token → owner map.
-    pub partition: &'a PartitionMap,
-    /// Per-worker local noise distributions.
-    pub noise_tables: &'a [NoiseTable],
-    /// Mikolov subsampling table.
-    pub subsample: &'a SubsampleTable,
-    /// Window pair sampler.
-    pub sampler: PairSampler,
-    /// Shared sigmoid lookup.
-    pub sigmoid: &'a SigmoidTable,
-    /// Global trained-pair counter driving the learning-rate decay.
-    pub progress: &'a AtomicU64,
+/// One TNS training run: everything the worker machines share, built once
+/// from `(corpus, config)` — the token → owner map, the per-worker noise
+/// tables, the subsample/sigmoid/sampler tables and the learning-rate
+/// schedule (a global trained-pair counter over the scheduled total).
+/// Drivers create machines over it ([`WorkerMachine::new`],
+/// [`WorkerMachine::restore`]) and hand the finished ones back to
+/// [`TnsRun::assemble`].
+pub struct TnsRun<'a> {
+    config: &'a DistConfig,
+    enriched: &'a EnrichedCorpus,
+    partition: PartitionMap,
+    noise_tables: Vec<NoiseTable>,
+    subsample: SubsampleTable,
+    sampler: PairSampler,
+    sigmoid: SigmoidTable,
+    /// Pairs trained so far, across all workers.
+    progress: AtomicU64,
     /// Total scheduled pairs (denominator of the decay).
-    pub schedule_pairs: u64,
+    schedule_pairs: u64,
+}
+
+impl<'a> TnsRun<'a> {
+    /// Sets up a run of `config` over `enriched` (`config.hot_set_size` is
+    /// ignored: the message-passing engines isolate the TNS protocol).
+    ///
+    /// # Panics
+    /// Panics when `config.workers == 0`.
+    pub fn new(
+        enriched: &'a EnrichedCorpus,
+        sessions: &Corpus,
+        catalog: &ItemCatalog,
+        config: &'a DistConfig,
+    ) -> Self {
+        assert!(config.workers > 0, "need at least one worker");
+        let vocab = enriched.vocab();
+        let partition = build_partition(config, sessions, catalog, enriched.space());
+        Self {
+            noise_tables: local_noise_tables(&partition, vocab, &[], config.noise_exponent),
+            subsample: SubsampleTable::new(vocab.freqs(), config.subsample),
+            sampler: config.sampler(),
+            sigmoid: SigmoidTable::new(),
+            progress: AtomicU64::new(0),
+            schedule_pairs: config.schedule_pairs(enriched),
+            config,
+            enriched,
+            partition,
+        }
+    }
+
+    /// The run's token → owner map.
+    pub fn partition(&self) -> &PartitionMap {
+        &self.partition
+    }
+
+    /// Ends the run: exports every finished machine's shard into one
+    /// global store, folds its counters into `report` (which arrives with
+    /// the driver's own fields — seconds, injected faults, recoveries —
+    /// filled in, and receives the per-worker vectors in iteration order)
+    /// and mirrors the totals into the obs registry.
+    pub fn assemble<'m>(
+        &self,
+        machines: impl IntoIterator<Item = WorkerMachine<'m>>,
+        mut report: ChannelReport,
+    ) -> (EmbeddingStore, ChannelReport) {
+        let rows = self.enriched.space().len();
+        let mut input = Matrix::zeros(rows, self.config.dim);
+        let mut output = Matrix::zeros(rows, self.config.dim);
+        for machine in machines {
+            report.absorb(&machine.counters);
+            machine
+                .shard
+                .export_into(&self.partition, machine.me, &mut input, &mut output);
+        }
+        report.publish_to_obs();
+        (EmbeddingStore::from_matrices(input, output), report)
+    }
 }
 
 /// Per-machine protocol counters, aggregated into
@@ -524,7 +574,8 @@ struct Served {
 /// One worker of the message-passing TNS engine as an explicit state
 /// machine (see the module docs for the protocol).
 pub struct WorkerMachine<'a> {
-    env: MachineEnv<'a>,
+    run: &'a TnsRun<'a>,
+    me: usize,
     shard: Shard,
     counters: MachineCounters,
     scan_rng: StdRng,
@@ -535,6 +586,8 @@ pub struct WorkerMachine<'a> {
     filtered: Vec<TokenId>,
     pair_buf: Vec<(TokenId, TokenId)>,
     negatives: Vec<TokenId>,
+    /// Step buffers of [`WorkerMachine::tns_step`], reused across pairs.
+    scratch: PairScratch,
     next_seq: u64,
     pending: Option<Pending>,
     served: Vec<Served>,
@@ -547,26 +600,23 @@ pub struct WorkerMachine<'a> {
 const SEQ_INCARNATION_SHIFT: u32 = 48;
 
 impl<'a> WorkerMachine<'a> {
-    /// A fresh machine at epoch 0 (incarnation 0).
-    pub fn new(env: MachineEnv<'a>) -> Self {
-        let seed = env.config.seed;
-        let me = env.me;
-        let shard = Shard::new(env.partition, me, env.config.dim, seed);
-        let workers = env.workers;
-        let done = env.config.epochs == 0;
-        let negatives = Vec::with_capacity(env.config.negatives);
+    /// A fresh machine for worker `me` of `run`, at epoch 0 (incarnation 0).
+    pub fn new(run: &'a TnsRun<'a>, me: usize) -> Self {
+        let config = run.config;
         Self {
-            env,
-            shard,
+            run,
+            me,
+            shard: Shard::new(&run.partition, me, config.dim, config.seed),
             counters: MachineCounters::default(),
-            scan_rng: StdRng::seed_from_u64(scan_seed(seed, me, 0)),
-            noise_rng: StdRng::seed_from_u64(noise_seed(seed, me, 0)),
+            scan_rng: StdRng::seed_from_u64(scan_seed(config.seed, me, 0)),
+            noise_rng: StdRng::seed_from_u64(noise_seed(config.seed, me, 0)),
             epoch: 0,
             seq_idx: 0,
             pair_idx: 0,
             filtered: Vec::with_capacity(64),
             pair_buf: Vec::with_capacity(256),
-            negatives,
+            negatives: Vec::with_capacity(config.negatives),
+            scratch: PairScratch::new(config.dim),
             next_seq: 1,
             pending: None,
             served: vec![
@@ -574,15 +624,15 @@ impl<'a> WorkerMachine<'a> {
                     last_seq: 0,
                     reply: None,
                 };
-                workers
+                config.workers
             ],
-            done,
+            done: config.epochs == 0,
         }
     }
 
     /// This worker's index.
     pub fn me(&self) -> usize {
-        self.env.me
+        self.me
     }
 
     /// True while a remote request is outstanding.
@@ -614,10 +664,51 @@ impl<'a> WorkerMachine<'a> {
         // ORDERING: Relaxed — shared progress counter for the lr schedule;
         // slightly-stale reads only shift the decay by a step, and nothing
         // is published through it.
-        let done = self.env.progress.fetch_add(1, Ordering::Relaxed);
-        let frac = (done as f64 / self.env.schedule_pairs.max(1) as f64).min(1.0);
-        (self.env.config.learning_rate as f64 * (1.0 - frac))
-            .max(self.env.config.min_learning_rate as f64) as f32
+        let done = self.run.progress.fetch_add(1, Ordering::Relaxed);
+        self.run.config.lr(done, self.run.schedule_pairs)
+    }
+
+    /// The part of a TNS step that runs on the context owner's shard:
+    /// draws the negatives from this worker's noise distribution and steps
+    /// the output rows of `context` and the negatives against the target's
+    /// input vector (already in `self.scratch.row`) through the shared
+    /// SGNS kernel, leaving the input gradient in `self.scratch.grad`.
+    fn tns_step(&mut self, context: TokenId, lr: f32) {
+        self.run.noise_tables[self.me].sample_into(
+            &mut self.negatives,
+            self.run.config.negatives,
+            &mut self.noise_rng,
+        );
+        // The shard's output matrix is indexed by shard-local row, so the
+        // step list carries local rows (a bijection: distinct tokens stay
+        // distinct).
+        let PairScratch {
+            row,
+            grad,
+            kept,
+            scores,
+        } = &mut self.scratch;
+        let shard = &self.shard;
+        let local = |t: TokenId| TokenId(shard.row(t) as u32);
+        kept.clear();
+        kept.push(local(context));
+        kept.extend(
+            self.negatives
+                .iter()
+                .filter(|&&neg| neg != context)
+                .map(|&neg| local(neg)),
+        );
+        grad.fill(0.0);
+        // Loss is monitored by neither driver; the return is unused.
+        let _ = steps(
+            &mut self.shard.output,
+            kept,
+            row,
+            lr,
+            &self.run.sigmoid,
+            grad,
+            scores,
+        );
     }
 
     /// Advances the scan by one pair (or one scan refill). Must not be
@@ -633,41 +724,29 @@ impl<'a> WorkerMachine<'a> {
             while self.pair_idx < self.pair_buf.len() {
                 let (target, context) = self.pair_buf[self.pair_idx];
                 self.pair_idx += 1;
-                if self.env.partition.owner(target) != self.env.me {
+                if self.run.partition.owner(target) != self.me {
                     continue;
                 }
                 let lr = self.next_lr();
                 self.counters.pairs += 1;
-                let owner = self.env.partition.owner(context);
-                if owner == self.env.me {
+                let owner = self.run.partition.owner(context);
+                let target_row = self.shard.row(target);
+                if owner == self.me {
                     // Fully local TNS step.
-                    self.env.noise_tables[self.env.me].sample_into(
-                        &mut self.negatives,
-                        self.env.config.negatives,
-                        &mut self.noise_rng,
-                    );
-                    let input: Vec<f32> = self.shard.input.row(self.shard.row(target)).to_vec();
-                    let grad = tns_remote_step(
-                        &mut self.shard,
-                        &input,
-                        context,
-                        &self.negatives,
-                        lr,
-                        self.env.sigmoid,
-                    );
-                    let v = self.shard.input.row_mut(self.shard.row(target));
-                    for d in 0..v.len() {
-                        v[d] += grad[d];
-                    }
+                    self.scratch
+                        .row
+                        .copy_from_slice(self.shard.input.row(target_row));
+                    self.tns_step(context, lr);
+                    kernels::add_assign(self.shard.input.row_mut(target_row), &self.scratch.grad);
                     return Step::Progress;
                 }
                 // Remote pair: emit the request and wait.
-                let input: Vec<f32> = self.shard.input.row(self.shard.row(target)).to_vec();
+                let input: Vec<f32> = self.shard.input.row(target_row).to_vec();
                 self.counters.remote_pairs += 1;
                 self.counters.messages += 1;
                 self.counters.payload_bytes += (input.len() * 4) as u64;
                 let req = TnsRequest {
-                    from: self.env.me,
+                    from: self.me,
                     seq: self.next_seq,
                     target,
                     context,
@@ -682,14 +761,14 @@ impl<'a> WorkerMachine<'a> {
                 return Step::Sent(req);
             }
             // Refill from the next sequence of this epoch.
-            if self.seq_idx < self.env.enriched.len() {
-                let seq = self.env.enriched.sequence(self.seq_idx);
+            if self.seq_idx < self.run.enriched.len() {
+                let seq = self.run.enriched.sequence(self.seq_idx);
                 self.seq_idx += 1;
                 self.pair_idx = 0;
-                self.env
+                self.run
                     .subsample
                     .filter_into(seq, &mut self.scan_rng, &mut self.filtered);
-                self.env
+                self.run
                     .sampler
                     .pairs_into(&self.filtered, &mut self.scan_rng, &mut self.pair_buf);
                 continue;
@@ -699,12 +778,12 @@ impl<'a> WorkerMachine<'a> {
             self.seq_idx = 0;
             self.pair_idx = 0;
             self.pair_buf.clear();
-            if self.epoch >= self.env.config.epochs {
+            if self.epoch >= self.run.config.epochs {
                 self.done = true;
                 return Step::Finished;
             }
             self.scan_rng =
-                StdRng::seed_from_u64(scan_seed(self.env.config.seed, self.env.me, self.epoch));
+                StdRng::seed_from_u64(scan_seed(self.run.config.seed, self.me, self.epoch));
             return Step::EpochEnd(self.epoch);
         }
     }
@@ -717,6 +796,9 @@ impl<'a> WorkerMachine<'a> {
                 let Some(served) = self.served.get_mut(req.from) else {
                     return Delivered::Ignored; // malformed sender index
                 };
+                if req.input.len() != self.scratch.row.len() {
+                    return Delivered::Ignored; // malformed vector length
+                }
                 if req.seq == served.last_seq {
                     // At-least-once delivery: replay the cached response
                     // instead of re-applying the update.
@@ -739,23 +821,12 @@ impl<'a> WorkerMachine<'a> {
                     return Delivered::Ignored;
                 }
                 // Fresh request: serve it and cache the reply.
-                self.env.noise_tables[self.env.me].sample_into(
-                    &mut self.negatives,
-                    self.env.config.negatives,
-                    &mut self.noise_rng,
-                );
-                let grad = tns_remote_step(
-                    &mut self.shard,
-                    &req.input,
-                    req.context,
-                    &self.negatives,
-                    req.lr,
-                    self.env.sigmoid,
-                );
+                self.scratch.row.copy_from_slice(&req.input);
+                self.tns_step(req.context, req.lr);
                 let response = TnsResponse {
                     seq: req.seq,
                     target: req.target,
-                    grad,
+                    grad: self.scratch.grad.clone(),
                 };
                 self.counters.messages += 1;
                 self.counters.payload_bytes += (response.grad.len() * 4) as u64;
@@ -812,10 +883,10 @@ impl<'a> WorkerMachine<'a> {
     /// worker's contribution.
     pub fn checkpoint(&self) -> ShardCheckpoint {
         ShardCheckpoint {
-            worker: self.env.me as u32,
+            worker: self.me as u32,
             epoch: self.epoch as u32,
             rows: self.shard.input.rows() as u32,
-            dim: self.env.config.dim as u32,
+            dim: self.run.config.dim as u32,
             input: self.shard.input.as_slice().to_vec(),
             output: self.shard.output.as_slice().to_vec(),
             counters: self.counters.clone(),
@@ -823,26 +894,28 @@ impl<'a> WorkerMachine<'a> {
         }
     }
 
-    /// Rebuilds a machine from an epoch-boundary checkpoint. `incarnation`
+    /// Rebuilds worker `me` from an epoch-boundary checkpoint. `incarnation`
     /// must increase on every restore of the same worker: it reseeds the
     /// noise stream and jumps the sequence space forward, so peers cannot
     /// confuse the restarted worker with its pre-crash self.
     pub fn restore(
-        env: MachineEnv<'a>,
+        run: &'a TnsRun<'a>,
+        me: usize,
         ck: &ShardCheckpoint,
         incarnation: u64,
     ) -> Result<Self, RestoreError> {
-        if ck.worker as usize != env.me {
+        let config = run.config;
+        if ck.worker as usize != me {
             return Err(RestoreError::WorkerMismatch {
                 expected: ck.worker as usize,
-                got: env.me,
+                got: me,
             });
         }
-        if ck.epoch as usize > env.config.epochs {
+        if ck.epoch as usize > config.epochs {
             return Err(RestoreError::EpochOutOfRange(ck.epoch as usize));
         }
-        let mut machine = Self::new(env);
-        let expected = (machine.shard.rows(), machine.env.config.dim);
+        let mut machine = Self::new(run, me);
+        let expected = (machine.shard.rows(), config.dim);
         let got = (ck.rows as usize, ck.dim as usize);
         if expected != got || ck.input.len() != ck.output.len() {
             return Err(RestoreError::ShapeMismatch { expected, got });
@@ -857,25 +930,12 @@ impl<'a> WorkerMachine<'a> {
         machine.shard.output = Matrix::from_data(expected.0, expected.1, ck.output.clone());
         machine.counters = ck.counters.clone();
         machine.epoch = ck.epoch as usize;
-        machine.done = machine.epoch >= machine.env.config.epochs;
-        machine.scan_rng = StdRng::seed_from_u64(scan_seed(
-            machine.env.config.seed,
-            machine.env.me,
-            machine.epoch,
-        ));
-        machine.noise_rng = StdRng::seed_from_u64(noise_seed(
-            machine.env.config.seed,
-            machine.env.me,
-            incarnation,
-        ));
+        machine.done = machine.epoch >= config.epochs;
+        machine.scan_rng = StdRng::seed_from_u64(scan_seed(config.seed, me, machine.epoch));
+        machine.noise_rng = StdRng::seed_from_u64(noise_seed(config.seed, me, incarnation));
         let incarnation_floor = incarnation << SEQ_INCARNATION_SHIFT;
         machine.next_seq = ck.next_seq.max(incarnation_floor) + 1;
         Ok(machine)
-    }
-
-    /// Consumes the machine, returning its shard and counters.
-    pub fn into_parts(self) -> (Shard, MachineCounters) {
-        (self.shard, self.counters)
     }
 }
 
@@ -927,6 +987,36 @@ mod tests {
         // Unknown tag is rejected.
         assert_eq!(Message::from_bytes(&[9]), Err(WireError::BadTag(9)));
         assert_eq!(Message::from_bytes(&[]), Err(WireError::Truncated));
+    }
+
+    /// A request whose vector does not match the run's dimensionality is
+    /// malformed input: ignored, never stepped (the kernels would panic).
+    #[test]
+    fn wrong_dimension_request_is_ignored() {
+        use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
+        let gen = GeneratedCorpus::generate(CorpusConfig::tiny());
+        let enriched = EnrichedCorpus::build(&gen, EnrichOptions::NONE);
+        let config = DistConfig {
+            workers: 2,
+            dim: 16,
+            ..Default::default()
+        };
+        let run = TnsRun::new(&enriched, &gen.sessions, &gen.catalog, &config);
+        let mut machine = WorkerMachine::new(&run, 0);
+        let context = run.partition().members()[0][0];
+        let request = |dim| {
+            Message::Request(TnsRequest {
+                from: 1,
+                seq: 1,
+                context,
+                ..req(dim)
+            })
+        };
+        assert!(matches!(machine.deliver(request(8)), Delivered::Ignored));
+        assert!(matches!(
+            machine.deliver(request(16)),
+            Delivered::Reply { to: 1, .. }
+        ));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::hbgp::HbgpPartitioner;
 use crate::hotset::{HotSet, ReplicaSet, SyncMode};
 use crate::partition::{assign_all, HashPartitioner, PartitionMap};
-use crate::protocol::{noise_seed, scan_seed};
+use crate::protocol::{local_noise_tables, noise_seed, scan_seed};
 use crate::report::DistReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,9 +33,9 @@ use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, TokenId};
 use sisg_embedding::matrix::RowPtr;
 use sisg_embedding::EmbeddingStore;
 use sisg_obs::names as obs_names;
-use sisg_sgns::sgd::hogwild_steps;
+use sisg_sgns::sgd::steps;
 use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{NoiseTable, PairSampler, PairScratch, SubsampleTable, WindowMode};
+use sisg_sgns::{linear_lr, NoiseTable, PairSampler, PairScratch, SubsampleTable, WindowMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -112,6 +112,34 @@ impl Default for DistConfig {
     }
 }
 
+impl DistConfig {
+    /// The window pair sampler both distributed engines scan with.
+    pub(crate) fn sampler(&self) -> PairSampler {
+        PairSampler {
+            window: self.window,
+            mode: self.window_mode,
+            dynamic: false,
+        }
+    }
+
+    /// Positive pairs one run schedules over `enriched`: the denominator
+    /// of the pair-count learning-rate decay.
+    pub(crate) fn schedule_pairs(&self, enriched: &EnrichedCorpus) -> u64 {
+        let directional = self.window_mode == WindowMode::RightOnly;
+        enriched.count_positive_pairs(self.window, directional) * self.epochs as u64
+    }
+
+    /// Learning rate after `done` of `schedule_pairs` trained pairs.
+    pub(crate) fn lr(&self, done: u64, schedule_pairs: u64) -> f32 {
+        linear_lr(
+            self.learning_rate,
+            self.min_learning_rate,
+            done,
+            schedule_pairs,
+        )
+    }
+}
+
 /// Pipeline stage 3 as a standalone artifact builder: partitions the
 /// dictionary under the configured strategy. Shared by both engines and
 /// the preparation pipeline, so one `(config, corpus)` always yields the
@@ -175,19 +203,7 @@ pub fn train_distributed_prepared(
     let vocab = enriched.vocab();
 
     // Per-worker local noise distributions over P_j ∪ Q.
-    let members = partition.members();
-    let noise_tables: Vec<NoiseTable> = (0..w)
-        .map(|j| {
-            let mut tokens: Vec<TokenId> = members[j].clone();
-            for &t in hot.tokens() {
-                if partition.owner(t) != j {
-                    tokens.push(t);
-                }
-            }
-            let freqs: Vec<u64> = tokens.iter().map(|t| vocab.freq(*t).max(1)).collect();
-            NoiseTable::from_token_freqs(&tokens, &freqs, config.noise_exponent)
-        })
-        .collect();
+    let noise_tables = local_noise_tables(partition, vocab, hot.tokens(), config.noise_exponent);
 
     let mut subsample = SubsampleTable::new(vocab.freqs(), config.subsample);
     // "High frequency words are aggressively down sampled" — but the paper
@@ -204,61 +220,32 @@ pub fn train_distributed_prepared(
     subsample.scale_tokens(&hot_non_items, config.hot_subsample_factor);
 
     let store = EmbeddingStore::new(space.len(), config.dim, config.seed);
-    let replicas = ReplicaSet::init(&store, hot, w);
-    let sigmoid = SigmoidTable::new();
-    let sampler = PairSampler {
-        window: config.window,
-        mode: config.window_mode,
-        dynamic: false,
+    let ctx = RunCtx {
+        config,
+        enriched,
+        partition,
+        hot,
+        replicas: ReplicaSet::init(&store, hot, w),
+        store: &store,
+        noise_tables,
+        subsample,
+        sampler: config.sampler(),
+        sigmoid: SigmoidTable::new(),
+        progress: AtomicU64::new(0),
+        schedule_pairs: config.schedule_pairs(enriched),
+        barrier: Barrier::new(w),
+        sync_bytes: AtomicU64::new(0),
+        sync_rounds: AtomicU64::new(0),
     };
-
-    let n_seq = enriched.len();
-    let schedule_pairs: u64 = {
-        let directional = config.window_mode == WindowMode::RightOnly;
-        enriched.count_positive_pairs(config.window, directional) * config.epochs as u64
-    };
-    let progress = AtomicU64::new(0);
-    let barrier = Barrier::new(w);
-    let sync_bytes = AtomicU64::new(0);
-    let sync_rounds = AtomicU64::new(0);
 
     // Per-worker counters, collected after the scope.
     let span = sisg_obs::span(obs_names::DIST_TRAIN_SPAN);
     let mut per_worker: Vec<WorkerCounters> = Vec::with_capacity(w);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(w);
-        for me in 0..w {
-            let replicas = &replicas;
-            let store = &store;
-            let noise_tables = &noise_tables;
-            let subsample = &subsample;
-            let sigmoid = &sigmoid;
-            let progress = &progress;
-            let barrier = &barrier;
-            let sync_bytes = &sync_bytes;
-            let sync_rounds = &sync_rounds;
-            handles.push(scope.spawn(move || {
-                worker_loop(WorkerCtx {
-                    me,
-                    config,
-                    enriched,
-                    partition,
-                    hot,
-                    replicas,
-                    store,
-                    noise_tables,
-                    subsample,
-                    sampler,
-                    sigmoid,
-                    progress,
-                    barrier,
-                    sync_bytes,
-                    sync_rounds,
-                    n_seq,
-                    schedule_pairs,
-                })
-            }));
-        }
+        let ctx = &ctx;
+        let handles: Vec<_> = (0..w)
+            .map(|me| scope.spawn(move || worker_loop(ctx, me)))
+            .collect();
         for h in handles {
             per_worker.push(h.join().expect("worker thread panicked"));
         }
@@ -290,8 +277,8 @@ pub fn train_distributed_prepared(
         pair_comm_bytes: per_worker.iter().map(|c| c.comm_bytes).sum(),
         // ORDERING: Relaxed — read after all worker threads joined; the join
         // is the synchronization, these are plain stat cells.
-        sync_comm_bytes: sync_bytes.load(Ordering::Relaxed),
-        sync_rounds: sync_rounds.load(Ordering::Relaxed),
+        sync_comm_bytes: ctx.sync_bytes.load(Ordering::Relaxed),
+        sync_rounds: ctx.sync_rounds.load(Ordering::Relaxed),
         tokens_processed: enriched.total_tokens() * config.epochs as u64,
         seconds,
         cut_fraction: partition.cut_fraction(sessions),
@@ -335,46 +322,29 @@ struct WorkerCounters {
     comm_bytes: u64,
 }
 
-struct WorkerCtx<'a> {
-    me: usize,
+/// Everything one run's workers share, built once and borrowed by every
+/// worker thread.
+struct RunCtx<'a> {
     config: &'a DistConfig,
     enriched: &'a EnrichedCorpus,
     partition: &'a PartitionMap,
     hot: &'a HotSet,
-    replicas: &'a ReplicaSet,
+    replicas: ReplicaSet,
     store: &'a EmbeddingStore,
-    noise_tables: &'a [NoiseTable],
-    subsample: &'a SubsampleTable,
+    noise_tables: Vec<NoiseTable>,
+    subsample: SubsampleTable,
     sampler: PairSampler,
-    sigmoid: &'a SigmoidTable,
-    progress: &'a AtomicU64,
-    barrier: &'a Barrier,
-    sync_bytes: &'a AtomicU64,
-    sync_rounds: &'a AtomicU64,
-    n_seq: usize,
+    sigmoid: SigmoidTable,
+    /// Pairs trained so far, across all workers (drives the lr decay).
+    progress: AtomicU64,
     schedule_pairs: u64,
+    barrier: Barrier,
+    sync_bytes: AtomicU64,
+    sync_rounds: AtomicU64,
 }
 
-fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerCounters {
-    let WorkerCtx {
-        me,
-        config,
-        enriched,
-        partition,
-        hot,
-        replicas,
-        store,
-        noise_tables,
-        subsample,
-        sampler,
-        sigmoid,
-        progress,
-        barrier,
-        sync_bytes,
-        sync_rounds,
-        n_seq,
-        schedule_pairs,
-    } = ctx;
+fn worker_loop(ctx: &RunCtx<'_>, me: usize) -> WorkerCounters {
+    let (config, enriched, partition, hot) = (ctx.config, ctx.enriched, ctx.partition, ctx.hot);
     let w = config.workers;
     let dim = config.dim;
     let mut counters = WorkerCounters::default();
@@ -392,20 +362,24 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerCounters {
     let resolver = RowResolver {
         me,
         hot,
-        replicas,
-        store,
+        replicas: &ctx.replicas,
+        store: ctx.store,
     };
 
-    let rounds_per_epoch = n_seq.div_ceil(config.sync_interval.max(1)).max(1);
+    // One clamped interval for the round count and both slice bounds: a
+    // configured 0 means "synchronize after every sequence", like 1.
+    let sync_interval = config.sync_interval.max(1);
+    let rounds_per_epoch = enriched.len().div_ceil(sync_interval).max(1);
     for epoch in 0..config.epochs {
         let mut scan_rng = StdRng::seed_from_u64(scan_seed(config.seed, me, epoch));
         for round in 0..rounds_per_epoch {
-            let lo = round * config.sync_interval;
-            let hi = ((round + 1) * config.sync_interval).min(n_seq);
+            let lo = round * sync_interval;
+            let hi = ((round + 1) * sync_interval).min(enriched.len());
             for seq_idx in lo..hi {
                 let seq = enriched.sequence(seq_idx);
-                subsample.filter_into(seq, &mut scan_rng, &mut filtered);
-                sampler.pairs_into(&filtered, &mut scan_rng, &mut pair_buf);
+                ctx.subsample.filter_into(seq, &mut scan_rng, &mut filtered);
+                ctx.sampler
+                    .pairs_into(&filtered, &mut scan_rng, &mut pair_buf);
                 for &(target, context) in &pair_buf {
                     // Algorithm 1 line 6: keep the pair iff this worker is
                     // responsible for it. Hot targets are sharded by
@@ -421,10 +395,8 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerCounters {
                     // ORDERING: Relaxed — a shared pair counter driving the lr decay;
                     // workers tolerate slightly-stale progress and publish nothing
                     // through it.
-                    let done = progress.fetch_add(1, Ordering::Relaxed);
-                    let frac = (done as f64 / schedule_pairs.max(1) as f64).min(1.0);
-                    let lr = (config.learning_rate as f64 * (1.0 - frac))
-                        .max(config.min_learning_rate as f64) as f32;
+                    let done = ctx.progress.fetch_add(1, Ordering::Relaxed);
+                    let lr = config.lr(done, ctx.schedule_pairs);
 
                     // The TNS call happens on the context's owner; local when
                     // the context is hot (every worker holds a replica).
@@ -454,7 +426,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerCounters {
                     // Batched draw plus the same collision filter the old
                     // per-draw loop applied (order-preserving, identical
                     // RNG consumption).
-                    noise_tables[tns_worker].sample_into(
+                    ctx.noise_tables[tns_worker].sample_into(
                         &mut negatives,
                         config.negatives,
                         &mut noise_rng,
@@ -467,23 +439,23 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerCounters {
                         context,
                         &negatives,
                         lr,
-                        sigmoid,
+                        &ctx.sigmoid,
                         &mut scratch,
                     );
                 }
             }
             // ATNS synchronization barrier: worker 0 averages the replicas
             // while everyone else waits, then all resume.
-            if barrier.wait().is_leader() {
+            if ctx.barrier.wait().is_leader() {
                 let sync_span = sisg_obs::span(obs_names::DIST_SYNC_SPAN);
-                let bytes = replicas.synchronize(store, hot, config.sync_mode);
+                let bytes = ctx.replicas.synchronize(ctx.store, hot, config.sync_mode);
                 sync_span.finish();
                 // ORDERING: Relaxed — stat counters read only after join (or by the
                 // leader itself); the surrounding barrier orders the sync payload.
-                sync_bytes.fetch_add(bytes, Ordering::Relaxed);
-                sync_rounds.fetch_add(1, Ordering::Relaxed);
+                ctx.sync_bytes.fetch_add(bytes, Ordering::Relaxed);
+                ctx.sync_rounds.fetch_add(1, Ordering::Relaxed);
             }
-            barrier.wait();
+            ctx.barrier.wait();
         }
     }
     counters
@@ -524,8 +496,8 @@ impl RowResolver<'_> {
 ///
 /// Runs the shared kernel path (DESIGN.md §8): the target row is cached
 /// into the scratch buffer once, the context + negative steps go through
-/// [`hogwild_steps`] (batched ordered dots, fused gradient steps), and the
-/// accumulated gradient is applied back in one pass. Row resolution
+/// [`steps`] on its Hogwild path (batched ordered dots, fused gradient
+/// steps), and the accumulated gradient is applied back in one pass. Row resolution
 /// (replica vs canonical) stays in the closure, so hot tokens keep hitting
 /// worker-local replicas.
 fn tns_step(
@@ -549,7 +521,8 @@ fn tns_step(
     kept.push(context);
     kept.extend_from_slice(negatives);
     // Distributed training monitors loss elsewhere; the return is unused.
-    let _ = hogwild_steps(|t| resolver.output(t), kept, row, lr, sigmoid, grad, scores);
+    let mut rows = |t| resolver.output(t);
+    let _ = steps(&mut rows, kept, row, lr, sigmoid, grad, scores);
     resolver.input(target).axpy_slice(1.0, grad);
 }
 
@@ -605,6 +578,26 @@ mod tests {
         // but they must agree within a tolerance.
         let (a, b) = (one.total_pairs() as f64, four.total_pairs() as f64);
         assert!((a - b).abs() / a < 0.15, "pair totals diverge: {a} vs {b}");
+    }
+
+    /// `sync_interval: 0` means "synchronize after every sequence", like
+    /// 1: the unclamped value as a slice bound would make every round scan
+    /// `0..0` and the run return an untrained store.
+    #[test]
+    fn zero_sync_interval_trains_like_one() {
+        let gen = corpus();
+        let run = |sync_interval| {
+            let cfg = DistConfig {
+                sync_interval,
+                ..fast_config(2)
+            };
+            train_distributed_on(&gen, EnrichOptions::NONE, &cfg).1
+        };
+        let (zero, one) = (run(0), run(1));
+        assert!(zero.total_pairs() > 0, "sync_interval 0 trained nothing");
+        // Per-worker pair accounting is scan-seed deterministic.
+        assert_eq!(zero.pairs_per_worker, one.pairs_per_worker);
+        assert_eq!(zero.sync_rounds, one.sync_rounds);
     }
 
     #[test]

@@ -23,9 +23,9 @@ use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{GeneratedCorpus, ItemId, TokenId};
 use sisg_embedding::math::cosine;
 use sisg_embedding::{kernels, retrieve_top_k, Matrix, Neighbor};
-use sisg_sgns::sgd::mut_steps;
+use sisg_sgns::sgd::steps;
 use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{NoiseTable, PairSampler, WindowMode};
+use sisg_sgns::{linear_lr, NoiseTable, PairSampler, WindowMode};
 
 /// Number of aggregated channels: the ID embedding plus the 8 SI features.
 pub const CHANNELS: usize = 1 + ItemFeature::COUNT;
@@ -132,7 +132,7 @@ impl EgesModel {
             };
             let sigmoid = SigmoidTable::new();
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0xE635);
-            let schedule = (total_tokens * config.epochs as u64).max(1);
+            let schedule = total_tokens * config.epochs as u64;
             let mut processed = 0u64;
 
             let mut scratch = EgesScratch::new(config.dim, config.negatives);
@@ -148,9 +148,12 @@ impl EgesModel {
                 for walk in &walks {
                     processed += walk.len() as u64;
                     epoch_tokens += walk.len() as u64;
-                    let frac = (processed as f64 / schedule as f64).min(1.0);
-                    let lr = (config.learning_rate as f64 * (1.0 - frac))
-                        .max(config.min_learning_rate as f64) as f32;
+                    let lr = linear_lr(
+                        config.learning_rate,
+                        config.min_learning_rate,
+                        processed,
+                        schedule,
+                    );
                     last_lr = lr;
                     sampler.pairs_into(walk, &mut rng, &mut pair_buf);
                     epoch_pairs += pair_buf.len() as u64;
@@ -307,9 +310,9 @@ struct EgesScratch {
     h: Vec<f32>,
     /// Gradient accumulated for `H_v` across all output steps.
     grad_h: Vec<f32>,
-    /// Step tokens (context first, then negatives) for [`mut_steps`].
+    /// Step tokens (context first, then negatives) for [`steps`].
     kept: Vec<TokenId>,
-    /// Dot-phase buffer for [`mut_steps`].
+    /// Dot-phase buffer for [`steps`].
     scores: Vec<f32>,
 }
 
@@ -329,7 +332,7 @@ impl EgesScratch {
 /// One EGES SGD step for `(target, context)` with `negatives`.
 ///
 /// Runs entirely on the exact non-atomic kernel path: the trainer owns its
-/// matrices, so output steps go through [`mut_steps`] (batched ordered dots
+/// matrices, so output steps go through [`steps`] (batched ordered dots
 /// plus fused gradient steps) with `H_v` as the cached target row.
 #[allow(clippy::too_many_arguments)]
 fn train_eges_pair(
@@ -353,9 +356,9 @@ fn train_eges_pair(
     buf.kept.clear();
     buf.kept.push(TokenId(context.0));
     buf.kept.extend_from_slice(negatives);
-    // EGES monitors no loss; `mut_steps` still accumulates grad_h and steps
+    // EGES monitors no loss; `steps` still accumulates grad_h and steps
     // every output row exactly as the scalar reference did.
-    let _ = mut_steps(
+    let _ = steps(
         output,
         &buf.kept,
         &buf.h,

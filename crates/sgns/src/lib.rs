@@ -16,17 +16,23 @@
 //!   (the `-D` directional variants of Section II-C), plus Mikolov
 //!   frequency subsampling;
 //! - [`sigmoid::SigmoidTable`] — the classic 1000-entry σ lookup table;
-//! - [`trainer`] — single-threaded reference trainer plus two parallel
-//!   engines with linear learning-rate decay: the default
-//!   ownership-[`partitioned`] engine over an [`OwnershipPlan`]
-//!   (docs/PARALLELISM.md) and the legacy atomic Hogwild path.
+//! - [`sgd`] — Algorithm 1's inner loop, written once: [`sgd::steps`] over
+//!   the [`sgd::OutputRows`] access trait (exclusive `&mut Matrix`, the
+//!   partitioned engine's cold/hot split, Hogwild `RowPtr` resolvers). The
+//!   EGES baseline and both distributed TNS engines call the same function;
+//! - [`trainer`] — the three entry points ([`train`], [`train_into`],
+//!   [`train_increment`]) over one run set-up (`EpochContext`) and one
+//!   learning-rate schedule ([`linear_lr`]): the single-threaded reference
+//!   path plus two parallel engines, the default ownership-partitioned one
+//!   over an [`OwnershipPlan`] (docs/PARALLELISM.md) and the legacy atomic
+//!   Hogwild path.
 
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod noise;
 pub mod partition;
-pub mod partitioned;
+mod partitioned;
 pub mod sampler;
 pub mod sgd;
 pub mod sigmoid;
@@ -35,10 +41,9 @@ pub mod trainer;
 pub use config::{SgnsConfig, TrainEngine};
 pub use noise::NoiseTable;
 pub use partition::OwnershipPlan;
-pub use partitioned::train_partitioned_into;
 pub use sampler::{PairSampler, SubsampleTable, WindowMode};
-pub use sgd::{train_pair, train_pair_mut, PairScratch};
+pub use sgd::PairScratch;
 pub use trainer::{
-    count_freqs, resolve_engine, train, train_increment, train_into, train_with_freqs, Sequences,
+    count_freqs, linear_lr, resolve_engine, train, train_increment, train_into, Sequences,
     TrainStats,
 };

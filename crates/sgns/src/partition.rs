@@ -41,7 +41,7 @@ impl OwnershipPlan {
     /// # Panics
     /// Panics when `threads == 0`, an owner index is out of range, or `hot`
     /// contains duplicates or out-of-vocabulary tokens.
-    pub fn from_owners(owners: Vec<u16>, threads: usize, hot: Vec<TokenId>) -> Self {
+    fn from_owners(owners: Vec<u16>, threads: usize, hot: Vec<TokenId>) -> Self {
         assert!(threads > 0, "need at least one shard");
         assert!(
             owners.iter().all(|&o| (o as usize) < threads),

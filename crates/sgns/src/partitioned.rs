@@ -6,8 +6,8 @@
 //! - **HBGP ownership** — every cold vocabulary row is owned by exactly one
 //!   thread ([`OwnershipPlan`]); a pair is routed to the thread owning its
 //!   context, so the entire output-side update mass (1 positive + N
-//!   negatives per pair) runs on the non-atomic `split_steps` kernel path
-//!   over matrices only that thread can touch.
+//!   negatives per pair) runs the shared step kernel on its non-atomic
+//!   `SplitRows` path, over matrices only that thread can touch.
 //! - **ATNS hot replicas** — the top-K frequent rows, which every thread
 //!   hits constantly, are replicated per thread
 //!   ([`sisg_embedding::ReplicaBank`]) and delta-sum reconciled between
@@ -37,15 +37,10 @@
 //! redundant scan costs little — the model in docs/PARALLELISM.md
 //! quantifies it.
 
-use crate::config::SgnsConfig;
 use crate::noise::NoiseTable;
 use crate::partition::OwnershipPlan;
-use crate::sampler::{PairSampler, SubsampleTable};
-use crate::sgd::{build_kept, split_steps, SplitRow};
-use crate::sigmoid::SigmoidTable;
-use crate::trainer::{
-    publish_throughput, train_single, ChunkBuffers, ChunkStats, Sequences, TrainStats,
-};
+use crate::sgd::{build_kept, steps, SplitRow, SplitRows};
+use crate::trainer::{ChunkBuffers, ChunkStats, EpochContext, Sequences, TrainStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sisg_corpus::TokenId;
@@ -111,46 +106,44 @@ struct ShardState {
     pending: PendingGrads,
 }
 
-/// Ownership-partitioned training over an explicit [`OwnershipPlan`]
-/// (built by `balanced_by_frequency`). Continues from `store` (warm
-/// starts work as in [`crate::train_into`]).
-///
-/// A 1-shard plan delegates to the exact single-threaded path, so its
-/// output is bit-identical to `threads == 1` training (golden-pinned).
-///
-/// # Panics
-/// Panics when the store shape mismatches `freqs`/`config`, or when the
-/// plan's vocabulary or shard count disagrees with `freqs`/`config`.
-pub fn train_partitioned_into<S: Sequences + ?Sized>(
+/// What every shard reads during one round (shared, immutable).
+struct Round<'a> {
+    ctx: &'a EpochContext<'a>,
+    plan: &'a OwnershipPlan,
+    /// Prefix token counts: the LR at sequence `i` of epoch `e` is the same
+    /// pure function of progress the sequential fetch_add path observes.
+    cum: &'a [u64],
+    /// The frozen canonical input matrix, for stale cross-shard reads.
+    snapshot: &'a Matrix,
+    epoch: usize,
+    range: std::ops::Range<usize>,
+}
+
+/// One shard's exclusive `&mut` views for a round.
+struct Shard<'a> {
+    s: usize,
+    cold_in: &'a mut Matrix,
+    cold_out: &'a mut Matrix,
+    hot_in: &'a mut Matrix,
+    hot_out: &'a mut Matrix,
+    st: &'a mut ShardState,
+}
+
+/// Ownership-partitioned training over `plan` (one shard per thread, at
+/// least two — [`crate::train_into`] takes the single-threaded path
+/// itself). Continues from `store`, which the caller has checked against
+/// `freqs` and `ctx.config`.
+pub(crate) fn train_partitioned_into<S: Sequences + ?Sized>(
     seqs: &S,
     freqs: &[u64],
-    config: &SgnsConfig,
+    ctx: &EpochContext<'_>,
     mut store: EmbeddingStore,
     plan: &OwnershipPlan,
 ) -> (EmbeddingStore, TrainStats) {
-    assert_eq!(store.n_tokens(), freqs.len(), "store/vocab size mismatch");
-    assert_eq!(store.dim(), config.dim, "store/config dim mismatch");
-    assert_eq!(plan.n_tokens(), freqs.len(), "plan/vocab size mismatch");
-    if plan.threads() == 1 {
-        return train_single(seqs, freqs, config, store);
-    }
-    if freqs.iter().all(|&f| f == 0) {
-        return (store, TrainStats::default());
-    }
+    let config = ctx.config;
     let threads = plan.threads();
     let dim = config.dim;
-    let subsample = SubsampleTable::new(freqs, config.subsample);
-    let sigmoid = SigmoidTable::new();
-    let sampler = PairSampler {
-        window: config.window,
-        mode: config.window_mode,
-        dynamic: false,
-    };
     let n = seqs.n_sequences();
-    let total_tokens = seqs.total_tokens();
-    let schedule_tokens = (total_tokens * config.epochs as u64).max(1);
-    // Prefix token counts: the LR at sequence `i` of epoch `e` is the same
-    // pure function of progress the sequential fetch_add path observes.
     let mut cum = Vec::with_capacity(n);
     let mut acc = 0u64;
     for i in 0..n {
@@ -239,11 +232,17 @@ pub fn train_partitioned_into<S: Sequences + ?Sized>(
     let span = sisg_obs::span(names::SGNS_TRAIN_SPAN);
     for epoch in 0..config.epochs {
         for round in 0..rounds {
-            let range = round * n / rounds..(round + 1) * n / rounds;
-            let snapshot: &Matrix = store.input_matrix();
+            let round = Round {
+                ctx,
+                plan,
+                cum: &cum,
+                snapshot: store.input_matrix(),
+                epoch,
+                range: round * n / rounds..(round + 1) * n / rounds,
+            };
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(threads);
-                for (s, ((((ci, co), hi), ho), st)) in cold_in
+                for (s, ((((cold_in, cold_out), hot_in), hot_out), st)) in cold_in
                     .iter_mut()
                     .zip(cold_out.iter_mut())
                     .zip(hot_in.replicas_mut())
@@ -251,33 +250,20 @@ pub fn train_partitioned_into<S: Sequences + ?Sized>(
                     .zip(states.iter_mut())
                     .enumerate()
                 {
-                    let range = range.clone();
-                    let (sampler, subsample, sigmoid, cum) = (&sampler, &subsample, &sigmoid, &cum);
+                    let round = &round;
                     handles.push(scope.spawn(move || {
-                        let mut round_stats = ChunkStats::default();
                         run_round(
                             seqs,
-                            &range,
-                            epoch,
-                            config,
-                            plan,
-                            s,
-                            snapshot,
-                            ci,
-                            co,
-                            hi,
-                            ho,
-                            st,
-                            sampler,
-                            subsample,
-                            sigmoid,
-                            cum,
-                            total_tokens,
-                            schedule_tokens,
-                            &mut round_stats,
-                        );
-                        round_stats.flush_to_obs();
-                        st.total.merge(&round_stats);
+                            round,
+                            Shard {
+                                s,
+                                cold_in,
+                                cold_out,
+                                hot_in,
+                                hot_out,
+                                st,
+                            },
+                        )
                     }));
                 }
                 for h in handles {
@@ -335,14 +321,7 @@ pub fn train_partitioned_into<S: Sequences + ?Sized>(
     registry()
         .counter(names::TRAIN_CROSS_SHARD_PAIRS)
         .add(cross);
-    let stats = TrainStats {
-        pairs: total.pairs,
-        tokens: total.tokens,
-        raw_tokens: total.raw_tokens,
-        avg_loss: total.avg_loss(),
-        seconds: span.finish().as_secs_f64(),
-    };
-    publish_throughput(&stats);
+    let stats = total.finish(span.finish().as_secs_f64());
     (store, stats)
 }
 
@@ -356,48 +335,27 @@ fn sequence_seed(seed: u64, epoch: usize, i: usize) -> u64 {
 }
 
 /// One shard's pass over one round's sequence range: scan everything, keep
-/// and train only the pairs routed here. All matrix arguments are this
-/// shard's exclusive `&mut` views; `snapshot` is the frozen canonical
-/// input for stale cross-shard reads.
-#[allow(clippy::too_many_arguments)]
-fn run_round<S: Sequences + ?Sized>(
-    seqs: &S,
-    range: &std::ops::Range<usize>,
-    epoch: usize,
-    config: &SgnsConfig,
-    plan: &OwnershipPlan,
-    s: usize,
-    snapshot: &Matrix,
-    cold_in: &mut Matrix,
-    cold_out: &mut Matrix,
-    hot_in: &mut Matrix,
-    hot_out: &mut Matrix,
-    st: &mut ShardState,
-    sampler: &PairSampler,
-    subsample: &SubsampleTable,
-    sigmoid: &SigmoidTable,
-    cum: &[u64],
-    total_tokens: u64,
-    schedule_tokens: u64,
-    stats: &mut ChunkStats,
-) {
-    for i in range.clone() {
+/// and train only the pairs routed here.
+fn run_round<S: Sequences + ?Sized>(seqs: &S, round: &Round<'_>, shard: Shard<'_>) {
+    let (ctx, plan, epoch, s, st) = (round.ctx, round.plan, round.epoch, shard.s, shard.st);
+    let config = ctx.config;
+    let mut stats = ChunkStats::default();
+    for i in round.range.clone() {
         let seq = seqs.sequence(i);
         let mut seq_rng = StdRng::seed_from_u64(sequence_seed(config.seed, epoch, i));
-        subsample.filter_into(seq, &mut seq_rng, &mut st.buf.filtered);
+        ctx.subsample
+            .filter_into(seq, &mut seq_rng, &mut st.buf.filtered);
         // Every thread scans every sequence; only shard 0 counts tokens so
         // the corpus isn't counted `threads` times.
         if s == 0 {
             stats.raw_tokens += seq.len() as u64;
             stats.tokens += st.buf.filtered.len() as u64;
         }
-        let done = epoch as u64 * total_tokens + cum[i];
-        let frac = (done as f64 / schedule_tokens as f64).min(1.0);
-        let lr = (config.learning_rate as f64 * (1.0 - frac)).max(config.min_learning_rate as f64)
-            as f32;
+        let lr = ctx.lr(epoch as u64 * ctx.total_tokens + round.cum[i]);
         stats.last_lr = lr;
 
-        sampler.pairs_into(&st.buf.filtered, &mut seq_rng, &mut st.buf.pair_buf);
+        ctx.sampler
+            .pairs_into(&st.buf.filtered, &mut seq_rng, &mut st.buf.pair_buf);
         for idx in 0..st.buf.pair_buf.len() {
             let (target, context) = st.buf.pair_buf[idx];
             if plan.route(target, context) != s {
@@ -418,35 +376,43 @@ fn run_round<S: Sequences + ?Sized>(
                 InputSrc::Stale
             };
             match src {
-                InputSrc::Hot(slot) => scratch.row.copy_from_slice(hot_in.row(slot)),
-                InputSrc::Cold(local) => scratch.row.copy_from_slice(cold_in.row(local)),
-                InputSrc::Stale => scratch.row.copy_from_slice(snapshot.row(target.index())),
+                InputSrc::Hot(slot) => scratch.row.copy_from_slice(shard.hot_in.row(slot)),
+                InputSrc::Cold(local) => scratch.row.copy_from_slice(shard.cold_in.row(local)),
+                InputSrc::Stale => scratch
+                    .row
+                    .copy_from_slice(round.snapshot.row(target.index())),
             }
             build_kept(&mut scratch.kept, context, &st.buf.negatives);
-            let loss = split_steps(
-                cold_out,
-                hot_out,
-                |t| match plan.hot_slot(t) {
+            let mut rows = SplitRows {
+                cold: &mut *shard.cold_out,
+                hot: &mut *shard.hot_out,
+                resolve: |t| match plan.hot_slot(t) {
                     Some(slot) => SplitRow::Hot(slot),
                     None => {
                         debug_assert_eq!(plan.owner(t), s, "non-local step token {t}");
                         SplitRow::Cold(plan.local_index(t))
                     }
                 },
+            };
+            let loss = steps(
+                &mut rows,
                 &scratch.kept,
                 &scratch.row,
                 lr,
-                sigmoid,
+                &ctx.sigmoid,
                 &mut scratch.grad,
                 &mut scratch.scores,
             );
             match src {
                 InputSrc::Hot(slot) => {
-                    sisg_embedding::kernels::add_assign(hot_in.row_mut(slot), &scratch.grad);
+                    sisg_embedding::kernels::add_assign(shard.hot_in.row_mut(slot), &scratch.grad);
                     st.owned_pairs += 1;
                 }
                 InputSrc::Cold(local) => {
-                    sisg_embedding::kernels::add_assign(cold_in.row_mut(local), &scratch.grad);
+                    sisg_embedding::kernels::add_assign(
+                        shard.cold_in.row_mut(local),
+                        &scratch.grad,
+                    );
                     st.owned_pairs += 1;
                 }
                 // Cross-shard: the output side trained against a stale
@@ -463,4 +429,6 @@ fn run_round<S: Sequences + ?Sized>(
             stats.loss_count += 1;
         }
     }
+    stats.flush_to_obs();
+    st.total.merge(&stats);
 }

@@ -30,11 +30,12 @@
 //!
 //! Every phase preserves the per-element operation order of the classic
 //! three-pass loop, so single-threaded output is bit-identical to it
-//! (pinned by the golden-checksum test). Two row access paths exist:
-//! the Hogwild one over [`RowPtr`] (relaxed per-element atomics, sound
-//! under concurrent writers) and an exact non-atomic one over
-//! `&mut Matrix` for `threads == 1`, where plain-slice arithmetic lets
-//! LLVM vectorize the elementwise passes.
+//! (pinned by the golden-checksum test). The phases are written once, in
+//! [`steps`], over the [`OutputRows`] access trait: the Hogwild path over
+//! [`RowPtr`] (relaxed per-element atomics, sound under concurrent
+//! writers) and the exact non-atomic ones over `&mut Matrix` and
+//! [`SplitRows`], where plain-slice arithmetic lets LLVM vectorize the
+//! elementwise passes.
 
 use crate::sigmoid::SigmoidTable;
 use sisg_corpus::TokenId;
@@ -42,9 +43,9 @@ use sisg_embedding::kernels;
 use sisg_embedding::matrix::{dot_slice_x4, RowPtr};
 use sisg_embedding::Matrix;
 
-/// Caller-provided scratch for [`train_pair`] / [`train_pair_mut`]:
-/// the cached target row, the input-gradient accumulator, the filtered
-/// step-token list and the score buffer. Allocate once per worker and
+/// Caller-provided scratch for [`train_pair`] and every other caller of
+/// [`steps`]: the cached target row, the input-gradient accumulator, the
+/// filtered step-token list and the score buffer. Allocate once per worker and
 /// reuse across every pair.
 #[derive(Debug)]
 pub struct PairScratch {
@@ -95,115 +96,66 @@ fn step_loss(sigmoid: &SigmoidTable, f: f32, label: f32) -> f64 {
     }
 }
 
-/// The step phase over the Hogwild access path: `kept[0]` is the positive,
-/// the rest are negatives; `resolve` maps a step token to its output row
-/// (for plain SGNS that is `output.row_ptr`, for distributed TNS the
-/// replica-aware resolver). Accumulates the input gradient into `grad`
-/// and returns the summed loss.
+/// Access to the output rows a pair's steps touch. [`steps`] is written
+/// once against this trait and monomorphised per access path, so every
+/// engine runs the same phases in the same order:
 ///
-/// Batches the dot phase through [`dot_slice_x4`] when the step tokens are
-/// pairwise distinct; otherwise falls back to dot-before-step. Both modes
-/// produce bit-identical results single-threaded.
-pub fn hogwild_steps<'m>(
-    resolve: impl Fn(TokenId) -> RowPtr<'m>,
-    kept: &[TokenId],
-    v: &[f32],
-    lr: f32,
-    sigmoid: &SigmoidTable,
-    grad: &mut [f32],
-    scores: &mut Vec<f32>,
-) -> f64 {
-    let n = kept.len();
-    let mut loss = 0.0f64;
-    if pairwise_distinct(kept) {
-        scores.clear();
-        scores.resize(n, 0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let rows = [
-                resolve(kept[i]),
-                resolve(kept[i + 1]),
-                resolve(kept[i + 2]),
-                resolve(kept[i + 3]),
-            ];
-            let out = dot_slice_x4(rows, v);
-            scores[i..i + 4].copy_from_slice(&out);
-            i += 4;
-        }
-        while i < n {
-            scores[i] = resolve(kept[i]).dot_slice(v);
-            i += 1;
-        }
-        for (i, &t) in kept.iter().enumerate() {
-            let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let f = scores[i];
-            let g = (label - sigmoid.sigmoid(f)) * lr;
-            resolve(t).fused_grad_step(g, v, grad);
-            loss += step_loss(sigmoid, f, label);
-        }
-    } else {
-        for (i, &t) in kept.iter().enumerate() {
-            let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let vp = resolve(t);
-            let f = vp.dot_slice(v);
-            let g = (label - sigmoid.sigmoid(f)) * lr;
-            vp.fused_grad_step(g, v, grad);
-            loss += step_loss(sigmoid, f, label);
-        }
-    }
-    loss
+/// - `&mut Matrix` — rows owned exclusively (`threads == 1`, EGES, a TNS
+///   worker's shard): plain-slice kernels that vectorize;
+/// - [`SplitRows`] — the partitioned engine's cold shard + hot replica
+///   matrices, both exclusively owned by the calling worker;
+/// - any `Fn(TokenId) -> RowPtr` resolver — the Hogwild path (relaxed
+///   per-element atomics, sound under concurrent writers); for plain SGNS
+///   that is `output.row_ptr`, for shared-memory TNS the replica-aware
+///   resolver.
+///
+/// All three produce bit-identical results single-threaded (pinned by a
+/// test below).
+pub trait OutputRows {
+    /// `v'_t · v` for one step token.
+    fn dot(&self, t: TokenId, v: &[f32]) -> f32;
+    /// Four independent dots as interleaved serial chains, each
+    /// bit-identical to [`OutputRows::dot`].
+    fn dot_x4(&self, ts: [TokenId; 4], v: &[f32]) -> [f32; 4];
+    /// One fused pass over row `t`: `grad += g·v'` with the pre-update
+    /// row, then `v' += g·v`.
+    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]);
 }
 
-/// The step phase over the exact non-atomic path (`&mut Matrix`) — same
-/// semantics and bit-for-bit the same results as [`hogwild_steps`], with
-/// plain-slice kernels that vectorize.
-pub fn mut_steps(
-    output: &mut Matrix,
-    kept: &[TokenId],
-    v: &[f32],
-    lr: f32,
-    sigmoid: &SigmoidTable,
-    grad: &mut [f32],
-    scores: &mut Vec<f32>,
-) -> f64 {
-    let n = kept.len();
-    let mut loss = 0.0f64;
-    if pairwise_distinct(kept) {
-        scores.clear();
-        scores.resize(n, 0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let rows = [
-                output.row(kept[i].index()),
-                output.row(kept[i + 1].index()),
-                output.row(kept[i + 2].index()),
-                output.row(kept[i + 3].index()),
-            ];
-            let out = kernels::dot_ordered_x4(rows, v);
-            scores[i..i + 4].copy_from_slice(&out);
-            i += 4;
-        }
-        while i < n {
-            scores[i] = kernels::dot_ordered(output.row(kept[i].index()), v);
-            i += 1;
-        }
-        for (i, &t) in kept.iter().enumerate() {
-            let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let f = scores[i];
-            let g = (label - sigmoid.sigmoid(f)) * lr;
-            kernels::fused_step(g, v, output.row_mut(t.index()), grad);
-            loss += step_loss(sigmoid, f, label);
-        }
-    } else {
-        for (i, &t) in kept.iter().enumerate() {
-            let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let f = kernels::dot_ordered(output.row(t.index()), v);
-            let g = (label - sigmoid.sigmoid(f)) * lr;
-            kernels::fused_step(g, v, output.row_mut(t.index()), grad);
-            loss += step_loss(sigmoid, f, label);
-        }
+impl OutputRows for Matrix {
+    #[inline]
+    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
+        kernels::dot_ordered(self.row(t.index()), v)
     }
-    loss
+    #[inline]
+    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
+        let rows = [
+            self.row(a.index()),
+            self.row(b.index()),
+            self.row(c.index()),
+            self.row(d.index()),
+        ];
+        kernels::dot_ordered_x4(rows, v)
+    }
+    #[inline]
+    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
+        kernels::fused_step(g, v, self.row_mut(t.index()), grad);
+    }
+}
+
+impl<'m, F: Fn(TokenId) -> RowPtr<'m>> OutputRows for F {
+    #[inline]
+    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
+        self(t).dot_slice(v)
+    }
+    #[inline]
+    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
+        dot_slice_x4([self(a), self(b), self(c), self(d)], v)
+    }
+    #[inline]
+    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
+        self(t).fused_grad_step(g, v, grad);
+    }
 }
 
 /// Where a step token's output row lives in the partitioned engine: either
@@ -217,33 +169,57 @@ pub enum SplitRow {
     Hot(usize),
 }
 
-#[inline]
-fn split_row<'a>(cold: &'a Matrix, hot: &'a Matrix, sr: SplitRow) -> &'a [f32] {
-    match sr {
-        SplitRow::Cold(i) => cold.row(i),
-        SplitRow::Hot(i) => hot.row(i),
+/// A worker's output rows split across two matrices (its cold shard and
+/// its hot replica bank), addressed through `resolve`. Still zero atomics:
+/// both matrices are exclusively owned by the calling worker.
+pub struct SplitRows<'a, F> {
+    /// The worker's cold (owned) shard matrix.
+    pub cold: &'a mut Matrix,
+    /// The worker's hot replica matrix.
+    pub hot: &'a mut Matrix,
+    /// Step token → physical row.
+    pub resolve: F,
+}
+
+impl<F: Fn(TokenId) -> SplitRow> SplitRows<'_, F> {
+    #[inline]
+    fn row(&self, t: TokenId) -> &[f32] {
+        match (self.resolve)(t) {
+            SplitRow::Cold(i) => self.cold.row(i),
+            SplitRow::Hot(i) => self.hot.row(i),
+        }
     }
 }
 
-#[inline]
-fn split_row_mut<'a>(cold: &'a mut Matrix, hot: &'a mut Matrix, sr: SplitRow) -> &'a mut [f32] {
-    match sr {
-        SplitRow::Cold(i) => cold.row_mut(i),
-        SplitRow::Hot(i) => hot.row_mut(i),
+impl<F: Fn(TokenId) -> SplitRow> OutputRows for SplitRows<'_, F> {
+    #[inline]
+    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
+        kernels::dot_ordered(self.row(t), v)
+    }
+    #[inline]
+    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
+        kernels::dot_ordered_x4([self.row(a), self.row(b), self.row(c), self.row(d)], v)
+    }
+    #[inline]
+    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
+        let vp = match (self.resolve)(t) {
+            SplitRow::Cold(i) => self.cold.row_mut(i),
+            SplitRow::Hot(i) => self.hot.row_mut(i),
+        };
+        kernels::fused_step(g, v, vp, grad);
     }
 }
 
-/// The step phase when a worker's output rows are split across two
-/// matrices (its cold shard and its hot replica bank). Phase-for-phase
-/// identical to [`mut_steps`] — same batched dot phase, same step order,
-/// same kernels — so results are bit-identical to training the same rows
-/// in one matrix (pinned by a test below). Still zero atomics: both
-/// matrices are exclusively owned by the calling worker.
-#[allow(clippy::too_many_arguments)]
-pub fn split_steps(
-    cold: &mut Matrix,
-    hot: &mut Matrix,
-    resolve: impl Fn(TokenId) -> SplitRow,
+/// The step phase — Algorithm 1's inner loop, written once for every
+/// engine. `kept[0]` is the positive, the rest are negatives; `rows` is
+/// the engine's output-row access path. Accumulates the input gradient
+/// into `grad` and returns the summed loss.
+///
+/// Batches the dot phase four at a time when the step tokens are pairwise
+/// distinct; otherwise falls back to dot-before-step. Both modes produce
+/// bit-identical results single-threaded.
+pub fn steps<R: OutputRows + ?Sized>(
+    rows: &mut R,
     kept: &[TokenId],
     v: &[f32],
     lr: f32,
@@ -253,40 +229,27 @@ pub fn split_steps(
 ) -> f64 {
     let n = kept.len();
     let mut loss = 0.0f64;
-    if pairwise_distinct(kept) {
+    let batched = pairwise_distinct(kept);
+    if batched {
         scores.clear();
         scores.resize(n, 0.0);
         let mut i = 0;
         while i + 4 <= n {
-            let rows = [
-                split_row(cold, hot, resolve(kept[i])),
-                split_row(cold, hot, resolve(kept[i + 1])),
-                split_row(cold, hot, resolve(kept[i + 2])),
-                split_row(cold, hot, resolve(kept[i + 3])),
-            ];
-            let out = kernels::dot_ordered_x4(rows, v);
+            let out = rows.dot_x4([kept[i], kept[i + 1], kept[i + 2], kept[i + 3]], v);
             scores[i..i + 4].copy_from_slice(&out);
             i += 4;
         }
         while i < n {
-            scores[i] = kernels::dot_ordered(split_row(cold, hot, resolve(kept[i])), v);
+            scores[i] = rows.dot(kept[i], v);
             i += 1;
         }
-        for (i, &t) in kept.iter().enumerate() {
-            let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let f = scores[i];
-            let g = (label - sigmoid.sigmoid(f)) * lr;
-            kernels::fused_step(g, v, split_row_mut(cold, hot, resolve(t)), grad);
-            loss += step_loss(sigmoid, f, label);
-        }
-    } else {
-        for (i, &t) in kept.iter().enumerate() {
-            let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let f = kernels::dot_ordered(split_row(cold, hot, resolve(t)), v);
-            let g = (label - sigmoid.sigmoid(f)) * lr;
-            kernels::fused_step(g, v, split_row_mut(cold, hot, resolve(t)), grad);
-            loss += step_loss(sigmoid, f, label);
-        }
+    }
+    for (i, &t) in kept.iter().enumerate() {
+        let label = if i == 0 { 1.0f32 } else { 0.0 };
+        let f = if batched { scores[i] } else { rows.dot(t, v) };
+        let g = (label - sigmoid.sigmoid(f)) * lr;
+        rows.fused_step(t, g, v, grad);
+        loss += step_loss(sigmoid, f, label);
     }
     loss
 }
@@ -329,8 +292,8 @@ pub fn train_pair(
     let v = input.row_ptr(target.index());
     v.load_into(&mut scratch.row);
     build_kept(&mut scratch.kept, context, negatives);
-    let loss = hogwild_steps(
-        |t| output.row_ptr(t.index()),
+    let loss = steps(
+        &mut |t: TokenId| output.row_ptr(t.index()),
         &scratch.kept,
         &scratch.row,
         lr,
@@ -346,7 +309,7 @@ pub fn train_pair(
 /// worker-owned shard that never shares rows). Bit-identical results,
 /// no atomics.
 #[allow(clippy::too_many_arguments)]
-pub fn train_pair_mut(
+pub(crate) fn train_pair_mut(
     input: &mut Matrix,
     output: &mut Matrix,
     target: TokenId,
@@ -360,7 +323,7 @@ pub fn train_pair_mut(
     scratch.grad.fill(0.0);
     scratch.row.copy_from_slice(input.row(target.index()));
     build_kept(&mut scratch.kept, context, negatives);
-    let loss = mut_steps(
+    let loss = steps(
         output,
         &scratch.kept,
         &scratch.row,
@@ -559,11 +522,11 @@ mod tests {
         }
     }
 
-    /// Splitting a worker's output rows across a cold shard and a hot
-    /// replica matrix must not change a single bit vs. the same rows in
-    /// one matrix — `split_steps` is `mut_steps` with a two-way resolver.
+    /// [`steps`] over all three [`OutputRows`] impls — one `&mut Matrix`,
+    /// the same rows split across a cold shard and a hot replica matrix,
+    /// and a `RowPtr` resolver — must not differ in a single bit.
     #[test]
-    fn split_and_mut_steps_are_bit_identical() {
+    fn steps_are_bit_identical_over_every_row_access_path() {
         // Same negative-set shapes as the hogwild/mut parity test: batch,
         // x4 remainder, and the duplicate-token sequential fallback.
         let neg_sets: &[&[TokenId]] = &[
@@ -583,6 +546,7 @@ mod tests {
         for (case, negatives) in neg_sets.iter().enumerate() {
             for dim in [4usize, 7, 8] {
                 let mut output_m = Matrix::uniform_init(6, dim, 31);
+                let output_h = output_m.clone();
                 let mut cold = Matrix::zeros(3, dim);
                 let mut hot = Matrix::zeros(3, dim);
                 for r in 0..6 {
@@ -595,50 +559,38 @@ mod tests {
                 let input = Matrix::uniform_init(6, dim, 32);
                 let sig = SigmoidTable::new();
                 let v = input.row(0).to_vec();
-                let mut grad_m = vec![0.0f32; dim];
-                let mut grad_s = vec![0.0f32; dim];
-                let mut scores_m = Vec::new();
-                let mut scores_s = Vec::new();
+                let mut grads = [vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]];
+                let mut scores = Vec::new();
                 let mut kept = Vec::new();
                 build_kept(&mut kept, TokenId(1), negatives);
 
-                let mut loss_m = 0.0;
-                let mut loss_s = 0.0;
+                let mut losses = [0.0f64; 3];
                 for _ in 0..5 {
-                    loss_m += mut_steps(
-                        &mut output_m,
-                        &kept,
-                        &v,
-                        0.07,
-                        &sig,
-                        &mut grad_m,
-                        &mut scores_m,
-                    );
-                    loss_s += split_steps(
-                        &mut cold,
-                        &mut hot,
+                    let [grad_m, grad_s, grad_h] = &mut grads;
+                    losses[0] += steps(&mut output_m, &kept, &v, 0.07, &sig, grad_m, &mut scores);
+                    let mut split = SplitRows {
+                        cold: &mut cold,
+                        hot: &mut hot,
                         resolve,
-                        &kept,
-                        &v,
-                        0.07,
-                        &sig,
-                        &mut grad_s,
-                        &mut scores_s,
-                    );
+                    };
+                    losses[1] += steps(&mut split, &kept, &v, 0.07, &sig, grad_s, &mut scores);
+                    let mut hogwild = |t: TokenId| output_h.row_ptr(t.index());
+                    losses[2] += steps(&mut hogwild, &kept, &v, 0.07, &sig, grad_h, &mut scores);
                 }
-                assert_eq!(loss_m.to_bits(), loss_s.to_bits(), "case {case} dim {dim}");
                 let bits = |s: &[f32]| -> Vec<u32> { s.iter().map(|v| v.to_bits()).collect() };
-                assert_eq!(bits(&grad_m), bits(&grad_s), "case {case} dim {dim}");
+                for path in 1..3 {
+                    let at = format!("case {case} dim {dim} path {path}");
+                    assert_eq!(losses[0].to_bits(), losses[path].to_bits(), "{at}");
+                    assert_eq!(bits(&grads[0]), bits(&grads[path]), "{at}");
+                }
                 for r in 0..6 {
                     let split = match resolve(TokenId(r as u32)) {
                         SplitRow::Cold(i) => cold.row(i),
                         SplitRow::Hot(i) => hot.row(i),
                     };
-                    assert_eq!(
-                        bits(output_m.row(r)),
-                        bits(split),
-                        "case {case} dim {dim} row {r}"
-                    );
+                    let at = format!("case {case} dim {dim} row {r}");
+                    assert_eq!(bits(output_m.row(r)), bits(split), "{at}");
+                    assert_eq!(bits(output_m.row(r)), bits(output_h.row(r)), "{at}");
                 }
             }
         }

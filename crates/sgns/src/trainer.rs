@@ -7,10 +7,12 @@
 //! All drivers consume any [`Sequences`] source — enriched SISG sequences,
 //! plain item sequences, or EGES random-walk corpora — and produce an
 //! [`EmbeddingStore`]. Learning rate decays linearly with processed-token
-//! progress, exactly as in word2vec.
+//! progress, exactly as in word2vec ([`linear_lr`]); the tables and the
+//! schedule every engine shares are built once, in `EpochContext::new`.
 
-use crate::config::SgnsConfig;
+use crate::config::{SgnsConfig, TrainEngine};
 use crate::noise::NoiseTable;
+use crate::partition::OwnershipPlan;
 use crate::sampler::{PairSampler, SubsampleTable, WindowMode};
 use crate::sgd::{train_pair, train_pair_mut, PairScratch};
 use crate::sigmoid::SigmoidTable;
@@ -137,6 +139,25 @@ impl ChunkStats {
         }
     }
 
+    /// Closes a run: the totals as [`TrainStats`], with the end-of-run
+    /// throughput gauges published.
+    pub(crate) fn finish(&self, seconds: f64) -> TrainStats {
+        let stats = TrainStats {
+            pairs: self.pairs,
+            tokens: self.tokens,
+            raw_tokens: self.raw_tokens,
+            avg_loss: self.avg_loss(),
+            seconds,
+        };
+        registry()
+            .gauge(names::SGNS_PAIRS_PER_SEC)
+            .set(stats.pairs_per_second());
+        registry()
+            .gauge(names::SGNS_TOKENS_PER_SEC)
+            .set(stats.tokens_per_second());
+        stats
+    }
+
     /// Publishes this chunk's deltas to the global registry.
     pub(crate) fn flush_to_obs(&self) {
         let m = sgns_metrics();
@@ -228,18 +249,8 @@ pub fn train<S: Sequences + ?Sized>(
 ) -> (EmbeddingStore, TrainStats) {
     config.validate().expect("invalid SGNS config");
     let freqs = count_freqs(seqs, n_tokens);
-    train_with_freqs(seqs, &freqs, config)
-}
-
-/// Like [`train`] but with precomputed frequencies (avoids a corpus scan
-/// when the caller already has the dictionary).
-pub fn train_with_freqs<S: Sequences + ?Sized>(
-    seqs: &S,
-    freqs: &[u64],
-    config: &SgnsConfig,
-) -> (EmbeddingStore, TrainStats) {
-    let store = EmbeddingStore::new(freqs.len(), config.dim, config.seed);
-    train_into(seqs, freqs, config, store)
+    let store = EmbeddingStore::new(n_tokens, config.dim, config.seed);
+    train_into(seqs, &freqs, config, store)
 }
 
 /// Warm-start training: continues from an existing store instead of a
@@ -254,29 +265,95 @@ pub fn train_into<S: Sequences + ?Sized>(
     seqs: &S,
     freqs: &[u64],
     config: &SgnsConfig,
-    store: EmbeddingStore,
+    mut store: EmbeddingStore,
 ) -> (EmbeddingStore, TrainStats) {
     assert_eq!(store.n_tokens(), freqs.len(), "store/vocab size mismatch");
     assert_eq!(store.dim(), config.dim, "store/config dim mismatch");
-    if config.threads <= 1 {
-        train_single(seqs, freqs, config, store)
-    } else {
-        match resolve_engine(freqs, config) {
-            crate::config::TrainEngine::Partitioned => {
-                let plan = crate::partition::OwnershipPlan::balanced_by_frequency(
-                    freqs,
-                    config.threads,
-                    if config.hot_set_size == 0 {
-                        crate::partition::OwnershipPlan::auto_hot_k(freqs.len())
-                    } else {
-                        config.hot_set_size
-                    },
-                );
-                crate::partitioned::train_partitioned_into(seqs, freqs, config, store, &plan)
-            }
-            _ => train_parallel_into(seqs, freqs, config, store),
-        }
+    if freqs.iter().all(|&f| f == 0) {
+        // Empty corpus: nothing to train, return the store as it came.
+        return (store, TrainStats::default());
     }
+    let ctx = EpochContext::new(freqs, config, seqs.total_tokens());
+    if config.threads > 1 && resolve_engine(freqs, config) == TrainEngine::Partitioned {
+        let hot_k = if config.hot_set_size == 0 {
+            OwnershipPlan::auto_hot_k(freqs.len())
+        } else {
+            config.hot_set_size
+        };
+        let plan = OwnershipPlan::balanced_by_frequency(freqs, config.threads, hot_k);
+        return crate::partitioned::train_partitioned_into(seqs, freqs, &ctx, store, &plan);
+    }
+    let noise = NoiseTable::from_freqs(freqs, config.noise_exponent);
+    let n = seqs.n_sequences();
+    let span = sisg_obs::span(names::SGNS_TRAIN_SPAN);
+    let total = if config.threads <= 1 {
+        // Single-threaded ⇒ exclusive matrices ⇒ the exact non-atomic path
+        // (bit-identical to the Hogwild path, see `crate::sgd`, but the
+        // plain-slice kernels vectorize).
+        let (input, output) = store.matrices_mut();
+        run_epochs(
+            seqs,
+            0..n,
+            &ctx,
+            &noise,
+            config.seed ^ 0x7124,
+            |target, context, negatives, lr, scratch| {
+                train_pair_mut(
+                    input,
+                    output,
+                    target,
+                    context,
+                    negatives,
+                    lr,
+                    &ctx.sigmoid,
+                    scratch,
+                )
+            },
+        )
+    } else {
+        // Hogwild: threads share the matrices without locks and split the
+        // sequence range.
+        let threads = config.threads.min(n.max(1));
+        let chunk = n.div_ceil(threads);
+        let (input, output) = (store.input_matrix(), store.output_matrix());
+        let (ctx, noise) = (&ctx, &noise);
+        let mut total = ChunkStats::default();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let range = (t * chunk).min(n)..((t + 1) * chunk).min(n);
+                    let seed = config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9);
+                    scope.spawn(move || {
+                        run_epochs(
+                            seqs,
+                            range,
+                            ctx,
+                            noise,
+                            seed,
+                            |target, context, negatives, lr, scratch| {
+                                train_pair(
+                                    input,
+                                    output,
+                                    target,
+                                    context,
+                                    negatives,
+                                    lr,
+                                    &ctx.sigmoid,
+                                    scratch,
+                                )
+                            },
+                        )
+                    })
+                })
+                .collect();
+            for h in handles {
+                total.merge(&h.join().expect("training thread panicked"));
+            }
+        });
+        total
+    };
+    let stats = total.finish(span.finish().as_secs_f64());
+    (store, stats)
 }
 
 /// Online/streaming increment: folds one bounded batch of fresh sequences
@@ -375,29 +452,73 @@ fn hottest_row_round_updates(freqs: &[u64], config: &SgnsConfig) -> f64 {
 ///
 /// Pure function of `(freqs, config)`, so the choice is reproducible for a
 /// fixed corpus.
-pub fn resolve_engine(freqs: &[u64], config: &SgnsConfig) -> crate::config::TrainEngine {
+pub fn resolve_engine(freqs: &[u64], config: &SgnsConfig) -> TrainEngine {
     match config.engine {
-        crate::config::TrainEngine::Auto => {
+        TrainEngine::Auto => {
             if config.window_mode == WindowMode::RightOnly
                 || hottest_row_round_updates(freqs, config) > HOT_ROW_ROUND_UPDATE_LIMIT
             {
-                crate::config::TrainEngine::AtomicHogwild
+                TrainEngine::AtomicHogwild
             } else {
-                crate::config::TrainEngine::Partitioned
+                TrainEngine::Partitioned
             }
         }
         explicit => explicit,
     }
 }
 
-struct EpochContext<'a> {
-    noise: &'a NoiseTable,
-    subsample: &'a SubsampleTable,
-    sampler: PairSampler,
-    sigmoid: &'a SigmoidTable,
-    config: &'a SgnsConfig,
-    /// Denominator of the linear LR schedule: epochs × total tokens.
-    schedule_tokens: u64,
+/// The word2vec learning-rate schedule, shared by every trainer in the
+/// workspace: linear decay from `learning_rate` by progress `done / total`
+/// (tokens or pairs, whichever the caller counts), clamped at
+/// `min_learning_rate`. `done ≥ total` sits on the floor; `total == 0`
+/// counts as one unit, so nothing divides by zero.
+pub fn linear_lr(learning_rate: f32, min_learning_rate: f32, done: u64, total: u64) -> f32 {
+    let frac = (done as f64 / total.max(1) as f64).min(1.0);
+    (learning_rate as f64 * (1.0 - frac)).max(min_learning_rate as f64) as f32
+}
+
+/// What every engine needs for a run and none of them mutates: the tables
+/// built from the corpus frequencies plus the learning-rate schedule.
+/// (The noise table is not here: single-thread and Hogwild training draw
+/// from one global table, the partitioned engine from per-shard ones.)
+pub(crate) struct EpochContext<'a> {
+    pub(crate) config: &'a SgnsConfig,
+    pub(crate) subsample: SubsampleTable,
+    pub(crate) sampler: PairSampler,
+    pub(crate) sigmoid: SigmoidTable,
+    /// Corpus tokens per epoch; the schedule runs over `epochs ×` this.
+    pub(crate) total_tokens: u64,
+    /// Tokens handed out so far, across threads and epochs — the decay's
+    /// numerator for the engines that count as they go (the partitioned
+    /// engine derives its progress from prefix sums instead).
+    progress: AtomicU64,
+}
+
+impl<'a> EpochContext<'a> {
+    pub(crate) fn new(freqs: &[u64], config: &'a SgnsConfig, total_tokens: u64) -> Self {
+        Self {
+            config,
+            subsample: SubsampleTable::new(freqs, config.subsample),
+            sampler: PairSampler {
+                window: config.window,
+                mode: config.window_mode,
+                dynamic: false,
+            },
+            sigmoid: SigmoidTable::new(),
+            total_tokens,
+            progress: AtomicU64::new(0),
+        }
+    }
+
+    /// Learning rate after `done` tokens of the whole run.
+    pub(crate) fn lr(&self, done: u64) -> f32 {
+        linear_lr(
+            self.config.learning_rate,
+            self.config.min_learning_rate,
+            done,
+            self.total_tokens * self.config.epochs as u64,
+        )
+    }
 }
 
 /// Per-worker reusable buffers of the chunk loop: allocated once per
@@ -423,227 +544,60 @@ impl ChunkBuffers {
     }
 }
 
-/// Processes the sequences `range` once, applying `pair_fn` to every
-/// sampled pair (the Hogwild [`train_pair`] or the exact
-/// [`train_pair_mut`], pre-bound to its matrices). `progress` counts
-/// tokens globally across threads and epochs; all bookkeeping lands in
-/// the plain-local `stats` (the caller flushes it to obs after the chunk,
-/// keeping the pair loop instrumentation-free).
-#[allow(clippy::too_many_arguments)]
-fn run_chunk<S, F>(
+/// One worker's whole run: every epoch over the sequences `range`,
+/// applying `pair_fn` to every sampled pair (the Hogwild [`train_pair`] or
+/// the exact [`train_pair_mut`], pre-bound to its matrices). Bookkeeping
+/// lands in plain locals flushed to obs once per epoch, keeping the pair
+/// loop instrumentation-free.
+fn run_epochs<S, F>(
     seqs: &S,
     range: std::ops::Range<usize>,
     ctx: &EpochContext<'_>,
-    progress: &AtomicU64,
-    rng: &mut StdRng,
-    stats: &mut ChunkStats,
-    buf: &mut ChunkBuffers,
+    noise: &NoiseTable,
+    seed: u64,
     mut pair_fn: F,
-) where
+) -> ChunkStats
+where
     S: Sequences + ?Sized,
     F: FnMut(TokenId, TokenId, &[TokenId], f32, &mut PairScratch) -> f64,
 {
-    for i in range {
-        let seq = seqs.sequence(i);
-        ctx.subsample.filter_into(seq, rng, &mut buf.filtered);
-        // ORDERING: Relaxed — shared token counter for the lr decay; Hogwild
-        // workers tolerate stale progress and publish nothing through it.
-        let done = progress.fetch_add(seq.len() as u64, Ordering::Relaxed);
-        stats.raw_tokens += seq.len() as u64;
-        stats.tokens += buf.filtered.len() as u64;
-
-        // Linear LR decay by global token progress.
-        let frac = (done as f64 / ctx.schedule_tokens.max(1) as f64).min(1.0);
-        let lr = (ctx.config.learning_rate as f64 * (1.0 - frac))
-            .max(ctx.config.min_learning_rate as f64) as f32;
-        stats.last_lr = lr;
-
-        ctx.sampler
-            .pairs_into(&buf.filtered, rng, &mut buf.pair_buf);
-        for idx in 0..buf.pair_buf.len() {
-            let (target, context) = buf.pair_buf[idx];
-            ctx.noise
-                .sample_into(&mut buf.negatives, ctx.config.negatives, rng);
-            let loss = pair_fn(target, context, &buf.negatives, lr, &mut buf.scratch);
-            stats.pairs += 1;
-            stats.loss_sum += loss;
-            stats.loss_count += 1;
-        }
-    }
-}
-
-pub(crate) fn train_single<S: Sequences + ?Sized>(
-    seqs: &S,
-    freqs: &[u64],
-    config: &SgnsConfig,
-    mut store: EmbeddingStore,
-) -> (EmbeddingStore, TrainStats) {
-    if freqs.iter().all(|&f| f == 0) {
-        // Empty corpus: nothing to train, return the initialized store.
-        return (store, TrainStats::default());
-    }
-    let noise = NoiseTable::from_freqs(freqs, config.noise_exponent);
-    let subsample = SubsampleTable::new(freqs, config.subsample);
-    let sigmoid = SigmoidTable::new();
-    let ctx = EpochContext {
-        noise: &noise,
-        subsample: &subsample,
-        sampler: PairSampler {
-            window: config.window,
-            mode: config.window_mode,
-            dynamic: false,
-        },
-        sigmoid: &sigmoid,
-        config,
-        schedule_tokens: seqs.total_tokens() * config.epochs as u64,
-    };
-
-    let progress = AtomicU64::new(0);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7124);
-    let mut total = ChunkStats::default();
+    let config = ctx.config;
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut buf = ChunkBuffers::new(config.dim, config.negatives);
-    let span = sisg_obs::span(names::SGNS_TRAIN_SPAN);
-    // Single-threaded ⇒ exclusive matrices ⇒ the exact non-atomic path
-    // (bit-identical to the Hogwild path, see `crate::sgd`, but the
-    // plain-slice kernels vectorize).
-    let (input, output) = store.matrices_mut();
-    for _epoch in 0..config.epochs {
-        let mut epoch_stats = ChunkStats::default();
-        run_chunk(
-            seqs,
-            0..seqs.n_sequences(),
-            &ctx,
-            &progress,
-            &mut rng,
-            &mut epoch_stats,
-            &mut buf,
-            |target, context, negatives, lr, scratch| {
-                train_pair_mut(
-                    input, output, target, context, negatives, lr, &sigmoid, scratch,
-                )
-            },
-        );
-        epoch_stats.flush_to_obs();
-        total.merge(&epoch_stats);
-    }
-    let stats = TrainStats {
-        pairs: total.pairs,
-        tokens: total.tokens,
-        raw_tokens: total.raw_tokens,
-        avg_loss: total.avg_loss(),
-        seconds: span.finish().as_secs_f64(),
-    };
-    publish_throughput(&stats);
-    (store, stats)
-}
-
-/// Publishes end-of-run throughput gauges.
-pub(crate) fn publish_throughput(stats: &TrainStats) {
-    registry()
-        .gauge(names::SGNS_PAIRS_PER_SEC)
-        .set(stats.pairs_per_second());
-    registry()
-        .gauge(names::SGNS_TOKENS_PER_SEC)
-        .set(stats.tokens_per_second());
-}
-
-/// Hogwild parallel training: threads share the matrices without locks and
-/// split the sequence range per epoch.
-fn train_parallel_into<S: Sequences + ?Sized>(
-    seqs: &S,
-    freqs: &[u64],
-    config: &SgnsConfig,
-    store: EmbeddingStore,
-) -> (EmbeddingStore, TrainStats) {
-    if freqs.iter().all(|&f| f == 0) {
-        return (store, TrainStats::default());
-    }
-    let noise = NoiseTable::from_freqs(freqs, config.noise_exponent);
-    let subsample = SubsampleTable::new(freqs, config.subsample);
-    let sigmoid = SigmoidTable::new();
-    let ctx = EpochContext {
-        noise: &noise,
-        subsample: &subsample,
-        sampler: PairSampler {
-            window: config.window,
-            mode: config.window_mode,
-            dynamic: false,
-        },
-        sigmoid: &sigmoid,
-        config,
-        schedule_tokens: seqs.total_tokens() * config.epochs as u64,
-    };
-
-    let progress = AtomicU64::new(0);
-    let n = seqs.n_sequences();
-    let threads = config.threads.min(n.max(1));
-    let chunk = n.div_ceil(threads.max(1));
-    let span = sisg_obs::span(names::SGNS_TRAIN_SPAN);
-
     let mut total = ChunkStats::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let range = (t * chunk).min(n)..((t + 1) * chunk).min(n);
-            let store = &store;
-            let ctx = &ctx;
-            let progress = &progress;
-            let seed = config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9);
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut thread_total = ChunkStats::default();
-                let mut buf = ChunkBuffers::new(ctx.config.dim, ctx.config.negatives);
-                let input = store.input_matrix();
-                let output = store.output_matrix();
-                for _epoch in 0..ctx.config.epochs {
-                    let mut epoch_stats = ChunkStats::default();
-                    run_chunk(
-                        seqs,
-                        range.clone(),
-                        ctx,
-                        progress,
-                        &mut rng,
-                        &mut epoch_stats,
-                        &mut buf,
-                        |target, context, negatives, lr, scratch| {
-                            train_pair(
-                                input,
-                                output,
-                                target,
-                                context,
-                                negatives,
-                                lr,
-                                ctx.sigmoid,
-                                scratch,
-                            )
-                        },
-                    );
-                    epoch_stats.flush_to_obs();
-                    thread_total.merge(&epoch_stats);
-                }
-                thread_total
-            }));
+    for _epoch in 0..config.epochs {
+        let mut stats = ChunkStats::default();
+        for i in range.clone() {
+            let seq = seqs.sequence(i);
+            ctx.subsample.filter_into(seq, &mut rng, &mut buf.filtered);
+            // ORDERING: Relaxed — shared token counter for the lr decay; Hogwild
+            // workers tolerate stale progress and publish nothing through it.
+            let done = ctx.progress.fetch_add(seq.len() as u64, Ordering::Relaxed);
+            stats.raw_tokens += seq.len() as u64;
+            stats.tokens += buf.filtered.len() as u64;
+            let lr = ctx.lr(done);
+            stats.last_lr = lr;
+
+            ctx.sampler
+                .pairs_into(&buf.filtered, &mut rng, &mut buf.pair_buf);
+            for idx in 0..buf.pair_buf.len() {
+                let (target, context) = buf.pair_buf[idx];
+                noise.sample_into(&mut buf.negatives, config.negatives, &mut rng);
+                let loss = pair_fn(target, context, &buf.negatives, lr, &mut buf.scratch);
+                stats.pairs += 1;
+                stats.loss_sum += loss;
+                stats.loss_count += 1;
+            }
         }
-        for h in handles {
-            let thread_total = h.join().expect("training thread panicked");
-            total.merge(&thread_total);
-        }
-    });
-    let stats = TrainStats {
-        pairs: total.pairs,
-        tokens: total.tokens,
-        raw_tokens: total.raw_tokens,
-        avg_loss: total.avg_loss(),
-        seconds: span.finish().as_secs_f64(),
-    };
-    publish_throughput(&stats);
-    (store, stats)
+        stats.flush_to_obs();
+        total.merge(&stats);
+    }
+    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrainEngine;
     use sisg_embedding::math::cosine;
 
     /// Two "topics" of tokens; sequences stay within a topic. Embeddings
@@ -761,7 +715,8 @@ mod tests {
         };
         let freqs = count_freqs(&seqs, 20);
         let (_, warm_stats) = train_into(&seqs, &freqs, &one_epoch, warm_store);
-        let (_, cold_stats) = train_with_freqs(&seqs, &freqs, &one_epoch);
+        let cold_store = EmbeddingStore::new(20, one_epoch.dim, one_epoch.seed);
+        let (_, cold_stats) = train_into(&seqs, &freqs, &one_epoch, cold_store);
         assert!(
             warm_stats.avg_loss < cold_stats.avg_loss,
             "warm start should sit at lower loss: {} vs {}",
@@ -854,6 +809,19 @@ mod tests {
             ..Default::default()
         };
         let _ = train(&seqs, 20, &cfg);
+    }
+
+    #[test]
+    fn linear_lr_decays_to_the_floor_and_clamps() {
+        let lr = |done, total| linear_lr(0.025, 0.0001, done, total);
+        assert_eq!(lr(0, 1_000), 0.025, "start value");
+        assert_eq!(lr(500, 1_000), 0.0125, "midpoint");
+        assert_eq!(lr(999, 1_000), 0.0001, "floor");
+        assert_eq!(lr(1_000, 1_000), 0.0001, "done = total");
+        assert_eq!(lr(5_000, 1_000), 0.0001, "done > total");
+        // total == 0 counts as one unit: no NaN, start value then floor.
+        assert_eq!(lr(0, 0), 0.025);
+        assert_eq!(lr(1, 0), 0.0001);
     }
 
     #[test]

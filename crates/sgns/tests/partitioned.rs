@@ -1,15 +1,13 @@
 //! Behavioral guarantees of the ownership-partitioned parallel engine
-//! (docs/PARALLELISM.md): golden-path delegation, determinism across runs,
-//! learning quality, and the legacy engine staying selectable.
+//! (docs/PARALLELISM.md): determinism across runs, learning quality, warm
+//! starts, and the legacy engine staying selectable.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sisg_corpus::TokenId;
 use sisg_embedding::math::cosine;
 use sisg_embedding::EmbeddingStore;
-use sisg_sgns::{
-    count_freqs, train, train_partitioned_into, OwnershipPlan, SgnsConfig, TrainEngine,
-};
+use sisg_sgns::{count_freqs, train, train_into, SgnsConfig, TrainEngine};
 
 /// Two-topic corpus, the shape the trainer unit tests use.
 fn topic_corpus(seed: u64) -> Vec<Vec<TokenId>> {
@@ -46,23 +44,6 @@ fn store_bits(store: &EmbeddingStore) -> Vec<u32> {
         .chain(store.output_matrix().as_slice())
         .map(|v| v.to_bits())
         .collect()
-}
-
-/// A 1-shard plan must produce *exactly* the single-threaded reference
-/// output — the partitioned entry point delegates to the same code path
-/// the golden checksums in `tests/golden.rs` pin, so the bit-identity
-/// guarantee extends to the partitioned API.
-#[test]
-fn one_shard_plan_is_bit_identical_to_single_thread() {
-    let seqs = topic_corpus(21);
-    let cfg = small_config();
-    let freqs = count_freqs(&seqs, 20);
-    let (reference, _) = train(&seqs, 20, &cfg);
-    let plan = OwnershipPlan::balanced_by_frequency(&freqs, 1, 4);
-    let store = EmbeddingStore::new(20, cfg.dim, cfg.seed);
-    let (partitioned, stats) = train_partitioned_into(&seqs, &freqs, &cfg, store, &plan);
-    assert!(stats.pairs > 0);
-    assert_eq!(store_bits(&reference), store_bits(&partitioned));
 }
 
 /// Same seed + same thread count ⇒ bit-identical merged embeddings. The
@@ -129,12 +110,12 @@ fn partitioned_warm_start_continues_from_the_store() {
     let one_epoch = SgnsConfig {
         epochs: 1,
         learning_rate: 0.01,
+        hot_set_size: 6,
         ..cfg.clone()
     };
-    let plan = OwnershipPlan::balanced_by_frequency(&freqs, 2, 6);
-    let (_, warm) = train_partitioned_into(&seqs, &freqs, &one_epoch, warm_store, &plan);
+    let (_, warm) = train_into(&seqs, &freqs, &one_epoch, warm_store);
     let cold_store = EmbeddingStore::new(20, one_epoch.dim, one_epoch.seed);
-    let (_, cold) = train_partitioned_into(&seqs, &freqs, &one_epoch, cold_store, &plan);
+    let (_, cold) = train_into(&seqs, &freqs, &one_epoch, cold_store);
     assert!(
         warm.avg_loss < cold.avg_loss,
         "warm start should sit at lower loss: {} vs {}",

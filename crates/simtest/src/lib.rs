@@ -40,18 +40,14 @@ use sisg_corpus::split::{NextItemSplit, SplitStage};
 use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, ItemId, TokenId};
 use sisg_distributed::recovery::record_recovery;
 use sisg_distributed::{
-    build_partition, ChannelReport, Delivered, DistConfig, FaultDecision, FaultPlan,
-    MachineCounters, MachineEnv, Message, PartitionMap, RetryVerdict, ShardCheckpoint, Step,
-    WorkerMachine,
+    ChannelReport, Delivered, DistConfig, FaultDecision, FaultPlan, Message, PartitionMap,
+    RetryVerdict, ShardCheckpoint, Step, TnsRun, WorkerMachine,
 };
-use sisg_embedding::{EmbeddingStore, Matrix};
+use sisg_embedding::{math, retrieve_top_k, EmbeddingStore, Matrix};
 use sisg_eval::hitrate::{evaluate_hit_rates, ItemRetriever};
-use sisg_obs::{names as obs_names, Fnv1a};
-use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{NoiseTable, PairSampler, SubsampleTable};
+use sisg_obs::Fnv1a;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::AtomicU64;
 
 /// One simulated run: the training configuration, the fault schedule, and
 /// a hard event budget that converts a livelock bug into a clean failure.
@@ -138,39 +134,6 @@ impl Ord for Event {
     }
 }
 
-/// Everything the machines borrow, bundled so a restart can mint a fresh
-/// [`MachineEnv`] mid-run.
-struct EnvSrc<'a> {
-    workers: usize,
-    config: &'a DistConfig,
-    enriched: &'a EnrichedCorpus,
-    partition: &'a PartitionMap,
-    noise_tables: &'a [NoiseTable],
-    subsample: &'a SubsampleTable,
-    sampler: PairSampler,
-    sigmoid: &'a SigmoidTable,
-    progress: &'a AtomicU64,
-    schedule_pairs: u64,
-}
-
-impl<'a> EnvSrc<'a> {
-    fn env(&self, me: usize) -> MachineEnv<'a> {
-        MachineEnv {
-            me,
-            workers: self.workers,
-            config: self.config,
-            enriched: self.enriched,
-            partition: self.partition,
-            noise_tables: self.noise_tables,
-            subsample: self.subsample,
-            sampler: self.sampler,
-            sigmoid: self.sigmoid,
-            progress: self.progress,
-            schedule_pairs: self.schedule_pairs,
-        }
-    }
-}
-
 struct SimWorker<'a> {
     machine: Option<WorkerMachine<'a>>,
     inbox: VecDeque<Message>,
@@ -209,7 +172,7 @@ enum TurnAction {
 }
 
 struct Sim<'a> {
-    envsrc: EnvSrc<'a>,
+    run: &'a TnsRun<'a>,
     plan: &'a FaultPlan,
     workers: Vec<SimWorker<'a>>,
     heap: BinaryHeap<Reverse<Event>>,
@@ -222,10 +185,9 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(envsrc: EnvSrc<'a>, plan: &'a FaultPlan) -> Self {
-        let w = envsrc.workers;
+    fn new(run: &'a TnsRun<'a>, w: usize, plan: &'a FaultPlan) -> Self {
         let mut sim = Self {
-            envsrc,
+            run,
             plan,
             workers: Vec::with_capacity(w),
             heap: BinaryHeap::new(),
@@ -237,7 +199,7 @@ impl<'a> Sim<'a> {
             recoveries: 0,
         };
         for me in 0..w {
-            let machine = WorkerMachine::new(sim.envsrc.env(me));
+            let machine = WorkerMachine::new(run, me);
             let checkpoint = machine.checkpoint().to_bytes();
             sim.workers.push(SimWorker {
                 machine: Some(machine),
@@ -324,7 +286,7 @@ impl<'a> Sim<'a> {
         let max_attempts = self.plan.retry.max_attempts;
         let stall = self.plan.stalls.iter().find(|s| s.worker == w).copied();
         let action = {
-            let partition = self.envsrc.partition;
+            let partition = self.run.partition();
             let wk = &mut self.workers[w];
             let Some(machine) = wk.machine.as_mut() else {
                 return;
@@ -427,7 +389,7 @@ impl<'a> Sim<'a> {
             }
         };
         let incarnation = self.workers[w].incarnation + 1;
-        match WorkerMachine::restore(self.envsrc.env(w), &ck, incarnation) {
+        match WorkerMachine::restore(self.run, w, &ck, incarnation) {
             Ok(machine) => {
                 {
                     let wk = &mut self.workers[w];
@@ -575,49 +537,8 @@ pub fn simulate(
     catalog: &ItemCatalog,
     sim: &SimConfig,
 ) -> SimOutcome {
-    let config = &sim.dist;
-    assert!(config.workers > 0, "need at least one worker");
-    let w = config.workers;
-    let space = enriched.space();
-    let vocab = enriched.vocab();
-    let partition = build_partition(config, sessions, catalog, space);
-    let members = partition.members();
-    let noise_tables: Vec<NoiseTable> = (0..w)
-        .map(|j| {
-            let freqs: Vec<u64> = members[j].iter().map(|t| vocab.freq(*t).max(1)).collect();
-            NoiseTable::from_token_freqs(&members[j], &freqs, config.noise_exponent)
-        })
-        .collect();
-    let subsample = SubsampleTable::new(vocab.freqs(), config.subsample);
-    let sigmoid = SigmoidTable::new();
-    let sampler = PairSampler {
-        window: config.window,
-        mode: config.window_mode,
-        dynamic: false,
-    };
-    let progress = AtomicU64::new(0);
-    let schedule_pairs: u64 = {
-        let directional = config.window_mode == sisg_sgns::WindowMode::RightOnly;
-        enriched
-            .count_positive_pairs(config.window, directional)
-            .max(1)
-            * config.epochs as u64
-    };
-
-    let envsrc = EnvSrc {
-        workers: w,
-        config,
-        enriched,
-        partition: &partition,
-        noise_tables: &noise_tables,
-        subsample: &subsample,
-        sampler,
-        sigmoid: &sigmoid,
-        progress: &progress,
-        schedule_pairs,
-    };
-
-    let mut engine = Sim::new(envsrc, &sim.plan);
+    let run = TnsRun::new(enriched, sessions, catalog, &sim.dist);
+    let mut engine = Sim::new(&run, sim.dist.workers, &sim.plan);
     let drained = engine.run(sim.max_events);
     let completed = drained
         && engine.workers.iter().all(|wk| {
@@ -626,115 +547,68 @@ pub fn simulate(
                 && wk.inbox.is_empty()
                 && wk.machine.as_ref().is_some_and(|m| m.is_finished())
         });
-    let Sim {
-        workers: sim_workers,
-        envsrc,
-        trace,
-        events,
-        now: ticks,
-        faults_injected,
-        recoveries,
-        ..
-    } = engine;
-    let trace_hash = trace.finish();
-
-    // Assemble the store and the report from the final shards. A worker
-    // still down at the end contributes its last checkpoint.
-    let dim = config.dim;
-    let mut input = Matrix::zeros(space.len(), dim);
-    let mut output = Matrix::zeros(space.len(), dim);
-    let mut report = ChannelReport {
-        faults_injected,
-        recoveries,
+    let report = ChannelReport {
+        faults_injected: engine.faults_injected,
+        recoveries: engine.recoveries,
         ..Default::default()
     };
-    for (me, wk) in sim_workers.into_iter().enumerate() {
-        let machine = match wk.machine {
-            Some(m) => Some(m),
-            None => ShardCheckpoint::from_bytes(&wk.checkpoint)
-                .ok()
-                .and_then(|ck| {
-                    WorkerMachine::restore(envsrc.env(me), &ck, wk.incarnation + 1).ok()
-                }),
-        };
-        let Some(machine) = machine else { continue };
-        let (shard, counters) = machine.into_parts();
-        absorb(&mut report, &counters);
-        shard.export_into(&partition, me, &mut input, &mut output);
-    }
-    publish_to_obs(&report);
+    // A worker still down at the end contributes its last checkpoint.
+    let machines = engine
+        .workers
+        .into_iter()
+        .enumerate()
+        .filter_map(|(me, wk)| {
+            wk.machine.or_else(|| {
+                let ck = ShardCheckpoint::from_bytes(&wk.checkpoint).ok()?;
+                WorkerMachine::restore(&run, me, &ck, wk.incarnation + 1).ok()
+            })
+        });
+    let (store, report) = run.assemble(machines, report);
 
     SimOutcome {
-        store: EmbeddingStore::from_matrices(input, output),
+        store,
         report,
-        trace_hash,
-        events,
-        ticks,
+        trace_hash: engine.trace.finish(),
+        events: engine.events,
+        ticks: engine.now,
         completed,
     }
-}
-
-fn absorb(report: &mut ChannelReport, c: &MachineCounters) {
-    report.pairs += c.pairs;
-    report.remote_pairs += c.remote_pairs;
-    report.messages += c.messages;
-    report.payload_bytes += c.payload_bytes;
-    report.retries += c.retries;
-    report.requests_deduped += c.requests_deduped;
-    report.stale_responses += c.stale_responses;
-    report.gave_up += c.gave_up;
-    report.pairs_per_worker.push(c.pairs);
-    report.remote_pairs_per_worker.push(c.remote_pairs);
-}
-
-fn publish_to_obs(report: &ChannelReport) {
-    let reg = sisg_obs::registry();
-    reg.counter(obs_names::DIST_CHANNEL_MESSAGES_TOTAL)
-        .add(report.messages);
-    reg.counter(obs_names::DIST_CHANNEL_PAYLOAD_BYTES_TOTAL)
-        .add(report.payload_bytes);
-    reg.counter(obs_names::DIST_FAULTS_INJECTED_TOTAL)
-        .add(report.faults_injected);
-    reg.counter(obs_names::DIST_RETRIES_TOTAL)
-        .add(report.retries);
-    reg.counter(obs_names::DIST_REQUESTS_DEDUPED_TOTAL)
-        .add(report.requests_deduped);
 }
 
 /// Brute-force cosine retrieval over a store's item rows — the evaluation
 /// backend for the fault-tolerance HitRate comparisons (small corpora, so
 /// exactness beats an ANN index here).
-pub struct StoreRetriever<'a> {
-    store: &'a EmbeddingStore,
-    n_items: u32,
+pub struct StoreRetriever {
+    /// The item input rows, unit-normalized: inner product = cosine.
+    items: Matrix,
 }
 
-impl<'a> StoreRetriever<'a> {
+impl StoreRetriever {
     /// Wraps `store`, treating tokens `0..n_items` as the item rows.
-    pub fn new(store: &'a EmbeddingStore, n_items: u32) -> Self {
-        Self { store, n_items }
+    pub fn new(store: &EmbeddingStore, n_items: u32) -> Self {
+        let mut items = Matrix::zeros(n_items as usize, store.dim());
+        for i in 0..n_items as usize {
+            items.copy_row_from(i, store.input_matrix(), i);
+            math::normalize(items.row_mut(i));
+        }
+        Self { items }
     }
 }
 
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-impl ItemRetriever for StoreRetriever<'_> {
+impl ItemRetriever for StoreRetriever {
     fn retrieve(&self, query: ItemId, k: usize) -> Vec<ItemId> {
-        let q = self.store.input(TokenId(query.0));
-        let qn = dot(q, q).sqrt().max(1e-12);
-        let mut scored: Vec<(f32, u32)> = (0..self.n_items)
-            .filter(|&i| i != query.0)
-            .map(|i| {
-                let v = self.store.input(TokenId(i));
-                let vn = dot(v, v).sqrt().max(1e-12);
-                (dot(q, v) / (qn * vn), i)
-            })
-            .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.truncate(k);
-        scored.into_iter().map(|(_, i)| ItemId(i)).collect()
+        let candidates = (0..self.items.rows() as u32).map(TokenId);
+        let exclude = Some(TokenId(query.0));
+        retrieve_top_k(
+            self.items.row(query.index()),
+            &self.items,
+            candidates,
+            k,
+            exclude,
+        )
+        .into_iter()
+        .map(|n| ItemId(n.token.0))
+        .collect()
     }
 }
 

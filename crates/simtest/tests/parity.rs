@@ -7,11 +7,16 @@
 //! Float bits are not compared across engines: the shared-memory runtime
 //! races its unsynchronized adds, and the message-passing engines apply
 //! remote gradients at delivery time — only the *accounting* is required
-//! to be identical.
+//! to be identical. The one exception is a single worker: no messages and
+//! no races, so the two message-passing drivers — which share one `TnsRun`
+//! set-up and differ only in transport — must agree to the byte.
 
 use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_distributed::runtime::PartitionStrategy;
-use sisg_distributed::{train_distributed, train_distributed_channels, DistConfig, FaultPlan};
+use sisg_distributed::{
+    train_distributed, train_distributed_channels, ChannelReport, DistConfig, FaultPlan,
+};
+use sisg_embedding::codec;
 use sisg_simtest::{hit_rate_at_10, simulate, SimConfig};
 
 fn dist() -> DistConfig {
@@ -84,4 +89,28 @@ fn channels_runtime_and_sim_agree_on_accounting_and_quality() {
         (hr_sim - hr_ch).abs() <= tolerance,
         "sim vs channels HR@10 beyond tolerance: {hr_sim:.4} vs {hr_ch:.4}"
     );
+}
+
+#[test]
+fn single_worker_channels_and_sim_are_byte_identical() {
+    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+    let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
+    let config = DistConfig {
+        workers: 1,
+        ..dist()
+    };
+    let (ch_store, ch_report) =
+        train_distributed_channels(&enriched, &corpus.sessions, &corpus.catalog, &config);
+    let sim = simulate(
+        &enriched,
+        &corpus.sessions,
+        &corpus.catalog,
+        &SimConfig::new(config, FaultPlan::none()),
+    );
+    assert!(sim.completed);
+    assert!(ch_report.pairs > 10_000, "the run must train");
+    assert_eq!(codec::encode(&ch_store), codec::encode(&sim.store));
+    // Every counter, not just the pair totals; only wall time may differ.
+    let untimed = |r: ChannelReport| ChannelReport { seconds: 0.0, ..r };
+    assert_eq!(untimed(ch_report), untimed(sim.report));
 }

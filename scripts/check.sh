@@ -35,6 +35,13 @@ step tier-1 "cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+step workspace-tests "cargo test --workspace --release -q"
+# Tier-1 is the root facade's tests only. The goldens, kernel and graph
+# identity pins, stream replay hashes, serve and fault-simulation suites
+# live in the member crates and gate nothing unless they run here
+# (~2.5 min including a cold release build on a 2-core host).
+cargo test --workspace --release -q
+
 step interleave "schedule-exhaustive protocol model checks"
 # Enumerates every interleaving of the modeled hot-swap, cache-clear and
 # RowPtr protocols and pins the exact schedule counts (DESIGN.md §7). The
