@@ -12,7 +12,7 @@
 //! `sisg_ann::hnsw` docs.
 
 use sisg_ann::{AnnIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex};
-use sisg_bench::{offline_corpus, offline_sgns_config, results_dir};
+use sisg_bench::{offline_corpus, offline_sgns_config};
 use sisg_core::{SisgModel, Variant};
 use sisg_corpus::TokenId;
 use sisg_embedding::Matrix;
@@ -140,8 +140,5 @@ fn main() {
          small corpus fraction — the trade-off that makes billion-scale \
          serving possible"
     );
-    let path = results_dir().join("ablation_ann.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("ablation_ann");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("ablation_ann", &table);
 }

@@ -5,7 +5,7 @@
 //! tokens are so hot that a small `Q` removes most remote pairs; growing
 //! `Q` further only inflates sync traffic.
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
 use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
 use sisg_distributed::DistConfig;
@@ -56,8 +56,5 @@ fn main() {
         "\nexpected: remote fraction collapses once Q covers the SI tokens \
          (they dominate pair endpoints); past the knee sync cost grows linearly"
     );
-    let path = results_dir().join("ablation_atns.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("ablation_atns");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("ablation_atns", &table);
 }

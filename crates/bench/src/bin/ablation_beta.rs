@@ -5,7 +5,7 @@
 //! categories co-locate (small cut) but loads one worker. The paper picks
 //! β = 1.2 "empirically" — this sweep shows what that choice buys.
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_distributed::partition::assign_all;
@@ -52,8 +52,5 @@ fn main() {
     }
     print!("{}", table.render());
     println!("\npaper production setting: beta = 1.2");
-    let path = results_dir().join("ablation_beta.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("ablation_beta");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("ablation_beta", &table);
 }

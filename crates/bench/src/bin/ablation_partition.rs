@@ -5,7 +5,7 @@
 //! load balance. The paper motivates HBGP with exactly this trade-off
 //! (Section III-B).
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
 use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
 use sisg_distributed::DistConfig;
@@ -61,8 +61,5 @@ fn main() {
         "\nexpected: HBGP slashes the cut fraction (category-coherent sessions) \
          at a modest imbalance cost bounded by beta"
     );
-    let path = results_dir().join("ablation_partition.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("ablation_partition");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("ablation_partition", &table);
 }

@@ -8,7 +8,7 @@
 //! push) reconciliation, and against disabling replication entirely, on
 //! next-item HR.
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_core::{SisgModel, Variant};
 use sisg_corpus::split::{NextItemSplit, SplitStage};
 use sisg_corpus::vocab::TokenSpace;
@@ -78,8 +78,5 @@ fn main() {
          actually stabilizes hot vectors). The paper's averaging choice is \
          sound at production update densities; pick per deployment scale."
     );
-    let path = results_dir().join("ablation_sync.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("ablation_sync");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("ablation_sync", &table);
 }

@@ -5,7 +5,7 @@
 //! must show SISG above CF on every day, with a double-digit-ish relative
 //! gain.
 
-use sisg_bench::{env_u64, env_usize, offline_sgns_config, results_dir};
+use sisg_bench::{env_u64, env_usize, offline_sgns_config};
 use sisg_cf::{CfConfig, CfModel};
 use sisg_core::{SisgModel, Variant};
 use sisg_eval::ctr::{simulate_ab_test, CandidateSource, CtrConfig};
@@ -123,8 +123,5 @@ fn main() {
         .count();
     println!("SISG wins {wins}/{} days", config.days);
 
-    let path = results_dir().join("fig3_ctr.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("fig3_ctr");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("fig3_ctr", &table);
 }

@@ -5,7 +5,7 @@
 //! higher purchasing power shifts recommendations toward expensive-brand
 //! items; age groups differ, most strongly among male users.
 
-use sisg_bench::{describe_item, offline_corpus, offline_sgns_config, results_dir};
+use sisg_bench::{describe_item, offline_corpus, offline_sgns_config};
 use sisg_core::cold_start::cold_user_recommendations;
 use sisg_core::{SisgModel, Variant};
 use sisg_eval::ExperimentTable;
@@ -91,8 +91,5 @@ fn main() {
         male.len()
     );
 
-    let path = results_dir().join("fig4_cold_users.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("fig4_cold_users");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("fig4_cold_users", &table);
 }

@@ -7,9 +7,7 @@
 //! cold* items — items whose sessions were withheld from training — where
 //! the trained vector is untrained noise and Eq. (6) must do all the work.
 
-use sisg_bench::{
-    describe_item, env_usize, offline_corpus, offline_sgns_config, results_dir, with_sessions,
-};
+use sisg_bench::{describe_item, env_usize, offline_corpus, offline_sgns_config, with_sessions};
 use sisg_core::cold_start::cold_item_recommendations;
 use sisg_core::{SisgModel, Variant};
 use sisg_corpus::{Corpus, ItemId};
@@ -136,8 +134,5 @@ fn main() {
         );
     }
 
-    let path = results_dir().join("fig6_cold_items.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("fig6_cold_items");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("fig6_cold_items", &table);
 }

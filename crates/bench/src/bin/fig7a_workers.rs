@@ -9,7 +9,7 @@
 //! real measured wall time, so worker-count 1 is a true measurement and
 //! the curve's *shape* is driven by the measured load balance and comm.
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
 use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
 use sisg_distributed::{ClusterCostModel, DistConfig};
@@ -103,8 +103,5 @@ fn main() {
          (Taobao100M, 9.5e12 samples)"
     );
 
-    let path = results_dir().join("fig7a_workers.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("fig7a_workers");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("fig7a_workers", &table);
 }

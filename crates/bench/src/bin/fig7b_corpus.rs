@@ -4,7 +4,7 @@
 //! corpora and reports both measured single-host throughput and modeled
 //! cluster throughput.
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
 use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
 use sisg_distributed::{ClusterCostModel, DistConfig};
@@ -75,8 +75,5 @@ fn main() {
          shape is expected in the modeled column"
     );
 
-    let path = results_dir().join("fig7b_corpus.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("fig7b_corpus");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("fig7b_corpus", &table);
 }

@@ -2,7 +2,7 @@
 //! the value-space cardinalities of the synthetic catalog at the current
 //! experiment scale.
 
-use sisg_bench::{env_u64, env_usize, results_dir};
+use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::schema::{ItemFeature, SchemaCardinalities, AGE_BUCKETS};
 use sisg_corpus::UserRegistry;
 use sisg_eval::ExperimentTable;
@@ -40,8 +40,6 @@ fn main() {
     ]);
 
     print!("{}", table.render());
-    let path = results_dir().join("table1_schema.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("table1_schema");
-    println!("\nwrote {} and {}", path.display(), metrics.display());
+    println!();
+    sisg_bench::finish("table1_schema", &table);
 }

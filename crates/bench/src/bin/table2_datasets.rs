@@ -6,7 +6,7 @@
 //! ~9 tokens per click, positive pairs from the window sampler, training
 //! pairs = positives × (1 + 20 negatives).
 
-use sisg_bench::{env_u64, results_dir};
+use sisg_bench::env_u64;
 use sisg_corpus::{CorpusConfig, DatasetStats, GeneratedCorpus};
 use sisg_eval::ExperimentTable;
 
@@ -70,8 +70,5 @@ fn main() {
         "paper reference (Taobao25M): #Items 2.55e7, #Tokens 2.3e10, \
          #Positive 2.0e11, #Training 4.2e12 (at 20 negatives)"
     );
-    let path = results_dir().join("table2_datasets.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("table2_datasets");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("table2_datasets", &table);
 }

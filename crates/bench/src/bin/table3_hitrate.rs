@@ -9,7 +9,7 @@
 //! 3. `SISG-F` beats `SISG-U` (item SI matters more than user types);
 //! 4. `SISG-F-U` beats both single-enrichment variants.
 
-use sisg_bench::{offline_corpus, offline_sgns_config, results_dir, with_sessions};
+use sisg_bench::{offline_corpus, offline_sgns_config, with_sessions};
 use sisg_core::{SisgModel, Variant};
 use sisg_corpus::split::{NextItemSplit, SplitStage};
 use sisg_eges::{EgesConfig, EgesModel, WalkConfig};
@@ -147,8 +147,5 @@ fn main() {
         println!("  [{}] {claim}", if ok { "ok" } else { "MISS" });
     }
 
-    let path = results_dir().join("table3_hitrate.json");
-    table.write_json(&path).expect("write results");
-    let metrics = sisg_bench::emit_metrics("table3_hitrate");
-    println!("wrote {} and {}", path.display(), metrics.display());
+    sisg_bench::finish("table3_hitrate", &table);
 }

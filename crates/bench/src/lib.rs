@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 use sisg_corpus::{Corpus, CorpusConfig, GeneratedCorpus};
+use sisg_eval::ExperimentTable;
 use sisg_sgns::{SgnsConfig, TrainEngine};
 use std::path::PathBuf;
 
@@ -84,13 +85,23 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
+/// The last step of an experiment binary: writes `table` to
+/// `results_dir()/<name>.json` and the metrics snapshot ([`emit_metrics`]),
+/// and prints where both went.
+pub fn finish(name: &str, table: &ExperimentTable) {
+    let path = results_dir().join(format!("{name}.json"));
+    table.write_json(&path).expect("write results");
+    let metrics = emit_metrics(name);
+    println!("wrote {} and {}", path.display(), metrics.display());
+}
+
 /// Writes the obs registry snapshot accumulated by this run.
 ///
 /// The destination is `--metrics-out <path>` when present on the command
 /// line, else `results_dir()/metrics/<name>.json`. Every experiment binary
-/// calls this last, so each run leaves a machine-readable record of its
-/// counters, gauges, and latency quantiles next to its table JSON (see
-/// docs/OBSERVABILITY.md).
+/// ends with this (through [`finish`]), so each run leaves a
+/// machine-readable record of its counters, gauges, and latency quantiles
+/// next to its table JSON (see docs/OBSERVABILITY.md).
 pub fn emit_metrics(name: &str) -> PathBuf {
     let mut argv = std::env::args();
     let path = loop {

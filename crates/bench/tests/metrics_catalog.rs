@@ -52,37 +52,7 @@ fn exercise_every_layer() -> GeneratedCorpus {
     .expect("partitioned train");
     assert!(stats.stats.pairs > 0, "partitioned run trained nothing");
 
-    // SGNS (inside SisgModel) + the serving layer, one all-warm and one
-    // all-cold service so every request path records.
-    let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &sgns).expect("train");
-    let clicks = vec![10u64; corpus.config.n_items as usize];
-    let warm_svc = MatchingService::build(
-        model,
-        corpus.users.clone(),
-        &clicks,
-        ServingConfig {
-            k: 10,
-            min_clicks_for_warm: 1,
-        },
-    )
-    .expect("build");
     let si = *corpus.catalog.si_values(ItemId(0));
-    warm_svc.candidates(ItemId(0), &si, 5).expect("warm serve");
-    warm_svc
-        .cold_user_candidates(Some(0), None, None, 5)
-        .expect("cold-user serve");
-    let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &sgns).expect("train");
-    let cold_svc = MatchingService::build(
-        model,
-        corpus.users.clone(),
-        &vec![0u64; corpus.config.n_items as usize],
-        ServingConfig {
-            k: 10,
-            min_clicks_for_warm: 1_000,
-        },
-    )
-    .expect("build");
-    cold_svc.candidates(ItemId(0), &si, 5).expect("cold serve");
 
     // The sharded serve engine: a warm hit, a cold miss then cache hit, a
     // cold-user pair, a deterministic queue-full shed behind a held

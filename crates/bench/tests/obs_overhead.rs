@@ -104,7 +104,8 @@ fn request_recording_bundle_under_2_percent_of_an_ann_search() {
         black_box(index.search(black_box(&query), 10));
     });
 
-    // Everything `MatchingService::candidates` records per request.
+    // Everything a serve worker records for one warm request
+    // (`ServingSnapshot::serve`).
     let requests = registry().counter("overhead.requests");
     let hits = registry().counter("overhead.hits");
     let latency = registry().histogram("overhead.latency_us");

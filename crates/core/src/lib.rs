@@ -35,5 +35,5 @@ pub use cold_start::SiAggregation;
 pub use error::CoreError;
 pub use model::{SisgModel, SisgTrainReport};
 pub use recommender::{Recommendation, Recommender};
-pub use serving::{MatchingService, ServingConfig, ServingConfigBuilder, ServingStats};
+pub use serving::{MatchingService, ServingConfig};
 pub use variants::{SimilarityMode, Variant};

@@ -117,7 +117,12 @@ impl SisgModel {
         // overshoots item reach (~60% on the tiny corpus), which measurably
         // dilutes the adjacency signal the directional variant encodes.
         if variant.uses_si() {
-            config.window = sgns.window * enriched_stride(&enriched, config.subsample);
+            config.window = sgns.window
+                * enriched_stride(
+                    enriched.vocab().freqs(),
+                    enriched.space().n_items() as usize,
+                    config.subsample,
+                );
         }
         let freqs = enriched.vocab().freqs();
         let store = EmbeddingStore::new(freqs.len(), config.dim, config.seed);
@@ -290,10 +295,13 @@ impl SisgModel {
 /// tokens. Their ratio is the mean distance (in filtered tokens) between
 /// consecutive items. With subsampling disabled this recovers the raw
 /// enriched stride (9 for full SI enrichment).
-fn enriched_stride(enriched: &EnrichedCorpus, subsample: f64) -> usize {
-    let freqs = enriched.vocab().freqs();
+///
+/// `freqs` are token frequencies in joint-space order (items first, so the
+/// first `n_items` entries are the item tokens). The offline trainer passes
+/// the enriched corpus's vocabulary, the streaming pipeline its cumulative
+/// tables.
+pub fn enriched_stride(freqs: &[u64], n_items: usize, subsample: f64) -> usize {
     let table = sisg_sgns::SubsampleTable::new(freqs, subsample);
-    let n_items = enriched.space().n_items() as usize;
     let mut surviving = 0.0f64;
     let mut surviving_items = 0.0f64;
     for (i, &c) in freqs.iter().enumerate() {

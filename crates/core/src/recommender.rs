@@ -11,6 +11,7 @@ use crate::model::{SisgModel, SisgTrainReport};
 use crate::variants::Variant;
 use sisg_corpus::schema::ItemFeature;
 use sisg_corpus::{GeneratedCorpus, ItemCatalog, ItemId, UserRegistry};
+use sisg_embedding::Neighbor;
 use sisg_sgns::SgnsConfig;
 
 /// One recommended item with its similarity score.
@@ -20,6 +21,21 @@ pub struct Recommendation {
     pub item: ItemId,
     /// Similarity under the model's retrieval rule.
     pub score: f32,
+}
+
+/// Item retrieval scores rows `0..n_items` of the joint space, where a
+/// token id *is* the item id.
+impl From<Neighbor> for Recommendation {
+    fn from(n: Neighbor) -> Self {
+        Self {
+            item: ItemId(n.token.0),
+            score: n.score,
+        }
+    }
+}
+
+pub(crate) fn recommendations(neighbors: Vec<Neighbor>) -> Vec<Recommendation> {
+    neighbors.into_iter().map(Recommendation::from).collect()
 }
 
 /// The matching-stage recommender.
@@ -59,14 +75,7 @@ impl Recommender {
 
     /// Candidate set for a clicked item — the core matching-stage query.
     pub fn similar_items(&self, clicked: ItemId, k: usize) -> Vec<Recommendation> {
-        self.model
-            .similar_items(clicked, k)
-            .into_iter()
-            .map(|n| Recommendation {
-                item: ItemId(n.token.0),
-                score: n.score,
-            })
-            .collect()
+        recommendations(self.model.similar_items(clicked, k))
     }
 
     /// Candidates for a brand-new item known only by its SI values. Fails
@@ -76,15 +85,7 @@ impl Recommender {
         si_values: &[u32; ItemFeature::COUNT],
         k: usize,
     ) -> Result<Vec<Recommendation>, CoreError> {
-        Ok(
-            cold_start::cold_item_recommendations(&self.model, si_values, k)?
-                .into_iter()
-                .map(|n| Recommendation {
-                    item: ItemId(n.token.0),
-                    score: n.score,
-                })
-                .collect(),
-        )
+        cold_start::cold_item_recommendations(&self.model, si_values, k).map(recommendations)
     }
 
     /// Candidates for a user with no history, from demographics alone.
@@ -97,20 +98,8 @@ impl Recommender {
         purchase: Option<u8>,
         k: usize,
     ) -> Result<Vec<Recommendation>, CoreError> {
-        Ok(cold_start::cold_user_recommendations(
-            &self.model,
-            &self.users,
-            gender,
-            age,
-            purchase,
-            k,
-        )?
-        .into_iter()
-        .map(|n| Recommendation {
-            item: ItemId(n.token.0),
-            score: n.score,
-        })
-        .collect())
+        cold_start::cold_user_recommendations(&self.model, &self.users, gender, age, purchase, k)
+            .map(recommendations)
     }
 
     /// The item catalog the recommender serves.

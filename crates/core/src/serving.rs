@@ -8,42 +8,28 @@
 //! unknown items fall back to Eq. (6) inference from their SI values, and
 //! history-less users to averaged user-type vectors.
 //!
+//! The answer rule is written here once. [`MatchingService::candidates`]
+//! and [`MatchingService::cold_user_candidates`] are the reference answers
+//! (exact f32 scan, Eq. 6 plain sum); the `sisg-serve` engine keeps the
+//! service inside its snapshot and calls the same functions through
+//! [`MatchingService::cold_item_candidates_with`] /
+//! [`MatchingService::cold_user_candidates_with`] with its tenant's
+//! [`SiAggregation`] and its own retrieval (cache, quantized index), so the
+//! two cannot drift apart.
+//!
 //! Every query path returns `Result`: unknown item ids, out-of-range SI
 //! values, and unmatched demographics come back as [`CoreError`] values,
-//! never panics. Request accounting lives in the obs registry — the single
-//! source of truth — and [`MatchingService::stats`] reads registry deltas
-//! since the service was built (see [`ServingStats`] for the caveat on
-//! multiple concurrent services).
+//! never panics, and a requested `k` is clamped to the catalog size before
+//! anything is sized by it. The service keeps no counters of its own:
+//! request accounting is the engine's `serve.*` family.
 
-use crate::cold_start;
+use crate::cold_start::{self, SiAggregation};
 use crate::error::CoreError;
 use crate::model::SisgModel;
-use crate::recommender::Recommendation;
+use crate::recommender::{recommendations, Recommendation};
 use sisg_corpus::schema::ItemFeature;
 use sisg_corpus::{ItemId, UserRegistry};
-use sisg_obs::{names, registry, Counter, Histogram, Stopwatch};
-use std::sync::OnceLock;
-
-/// Cached `&'static` obs handles: fetched once, then every request is a
-/// handful of relaxed atomic ops (the serving-path overhead budget).
-struct ServingMetrics {
-    requests: &'static Counter,
-    warm_hits: &'static Counter,
-    cold_items: &'static Counter,
-    cold_users: &'static Counter,
-    recommend_us: &'static Histogram,
-}
-
-fn serving_metrics() -> &'static ServingMetrics {
-    static M: OnceLock<ServingMetrics> = OnceLock::new();
-    M.get_or_init(|| ServingMetrics {
-        requests: registry().counter(names::SERVING_REQUESTS_TOTAL),
-        warm_hits: registry().counter(names::SERVING_WARM_HITS_TOTAL),
-        cold_items: registry().counter(names::SERVING_COLD_ITEM_TOTAL),
-        cold_users: registry().counter(names::SERVING_COLD_USER_TOTAL),
-        recommend_us: registry().histogram(names::SERVING_RECOMMEND_US),
-    })
-}
+use sisg_embedding::Neighbor;
 
 /// Build options for the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,16 +51,7 @@ impl Default for ServingConfig {
 }
 
 impl ServingConfig {
-    /// Starts a validated builder (defaults: `k = 50`,
-    /// `min_clicks_for_warm = 3`).
-    pub fn builder() -> ServingConfigBuilder {
-        ServingConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
-    /// Validates the configuration; [`MatchingService::build`] calls this,
-    /// so a hand-rolled struct literal gets the same checks as the builder.
+    /// Validates the configuration; [`MatchingService::build`] calls this.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.k == 0 {
             return Err(CoreError::InvalidConfig {
@@ -86,102 +63,21 @@ impl ServingConfig {
     }
 }
 
-/// Builder for [`ServingConfig`] — rejects invalid configurations at build
-/// time instead of asserting mid-request.
-#[derive(Debug, Clone)]
-pub struct ServingConfigBuilder {
-    config: ServingConfig,
-}
-
-impl ServingConfigBuilder {
-    /// Candidates precomputed per item.
-    pub fn k(mut self, k: usize) -> Self {
-        self.config.k = k;
-        self
-    }
-
-    /// Cold threshold: items with fewer training clicks are served through
-    /// Eq. (6).
-    pub fn min_clicks_for_warm(mut self, min_clicks: u64) -> Self {
-        self.config.min_clicks_for_warm = min_clicks;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ServingConfig, CoreError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
-/// A point-in-time snapshot of the serving counters, read from the obs
-/// registry (the single source of truth) as deltas since the service was
-/// built.
-///
-/// The registry counters are process-global: when several services serve
-/// concurrently (or tests run in parallel in one binary), each service's
-/// snapshot includes traffic on the *other* services since this one's
-/// build. Per-request attribution belongs to the registry's own snapshot
-/// machinery; this struct exists for single-service deployments and
-/// coarse-grained monitoring.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServingStats {
-    /// Total candidate-list lookups served.
-    pub requests: u64,
-    /// Lookups answered from the precomputed lists.
-    pub warm_hits: u64,
-    /// Lookups answered through the Eq. (6) cold path.
-    pub cold_item_requests: u64,
-    /// Cold-user requests served.
-    pub cold_user_requests: u64,
-}
-
-impl ServingStats {
-    /// Reads the current registry totals.
-    fn now() -> Self {
-        let m = serving_metrics();
-        Self {
-            requests: m.requests.get(),
-            warm_hits: m.warm_hits.get(),
-            cold_item_requests: m.cold_items.get(),
-            cold_user_requests: m.cold_users.get(),
-        }
-    }
-
-    /// Component-wise saturating difference.
-    fn since(self, baseline: Self) -> Self {
-        Self {
-            requests: self.requests.saturating_sub(baseline.requests),
-            warm_hits: self.warm_hits.saturating_sub(baseline.warm_hits),
-            cold_item_requests: self
-                .cold_item_requests
-                .saturating_sub(baseline.cold_item_requests),
-            cold_user_requests: self
-                .cold_user_requests
-                .saturating_sub(baseline.cold_user_requests),
-        }
-    }
-}
-
 /// The precomputed matching-stage artifact.
 pub struct MatchingService {
-    config: ServingConfig,
     /// `lists[item]` = top-K candidates, empty for cold items.
     lists: Vec<Vec<Recommendation>>,
     /// Cold flags per item.
     cold: Vec<bool>,
     model: SisgModel,
     users: UserRegistry,
-    /// Registry counter values at build time; `stats()` subtracts these.
-    baseline: ServingStats,
 }
 
 impl std::fmt::Debug for MatchingService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MatchingService")
-            .field("config", &self.config)
             .field("n_items", &self.cold.len())
-            .field("cold_fraction", &self.cold_fraction())
+            .field("n_cold", &self.cold.iter().filter(|&&c| c).count())
             .finish_non_exhaustive()
     }
 }
@@ -213,26 +109,29 @@ impl MatchingService {
             if is_cold {
                 lists.push(Vec::new());
             } else {
-                lists.push(
-                    model
-                        .similar_items(ItemId(i as u32), config.k)
-                        .into_iter()
-                        .map(|n| Recommendation {
-                            item: ItemId(n.token.0),
-                            score: n.score,
-                        })
-                        .collect(),
-                );
+                lists.push(recommendations(
+                    model.similar_items(ItemId(i as u32), config.k),
+                ));
             }
         }
         Ok(Self {
-            config,
             lists,
             cold,
             model,
             users,
-            baseline: ServingStats::now(),
         })
+    }
+
+    /// The key-value lookup: `Ok(Some(list))` is a warm item's precomputed
+    /// list, `Ok(None)` a cold item (answer it through
+    /// [`Self::cold_item_candidates_with`]), and an item outside the
+    /// trained catalog fails with [`CoreError::UnknownItem`].
+    pub fn lookup(&self, item: ItemId) -> Result<Option<&[Recommendation]>, CoreError> {
+        match self.cold.get(item.index()) {
+            None => Err(CoreError::UnknownItem(item)),
+            Some(true) => Ok(None),
+            Some(false) => Ok(Some(&self.lists[item.index()])),
+        }
     }
 
     /// Serves the candidate list for a clicked item. Warm items answer from
@@ -245,32 +144,14 @@ impl MatchingService {
         si_values: &[u32; ItemFeature::COUNT],
         k: usize,
     ) -> Result<Vec<Recommendation>, CoreError> {
-        if self.model.space().try_item(item).is_none() {
-            return Err(CoreError::UnknownItem(item));
-        }
-        let m = serving_metrics();
-        let watch = Stopwatch::start();
-        m.requests.inc();
-        if !self.cold[item.index()] {
-            m.warm_hits.inc();
-            let list = &self.lists[item.index()];
-            let out = list[..k.min(list.len())].to_vec();
-            m.recommend_us.record_duration(watch.elapsed());
-            return Ok(out);
-        }
-        m.cold_items.inc();
-        let out: Vec<Recommendation> =
-            cold_start::cold_item_recommendations(&self.model, si_values, k + 1)?
-                .into_iter()
-                .map(|n| Recommendation {
-                    item: ItemId(n.token.0),
-                    score: n.score,
+        match self.lookup(item)? {
+            Some(list) => Ok(list[..k.min(list.len())].to_vec()),
+            None => {
+                self.cold_item_candidates_with(item, si_values, k, SiAggregation::Sum, |q, n| {
+                    self.model.similar_items_to_vector(q, n)
                 })
-                .filter(|r| r.item != item)
-                .take(k)
-                .collect();
-        m.recommend_us.record_duration(watch.elapsed());
-        Ok(out)
+            }
+        }
     }
 
     /// Serves a cold-user request from demographics. Fails with
@@ -282,49 +163,72 @@ impl MatchingService {
         purchase: Option<u8>,
         k: usize,
     ) -> Result<Vec<Recommendation>, CoreError> {
-        let m = serving_metrics();
-        let watch = Stopwatch::start();
-        m.cold_users.inc();
-        let out = cold_start::cold_user_recommendations(
-            &self.model,
-            &self.users,
-            gender,
-            age,
-            purchase,
-            k,
-        )?
-        .into_iter()
-        .map(|n| Recommendation {
-            item: ItemId(n.token.0),
-            score: n.score,
+        self.cold_user_candidates_with(gender, age, purchase, k, |q, n| {
+            self.model.similar_items_to_vector(q, n)
         })
-        .collect();
-        m.recommend_us.record_duration(watch.elapsed());
-        Ok(out)
+    }
+
+    /// The Eq. (6) answer for a cold `item`: its SI vectors aggregated
+    /// under `aggregation`, the nearest items fetched by `retrieve(query,
+    /// n)` (best first, at most `n`), and `item` itself dropped from the
+    /// result.
+    pub fn cold_item_candidates_with(
+        &self,
+        item: ItemId,
+        si_values: &[u32; ItemFeature::COUNT],
+        k: usize,
+        aggregation: SiAggregation,
+        retrieve: impl FnOnce(&[f32], usize) -> Vec<Neighbor>,
+    ) -> Result<Vec<Recommendation>, CoreError> {
+        let query = cold_start::cold_item_vector_with(&self.model, si_values, aggregation)?;
+        Ok(self.answer(&query, Some(item), k, retrieve))
+    }
+
+    /// The cold-user answer: the averaged vector of the user types matching
+    /// the demographics, the nearest items fetched by `retrieve(query, n)`.
+    pub fn cold_user_candidates_with(
+        &self,
+        gender: Option<u8>,
+        age: Option<u8>,
+        purchase: Option<u8>,
+        k: usize,
+        retrieve: impl FnOnce(&[f32], usize) -> Vec<Neighbor>,
+    ) -> Result<Vec<Recommendation>, CoreError> {
+        let query = cold_start::cold_user_vector(&self.model, &self.users, gender, age, purchase)?;
+        Ok(self.answer(&query, None, k, retrieve))
+    }
+
+    /// The one answer rule behind both cold paths: fetch the best `k` for
+    /// `query` — one more when `exclude` may be among them — drop
+    /// `exclude`, keep `k`. `k` comes from the request, so it is clamped to
+    /// the catalog size (no answer can be longer) before `retrieve` sizes
+    /// anything by it.
+    fn answer(
+        &self,
+        query: &[f32],
+        exclude: Option<ItemId>,
+        k: usize,
+        retrieve: impl FnOnce(&[f32], usize) -> Vec<Neighbor>,
+    ) -> Vec<Recommendation> {
+        let k = k.min(self.n_items());
+        retrieve(query, k + usize::from(exclude.is_some()))
+            .into_iter()
+            .map(Recommendation::from)
+            .filter(|r| Some(r.item) != exclude)
+            .take(k)
+            .collect()
     }
 
     /// True when `item` is served through the cold path; an id outside
     /// the catalog is not (its request fails with `UnknownItem` instead).
     pub fn is_cold(&self, item: ItemId) -> bool {
-        self.cold.get(item.index()).copied().unwrap_or(false)
-    }
-
-    /// Fraction of the catalog served cold.
-    pub fn cold_fraction(&self) -> f64 {
-        if self.cold.is_empty() {
-            return 0.0;
-        }
-        self.cold.iter().filter(|&&c| c).count() as f64 / self.cold.len() as f64
+        matches!(self.lookup(item), Ok(None))
     }
 
     /// The precomputed list for a warm item; `None` for cold or unknown
-    /// items. Gives a sharding layer zero-copy access to the artifact.
+    /// items.
     pub fn warm_list(&self, item: ItemId) -> Option<&[Recommendation]> {
-        let idx = item.index();
-        if idx >= self.cold.len() || self.cold[idx] {
-            return None;
-        }
-        Some(&self.lists[idx])
+        self.lookup(item).ok().flatten()
     }
 
     /// The model the service answers from.
@@ -332,54 +236,10 @@ impl MatchingService {
         &self.model
     }
 
-    /// The user registry for cold-user matching.
-    pub fn users(&self) -> &UserRegistry {
-        &self.users
-    }
-
     /// Items in the served catalog.
     pub fn n_items(&self) -> usize {
         self.cold.len()
     }
-
-    /// The service counters: obs-registry totals since this service was
-    /// built. See [`ServingStats`] for the multi-service caveat.
-    pub fn stats(&self) -> ServingStats {
-        ServingStats::now().since(self.baseline)
-    }
-
-    /// The build configuration.
-    pub fn config(&self) -> ServingConfig {
-        self.config
-    }
-
-    /// Decomposes the artifact for layers that reshard the precomputed
-    /// lists (e.g. the `sisg-serve` engine). The lists are moved out
-    /// verbatim, so a resharding consumer answers bit-identically to this
-    /// service by construction.
-    pub fn into_parts(self) -> MatchingParts {
-        MatchingParts {
-            config: self.config,
-            lists: self.lists,
-            cold: self.cold,
-            model: self.model,
-            users: self.users,
-        }
-    }
-}
-
-/// The owned fields of a decomposed [`MatchingService`].
-pub struct MatchingParts {
-    /// The build configuration.
-    pub config: ServingConfig,
-    /// `lists[item]` = top-K candidates, empty for cold items.
-    pub lists: Vec<Vec<Recommendation>>,
-    /// Cold flags per item.
-    pub cold: Vec<bool>,
-    /// The model the service answers from.
-    pub model: SisgModel,
-    /// The user registry for cold-user matching.
-    pub users: UserRegistry,
 }
 
 #[cfg(test)]
@@ -388,11 +248,6 @@ mod tests {
     use crate::variants::Variant;
     use sisg_corpus::{CorpusConfig, GeneratedCorpus};
     use sisg_sgns::SgnsConfig;
-    use std::sync::Mutex;
-
-    /// The registry counters are process-global, so serving tests serialize
-    /// on this lock to assert exact deltas.
-    static STATS_LOCK: Mutex<()> = Mutex::new(());
 
     fn service() -> (GeneratedCorpus, MatchingService) {
         let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
@@ -429,7 +284,6 @@ mod tests {
 
     #[test]
     fn warm_items_serve_precomputed_lists() {
-        let _guard = STATS_LOCK.lock().unwrap();
         let (corpus, svc) = service();
         // Find a definitely-warm item (popular).
         let warm = (0..corpus.config.n_items)
@@ -440,13 +294,10 @@ mod tests {
         let recs = svc.candidates(warm, &si, 10).expect("known item");
         assert_eq!(recs.len(), 10);
         assert!(recs.iter().all(|r| r.item != warm));
-        assert_eq!(svc.stats().warm_hits, 1);
-        assert_eq!(svc.stats().cold_item_requests, 0);
     }
 
     #[test]
     fn cold_items_fall_back_to_si_inference() {
-        let _guard = STATS_LOCK.lock().unwrap();
         let (corpus, svc) = service();
         let Some(cold) = (0..corpus.config.n_items)
             .map(ItemId)
@@ -459,27 +310,13 @@ mod tests {
         let recs = svc.candidates(cold, &si, 10).expect("known item");
         assert!(!recs.is_empty());
         assert!(recs.iter().all(|r| r.item != cold));
-        assert_eq!(svc.stats().cold_item_requests, 1);
     }
 
     #[test]
-    fn cold_fraction_is_consistent() {
-        let (corpus, svc) = service();
-        let manual = (0..corpus.config.n_items)
-            .map(ItemId)
-            .filter(|&i| svc.is_cold(i))
-            .count() as f64
-            / corpus.config.n_items as f64;
-        assert!((svc.cold_fraction() - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cold_user_path_counts_requests() {
-        let _guard = STATS_LOCK.lock().unwrap();
+    fn cold_user_path_answers_k_items() {
         let (_, svc) = service();
         let recs = svc.cold_user_candidates(Some(0), None, None, 5);
-        assert!(recs.is_ok());
-        assert_eq!(svc.stats().cold_user_requests, 1);
+        assert_eq!(recs.expect("matching user type").len(), 5);
     }
 
     #[test]
@@ -505,22 +342,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_k() {
-        let err = ServingConfig::builder().k(0).build().unwrap_err();
+    fn validate_rejects_zero_k() {
+        let zero_k = ServingConfig {
+            k: 0,
+            ..ServingConfig::default()
+        };
         assert_eq!(
-            err,
+            zero_k.validate().unwrap_err(),
             CoreError::InvalidConfig {
                 field: "k",
                 reason: "must be at least 1",
             }
         );
-        let ok = ServingConfig::builder()
-            .k(10)
-            .min_clicks_for_warm(5)
-            .build()
-            .expect("valid");
-        assert_eq!(ok.k, 10);
-        assert_eq!(ok.min_clicks_for_warm, 5);
+        assert!(ServingConfig::default().validate().is_ok());
     }
 
     #[test]

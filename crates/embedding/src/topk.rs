@@ -48,11 +48,20 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates a collector for the best `k` entries.
+    /// Creates a collector for the best `k` entries. `k` may come straight
+    /// from a request, so nothing is allocated by it alone: the heap grows
+    /// with what is pushed and never holds more than `k` entries.
     pub fn new(k: usize) -> Self {
+        Self::for_candidates(k, 0)
+    }
+
+    /// A collector for the best `k` of at least `offered` candidates,
+    /// allocated once for `min(k, offered)` entries — never more than the
+    /// caller already holds candidates for, whatever `k` a request names.
+    pub fn for_candidates(k: usize, offered: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(offered)),
         }
     }
 
@@ -124,7 +133,7 @@ pub fn retrieve_top_k(
     k: usize,
     exclude: Option<TokenId>,
 ) -> Vec<Neighbor> {
-    let mut top = TopK::new(k);
+    let mut top = TopK::for_candidates(k, candidates.size_hint().0);
     let mut batch = [TokenId(0); 4];
     let mut n = 0;
     for token in candidates {
@@ -179,6 +188,20 @@ mod tests {
         let mut t = TopK::new(0);
         t.push(TokenId(0), 1.0);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn request_sized_k_allocates_for_the_candidates_only() {
+        // `usize::MAX` used to overflow `k + 1`; `1 << 45` entries used to
+        // be allocated up front (and abort the process).
+        let m = Matrix::uniform_init(5, 4, 1);
+        for k in [usize::MAX, 1 << 45] {
+            let hits = retrieve_top_k(m.row(0), &m, (0..5).map(TokenId), k, None);
+            assert_eq!(hits.len(), 5);
+            let mut t = TopK::new(k);
+            t.push(TokenId(0), 1.0);
+            assert_eq!(t.len(), 1);
+        }
     }
 
     #[test]

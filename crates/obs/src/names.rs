@@ -81,17 +81,6 @@ pub const DIST_REQUESTS_DEDUPED_TOTAL: &str = "dist.requests_deduped";
 /// Worker restores from checkpoint (crash recovery + pipeline resumes).
 pub const DIST_RECOVERIES_TOTAL: &str = "dist.recoveries";
 
-/// Candidate-list lookups served (warm + cold item paths).
-pub const SERVING_REQUESTS_TOTAL: &str = "serving.requests_total";
-/// Lookups answered from the precomputed artifact.
-pub const SERVING_WARM_HITS_TOTAL: &str = "serving.warm_hits_total";
-/// Lookups that went through the Eq. (6) cold-item path.
-pub const SERVING_COLD_ITEM_TOTAL: &str = "serving.cold_item_requests_total";
-/// Cold-user (demographic fallback) requests served.
-pub const SERVING_COLD_USER_TOTAL: &str = "serving.cold_user_requests_total";
-/// Histogram: end-to-end `candidates()` latency in microseconds.
-pub const SERVING_RECOMMEND_US: &str = "serving.recommend.us";
-
 /// Requests accepted by the sharded serve engine (all kinds).
 pub const SERVE_REQUESTS_TOTAL: &str = "serve.requests_total";
 /// Engine requests answered from a shard's precomputed warm list.
@@ -259,11 +248,6 @@ pub const ALL: &[&str] = &[
     DIST_RETRIES_TOTAL,
     DIST_REQUESTS_DEDUPED_TOTAL,
     DIST_RECOVERIES_TOTAL,
-    SERVING_REQUESTS_TOTAL,
-    SERVING_WARM_HITS_TOTAL,
-    SERVING_COLD_ITEM_TOTAL,
-    SERVING_COLD_USER_TOTAL,
-    SERVING_RECOMMEND_US,
     SERVE_REQUESTS_TOTAL,
     SERVE_WARM_HITS_TOTAL,
     SERVE_COLD_ITEM_TOTAL,

@@ -1,9 +1,10 @@
 //! The sharded worker-pool engine.
 //!
-//! [`ServeEngine::start`] reshards a built
-//! [`MatchingService`](sisg_core::MatchingService) across worker threads,
-//! each owning one item shard, a bounded request queue, and a worker-local
-//! admission-gated cold-path cache. Requests route deterministically —
+//! [`ServeEngine::start`] wraps a built
+//! [`MatchingService`](sisg_core::MatchingService) in a
+//! [`ServingSnapshot`] shared by the worker threads, each owning a bounded
+//! request queue and a worker-local admission-gated cold-path cache.
+//! Requests route deterministically —
 //! candidate lookups by `item % n_shards`, cold-user queries by a
 //! demographic hash — so a repeating cold key always lands on the shard
 //! that cached it.
@@ -562,14 +563,15 @@ impl ServeEngine {
     /// pipeline's publication path: the snapshot is frozen off-thread, the
     /// engine only pays the pointer swap) and returns the new epoch.
     ///
-    /// The snapshot must have been resharded for this engine's worker
-    /// count; a mismatched shard count would misroute every request, so it
-    /// is rejected instead of installed.
+    /// The snapshot must have been built for this engine's worker count:
+    /// its cold index is laid out by shard, so a mismatched count would
+    /// map search hits to the wrong items, and it is rejected instead of
+    /// installed.
     pub fn install(&self, snapshot: ServingSnapshot) -> Result<u64, ServeError> {
         if snapshot.n_shards() != self.config.n_shards() {
             return Err(ServeError::Rejected(sisg_core::CoreError::InvalidConfig {
                 field: "n_shards",
-                reason: "snapshot was resharded for a different worker count",
+                reason: "snapshot was built for a different worker count",
             }));
         }
         Ok(self.install_unchecked(Arc::new(snapshot)))

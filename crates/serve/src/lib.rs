@@ -7,9 +7,13 @@
 //! - **Typed surface** — [`ServeRequest`] in, [`ServeResponse`] or
 //!   [`ServeError`] out. Every fallible path returns `Result`; no panic is
 //!   reachable from the public API (enforced by `cargo xtask lint`).
-//! - **Item-sharded worker pool** — [`ServeEngine::start`] reshards a
-//!   built [`MatchingService`](sisg_core::MatchingService) across worker
-//!   threads over bounded queues; a saturated shard sheds load with
+//! - **One answer path** — a [`ServingSnapshot`] keeps the built
+//!   [`MatchingService`](sisg_core::MatchingService) whole and answers
+//!   through it: warm lookups read its list table, cold answers are its
+//!   own answer functions with this crate's retrieval behind the cache.
+//! - **Item-routed worker pool** — [`ServeEngine::start`] spreads
+//!   requests over worker threads behind bounded queues (item
+//!   `i` → worker `i % n_shards`); a saturated shard sheds load with
 //!   [`ServeError::Overloaded`] instead of blocking.
 //! - **Admission-gated cold cache** — repeated cold-item (Eq. 6) and
 //!   cold-user inferences are cached per worker behind a sighting-count
@@ -18,8 +22,8 @@
 //!   snapshot with zero dropped in-flight requests; responses carry the
 //!   epoch that answered them.
 //!
-//! Request accounting flows through the `serve.*` metrics in the obs
-//! registry (single source of truth); [`ServeEngine::stats`] reads deltas
+//! Request accounting is the `serve.*` family in the obs registry — the
+//! only counters on the serving path; [`ServeEngine::stats`] reads deltas
 //! from it.
 //!
 //! ```

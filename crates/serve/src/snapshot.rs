@@ -1,11 +1,12 @@
-//! The immutable serving artifact, resharded for the worker pool.
+//! The immutable serving artifact the worker pool answers from.
 //!
-//! A [`ServingSnapshot`] is a [`MatchingService`] decomposed and
-//! re-laid-out by shard: item `i` belongs to shard `i % n_shards` at local
-//! index `i / n_shards`, so each worker answers warm lookups from its own
-//! contiguous slice of the artifact. The lists are moved out of the
-//! service verbatim — a snapshot answers bit-identically to the service it
-//! came from, by construction rather than by re-derivation.
+//! A [`ServingSnapshot`] owns the [`MatchingService`] it was built from and
+//! answers through it: warm lookups read the service's list table (every
+//! worker shares the one immutable table; item `i` is *routed* to shard
+//! `i % n_shards`, nothing is laid out by shard), and both cold answers are
+//! the service's own answer functions with this crate's retrieval plugged
+//! in. A snapshot therefore answers like the service it holds because it
+//! *is* that service, not a copy kept equal by tests.
 //!
 //! **Cold paths** (Eq. 6 cold items, demographic cold users) score an
 //! arbitrary query vector against the whole catalog. Under
@@ -26,10 +27,8 @@ use crate::cache::{AdmissionCache, CacheKey};
 use crate::config::{ColdPathMode, TenantId};
 use crate::metrics::{serve_metrics, ServeMetrics, TenantMetrics};
 use sisg_ann::qhnsw::{HnswConfig, QHnswIndex};
-use sisg_core::cold_start;
-use sisg_core::serving::MatchingParts;
-use sisg_core::{MatchingService, Recommendation, SiAggregation, SisgModel};
-use sisg_corpus::{ItemId, TokenId, UserRegistry};
+use sisg_core::{CoreError, MatchingService, Recommendation, SiAggregation, SisgModel};
+use sisg_corpus::{ItemId, TokenId};
 use sisg_embedding::codec::{encode_quant, QuantBlob};
 use sisg_embedding::{Matrix, Neighbor, QuantMatrix};
 use sisg_obs::Stopwatch;
@@ -68,8 +67,8 @@ pub struct ColdIndex {
 }
 
 impl ColdIndex {
-    /// Quantizes and indexes the normalized item matrix, sharded the same
-    /// way as the warm lists, one scoped thread per shard. Shards share
+    /// Quantizes and indexes the normalized item matrix, sharded the way
+    /// requests are routed, one scoped thread per shard. Shards share
     /// nothing but the read-only matrix, so every graph is the one a
     /// sequential build would produce. Returns `None` if a shard fails —
     /// its encoded blob does not parse back (cannot happen for blobs we
@@ -149,16 +148,14 @@ impl std::fmt::Debug for ColdIndex {
     }
 }
 
-/// One immutable generation of the serving artifact, sharded by item.
+/// One immutable generation of the serving artifact.
 pub struct ServingSnapshot {
+    /// The list table, cold flags, model and user registry — and the
+    /// answer rule itself.
+    service: MatchingService,
+    /// Worker count this snapshot's [`ColdIndex`] is laid out for;
+    /// [`ServeEngine::install`](crate::ServeEngine::install) checks it.
     n_shards: usize,
-    /// `shards[s][local]` = top-K list of item `local * n_shards + s`;
-    /// empty for cold items.
-    shards: Vec<Vec<Vec<Recommendation>>>,
-    /// Cold flags, indexed by item.
-    cold: Vec<bool>,
-    model: SisgModel,
-    users: UserRegistry,
     /// Present under [`ColdPathMode::QuantAnn`]; `None` = brute force.
     cold_index: Option<ColdIndex>,
 }
@@ -167,14 +164,14 @@ impl std::fmt::Debug for ServingSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingSnapshot")
             .field("n_shards", &self.n_shards)
-            .field("n_items", &self.cold.len())
+            .field("n_items", &self.n_items())
             .field("quant_ann", &self.cold_index.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl ServingSnapshot {
-    /// Reshards a built [`MatchingService`] across `n_shards` workers with
+    /// Wraps a built [`MatchingService`] for `n_shards` workers with
     /// brute-force cold paths (the pre-quantization default).
     /// `n_shards` must already be validated (the engine config builder
     /// does); a zero value is lifted to 1 rather than dividing by zero.
@@ -182,7 +179,7 @@ impl ServingSnapshot {
         Self::from_service_with(service, n_shards, ColdPathMode::BruteForce)
     }
 
-    /// Reshards a built [`MatchingService`] and equips the requested cold
+    /// Wraps a built [`MatchingService`] and equips the requested cold
     /// path. Building [`ColdPathMode::QuantAnn`] quantizes and indexes the
     /// catalog once, here — the request path never allocates an index.
     pub fn from_service_with(
@@ -191,39 +188,17 @@ impl ServingSnapshot {
         cold_path: ColdPathMode,
     ) -> Self {
         let n_shards = n_shards.max(1);
-        let MatchingParts {
-            lists,
-            cold,
-            model,
-            users,
-            ..
-        } = service.into_parts();
-        let mut shards: Vec<Vec<Vec<Recommendation>>> = (0..n_shards)
-            .map(|s| Vec::with_capacity(lists.len() / n_shards + usize::from(s == 0)))
-            .collect();
-        for (i, list) in lists.into_iter().enumerate() {
-            shards[i % n_shards].push(list);
-        }
         let cold_index = match cold_path {
             ColdPathMode::BruteForce => None,
             ColdPathMode::QuantAnn { ef_search } => {
-                ColdIndex::build(model.item_norm_matrix(), n_shards, ef_search)
+                ColdIndex::build(service.model().item_norm_matrix(), n_shards, ef_search)
             }
         };
         Self {
+            service,
             n_shards,
-            shards,
-            cold,
-            model,
-            users,
             cold_index,
         }
-    }
-
-    /// The shard an item belongs to.
-    #[inline]
-    pub fn shard_of_item(&self, item: ItemId) -> usize {
-        item.index() % self.n_shards
     }
 
     /// Worker shards in this layout.
@@ -234,17 +209,17 @@ impl ServingSnapshot {
 
     /// Items in the served catalog.
     pub fn n_items(&self) -> usize {
-        self.cold.len()
+        self.service.n_items()
     }
 
     /// True when `item` is in range and served through the cold path.
     pub fn is_cold(&self, item: ItemId) -> bool {
-        self.cold.get(item.index()).copied().unwrap_or(false)
+        self.service.is_cold(item)
     }
 
     /// The model this snapshot answers from.
     pub fn model(&self) -> &SisgModel {
-        &self.model
+        self.service.model()
     }
 
     /// The quantized in-shard cold index, when this snapshot carries one.
@@ -254,14 +229,7 @@ impl ServingSnapshot {
 
     /// The warm list of `item`; `None` for cold or unknown items.
     pub fn warm_list(&self, item: ItemId) -> Option<&[Recommendation]> {
-        let idx = item.index();
-        if idx >= self.cold.len() || self.cold[idx] {
-            return None;
-        }
-        self.shards
-            .get(idx % self.n_shards)
-            .and_then(|shard| shard.get(idx / self.n_shards))
-            .map(Vec::as_slice)
+        self.service.warm_list(item)
     }
 
     /// Answers one request on the calling (worker) thread. `shard` and
@@ -291,12 +259,7 @@ impl ServingSnapshot {
         };
         let out = match *req {
             ServeRequest::Candidates { item, si_values, k } => {
-                if self.model.space().try_item(item).is_none() {
-                    return Err(ServeError::Rejected(sisg_core::CoreError::UnknownItem(
-                        item,
-                    )));
-                }
-                if let Some(list) = self.warm_list(item) {
+                if let Some(list) = self.service.lookup(item)? {
                     metrics.warm_hits.inc();
                     if let Some(tm) = &ctx.metrics {
                         tm.warm_hits.inc();
@@ -312,19 +275,16 @@ impl ServingSnapshot {
                         si_values,
                         k,
                     };
-                    if let Some(hit) = cache.lookup(&key) {
-                        metrics.cache_hits.inc();
-                        if let Some(tm) = &ctx.metrics {
-                            tm.cache_hits.inc();
-                        }
-                        respond(hit.clone(), true)
-                    } else {
-                        metrics.cache_misses.inc();
-                        let computed =
-                            self.cold_item_answer(item, &si_values, k, ctx.si_weighting, metrics)?;
-                        cache.admit(key, computed.clone());
-                        respond(computed, false)
-                    }
+                    let (answer, hit) = through_cache(cache, key, ctx, metrics, || {
+                        self.service.cold_item_candidates_with(
+                            item,
+                            &si_values,
+                            k,
+                            ctx.si_weighting,
+                            |query, fetch| self.cold_query_neighbors(query, fetch, metrics),
+                        )
+                    })?;
+                    respond(answer, hit)
                 }
             }
             ServeRequest::ColdUser {
@@ -343,18 +303,16 @@ impl ServingSnapshot {
                     purchase,
                     k,
                 };
-                if let Some(hit) = cache.lookup(&key) {
-                    metrics.cache_hits.inc();
-                    if let Some(tm) = &ctx.metrics {
-                        tm.cache_hits.inc();
-                    }
-                    respond(hit.clone(), true)
-                } else {
-                    metrics.cache_misses.inc();
-                    let computed = self.cold_user_answer(gender, age, purchase, k, metrics)?;
-                    cache.admit(key, computed.clone());
-                    respond(computed, false)
-                }
+                let (answer, hit) = through_cache(cache, key, ctx, metrics, || {
+                    self.service.cold_user_candidates_with(
+                        gender,
+                        age,
+                        purchase,
+                        k,
+                        |query, fetch| self.cold_query_neighbors(query, fetch, metrics),
+                    )
+                })?;
+                respond(answer, hit)
             }
         };
         let elapsed = watch.elapsed();
@@ -405,58 +363,35 @@ impl ServingSnapshot {
         match &self.cold_index {
             Some(index) => {
                 let candidates = self.quant_candidates(index, query, fetch, metrics);
-                self.model
+                self.model()
                     .rerank_items_to_vector(query, candidates.into_iter(), fetch)
             }
-            None => self.model.similar_items_to_vector(query, fetch),
+            None => self.model().similar_items_to_vector(query, fetch),
         }
     }
+}
 
-    /// The Eq. (6) cold-item path, mirroring
-    /// [`MatchingService::candidates`] exactly: over-fetch by one, drop
-    /// the queried item, take `k`. The query vector is aggregated under
-    /// the tenant's [`SiAggregation`] mode (the plain sum for untagged
-    /// traffic).
-    fn cold_item_answer(
-        &self,
-        item: ItemId,
-        si_values: &[u32; sisg_corpus::schema::ItemFeature::COUNT],
-        k: usize,
-        si_weighting: SiAggregation,
-        metrics: &ServeMetrics,
-    ) -> Result<Vec<Recommendation>, ServeError> {
-        let query = cold_start::cold_item_vector_with(&self.model, si_values, si_weighting)?;
-        Ok(self
-            .cold_query_neighbors(&query, k + 1, metrics)
-            .into_iter()
-            .map(|n| Recommendation {
-                item: ItemId(n.token.0),
-                score: n.score,
-            })
-            .filter(|r| r.item != item)
-            .take(k)
-            .collect())
+/// A cold answer behind the worker's admission cache: a cached answer is
+/// returned as it was admitted, a miss is computed and offered for
+/// admission. The flag says whether it was a hit.
+fn through_cache(
+    cache: &mut AdmissionCache,
+    key: CacheKey,
+    ctx: &TenantCtx,
+    metrics: &ServeMetrics,
+    compute: impl FnOnce() -> Result<Vec<Recommendation>, CoreError>,
+) -> Result<(Vec<Recommendation>, bool), ServeError> {
+    if let Some(hit) = cache.lookup(&key) {
+        metrics.cache_hits.inc();
+        if let Some(tm) = &ctx.metrics {
+            tm.cache_hits.inc();
+        }
+        return Ok((hit.clone(), true));
     }
-
-    /// The cold-user path, mirroring [`MatchingService::cold_user_candidates`].
-    fn cold_user_answer(
-        &self,
-        gender: Option<u8>,
-        age: Option<u8>,
-        purchase: Option<u8>,
-        k: usize,
-        metrics: &ServeMetrics,
-    ) -> Result<Vec<Recommendation>, ServeError> {
-        let query = cold_start::cold_user_vector(&self.model, &self.users, gender, age, purchase)?;
-        Ok(self
-            .cold_query_neighbors(&query, k, metrics)
-            .into_iter()
-            .map(|n| Recommendation {
-                item: ItemId(n.token.0),
-                score: n.score,
-            })
-            .collect())
-    }
+    metrics.cache_misses.inc();
+    let computed = compute()?;
+    cache.admit(key, computed.clone());
+    Ok((computed, false))
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Pins per-tenant metric isolation: traffic tagged with tenant A moves
 //! only A's `serve.tenant.<label>.*` slice (plus the global `serve.*`
 //! family), never tenant B's — and a budget shed is charged to the
-//! shedding tenant alone. Single test in its own binary: the obs
+//! shedding tenant alone — and a tenant's SI-aggregation mode reaches
+//! its cold-item answers. Single test in its own binary: the obs
 //! registry is process-global, so sharing a binary with other engine
 //! tests would race the per-tenant deltas.
 
-use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
+use sisg_core::{
+    MatchingService, Recommendation, ServingConfig, SiAggregation, SisgModel, Variant,
+};
 use sisg_corpus::{CorpusConfig, GeneratedCorpus, ItemId};
 use sisg_obs::{names, registry};
 use sisg_serve::{
@@ -49,16 +52,12 @@ fn tenant_traffic_moves_only_its_own_metric_slice() {
             clicks[it.index()] += 1;
         }
     }
-    let service = MatchingService::build(
-        model,
-        corpus.users.clone(),
-        &clicks,
-        ServingConfig {
-            k: 20,
-            min_clicks_for_warm: 3,
-        },
-    )
-    .expect("build");
+    let serving = ServingConfig {
+        k: 20,
+        min_clicks_for_warm: 3,
+    };
+    let service =
+        MatchingService::build(model, corpus.users.clone(), &clicks, serving).expect("build");
 
     let alpha = TenantId(1);
     let beta = TenantId(2);
@@ -158,4 +157,74 @@ fn tenant_traffic_moves_only_its_own_metric_slice() {
     assert_eq!(alpha_stats.shed, 0);
     assert_eq!(beta_stats.requests, 2, "held + post-release request");
     assert_eq!(beta_stats.shed, 1);
+
+    // Phase 3: a `Weighted` tenant's cold-item answers are the service's
+    // own answer under `Weighted`, bit for bit, and not the Eq. 6 sum.
+    let snapshot = engine.snapshot();
+    let model = snapshot.model();
+    let model = SisgModel::from_store(
+        model.variant(),
+        model.space().clone(),
+        model.store().clone(),
+    )
+    .expect("same store");
+    let service =
+        MatchingService::build(model, corpus.users.clone(), &clicks, serving).expect("build");
+    let cold: Vec<ItemId> = (0..corpus.config.n_items)
+        .map(ItemId)
+        .filter(|&i| service.is_cold(i))
+        .collect();
+    let reference = |aggregation| -> Vec<_> {
+        cold.iter()
+            .map(|&item| {
+                service
+                    .cold_item_candidates_with(
+                        item,
+                        corpus.catalog.si_values(item),
+                        10,
+                        aggregation,
+                        |query, n| service.model().similar_items_to_vector(query, n),
+                    )
+                    .expect("catalog SI")
+            })
+            .collect()
+    };
+    let weighted = reference(SiAggregation::Weighted);
+    let ranked = |lists: &[Vec<Recommendation>]| -> Vec<Vec<ItemId>> {
+        lists
+            .iter()
+            .map(|list| list.iter().map(|r| r.item).collect())
+            .collect()
+    };
+    assert_ne!(
+        ranked(&weighted),
+        ranked(&reference(SiAggregation::Sum)),
+        "the two modes must rank at least one cold item differently"
+    );
+    let gamma = TenantId(3);
+    let engine = ServeEngine::start(
+        service,
+        ServeEngineConfig::builder()
+            .n_shards(2)
+            .tenant(TenantConfig::new(gamma, "iso_gamma").si_weighting(SiAggregation::Weighted))
+            .build()
+            .expect("valid config"),
+    )
+    .expect("engine starts");
+    for (&item, want) in cold.iter().zip(&weighted) {
+        let resp = engine
+            .serve(
+                ServeRequest::Candidates {
+                    item,
+                    si_values: *corpus.catalog.si_values(item),
+                    k: 10,
+                }
+                .for_tenant(gamma),
+            )
+            .expect("gamma request serves");
+        assert_eq!(
+            &resp.recommendations, want,
+            "weighted answer for {item:?} diverged from the reference"
+        );
+    }
 }

@@ -21,7 +21,7 @@
 //!   enrichment path, and trains the shared store incrementally at a flat
 //!   learning rate (`sisg_sgns::train_increment`).
 //! - Every `publish_every` batches it freezes a
-//!   [`MatchingService`](sisg_core::MatchingService), reshards it into a
+//!   [`MatchingService`](sisg_core::MatchingService), wraps it in a
 //!   [`ServingSnapshot`](sisg_serve::ServingSnapshot), and publishes it
 //!   through [`ServeEngine::install`](sisg_serve::ServeEngine) — the
 //!   epoch-pointer hot swap, now with a producer.

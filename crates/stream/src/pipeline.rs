@@ -29,15 +29,16 @@
 use crate::metrics::stream_metrics;
 use crate::trace::{store_checksum, TAG_BATCH, TAG_DONE, TAG_PUBLISH, TAG_WARM_START};
 use crate::StreamError;
+use sisg_core::model::enriched_stride;
 use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{
-    Corpus, EnrichedCorpus, EventLog, ItemCatalog, ItemId, SessionEvent, TokenId, UserRegistry,
+    Corpus, EnrichedCorpus, EventLog, ItemCatalog, ItemId, SessionEvent, UserRegistry,
 };
 use sisg_embedding::{codec, EmbeddingStore};
 use sisg_obs::{names, span, Fnv1a, Stopwatch};
 use sisg_serve::{ServeEngine, ServeRequest, ServingSnapshot};
-use sisg_sgns::{train_increment, train_into, SgnsConfig, SubsampleTable, TrainStats};
+use sisg_sgns::{train_increment, train_into, SgnsConfig, TrainStats};
 
 /// Configuration of one streaming ingest run.
 #[derive(Debug, Clone)]
@@ -281,7 +282,7 @@ impl IngestPipeline {
     }
 
     /// Freezes the current model into a buildable matching service (the
-    /// artifact a publication reshards into a snapshot). The live store is
+    /// artifact a publication wraps in a snapshot). The live store is
     /// cloned; ingestion can continue while the caller holds the freeze.
     pub fn freeze(&self) -> Result<MatchingService, StreamError> {
         let Some(store) = &self.store else {
@@ -480,30 +481,19 @@ impl IngestPipeline {
         cfg
     }
 
-    /// Replicates the offline trainer's window scaling (see
-    /// `crates/core/src/model.rs::enriched_stride`) against the cumulative
-    /// frequency tables: expected surviving tokens per surviving item
-    /// occurrence after subsampling.
+    /// The offline trainer's window scaling
+    /// ([`sisg_core::model::enriched_stride`]) against the cumulative
+    /// frequency tables.
     fn effective_window(&self) -> usize {
         if !self.config.variant.uses_si() {
             return self.config.sgns.window;
         }
-        let table = SubsampleTable::new(&self.freqs, self.config.sgns.subsample);
-        let n_items = self.space.n_items() as usize;
-        let mut surviving = 0.0f64;
-        let mut surviving_items = 0.0f64;
-        for (i, &c) in self.freqs.iter().enumerate() {
-            let s = f64::from(table.keep_prob(TokenId(i as u32))) * c as f64;
-            surviving += s;
-            if i < n_items {
-                surviving_items += s;
-            }
-        }
-        if surviving_items <= 0.0 {
-            return self.config.sgns.window;
-        }
-        let stride = ((surviving / surviving_items).round() as usize).max(1);
-        self.config.sgns.window * stride
+        self.config.sgns.window
+            * enriched_stride(
+                &self.freqs,
+                self.space.n_items() as usize,
+                self.config.sgns.subsample,
+            )
     }
 
     fn outcome(&mut self, final_epoch: u64) -> ReplayOutcome {

@@ -7,6 +7,7 @@ use taobao_sisg::corpus::{CorpusConfig, GeneratedCorpus, ItemId};
 use taobao_sisg::eval::metrics::evaluate_ranking;
 use taobao_sisg::eval::significance::{hit_indicators, paired_bootstrap};
 use taobao_sisg::eval::ItemRetriever;
+use taobao_sisg::serve::{ColdPathMode, ServeEngine, ServeEngineConfig, ServeRequest};
 use taobao_sisg::sgns::SgnsConfig;
 
 fn setup() -> (GeneratedCorpus, SisgModel, Vec<u64>) {
@@ -64,7 +65,92 @@ fn serving_layer_matches_direct_retrieval_for_warm_items() {
         direct, served,
         "precomputed lists must equal live retrieval"
     );
-    assert_eq!(svc.stats().requests, 1);
+}
+
+/// `k` is input from outside the program. A request asking for more
+/// candidates than the catalog holds gets the whole catalog, on the direct
+/// service and through the engine under both cold paths — it must neither
+/// overflow `k + 1` (which killed the shard's worker) nor size a heap by
+/// `k` (which aborted the process).
+#[test]
+fn hostile_k_is_clamped_to_the_catalog_and_kills_nothing() {
+    let (corpus, model, clicks) = setup();
+    let n_items = corpus.config.n_items as usize;
+    let n_shards = 2;
+    // Threshold above every click count: the whole catalog is cold.
+    let all_cold = ServingConfig {
+        k: 5,
+        min_clicks_for_warm: u64::MAX,
+    };
+    let item = ItemId(1);
+    let si = *corpus.catalog.si_values(item);
+    for cold_path in [
+        ColdPathMode::BruteForce,
+        ColdPathMode::QuantAnn { ef_search: 64 },
+    ] {
+        let model = SisgModel::from_store(
+            model.variant(),
+            model.space().clone(),
+            model.store().clone(),
+        )
+        .expect("same store");
+        let svc =
+            MatchingService::build(model, corpus.users.clone(), &clicks, all_cold).expect("build");
+        let whole_catalog = svc.candidates(item, &si, n_items).expect("cold item");
+        assert_eq!(whole_catalog.len(), n_items - 1, "everything but itself");
+        for k in [usize::MAX, 1 << 45] {
+            assert_eq!(
+                svc.candidates(item, &si, k).expect("clamped"),
+                whole_catalog
+            );
+            let users = svc
+                .cold_user_candidates(None, None, None, k)
+                .expect("clamped");
+            assert_eq!(users.len(), n_items);
+        }
+
+        let engine = ServeEngine::start(
+            svc,
+            ServeEngineConfig::builder()
+                .n_shards(n_shards)
+                .cold_path(cold_path)
+                .build()
+                .expect("valid config"),
+        )
+        .expect("engine starts");
+        for k in [usize::MAX, 1 << 45] {
+            let resp = engine
+                .serve(ServeRequest::Candidates {
+                    item,
+                    si_values: si,
+                    k,
+                })
+                .expect("hostile k on a cold item is answered");
+            assert!(resp.recommendations.len() < n_items);
+            let resp = engine
+                .serve(ServeRequest::ColdUser {
+                    gender: None,
+                    age: None,
+                    purchase: None,
+                    k,
+                })
+                .expect("hostile k on the cold-user path is answered");
+            assert!(resp.recommendations.len() <= n_items);
+        }
+        // Every worker survived: each shard still answers.
+        for shard in 0..n_shards {
+            let item = ItemId(shard as u32);
+            let resp = engine
+                .serve(ServeRequest::Candidates {
+                    item,
+                    si_values: *corpus.catalog.si_values(item),
+                    k: 10,
+                })
+                .expect("shard alive");
+            assert_eq!(resp.shard, shard);
+            assert_eq!(resp.recommendations.len(), 10);
+        }
+    }
 }
 
 #[test]
