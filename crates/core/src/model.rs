@@ -23,18 +23,21 @@ pub struct SisgTrainReport {
 
 /// A trained SISG model: the joint item/SI/user-type embedding space plus
 /// the variant's retrieval rule.
+///
+/// The `-D` variants score against item *output* vectors. Section II-C
+/// scores directional similarity with the raw inner product `v_i^T v'_j`;
+/// we keep it raw (the output norm carries a useful popularity prior —
+/// L2-normalizing both sides, one reading of Section IV-A's "standard
+/// cosine similarity", measures worse at every K on our corpora; see
+/// DESIGN.md §6). Raw means no copy is needed: items are tokens
+/// `0..n_items`, so the leading rows of the store's output matrix are the
+/// item output matrix.
 pub struct SisgModel {
     variant: Variant,
     space: TokenSpace,
     store: EmbeddingStore,
     /// Item input vectors, L2-normalized, for cosine retrieval.
     item_norm: Matrix,
-    /// Item *output* vectors. Section II-C scores directional similarity
-    /// with the raw inner product `v_i^T v'_j`; we keep it raw (the output
-    /// norm carries a useful popularity prior — L2-normalizing both sides,
-    /// one reading of Section IV-A's "standard cosine similarity", measures
-    /// worse at every K on our corpora; see DESIGN.md §6).
-    item_out: Matrix,
 }
 
 impl std::fmt::Debug for SisgModel {
@@ -160,22 +163,16 @@ impl SisgModel {
         let n_items = space.n_items() as usize;
         let dim = store.dim();
         let mut item_norm = Matrix::zeros(n_items, dim);
-        let mut item_out = Matrix::zeros(n_items, dim);
         for i in 0..n_items {
-            item_norm
-                .row_mut(i)
-                .copy_from_slice(store.input(TokenId(i as u32)));
-            normalize(item_norm.row_mut(i));
-            item_out
-                .row_mut(i)
-                .copy_from_slice(store.output(TokenId(i as u32)));
+            let row = item_norm.row_mut(i);
+            row.copy_from_slice(store.input(TokenId(i as u32)));
+            normalize(row);
         }
         Ok(Self {
             variant,
             space,
             store,
             item_norm,
-            item_out,
         })
     }
 
@@ -207,7 +204,7 @@ impl SisgModel {
             ),
             SimilarityMode::InputOutput => sisg_embedding::math::dot(
                 self.store.input(self.space.item(a)),
-                self.item_out.row(b.index()),
+                self.store.output(self.space.item(b)),
             ),
         }
     }
@@ -229,7 +226,7 @@ impl SisgModel {
                 let q = self.store.input(self.space.item(query));
                 retrieve_top_k(
                     q,
-                    &self.item_out,
+                    self.store.output_matrix(),
                     (0..self.space.n_items()).map(TokenId),
                     k,
                     Some(self.space.item(query)),
@@ -374,6 +371,58 @@ mod tests {
             }
         }
         assert!(diffs > 100, "only {diffs} asymmetric pairs");
+    }
+
+    #[test]
+    fn directional_retrieval_scores_the_store_output_rows() {
+        // The `-D` rule is input(query) · output(candidate) over the item
+        // rows of the store's own output matrix: same ids, same bits.
+        let c = corpus();
+        let (model, _) = SisgModel::train(&c, Variant::SisgFUD, &small_sgns()).expect("train");
+        let n_items = model.space().n_items();
+        let output = model.store().output_matrix();
+        assert!(output.rows() > n_items as usize, "SI rows follow the items");
+        for q in [0u32, 7, n_items - 1] {
+            let query = model.store().input(TokenId(q));
+            let by_hand = retrieve_top_k(
+                query,
+                output,
+                (0..n_items).map(TokenId),
+                10,
+                Some(TokenId(q)),
+            );
+            let got = model.similar_items(ItemId(q), 10);
+            assert_eq!(got.len(), 10);
+            for (g, h) in got.iter().zip(&by_hand) {
+                assert_eq!(g.token, h.token);
+                assert_eq!(g.score.to_bits(), h.score.to_bits());
+            }
+            let b = got[0].token;
+            assert_eq!(
+                model.similarity(ItemId(q), ItemId(b.0)).to_bits(),
+                sisg_embedding::math::dot(query, output.row(b.index())).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn untrained_output_is_never_needed_for_vector_retrieval() {
+        // A store straight from `EmbeddingStore::new`: the output matrix
+        // is all zero and `from_store` builds nothing from it.
+        let cards = sisg_corpus::schema::SchemaCardinalities::for_items(50);
+        let space = TokenSpace::new(50, &cards, 3);
+        let store = EmbeddingStore::new(space.len(), 16, 11);
+        let model = SisgModel::from_store(Variant::SisgFU, space, store).expect("covers");
+        let q = model.token_input(TokenId(5)).to_vec();
+        let hits = model.similar_items_to_vector(&q, 4);
+        assert_eq!(hits.len(), 4);
+        assert_eq!(hits[0].token, TokenId(5));
+        assert!(model
+            .store()
+            .output_matrix()
+            .as_slice()
+            .iter()
+            .all(|v| v.to_bits() == 0));
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl From<Neighbor> for Recommendation {
     }
 }
 
-pub(crate) fn recommendations(neighbors: Vec<Neighbor>) -> Vec<Recommendation> {
+fn recommendations(neighbors: Vec<Neighbor>) -> Vec<Recommendation> {
     neighbors.into_iter().map(Recommendation::from).collect()
 }
 

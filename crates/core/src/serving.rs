@@ -26,7 +26,7 @@
 use crate::cold_start::{self, SiAggregation};
 use crate::error::CoreError;
 use crate::model::SisgModel;
-use crate::recommender::{recommendations, Recommendation};
+use crate::recommender::Recommendation;
 use sisg_corpus::schema::ItemFeature;
 use sisg_corpus::{ItemId, UserRegistry};
 use sisg_embedding::Neighbor;
@@ -65,8 +65,11 @@ impl ServingConfig {
 
 /// The precomputed matching-stage artifact.
 pub struct MatchingService {
-    /// `lists[item]` = top-K candidates, empty for cold items.
-    lists: Vec<Vec<Recommendation>>,
+    /// Every warm item's top-K candidates, back to back in item order.
+    lists: Vec<Recommendation>,
+    /// `lists[offsets[item]..offsets[item + 1]]` is `item`'s list (empty
+    /// for cold items); `n_items + 1` entries.
+    offsets: Vec<u32>,
     /// Cold flags per item.
     cold: Vec<bool>,
     model: SisgModel,
@@ -101,21 +104,34 @@ impl MatchingService {
                 clicks: item_clicks.len(),
             });
         }
-        let mut lists = Vec::with_capacity(n_items);
-        let mut cold = Vec::with_capacity(n_items);
-        for (i, &clicks) in item_clicks.iter().enumerate() {
-            let is_cold = clicks < config.min_clicks_for_warm;
-            cold.push(is_cold);
-            if is_cold {
-                lists.push(Vec::new());
-            } else {
-                lists.push(recommendations(
-                    model.similar_items(ItemId(i as u32), config.k),
-                ));
+        let cold: Vec<bool> = item_clicks
+            .iter()
+            .map(|&clicks| clicks < config.min_clicks_for_warm)
+            .collect();
+        // A warm item's list is every other item, up to `k` of them, so
+        // the table's size is known before the first scan: it is
+        // allocated once, and checked against the `u32` offsets here.
+        let warm = cold.iter().filter(|&&c| !c).count();
+        let table_len = warm
+            .checked_mul(config.k.min(n_items.saturating_sub(1)))
+            .filter(|&n| u32::try_from(n).is_ok())
+            .ok_or(CoreError::InvalidConfig {
+                field: "k",
+                reason: "the list table exceeds u32 offsets",
+            })?;
+        let mut lists = Vec::with_capacity(table_len);
+        let mut offsets = Vec::with_capacity(n_items + 1);
+        offsets.push(0);
+        for (i, &is_cold) in cold.iter().enumerate() {
+            if !is_cold {
+                let list = model.similar_items(ItemId(i as u32), config.k);
+                lists.extend(list.into_iter().map(Recommendation::from));
             }
+            offsets.push(lists.len() as u32);
         }
         Ok(Self {
             lists,
+            offsets,
             cold,
             model,
             users,
@@ -130,7 +146,12 @@ impl MatchingService {
         match self.cold.get(item.index()) {
             None => Err(CoreError::UnknownItem(item)),
             Some(true) => Ok(None),
-            Some(false) => Ok(Some(&self.lists[item.index()])),
+            Some(false) => {
+                let i = item.index();
+                Ok(Some(
+                    &self.lists[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+                ))
+            }
         }
     }
 
@@ -332,13 +353,35 @@ mod tests {
     #[test]
     fn warm_list_covers_exactly_the_warm_items() {
         let (corpus, svc) = service();
-        for i in 0..corpus.config.n_items {
+        let n_items = corpus.config.n_items;
+        let mut table_len = 0;
+        for i in 0..n_items {
             let item = ItemId(i);
             assert_eq!(svc.warm_list(item).is_some(), !svc.is_cold(item));
+            // Each slice of the flat table is the item's own top-K, the
+            // last item's included.
+            if let Some(list) = svc.warm_list(item) {
+                let direct: Vec<Recommendation> = svc
+                    .model()
+                    .similar_items(item, 20)
+                    .into_iter()
+                    .map(Recommendation::from)
+                    .collect();
+                assert_eq!(list, direct, "item {i}");
+                table_len += list.len();
+            }
         }
+        assert!(
+            (0..n_items).any(|i| svc.is_cold(ItemId(i))),
+            "some are cold"
+        );
+        assert!(!svc.is_cold(ItemId(n_items - 1)), "the last item is warm");
+        assert_eq!(table_len, svc.lists.len(), "cold items own no entries");
         // Outside the catalog: neither warm nor cold, and no panic.
-        assert!(svc.warm_list(ItemId(u32::MAX)).is_none());
-        assert!(!svc.is_cold(ItemId(u32::MAX)));
+        for outside in [ItemId(n_items), ItemId(u32::MAX)] {
+            assert!(svc.warm_list(outside).is_none());
+            assert!(!svc.is_cold(outside));
+        }
     }
 
     #[test]

@@ -110,14 +110,16 @@ pub fn decode(mut blob: &[u8]) -> Result<EmbeddingStore, CodecError> {
     if rows > 0 && dim == 0 {
         return Err(CodecError::BadShape);
     }
-    let floats = rows
+    // Two matrices of `rows × dim` four-byte floats. The header is outside
+    // input: the byte count is checked against what the blob holds before
+    // anything below is sized by it.
+    let expected = rows
         .checked_mul(dim)
-        .and_then(|n| n.checked_mul(2))
+        .and_then(|n| n.checked_mul(8))
         .ok_or(CodecError::BadShape)?;
-    let expected = floats * 4;
     if blob.remaining() < expected {
         return Err(CodecError::Truncated {
-            expected: MAGIC.len() + 8 + expected,
+            expected: expected.saturating_add(MAGIC.len() + 8),
             actual: MAGIC.len() + 8 + blob.remaining(),
         });
     }
@@ -155,9 +157,13 @@ pub fn encode_quant(qm: &QuantMatrix) -> Bytes {
         buf.put_f32_le(s);
     }
     buf.put_slice(&pad[..data_off - buf.len()]);
-    // i8 → u8 is a bit-preserving cast; the view path reverses it.
-    let weights: Vec<u8> = qm.data().iter().map(|&b| b as u8).collect();
-    buf.put_slice(&weights);
+    let weights = qm.data();
+    // SAFETY: the layout cast of `QuantView::row` in reverse — i8 and u8
+    // have identical size and alignment, so an i8 slice viewed as u8 with
+    // the same length and lifetime is sound (a plain bit-preserving view).
+    buf.put_slice(unsafe {
+        std::slice::from_raw_parts(weights.as_ptr().cast::<u8>(), weights.len())
+    });
     buf.freeze()
 }
 
@@ -366,6 +372,31 @@ mod tests {
         let blob = encode(&EmbeddingStore::new(4, 4, 1));
         let cut = &blob[..blob.len() - 5];
         assert!(matches!(decode(cut), Err(CodecError::Truncated { .. })));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hostile_header_is_a_typed_error() {
+        let header = |rows: u32, dim: u32| {
+            let mut blob = MAGIC.to_vec();
+            blob.extend_from_slice(&rows.to_le_bytes());
+            blob.extend_from_slice(&dim.to_le_bytes());
+            blob
+        };
+        // rows·dim·2 fits a usize, the byte count does not.
+        assert_eq!(
+            decode(&header(1 << 31, 1 << 31)).unwrap_err(),
+            CodecError::BadShape
+        );
+        // rows·dim = 2^61 − 2, the largest count whose bytes still fit:
+        // a truncated blob, and the reported size must not wrap either.
+        assert_eq!(
+            decode(&header(2 * ((1 << 30) - 1), (1 << 30) + 1)).unwrap_err(),
+            CodecError::Truncated {
+                expected: usize::MAX,
+                actual: 16,
+            }
+        );
     }
 
     #[test]

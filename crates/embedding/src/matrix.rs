@@ -415,10 +415,18 @@ fn to_cells(data: Vec<f32>) -> Box<[AtomicU32]> {
 }
 
 impl Matrix {
-    /// Creates a zero matrix.
+    /// Creates a zero matrix. The cells come from the allocator already
+    /// zeroed and are not written here, so a large matrix costs no write
+    /// pass, and no resident page for any row that is never written (an
+    /// untrained output matrix, the rows of a served store nobody scores).
     pub fn zeros(rows: usize, dim: usize) -> Self {
+        let cells = Box::<[AtomicU32]>::new_zeroed_slice(rows * dim);
         Self {
-            data: (0..rows * dim).map(|_| AtomicU32::new(0)).collect(),
+            // SAFETY: `AtomicU32` has the same in-memory representation as
+            // `u32` (guaranteed by std), for which all-zero bytes are the
+            // valid value 0 — the bit pattern of `0.0f32` — so every cell
+            // of the zeroed allocation is initialized.
+            data: unsafe { cells.assume_init() },
             rows,
             dim,
         }
@@ -578,6 +586,39 @@ mod tests {
         assert_eq!(m.rows(), 3);
         assert_eq!(m.dim(), 4);
         assert!(m.row(2).iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn zeros_is_an_ordinary_zero_matrix() {
+        // The cells are taken zeroed from the allocator, never written:
+        // every view must still read them as 0.0, bit for bit.
+        let reference = Matrix::from_data(5, 3, vec![0.0; 15]);
+        let mut m = Matrix::zeros(5, 3);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&m), bits(&reference));
+        assert_eq!(bits(&m.clone()), bits(&reference));
+        assert_eq!(m.row_ptr(4).get_elem(2).to_bits(), 0);
+
+        m.row_mut(3).copy_from_slice(&[1.0, -2.0, 3.5]);
+        m.row_ptr(0).set_elem(1, 7.0);
+        let copy = m.clone();
+        for view in [&m, &copy] {
+            assert_eq!(view.row(3), &[1.0, -2.0, 3.5]);
+            assert_eq!(view.row(0), &[0.0, 7.0, 0.0]);
+            assert_eq!(view.row(4), &[0.0; 3], "unwritten rows stay zero");
+        }
+        assert_eq!(m.into_data().len(), 15);
+    }
+
+    #[test]
+    fn zeros_with_an_empty_shape() {
+        for (rows, dim) in [(0, 4), (4, 0), (0, 0)] {
+            let m = Matrix::zeros(rows, dim);
+            assert_eq!((m.rows(), m.dim()), (rows, dim));
+            assert!(m.as_slice().is_empty());
+            assert!(m.clone().into_data().is_empty());
+        }
+        assert!(Matrix::zeros(4, 0).row(3).is_empty());
     }
 
     #[test]

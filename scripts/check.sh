@@ -90,15 +90,23 @@ cargo test --release -q -p sisg-simtest --test determinism
 step benchmark "its unit tests + a 1 s correctness-gate smoke of every workload"
 # The repo benchmark (BENCHMARK.json, benchmark/README.md) is a package of
 # its own, so `cargo test --workspace` never builds it. Its tests cover
-# its own maths; the smoke runs each workload for one second untraced and
-# reads only the exit code, which is 1 when a workload's output check
-# (parity, recall floor, HR@10 floor, failed requests) does not hold. No
-# timing is read here — numbers come from full runs on a quiet host.
+# its own maths; the smoke runs each workload for one second untraced. The
+# gate is the exit code, which is 1 when a workload's output check (parity,
+# recall floor, HR@10 floor, failed requests) does not hold. One line per
+# workload, parsed from the last-line JSON, keeps the end-to-end metrics in
+# the log — peak_rss_mb repeats to 0.3 % even at one second, so the logs
+# record the memory trajectory. Nothing is asserted on them: timings come
+# from full runs on a quiet host.
 cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+printf '%-18s %9s %14s %12s\n' workload setup_s quality_at_10 peak_rss_mb
 for workload in $(python3 -c \
   'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])'); do
   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 >/dev/null
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+m = {k: v["value"] for k, v in json.loads(sys.stdin.read())["metrics"].items()}
+print("%-18s %9.2f %14.4f %12.1f" % (sys.argv[1], m["setup_s"], m["quality_at_10"], m["peak_rss_mb"]))
+' "$workload"
 done
 
 printf '\ncheck.sh: %d gates passed (%s); %d skipped (%s)\n' \
