@@ -5,7 +5,7 @@
 //! search runs behind an ANN index, not a linear scan. This crate supplies
 //! the substrate a production deployment of SISG would sit on:
 //!
-//! - [`kmeans`] — seeded Lloyd's k-means over embedding rows (also the
+//! - [`mod@kmeans`] — seeded Lloyd's k-means over embedding rows (also the
 //!   coarse quantizer for IVF);
 //! - [`ivf`] — an IVF-Flat index: cluster the vectors, probe the `nprobe`
 //!   nearest cells at query time, scan those exactly;
@@ -17,7 +17,7 @@
 //!   index parameters are tuned.
 //!
 //! All indexes score by **inner product** (higher = better); cosine callers
-//! pre-normalize rows, matching how [`sisg_core`]'s retrieval works.
+//! pre-normalize rows, matching how `sisg_core`'s retrieval works.
 
 #![warn(missing_docs)]
 

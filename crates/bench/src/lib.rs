@@ -18,7 +18,7 @@
 
 use sisg_corpus::{Corpus, CorpusConfig, GeneratedCorpus};
 use sisg_eval::ExperimentTable;
-use sisg_sgns::{SgnsConfig, TrainEngine};
+use sisg_sgns::SgnsConfig;
 use std::path::PathBuf;
 
 /// Reads a `usize` environment knob.
@@ -46,8 +46,6 @@ pub fn offline_corpus() -> GeneratedCorpus {
 }
 
 /// The SGNS configuration for offline experiments, honoring the env knobs.
-/// `SISG_ENGINE=atomic` selects the legacy Hogwild engine for A/B runs
-/// against the default partitioned engine (docs/PARALLELISM.md).
 pub fn offline_sgns_config() -> SgnsConfig {
     SgnsConfig {
         dim: env_usize("SISG_DIM", 32),
@@ -56,11 +54,6 @@ pub fn offline_sgns_config() -> SgnsConfig {
         epochs: env_usize("SISG_EPOCHS", 2),
         threads: env_usize("SISG_THREADS", 1),
         seed: env_u64("SISG_SEED", 42),
-        engine: match std::env::var("SISG_ENGINE").as_deref() {
-            Ok("atomic") => TrainEngine::AtomicHogwild,
-            Ok("partitioned") => TrainEngine::Partitioned,
-            _ => TrainEngine::Auto,
-        },
         ..Default::default()
     }
 }

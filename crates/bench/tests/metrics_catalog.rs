@@ -23,7 +23,7 @@ use sisg_obs::{names, registry};
 use sisg_serve::{
     ColdPathMode, ServeEngine, ServeEngineConfig, ServeError, ServeRequest, TenantConfig, TenantId,
 };
-use sisg_sgns::{SgnsConfig, TrainEngine};
+use sisg_sgns::SgnsConfig;
 use sisg_stream::{IngestPipeline, StreamConfig};
 use std::path::Path;
 
@@ -37,20 +37,11 @@ fn exercise_every_layer() -> GeneratedCorpus {
         ..Default::default()
     };
 
-    // The partitioned parallel engine (threads > 1) with a hot set small
-    // enough to leave real cold shards, so all three train.* routing and
-    // replica-merge counters record from live paths.
-    let (_, stats) = SisgModel::train(
-        &corpus,
-        Variant::Sgns,
-        &sgns
-            .clone()
-            .with_threads(2)
-            .with_hot_set_size(4)
-            .with_engine(TrainEngine::Partitioned),
-    )
-    .expect("partitioned train");
-    assert!(stats.stats.pairs > 0, "partitioned run trained nothing");
+    // A Hogwild run (threads > 1), so the per-thread `flush_to_obs` path
+    // records from concurrent flushers.
+    let (_, stats) = SisgModel::train(&corpus, Variant::Sgns, &sgns.clone().with_threads(2))
+        .expect("two-thread train");
+    assert!(stats.stats.pairs > 0, "two-thread run trained nothing");
 
     let si = *corpus.catalog.si_values(ItemId(0));
 

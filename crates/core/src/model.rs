@@ -50,27 +50,11 @@ impl std::fmt::Debug for SisgModel {
     }
 }
 
-/// Rejects SGNS hyper-parameters that would make training degenerate.
+/// Rejects SGNS hyper-parameters that would make training degenerate —
+/// [`SgnsConfig::validate`]'s rules as a typed error.
 fn validate_sgns(sgns: &SgnsConfig) -> Result<(), CoreError> {
-    if sgns.dim == 0 {
-        return Err(CoreError::InvalidConfig {
-            field: "dim",
-            reason: "must be at least 1",
-        });
-    }
-    if sgns.window == 0 {
-        return Err(CoreError::InvalidConfig {
-            field: "window",
-            reason: "must be at least 1",
-        });
-    }
-    if sgns.epochs == 0 {
-        return Err(CoreError::InvalidConfig {
-            field: "epochs",
-            reason: "must be at least 1",
-        });
-    }
-    Ok(())
+    sgns.validate()
+        .map_err(|(field, reason)| CoreError::InvalidConfig { field, reason })
 }
 
 impl SisgModel {
@@ -343,6 +327,33 @@ mod tests {
             let hits = model.similar_items(ItemId(0), 5);
             assert_eq!(hits.len(), 5);
             assert!(hits.iter().all(|n| n.token != TokenId(0)));
+        }
+    }
+
+    /// One bad value per [`SgnsConfig::validate`] rule: each must come
+    /// back as a typed error naming the field, never train.
+    #[test]
+    fn rejected_sgns_configs_are_typed_errors() {
+        let c = corpus();
+        type Spoil = fn(&mut SgnsConfig);
+        let cases: [(&str, Spoil); 9] = [
+            ("dim", |s| s.dim = 0),
+            ("window", |s| s.window = 0),
+            ("epochs", |s| s.epochs = 0),
+            ("learning_rate", |s| s.learning_rate = 0.0),
+            ("learning_rate", |s| s.learning_rate = -0.1),
+            ("learning_rate", |s| s.learning_rate = f32::NAN),
+            ("min_learning_rate", |s| s.min_learning_rate = 0.5),
+            ("subsample", |s| s.subsample = -1.0),
+            ("threads", |s| s.threads = 0),
+        ];
+        for (want, spoil) in cases {
+            let mut cfg = small_sgns();
+            spoil(&mut cfg);
+            match SisgModel::train(&c, Variant::Sgns, &cfg) {
+                Err(CoreError::InvalidConfig { field, .. }) => assert_eq!(field, want),
+                other => panic!("{want}: not rejected: {:?}", other.map(|_| ())),
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! EGES — the paper's previous production framework, built as a baseline.
 //!
-//! EGES (Wang et al., KDD 2018, reference [23] of the SISG paper) works in
+//! EGES (Wang et al., KDD 2018, reference \[23\] of the SISG paper) works in
 //! three stages (Figure 1(b)):
 //!
 //! 1. construct a weighted directed *item graph* from user behavior

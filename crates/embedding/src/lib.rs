@@ -13,13 +13,11 @@ pub mod kernels;
 pub mod math;
 pub mod matrix;
 pub mod quant;
-pub mod replica;
 pub mod store;
 pub mod topk;
 pub mod word2vec;
 
 pub use matrix::{dot_slice_x4, Matrix, RowPtr};
 pub use quant::{dequantize_row, quantize_row, QuantMatrix, QuantQuery, QuantRows};
-pub use replica::ReplicaBank;
 pub use store::EmbeddingStore;
 pub use topk::{retrieve_top_k, Neighbor, TopK};

@@ -26,15 +26,6 @@ pub const SGNS_TOKENS_PER_SEC: &str = "sgns.tokens_per_sec";
 /// Span: one SGNS training run (`sisg_sgns::train*`).
 pub const SGNS_TRAIN_SPAN: &str = "sgns.train";
 
-/// Replica averaging rounds executed by the partitioned engine.
-pub const TRAIN_REPLICA_MERGES: &str = "train.replica_merges";
-/// Pairs trained with a fresh local input row (hot replica or owned cold).
-pub const TRAIN_OWNED_PAIRS: &str = "train.owned_pairs";
-/// Pairs whose target input row was a stale cross-shard snapshot read
-/// (input gradient banked and shipped to the owner at the next merge) —
-/// the intra-process partition cut as trained.
-pub const TRAIN_CROSS_SHARD_PAIRS: &str = "train.cross_shard_pairs";
-
 /// EGES skip-gram pairs trained over random-walk windows.
 pub const EGES_PAIRS_TOTAL: &str = "eges.pairs_total";
 /// Random-walk tokens consumed by the EGES trainer.
@@ -223,9 +214,6 @@ pub const ALL: &[&str] = &[
     SGNS_PAIRS_PER_SEC,
     SGNS_TOKENS_PER_SEC,
     "sgns.train.us",
-    TRAIN_REPLICA_MERGES,
-    TRAIN_OWNED_PAIRS,
-    TRAIN_CROSS_SHARD_PAIRS,
     EGES_PAIRS_TOTAL,
     EGES_TOKENS_TOTAL,
     EGES_LR,

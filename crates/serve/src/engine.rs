@@ -1,7 +1,7 @@
 //! The sharded worker-pool engine.
 //!
 //! [`ServeEngine::start`] wraps a built
-//! [`MatchingService`](sisg_core::MatchingService) in a
+//! [`MatchingService`] in a
 //! [`ServingSnapshot`] shared by the worker threads, each owning a bounded
 //! request queue and a worker-local admission-gated cold-path cache.
 //! Requests route deterministically —

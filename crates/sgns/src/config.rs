@@ -2,30 +2,6 @@
 
 use crate::sampler::WindowMode;
 
-/// Which multi-thread execution engine `threads > 1` selects
-/// (`threads == 1` always runs the exact single-threaded reference path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainEngine {
-    /// Resolve per workload (the default): partitioned when the hot-row
-    /// update density permits barrier reconciliation, atomic Hogwild for
-    /// hot-dominated corpora where it cannot — see
-    /// [`crate::resolve_engine`] and docs/PARALLELISM.md §5 for the rule
-    /// and the measurements behind it.
-    #[default]
-    Auto,
-    /// Ownership-partitioned engine (docs/PARALLELISM.md): each thread owns
-    /// a vocabulary shard and runs the non-atomic kernel path; hot top-K
-    /// rows are replicated per thread and periodically reconciled by a
-    /// trust-region-clipped delta merge (intra-process ATNS).
-    /// Deterministic for a fixed seed + thread count.
-    Partitioned,
-    /// Lock-free Hogwild over relaxed-atomic `RowPtr` rows. Immediate
-    /// write visibility makes it the right engine for hot-dominated
-    /// corpora (docs/PARALLELISM.md §5); contention-bound at high thread
-    /// counts on partitionable ones — see EXPERIMENTS.md.
-    AtomicHogwild,
-}
-
 /// Hyper-parameters of one SGNS training run.
 ///
 /// Defaults follow the paper's production settings where stated: 20
@@ -56,19 +32,8 @@ pub struct SgnsConfig {
     pub noise_exponent: f64,
     /// Seed for init, sampling and shuffling.
     pub seed: u64,
-    /// Number of training threads (1 = exact reference path).
+    /// Number of training threads (1 = exact reference path, more = Hogwild).
     pub threads: usize,
-    /// Multi-thread engine selection; ignored when `threads == 1`.
-    pub engine: TrainEngine,
-    /// Hot-set size for the partitioned engine: how many of the most
-    /// frequent rows are replicated per thread instead of owned by one.
-    /// `0` selects `OwnershipPlan::auto_hot_k` (vocab/8, min 64).
-    pub hot_set_size: usize,
-    /// Replica merge cadence of the partitioned engine: how many
-    /// reconciliation rounds to run per epoch. Higher = fresher hot rows
-    /// and smaller per-round delta sums, at the cost of more merge
-    /// overhead; docs/PARALLELISM.md §4 measures the trade-off.
-    pub replica_sync_rounds: usize,
 }
 
 impl Default for SgnsConfig {
@@ -85,9 +50,6 @@ impl Default for SgnsConfig {
             noise_exponent: 0.75,
             seed: 42,
             threads: 1,
-            engine: TrainEngine::Auto,
-            hot_set_size: 0,
-            replica_sync_rounds: 16,
         }
     }
 }
@@ -132,53 +94,29 @@ impl SgnsConfig {
         self
     }
 
-    /// Builder-style setter for the multi-thread engine.
-    pub fn with_engine(mut self, engine: TrainEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Builder-style setter for the hot-set size (0 = automatic).
-    pub fn with_hot_set_size(mut self, hot_set_size: usize) -> Self {
-        self.hot_set_size = hot_set_size;
-        self
-    }
-
-    /// Builder-style setter for the replica merge cadence.
-    pub fn with_replica_sync_rounds(mut self, rounds: usize) -> Self {
-        self.replica_sync_rounds = rounds.max(1);
-        self
-    }
-
-    /// Validates parameter ranges, returning a description of the first
-    /// problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates parameter ranges — the one rule list for SGNS
+    /// hyper-parameters. Returns the first offending `(field, reason)`.
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
         if self.dim == 0 {
-            return Err("dim must be positive".into());
+            return Err(("dim", "must be positive"));
         }
         if self.window == 0 {
-            return Err("window must be positive".into());
+            return Err(("window", "must be positive"));
         }
         if self.epochs == 0 {
-            return Err("epochs must be positive".into());
+            return Err(("epochs", "must be positive"));
         }
         if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 {
-            return Err("learning_rate must be positive".into());
+            return Err(("learning_rate", "must be positive and finite"));
         }
         if self.min_learning_rate > self.learning_rate {
-            return Err("min_learning_rate exceeds learning_rate".into());
+            return Err(("min_learning_rate", "exceeds learning_rate"));
         }
         if self.subsample < 0.0 {
-            return Err("subsample must be non-negative".into());
+            return Err(("subsample", "must be non-negative"));
         }
         if self.threads == 0 {
-            return Err("threads must be positive".into());
-        }
-        if self.threads > u16::MAX as usize {
-            return Err("threads exceeds the u16 shard-id space".into());
-        }
-        if self.replica_sync_rounds == 0 {
-            return Err("replica_sync_rounds must be positive".into());
+            return Err(("threads", "must be positive"));
         }
         Ok(())
     }
@@ -234,19 +172,5 @@ mod tests {
     #[test]
     fn with_threads_floors_at_one() {
         assert_eq!(SgnsConfig::default().with_threads(0).threads, 1);
-    }
-
-    #[test]
-    fn auto_engine_is_the_default() {
-        let c = SgnsConfig::default();
-        assert_eq!(c.engine, TrainEngine::Auto);
-        assert_eq!(c.hot_set_size, 0);
-        assert_eq!(c.replica_sync_rounds, 16);
-        assert!(SgnsConfig {
-            replica_sync_rounds: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 }

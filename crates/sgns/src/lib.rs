@@ -17,33 +17,28 @@
 //!   frequency subsampling;
 //! - [`sigmoid::SigmoidTable`] — the classic 1000-entry σ lookup table;
 //! - [`sgd`] — Algorithm 1's inner loop, written once: [`sgd::steps`] over
-//!   the [`sgd::OutputRows`] access trait (exclusive `&mut Matrix`, the
-//!   partitioned engine's cold/hot split, Hogwild `RowPtr` resolvers). The
-//!   EGES baseline and both distributed TNS engines call the same function;
+//!   the [`sgd::OutputRows`] access trait (exclusive `&mut Matrix`, Hogwild
+//!   `RowPtr` resolvers). The EGES baseline and both distributed TNS
+//!   engines call the same function;
 //! - [`trainer`] — the three entry points ([`train`], [`train_into`],
 //!   [`train_increment`]) over one run set-up (`EpochContext`) and one
-//!   learning-rate schedule ([`linear_lr`]): the single-threaded reference
-//!   path plus two parallel engines, the default ownership-partitioned one
-//!   over an [`OwnershipPlan`] (docs/PARALLELISM.md) and the legacy atomic
-//!   Hogwild path.
+//!   learning-rate schedule ([`linear_lr`]): the exact single-threaded path
+//!   at `threads == 1`, lock-free Hogwild above. Sharded training (paper
+//!   Section III) is `crates/distributed`.
 
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod noise;
-pub mod partition;
-mod partitioned;
 pub mod sampler;
 pub mod sgd;
 pub mod sigmoid;
 pub mod trainer;
 
-pub use config::{SgnsConfig, TrainEngine};
+pub use config::SgnsConfig;
 pub use noise::NoiseTable;
-pub use partition::OwnershipPlan;
 pub use sampler::{PairSampler, SubsampleTable, WindowMode};
 pub use sgd::PairScratch;
 pub use trainer::{
-    count_freqs, linear_lr, resolve_engine, train, train_increment, train_into, Sequences,
-    TrainStats,
+    count_freqs, linear_lr, train, train_increment, train_into, Sequences, TrainStats,
 };

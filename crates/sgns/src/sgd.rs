@@ -33,9 +33,8 @@
 //! (pinned by the golden-checksum test). The phases are written once, in
 //! [`steps`], over the [`OutputRows`] access trait: the Hogwild path over
 //! [`RowPtr`] (relaxed per-element atomics, sound under concurrent
-//! writers) and the exact non-atomic ones over `&mut Matrix` and
-//! [`SplitRows`], where plain-slice arithmetic lets LLVM vectorize the
-//! elementwise passes.
+//! writers) and the exact non-atomic one over `&mut Matrix`, where
+//! plain-slice arithmetic lets LLVM vectorize the elementwise passes.
 
 use crate::sigmoid::SigmoidTable;
 use sisg_corpus::TokenId;
@@ -102,15 +101,13 @@ fn step_loss(sigmoid: &SigmoidTable, f: f32, label: f32) -> f64 {
 ///
 /// - `&mut Matrix` — rows owned exclusively (`threads == 1`, EGES, a TNS
 ///   worker's shard): plain-slice kernels that vectorize;
-/// - [`SplitRows`] — the partitioned engine's cold shard + hot replica
-///   matrices, both exclusively owned by the calling worker;
 /// - any `Fn(TokenId) -> RowPtr` resolver — the Hogwild path (relaxed
 ///   per-element atomics, sound under concurrent writers); for plain SGNS
 ///   that is `output.row_ptr`, for shared-memory TNS the replica-aware
 ///   resolver.
 ///
-/// All three produce bit-identical results single-threaded (pinned by a
-/// test below).
+/// Both produce bit-identical results single-threaded (pinned by a test
+/// below).
 pub trait OutputRows {
     /// `v'_t · v` for one step token.
     fn dot(&self, t: TokenId, v: &[f32]) -> f32;
@@ -155,58 +152,6 @@ impl<'m, F: Fn(TokenId) -> RowPtr<'m>> OutputRows for F {
     #[inline]
     fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
         self(t).fused_grad_step(g, v, grad);
-    }
-}
-
-/// Where a step token's output row lives in the partitioned engine: either
-/// the worker's cold shard matrix or its hot replica matrix, by physical
-/// row index. Produced by the engine's resolver from the `OwnershipPlan`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitRow {
-    /// Row of the worker's cold (owned) shard matrix.
-    Cold(usize),
-    /// Row of the worker's hot replica matrix.
-    Hot(usize),
-}
-
-/// A worker's output rows split across two matrices (its cold shard and
-/// its hot replica bank), addressed through `resolve`. Still zero atomics:
-/// both matrices are exclusively owned by the calling worker.
-pub struct SplitRows<'a, F> {
-    /// The worker's cold (owned) shard matrix.
-    pub cold: &'a mut Matrix,
-    /// The worker's hot replica matrix.
-    pub hot: &'a mut Matrix,
-    /// Step token → physical row.
-    pub resolve: F,
-}
-
-impl<F: Fn(TokenId) -> SplitRow> SplitRows<'_, F> {
-    #[inline]
-    fn row(&self, t: TokenId) -> &[f32] {
-        match (self.resolve)(t) {
-            SplitRow::Cold(i) => self.cold.row(i),
-            SplitRow::Hot(i) => self.hot.row(i),
-        }
-    }
-}
-
-impl<F: Fn(TokenId) -> SplitRow> OutputRows for SplitRows<'_, F> {
-    #[inline]
-    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
-        kernels::dot_ordered(self.row(t), v)
-    }
-    #[inline]
-    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
-        kernels::dot_ordered_x4([self.row(a), self.row(b), self.row(c), self.row(d)], v)
-    }
-    #[inline]
-    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
-        let vp = match (self.resolve)(t) {
-            SplitRow::Cold(i) => self.cold.row_mut(i),
-            SplitRow::Hot(i) => self.hot.row_mut(i),
-        };
-        kernels::fused_step(g, v, vp, grad);
     }
 }
 
@@ -259,7 +204,7 @@ pub fn steps<R: OutputRows + ?Sized>(
 /// updating the same row with both labels in one step would cancel the
 /// signal).
 #[inline]
-pub(crate) fn build_kept(kept: &mut Vec<TokenId>, context: TokenId, negatives: &[TokenId]) {
+fn build_kept(kept: &mut Vec<TokenId>, context: TokenId, negatives: &[TokenId]) {
     kept.clear();
     kept.push(context);
     for &neg in negatives {
@@ -522,9 +467,8 @@ mod tests {
         }
     }
 
-    /// [`steps`] over all three [`OutputRows`] impls — one `&mut Matrix`,
-    /// the same rows split across a cold shard and a hot replica matrix,
-    /// and a `RowPtr` resolver — must not differ in a single bit.
+    /// [`steps`] over both [`OutputRows`] impls — `&mut Matrix` and a
+    /// `RowPtr` resolver — must not differ in a single bit.
     #[test]
     fn steps_are_bit_identical_over_every_row_access_path() {
         // Same negative-set shapes as the hogwild/mut parity test: batch,
@@ -535,63 +479,45 @@ mod tests {
             &[TokenId(2), TokenId(3), TokenId(4), TokenId(5)],
             &[TokenId(2), TokenId(3), TokenId(2), TokenId(4), TokenId(5)],
         ];
-        // Rows 1, 3, 5 are "hot" (replica slots 0, 1, 2), the rest cold.
-        let resolve = |t: TokenId| -> SplitRow {
-            if t.index() % 2 == 1 {
-                SplitRow::Hot(t.index() / 2)
-            } else {
-                SplitRow::Cold(t.index() / 2)
-            }
-        };
         for (case, negatives) in neg_sets.iter().enumerate() {
             for dim in [4usize, 7, 8] {
                 let mut output_m = Matrix::uniform_init(6, dim, 31);
                 let output_h = output_m.clone();
-                let mut cold = Matrix::zeros(3, dim);
-                let mut hot = Matrix::zeros(3, dim);
-                for r in 0..6 {
-                    let dst = match resolve(TokenId(r as u32)) {
-                        SplitRow::Cold(i) => cold.row_mut(i),
-                        SplitRow::Hot(i) => hot.row_mut(i),
-                    };
-                    dst.copy_from_slice(output_m.row(r));
-                }
                 let input = Matrix::uniform_init(6, dim, 32);
                 let sig = SigmoidTable::new();
                 let v = input.row(0).to_vec();
-                let mut grads = [vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]];
+                let (mut grad_m, mut grad_h) = (vec![0.0f32; dim], vec![0.0f32; dim]);
                 let mut scores = Vec::new();
                 let mut kept = Vec::new();
                 build_kept(&mut kept, TokenId(1), negatives);
 
-                let mut losses = [0.0f64; 3];
+                let (mut loss_m, mut loss_h) = (0.0f64, 0.0f64);
                 for _ in 0..5 {
-                    let [grad_m, grad_s, grad_h] = &mut grads;
-                    losses[0] += steps(&mut output_m, &kept, &v, 0.07, &sig, grad_m, &mut scores);
-                    let mut split = SplitRows {
-                        cold: &mut cold,
-                        hot: &mut hot,
-                        resolve,
-                    };
-                    losses[1] += steps(&mut split, &kept, &v, 0.07, &sig, grad_s, &mut scores);
+                    loss_m += steps(
+                        &mut output_m,
+                        &kept,
+                        &v,
+                        0.07,
+                        &sig,
+                        &mut grad_m,
+                        &mut scores,
+                    );
                     let mut hogwild = |t: TokenId| output_h.row_ptr(t.index());
-                    losses[2] += steps(&mut hogwild, &kept, &v, 0.07, &sig, grad_h, &mut scores);
+                    loss_h += steps(
+                        &mut hogwild,
+                        &kept,
+                        &v,
+                        0.07,
+                        &sig,
+                        &mut grad_h,
+                        &mut scores,
+                    );
                 }
                 let bits = |s: &[f32]| -> Vec<u32> { s.iter().map(|v| v.to_bits()).collect() };
-                for path in 1..3 {
-                    let at = format!("case {case} dim {dim} path {path}");
-                    assert_eq!(losses[0].to_bits(), losses[path].to_bits(), "{at}");
-                    assert_eq!(bits(&grads[0]), bits(&grads[path]), "{at}");
-                }
-                for r in 0..6 {
-                    let split = match resolve(TokenId(r as u32)) {
-                        SplitRow::Cold(i) => cold.row(i),
-                        SplitRow::Hot(i) => hot.row(i),
-                    };
-                    let at = format!("case {case} dim {dim} row {r}");
-                    assert_eq!(bits(output_m.row(r)), bits(split), "{at}");
-                    assert_eq!(bits(output_m.row(r)), bits(output_h.row(r)), "{at}");
-                }
+                let at = format!("case {case} dim {dim}");
+                assert_eq!(loss_m.to_bits(), loss_h.to_bits(), "{at}");
+                assert_eq!(bits(&grad_m), bits(&grad_h), "{at}");
+                assert_eq!(bits(output_m.as_slice()), bits(output_h.as_slice()), "{at}");
             }
         }
     }

@@ -1,19 +1,17 @@
-//! Training drivers: a single-threaded reference path and two parallel
-//! engines — the ownership-partitioned one (`crate::partitioned`,
-//! docs/PARALLELISM.md) and atomic Hogwild — selected per workload by
-//! [`resolve_engine`] when [`SgnsConfig::engine`](crate::config::TrainEngine)
-//! is `Auto` (the default).
+//! Training drivers: the exact single-threaded path (`threads <= 1`) and
+//! lock-free Hogwild over relaxed-atomic `RowPtr` rows (`threads > 1`).
+//! Sharded training — vocabulary partitions, hot-row replicas, barrier
+//! reconciliation (paper Section III) — lives in `crates/distributed`.
 //!
 //! All drivers consume any [`Sequences`] source — enriched SISG sequences,
 //! plain item sequences, or EGES random-walk corpora — and produce an
 //! [`EmbeddingStore`]. Learning rate decays linearly with processed-token
 //! progress, exactly as in word2vec ([`linear_lr`]); the tables and the
-//! schedule every engine shares are built once, in `EpochContext::new`.
+//! schedule both paths share are built once, in `EpochContext::new`.
 
-use crate::config::{SgnsConfig, TrainEngine};
+use crate::config::SgnsConfig;
 use crate::noise::NoiseTable;
-use crate::partition::OwnershipPlan;
-use crate::sampler::{PairSampler, SubsampleTable, WindowMode};
+use crate::sampler::{PairSampler, SubsampleTable};
 use crate::sgd::{train_pair, train_pair_mut, PairScratch};
 use crate::sigmoid::SigmoidTable;
 use rand::rngs::StdRng;
@@ -109,20 +107,20 @@ impl TrainStats {
 /// driver flushes them to the obs registry once per epoch per thread, so
 /// instrumentation costs nothing inside the pair loop.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ChunkStats {
-    pub(crate) pairs: u64,
+struct ChunkStats {
+    pairs: u64,
     /// Tokens surviving subsampling.
-    pub(crate) tokens: u64,
+    tokens: u64,
     /// Tokens seen before subsampling.
-    pub(crate) raw_tokens: u64,
-    pub(crate) loss_sum: f64,
-    pub(crate) loss_count: u64,
+    raw_tokens: u64,
+    loss_sum: f64,
+    loss_count: u64,
     /// Effective (decayed) learning rate at the last trained pair.
-    pub(crate) last_lr: f32,
+    last_lr: f32,
 }
 
 impl ChunkStats {
-    pub(crate) fn merge(&mut self, o: &ChunkStats) {
+    fn merge(&mut self, o: &ChunkStats) {
         self.pairs += o.pairs;
         self.tokens += o.tokens;
         self.raw_tokens += o.raw_tokens;
@@ -131,7 +129,7 @@ impl ChunkStats {
         self.last_lr = o.last_lr;
     }
 
-    pub(crate) fn avg_loss(&self) -> f64 {
+    fn avg_loss(&self) -> f64 {
         if self.loss_count > 0 {
             self.loss_sum / self.loss_count as f64
         } else {
@@ -141,7 +139,7 @@ impl ChunkStats {
 
     /// Closes a run: the totals as [`TrainStats`], with the end-of-run
     /// throughput gauges published.
-    pub(crate) fn finish(&self, seconds: f64) -> TrainStats {
+    fn finish(&self, seconds: f64) -> TrainStats {
         let stats = TrainStats {
             pairs: self.pairs,
             tokens: self.tokens,
@@ -159,7 +157,7 @@ impl ChunkStats {
     }
 
     /// Publishes this chunk's deltas to the global registry.
-    pub(crate) fn flush_to_obs(&self) {
+    fn flush_to_obs(&self) {
         let m = sgns_metrics();
         m.pairs.add(self.pairs);
         m.tokens.add(self.tokens);
@@ -220,9 +218,8 @@ pub fn count_freqs<S: Sequences + ?Sized>(seqs: &S, n_tokens: usize) -> Vec<u64>
 /// Trains SGNS embeddings over `seqs` with vocabulary size `n_tokens`.
 ///
 /// With `config.threads == 1` this is the exact, deterministic reference
-/// path; larger thread counts switch to the engine selected by
-/// `config.engine` — per-workload auto-selection by default
-/// ([`resolve_engine`]), with both engines explicitly pinnable.
+/// path; larger thread counts run lock-free Hogwild over the shared
+/// matrices (not bit-reproducible: threads race on rows).
 ///
 /// ```
 /// use sisg_corpus::TokenId;
@@ -274,16 +271,6 @@ pub fn train_into<S: Sequences + ?Sized>(
         return (store, TrainStats::default());
     }
     let ctx = EpochContext::new(freqs, config, seqs.total_tokens());
-    if config.threads > 1 && resolve_engine(freqs, config) == TrainEngine::Partitioned {
-        let hot_k = if config.hot_set_size == 0 {
-            OwnershipPlan::auto_hot_k(freqs.len())
-        } else {
-            config.hot_set_size
-        };
-        let plan = OwnershipPlan::balanced_by_frequency(freqs, config.threads, hot_k);
-        return crate::partitioned::train_partitioned_into(seqs, freqs, &ctx, store, &plan);
-    }
-    let noise = NoiseTable::from_freqs(freqs, config.noise_exponent);
     let n = seqs.n_sequences();
     let span = sisg_obs::span(names::SGNS_TRAIN_SPAN);
     let total = if config.threads <= 1 {
@@ -295,7 +282,6 @@ pub fn train_into<S: Sequences + ?Sized>(
             seqs,
             0..n,
             &ctx,
-            &noise,
             config.seed ^ 0x7124,
             |target, context, negatives, lr, scratch| {
                 train_pair_mut(
@@ -316,7 +302,7 @@ pub fn train_into<S: Sequences + ?Sized>(
         let threads = config.threads.min(n.max(1));
         let chunk = n.div_ceil(threads);
         let (input, output) = (store.input_matrix(), store.output_matrix());
-        let (ctx, noise) = (&ctx, &noise);
+        let ctx = &ctx;
         let mut total = ChunkStats::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
@@ -328,7 +314,6 @@ pub fn train_into<S: Sequences + ?Sized>(
                             seqs,
                             range,
                             ctx,
-                            noise,
                             seed,
                             |target, context, negatives, lr, scratch| {
                                 train_pair(
@@ -377,10 +362,8 @@ pub fn train_into<S: Sequences + ?Sized>(
 ///   zero, is a no-op returning zeroed stats — never a panic (a from-
 ///   scratch build would have nothing to train either).
 ///
-/// Engine selection respects [`TrainEngine::Auto`](crate::config::TrainEngine)
-/// through [`resolve_engine`], like every batch path; `threads <= 1` takes
-/// the exact single-threaded kernel so a seeded stream replays
-/// bit-identically.
+/// `threads <= 1` takes the exact single-threaded kernel, so a seeded
+/// stream replays bit-identically.
 ///
 /// # Panics
 /// Like [`train_into`]: when the store's token count differs from
@@ -401,72 +384,6 @@ pub fn train_increment<S: Sequences + ?Sized>(
     train_into(seqs, freqs, &flat, store)
 }
 
-/// Above this many expected updates on the single hottest row per thread
-/// per merge round, `TrainEngine::Auto` picks Hogwild over the partitioned
-/// engine: per-round summed deltas on such rows are dominated by the
-/// correlated systematic gradient component, so every merge overshoots
-/// into the trust-region clip and the hot head advances at the bounded
-/// clip rate instead of its true gradient rate — Hogwild's
-/// immediately-visible writes have no such bound. Calibrated on the
-/// offline corpus family: partitioned-healthy workloads measure ≤ ~50,
-/// the frequency-enriched ones that need Hogwild measure ≥ ~2500
-/// (docs/PARALLELISM.md §5).
-const HOT_ROW_ROUND_UPDATE_LIMIT: f64 = 256.0;
-
-/// Expected post-subsampling updates on the single hottest row per thread
-/// per merge round — the statistic [`resolve_engine`] thresholds.
-fn hottest_row_round_updates(freqs: &[u64], config: &SgnsConfig) -> f64 {
-    let subsample = SubsampleTable::new(freqs, config.subsample);
-    let max_kept = freqs
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| c as f64 * subsample.keep_prob(TokenId(i as u32)) as f64)
-        .fold(0.0f64, f64::max);
-    // A kept occurrence contributes ~2·window row updates (input side as
-    // target, output side as context); constants beyond that are absorbed
-    // by the threshold.
-    max_kept * 2.0 * config.window as f64
-        / (config.replica_sync_rounds.max(1) as f64 * config.threads as f64)
-}
-
-/// Resolves [`TrainEngine::Auto`] against a concrete workload: returns the
-/// engine `threads > 1` training will actually run (never `Auto`).
-/// Explicit engine choices pass through untouched.
-///
-/// Two rules, both measured on the offline corpus family
-/// (docs/PARALLELISM.md §5):
-///
-/// 1. **Hot-row density** — partitioned unless the hottest row's expected
-///    update density per thread per merge round exceeds
-///    [`HOT_ROW_ROUND_UPDATE_LIMIT`]; hot-dominated corpora (tiny
-///    vocabularies, frequency-enriched side information) need Hogwild's
-///    immediate write visibility, while partitionable corpora get the
-///    deterministic non-atomic engine.
-/// 2. **Directional windows** — directional training retrieves by
-///    `input · output`, which leans on exactly the output rows the
-///    partitioned engine trains only against owner-local negative draws;
-///    the measured deficit is well outside the quality band (HR@10 0.16
-///    vs Hogwild's 0.29 on the directional offline variant) even though
-///    the density statistic looks healthy, so Auto routes directional
-///    workloads to Hogwild.
-///
-/// Pure function of `(freqs, config)`, so the choice is reproducible for a
-/// fixed corpus.
-pub fn resolve_engine(freqs: &[u64], config: &SgnsConfig) -> TrainEngine {
-    match config.engine {
-        TrainEngine::Auto => {
-            if config.window_mode == WindowMode::RightOnly
-                || hottest_row_round_updates(freqs, config) > HOT_ROW_ROUND_UPDATE_LIMIT
-            {
-                TrainEngine::AtomicHogwild
-            } else {
-                TrainEngine::Partitioned
-            }
-        }
-        explicit => explicit,
-    }
-}
-
 /// The word2vec learning-rate schedule, shared by every trainer in the
 /// workspace: linear decay from `learning_rate` by progress `done / total`
 /// (tokens or pairs, whichever the caller counts), clamped at
@@ -477,28 +394,27 @@ pub fn linear_lr(learning_rate: f32, min_learning_rate: f32, done: u64, total: u
     (learning_rate as f64 * (1.0 - frac)).max(min_learning_rate as f64) as f32
 }
 
-/// What every engine needs for a run and none of them mutates: the tables
-/// built from the corpus frequencies plus the learning-rate schedule.
-/// (The noise table is not here: single-thread and Hogwild training draw
-/// from one global table, the partitioned engine from per-shard ones.)
-pub(crate) struct EpochContext<'a> {
-    pub(crate) config: &'a SgnsConfig,
-    pub(crate) subsample: SubsampleTable,
-    pub(crate) sampler: PairSampler,
-    pub(crate) sigmoid: SigmoidTable,
+/// What a run needs and no worker mutates: the tables built from the
+/// corpus frequencies plus the learning-rate schedule.
+struct EpochContext<'a> {
+    config: &'a SgnsConfig,
+    subsample: SubsampleTable,
+    noise: NoiseTable,
+    sampler: PairSampler,
+    sigmoid: SigmoidTable,
     /// Corpus tokens per epoch; the schedule runs over `epochs ×` this.
-    pub(crate) total_tokens: u64,
+    total_tokens: u64,
     /// Tokens handed out so far, across threads and epochs — the decay's
-    /// numerator for the engines that count as they go (the partitioned
-    /// engine derives its progress from prefix sums instead).
+    /// numerator.
     progress: AtomicU64,
 }
 
 impl<'a> EpochContext<'a> {
-    pub(crate) fn new(freqs: &[u64], config: &'a SgnsConfig, total_tokens: u64) -> Self {
+    fn new(freqs: &[u64], config: &'a SgnsConfig, total_tokens: u64) -> Self {
         Self {
             config,
             subsample: SubsampleTable::new(freqs, config.subsample),
+            noise: NoiseTable::from_freqs(freqs, config.noise_exponent),
             sampler: PairSampler {
                 window: config.window,
                 mode: config.window_mode,
@@ -511,7 +427,7 @@ impl<'a> EpochContext<'a> {
     }
 
     /// Learning rate after `done` tokens of the whole run.
-    pub(crate) fn lr(&self, done: u64) -> f32 {
+    fn lr(&self, done: u64) -> f32 {
         linear_lr(
             self.config.learning_rate,
             self.config.min_learning_rate,
@@ -524,17 +440,17 @@ impl<'a> EpochContext<'a> {
 /// Per-worker reusable buffers of the chunk loop: allocated once per
 /// thread, reused across every sequence and epoch — the hot loop itself
 /// never allocates.
-pub(crate) struct ChunkBuffers {
-    pub(crate) filtered: Vec<TokenId>,
-    pub(crate) negatives: Vec<TokenId>,
+struct ChunkBuffers {
+    filtered: Vec<TokenId>,
+    negatives: Vec<TokenId>,
     /// `for_each_pair` needs the rng; pairs are drawn into this buffer
     /// first to keep a single mutable borrow of rng at a time.
-    pub(crate) pair_buf: Vec<(TokenId, TokenId)>,
-    pub(crate) scratch: PairScratch,
+    pair_buf: Vec<(TokenId, TokenId)>,
+    scratch: PairScratch,
 }
 
 impl ChunkBuffers {
-    pub(crate) fn new(dim: usize, negatives: usize) -> Self {
+    fn new(dim: usize, negatives: usize) -> Self {
         Self {
             filtered: Vec::with_capacity(64),
             negatives: Vec::with_capacity(negatives),
@@ -553,7 +469,6 @@ fn run_epochs<S, F>(
     seqs: &S,
     range: std::ops::Range<usize>,
     ctx: &EpochContext<'_>,
-    noise: &NoiseTable,
     seed: u64,
     mut pair_fn: F,
 ) -> ChunkStats
@@ -582,7 +497,8 @@ where
                 .pairs_into(&buf.filtered, &mut rng, &mut buf.pair_buf);
             for idx in 0..buf.pair_buf.len() {
                 let (target, context) = buf.pair_buf[idx];
-                noise.sample_into(&mut buf.negatives, config.negatives, &mut rng);
+                ctx.noise
+                    .sample_into(&mut buf.negatives, config.negatives, &mut rng);
                 let loss = pair_fn(target, context, &buf.negatives, lr, &mut buf.scratch);
                 stats.pairs += 1;
                 stats.loss_sum += loss;
@@ -598,6 +514,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::WindowMode;
     use sisg_embedding::math::cosine;
 
     /// Two "topics" of tokens; sequences stay within a topic. Embeddings
@@ -704,25 +621,28 @@ mod tests {
     #[test]
     fn warm_start_converges_faster() {
         let seqs = topic_corpus(9);
-        let mut cfg = small_config();
-        cfg.epochs = 3;
-        let (warm_store, _) = train(&seqs, 20, &cfg);
-        // One extra epoch, warm vs cold.
-        let one_epoch = SgnsConfig {
-            epochs: 1,
-            learning_rate: 0.01,
-            ..small_config()
-        };
         let freqs = count_freqs(&seqs, 20);
-        let (_, warm_stats) = train_into(&seqs, &freqs, &one_epoch, warm_store);
-        let cold_store = EmbeddingStore::new(20, one_epoch.dim, one_epoch.seed);
-        let (_, cold_stats) = train_into(&seqs, &freqs, &one_epoch, cold_store);
-        assert!(
-            warm_stats.avg_loss < cold_stats.avg_loss,
-            "warm start should sit at lower loss: {} vs {}",
-            warm_stats.avg_loss,
-            cold_stats.avg_loss
-        );
+        // The exact path and Hogwild both continue from the store.
+        for threads in [1, 2] {
+            let mut cfg = small_config().with_threads(threads);
+            cfg.epochs = 3;
+            let (warm_store, _) = train(&seqs, 20, &cfg);
+            // One extra epoch, warm vs cold.
+            let one_epoch = SgnsConfig {
+                epochs: 1,
+                learning_rate: 0.01,
+                ..small_config().with_threads(threads)
+            };
+            let (_, warm_stats) = train_into(&seqs, &freqs, &one_epoch, warm_store);
+            let cold_store = EmbeddingStore::new(20, one_epoch.dim, one_epoch.seed);
+            let (_, cold_stats) = train_into(&seqs, &freqs, &one_epoch, cold_store);
+            assert!(
+                warm_stats.avg_loss < cold_stats.avg_loss,
+                "warm start should sit at lower loss at {threads} threads: {} vs {}",
+                warm_stats.avg_loss,
+                cold_stats.avg_loss
+            );
+        }
     }
 
     #[test]
@@ -822,53 +742,5 @@ mod tests {
         // total == 0 counts as one unit: no NaN, start value then floor.
         assert_eq!(lr(0, 0), 0.025);
         assert_eq!(lr(1, 0), 0.0001);
-    }
-
-    #[test]
-    fn resolve_engine_passes_explicit_choices_through() {
-        let freqs = vec![100u64; 8];
-        let cfg = small_config();
-        for engine in [TrainEngine::Partitioned, TrainEngine::AtomicHogwild] {
-            assert_eq!(
-                resolve_engine(&freqs, &cfg.clone().with_engine(engine)),
-                engine
-            );
-        }
-    }
-
-    #[test]
-    fn resolve_engine_picks_partitioned_for_flat_corpora() {
-        // Flat frequency profile, generous vocabulary: the hottest row sees
-        // few updates per thread per round — the partitionable regime.
-        let freqs = vec![50u64; 1000];
-        let cfg = small_config()
-            .with_engine(TrainEngine::Auto)
-            .with_threads(4);
-        assert_eq!(resolve_engine(&freqs, &cfg), TrainEngine::Partitioned);
-    }
-
-    #[test]
-    fn resolve_engine_picks_hogwild_for_hot_dominated_corpora() {
-        // One super-hot token dominating a tiny vocabulary (the
-        // frequency-enriched regime): density on the hot row far exceeds
-        // the per-round limit even after subsampling.
-        let mut freqs = vec![10u64; 8];
-        freqs[0] = 10_000_000;
-        let cfg = small_config()
-            .with_engine(TrainEngine::Auto)
-            .with_threads(4);
-        assert_eq!(resolve_engine(&freqs, &cfg), TrainEngine::AtomicHogwild);
-    }
-
-    #[test]
-    fn resolve_engine_picks_hogwild_for_directional_windows() {
-        // Directional retrieval scores input·output — routed to Hogwild
-        // regardless of density (see resolve_engine docs).
-        let freqs = vec![50u64; 1000];
-        let cfg = small_config()
-            .with_engine(TrainEngine::Auto)
-            .with_threads(4)
-            .with_window_mode(WindowMode::RightOnly);
-        assert_eq!(resolve_engine(&freqs, &cfg), TrainEngine::AtomicHogwild);
     }
 }

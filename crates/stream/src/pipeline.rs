@@ -85,7 +85,9 @@ impl StreamConfig {
             });
         }
         self.serving.validate()?;
-        self.sgns.validate().map_err(StreamError::Sgns)
+        self.sgns
+            .validate()
+            .map_err(|(field, reason)| StreamError::Sgns(format!("{field} {reason}")))
     }
 }
 
@@ -340,31 +342,44 @@ impl IngestPipeline {
         Ok(epoch)
     }
 
-    /// Replays the full log under its **virtual clock**: single-threaded,
-    /// deterministic, bit-reproducible. Publishes every
-    /// `publish_every` batches and once more at the end so the final
-    /// events are always servable.
+    /// The publish cadence, written once for both drivers: folds every
+    /// batch, publishes every `publish_every` batches and once more at the
+    /// end (if anything is pending or nothing was ever published) so the
+    /// final events are always servable. `now` maps the latest event time
+    /// folded so far to the clock reading a publication is stamped with.
+    fn drive<B: AsRef<[SessionEvent]>>(
+        &mut self,
+        batches: impl Iterator<Item = B>,
+        engine: &ServeEngine,
+        now: impl Fn(u64) -> u64,
+    ) -> Result<ReplayOutcome, StreamError> {
+        let mut last_event = 0u64;
+        let mut since_publish = 0usize;
+        let mut final_epoch = engine.epoch();
+        for batch in batches {
+            let batch = batch.as_ref();
+            last_event = batch.last().map_or(last_event, |e| e.time);
+            self.ingest_batch(batch)?;
+            since_publish += 1;
+            if since_publish == self.config.publish_every {
+                final_epoch = self.publish(engine, now(last_event))?;
+                since_publish = 0;
+            }
+        }
+        if since_publish > 0 || self.publishes == 0 {
+            final_epoch = self.publish(engine, now(last_event))?;
+        }
+        Ok(self.outcome(final_epoch))
+    }
+
+    /// Replays the full log under its **virtual clock** (the event
+    /// times): single-threaded, deterministic, bit-reproducible.
     pub fn run_replay(
         &mut self,
         log: &EventLog,
         engine: &ServeEngine,
     ) -> Result<ReplayOutcome, StreamError> {
-        let mut now = 0u64;
-        let mut since_publish = 0usize;
-        let mut final_epoch = engine.epoch();
-        for batch in log.batches(self.config.batch_sessions) {
-            now = batch.last().map_or(now, |e| e.time);
-            self.ingest_batch(batch)?;
-            since_publish += 1;
-            if since_publish == self.config.publish_every {
-                final_epoch = self.publish(engine, now)?;
-                since_publish = 0;
-            }
-        }
-        if since_publish > 0 || self.publishes == 0 {
-            final_epoch = self.publish(engine, now)?;
-        }
-        Ok(self.outcome(final_epoch))
+        self.drive(log.batches(self.config.batch_sessions), engine, |t| t)
     }
 
     /// Drives the same pipeline in **real-thread mode**: a producer thread
@@ -380,10 +395,7 @@ impl IngestPipeline {
     ) -> Result<ReplayOutcome, StreamError> {
         let watch = Stopwatch::start();
         let batch_sessions = self.config.batch_sessions;
-        let publish_every = self.config.publish_every;
         let (tx, rx) = crossbeam::channel::bounded::<Vec<SessionEvent>>(4);
-        let mut final_epoch = engine.epoch();
-        let mut fold_error: Option<StreamError> = None;
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for batch in log.batches(batch_sessions) {
@@ -401,35 +413,11 @@ impl IngestPipeline {
                     }
                 }
             });
-            let mut since_publish = 0usize;
-            while let Ok(batch) = rx.recv() {
-                if let Err(e) = self.ingest_batch(&batch) {
-                    fold_error = Some(e);
-                    break;
-                }
-                since_publish += 1;
-                if since_publish == publish_every {
-                    match self.publish(engine, elapsed_us(&watch)) {
-                        Ok(epoch) => final_epoch = epoch,
-                        Err(e) => {
-                            fold_error = Some(e);
-                            break;
-                        }
-                    }
-                    since_publish = 0;
-                }
-            }
-            if fold_error.is_none() && (since_publish > 0 || self.publishes == 0) {
-                match self.publish(engine, elapsed_us(&watch)) {
-                    Ok(epoch) => final_epoch = epoch,
-                    Err(e) => fold_error = Some(e),
-                }
-            }
-        });
-        match fold_error {
-            Some(e) => Err(e),
-            None => Ok(self.outcome(final_epoch)),
-        }
+            // The iterator owns the receiver: an early error return drops
+            // it, which unblocks the producer so the scope can join.
+            let received = std::iter::from_fn(move || rx.recv().ok());
+            self.drive(received, engine, |_| elapsed_us(&watch))
+        })
     }
 
     /// Enriches a session batch through the same SI path as offline

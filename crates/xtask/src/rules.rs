@@ -60,8 +60,8 @@ pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: 6,
         name: "kernel-path",
-        scope: "crates/sgns, crates/eges, embedding/{quant,replica}.rs, non-test",
-        summary: "per-element `RowPtr` accessors banned in training crates and the replica-merge path; hot loops use the DESIGN.md §8 kernels",
+        scope: "crates/sgns, crates/eges, embedding/quant.rs, stream/pipeline.rs, non-test",
+        summary: "per-element `RowPtr` accessors banned in training crates and their hot-path support files; hot loops use the DESIGN.md §8 kernels",
     },
     RuleInfo {
         id: 7,
@@ -163,14 +163,12 @@ pub const PANIC_FREE_FILES: &[&str] = &[
 const KERNEL_PATH_CRATES: &[&str] = &["crates/sgns", "crates/eges"];
 
 /// Individual files under the same kernel-path rule: support code of hot
-/// paths that lives outside the kernel-path crates. Replica merges run
-/// once per round over every hot row (docs/PARALLELISM.md), the
-/// quantized store is scored on every cold-path ANN hop (DESIGN.md §11),
-/// and the streaming pipeline folds an incremental train step per ingest
-/// batch (DESIGN.md §12), so all three stay on the slice kernels too.
+/// paths that lives outside the kernel-path crates. The quantized store
+/// is scored on every cold-path ANN hop (DESIGN.md §11) and the streaming
+/// pipeline folds an incremental train step per ingest batch (DESIGN.md
+/// §12), so both stay on the slice kernels too.
 pub const KERNEL_PATH_FILES: &[&str] = &[
     "crates/embedding/src/quant.rs",
-    "crates/embedding/src/replica.rs",
     "crates/stream/src/pipeline.rs",
 ];
 
@@ -1252,8 +1250,8 @@ mod tests {
 
     #[test]
     fn kernel_path_file_list_points_at_real_files() {
-        // Same anchoring for rule 6's file-scoped entries: a moved
-        // replica-merge file must not silently escape the kernel-path ban.
+        // Same anchoring for rule 6's file-scoped entries: a moved file
+        // must not silently escape the kernel-path ban.
         let root = crate::workspace_root();
         for f in KERNEL_PATH_FILES {
             assert!(

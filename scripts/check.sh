@@ -17,6 +17,9 @@ cargo fmt --all -- --check
 step clippy "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+step rustdoc "cargo doc -D warnings (broken and ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 step xtask-lint
 cargo run -p xtask --quiet -- lint
 
