@@ -7,8 +7,8 @@
 
 use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
-use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
-use sisg_distributed::DistConfig;
+use sisg_distributed::runtime::PartitionStrategy;
+use sisg_distributed::{DistConfig, TrainingPipeline};
 use sisg_eval::ExperimentTable;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
             strategy: PartitionStrategy::Hbgp { beta: 1.2 },
             ..Default::default()
         };
-        let (_, r) = train_distributed_on(&corpus, EnrichOptions::FULL, &cfg);
+        let (_, r) = TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, cfg).train();
         table.push_row(vec![
             hot.to_string(),
             format!("{:.4}", r.remote_fraction()),

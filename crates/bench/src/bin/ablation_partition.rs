@@ -7,8 +7,8 @@
 
 use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
-use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
-use sisg_distributed::DistConfig;
+use sisg_distributed::runtime::PartitionStrategy;
+use sisg_distributed::{DistConfig, TrainingPipeline};
 use sisg_eval::ExperimentTable;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
             strategy,
             ..Default::default()
         };
-        let (_, r) = train_distributed_on(&corpus, EnrichOptions::FULL, &cfg);
+        let (_, r) = TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, cfg).train();
         table.push_row(vec![
             label.into(),
             format!("{:.4}", r.cut_fraction),

@@ -11,8 +11,8 @@
 
 use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
-use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
-use sisg_distributed::{ClusterCostModel, DistConfig};
+use sisg_distributed::runtime::PartitionStrategy;
+use sisg_distributed::{ClusterCostModel, DistConfig, TrainingPipeline};
 use sisg_eval::ExperimentTable;
 
 fn main() {
@@ -64,7 +64,7 @@ fn main() {
             workers: w,
             ..base.clone()
         };
-        let (_, report) = train_distributed_on(&corpus, EnrichOptions::FULL, &cfg);
+        let (_, report) = TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, cfg).train();
         if w == 1 {
             // Calibrate compute cost from the genuinely-measured run.
             model.seconds_per_pair = report.seconds / report.total_pairs().max(1) as f64;

@@ -6,8 +6,8 @@
 
 use sisg_bench::{env_u64, env_usize};
 use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
-use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
-use sisg_distributed::{ClusterCostModel, DistConfig};
+use sisg_distributed::runtime::PartitionStrategy;
+use sisg_distributed::{ClusterCostModel, DistConfig, TrainingPipeline};
 use sisg_eval::ExperimentTable;
 
 fn main() {
@@ -45,7 +45,8 @@ fn main() {
     let mut calibrated = false;
     for &items in &scales {
         let corpus = GeneratedCorpus::generate(CorpusConfig::scaled(items, seed));
-        let (_, report) = train_distributed_on(&corpus, EnrichOptions::FULL, &base);
+        let (_, report) =
+            TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, base.clone()).train();
         if !calibrated {
             // Per-pair compute cost from the first (smallest) run; on one
             // physical core, wall seconds / total pairs is the per-worker

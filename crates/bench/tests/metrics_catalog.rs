@@ -4,19 +4,17 @@
 //! by a real workload.
 //!
 //! One test drives each instrumented layer on a tiny corpus — SGNS and
-//! EGES training, the shared-memory and message-passing distributed
-//! runtimes, warm/cold/cold-user serving, HNSW search, and the recall
-//! harness — then snapshots the process-wide registry and reconciles it
-//! against the declared catalog and the documentation, in both directions.
-//!
-//! The declared-⊆-documented check always runs; the emission checks skip
-//! when sisg-obs was built with recording compiled out.
+//! EGES training, the shared-memory distributed runtime and the simulated
+//! message-passing protocol, warm/cold/cold-user serving, HNSW search, and
+//! the recall harness — then snapshots the process-wide registry and
+//! reconciles it against the declared catalog and the documentation, in
+//! both directions.
 
 use sisg_ann::{recall_at_k, AnnIndex, HnswConfig, HnswIndex};
 use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
-use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, EventLog, GeneratedCorpus, ItemId};
-use sisg_distributed::runtime::{train_distributed_on, PartitionStrategy};
-use sisg_distributed::{train_distributed_channels, CrashSpec, DistConfig, FaultPlan};
+use sisg_corpus::{CorpusConfig, EnrichOptions, EventLog, GeneratedCorpus, ItemId};
+use sisg_distributed::runtime::PartitionStrategy;
+use sisg_distributed::{CrashSpec, DistConfig, FaultPlan, TrainingPipeline};
 use sisg_eges::{EgesConfig, EgesModel, WalkConfig};
 use sisg_embedding::Matrix;
 use sisg_obs::{names, registry};
@@ -229,8 +227,8 @@ fn exercise_every_layer() -> GeneratedCorpus {
         },
     );
 
-    // Both distributed runtimes; a tiny sync interval forces ATNS rounds
-    // so the sync span records.
+    // The distributed runtime; a tiny sync interval forces ATNS rounds so
+    // the sync span records.
     let dist = DistConfig {
         workers: 2,
         dim: 8,
@@ -242,13 +240,14 @@ fn exercise_every_layer() -> GeneratedCorpus {
         strategy: PartitionStrategy::Hash,
         ..Default::default()
     };
-    train_distributed_on(&corpus, EnrichOptions::FULL, &dist);
-    let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::FULL);
-    train_distributed_channels(&enriched, &corpus.sessions, &corpus.catalog, &dist);
+    let pipeline = TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, dist.clone());
+    pipeline.train();
+    let enriched = &pipeline.enriched;
 
-    // The fault layer: a simulated cluster under message loss plus one
-    // crash, so the retry, dedup, fault-injection, and recovery counters
-    // all record from a genuine fault path.
+    // The message-passing protocol and its fault layer: a simulated
+    // cluster under message loss plus one crash, so the message, retry,
+    // dedup, fault-injection, and recovery counters all record from a
+    // genuine fault path.
     let mut plan = FaultPlan::message_faults(7, 0.15, 0.05, 0.05);
     plan.crashes.push(CrashSpec {
         worker: 1,
@@ -263,7 +262,7 @@ fn exercise_every_layer() -> GeneratedCorpus {
         },
         plan,
     );
-    let out = sisg_simtest::simulate(&enriched, &corpus.sessions, &corpus.catalog, &faulted);
+    let out = sisg_simtest::simulate(enriched, &corpus.sessions, &corpus.catalog, &faulted);
     assert!(out.completed, "faulted simulation did not drain");
     assert!(out.report.retries > 0 && out.report.recoveries == 1);
 
@@ -301,10 +300,6 @@ fn every_emitted_metric_is_declared_and_documented() {
     exercise_every_layer();
     let snapshot = registry().snapshot("metrics_catalog");
     let emitted: Vec<&str> = snapshot.metric_names();
-    if emitted.is_empty() {
-        eprintln!("sisg-obs recording compiled out; skipping the emission checks");
-        return;
-    }
 
     // Emitted ⊆ declared: no instrumentation site invents a name outside
     // the catalog. Tenant-labeled names are declared when they

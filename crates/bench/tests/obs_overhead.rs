@@ -13,11 +13,6 @@
 //!    increments) against one ANN search over a small index, the retrieval
 //!    op a production request pays for.
 //!
-//! With sisg-obs's `enabled` feature off, record bodies compile to nothing
-//! and the ratios drop to ~0; the tests detect that configuration at
-//! runtime (a probe counter stays at zero) and skip, since they assert on
-//! recorded values.
-//!
 //! Timing robustness: each cost is the minimum of several measurement
 //! rounds (noise only ever inflates a round), and the thresholds sit ~10x
 //! above the observed ratios on an idle machine.
@@ -29,13 +24,6 @@ use sisg_obs::{registry, Stopwatch};
 use sisg_sgns::sgd::train_pair;
 use sisg_sgns::sigmoid::SigmoidTable;
 use std::hint::black_box;
-
-/// True when sisg-obs was compiled with recording on (its default).
-fn recording_enabled() -> bool {
-    let probe = registry().counter("overhead.probe");
-    probe.inc();
-    probe.get() > 0
-}
 
 /// Minimum-of-rounds per-op cost in nanoseconds.
 fn ns_per_op<F: FnMut()>(iters: u32, rounds: u32, mut op: F) -> f64 {
@@ -52,10 +40,6 @@ fn ns_per_op<F: FnMut()>(iters: u32, rounds: u32, mut op: F) -> f64 {
 
 #[test]
 fn counter_and_gauge_cost_under_2_percent_of_a_training_step() {
-    if !recording_enabled() {
-        eprintln!("sisg-obs recording compiled out; nothing to measure");
-        return;
-    }
     let dim = 128;
     let input = Matrix::uniform_init(1000, dim, 1);
     let output = Matrix::uniform_init(1000, dim, 2);
@@ -93,10 +77,6 @@ fn counter_and_gauge_cost_under_2_percent_of_a_training_step() {
 
 #[test]
 fn request_recording_bundle_under_2_percent_of_an_ann_search() {
-    if !recording_enabled() {
-        eprintln!("sisg-obs recording compiled out; nothing to measure");
-        return;
-    }
     let vectors = Matrix::uniform_init(2_000, 32, 7);
     let index = HnswIndex::build(&vectors, HnswConfig::default());
     let query: Vec<f32> = vectors.row(0).to_vec();

@@ -5,17 +5,12 @@
 //! which get a fresh send index — is independently dropped, duplicated,
 //! delayed, or delivered, with probabilities fixed by the plan. Because
 //! the decision is a hash of the plan seed and the per-sender send
-//! counter (no shared RNG, no wall clock), the same plan produces the
-//! same fault pattern regardless of thread scheduling, and the
-//! single-threaded simulator in `crates/simtest` replays a seed to a
+//! counter (no shared RNG, no wall clock), the virtual-clock simulator in
+//! `crates/simtest` — the protocol's one driver — replays a seed to a
 //! byte-identical event trace.
 //!
-//! Crash and stall injection ([`CrashSpec`]/[`StallSpec`]) require
-//! rewinding a worker to a checkpoint and freezing virtual time, so they
-//! are honored only by the simulator's virtual-clock scheduler; the
-//! threaded driver rejects plans that contain them.
-
-use std::time::Duration;
+//! Crash and stall injection ([`CrashSpec`]/[`StallSpec`]) rewind a worker
+//! to a checkpoint or freeze it for a window of virtual time.
 
 /// SplitMix64 finalizer — the workspace's standard seed/decision mixer.
 #[inline]
@@ -36,14 +31,13 @@ pub enum FaultDecision {
     /// Deliver the message twice.
     Duplicate,
     /// Deliver after the given number of extra virtual-clock ticks
-    /// (reordering the message behind later sends). The threaded driver
-    /// treats this as `Deliver`; only the simulator models latency.
+    /// (reordering the message behind later sends).
     Delay(u64),
 }
 
 /// Kill one worker once its processed-pair counter reaches a threshold;
 /// it loses all state since its last epoch-boundary checkpoint and
-/// restarts `down_ticks` later. Simulator-only.
+/// restarts `down_ticks` later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSpec {
     /// Worker to crash.
@@ -55,7 +49,7 @@ pub struct CrashSpec {
 }
 
 /// Freeze one worker (it stops taking turns and buffers deliveries) for a
-/// window of virtual time. State is kept. Simulator-only.
+/// window of virtual time. State is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallSpec {
     /// Worker to stall.
@@ -69,10 +63,7 @@ pub struct StallSpec {
 /// Retry behavior of a requester whose remote TNS call went unanswered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Wall-clock timeout per attempt in the threaded driver. Generous by
-    /// default so a fault-free run never retransmits spuriously.
-    pub timeout: Duration,
-    /// Virtual-clock timeout per attempt in the simulator.
+    /// Virtual-clock timeout per attempt.
     pub timeout_ticks: u64,
     /// Attempts (first send + retransmissions) before the pair is skipped
     /// (graceful degradation instead of deadlock).
@@ -82,7 +73,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
-            timeout: Duration::from_millis(400),
             timeout_ticks: 64,
             max_attempts: 16,
         }
@@ -98,13 +88,13 @@ pub struct FaultPlan {
     pub drop: f64,
     /// Probability a message is delivered twice.
     pub duplicate: f64,
-    /// Probability a message is delayed/reordered (simulator only).
+    /// Probability a message is delayed/reordered.
     pub delay: f64,
     /// Maximum extra ticks of an injected delay (uniform in `1..=max`).
     pub max_delay_ticks: u64,
-    /// Scheduled worker crashes (simulator only).
+    /// Scheduled worker crashes.
     pub crashes: Vec<CrashSpec>,
-    /// Scheduled worker stalls (simulator only).
+    /// Scheduled worker stalls.
     pub stalls: Vec<StallSpec>,
     /// Retry/timeout behavior under this plan.
     pub retry: RetryPolicy,
@@ -142,21 +132,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_zero(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.delay == 0.0
-            && self.crashes.is_empty()
-            && self.stalls.is_empty()
-    }
-
-    /// True when the plan can run under the threaded channels driver
-    /// (crash/stall rewinds need the simulator's virtual clock).
-    pub fn threaded_compatible(&self) -> bool {
-        self.crashes.is_empty() && self.stalls.is_empty()
-    }
-
     /// The deterministic decision for the `send_index`-th send of worker
     /// `sender`. Retransmissions consume fresh indices, so a retried
     /// message is re-rolled rather than dropped forever.
@@ -191,8 +166,6 @@ mod tests {
     #[test]
     fn zero_plan_always_delivers() {
         let plan = FaultPlan::none();
-        assert!(plan.is_zero());
-        assert!(plan.threaded_compatible());
         for i in 0..1_000 {
             assert_eq!(plan.decide(i % 7, i as u64), FaultDecision::Deliver);
         }

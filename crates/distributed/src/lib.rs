@@ -26,21 +26,20 @@
 //! deterministic fault injector and retry policy, [`protocol`] the
 //! driver-agnostic TNS worker state machine (sequence-numbered idempotent
 //! requests, bounded retries, checkpoint/restore), and [`recovery`] the
-//! stage-boundary checkpoint artifacts. The [`channels`] engine is the
-//! threaded driver of that protocol; the `sisg-simtest` crate drives the
-//! same machines under a deterministic virtual-clock scheduler. Both are
-//! transports around one [`protocol::TnsRun`], which owns the partition,
+//! stage-boundary checkpoint artifacts. The protocol has one driver, the
+//! `sisg-simtest` crate's deterministic virtual-clock scheduler: a
+//! transport around one [`protocol::TnsRun`], which owns the partition,
 //! the per-worker noise tables, the subsample/sigmoid/sampler tables and
-//! the learning-rate schedule, and assembles the store and report.
+//! the learning-rate schedule, and assembles the store and the
+//! [`protocol::TnsReport`]. The only threaded engine is [`runtime`].
 //!
-//! Every engine here steps pairs through the one SGNS kernel,
+//! Both step pairs through the one SGNS kernel,
 //! `sisg_sgns::sgd::steps` ([`runtime`] over Hogwild `RowPtr` resolvers,
-//! [`protocol`] over each worker's exclusive shard matrix), and decays the
+//! [`protocol`] over each worker's exclusive shard matrix), and decay the
 //! learning rate through the one schedule, `sisg_sgns::linear_lr`.
 
 #![warn(missing_docs)]
 
-pub mod channels;
 pub mod fault;
 pub mod hbgp;
 pub mod hotset;
@@ -51,17 +50,14 @@ pub mod recovery;
 pub mod report;
 pub mod runtime;
 
-pub use channels::{
-    train_distributed_channels, train_distributed_channels_with, ChannelOptions, ChannelReport,
-};
 pub use fault::{CrashSpec, FaultDecision, FaultPlan, RetryPolicy, StallSpec};
 pub use hbgp::{partition_categories_traced, HbgpPartitioner, HbgpTrace};
 pub use hotset::{HotSet, SyncMode};
 pub use partition::{HashPartitioner, PartitionMap, Partitioner};
 pub use pipeline::{PipelinePreflight, ResumeError, TrainingPipeline};
 pub use protocol::{
-    Delivered, MachineCounters, Message, RetryVerdict, Step, TnsRequest, TnsResponse, TnsRun,
-    WireError, WorkerMachine,
+    Delivered, MachineCounters, Message, RetryVerdict, Step, TnsReport, TnsRequest, TnsResponse,
+    TnsRun, WireError, WorkerMachine,
 };
 pub use recovery::{PipelineCheckpoint, ShardCheckpoint};
 pub use report::{ClusterCostModel, DistReport};

@@ -103,6 +103,20 @@ impl<'a> TrainingPipeline<'a> {
                 space: enriched.space().len(),
             });
         }
+        // The checkpoint decoded, but its bytes come from disk: what
+        // `PartitionMap::new` asserts and `HotSet::from_tokens` indexes
+        // unchecked is checked here first.
+        let corrupt = |artifact, index| ResumeError::CorruptArtifact { artifact, index };
+        if let Some(i) = ck.owners.iter().position(|&o| o as usize >= config.workers) {
+            return Err(corrupt("partition", i));
+        }
+        let mut seen = vec![false; enriched.space().len()];
+        for (i, t) in ck.hot_tokens.iter().enumerate() {
+            match seen.get_mut(t.index()) {
+                Some(slot) if !*slot => *slot = true,
+                _ => return Err(corrupt("hot set", i)),
+            }
+        }
         let partition = PartitionMap::new(ck.owners.clone(), config.workers);
         let hot_set = HotSet::from_tokens(enriched.space().len(), ck.hot_tokens.clone());
         record_recovery();
@@ -180,6 +194,15 @@ pub enum ResumeError {
         /// Token count of the rebuilt space.
         space: usize,
     },
+    /// A checkpointed stage-3/4 artifact decoded but is not a valid plan:
+    /// an owner that is not a worker, or a hot token outside the token
+    /// space or listed twice.
+    CorruptArtifact {
+        /// Which artifact: `"partition"` or `"hot set"`.
+        artifact: &'static str,
+        /// Index of the first offending entry.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ResumeError {
@@ -199,6 +222,10 @@ impl std::fmt::Display for ResumeError {
             ResumeError::PartitionMismatch { checkpoint, space } => write!(
                 f,
                 "checkpoint covers {checkpoint} tokens, rebuilt space has {space}"
+            ),
+            ResumeError::CorruptArtifact { artifact, index } => write!(
+                f,
+                "checkpointed {artifact} entry {index} is out of range or repeated"
             ),
         }
     }
@@ -352,6 +379,45 @@ mod tests {
             TrainingPipeline::resume(&corpus, EnrichOptions::NONE, config(), &tampered),
             Err(ResumeError::CorpusMismatch { .. })
         ));
+    }
+
+    /// A checkpoint that decodes is still bytes from disk: each of these
+    /// three re-encodes cleanly, and each used to panic in `resume`.
+    #[test]
+    fn resume_rejects_decodable_but_inconsistent_artifacts() {
+        let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+        let pipeline = TrainingPipeline::prepare(&corpus, EnrichOptions::NONE, config());
+        let ck = pipeline.checkpoint();
+        let space = pipeline.enriched.space().len() as u32;
+        let resume = |mutate: fn(&mut PipelineCheckpoint, u32)| {
+            let mut bad = ck.clone();
+            mutate(&mut bad, space);
+            let bad = PipelineCheckpoint::from_bytes(&bad.to_bytes()).expect("decodes");
+            TrainingPipeline::resume(&corpus, EnrichOptions::NONE, config(), &bad)
+                .err()
+                .expect("resume must refuse")
+        };
+        assert_eq!(
+            resume(|ck, _| ck.owners[7] = 4),
+            ResumeError::CorruptArtifact {
+                artifact: "partition",
+                index: 7
+            }
+        );
+        assert_eq!(
+            resume(|ck, space| ck.hot_tokens[3] = sisg_corpus::TokenId(space)),
+            ResumeError::CorruptArtifact {
+                artifact: "hot set",
+                index: 3
+            }
+        );
+        assert_eq!(
+            resume(|ck, _| ck.hot_tokens[5] = ck.hot_tokens[0]),
+            ResumeError::CorruptArtifact {
+                artifact: "hot set",
+                index: 5
+            }
+        );
     }
 
     #[test]

@@ -8,20 +8,18 @@
 //! output updates in place, gradient returned) and matches incoming
 //! responses against the one outstanding request.
 //!
-//! The same machine runs under two drivers:
+//! The machines have one driver: the single-threaded virtual-clock
+//! scheduler in `crates/simtest`, which moves the messages between them
+//! and replays seeded fault schedules deterministically. A machine is
+//! single-owner by construction, so nothing here needs a thread.
 //!
-//! - the threaded driver in [`crate::channels`], which moves messages over
-//!   real bounded channels; and
-//! - the single-threaded virtual-clock scheduler in `crates/simtest`,
-//!   which replays seeded fault schedules deterministically.
+//! What surrounds the machines is a [`TnsRun`]: it builds the partition,
+//! the per-worker noise tables, the subsample/sigmoid/sampler tables and
+//! the learning-rate schedule once, every machine borrows it, and it
+//! assembles the trained store and the [`TnsReport`] from the finished
+//! machines — the driver owns only its transport.
 //!
-//! What surrounds the machines is shared too: a [`TnsRun`] builds the
-//! partition, the per-worker noise tables, the subsample/sigmoid/sampler
-//! tables and the learning-rate schedule once, every machine borrows it,
-//! and it assembles the trained store and report from the finished
-//! machines — the drivers own only their transport.
-//!
-//! Fault tolerance lives in the protocol, not the drivers:
+//! Fault tolerance lives in the protocol, not the driver:
 //!
 //! - **Sequence numbers + duplicate suppression.** Every request carries a
 //!   per-sender monotonically increasing `seq`. The serving side remembers
@@ -45,7 +43,6 @@
 //! `xtask lint` panic-free set: no `unwrap`/`expect` — every fallible path
 //! returns a `Result` or degrades gracefully.
 
-use crate::channels::ChannelReport;
 use crate::fault::mix64;
 use crate::partition::PartitionMap;
 use crate::recovery::ShardCheckpoint;
@@ -55,16 +52,17 @@ use rand::SeedableRng;
 use sisg_corpus::vocab::Vocab;
 use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, TokenId};
 use sisg_embedding::{kernels, EmbeddingStore, Matrix};
+use sisg_obs::names as obs_names;
 use sisg_sgns::sgd::steps;
 use sisg_sgns::sigmoid::SigmoidTable;
 use sisg_sgns::{NoiseTable, PairSampler, PairScratch, SubsampleTable};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Seed of a worker's *scan* RNG (subsampling + pair sampling) for one
-/// epoch. Shared by both distributed engines so their per-worker pair
-/// accounting is identical, and epoch-scoped so a worker restored from an
-/// epoch-boundary checkpoint rescans the epoch exactly as the first
-/// attempt would have.
+/// epoch. Shared with the shared-memory [`crate::runtime`] so the two
+/// engines' per-worker pair accounting is identical, and epoch-scoped so a
+/// worker restored from an epoch-boundary checkpoint rescans the epoch
+/// exactly as the first attempt would have.
 pub fn scan_seed(seed: u64, worker: usize, epoch: usize) -> u64 {
     mix64(
         seed ^ (worker as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)
@@ -207,12 +205,24 @@ pub(crate) mod wire {
             Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         }
 
+        /// The next `n` elements of `size` bytes each, as one slice. `n`
+        /// is a declared count straight off the wire, so the bytes are
+        /// taken — and found missing — before anything is allocated for
+        /// them.
+        pub(crate) fn elems(
+            &mut self,
+            n: usize,
+            size: usize,
+        ) -> Result<std::slice::ChunksExact<'a, u8>, WireError> {
+            let bytes = n.checked_mul(size).ok_or(WireError::Truncated)?;
+            Ok(self.take(bytes)?.chunks_exact(size))
+        }
+
         pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(self.f32()?);
-            }
-            Ok(out)
+            Ok(self
+                .elems(n, 4)?
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect())
         }
 
         pub(crate) fn finish(self) -> Result<(), WireError> {
@@ -360,7 +370,7 @@ impl Shard {
 
 /// Per-worker local noise distributions (Section III-C): worker `j` draws
 /// negatives over the tokens it owns plus the `shared` set every worker
-/// holds (ATNS's `Q`; empty for the message-passing engines).
+/// holds (ATNS's `Q`; empty for the message-passing protocol).
 pub(crate) fn local_noise_tables(
     partition: &PartitionMap,
     vocab: &Vocab,
@@ -395,15 +405,16 @@ pub struct TnsRun<'a> {
     subsample: SubsampleTable,
     sampler: PairSampler,
     sigmoid: SigmoidTable,
-    /// Pairs trained so far, across all workers.
-    progress: AtomicU64,
+    /// Pairs trained so far, across all workers (a plain cell: the
+    /// machines of one run share one owner, never a thread boundary).
+    progress: Cell<u64>,
     /// Total scheduled pairs (denominator of the decay).
     schedule_pairs: u64,
 }
 
 impl<'a> TnsRun<'a> {
     /// Sets up a run of `config` over `enriched` (`config.hot_set_size` is
-    /// ignored: the message-passing engines isolate the TNS protocol).
+    /// ignored: the message-passing machines isolate the TNS protocol).
     ///
     /// # Panics
     /// Panics when `config.workers == 0`.
@@ -421,7 +432,7 @@ impl<'a> TnsRun<'a> {
             subsample: SubsampleTable::new(vocab.freqs(), config.subsample),
             sampler: config.sampler(),
             sigmoid: SigmoidTable::new(),
-            progress: AtomicU64::new(0),
+            progress: Cell::new(0),
             schedule_pairs: config.schedule_pairs(enriched),
             config,
             enriched,
@@ -436,14 +447,14 @@ impl<'a> TnsRun<'a> {
 
     /// Ends the run: exports every finished machine's shard into one
     /// global store, folds its counters into `report` (which arrives with
-    /// the driver's own fields — seconds, injected faults, recoveries —
-    /// filled in, and receives the per-worker vectors in iteration order)
-    /// and mirrors the totals into the obs registry.
+    /// the driver's own fields — injected faults, recoveries — filled in,
+    /// and receives `pairs_per_worker` in iteration order) and mirrors the
+    /// totals into the obs registry.
     pub fn assemble<'m>(
         &self,
         machines: impl IntoIterator<Item = WorkerMachine<'m>>,
-        mut report: ChannelReport,
-    ) -> (EmbeddingStore, ChannelReport) {
+        mut report: TnsReport,
+    ) -> (EmbeddingStore, TnsReport) {
         let rows = self.enriched.space().len();
         let mut input = Matrix::zeros(rows, self.config.dim);
         let mut output = Matrix::zeros(rows, self.config.dim);
@@ -458,8 +469,8 @@ impl<'a> TnsRun<'a> {
     }
 }
 
-/// Per-machine protocol counters, aggregated into
-/// [`crate::channels::ChannelReport`] by the drivers.
+/// Per-machine protocol counters, aggregated into a [`TnsReport`] by
+/// [`TnsRun::assemble`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MachineCounters {
     /// Positive pairs this worker was responsible for.
@@ -479,6 +490,66 @@ pub struct MachineCounters {
     pub stale_responses: u64,
     /// Remote pairs abandoned after exhausting retry attempts.
     pub gave_up: u64,
+}
+
+/// Counters of one message-passing run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TnsReport {
+    /// Positive pairs processed in total.
+    pub pairs: u64,
+    /// Pairs whose TNS call crossed workers (request + response messages
+    /// each).
+    pub remote_pairs: u64,
+    /// Total messages passed (including retransmissions and dedup
+    /// replays; zero-fault runs see exactly `2 × remote_pairs`).
+    pub messages: u64,
+    /// Bytes of vector payload actually moved.
+    pub payload_bytes: u64,
+    /// Pairs trained by each worker (same accounting as
+    /// [`crate::DistReport::pairs_per_worker`]).
+    pub pairs_per_worker: Vec<u64>,
+    /// Retransmissions after response timeouts.
+    pub retries: u64,
+    /// Duplicate requests absorbed by the idempotency cache.
+    pub requests_deduped: u64,
+    /// Responses discarded as duplicate or stale.
+    pub stale_responses: u64,
+    /// Remote pairs abandoned after exhausting retries.
+    pub gave_up: u64,
+    /// Messages the fault injector dropped, duplicated or delayed, plus
+    /// stalls and crashes fired.
+    pub faults_injected: u64,
+    /// Worker restores from checkpoint.
+    pub recoveries: u64,
+}
+
+impl TnsReport {
+    fn absorb(&mut self, c: &MachineCounters) {
+        self.pairs += c.pairs;
+        self.remote_pairs += c.remote_pairs;
+        self.messages += c.messages;
+        self.payload_bytes += c.payload_bytes;
+        self.retries += c.retries;
+        self.requests_deduped += c.requests_deduped;
+        self.stale_responses += c.stale_responses;
+        self.gave_up += c.gave_up;
+        self.pairs_per_worker.push(c.pairs);
+    }
+
+    /// Mirrors the run's message and fault/retry counters into the obs
+    /// registry.
+    fn publish_to_obs(&self) {
+        let reg = sisg_obs::registry();
+        reg.counter(obs_names::DIST_CHANNEL_MESSAGES_TOTAL)
+            .add(self.messages);
+        reg.counter(obs_names::DIST_CHANNEL_PAYLOAD_BYTES_TOTAL)
+            .add(self.payload_bytes);
+        reg.counter(obs_names::DIST_FAULTS_INJECTED_TOTAL)
+            .add(self.faults_injected);
+        reg.counter(obs_names::DIST_RETRIES_TOTAL).add(self.retries);
+        reg.counter(obs_names::DIST_REQUESTS_DEDUPED_TOTAL)
+            .add(self.requests_deduped);
+    }
 }
 
 /// What one [`WorkerMachine::step`] call did.
@@ -640,11 +711,6 @@ impl<'a> WorkerMachine<'a> {
         self.pending.is_some()
     }
 
-    /// Sequence number of the outstanding request, if any.
-    pub fn pending_seq(&self) -> Option<u64> {
-        self.pending.as_ref().map(|p| p.req.seq)
-    }
-
     /// True once every epoch has been scanned to completion.
     pub fn is_finished(&self) -> bool {
         self.done && self.pending.is_none()
@@ -661,10 +727,7 @@ impl<'a> WorkerMachine<'a> {
     }
 
     fn next_lr(&self) -> f32 {
-        // ORDERING: Relaxed — shared progress counter for the lr schedule;
-        // slightly-stale reads only shift the decay by a step, and nothing
-        // is published through it.
-        let done = self.run.progress.fetch_add(1, Ordering::Relaxed);
+        let done = self.run.progress.replace(self.run.progress.get() + 1);
         self.run.config.lr(done, self.run.schedule_pairs)
     }
 
@@ -699,7 +762,7 @@ impl<'a> WorkerMachine<'a> {
                 .map(|&neg| local(neg)),
         );
         grad.fill(0.0);
-        // Loss is monitored by neither driver; the return is unused.
+        // The driver does not monitor loss; the return is unused.
         let _ = steps(
             &mut self.shard.output,
             kept,

@@ -204,17 +204,15 @@ impl PipelineCheckpoint {
         let workers = r.u32()?;
         let fingerprint = r.u64()?;
         let n_owners = r.u32()? as usize;
-        let mut owners = Vec::with_capacity(n_owners);
-        for _ in 0..n_owners {
-            let lo = r.u8()?;
-            let hi = r.u8()?;
-            owners.push(u16::from_le_bytes([lo, hi]));
-        }
+        let owners = r
+            .elems(n_owners, 2)?
+            .map(|b| u16::from_le_bytes([b[0], b[1]]))
+            .collect();
         let n_hot = r.u32()? as usize;
-        let mut hot_tokens = Vec::with_capacity(n_hot);
-        for _ in 0..n_hot {
-            hot_tokens.push(TokenId(r.u32()?));
-        }
+        let hot_tokens = r
+            .elems(n_hot, 4)?
+            .map(|b| TokenId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect();
         r.finish()?;
         Ok(Self {
             workers,

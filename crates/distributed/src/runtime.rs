@@ -181,7 +181,8 @@ pub fn train_distributed(
     catalog: &ItemCatalog,
     config: &DistConfig,
 ) -> (EmbeddingStore, DistReport) {
-    // Pipeline stages 3–4 inline: partition + the shared set Q.
+    // Pipeline stages 3–4, through the two calls `TrainingPipeline::prepare`
+    // makes: partition + the shared set Q.
     let partition = build_partition(config, sessions, catalog, enriched.space());
     let hot = HotSet::top_k(enriched.vocab(), config.hot_set_size);
     train_distributed_prepared(enriched, sessions, config, &partition, &hot)
@@ -526,24 +527,23 @@ fn tns_step(
     resolver.input(target).axpy_slice(1.0, grad);
 }
 
-/// Convenience for benchmarks: enrich + train in one call.
-pub fn train_distributed_on(
-    corpus: &sisg_corpus::GeneratedCorpus,
-    options: sisg_corpus::EnrichOptions,
-    config: &DistConfig,
-) -> (EmbeddingStore, DistReport) {
-    let enriched = EnrichedCorpus::build(corpus, options);
-    train_distributed(&enriched, &corpus.sessions, &corpus.catalog, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::TrainingPipeline;
     use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus, ItemId};
     use sisg_embedding::math::cosine;
 
     fn corpus() -> GeneratedCorpus {
         GeneratedCorpus::generate(CorpusConfig::tiny())
+    }
+
+    fn train_on(
+        corpus: &GeneratedCorpus,
+        options: EnrichOptions,
+        config: &DistConfig,
+    ) -> (EmbeddingStore, DistReport) {
+        TrainingPipeline::prepare(corpus, options, config.clone()).train()
     }
 
     fn fast_config(workers: usize) -> DistConfig {
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn single_worker_run_has_no_comm() {
         let gen = corpus();
-        let (_, report) = train_distributed_on(&gen, EnrichOptions::NONE, &fast_config(1));
+        let (_, report) = train_on(&gen, EnrichOptions::NONE, &fast_config(1));
         assert_eq!(report.remote_pairs, 0);
         assert_eq!(report.pair_comm_bytes, 0);
         assert!(report.total_pairs() > 0);
@@ -572,8 +572,8 @@ mod tests {
     #[test]
     fn multi_worker_run_processes_all_pairs_once() {
         let gen = corpus();
-        let (_, one) = train_distributed_on(&gen, EnrichOptions::NONE, &fast_config(1));
-        let (_, four) = train_distributed_on(&gen, EnrichOptions::NONE, &fast_config(4));
+        let (_, one) = train_on(&gen, EnrichOptions::NONE, &fast_config(1));
+        let (_, four) = train_on(&gen, EnrichOptions::NONE, &fast_config(4));
         // Subsampling RNG differs per worker, so totals differ slightly —
         // but they must agree within a tolerance.
         let (a, b) = (one.total_pairs() as f64, four.total_pairs() as f64);
@@ -591,7 +591,7 @@ mod tests {
                 sync_interval,
                 ..fast_config(2)
             };
-            train_distributed_on(&gen, EnrichOptions::NONE, &cfg).1
+            train_on(&gen, EnrichOptions::NONE, &cfg).1
         };
         let (zero, one) = (run(0), run(1));
         assert!(zero.total_pairs() > 0, "sync_interval 0 trained nothing");
@@ -608,8 +608,8 @@ mod tests {
             strategy: PartitionStrategy::Hash,
             ..fast_config(4)
         };
-        let (_, r_hbgp) = train_distributed_on(&gen, EnrichOptions::NONE, &hbgp);
-        let (_, r_hash) = train_distributed_on(&gen, EnrichOptions::NONE, &hash);
+        let (_, r_hbgp) = train_on(&gen, EnrichOptions::NONE, &hbgp);
+        let (_, r_hash) = train_on(&gen, EnrichOptions::NONE, &hash);
         assert!(
             r_hbgp.remote_fraction() < r_hash.remote_fraction() * 0.6,
             "hbgp {} vs hash {}",
@@ -626,8 +626,8 @@ mod tests {
             hot_set_size: 0,
             ..fast_config(4)
         };
-        let (_, r_with) = train_distributed_on(&gen, EnrichOptions::FULL, &with_q);
-        let (_, r_without) = train_distributed_on(&gen, EnrichOptions::FULL, &without_q);
+        let (_, r_with) = train_on(&gen, EnrichOptions::FULL, &with_q);
+        let (_, r_without) = train_on(&gen, EnrichOptions::FULL, &without_q);
         // SI tokens are extremely hot; replicating them must cut remote pairs.
         assert!(
             r_with.remote_fraction() < r_without.remote_fraction(),
@@ -648,7 +648,7 @@ mod tests {
         // canonical path for this structure check; the quality effect of
         // replication itself is covered by the integration suite.
         cfg.hot_set_size = 8;
-        let (store, _) = train_distributed_on(&gen, EnrichOptions::NONE, &cfg);
+        let (store, _) = train_on(&gen, EnrichOptions::NONE, &cfg);
         // Items of one leaf category should be closer than cross-category.
         let mut within = 0.0f64;
         let mut cross = 0.0f64;
@@ -674,7 +674,7 @@ mod tests {
     #[test]
     fn load_is_balanced_across_workers() {
         let gen = corpus();
-        let (_, report) = train_distributed_on(&gen, EnrichOptions::FULL, &fast_config(4));
+        let (_, report) = train_on(&gen, EnrichOptions::FULL, &fast_config(4));
         assert!(
             report.pair_imbalance() < 2.0,
             "pair imbalance {} too high",

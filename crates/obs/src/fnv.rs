@@ -2,8 +2,7 @@
 //! corpus fingerprints and cold-user shard routing all fold through it.
 //!
 //! Unlike `DefaultHasher` it is stable across runs, hosts and toolchains,
-//! which is what lets tests pin its outputs as constants. Not gated by the
-//! `enabled` feature: routing and replay results depend on it.
+//! which is what lets tests pin its outputs as constants.
 
 /// A streaming 64-bit FNV-1a hasher.
 ///

@@ -15,12 +15,6 @@
 //!   `<name>.us` histogram on [`Span::finish`]; an optional process-global
 //!   JSON-lines sink ([`set_span_sink`]) additionally appends one line per
 //!   finished span.
-//! - The `enabled` cargo feature (default on) gates *recording only*. With
-//!   `--no-default-features` every record call compiles to an inlined empty
-//!   function and snapshots report zeros, while [`Stopwatch`] / [`Span`]
-//!   still return real durations so report structs keep their wall-clock.
-//!   (Doctests and value-asserting unit tests require the default feature
-//!   set; `--no-default-features` is a build-only configuration.)
 //!
 //! Instrumented crates must never record per training pair: they accumulate
 //! locally and flush per chunk / epoch / request, which is what keeps the

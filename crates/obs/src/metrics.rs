@@ -1,9 +1,7 @@
 //! The three metric primitives: [`Counter`], [`Gauge`], [`Histogram`].
 //!
 //! All recording is a handful of relaxed atomic operations; nothing here
-//! allocates or locks after construction. The `enabled` feature gates the
-//! record paths only — reads always work (and report zeros when recording
-//! is compiled out).
+//! allocates or locks after construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,13 +34,10 @@ impl Counter {
     /// Adds `n` to the counter (relaxed; safe from any thread).
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         // ORDERING: Relaxed — metric cells are independent monotone stats; readers
         // tolerate slightly-stale values and no other memory is published through
         // them, so no acquire/release pairing is needed anywhere in this module.
         self.cell.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one.
@@ -66,7 +61,7 @@ impl Counter {
     }
 }
 
-/// A last-written (or maximum-tracked) `f64` value.
+/// A last-written `f64` value.
 ///
 /// Stored as raw bits in an `AtomicU64`; `set`/`get` are single atomic ops.
 ///
@@ -75,9 +70,7 @@ impl Counter {
 /// ```
 /// let g = sisg_obs::registry().gauge("doc.gauge.depth");
 /// g.set(3.5);
-/// g.record_max(2.0); // keeps 3.5
-/// g.record_max(7.0); // replaces it
-/// assert!((g.get() - 7.0).abs() < 1e-12);
+/// assert!((g.get() - 3.5).abs() < 1e-12);
 /// ```
 #[derive(Debug)]
 pub struct Gauge {
@@ -94,42 +87,8 @@ impl Gauge {
     /// Sets the gauge to `v`.
     #[inline]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "enabled")]
         // ORDERING: Relaxed — same independent-stat-cell argument as Counter::add.
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
-    }
-
-    /// Raises the gauge to `v` if `v` is greater than the current value
-    /// (compare-and-swap loop; NaN is ignored).
-    pub fn record_max(&self, v: f64) {
-        #[cfg(feature = "enabled")]
-        {
-            if v.is_nan() {
-                return;
-            }
-            // ORDERING: Relaxed — the CAS loop only needs atomicity of the max cell
-            // itself (same independent-stat argument as Counter::add); failure and
-            // success orderings can both stay Relaxed.
-            let mut cur = self.bits.load(Ordering::Relaxed);
-            loop {
-                if f64::from_bits(cur) >= v {
-                    return;
-                }
-                match self.bits.compare_exchange_weak(
-                    cur,
-                    v.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Current value (0.0 until first `set`).
@@ -175,7 +134,6 @@ pub struct Histogram {
 
 /// Maps a value to its bucket index.
 #[inline]
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 fn bucket_index(v: u64) -> usize {
     if v < 8 {
         v as usize
@@ -239,18 +197,13 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            // ORDERING: Relaxed — bucket/count/sum/max are each independently atomic;
-            // a snapshot may observe a count without its sum (documented slack for
-            // in-flight observations), so no release pairing is required.
-            self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        // ORDERING: Relaxed — bucket/count/sum/max are each independently atomic;
+        // a snapshot may observe a count without its sum (documented slack for
+        // in-flight observations), so no release pairing is required.
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Records a duration in whole microseconds (the unit every `*.us`
@@ -414,7 +367,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn quantiles_match_exact_sorted_reference() {
         // A deterministic skewed sample: exact sorted-array quantiles must
         // agree with the histogram estimate to within one bucket width.
@@ -459,7 +411,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn sub_microsecond_durations_round_trip_at_ns_resolution() {
         // Regression for the serve-latency percentile-zero bug: a known
         // sub-µs latency distribution recorded in whole µs collapses into
@@ -502,7 +453,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn reset_clears_everything() {
         let h = Histogram::new();
         h.record(42);

@@ -55,14 +55,10 @@ pub const DIST_SYNC_SPAN: &str = "dist.sync";
 pub const DIST_TRAIN_SPAN: &str = "dist.train";
 /// Histogram: per-worker trained-pair counts (spread = step skew).
 pub const DIST_WORKER_PAIRS: &str = "dist.worker.pairs";
-/// Messages sent over the message-passing engine's channels.
+/// Messages the message-passing TNS protocol's machines sent.
 pub const DIST_CHANNEL_MESSAGES_TOTAL: &str = "dist.channel.messages_total";
-/// Payload bytes shipped over those channels.
+/// Vector payload bytes in those messages.
 pub const DIST_CHANNEL_PAYLOAD_BYTES_TOTAL: &str = "dist.channel.payload_bytes_total";
-/// Peak in-flight messages across all channels — backpressure indicator.
-pub const DIST_CHANNEL_DEPTH_PEAK: &str = "dist.channel.depth_peak";
-/// Span: one message-passing distributed training run.
-pub const DIST_CHANNELS_TRAIN_SPAN: &str = "dist.channels.train";
 /// Messages dropped/duplicated/delayed by the deterministic fault injector.
 pub const DIST_FAULTS_INJECTED_TOTAL: &str = "dist.faults_injected";
 /// Remote TNS requests retransmitted after a response timeout.
@@ -230,8 +226,6 @@ pub const ALL: &[&str] = &[
     DIST_WORKER_PAIRS,
     DIST_CHANNEL_MESSAGES_TOTAL,
     DIST_CHANNEL_PAYLOAD_BYTES_TOTAL,
-    DIST_CHANNEL_DEPTH_PEAK,
-    "dist.channels.train.us",
     DIST_FAULTS_INJECTED_TOTAL,
     DIST_RETRIES_TOTAL,
     DIST_REQUESTS_DEDUPED_TOTAL,
@@ -337,7 +331,6 @@ mod tests {
             super::EGES_TRAIN_SPAN,
             super::DIST_SYNC_SPAN,
             super::DIST_TRAIN_SPAN,
-            super::DIST_CHANNELS_TRAIN_SPAN,
             super::STREAM_TRAIN_SPAN,
         ] {
             let us = format!("{span}.us");

@@ -138,7 +138,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn snapshot_reflects_recordings_in_sorted_order() {
         let reg = Registry::default();
         reg.counter("b.second").add(2);

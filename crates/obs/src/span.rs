@@ -12,11 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A plain monotonic timer.
-///
-/// Always real, even with the `enabled` feature off: report structs
-/// (`TrainStats.seconds`, `DistReport.seconds`, …) take their wall-clock
-/// from here, and those must not change with a metrics feature flag.
+/// A plain monotonic timer: report structs (`TrainStats.seconds`,
+/// `DistReport.seconds`, …) take their wall-clock from here.
 ///
 /// # Examples
 ///
@@ -104,26 +101,21 @@ impl Drop for Span {
 }
 
 fn record_span(name: &'static str, elapsed: Duration) {
-    #[cfg(feature = "enabled")]
-    {
-        crate::registry()
-            .histogram(&format!("{name}.us"))
-            .record_duration(elapsed);
-        // ORDERING: Relaxed — SINK_ACTIVE is only a fast-path hint; the sink
-        // itself is read under the SINK mutex, whose lock/unlock provides all
-        // the synchronization the writer handoff needs.
-        if SINK_ACTIVE.load(Ordering::Relaxed) {
-            let micros = elapsed.as_micros().min(u64::MAX as u128) as u64;
-            let mut guard = lock(&SINK);
-            if let Some(w) = guard.as_mut() {
-                // Best-effort: a full disk must not take training down.
-                let _ = writeln!(w, "{{\"span\":\"{name}\",\"us\":{micros}}}");
-                let _ = w.flush();
-            }
+    crate::registry()
+        .histogram(&format!("{name}.us"))
+        .record_duration(elapsed);
+    // ORDERING: Relaxed — SINK_ACTIVE is only a fast-path hint; the sink
+    // itself is read under the SINK mutex, whose lock/unlock provides all
+    // the synchronization the writer handoff needs.
+    if SINK_ACTIVE.load(Ordering::Relaxed) {
+        let micros = elapsed.as_micros().min(u64::MAX as u128) as u64;
+        let mut guard = lock(&SINK);
+        if let Some(w) = guard.as_mut() {
+            // Best-effort: a full disk must not take training down.
+            let _ = writeln!(w, "{{\"span\":\"{name}\",\"us\":{micros}}}");
+            let _ = w.flush();
         }
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, elapsed);
 }
 
 static SINK_ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -131,8 +123,7 @@ static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
 
 /// Routes finished spans to a JSON-lines file (one
 /// `{"span":"<name>","us":<micros>}` object per line), creating parent
-/// directories. Replaces any previously installed sink. With the `enabled`
-/// feature off the sink is installed but nothing is ever written.
+/// directories. Replaces any previously installed sink.
 pub fn set_span_sink(path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -162,7 +153,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn finished_spans_feed_their_histogram() {
         let before = crate::registry().histogram("span.test.unit.us").count();
         span("span.test.unit").finish();
@@ -171,7 +161,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn dropped_spans_record_too() {
         let before = crate::registry().histogram("span.test.drop.us").count();
         {
@@ -182,7 +171,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "enabled")]
     fn sink_writes_one_json_line_per_span() {
         let dir = std::env::temp_dir().join("sisg_obs_sink_test");
         let path = dir.join("spans.jsonl");

@@ -1,10 +1,10 @@
-//! Deterministic fault simulation for the distributed TNS engine.
+//! Deterministic fault simulation for the distributed TNS engine — the
+//! one driver of the message-passing protocol.
 //!
-//! The threaded channels driver ([`sisg_distributed::channels`]) proves the
-//! protocol works on real threads, but threads cannot replay a failure: the
-//! interleaving differs on every run, and a crash schedule ("kill worker 2
-//! after 500 pairs, restart it 200 ticks later") cannot even be expressed.
-//! This crate drives the *same* [`WorkerMachine`] state machines under a
+//! Threads cannot replay a failure: the interleaving differs on every run,
+//! and a crash schedule ("kill worker 2 after 500 pairs, restart it 200
+//! ticks later") cannot even be expressed. A [`WorkerMachine`] is
+//! single-owner by construction, so this crate drives the machines under a
 //! **virtual-clock scheduler**: every send, delivery, timeout, stall, crash
 //! and restart is an event on a totally ordered queue `(tick, event-id)`,
 //! and every fault decision is a pure function of the [`FaultPlan`] seed —
@@ -24,7 +24,7 @@
 //!   byte codec is on the recovery path) under a bumped incarnation.
 //! - **Timeouts** — a waiting worker retransmits after
 //!   [`RetryPolicy::timeout_ticks`] virtual ticks and abandons the pair
-//!   after `max_attempts`, identical to the threaded driver's policy.
+//!   after `max_attempts`.
 //!
 //! [`simulate`] returns the assembled embedding store, the protocol
 //! accounting, and the streamed FNV-1a [`SimOutcome::trace_hash`] of the
@@ -40,8 +40,8 @@ use sisg_corpus::split::{NextItemSplit, SplitStage};
 use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, ItemId, TokenId};
 use sisg_distributed::recovery::record_recovery;
 use sisg_distributed::{
-    ChannelReport, Delivered, DistConfig, FaultDecision, FaultPlan, Message, PartitionMap,
-    RetryVerdict, ShardCheckpoint, Step, TnsRun, WorkerMachine,
+    Delivered, DistConfig, FaultDecision, FaultPlan, Message, PartitionMap, RetryVerdict,
+    ShardCheckpoint, Step, TnsReport, TnsRun, WorkerMachine,
 };
 use sisg_embedding::{math, retrieve_top_k, EmbeddingStore, Matrix};
 use sisg_eval::hitrate::{evaluate_hit_rates, ItemRetriever};
@@ -53,8 +53,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// a hard event budget that converts a livelock bug into a clean failure.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Training configuration (`hot_set_size` is ignored, as in the
-    /// channels engine).
+    /// Training configuration (`hot_set_size` is ignored: the protocol
+    /// isolates TNS, ATNS lives in the shared-memory runtime).
     pub dist: DistConfig,
     /// Seeded fault schedule. [`FaultPlan::none`] simulates a healthy
     /// cluster.
@@ -79,8 +79,8 @@ impl SimConfig {
 pub struct SimOutcome {
     /// The assembled global embedding store.
     pub store: EmbeddingStore,
-    /// Protocol accounting, same shape as the threaded driver's report.
-    pub report: ChannelReport,
+    /// Protocol accounting.
+    pub report: TnsReport,
     /// Streaming FNV-1a hash of the processed event sequence — two runs of
     /// the same corpus/config/plan produce the same hash, byte for byte.
     pub trace_hash: u64,
@@ -140,7 +140,7 @@ struct SimWorker<'a> {
     /// Virtual tick at which the outstanding request times out.
     deadline: Option<u64>,
     /// Per-send fault-roll index, monotonically increasing (retransmits
-    /// get fresh rolls, as in the threaded driver).
+    /// get fresh rolls).
     send_index: u64,
     incarnation: u64,
     /// Serialized epoch-boundary [`ShardCheckpoint`]; refreshed at every
@@ -457,9 +457,9 @@ struct WkState<'s> {
     checkpoint: &'s mut Vec<u8>,
 }
 
-/// One unit of machine work: serve the inbox first (mirrors the threaded
-/// driver's service-before-pump rule), then the timeout path, then the
-/// scan.
+/// One unit of machine work: serve the inbox first (a reply a peer waits
+/// on goes out before this worker does anything else), then the timeout
+/// path, then the scan.
 fn machine_turn(
     machine: &mut WorkerMachine<'_>,
     st: &mut WkState<'_>,
@@ -547,7 +547,7 @@ pub fn simulate(
                 && wk.inbox.is_empty()
                 && wk.machine.as_ref().is_some_and(|m| m.is_finished())
         });
-    let report = ChannelReport {
+    let report = TnsReport {
         faults_injected: engine.faults_injected,
         recoveries: engine.recoveries,
         ..Default::default()
@@ -661,17 +661,6 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash, "virtual clock must replay");
         assert_eq!(a.events, b.events);
         assert_eq!(codec::encode(&a.store), codec::encode(&b.store));
-    }
-
-    #[test]
-    fn single_worker_needs_no_messages() {
-        let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
-        let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
-        let cfg = SimConfig::new(dist(1), FaultPlan::none());
-        let out = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
-        assert!(out.completed);
-        assert_eq!(out.report.remote_pairs, 0);
-        assert_eq!(out.report.messages, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Prose must not point at nothing: every `-p sisg-bench --bin <name>`
-//! command and every `results/<file>` path named in the docs, the verify
-//! skill and the scripts has to exist in the tree, so deleting a binary or
-//! a committed result fails here until the text that cites it is updated.
+//! command, every `results/<file>` path and every `crates/<…>.rs` source
+//! path named in the docs, the verify skill and the scripts has to exist
+//! in the tree, so deleting a binary, a committed result or a source file
+//! fails here until the text that cites it is updated.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,13 +40,13 @@ fn is_path_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '/' | '-')
 }
 
-/// Paths the text names under `results/`, e.g. `results/metrics/x.json`.
-/// Templates (`results/metrics/<name>.json`, `results/*.txt`,
-/// `results/${name}.txt`) and other directories that merely end in
-/// "results" (`target/ci-results/`) are not references to committed files.
-fn results_paths(text: &str) -> Vec<String> {
+/// Paths the text names under `dir` (written with its trailing slash),
+/// e.g. `results/metrics/x.json` under `results/`. Templates (`results/metrics/<name>.json`, `results/*.txt`,
+/// `results/${name}.txt`) and other directories that merely end in the
+/// same word (`target/ci-results/`) are not references to committed files.
+fn paths_under(text: &str, dir: &str) -> Vec<String> {
     let mut found = Vec::new();
-    for (at, _) in text.match_indices("results/") {
+    for (at, _) in text.match_indices(dir) {
         if text[..at].chars().next_back().is_some_and(is_path_char) {
             continue;
         }
@@ -55,10 +56,18 @@ fn results_paths(text: &str) -> Vec<String> {
             continue;
         }
         let path = rest[..end].trim_end_matches(['.', '/']);
-        if path != "results" {
+        if path.len() > dir.len() {
             found.push(path.to_string());
         }
     }
+    found
+}
+
+/// Rust source files the text names under `crates/`, e.g.
+/// `crates/obs/src/names.rs`; crate directories are not checked.
+fn crate_sources(text: &str) -> Vec<String> {
+    let mut found = paths_under(text, "crates/");
+    found.retain(|path| path.ends_with(".rs"));
     found
 }
 
@@ -95,12 +104,15 @@ fn extractors_find_references_and_skip_templates() {
                 results/metrics/<name>.json, results/*.txt, results/${n}.txt or \
                 target/ci-results/b.json.\n\
                 `cargo run --release -p sisg-bench --bin\n  perf_gone` and \
-                `-p sisg-bench --bin <name>`; `-p xtask --bin other`.";
+                `-p sisg-bench --bin <name>`; `-p xtask --bin other`. \
+                `crates/a/src/gone.rs`, crates/a (a directory), not \
+                crates/a/src/{b,c}.rs or ../crates/a/src/d.rs.";
     assert_eq!(
-        results_paths(text),
+        paths_under(text, "results/"),
         ["results/metrics/a.json", "results/BENCH_x.json"]
     );
     assert_eq!(bench_bins(text), ["perf_gone"]);
+    assert_eq!(crate_sources(text), ["crates/a/src/gone.rs"]);
 }
 
 #[test]
@@ -110,7 +122,10 @@ fn every_named_bench_binary_and_results_file_exists() {
     let mut checked = 0usize;
     for source in sources() {
         let text = fs::read_to_string(root.join(&source)).expect("read source");
-        for path in results_paths(&text) {
+        for path in paths_under(&text, "results/")
+            .into_iter()
+            .chain(crate_sources(&text))
+        {
             checked += 1;
             if !root.join(&path).exists() {
                 dangling.push(format!("{}: {path}", source.display()));

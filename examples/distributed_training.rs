@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example distributed_training`
 
 use taobao_sisg::corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
-use taobao_sisg::distributed::runtime::{train_distributed_on, PartitionStrategy};
-use taobao_sisg::distributed::DistConfig;
+use taobao_sisg::distributed::runtime::PartitionStrategy;
+use taobao_sisg::distributed::{DistConfig, TrainingPipeline};
 
 fn main() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::scaled(2_000, 5));
@@ -35,7 +35,8 @@ fn main() {
             strategy,
             ..Default::default()
         };
-        let (_store, report) = train_distributed_on(&corpus, EnrichOptions::FULL, &config);
+        let (_store, report) =
+            TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, config).train();
         println!("== {label} ==");
         println!("  pairs/worker:     {:?}", report.pairs_per_worker);
         println!(
