@@ -183,19 +183,14 @@ fn bench_pair_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_sampling");
     group.measurement_time(Duration::from_secs(2));
     let seq: Vec<TokenId> = (0..200u32).map(TokenId).collect();
-    let mut rng = StdRng::seed_from_u64(1);
     let mut out = Vec::with_capacity(4096);
     for (name, mode) in [
         ("symmetric", WindowMode::Symmetric),
         ("right_only", WindowMode::RightOnly),
     ] {
-        let sampler = PairSampler {
-            window: 10,
-            mode,
-            dynamic: false,
-        };
+        let sampler = PairSampler { window: 10, mode };
         group.bench_function(BenchmarkId::new("window10_len200", name), |b| {
-            b.iter(|| sampler.pairs_into(black_box(&seq), &mut rng, &mut out))
+            b.iter(|| sampler.pairs_into(black_box(&seq), &mut out))
         });
     }
     group.finish();

@@ -290,40 +290,6 @@ impl Partitioner for HbgpPartitioner {
     }
 }
 
-/// Convenience: cut fraction and imbalance of HBGP vs hash partitioning on
-/// the same corpus — the headline ablation numbers.
-pub fn compare_partitioners(
-    sessions: &Corpus,
-    catalog: &ItemCatalog,
-    space: &sisg_corpus::vocab::TokenSpace,
-    freqs: &[u64],
-    workers: usize,
-    seed: u64,
-) -> [(String, f64, f64); 2] {
-    use crate::partition::{assign_all, HashPartitioner};
-    let hbgp = assign_all(
-        &HbgpPartitioner::default(),
-        sessions,
-        catalog,
-        space,
-        workers,
-        seed,
-    );
-    let hash = assign_all(&HashPartitioner, sessions, catalog, space, workers, seed);
-    [
-        (
-            "hbgp".to_owned(),
-            hbgp.cut_fraction(sessions),
-            hbgp.imbalance(&freqs[..space.n_items() as usize]),
-        ),
-        (
-            "hash".to_owned(),
-            hash.cut_fraction(sessions),
-            hash.imbalance(&freqs[..space.n_items() as usize]),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,35 +73,12 @@ impl HotSet {
     }
 }
 
-/// How replicas are reconciled at a synchronization barrier.
-///
-/// The paper says replicas are "synchronized (averaged) at regular
-/// intervals". Plain averaging divides the gradient mass accumulated since
-/// the last barrier by the worker count — harmless when every hot token
-/// receives astronomically many updates (the paper's regime), but it slows
-/// hot-token learning `w`-fold at simulation scale. [`SyncMode::DeltaSum`]
-/// instead applies the *sum of per-worker deltas* to the shared base value
-/// (parameter-server push semantics), which matches what sequential
-/// training would have produced up to within-round staleness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Paper-literal replica averaging.
-    Average,
-    /// Sum of per-worker deltas over the shared base (default).
-    #[default]
-    DeltaSum,
-}
-
 /// Per-worker replicas of the input and output vectors of every hot token.
 #[derive(Debug)]
 pub struct ReplicaSet {
     /// `input[w]` is worker `w`'s replica matrix (`|Q| × dim`).
     input: Vec<Matrix>,
     output: Vec<Matrix>,
-    /// Shared base values at the last synchronization (`|Q| × dim` each),
-    /// used by [`SyncMode::DeltaSum`].
-    input_base: Matrix,
-    output_base: Matrix,
     dim: usize,
 }
 
@@ -109,19 +86,16 @@ impl ReplicaSet {
     /// Initializes every worker's replicas from the canonical store rows.
     pub fn init(store: &sisg_embedding::EmbeddingStore, hot: &HotSet, workers: usize) -> Self {
         let dim = store.dim();
-        let snapshot = |src: &Matrix| -> Matrix {
+        let make = |src: &Matrix| -> Vec<Matrix> {
             let mut m = Matrix::zeros(hot.len(), dim);
             for (slot, t) in hot.tokens().iter().enumerate() {
                 m.row_mut(slot).copy_from_slice(src.row(t.index()));
             }
-            m
+            vec![m; workers]
         };
-        let make = |src: &Matrix| -> Vec<Matrix> { (0..workers).map(|_| snapshot(src)).collect() };
         Self {
             input: make(store.input_matrix()),
             output: make(store.output_matrix()),
-            input_base: snapshot(store.input_matrix()),
-            output_base: snapshot(store.output_matrix()),
             dim,
         }
     }
@@ -142,52 +116,36 @@ impl ReplicaSet {
         self.output[worker].row_ptr(slot)
     }
 
-    /// Reconciles all replicas slot-wise under `mode`, writing the result
-    /// back to every replica, to the canonical store rows, and to the
-    /// shared base. Must be called while no worker is training (the runtime
-    /// does this at a barrier). Returns the number of bytes a cluster would
-    /// move for this all-reduce.
-    pub fn synchronize(
-        &self,
-        store: &sisg_embedding::EmbeddingStore,
-        hot: &HotSet,
-        mode: SyncMode,
-    ) -> u64 {
+    /// Averages all replicas slot-wise (Section III-A), writing the mean
+    /// back to every replica and to the canonical store rows. Must be
+    /// called while no worker is training (the runtime does this at a
+    /// barrier). Returns the number of bytes a cluster would move for this
+    /// all-reduce.
+    pub fn synchronize(&self, store: &sisg_embedding::EmbeddingStore, hot: &HotSet) -> u64 {
         let workers = self.input.len();
         if workers == 0 || hot.is_empty() {
             return 0;
         }
         let mut acc = vec![0.0f32; self.dim];
-        for (matrices, base, canonical) in [
-            (&self.input, &self.input_base, store.input_matrix()),
-            (&self.output, &self.output_base, store.output_matrix()),
+        for (matrices, canonical) in [
+            (&self.input, store.input_matrix()),
+            (&self.output, store.output_matrix()),
         ] {
             for (slot, t) in hot.tokens().iter().enumerate() {
                 // The unrolled kernels are elementwise (per-lane order is
                 // unchanged), so the documented reconciliation order — and
                 // the bit-identity test below — is preserved.
-                match mode {
-                    SyncMode::Average => {
-                        acc.fill(0.0);
-                        for m in matrices.iter() {
-                            kernels::add_assign(&mut acc, m.row(slot));
-                        }
-                        kernels::scale(&mut acc, 1.0 / workers as f32);
-                    }
-                    SyncMode::DeltaSum => {
-                        acc.copy_from_slice(base.row(slot));
-                        for m in matrices.iter() {
-                            kernels::accumulate_delta(&mut acc, m.row(slot), base.row(slot));
-                        }
-                    }
+                acc.fill(0.0);
+                for m in matrices.iter() {
+                    kernels::add_assign(&mut acc, m.row(slot));
                 }
+                kernels::scale(&mut acc, 1.0 / workers as f32);
                 // Callers guarantee quiescence at a barrier; the relaxed
                 // atomic stores are sound even if they don't.
                 for m in matrices.iter() {
                     m.row_ptr(slot).store_from(&acc);
                 }
                 canonical.row_ptr(t.index()).store_from(&acc);
-                base.row_ptr(slot).store_from(&acc);
             }
         }
         // All-reduce cost: every worker sends and receives its |Q|×dim×2
@@ -237,7 +195,7 @@ mod tests {
         replicas.input_row(0, 0).store_from(&[1.0; 4]);
         replicas.input_row(1, 0).store_from(&[2.0; 4]);
         replicas.input_row(2, 0).store_from(&[3.0; 4]);
-        let bytes = replicas.synchronize(&store, &hot, SyncMode::Average);
+        let bytes = replicas.synchronize(&store, &hot);
         assert!(bytes > 0);
         let expected = [2.0f32; 4];
         let mut got = [0.0f32; 4];
@@ -250,34 +208,20 @@ mod tests {
     }
 
     /// Sequential reference for one slot's reconciliation, mirroring the
-    /// documented op order of [`ReplicaSet::synchronize`]: Average sums
-    /// worker rows in worker order then multiplies by `1/w`; DeltaSum
-    /// starts from the base row and adds per-worker deltas in worker order.
-    fn reference_sync(rows: &[Vec<f32>], base: &[f32], mode: SyncMode) -> Vec<f32> {
-        match mode {
-            SyncMode::Average => {
-                let mut acc = vec![0.0f32; base.len()];
-                for row in rows {
-                    for (a, &v) in acc.iter_mut().zip(row) {
-                        *a += v;
-                    }
-                }
-                let inv = 1.0 / rows.len() as f32;
-                for a in acc.iter_mut() {
-                    *a *= inv;
-                }
-                acc
-            }
-            SyncMode::DeltaSum => {
-                let mut acc = base.to_vec();
-                for row in rows {
-                    for ((a, &v), &b) in acc.iter_mut().zip(row).zip(base) {
-                        *a += v - b;
-                    }
-                }
-                acc
+    /// documented op order of [`ReplicaSet::synchronize`]: worker rows are
+    /// summed in worker order, then multiplied by `1/w`.
+    fn reference_sync(rows: &[Vec<f32>]) -> Vec<f32> {
+        let mut acc = vec![0.0f32; rows[0].len()];
+        for row in rows {
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += v;
             }
         }
+        let inv = 1.0 / rows.len() as f32;
+        for a in acc.iter_mut() {
+            *a *= inv;
+        }
+        acc
     }
 
     #[test]
@@ -285,53 +229,47 @@ mod tests {
         // Values chosen so that float op *order* matters: the sums are
         // inexact, so any reordering inside `synchronize` would change
         // low-order bits and fail the `to_bits` comparison below.
-        for mode in [SyncMode::Average, SyncMode::DeltaSum] {
-            let v = vocab();
-            let hot = HotSet::top_k(&v, 2);
-            let store = EmbeddingStore::new(v.len(), 4, 9);
-            let replicas = ReplicaSet::init(&store, &hot, 3);
+        let v = vocab();
+        let hot = HotSet::top_k(&v, 2);
+        let store = EmbeddingStore::new(v.len(), 4, 9);
+        let replicas = ReplicaSet::init(&store, &hot, 3);
 
-            let mut worker_rows: Vec<Vec<Vec<f32>>> = Vec::new();
-            let mut bases: Vec<Vec<f32>> = Vec::new();
-            for slot in 0..hot.len() {
-                let mut base = [0.0f32; 4];
-                replicas.input_row(0, slot).load_into(&mut base);
-                bases.push(base.to_vec());
-                let mut rows = Vec::new();
-                for w in 0..3 {
-                    // Perturb each replica with values whose sums are
-                    // inexact in f32.
-                    let row: Vec<f32> = (0..4)
-                        .map(|d| {
-                            base[d] + 0.1 + 0.3 * w as f32 + 0.7 * slot as f32 + 0.013 * d as f32
-                        })
-                        .collect();
-                    replicas.input_row(w, slot).store_from(&row);
-                    rows.push(row);
-                }
-                worker_rows.push(rows);
+        let mut worker_rows: Vec<Vec<Vec<f32>>> = Vec::new();
+        for slot in 0..hot.len() {
+            let mut base = [0.0f32; 4];
+            replicas.input_row(0, slot).load_into(&mut base);
+            let mut rows = Vec::new();
+            for w in 0..3 {
+                // Perturb each replica with values whose sums are
+                // inexact in f32.
+                let row: Vec<f32> = (0..4)
+                    .map(|d| base[d] + 0.1 + 0.3 * w as f32 + 0.7 * slot as f32 + 0.013 * d as f32)
+                    .collect();
+                replicas.input_row(w, slot).store_from(&row);
+                rows.push(row);
             }
+            worker_rows.push(rows);
+        }
 
-            replicas.synchronize(&store, &hot, mode);
+        replicas.synchronize(&store, &hot);
 
-            for (slot, rows) in worker_rows.iter().enumerate() {
-                let expected = reference_sync(rows, &bases[slot], mode);
-                let mut got = [0.0f32; 4];
-                for w in 0..3 {
-                    replicas.input_row(w, slot).load_into(&mut got);
-                    for (g, e) in got.iter().zip(&expected) {
-                        assert_eq!(
-                            g.to_bits(),
-                            e.to_bits(),
-                            "{mode:?} slot {slot} worker {w}: {g} != {e}"
-                        );
-                    }
+        for (slot, rows) in worker_rows.iter().enumerate() {
+            let expected = reference_sync(rows);
+            let mut got = [0.0f32; 4];
+            for w in 0..3 {
+                replicas.input_row(w, slot).load_into(&mut got);
+                for (g, e) in got.iter().zip(&expected) {
+                    assert_eq!(
+                        g.to_bits(),
+                        e.to_bits(),
+                        "slot {slot} worker {w}: {g} != {e}"
+                    );
                 }
-                // The canonical store row must hold the same bits too.
-                let canonical = store.input(hot.tokens()[slot]);
-                for (g, e) in canonical.iter().zip(&expected) {
-                    assert_eq!(g.to_bits(), e.to_bits(), "{mode:?} canonical slot {slot}");
-                }
+            }
+            // The canonical store row must hold the same bits too.
+            let canonical = store.input(hot.tokens()[slot]);
+            for (g, e) in canonical.iter().zip(&expected) {
+                assert_eq!(g.to_bits(), e.to_bits(), "canonical slot {slot}");
             }
         }
     }
@@ -342,6 +280,6 @@ mod tests {
         let hot = HotSet::top_k(&v, 0);
         let store = EmbeddingStore::new(v.len(), 4, 9);
         let replicas = ReplicaSet::init(&store, &hot, 2);
-        assert_eq!(replicas.synchronize(&store, &hot, SyncMode::DeltaSum), 0);
+        assert_eq!(replicas.synchronize(&store, &hot), 0);
     }
 }

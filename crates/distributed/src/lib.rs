@@ -52,7 +52,7 @@ pub mod runtime;
 
 pub use fault::{CrashSpec, FaultDecision, FaultPlan, RetryPolicy, StallSpec};
 pub use hbgp::{partition_categories_traced, HbgpPartitioner, HbgpTrace};
-pub use hotset::{HotSet, SyncMode};
+pub use hotset::HotSet;
 pub use partition::{HashPartitioner, PartitionMap, Partitioner};
 pub use pipeline::{PipelinePreflight, ResumeError, TrainingPipeline};
 pub use protocol::{
@@ -61,4 +61,4 @@ pub use protocol::{
 };
 pub use recovery::{PipelineCheckpoint, ShardCheckpoint};
 pub use report::{ClusterCostModel, DistReport};
-pub use runtime::{build_partition, train_distributed, train_distributed_prepared, DistConfig};
+pub use runtime::{build_partition, train_distributed, DistConfig};

@@ -833,7 +833,7 @@ impl<'a> WorkerMachine<'a> {
                     .filter_into(seq, &mut self.scan_rng, &mut self.filtered);
                 self.run
                     .sampler
-                    .pairs_into(&self.filtered, &mut self.scan_rng, &mut self.pair_buf);
+                    .pairs_into(&self.filtered, &mut self.pair_buf);
                 continue;
             }
             // Epoch boundary.

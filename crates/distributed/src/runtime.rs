@@ -22,7 +22,7 @@
 //! - **HBGP vs hash** is selected by [`PartitionStrategy`].
 
 use crate::hbgp::HbgpPartitioner;
-use crate::hotset::{HotSet, ReplicaSet, SyncMode};
+use crate::hotset::{HotSet, ReplicaSet};
 use crate::partition::{assign_all, HashPartitioner, PartitionMap};
 use crate::protocol::{local_noise_tables, noise_seed, scan_seed};
 use crate::report::DistReport;
@@ -72,17 +72,12 @@ pub struct DistConfig {
     pub min_learning_rate: f32,
     /// Mikolov subsampling threshold.
     pub subsample: f64,
-    /// Extra keep-probability factor for hot-set tokens (< 1 = the
-    /// "aggressive" down-sampling of ATNS).
-    pub hot_subsample_factor: f32,
     /// Noise exponent α.
     pub noise_exponent: f64,
     /// Size of the shared hot set `Q` (0 disables replication).
     pub hot_set_size: usize,
     /// Sequences processed per worker between hot-set averaging barriers.
     pub sync_interval: usize,
-    /// How hot-set replicas are reconciled at each barrier.
-    pub sync_mode: SyncMode,
     /// Item partitioner.
     pub strategy: PartitionStrategy,
     /// Seed.
@@ -101,11 +96,9 @@ impl Default for DistConfig {
             learning_rate: 0.025,
             min_learning_rate: 0.0001,
             subsample: 1e-3,
-            hot_subsample_factor: 0.3,
             noise_exponent: 0.75,
             hot_set_size: 256,
             sync_interval: 2_000,
-            sync_mode: SyncMode::default(),
             strategy: PartitionStrategy::Hbgp { beta: 1.2 },
             seed: 42,
         }
@@ -118,7 +111,6 @@ impl DistConfig {
         PairSampler {
             window: self.window,
             mode: self.window_mode,
-            dynamic: false,
         }
     }
 
@@ -191,7 +183,7 @@ pub fn train_distributed(
 /// Trains from pre-built stage artifacts (the path the preparation
 /// pipeline and its crash-recovery resume use: a checkpointed partition
 /// and hot set are reused instead of being re-derived).
-pub fn train_distributed_prepared(
+pub(crate) fn train_distributed_prepared(
     enriched: &EnrichedCorpus,
     sessions: &Corpus,
     config: &DistConfig,
@@ -206,6 +198,9 @@ pub fn train_distributed_prepared(
     // Per-worker local noise distributions over P_j ∪ Q.
     let noise_tables = local_noise_tables(partition, vocab, hot.tokens(), config.noise_exponent);
 
+    // Extra keep-probability factor for hot-set tokens (< 1 = the
+    // "aggressive" down-sampling of ATNS).
+    const HOT_SUBSAMPLE_FACTOR: f32 = 0.3;
     let mut subsample = SubsampleTable::new(vocab.freqs(), config.subsample);
     // "High frequency words are aggressively down sampled" — but the paper
     // notes "most high frequency words are SIs" and handles hot *items*
@@ -218,7 +213,7 @@ pub fn train_distributed_prepared(
         .copied()
         .filter(|t| !space.is_item(*t))
         .collect();
-    subsample.scale_tokens(&hot_non_items, config.hot_subsample_factor);
+    subsample.scale_tokens(&hot_non_items, HOT_SUBSAMPLE_FACTOR);
 
     let store = EmbeddingStore::new(space.len(), config.dim, config.seed);
     let ctx = RunCtx {
@@ -379,8 +374,7 @@ fn worker_loop(ctx: &RunCtx<'_>, me: usize) -> WorkerCounters {
             for seq_idx in lo..hi {
                 let seq = enriched.sequence(seq_idx);
                 ctx.subsample.filter_into(seq, &mut scan_rng, &mut filtered);
-                ctx.sampler
-                    .pairs_into(&filtered, &mut scan_rng, &mut pair_buf);
+                ctx.sampler.pairs_into(&filtered, &mut pair_buf);
                 for &(target, context) in &pair_buf {
                     // Algorithm 1 line 6: keep the pair iff this worker is
                     // responsible for it. Hot targets are sharded by
@@ -449,7 +443,7 @@ fn worker_loop(ctx: &RunCtx<'_>, me: usize) -> WorkerCounters {
             // while everyone else waits, then all resume.
             if ctx.barrier.wait().is_leader() {
                 let sync_span = sisg_obs::span(obs_names::DIST_SYNC_SPAN);
-                let bytes = ctx.replicas.synchronize(ctx.store, hot, config.sync_mode);
+                let bytes = ctx.replicas.synchronize(ctx.store, hot);
                 sync_span.finish();
                 // ORDERING: Relaxed — stat counters read only after join (or by the
                 // leader itself); the surrounding barrier orders the sync payload.
@@ -642,13 +636,13 @@ mod tests {
     #[test]
     fn distributed_training_learns_structure() {
         let gen = corpus();
+        // The regime the paper describes: the full enriched corpus, whose
+        // hottest tokens are SI features, with Q replicated and averaged
+        // on 4 workers.
         let mut cfg = fast_config(4);
         cfg.epochs = 2;
-        // A small hot set keeps the most-clicked items' vectors on the
-        // canonical path for this structure check; the quality effect of
-        // replication itself is covered by the integration suite.
-        cfg.hot_set_size = 8;
-        let (store, _) = train_on(&gen, EnrichOptions::NONE, &cfg);
+        let (store, report) = train_on(&gen, EnrichOptions::FULL, &cfg);
+        assert_eq!(report.hot_set_size, 32);
         // Items of one leaf category should be closer than cross-category.
         let mut within = 0.0f64;
         let mut cross = 0.0f64;

@@ -128,7 +128,6 @@ impl EgesModel {
             let sampler = PairSampler {
                 window: config.window,
                 mode: WindowMode::Symmetric,
-                dynamic: false,
             };
             let sigmoid = SigmoidTable::new();
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0xE635);
@@ -155,7 +154,7 @@ impl EgesModel {
                         schedule,
                     );
                     last_lr = lr;
-                    sampler.pairs_into(walk, &mut rng, &mut pair_buf);
+                    sampler.pairs_into(walk, &mut pair_buf);
                     epoch_pairs += pair_buf.len() as u64;
                     for &(target, context) in &pair_buf {
                         // Batched draw, then the same collision filter the

@@ -4,7 +4,7 @@
 //! Two kernel families live here, split by *numeric contract*:
 //!
 //! - **Order-preserving kernels** (`dot_ordered`, `dot_ordered_x4`,
-//!   `fused_step`, `axpy`, `add_assign`, `scale`, `accumulate_delta`):
+//!   `fused_step`, `axpy`, `add_assign`, `scale`):
 //!   every f32 operation on a given element happens in exactly the order
 //!   the naive scalar loop performs it, so results are *bit-identical* to
 //!   the reference implementation. The training paths use only these —
@@ -157,20 +157,6 @@ pub fn add_assign(dst: &mut [f32], src: &[f32]) {
 pub fn scale(x: &mut [f32], a: f32) {
     for v in x {
         *v *= a;
-    }
-}
-
-/// `acc += v − b`, elementwise — the DeltaSum reconciliation step of the
-/// hot-set replica sync.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-#[inline]
-pub fn accumulate_delta(acc: &mut [f32], v: &[f32], b: &[f32]) {
-    assert_eq!(acc.len(), v.len(), "length mismatch");
-    assert_eq!(acc.len(), b.len(), "length mismatch");
-    for ((slot, &val), &base) in acc.iter_mut().zip(v).zip(b) {
-        *slot += val - base;
     }
 }
 
@@ -361,9 +347,6 @@ mod tests {
         assert_eq!(y, [4.0, 4.0, 4.0]);
         scale(&mut y, 0.5);
         assert_eq!(y, [2.0, 2.0, 2.0]);
-        let mut acc = vec![1.0f32, 1.0];
-        accumulate_delta(&mut acc, &[5.0, 7.0], &[4.0, 4.0]);
-        assert_eq!(acc, [2.0, 4.0]);
     }
 
     #[test]

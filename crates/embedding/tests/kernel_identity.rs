@@ -203,10 +203,9 @@ proptest! {
     fn elementwise_kernels_match_scalar_references(
         a in vec(-3.0f32..3.0, 0..64),
         b in vec(-3.0f32..3.0, 0..64),
-        c in vec(-3.0f32..3.0, 0..64),
         s in -2.0f32..2.0,
     ) {
-        let n = a.len().min(b.len()).min(c.len());
+        let n = a.len().min(b.len());
 
         let mut got = a[..n].to_vec();
         kernels::axpy(s, &b[..n], &mut got);
@@ -224,12 +223,6 @@ proptest! {
         kernels::scale(&mut got, s);
         let mut want = a[..n].to_vec();
         for w in want.iter_mut() { *w *= s; }
-        prop_assert_eq!(bits(&got), bits(&want));
-
-        let mut got = a[..n].to_vec();
-        kernels::accumulate_delta(&mut got, &b[..n], &c[..n]);
-        let mut want = a[..n].to_vec();
-        for ((w, &bi), &ci) in want.iter_mut().zip(&b[..n]).zip(&c[..n]) { *w += bi - ci; }
         prop_assert_eq!(bits(&got), bits(&want));
     }
 }

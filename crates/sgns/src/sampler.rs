@@ -88,34 +88,23 @@ impl SubsampleTable {
     }
 }
 
-/// Window pair sampler.
+/// Window pair sampler. The window is fixed, not shrunk per target as in
+/// word2vec: the paper sets it large enough that "all possible pairs per
+/// sequence are sampled" (Section III-C).
 #[derive(Debug, Clone, Copy)]
 pub struct PairSampler {
     /// Window half-width `m`.
     pub window: usize,
     /// Symmetric or right-only windows.
     pub mode: WindowMode,
-    /// Shrink the window uniformly per target (word2vec's `b` trick). The
-    /// paper instead fixes the window large enough that "all possible pairs
-    /// per sequence are sampled" (Section III-C), i.e. `dynamic = false`.
-    pub dynamic: bool,
 }
 
 impl PairSampler {
     /// Calls `f(target, context)` for every sampled pair of `seq`.
-    pub fn for_each_pair<R: Rng + ?Sized>(
-        &self,
-        seq: &[TokenId],
-        rng: &mut R,
-        mut f: impl FnMut(TokenId, TokenId),
-    ) {
+    pub fn for_each_pair(&self, seq: &[TokenId], mut f: impl FnMut(TokenId, TokenId)) {
         let n = seq.len();
+        let b = self.window;
         for i in 0..n {
-            let b = if self.dynamic {
-                rng.gen_range(1..=self.window)
-            } else {
-                self.window
-            };
             let right_end = (i + b).min(n.saturating_sub(1));
             if self.mode == WindowMode::Symmetric {
                 let left_start = i.saturating_sub(b);
@@ -130,14 +119,9 @@ impl PairSampler {
     }
 
     /// Collects all pairs of `seq` into `out` (cleared first).
-    pub fn pairs_into<R: Rng + ?Sized>(
-        &self,
-        seq: &[TokenId],
-        rng: &mut R,
-        out: &mut Vec<(TokenId, TokenId)>,
-    ) {
+    pub fn pairs_into(&self, seq: &[TokenId], out: &mut Vec<(TokenId, TokenId)>) {
         out.clear();
-        self.for_each_pair(seq, rng, |t, c| out.push((t, c)));
+        self.for_each_pair(seq, |t, c| out.push((t, c)));
     }
 }
 
@@ -157,11 +141,9 @@ mod tests {
         let sampler = PairSampler {
             window: 1,
             mode: WindowMode::Symmetric,
-            dynamic: false,
         };
-        let mut rng = StdRng::seed_from_u64(0);
         let mut out = Vec::new();
-        sampler.pairs_into(&s, &mut rng, &mut out);
+        sampler.pairs_into(&s, &mut out);
         let expect = vec![
             (TokenId(0), TokenId(1)),
             (TokenId(1), TokenId(0)),
@@ -177,11 +159,9 @@ mod tests {
         let sampler = PairSampler {
             window: 2,
             mode: WindowMode::RightOnly,
-            dynamic: false,
         };
-        let mut rng = StdRng::seed_from_u64(0);
         let mut out = Vec::new();
-        sampler.pairs_into(&s, &mut rng, &mut out);
+        sampler.pairs_into(&s, &mut out);
         // Every context index must exceed its target index in the sequence.
         assert_eq!(
             out,
@@ -196,38 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_window_shrinks_but_never_exceeds_m() {
-        let s = seq(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        let sampler = PairSampler {
-            window: 3,
-            mode: WindowMode::Symmetric,
-            dynamic: true,
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        let fixed = PairSampler {
-            dynamic: false,
-            ..sampler
-        };
-        let mut out_fixed = Vec::new();
-        sampler.pairs_into(&s, &mut rng, &mut out);
-        fixed.pairs_into(&s, &mut rng, &mut out_fixed);
-        assert!(out.len() <= out_fixed.len());
-        assert!(!out.is_empty());
-    }
-
-    #[test]
     fn empty_and_singleton_sequences_yield_nothing() {
         let sampler = PairSampler {
             window: 5,
             mode: WindowMode::Symmetric,
-            dynamic: false,
         };
-        let mut rng = StdRng::seed_from_u64(0);
         let mut out = Vec::new();
-        sampler.pairs_into(&[], &mut rng, &mut out);
+        sampler.pairs_into(&[], &mut out);
         assert!(out.is_empty());
-        sampler.pairs_into(&seq(&[9]), &mut rng, &mut out);
+        sampler.pairs_into(&seq(&[9]), &mut out);
         assert!(out.is_empty());
     }
 

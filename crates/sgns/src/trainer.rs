@@ -418,7 +418,6 @@ impl<'a> EpochContext<'a> {
             sampler: PairSampler {
                 window: config.window,
                 mode: config.window_mode,
-                dynamic: false,
             },
             sigmoid: SigmoidTable::new(),
             total_tokens,
@@ -443,8 +442,8 @@ impl<'a> EpochContext<'a> {
 struct ChunkBuffers {
     filtered: Vec<TokenId>,
     negatives: Vec<TokenId>,
-    /// `for_each_pair` needs the rng; pairs are drawn into this buffer
-    /// first to keep a single mutable borrow of rng at a time.
+    /// One sequence's pairs, collected before the step loop draws
+    /// negatives.
     pair_buf: Vec<(TokenId, TokenId)>,
     scratch: PairScratch,
 }
@@ -493,8 +492,7 @@ where
             let lr = ctx.lr(done);
             stats.last_lr = lr;
 
-            ctx.sampler
-                .pairs_into(&buf.filtered, &mut rng, &mut buf.pair_buf);
+            ctx.sampler.pairs_into(&buf.filtered, &mut buf.pair_buf);
             for idx in 0..buf.pair_buf.len() {
                 let (target, context) = buf.pair_buf[idx];
                 ctx.noise

@@ -29,10 +29,9 @@
 //!   **virtual clock**: single-threaded, seeded, bit-reproducible — two
 //!   runs of the same plan produce byte-identical snapshot codecs and the
 //!   same [`ReplayOutcome::trace_hash`] (the PR-4 simulation discipline).
-//! - [`IngestPipeline::run_live`] drives the *same* pipeline from a real
-//!   producer thread over a bounded channel, stamping events with real
-//!   wall-clock arrival times. (The benchmark's `stream_fresh` workload
-//!   calls the same `ingest_batch` / `publish` stages on its own clock.)
+//!   It is the only driver in this crate; the benchmark's `stream_fresh`
+//!   workload calls the same `warm_start` / `ingest_batch` / `publish`
+//!   stages on its own wall clock.
 //!
 //! The drift rules (how online tables relate to a from-scratch build over
 //! the same prefix) are documented in DESIGN.md §12 and property-tested in

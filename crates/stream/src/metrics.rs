@@ -11,7 +11,7 @@ pub(crate) struct StreamMetrics {
     pub(crate) publishes: &'static Counter,
     pub(crate) vocab_admitted: &'static Counter,
     /// Event-to-servable latency: arrival stamp (virtual ticks in replay,
-    /// real µs in live mode — one tick = 1 µs) to the publication that
+    /// real µs for a wall-clock caller — one tick = 1 µs) to the publication that
     /// made the event's updates servable.
     pub(crate) freshness_us: &'static Histogram,
 }

@@ -22,9 +22,10 @@
 //! Determinism: [`IngestPipeline::run_replay`] is single-threaded and
 //! seeded (per-batch seeds derive from `sgns.seed` and the batch index),
 //! so the same [`EventLog`] replays to bit-identical stores, byte-identical
-//! snapshot codecs, and the same trace hash. [`IngestPipeline::run_live`]
-//! runs the identical fold logic fed by a real producer thread over a
-//! bounded channel, trading determinism for real arrival clocks.
+//! snapshot codecs, and the same trace hash. A caller that wants real
+//! arrival clocks drives [`IngestPipeline::warm_start`] /
+//! [`IngestPipeline::ingest_batch`] / [`IngestPipeline::publish`] on its
+//! own clock (the repo benchmark's `stream_fresh` workload does).
 
 use crate::metrics::stream_metrics;
 use crate::trace::{store_checksum, TAG_BATCH, TAG_DONE, TAG_PUBLISH, TAG_WARM_START};
@@ -36,7 +37,7 @@ use sisg_corpus::{
     Corpus, EnrichedCorpus, EventLog, ItemCatalog, ItemId, SessionEvent, UserRegistry,
 };
 use sisg_embedding::{codec, EmbeddingStore};
-use sisg_obs::{names, span, Fnv1a, Stopwatch};
+use sisg_obs::{names, span, Fnv1a};
 use sisg_serve::{ServeEngine, ServeRequest, ServingSnapshot};
 use sisg_sgns::{train_increment, train_into, SgnsConfig, TrainStats};
 
@@ -301,8 +302,9 @@ impl IngestPipeline {
 
     /// Freezes and publishes a snapshot through `engine`'s hot swap.
     /// `now` is the current clock reading (virtual ticks in replay, real
-    /// µs in live mode); every pending event's `now - arrival` lands in
-    /// the `stream.freshness.us` histogram. Returns the new engine epoch.
+    /// µs for a wall-clock caller); every pending event's `now - arrival`
+    /// lands in the `stream.freshness.us` histogram. Returns the new
+    /// engine epoch.
     pub fn publish(&mut self, engine: &ServeEngine, now: u64) -> Result<u64, StreamError> {
         let service = self.freeze()?;
         let snapshot = ServingSnapshot::from_service_with(
@@ -342,82 +344,33 @@ impl IngestPipeline {
         Ok(epoch)
     }
 
-    /// The publish cadence, written once for both drivers: folds every
-    /// batch, publishes every `publish_every` batches and once more at the
-    /// end (if anything is pending or nothing was ever published) so the
-    /// final events are always servable. `now` maps the latest event time
-    /// folded so far to the clock reading a publication is stamped with.
-    fn drive<B: AsRef<[SessionEvent]>>(
-        &mut self,
-        batches: impl Iterator<Item = B>,
-        engine: &ServeEngine,
-        now: impl Fn(u64) -> u64,
-    ) -> Result<ReplayOutcome, StreamError> {
-        let mut last_event = 0u64;
-        let mut since_publish = 0usize;
-        let mut final_epoch = engine.epoch();
-        for batch in batches {
-            let batch = batch.as_ref();
-            last_event = batch.last().map_or(last_event, |e| e.time);
-            self.ingest_batch(batch)?;
-            since_publish += 1;
-            if since_publish == self.config.publish_every {
-                final_epoch = self.publish(engine, now(last_event))?;
-                since_publish = 0;
-            }
-        }
-        if since_publish > 0 || self.publishes == 0 {
-            final_epoch = self.publish(engine, now(last_event))?;
-        }
-        Ok(self.outcome(final_epoch))
-    }
-
     /// Replays the full log under its **virtual clock** (the event
-    /// times): single-threaded, deterministic, bit-reproducible.
+    /// times): single-threaded, deterministic, bit-reproducible. Folds
+    /// every batch, publishes every `publish_every` batches and once more
+    /// at the end (if anything is pending or nothing was ever published)
+    /// so the final events are always servable; a publication is stamped
+    /// with the latest event time folded so far.
     pub fn run_replay(
         &mut self,
         log: &EventLog,
         engine: &ServeEngine,
     ) -> Result<ReplayOutcome, StreamError> {
-        self.drive(log.batches(self.config.batch_sessions), engine, |t| t)
-    }
-
-    /// Drives the same pipeline in **real-thread mode**: a producer thread
-    /// replays the log over a bounded channel, re-stamping every event
-    /// with its real wall-clock arrival (µs since the run started), while
-    /// the calling thread folds and publishes. Freshness histograms then
-    /// carry real event-to-servable latency. Not deterministic — the
-    /// benchmark mode.
-    pub fn run_live(
-        &mut self,
-        log: &EventLog,
-        engine: &ServeEngine,
-    ) -> Result<ReplayOutcome, StreamError> {
-        let watch = Stopwatch::start();
-        let batch_sessions = self.config.batch_sessions;
-        let (tx, rx) = crossbeam::channel::bounded::<Vec<SessionEvent>>(4);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for batch in log.batches(batch_sessions) {
-                    let arrival = elapsed_us(&watch);
-                    let stamped: Vec<SessionEvent> = batch
-                        .iter()
-                        .map(|e| SessionEvent {
-                            time: arrival,
-                            user: e.user,
-                            items: e.items.clone(),
-                        })
-                        .collect();
-                    if tx.send(stamped).is_err() {
-                        break;
-                    }
-                }
-            });
-            // The iterator owns the receiver: an early error return drops
-            // it, which unblocks the producer so the scope can join.
-            let received = std::iter::from_fn(move || rx.recv().ok());
-            self.drive(received, engine, |_| elapsed_us(&watch))
-        })
+        let mut last_event = 0u64;
+        let mut since_publish = 0usize;
+        let mut final_epoch = engine.epoch();
+        for batch in log.batches(self.config.batch_sessions) {
+            last_event = batch.last().map_or(last_event, |e| e.time);
+            self.ingest_batch(batch)?;
+            since_publish += 1;
+            if since_publish == self.config.publish_every {
+                final_epoch = self.publish(engine, last_event)?;
+                since_publish = 0;
+            }
+        }
+        if since_publish > 0 || self.publishes == 0 {
+            final_epoch = self.publish(engine, last_event)?;
+        }
+        Ok(self.outcome(final_epoch))
     }
 
     /// Enriches a session batch through the same SI path as offline
@@ -506,11 +459,6 @@ impl IngestPipeline {
             codec,
         }
     }
-}
-
-/// Elapsed real time in whole microseconds.
-fn elapsed_us(watch: &Stopwatch) -> u64 {
-    watch.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
 /// The store is `None` only if a previous fold was interrupted mid-call

@@ -36,8 +36,8 @@ fn stream_config(seed: u64) -> StreamConfig {
 }
 
 /// One full seeded run: cold engine from the untrained freeze, then the
-/// whole event log through the pipeline, under the virtual clock or live.
-fn run(seed: u64, live: bool) -> (ReplayOutcome, EngineStats, u64) {
+/// whole event log through the pipeline under the virtual clock.
+fn replay(seed: u64) -> (ReplayOutcome, EngineStats, u64) {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let log = EventLog::from_sessions(&corpus.sessions, seed, 500);
     let mut pipeline = IngestPipeline::new(
@@ -54,17 +54,9 @@ fn run(seed: u64, live: bool) -> (ReplayOutcome, EngineStats, u64) {
             .expect("engine config"),
     )
     .expect("engine starts");
-    let outcome = if live {
-        pipeline.run_live(&log, &engine).expect("live run")
-    } else {
-        pipeline.run_replay(&log, &engine).expect("replay")
-    };
+    let outcome = pipeline.run_replay(&log, &engine).expect("replay");
     let epoch = engine.epoch();
     (outcome, engine.stats(), epoch)
-}
-
-fn replay(seed: u64) -> (ReplayOutcome, EngineStats, u64) {
-    run(seed, false)
 }
 
 #[test]
@@ -87,24 +79,6 @@ fn two_runs_of_the_same_plan_are_byte_identical() {
     assert_eq!(a.events, 1_500, "tiny corpus replays every session");
     assert!(a.publishes >= 2, "the plan must publish repeatedly");
     assert!(!a.codec.is_empty(), "the final snapshot must encode");
-}
-
-/// Live mode differs from replay only in where batches and the clock come
-/// from: same folds, same publish cadence, same trained bits.
-#[test]
-fn live_mode_follows_the_replay_cadence() {
-    let (replayed, _, _) = replay(7);
-    let (live, _, _) = run(7, true);
-    assert_eq!(
-        (live.events, live.batches, live.publishes, live.final_epoch),
-        (
-            replayed.events,
-            replayed.batches,
-            replayed.publishes,
-            replayed.final_epoch
-        ),
-    );
-    assert_eq!(live.store_checksum, replayed.store_checksum);
 }
 
 #[test]

@@ -31,7 +31,6 @@ run ablation_partition cargo run -q --release -p sisg-bench --bin ablation_parti
 run ablation_atns     cargo run -q --release -p sisg-bench --bin ablation_atns
 run ablation_beta     cargo run -q --release -p sisg-bench --bin ablation_beta
 run ablation_ann      cargo run -q --release -p sisg-bench --bin ablation_ann
-run ablation_sync     cargo run -q --release -p sisg-bench --bin ablation_sync
 
 if (( ${#failed[@]} )); then
   echo "${#failed[@]} experiment(s) FAILED: ${failed[*]}"
