@@ -13,10 +13,11 @@
 //!
 //! **No MIPS augmentation.** The f32 index augments vectors to equalize
 //! norms because raw inner product is not navigable. This index instead
-//! *assumes* near-uniform row norms — its intended corpus is the
-//! L2-normalized `item_norm` matrix the serving scorers already use,
-//! where inner product coincides with cosine and the geometry is
-//! navigable as-is. Augmenting after quantization would waste a
+//! *assumes* near-uniform row norms — its intended corpus is the model's
+//! L2-normalized item vectors (the rows the serving cosine scorers score,
+//! which `crates/serve` normalizes one at a time before quantizing), where
+//! inner product coincides with cosine and the geometry is navigable
+//! as-is. Augmenting after quantization would waste a
 //! coordinate's worth of precision for rows that are already unit-norm.
 //!
 //! Quantized scores carry a bounded perturbation (≤ half a scale per

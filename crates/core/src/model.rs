@@ -6,8 +6,8 @@ use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{
     Corpus, EnrichedCorpus, GeneratedCorpus, ItemCatalog, ItemId, TokenId, UserRegistry,
 };
-use sisg_embedding::math::normalize;
-use sisg_embedding::{retrieve_top_k, EmbeddingStore, Matrix, Neighbor};
+use sisg_embedding::math::{inv_norm, normalize};
+use sisg_embedding::{retrieve_top_k, retrieve_top_k_scaled, EmbeddingStore, Matrix, Neighbor};
 use sisg_sgns::{train_into, SgnsConfig, TrainStats};
 
 /// Statistics of one SISG training run.
@@ -32,12 +32,17 @@ pub struct SisgTrainReport {
 /// DESIGN.md §6). Raw means no copy is needed: items are tokens
 /// `0..n_items`, so the leading rows of the store's output matrix are the
 /// item output matrix.
+///
+/// Cosine needs no copy either: the scorers read the store's item input
+/// rows and scale each by its cached `1/‖v‖` inside the kernel, which
+/// gives the bits of a scan over L2-normalized rows.
 pub struct SisgModel {
     variant: Variant,
     space: TokenSpace,
     store: EmbeddingStore,
-    /// Item input vectors, L2-normalized, for cosine retrieval.
-    item_norm: Matrix,
+    /// [`inv_norm`] of every item input row: the factor `normalize` would
+    /// scale it by, 4 B per item instead of a normalized `dim`-wide copy.
+    item_inv_norm: Vec<f32>,
 }
 
 impl std::fmt::Debug for SisgModel {
@@ -144,19 +149,14 @@ impl SisgModel {
                 reason: "store carries zero dimensions",
             });
         }
-        let n_items = space.n_items() as usize;
-        let dim = store.dim();
-        let mut item_norm = Matrix::zeros(n_items, dim);
-        for i in 0..n_items {
-            let row = item_norm.row_mut(i);
-            row.copy_from_slice(store.input(TokenId(i as u32)));
-            normalize(row);
-        }
+        let item_inv_norm = (0..space.n_items())
+            .map(|i| inv_norm(store.input(TokenId(i))))
+            .collect();
         Ok(Self {
             variant,
             space,
             store,
-            item_norm,
+            item_inv_norm,
         })
     }
 
@@ -182,10 +182,13 @@ impl SisgModel {
     /// Asymmetric for `-D` variants: `similarity(a, b) ≠ similarity(b, a)`.
     pub fn similarity(&self, a: ItemId, b: ItemId) -> f32 {
         match self.variant.similarity_mode() {
-            SimilarityMode::CosineInput => sisg_embedding::math::dot(
-                self.item_norm.row(a.index()),
-                self.item_norm.row(b.index()),
-            ),
+            SimilarityMode::CosineInput => {
+                let dim = self.store.dim();
+                let (mut na, mut nb) = (vec![0.0; dim], vec![0.0; dim]);
+                self.normalized_item_into(a, &mut na);
+                self.normalized_item_into(b, &mut nb);
+                sisg_embedding::math::dot(&na, &nb)
+            }
             SimilarityMode::InputOutput => sisg_embedding::math::dot(
                 self.store.input(self.space.item(a)),
                 self.store.output(self.space.item(b)),
@@ -197,14 +200,9 @@ impl SisgModel {
     pub fn similar_items(&self, query: ItemId, k: usize) -> Vec<Neighbor> {
         match self.variant.similarity_mode() {
             SimilarityMode::CosineInput => {
-                let q = self.item_norm.row(query.index());
-                retrieve_top_k(
-                    q,
-                    &self.item_norm,
-                    (0..self.space.n_items()).map(TokenId),
-                    k,
-                    Some(self.space.item(query)),
-                )
+                let mut q = vec![0.0; self.store.dim()];
+                self.normalized_item_into(query, &mut q);
+                self.cosine_scan(&q, (0..self.space.n_items()).map(TokenId), k, Some(query))
             }
             SimilarityMode::InputOutput => {
                 let q = self.store.input(self.space.item(query));
@@ -225,13 +223,7 @@ impl SisgModel {
     pub fn similar_items_to_vector(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         let mut q = query.to_vec();
         normalize(&mut q);
-        retrieve_top_k(
-            &q,
-            &self.item_norm,
-            (0..self.space.n_items()).map(TokenId),
-            k,
-            None,
-        )
+        self.cosine_scan(&q, (0..self.space.n_items()).map(TokenId), k, None)
     }
 
     /// Re-ranks an explicit candidate set against an arbitrary query
@@ -247,15 +239,55 @@ impl SisgModel {
     ) -> Vec<Neighbor> {
         let mut q = query.to_vec();
         normalize(&mut q);
-        retrieve_top_k(&q, &self.item_norm, candidates, k, None)
+        self.cosine_scan(&q, candidates, k, None)
     }
 
-    /// The L2-normalized item input matrix the cosine scorers run over —
-    /// the corpus a quantized in-shard index is built from (rows are
-    /// unit-norm, so inner product is navigable without augmentation).
-    #[inline]
-    pub fn item_norm_matrix(&self) -> &Matrix {
-        &self.item_norm
+    /// Cosine of the unit-norm `query` against candidate items: the
+    /// store's raw input rows, each scaled by its cached inverse norm.
+    fn cosine_scan(
+        &self,
+        query: &[f32],
+        candidates: impl Iterator<Item = TokenId>,
+        k: usize,
+        exclude: Option<ItemId>,
+    ) -> Vec<Neighbor> {
+        retrieve_top_k_scaled(
+            query,
+            self.store.input_matrix(),
+            &self.item_inv_norm,
+            candidates,
+            k,
+            exclude.map(|i| self.space.item(i)),
+        )
+    }
+
+    /// Writes the L2-normalized input vector of `item` into `out` (`dim`
+    /// long) — the bits `normalize` gives a copy of the row, from the
+    /// cached scale.
+    ///
+    /// # Panics
+    /// Panics when `item` is out of range.
+    pub fn normalized_item_into(&self, item: ItemId, out: &mut [f32]) {
+        let row = self.store.input(self.space.item(item));
+        debug_assert_eq!(row.len(), out.len(), "length mismatch");
+        let s = self.item_inv_norm[item.index()];
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o = v * s;
+        }
+    }
+
+    /// The L2-normalized item input matrix, built on demand (an
+    /// `n_items × dim` allocation per call). Nothing on the serving path
+    /// calls it: the cosine scorers scale the store's rows in place and
+    /// the quantized cold index normalizes one row at a time. It is the
+    /// reference those are tested against.
+    pub fn item_norm_matrix(&self) -> Matrix {
+        let n_items = self.space.n_items();
+        let mut m = Matrix::zeros(n_items as usize, self.store.dim());
+        for i in 0..n_items {
+            self.normalized_item_into(ItemId(i), m.row_mut(i as usize));
+        }
+        m
     }
 
     /// The input vector of any token (item, SI instance, or user type) in
@@ -434,6 +466,78 @@ mod tests {
             .as_slice()
             .iter()
             .all(|v| v.to_bits() == 0));
+    }
+
+    fn assert_same_hits(got: &[Neighbor], want: &[Neighbor], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.token, w.token, "{what}");
+            assert_eq!(g.score.to_bits(), w.score.to_bits(), "{what}");
+        }
+    }
+
+    /// Every cosine scorer, which scales the store's raw rows by the cached
+    /// inverse norm, against the scan it replaced: `retrieve_top_k` /
+    /// `math::dot` over the materialized unit-norm matrix. Same ids, same
+    /// bits, over the whole catalog.
+    fn assert_cosine_scorers_match_the_normalized_matrix(model: &SisgModel) {
+        let m = model.item_norm_matrix();
+        let n = model.space().n_items();
+        let all = || (0..n).map(TokenId);
+        let si = model.token_input(TokenId(n + 3)).to_vec();
+        for q in [0u32, 3, n / 2, n - 1] {
+            let what = format!("{} query {q}", model.variant());
+            let want = retrieve_top_k(m.row(q as usize), &m, all(), n as usize, Some(TokenId(q)));
+            assert_same_hits(&model.similar_items(ItemId(q), n as usize), &want, &what);
+
+            for raw in [model.token_input(TokenId(q)).to_vec(), si.clone()] {
+                let mut unit = raw.clone();
+                normalize(&mut unit);
+                let want = retrieve_top_k(&unit, &m, all(), n as usize, None);
+                let got = model.similar_items_to_vector(&raw, n as usize);
+                assert_same_hits(&got, &want, &what);
+                let cands = (0..n).step_by(3).map(TokenId);
+                let want = retrieve_top_k(&unit, &m, cands.clone(), 7, None);
+                let got = model.rerank_items_to_vector(&raw, cands, 7);
+                assert_same_hits(&got, &want, &what);
+            }
+            for b in [0u32, 1, q, n - 1] {
+                let want = sisg_embedding::math::dot(m.row(q as usize), m.row(b as usize));
+                let got = model.similarity(ItemId(q), ItemId(b));
+                assert_eq!(got.to_bits(), want.to_bits(), "{what} similarity to {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn cosine_scorers_are_bit_identical_to_the_normalized_matrix_scan() {
+        let c = corpus();
+        for v in [Variant::Sgns, Variant::SisgF, Variant::SisgFU] {
+            let (model, _) = SisgModel::train(&c, v, &small_sgns()).expect("train");
+            assert_cosine_scorers_match_the_normalized_matrix(&model);
+        }
+    }
+
+    #[test]
+    fn an_all_zero_item_row_stays_zero_and_scores_zero() {
+        // `normalize` leaves a zero row alone; its cached scale is 1.0.
+        let cards = sisg_corpus::schema::SchemaCardinalities::for_items(40);
+        let space = TokenSpace::new(40, &cards, 3);
+        let (mut input, output) = EmbeddingStore::new(space.len(), 16, 5).into_matrices();
+        input.row_mut(3).fill(0.0);
+        let store = EmbeddingStore::from_matrices(input, output);
+        let model = SisgModel::from_store(Variant::SisgFU, space, store).expect("covers");
+        assert!(model
+            .item_norm_matrix()
+            .row(3)
+            .iter()
+            .all(|v| v.to_bits() == 0));
+        let q = model.token_input(TokenId(7)).to_vec();
+        let hits = model.similar_items_to_vector(&q, 40);
+        let zero = hits.iter().find(|h| h.token == TokenId(3)).expect("scored");
+        assert_eq!(zero.score, 0.0);
+        assert_eq!(model.similarity(ItemId(7), ItemId(3)), 0.0);
+        assert_cosine_scorers_match_the_normalized_matrix(&model);
     }
 
     #[test]

@@ -51,13 +51,24 @@ pub fn scale(x: &mut [f32], a: f32) {
     kernels::scale(x, a)
 }
 
+/// The factor [`normalize`] scales `x` by: `1 / ‖x‖`, or `1.0` when the
+/// norm is not positive (an all-zero vector, which `x · 1.0` leaves as
+/// is). Cached per row, it lets a scorer read raw rows and still produce
+/// the normalized row's bits (`kernels::dot_ordered_scaled`).
+#[inline]
+pub fn inv_norm(x: &[f32]) -> f32 {
+    let n = norm(x);
+    if n > 0.0 {
+        1.0 / n
+    } else {
+        1.0
+    }
+}
+
 /// Normalizes `x` to unit length in place; leaves all-zero vectors alone.
 #[inline]
 pub fn normalize(x: &mut [f32]) {
-    let n = norm(x);
-    if n > 0.0 {
-        scale(x, 1.0 / n);
-    }
+    scale(x, inv_norm(x));
 }
 
 /// Accumulates `src` into `dst` (`dst += src`).

@@ -119,7 +119,8 @@ impl TopK {
 }
 
 /// Scores every row of `matrix` in `candidates` against `query` by inner
-/// product (cosine callers should pre-normalize) and returns the best `k`.
+/// product (cosine callers pre-normalize, or pass cached inverse norms to
+/// [`retrieve_top_k_scaled`]) and returns the best `k`.
 /// `exclude` is filtered out (typically the query item itself).
 ///
 /// Candidates are scored four at a time through the interleaved ordered
@@ -129,6 +130,38 @@ impl TopK {
 pub fn retrieve_top_k(
     query: &[f32],
     matrix: &Matrix,
+    candidates: impl Iterator<Item = TokenId>,
+    k: usize,
+    exclude: Option<TokenId>,
+) -> Vec<Neighbor> {
+    scan(query, matrix, None, candidates, k, exclude)
+}
+
+/// [`retrieve_top_k`] over the rows of `matrix` each scaled by
+/// `row_scales[row]` — cosine over raw rows given their cached `1/‖v‖`,
+/// with no normalized copy of the matrix. A candidate's score is
+/// bit-identical to `retrieve_top_k` over rows pre-scaled in place
+/// ([`kernels::dot_ordered_scaled_x4`]).
+///
+/// # Panics
+/// Panics when a candidate indexes past `row_scales`.
+pub fn retrieve_top_k_scaled(
+    query: &[f32],
+    matrix: &Matrix,
+    row_scales: &[f32],
+    candidates: impl Iterator<Item = TokenId>,
+    k: usize,
+    exclude: Option<TokenId>,
+) -> Vec<Neighbor> {
+    scan(query, matrix, Some(row_scales), candidates, k, exclude)
+}
+
+/// The one scan loop behind both entry points; `row_scales` is `None` for
+/// plain inner product.
+fn scan(
+    query: &[f32],
+    matrix: &Matrix,
+    row_scales: Option<&[f32]>,
     candidates: impl Iterator<Item = TokenId>,
     k: usize,
     exclude: Option<TokenId>,
@@ -143,15 +176,11 @@ pub fn retrieve_top_k(
         batch[n] = token;
         n += 1;
         if n == 4 {
-            let scores = kernels::dot_ordered_x4(
-                [
-                    matrix.row(batch[0].index()),
-                    matrix.row(batch[1].index()),
-                    matrix.row(batch[2].index()),
-                    matrix.row(batch[3].index()),
-                ],
-                query,
-            );
+            let rows = batch.map(|t| matrix.row(t.index()));
+            let scores = match row_scales {
+                None => kernels::dot_ordered_x4(rows, query),
+                Some(s) => kernels::dot_ordered_scaled_x4(rows, batch.map(|t| s[t.index()]), query),
+            };
             for (t, s) in batch.iter().zip(scores) {
                 top.push(*t, s);
             }
@@ -159,10 +188,12 @@ pub fn retrieve_top_k(
         }
     }
     for &token in &batch[..n] {
-        top.push(
-            token,
-            kernels::dot_ordered(matrix.row(token.index()), query),
-        );
+        let row = matrix.row(token.index());
+        let score = match row_scales {
+            None => kernels::dot_ordered(row, query),
+            Some(s) => kernels::dot_ordered_scaled(row, s[token.index()], query),
+        };
+        top.push(token, score);
     }
     top.into_sorted()
 }

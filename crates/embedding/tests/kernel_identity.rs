@@ -6,12 +6,12 @@
 //! reorder in a "faster" kernel would change training trajectories.
 //!
 //! Deterministic loops pin every remainder length `0..=17` (all residues
-//! of the 8-wide and 4-wide unroll factors, twice over); proptests then
-//! sweep longer lengths and arbitrary values.
+//! of the 8-wide and 4-wide unroll factors, twice over; `0..=70` for the
+//! scaled dots); proptests then sweep longer lengths and arbitrary values.
 
 use proptest::collection::vec;
 use proptest::prelude::{prop_assert_eq, proptest};
-use sisg_embedding::{dot_slice_x4, kernels, Matrix};
+use sisg_embedding::{dot_slice_x4, kernels, math, Matrix};
 
 /// Deterministic, irregular test values — sums are inexact so any
 /// reduction reorder flips low-order bits.
@@ -53,6 +53,46 @@ fn ordered_dot_is_the_serial_fold_for_all_remainders() {
         assert_eq!(
             kernels::dot_ordered(&x, &y).to_bits(),
             dot_serial(&x, &y).to_bits(),
+            "len {len}"
+        );
+    }
+}
+
+/// The cosine scorers read raw rows and a cached `1/‖v‖`: the scaled
+/// kernels must give, to the bit, what `dot_ordered` gives over a copy of
+/// the row scaled in place (what `math::normalize` writes), and scale
+/// `1.0` must be the unscaled kernel.
+#[test]
+fn scaled_dots_equal_ordered_dots_over_prescaled_rows_for_all_lengths() {
+    let scales = [0.1234567f32, 3.9, 1.0 / 7.0];
+    for len in 0..=70 {
+        let rows: Vec<Vec<f32>> = (0..4).map(|r| values(len, 20 + r)).collect();
+        let y = values(len, 30);
+        let row_refs = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+        let prescaled = |r: usize, s: f32| {
+            let mut v = rows[r].clone();
+            kernels::scale(&mut v, s);
+            v
+        };
+        let x4_scales = [scales[0], scales[1], scales[2], 1.0];
+        let got = kernels::dot_ordered_scaled_x4(row_refs, x4_scales, &y);
+        for r in 0..4 {
+            let want = kernels::dot_ordered(&prescaled(r, x4_scales[r]), &y);
+            assert_eq!(got[r].to_bits(), want.to_bits(), "x4 len {len} row {r}");
+            for &s in &scales {
+                assert_eq!(
+                    kernels::dot_ordered_scaled(&rows[r], s, &y).to_bits(),
+                    kernels::dot_ordered(&prescaled(r, s), &y).to_bits(),
+                    "remainder len {len} row {r} scale {s}"
+                );
+            }
+        }
+        let unit = kernels::dot_ordered_scaled_x4(row_refs, [1.0; 4], &y);
+        let plain = kernels::dot_ordered_x4(row_refs, &y);
+        assert_eq!(unit.map(f32::to_bits), plain.map(f32::to_bits), "len {len}");
+        assert_eq!(
+            kernels::dot_ordered_scaled(&rows[0], 1.0, &y).to_bits(),
+            kernels::dot_ordered(&rows[0], &y).to_bits(),
             "len {len}"
         );
     }
@@ -140,6 +180,21 @@ proptest! {
         for j in 0..4 {
             prop_assert_eq!(got[j].to_bits(), dot_serial(rows[j], &y[..dim]).to_bits());
         }
+    }
+
+    #[test]
+    fn inv_norm_scaled_dot_matches_dot_over_normalized_row(
+        xs in vec(-3.0f32..3.0, 0..64),
+        ys in vec(-3.0f32..3.0, 0..64),
+    ) {
+        let n = xs.len().min(ys.len());
+        let (x, y) = (&xs[..n], &ys[..n]);
+        let mut unit = x.to_vec();
+        math::normalize(&mut unit);
+        prop_assert_eq!(
+            kernels::dot_ordered_scaled(x, math::inv_norm(x), y).to_bits(),
+            kernels::dot_ordered(&unit, y).to_bits()
+        );
     }
 
     #[test]

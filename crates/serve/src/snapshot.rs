@@ -30,7 +30,7 @@ use sisg_ann::qhnsw::{HnswConfig, QHnswIndex};
 use sisg_core::{CoreError, MatchingService, Recommendation, SiAggregation, SisgModel};
 use sisg_corpus::{ItemId, TokenId};
 use sisg_embedding::codec::{encode_quant, QuantBlob};
-use sisg_embedding::{Matrix, Neighbor, QuantMatrix};
+use sisg_embedding::{quantize_row, Neighbor, QuantMatrix};
 use sisg_obs::Stopwatch;
 
 /// Per-request tenant context threaded from the engine's submit path into
@@ -55,7 +55,7 @@ impl TenantCtx {
     }
 }
 
-/// Per-shard quantized ANN indexes over the normalized item matrix —
+/// Per-shard quantized ANN indexes over the normalized item vectors —
 /// the bounded-memory cold path (DESIGN.md §11).
 pub struct ColdIndex {
     /// `indexes[s]` covers items `s, s + n_shards, s + 2·n_shards, …`
@@ -67,15 +67,15 @@ pub struct ColdIndex {
 }
 
 impl ColdIndex {
-    /// Quantizes and indexes the normalized item matrix, sharded the way
-    /// requests are routed, one scoped thread per shard. Shards share
-    /// nothing but the read-only matrix, so every graph is the one a
+    /// Quantizes and indexes the model's normalized item vectors, sharded
+    /// the way requests are routed, one scoped thread per shard. Shards
+    /// share nothing but the read-only model, so every graph is the one a
     /// sequential build would produce. Returns `None` if a shard fails —
     /// its encoded blob does not parse back (cannot happen for blobs we
     /// just encoded), its thread cannot start, or it panics; the caller
     /// degrades to brute force rather than panicking (this crate's API is
     /// panic-free) and `serve.cold_index.fallback_total` says so.
-    fn build(item_norm: &Matrix, n_shards: usize, ef_search: usize) -> Option<Self> {
+    fn build(model: &SisgModel, n_shards: usize, ef_search: usize) -> Option<Self> {
         let watch = Stopwatch::start();
         let config = HnswConfig {
             ef_search,
@@ -87,7 +87,7 @@ impl ColdIndex {
             let spawned: Vec<_> = (0..n_shards)
                 .map(|s| {
                     std::thread::Builder::new()
-                        .spawn_scoped(scope, move || build_shard(item_norm, s, n_shards, config))
+                        .spawn_scoped(scope, move || build_shard(model, s, n_shards, config))
                 })
                 .collect();
             spawned
@@ -106,7 +106,7 @@ impl ColdIndex {
         };
         Some(Self {
             indexes,
-            bytes_per_item: item_norm.dim() + std::mem::size_of::<f32>(),
+            bytes_per_item: model.store().dim() + std::mem::size_of::<f32>(),
         })
     }
 
@@ -122,16 +122,26 @@ impl ColdIndex {
     }
 }
 
-/// Shard `s`'s index: items `s, s + n_shards, …` quantized, encoded into
-/// the codec blob and navigated zero-copy from it.
+/// Shard `s`'s index: items `s, s + n_shards, …` normalized one at a time
+/// into a `dim` buffer, quantized, encoded into the codec blob and
+/// navigated zero-copy from it — no f32 copy of the shard is made.
 fn build_shard(
-    item_norm: &Matrix,
+    model: &SisgModel,
     s: usize,
     n_shards: usize,
     config: HnswConfig,
 ) -> Option<QHnswIndex<QuantBlob>> {
-    let count = item_norm.rows().saturating_sub(s).div_ceil(n_shards);
-    let rows = QuantMatrix::from_rows(count, item_norm.dim(), |l| item_norm.row(l * n_shards + s));
+    let dim = model.store().dim();
+    let n_items = model.space().n_items() as usize;
+    let count = n_items.saturating_sub(s).div_ceil(n_shards);
+    let mut data = vec![0i8; count * dim];
+    let mut scales = Vec::with_capacity(count);
+    let mut row = vec![0.0f32; dim];
+    for (l, out) in data.chunks_exact_mut(dim).enumerate() {
+        model.normalized_item_into(ItemId((l * n_shards + s) as u32), &mut row);
+        scales.push(quantize_row(&row, out));
+    }
+    let rows = QuantMatrix::from_parts(count, dim, data, scales);
     let blob = QuantBlob::new(encode_quant(&rows)).ok()?;
     // The blob is the copy the index keeps; every shard builds at once, so
     // holding the matrix through the build would add its size per shard.
@@ -191,7 +201,7 @@ impl ServingSnapshot {
         let cold_index = match cold_path {
             ColdPathMode::BruteForce => None,
             ColdPathMode::QuantAnn { ef_search } => {
-                ColdIndex::build(service.model().item_norm_matrix(), n_shards, ef_search)
+                ColdIndex::build(service.model(), n_shards, ef_search)
             }
         };
         Self {
@@ -409,9 +419,16 @@ mod tests {
         // Uneven shards (601 % 4 ≠ 0), one shard, and more shards than
         // items (shards 5.. are empty).
         for (n_items, n_shards) in [(601, 4), (300, 1), (5, 8)] {
-            let m = Matrix::uniform_init(n_items, 8, 11);
-            let cold = ColdIndex::build(&m, n_shards, EF).expect("every shard builds");
+            let cards = sisg_corpus::schema::SchemaCardinalities::for_items(n_items as u32);
+            let space = sisg_corpus::vocab::TokenSpace::new(n_items as u32, &cards, 3);
+            let store = sisg_embedding::EmbeddingStore::new(space.len(), 8, 11);
+            let model = SisgModel::from_store(sisg_core::Variant::SisgFU, space, store)
+                .expect("store covers the space");
+            let cold = ColdIndex::build(&model, n_shards, EF).expect("every shard builds");
             assert_eq!(cold.indexes.len(), n_shards);
+            // The reference is the old construction: quantize rows of the
+            // materialized unit-norm matrix.
+            let m = model.item_norm_matrix();
             let mut items = 0;
             for (s, index) in cold.indexes.iter().enumerate() {
                 let count = (s..n_items).step_by(n_shards).count();
