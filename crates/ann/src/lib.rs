@@ -3,34 +3,22 @@
 //! The paper's matching stage retrieves "a small number (thousands) of
 //! items … out of roughly 1 billion" per click — at that scale similarity
 //! search runs behind an ANN index, not a linear scan. This crate supplies
-//! the substrate a production deployment of SISG would sit on:
+//! the one index the serve shards' cold paths run:
 //!
-//! - [`mod@kmeans`] — seeded Lloyd's k-means over embedding rows (also the
-//!   coarse quantizer for IVF);
-//! - [`ivf`] — an IVF-Flat index: cluster the vectors, probe the `nprobe`
-//!   nearest cells at query time, scan those exactly;
-//! - [`hnsw`] — the Hierarchical Navigable Small World graph, one generic
-//!   core ([`Hnsw`]) over a [`RowStore`] scorer, and its f32 store;
-//! - [`qhnsw`] — the int8 scale-per-row store for that core, the
-//!   bounded-memory variant behind the serve shards' cold paths;
+//! - [`qhnsw`] — a Hierarchical Navigable Small World graph over int8
+//!   scale-per-row quantized, L2-normalized rows ([`QHnswIndex`]);
 //! - [`recall`] — recall@K against exact brute force, the metric by which
-//!   index parameters are tuned.
+//!   `ef_search` is tuned.
 //!
-//! All indexes score by **inner product** (higher = better); cosine callers
-//! pre-normalize rows, matching how `sisg_core`'s retrieval works.
+//! The index scores by **inner product** (higher = better) over unit-norm
+//! rows, so it ranks by cosine, matching how `sisg_core`'s retrieval works.
 
 #![warn(missing_docs)]
 
-pub mod hnsw;
-pub mod ivf;
-pub mod kmeans;
 pub mod qhnsw;
 pub mod recall;
 
-pub use hnsw::{Hnsw, HnswConfig, HnswIndex, RowStore};
-pub use ivf::{IvfConfig, IvfIndex};
-pub use kmeans::{kmeans, KmeansConfig, KmeansResult};
-pub use qhnsw::QHnswIndex;
+pub use qhnsw::{HnswConfig, QHnswIndex};
 pub use recall::{recall_at_k, RecallReport};
 
 use sisg_corpus::TokenId;
@@ -42,19 +30,4 @@ pub struct Hit {
     pub id: TokenId,
     /// Inner-product score.
     pub score: f32,
-}
-
-/// Common interface of the retrieval indexes, mirroring the exact scan in
-/// `sisg_embedding::retrieve_top_k`.
-pub trait AnnIndex {
-    /// The `k` (approximately) best rows for `query`, best first.
-    fn search(&self, query: &[f32], k: usize) -> Vec<Hit>;
-
-    /// Number of indexed vectors.
-    fn len(&self) -> usize;
-
-    /// True when the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }

@@ -1,8 +1,8 @@
-//! Recall@K of an ANN index against exact brute force — the metric by
-//! which `nprobe` / `ef_search` are tuned before an index is allowed to
-//! serve the matching stage.
+//! Recall@K of an ANN search against exact brute force — the metric by
+//! which `ef_search` is tuned before an index is allowed to serve the
+//! matching stage.
 
-use crate::AnnIndex;
+use crate::Hit;
 use sisg_corpus::TokenId;
 use sisg_embedding::{retrieve_top_k, Matrix};
 use sisg_obs::{names, registry, Stopwatch};
@@ -22,21 +22,10 @@ pub struct RecallReport {
     pub exact_seconds_per_query: f64,
 }
 
-impl RecallReport {
-    /// Speedup of the index over the exact scan.
-    pub fn speedup(&self) -> f64 {
-        if self.ann_seconds_per_query > 0.0 {
-            self.exact_seconds_per_query / self.ann_seconds_per_query
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Evaluates `index` on the given query rows of `vectors` against an exact
-/// scan of the same matrix.
+/// Evaluates `search(query, k)` on the given query rows of `vectors`
+/// against an exact scan of the same matrix.
 pub fn recall_at_k(
-    index: &dyn AnnIndex,
+    search: impl Fn(&[f32], usize) -> Vec<Hit>,
     vectors: &Matrix,
     query_rows: &[u32],
     k: usize,
@@ -52,7 +41,7 @@ pub fn recall_at_k(
     for &q in query_rows {
         let query = vectors.row(q as usize);
         let t = Stopwatch::start();
-        let approx = index.search(query, k);
+        let approx = search(query, k);
         ann_time += t.elapsed_seconds();
         let t = Stopwatch::start();
         let exact = retrieve_top_k(query, vectors, (0..n).map(TokenId), k, None);
@@ -83,77 +72,53 @@ pub fn recall_at_k(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivf::{IvfConfig, IvfIndex};
+    use crate::{HnswConfig, QHnswIndex};
+    use sisg_embedding::QuantMatrix;
 
-    fn random_matrix(n: usize, dim: usize, seed: u64) -> Matrix {
+    fn normalized_matrix(n: usize, dim: usize, seed: u64) -> Matrix {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        Matrix::from_data(
-            n,
-            dim,
-            (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-        )
+        let mut data: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        for row in data.chunks_mut(dim) {
+            sisg_embedding::math::normalize(row);
+        }
+        Matrix::from_data(n, dim, data)
     }
 
     #[test]
     fn exact_index_has_perfect_recall() {
-        /// Brute-force "index" as a control.
-        struct Exact<'a>(&'a Matrix);
-        impl AnnIndex for Exact<'_> {
-            fn search(&self, query: &[f32], k: usize) -> Vec<crate::Hit> {
-                retrieve_top_k(
-                    query,
-                    self.0,
-                    (0..self.0.rows() as u32).map(TokenId),
-                    k,
-                    None,
-                )
+        // The brute-force scan itself, as a control.
+        let m = normalized_matrix(150, 6, 1);
+        let exact = |query: &[f32], k: usize| {
+            retrieve_top_k(query, &m, (0..m.rows() as u32).map(TokenId), k, None)
                 .into_iter()
-                .map(|n| crate::Hit {
+                .map(|n| Hit {
                     id: n.token,
                     score: n.score,
                 })
                 .collect()
-            }
-            fn len(&self) -> usize {
-                self.0.rows()
-            }
-        }
-        let m = random_matrix(150, 6, 1);
-        let report = recall_at_k(&Exact(&m), &m, &[0, 10, 20], 5);
+        };
+        let report = recall_at_k(exact, &m, &[0, 10, 20], 5);
         assert!((report.recall - 1.0).abs() < 1e-12);
         assert_eq!(report.queries, 3);
     }
 
     #[test]
-    fn recall_improves_with_more_probes() {
-        let m = random_matrix(600, 8, 2);
-        let queries: Vec<u32> = (0..600).step_by(40).collect();
-        let narrow = IvfIndex::build(
-            &m,
-            IvfConfig {
-                nlist: 32,
-                nprobe: 1,
-                ..Default::default()
-            },
-        );
-        let wide = IvfIndex::build(
-            &m,
-            IvfConfig {
-                nlist: 32,
-                nprobe: 16,
-                ..Default::default()
-            },
-        );
-        let r_narrow = recall_at_k(&narrow, &m, &queries, 10);
-        let r_wide = recall_at_k(&wide, &m, &queries, 10);
+    fn a_wide_beam_beats_a_narrow_one() {
+        // Recall@1: a beam of 1 is a greedy walk, which stalls short of
+        // the query's own row on some probes.
+        let m = normalized_matrix(2_000, 64, 2);
+        let queries: Vec<u32> = (0..2_000).step_by(40).collect();
+        let recall = |ef_search| {
+            let index = QHnswIndex::build(QuantMatrix::from_matrix(&m), HnswConfig { ef_search });
+            recall_at_k(|q, k| index.search(q, k), &m, &queries, 1).recall
+        };
+        let (narrow, wide) = (recall(1), recall(200));
         assert!(
-            r_wide.recall > r_narrow.recall,
-            "more probes must not hurt: {} vs {}",
-            r_wide.recall,
-            r_narrow.recall
+            wide > narrow,
+            "a wider beam must beat a greedy walk: {wide} vs {narrow}"
         );
-        assert!(r_wide.recall > 0.9, "16/32 probes should recall >0.9");
+        assert!(wide > 0.95, "an ef 200 beam should recall >0.95");
     }
 }

@@ -10,13 +10,13 @@
 //! reconciles it against the declared catalog and the documentation, in
 //! both directions.
 
-use sisg_ann::{recall_at_k, AnnIndex, HnswConfig, HnswIndex};
+use sisg_ann::{recall_at_k, HnswConfig, QHnswIndex};
 use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_corpus::{CorpusConfig, EnrichOptions, EventLog, GeneratedCorpus, ItemId};
 use sisg_distributed::runtime::PartitionStrategy;
 use sisg_distributed::{CrashSpec, DistConfig, FaultPlan, TrainingPipeline};
 use sisg_eges::{EgesConfig, EgesModel, WalkConfig};
-use sisg_embedding::Matrix;
+use sisg_embedding::{Matrix, QuantMatrix};
 use sisg_obs::{names, registry};
 use sisg_serve::{
     ColdPathMode, ServeEngine, ServeEngineConfig, ServeError, ServeRequest, TenantConfig, TenantId,
@@ -268,9 +268,8 @@ fn exercise_every_layer() -> GeneratedCorpus {
 
     // HNSW search and the recall harness.
     let vectors = Matrix::uniform_init(200, 8, 3);
-    let index = HnswIndex::build(&vectors, HnswConfig::default());
-    index.search(vectors.row(0), 5);
-    recall_at_k(&index, &vectors, &[0, 7, 21], 5);
+    let index = QHnswIndex::build(QuantMatrix::from_matrix(&vectors), HnswConfig::default());
+    recall_at_k(|q, k| index.search(q, k), &vectors, &[0, 7, 21], 5);
 
     corpus
 }

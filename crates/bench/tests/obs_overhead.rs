@@ -17,9 +17,9 @@
 //! rounds (noise only ever inflates a round), and the thresholds sit ~10x
 //! above the observed ratios on an idle machine.
 
-use sisg_ann::{AnnIndex, HnswConfig, HnswIndex};
+use sisg_ann::{HnswConfig, QHnswIndex};
 use sisg_corpus::TokenId;
-use sisg_embedding::Matrix;
+use sisg_embedding::{Matrix, QuantMatrix};
 use sisg_obs::{registry, Stopwatch};
 use sisg_sgns::sgd::train_pair;
 use sisg_sgns::sigmoid::SigmoidTable;
@@ -78,7 +78,7 @@ fn counter_and_gauge_cost_under_2_percent_of_a_training_step() {
 #[test]
 fn request_recording_bundle_under_2_percent_of_an_ann_search() {
     let vectors = Matrix::uniform_init(2_000, 32, 7);
-    let index = HnswIndex::build(&vectors, HnswConfig::default());
+    let index = QHnswIndex::build(QuantMatrix::from_matrix(&vectors), HnswConfig::default());
     let query: Vec<f32> = vectors.row(0).to_vec();
     let search_ns = ns_per_op(200, 5, || {
         black_box(index.search(black_box(&query), 10));

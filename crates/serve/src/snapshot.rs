@@ -77,10 +77,7 @@ impl ColdIndex {
     /// panic-free) and `serve.cold_index.fallback_total` says so.
     fn build(model: &SisgModel, n_shards: usize, ef_search: usize) -> Option<Self> {
         let watch = Stopwatch::start();
-        let config = HnswConfig {
-            ef_search,
-            ..HnswConfig::default()
-        };
+        let config = HnswConfig { ef_search };
         // Every shard is joined before the first failure is acted on: a
         // handle dropped unjoined re-raises its thread's panic at scope exit.
         let shards: Vec<Option<_>> = std::thread::scope(|scope| {
@@ -407,15 +404,11 @@ fn through_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sisg_ann::AnnIndex;
 
     #[test]
     fn parallel_cold_index_equals_sequential_per_shard_builds() {
         const EF: usize = 48;
-        let config = HnswConfig {
-            ef_search: EF,
-            ..HnswConfig::default()
-        };
+        let config = HnswConfig { ef_search: EF };
         // Uneven shards (601 % 4 ≠ 0), one shard, and more shards than
         // items (shards 5.. are empty).
         for (n_items, n_shards) in [(601, 4), (300, 1), (5, 8)] {

@@ -1,15 +1,22 @@
 //! Property-based tests of the ANN substrate: index invariants that must
-//! hold for arbitrary vector sets.
+//! hold for arbitrary sets of L2-normalized vectors.
 
 use proptest::prelude::*;
-use taobao_sisg::ann::{AnnIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex};
-use taobao_sisg::corpus::TokenId;
-use taobao_sisg::embedding::{retrieve_top_k, Matrix};
+use std::cmp::Ordering;
+use taobao_sisg::ann::{HnswConfig, QHnswIndex};
+use taobao_sisg::embedding::kernels::dot_q8;
+use taobao_sisg::embedding::math::normalize;
+use taobao_sisg::embedding::{Matrix, QuantMatrix, QuantQuery, QuantRows};
 
+/// Up to `max_rows` rows of width `dim`, each L2-normalized — the corpus
+/// shape the quantized index is built for.
 fn matrix_strategy(max_rows: usize, dim: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f32..10.0, dim..=max_rows * dim).prop_map(move |mut v| {
         let rows = v.len() / dim;
         v.truncate(rows * dim);
+        for row in v.chunks_mut(dim) {
+            normalize(row);
+        }
         Matrix::from_data(rows, dim, v)
     })
 }
@@ -17,44 +24,39 @@ fn matrix_strategy(max_rows: usize, dim: usize) -> impl Strategy<Value = Matrix>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// IVF with every cell probed is exactly brute force, for any data.
+    /// With a beam at least as wide as the corpus, search is the exact
+    /// top-k under the index's own int8 scores, ties to the lower id. At
+    /// n ≤ 32 = 2·m no layer-0 list is ever pruned, so layer 0 stays
+    /// connected and the beam visits every row.
     #[test]
-    fn ivf_full_probe_is_exact(m in matrix_strategy(60, 4), k in 1usize..8) {
-        let nlist = 8;
-        let idx = IvfIndex::build(&m, IvfConfig { nlist, ..Default::default() });
-        let query: Vec<f32> = m.row(0).to_vec();
-        let approx: Vec<u32> = idx
-            .search_with_probes(&query, k, nlist)
-            .iter()
-            .map(|h| h.id.0)
+    fn qhnsw_full_beam_is_exact(m in matrix_strategy(32, 4), k in 1usize..8) {
+        let rows = QuantMatrix::from_matrix(&m);
+        let q = QuantQuery::new(m.row(0));
+        let mut exact: Vec<(u32, f32)> = (0..rows.rows())
+            .map(|i| (i as u32, dot_q8(rows.row(i), q.weights(), rows.scale(i) * q.scale())))
             .collect();
-        let exact: Vec<u32> =
-            retrieve_top_k(&query, &m, (0..m.rows() as u32).map(TokenId), k, None)
-                .iter()
-                .map(|n| n.token.0)
-                .collect();
+        exact.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0)));
+        exact.truncate(k);
+        let idx = QHnswIndex::build(rows, HnswConfig { ef_search: 32 });
+        let approx: Vec<(u32, f32)> =
+            idx.search(m.row(0), k).iter().map(|h| (h.id.0, h.score)).collect();
         prop_assert_eq!(approx, exact);
     }
 
-    /// Both index types return unique ids within bounds, sorted by score.
+    /// The index returns unique ids within bounds, sorted by score.
     #[test]
     fn results_are_wellformed(m in matrix_strategy(50, 4), k in 1usize..12) {
         let query: Vec<f32> = m.row(m.rows() / 2).to_vec();
-        let ivf = IvfIndex::build(&m, IvfConfig { nlist: 6, nprobe: 3, ..Default::default() });
-        let hnsw = HnswIndex::build(&m, HnswConfig { m: 4, ..Default::default() });
-        for (name, hits) in [
-            ("ivf", ivf.search(&query, k)),
-            ("hnsw", hnsw.search(&query, k)),
-        ] {
-            prop_assert!(hits.len() <= k, "{} returned too many", name);
-            let mut seen = std::collections::HashSet::new();
-            for w in hits.windows(2) {
-                prop_assert!(w[0].score >= w[1].score, "{} unsorted", name);
-            }
-            for h in &hits {
-                prop_assert!((h.id.0 as usize) < m.rows(), "{} id out of range", name);
-                prop_assert!(seen.insert(h.id), "{} duplicate id", name);
-            }
+        let idx = QHnswIndex::build(QuantMatrix::from_matrix(&m), HnswConfig::default());
+        let hits = idx.search(&query, k);
+        prop_assert!(hits.len() <= k, "returned too many");
+        let mut seen = std::collections::HashSet::new();
+        for w in hits.windows(2) {
+            prop_assert!(w[0].score >= w[1].score, "unsorted");
+        }
+        for h in &hits {
+            prop_assert!((h.id.0 as usize) < m.rows(), "id out of range");
+            prop_assert!(seen.insert(h.id), "duplicate id");
         }
     }
 
@@ -62,7 +64,7 @@ proptest! {
     /// connected enough to enumerate the corpus.
     #[test]
     fn hnsw_fills_k(m in matrix_strategy(40, 3), k in 1usize..10) {
-        let idx = HnswIndex::build(&m, HnswConfig { m: 4, ef_search: 40, ..Default::default() });
+        let idx = QHnswIndex::build(QuantMatrix::from_matrix(&m), HnswConfig { ef_search: 40 });
         let hits = idx.search(m.row(0), k);
         prop_assert_eq!(hits.len(), k.min(m.rows()));
     }
