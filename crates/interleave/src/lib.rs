@@ -4,7 +4,8 @@
 //!
 //! This crate model-checks the small concurrent protocols the serving and
 //! training stacks rely on (epoch-pointer hot swap, admission-cache
-//! swap-clear, RowPtr word-width no-tearing) by enumerating **every**
+//! swap-clear, per-(tenant, shard) admission slots, RowPtr word-width
+//! no-tearing) by enumerating **every**
 //! interleaving of 2–3 modeled threads and asserting an invariant after each
 //! complete execution.
 //!
@@ -390,6 +391,22 @@ impl ModelAtomicU64 {
         // ORDERING: Relaxed — same scheduler-handoff argument as `load`.
         self.v.store(val, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Atomically replace the value with `new` if it equals `current` (one
+    /// scheduler step). Returns the value seen: `Ok` when the exchange
+    /// happened, `Err` with the differing value otherwise.
+    pub fn compare_exchange(
+        &self,
+        ctx: &Ctx,
+        current: u64,
+        new: u64,
+    ) -> Result<Result<u64, u64>, Aborted> {
+        ctx.step(Intent::Op)?;
+        // ORDERING: Relaxed — same scheduler-handoff argument as `load`.
+        Ok(self
+            .v
+            .compare_exchange(current, new, Ordering::Relaxed, Ordering::Relaxed))
     }
 
     /// Read the value without taking a scheduler step (checker-only).

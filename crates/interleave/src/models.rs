@@ -12,6 +12,9 @@
 //! * [`cache_swap_clear`] — the admission-cache table swap: a reader that
 //!   reloads the table after a version bump must also refresh its cached
 //!   answer, or it serves a stale value under the new version.
+//! * [`admission_slot`] — the serve engine's per-(tenant, shard) budget
+//!   slot: a claim must be one read-modify-write or two submitters can
+//!   both take the last slot.
 //! * [`rowptr_no_tear_atomic`] / [`rowptr_no_tear_split`] — RowPtr's packed
 //!   word: a single word-width atomic cannot tear, while publishing the same
 //!   payload as two independent halves demonstrably can.
@@ -151,6 +154,69 @@ pub fn cache_swap_clear(skip_clear: bool) -> Report {
             Ok(())
         });
         (vec![writer, reader], checker)
+    })
+}
+
+/// Per-(tenant, shard) admission slots, as in the serve engine's
+/// `submit`: a tenant has one slot on the shard, held at start by an
+/// earlier response. A releaser drops that response (a decrement), and
+/// two submitters each try once to claim the slot: read the count and,
+/// if it is below the budget, raise it by one. A submitter that sees the
+/// budget full sheds.
+///
+/// Invariant: once every thread is done, the count equals the number of
+/// successful claims, and at most one submitter claimed the one slot.
+///
+/// With `split_claim = false` the claim is the engine's `fetch_update`: a
+/// load, then a compare-exchange from the loaded value that retries on
+/// failure — one atomic read-modify-write, which never oversubscribes.
+/// With `split_claim = true` the claim is a load followed by a plain
+/// store, and the checker finds schedules where both submitters read the
+/// freed slot and both claim it.
+pub fn admission_slot(split_claim: bool) -> Report {
+    const SLOTS: u64 = 1;
+    explore(move |_alloc| {
+        let in_flight = ModelAtomicU64::new(1);
+        let claims: ObsLog<()> = ObsLog::new();
+
+        let releaser: Body = {
+            let in_flight = in_flight.clone();
+            Box::new(move |ctx| loop {
+                let v = in_flight.load(ctx)?;
+                if in_flight.compare_exchange(ctx, v, v - 1)?.is_ok() {
+                    return Ok(());
+                }
+            })
+        };
+        let mk_submitter = |in_flight: ModelAtomicU64, claims: ObsLog<()>| -> Body {
+            Box::new(move |ctx| loop {
+                let v = in_flight.load(ctx)?;
+                if v >= SLOTS {
+                    return Ok(()); // shed: the budget is exhausted
+                }
+                if split_claim {
+                    in_flight.store(ctx, v + 1)?;
+                } else if in_flight.compare_exchange(ctx, v, v + 1)?.is_err() {
+                    continue;
+                }
+                claims.push(());
+                return Ok(());
+            })
+        };
+        let submitter_a = mk_submitter(in_flight.clone(), claims.clone());
+        let submitter_b = mk_submitter(in_flight.clone(), claims.clone());
+
+        let checker: Checker = Box::new(move || {
+            let claimed = claims.take().len() as u64;
+            let count = in_flight.value();
+            if claimed > SLOTS || count != claimed {
+                return Err(format!(
+                    "oversubscribed slot: {claimed} claims of {SLOTS} slot, count {count}"
+                ));
+            }
+            Ok(())
+        });
+        (vec![releaser, submitter_a, submitter_b], checker)
     })
 }
 

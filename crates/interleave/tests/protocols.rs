@@ -64,6 +64,35 @@ fn cache_swap_without_clear_is_caught() {
     assert!(msg.contains("stale cache read"), "{msg}");
 }
 
+/// Serve-engine admission slots: a claim that is one read-modify-write
+/// (load, then compare-exchange with retry — the engine's `fetch_update`)
+/// never lets two submitters hold one slot, in any interleaving against
+/// the releaser.
+#[test]
+fn admission_slot_claim_never_oversubscribes() {
+    let r = models::admission_slot(false);
+    assert_eq!(r.violations, 0, "unexpected: {:?}", r.first_violation);
+    assert_eq!(r.deadlocks, 0);
+    if !r.truncated {
+        assert_eq!(r.executions, 16);
+    }
+}
+
+/// Splitting the claim into a load and a plain store must be caught: both
+/// submitters read the freed slot and both claim it.
+#[test]
+fn admission_slot_split_claim_is_caught() {
+    let r = models::admission_slot(true);
+    assert!(r.violations > 0, "broken variant was not caught");
+    assert_eq!(r.deadlocks, 0);
+    if !r.truncated {
+        assert_eq!(r.executions, 16);
+        assert_eq!(r.violations, 4);
+    }
+    let msg = r.first_violation.expect("violation recorded");
+    assert!(msg.contains("oversubscribed slot"), "{msg}");
+}
+
 /// Word-width RowPtr publication cannot tear: with steps 1 + 1 + 2 across the
 /// three threads the tree is exactly 4!/(1!·1!·2!) = 12 schedules, a closed
 /// form that doubles as a check on the enumeration itself.

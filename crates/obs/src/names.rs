@@ -80,7 +80,9 @@ pub const SERVE_COLD_USER_TOTAL: &str = "serve.cold_user_requests_total";
 pub const SERVE_CACHE_HITS_TOTAL: &str = "serve.cache_hits_total";
 /// Cold-path answers that had to be computed (cache miss or not admitted).
 pub const SERVE_CACHE_MISSES_TOTAL: &str = "serve.cache_misses_total";
-/// Requests shed by a full shard queue (typed `ServeError::Overloaded`).
+/// Requests that claimed a tenant slot but found the shard queue full
+/// (typed `ServeError::Overloaded`): tasks left queued by dropped
+/// responses on a stalled shard.
 pub const SERVE_OVERLOADED_TOTAL: &str = "serve.overloaded_total";
 /// Snapshot hot-swaps installed by the engine.
 pub const SERVE_SWAPS_TOTAL: &str = "serve.swaps_total";

@@ -9,7 +9,7 @@
 //!
 //! - [`TenantProfile`] names a workload: a
 //!   [`TenantConfig`](sisg_serve::TenantConfig) (identity, shed/cache
-//!   shares, SI-weighting mode, request mix), a seeded
+//!   shares, SI-weighting mode), a [`RequestMix`], a seeded
 //!   [`ArrivalProcess`], a candidate count `k`, and a declared
 //!   [`TenantSlo`].
 //! - [`run_scenario`] drives every profile concurrently against one
@@ -34,7 +34,7 @@ pub mod runner;
 
 pub use profile::{
     adversarial_hot_key, cold_start_heavy, head_heavy, promo_burst, standard_matrix,
-    ArrivalProcess, TenantProfile, TenantSlo,
+    ArrivalProcess, RequestMix, TenantProfile, TenantSlo,
 };
 pub use runner::{
     engine_config, run_scenario, ScenarioConfig, ScenarioError, ScenarioReport, SloVerdict,

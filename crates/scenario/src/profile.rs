@@ -2,7 +2,28 @@
 //! four-tenant matrix.
 
 use sisg_core::SiAggregation;
-use sisg_serve::{RequestMix, TenantConfig, TenantId};
+use sisg_serve::{TenantConfig, TenantId};
+
+/// A tenant's request mix, as relative weights over the three request
+/// classes. Weights need not sum to anything in particular, but at least
+/// one must be nonzero — [`run_scenario`](crate::run_scenario) rejects an
+/// all-zero mix, which describes a tenant that can never send a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestMix {
+    /// Relative weight of warm (known-item) candidate requests.
+    pub warm: u32,
+    /// Relative weight of cold-item (Eq. 6 SI-only) requests.
+    pub cold_item: u32,
+    /// Relative weight of cold-user (demographics-only) requests.
+    pub cold_user: u32,
+}
+
+impl RequestMix {
+    /// Sum of the three weights.
+    pub fn total(&self) -> u64 {
+        self.warm as u64 + self.cold_item as u64 + self.cold_user as u64
+    }
+}
 
 /// A tenant's declared service-level objectives, judged per tenant by
 /// [`run_scenario`](crate::run_scenario) from that tenant's own metric
@@ -106,13 +127,15 @@ impl ArrivalProcess {
 }
 
 /// One named workload driven by [`run_scenario`](crate::run_scenario):
-/// the tenant's serving contract, its arrival process, its candidate
-/// count, and the SLO it is judged against.
+/// the tenant's serving contract, its request mix and arrival process,
+/// its candidate count, and the SLO it is judged against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantProfile {
     /// The tenant's serving contract, installed into the engine's tenant
     /// table via [`engine_config`](crate::engine_config).
     pub config: TenantConfig,
+    /// Which request classes this tenant sends, by relative weight.
+    pub mix: RequestMix,
     /// When (and how many) requests this tenant submits.
     pub arrival: ArrivalProcess,
     /// Candidates requested per query.
@@ -129,12 +152,12 @@ pub fn head_heavy(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "head_heavy")
             .shed_budget(8)
-            .cache_share(4)
-            .mix(RequestMix {
-                warm: 90,
-                cold_item: 8,
-                cold_user: 2,
-            }),
+            .cache_share(4),
+        mix: RequestMix {
+            warm: 90,
+            cold_item: 8,
+            cold_user: 2,
+        },
         arrival: ArrivalProcess::Steady { per_tick: 24 },
         k: 10,
         slo: TenantSlo {
@@ -152,12 +175,12 @@ pub fn cold_start_heavy(id: TenantId) -> TenantProfile {
         config: TenantConfig::new(id, "cold_start")
             .shed_budget(4)
             .cache_share(3)
-            .si_weighting(SiAggregation::Weighted)
-            .mix(RequestMix {
-                warm: 20,
-                cold_item: 60,
-                cold_user: 20,
-            }),
+            .si_weighting(SiAggregation::Weighted),
+        mix: RequestMix {
+            warm: 20,
+            cold_item: 60,
+            cold_user: 20,
+        },
         arrival: ArrivalProcess::DiurnalRamp { base: 6, peak: 16 },
         k: 10,
         slo: TenantSlo::default(),
@@ -170,12 +193,12 @@ pub fn promo_burst(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "promo_burst")
             .shed_budget(2)
-            .cache_share(2)
-            .mix(RequestMix {
-                warm: 70,
-                cold_item: 25,
-                cold_user: 5,
-            }),
+            .cache_share(2),
+        mix: RequestMix {
+            warm: 70,
+            cold_item: 25,
+            cold_user: 5,
+        },
         arrival: ArrivalProcess::Burst {
             base: 2,
             burst: 8,
@@ -195,12 +218,12 @@ pub fn adversarial_hot_key(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "adversarial")
             .shed_budget(1)
-            .cache_share(0)
-            .mix(RequestMix {
-                warm: 0,
-                cold_item: 100,
-                cold_user: 0,
-            }),
+            .cache_share(0),
+        mix: RequestMix {
+            warm: 0,
+            cold_item: 100,
+            cold_user: 0,
+        },
         arrival: ArrivalProcess::AdversarialHotKey {
             per_tick: 12,
             hot_items: 3,

@@ -45,6 +45,9 @@ impl Default for ScenarioConfig {
 pub enum ScenarioError {
     /// The profile list was empty.
     NoProfiles,
+    /// A profile's request mix has every weight zero, so the tenant could
+    /// never send a request.
+    EmptyMix(TenantId),
     /// A profile names a tenant absent from the engine's tenant table.
     UnknownTenant(TenantId),
     /// The corpus cannot supply the items a profile needs (for example,
@@ -53,8 +56,10 @@ pub enum ScenarioError {
         /// What the catalog was missing.
         reason: &'static str,
     },
-    /// The engine failed in a way the scenario contract rules out (a
-    /// tenanted engine sheds with `SloBudgetExhausted`, never this).
+    /// The engine failed in a way the scenario contract rules out. The
+    /// runner collects every response before the next tick, so budget
+    /// slots bound each shard queue and sheds come back as
+    /// `SloBudgetExhausted`, never as this.
     Engine(ServeError),
 }
 
@@ -62,6 +67,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::NoProfiles => write!(f, "scenario has no tenant profiles"),
+            ScenarioError::EmptyMix(t) => {
+                write!(f, "{t} has an all-zero request mix")
+            }
             ScenarioError::UnknownTenant(t) => {
                 write!(f, "{t} is not in the engine's tenant table")
             }
@@ -274,7 +282,7 @@ fn generate(
             key: item.0,
         };
     }
-    let mix = profile.config.mix;
+    let mix = profile.mix;
     let roll = run.rng.gen_range(0..mix.total().max(1));
     if roll < u64::from(mix.warm) {
         let item = pools.warm[run.rng.gen_range(0..pools.warm.len())];
@@ -321,7 +329,8 @@ fn generate(
 /// every profile's tenant (see [`engine_config`]); sheds then come back
 /// as per-tenant `SloBudgetExhausted` verdicts, which the runner counts
 /// rather than treats as failures. Any other engine error aborts the
-/// scenario.
+/// scenario. A profile whose request mix is all zero is
+/// [`ScenarioError::EmptyMix`].
 pub fn run_scenario(
     corpus: &GeneratedCorpus,
     engine: &ServeEngine,
@@ -330,6 +339,9 @@ pub fn run_scenario(
 ) -> Result<ScenarioReport, ScenarioError> {
     if profiles.is_empty() {
         return Err(ScenarioError::NoProfiles);
+    }
+    if let Some(p) = profiles.iter().find(|p| p.mix.total() == 0) {
+        return Err(ScenarioError::EmptyMix(p.config.id));
     }
     let stats_before = engine.tenant_stats();
     for p in profiles {
@@ -531,5 +543,7 @@ mod tests {
         assert!(display.contains("no tenant profiles"));
         let unknown = ScenarioError::UnknownTenant(TenantId(7)).to_string();
         assert!(unknown.contains("tenant#7"));
+        let empty_mix = ScenarioError::EmptyMix(TenantId(5)).to_string();
+        assert!(empty_mix.contains("tenant#5"));
     }
 }

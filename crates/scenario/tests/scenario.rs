@@ -7,8 +7,8 @@
 use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_corpus::{CorpusConfig, GeneratedCorpus};
 use sisg_scenario::{
-    engine_config, run_scenario, standard_matrix, ArrivalProcess, ScenarioConfig, ScenarioError,
-    TenantProfile,
+    engine_config, run_scenario, standard_matrix, ArrivalProcess, RequestMix, ScenarioConfig,
+    ScenarioError, TenantProfile,
 };
 use sisg_serve::{ServeEngine, ServeEngineConfig, TenantId};
 use sisg_sgns::SgnsConfig;
@@ -186,18 +186,34 @@ fn adversarial_tenant_sheds_alone_and_steady_tenant_stays_green() {
 fn profile_tenants_missing_from_the_engine_are_typed_errors() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let profiles = standard_matrix();
-    // An engine with no tenant table at all.
+    // An engine declared without a tenant table serves only its implicit
+    // default tenant.
     let engine = ServeEngine::start(
         build_service(&corpus, 1),
         ServeEngineConfig::builder().build().expect("valid"),
     )
     .expect("engine starts");
     let err = run_scenario(&corpus, &engine, &profiles, &ScenarioConfig::default())
-        .expect_err("untenanted engine cannot host the matrix");
+        .expect_err("a tenantless engine cannot host the matrix");
     assert_eq!(err, ScenarioError::UnknownTenant(TenantId(1)));
 
     let empty: Vec<TenantProfile> = Vec::new();
     let err = run_scenario(&corpus, &engine, &empty, &ScenarioConfig::default())
         .expect_err("empty matrix is rejected");
     assert_eq!(err, ScenarioError::NoProfiles);
+}
+
+#[test]
+fn all_zero_request_mix_is_a_typed_error() {
+    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+    let mut profiles = standard_matrix();
+    profiles[1].mix = RequestMix {
+        warm: 0,
+        cold_item: 0,
+        cold_user: 0,
+    };
+    let engine = start_engine(&corpus, &profiles);
+    let err = run_scenario(&corpus, &engine, &profiles, &ScenarioConfig::default())
+        .expect_err("a tenant that can never send a request is rejected");
+    assert_eq!(err, ScenarioError::EmptyMix(profiles[1].config.id));
 }

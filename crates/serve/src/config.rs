@@ -2,13 +2,14 @@
 //! shard count, zero-capacity queue, or malformed tenant table is a typed
 //! build-time error, never a mid-request assertion.
 //!
-//! The per-tenant layer (DESIGN.md §13) declares the workloads one engine
+//! The tenant table (DESIGN.md §13) declares the workloads one engine
 //! serves concurrently: each [`TenantConfig`] names a tenant, weights its
-//! share of the shed budget and the admission cache, fixes its cold-path
-//! SI aggregation mode, and declares its nominal request mix. The builder
-//! is the only construction path outside this crate — fields are private
-//! and every invalid shape (duplicate tenant ids, zero-share shed
-//! budgets, empty mixes, labels that do not fit the metric-catalog
+//! share of the shed budget and the admission cache, and fixes its
+//! cold-path SI aggregation mode. An engine declared without a table
+//! serves one implicit `default` tenant that owns the whole queue and
+//! cache. The builder is the only construction path outside this crate —
+//! fields are private and every invalid shape (duplicate tenant ids,
+//! zero-share shed budgets, labels that do not fit the metric-catalog
 //! grammar, budget oversubscription) is rejected with a typed
 //! [`CoreError::InvalidConfig`].
 
@@ -33,13 +34,14 @@ pub enum ColdPathMode {
 }
 
 /// Identity of a serving tenant. Tenant ids are caller-chosen small
-/// integers; [`TenantId::DEFAULT`] is the implicit tenant that absorbs
-/// untagged traffic when the engine runs without a tenant table.
+/// integers; untagged requests carry [`TenantId::DEFAULT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
-    /// The implicit tenant untagged requests are attributed to.
+    /// The tenant untagged requests are attributed to, and the id of the
+    /// implicit `default` tenant an engine declared without a tenant table
+    /// serves.
     pub const DEFAULT: TenantId = TenantId(0);
 }
 
@@ -49,43 +51,8 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// A tenant's nominal request mix, as relative weights over the three
-/// request classes. Weights need not sum to anything in particular, but
-/// at least one must be nonzero — an all-zero mix describes a tenant
-/// that can never send a request and is rejected at build time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestMix {
-    /// Relative weight of warm (known-item) candidate requests.
-    pub warm: u32,
-    /// Relative weight of cold-item (Eq. 6 SI-only) requests.
-    pub cold_item: u32,
-    /// Relative weight of cold-user (demographics-only) requests.
-    pub cold_user: u32,
-}
-
-impl RequestMix {
-    /// The 75/20/5 mix — the head-heavy browse profile of the paper's
-    /// deployment setting.
-    pub const BROWSE: RequestMix = RequestMix {
-        warm: 75,
-        cold_item: 20,
-        cold_user: 5,
-    };
-
-    /// Sum of the three weights.
-    pub fn total(&self) -> u64 {
-        self.warm as u64 + self.cold_item as u64 + self.cold_user as u64
-    }
-}
-
-impl Default for RequestMix {
-    fn default() -> Self {
-        Self::BROWSE
-    }
-}
-
 /// One tenant's declared serving contract: identity, metric label, shed
-/// and cache shares, cold-path SI aggregation, and nominal mix.
+/// and cache shares, and cold-path SI aggregation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantConfig {
     /// Tenant identity; must be unique within the engine's tenant table.
@@ -105,14 +72,11 @@ pub struct TenantConfig {
     /// tenant: the plain Eq. 6 sum, or the EGES-style norm-weighted
     /// average (see [`SiAggregation`]).
     pub si_weighting: SiAggregation,
-    /// Nominal request mix, used by scenario generators and reported in
-    /// per-tenant stats. At least one weight must be nonzero.
-    pub mix: RequestMix,
 }
 
 impl TenantConfig {
-    /// A tenant with the default contract: equal shed and cache shares,
-    /// Eq. 6 sum aggregation, browse mix.
+    /// A tenant with the default contract: equal shed and cache shares
+    /// and Eq. 6 sum aggregation.
     pub fn new(id: TenantId, label: impl Into<String>) -> Self {
         Self {
             id,
@@ -120,7 +84,6 @@ impl TenantConfig {
             shed_budget: 1,
             cache_share: 1,
             si_weighting: SiAggregation::Sum,
-            mix: RequestMix::default(),
         }
     }
 
@@ -139,12 +102,6 @@ impl TenantConfig {
     /// Sets the cold-path SI aggregation mode.
     pub fn si_weighting(mut self, mode: SiAggregation) -> Self {
         self.si_weighting = mode;
-        self
-    }
-
-    /// Sets the nominal request mix.
-    pub fn mix(mut self, mix: RequestMix) -> Self {
-        self.mix = mix;
         self
     }
 }
@@ -188,9 +145,10 @@ impl ServeEngineConfig {
         self.n_shards
     }
 
-    /// Per-shard bounded queue depth. A full queue sheds further requests
-    /// with [`ServeError::Overloaded`](crate::ServeError::Overloaded)
-    /// instead of blocking.
+    /// Per-shard bounded queue depth, split into the tenants' in-flight
+    /// budget slots. A full queue sheds further requests with
+    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) instead of
+    /// blocking.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
@@ -215,25 +173,35 @@ impl ServeEngineConfig {
         self.cold_path
     }
 
-    /// The declared tenant table. Empty means the engine runs
-    /// single-tenant: untagged traffic is attributed to
-    /// [`TenantId::DEFAULT`] with the whole queue as its shed budget.
+    /// The tenant table. A table declared empty is resolved by
+    /// [`ServeEngine::start`](crate::ServeEngine::start) to one implicit
+    /// tenant, `TenantConfig::new(TenantId::DEFAULT, "default")`, so the
+    /// config a running engine reports always lists the tenants it serves.
     pub fn tenants(&self) -> &[TenantConfig] {
         &self.tenants
     }
 
+    /// The config an engine runs: this one, or — when no tenant was
+    /// declared — this one with the implicit `default` tenant, which then
+    /// owns every queue slot and the whole cache.
+    pub(crate) fn with_implicit_tenant(mut self) -> Self {
+        if self.tenants.is_empty() {
+            self.tenants
+                .push(TenantConfig::new(TenantId::DEFAULT, "default"));
+        }
+        self
+    }
+
     /// Per-tenant shed-budget slots: each tenant gets
     /// `max(1, floor(queue_capacity · share / Σ shares))` in-flight
-    /// request slots per shard. Parallel to [`tenants`](Self::tenants);
-    /// empty when the tenant table is empty.
+    /// request slots per shard. Parallel to [`tenants`](Self::tenants).
     pub fn tenant_budget_slots(&self) -> Vec<usize> {
         let total: u64 = self.tenants.iter().map(|t| t.shed_budget as u64).sum();
-        if total == 0 {
-            return vec![1; self.tenants.len()];
-        }
         self.tenants
             .iter()
             .map(|t| {
+                // `total` ≥ 1 here: validation rejects zero shares before
+                // it sums the slots.
                 let exact = (self.queue_capacity as u64 * t.shed_budget as u64) / total;
                 (exact as usize).max(1)
             })
@@ -311,27 +279,20 @@ impl ServeEngineConfig {
                     reason: "must be nonzero; a zero-share tenant is shed on every request",
                 });
             }
-            if tenant.mix.total() == 0 {
-                return Err(CoreError::InvalidConfig {
-                    field: "tenants.mix",
-                    reason: "at least one request-class weight must be nonzero",
-                });
-            }
         }
-        // Budget slots are the engine's deterministic shed mechanism:
-        // requests are refused per tenant *before* they can fill the
-        // shard queue, so queue-full `Overloaded` sheds (which depend on
-        // worker timing) never fire for tenant traffic. That only holds
-        // if the slots cannot oversubscribe the queue.
-        if !self.tenants.is_empty() {
-            let slots: usize = self.tenant_budget_slots().iter().sum();
-            if slots > self.queue_capacity {
-                return Err(CoreError::InvalidConfig {
-                    field: "tenants.shed_budget",
-                    reason: "summed per-tenant budget slots exceed queue_capacity; \
-                             raise queue_capacity or reduce the tenant count",
-                });
-            }
+        // Budget slots are the engine's deterministic shed mechanism: a
+        // caller that collects what it submits is refused per tenant
+        // *before* it can fill the shard queue. A slot frees when its
+        // response is dropped but the task stays queued, so abandoned
+        // responses can still fill a queue and shed with `Overloaded`;
+        // the bound below keeps collecting callers clear of that.
+        let slots: usize = self.tenant_budget_slots().iter().sum();
+        if slots > self.queue_capacity {
+            return Err(CoreError::InvalidConfig {
+                field: "tenants.shed_budget",
+                reason: "summed per-tenant budget slots exceed queue_capacity; \
+                         raise queue_capacity or reduce the tenant count",
+            });
         }
         Ok(())
     }
@@ -492,25 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_empty_request_mix() {
-        let err = ServeEngineConfig::builder()
-            .tenant(TenantConfig::new(TenantId(1), "a").mix(RequestMix {
-                warm: 0,
-                cold_item: 0,
-                cold_user: 0,
-            }))
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::InvalidConfig {
-                field: "tenants.mix",
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn builder_rejects_budget_oversubscription() {
         // queue_capacity 2 but 3 tenants: each gets the max(1, ·) floor
         // slot, summing past the queue.
@@ -546,6 +488,19 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(caches.tenant_cache_capacities(), vec![100, 0]);
+        // Undeclared, the table resolves to one tenant owning everything.
+        let implicit = ServeEngineConfig::builder()
+            .queue_capacity(64)
+            .cache_capacity(100)
+            .build()
+            .expect("valid")
+            .with_implicit_tenant();
+        assert_eq!(
+            implicit.tenants(),
+            &[TenantConfig::new(TenantId::DEFAULT, "default")]
+        );
+        assert_eq!(implicit.tenant_budget_slots(), vec![64]);
+        assert_eq!(implicit.tenant_cache_capacities(), vec![100]);
     }
 
     #[test]
@@ -560,12 +515,7 @@ mod tests {
                 TenantConfig::new(TenantId(7), "promo")
                     .shed_budget(2)
                     .cache_share(3)
-                    .si_weighting(sisg_core::SiAggregation::Weighted)
-                    .mix(RequestMix {
-                        warm: 10,
-                        cold_item: 80,
-                        cold_user: 10,
-                    }),
+                    .si_weighting(sisg_core::SiAggregation::Weighted),
             )
             .build()
             .expect("valid");

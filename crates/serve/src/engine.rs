@@ -11,10 +11,14 @@
 //!
 //! # Backpressure
 //!
-//! Queues are bounded and submission never blocks: a full shard sheds the
-//! request with [`ServeError::Overloaded`] immediately, which is the only
-//! sane contract for an online matcher (a blocked caller would stack up
-//! latency exactly when the system is least able to absorb it).
+//! Submission never blocks, which is the only sane contract for an online
+//! matcher (a blocked caller would stack up latency exactly when the
+//! system is least able to absorb it). Every request first claims one of
+//! its tenant's in-flight budget slots on the target shard — an engine
+//! declared without a tenant table serves one implicit `default` tenant
+//! holding all `queue_capacity` slots — and an exhausted budget sheds with
+//! [`ServeError::SloBudgetExhausted`]. A full shard queue sheds with
+//! [`ServeError::Overloaded`].
 //!
 //! # Hot swap
 //!
@@ -68,13 +72,16 @@ enum Task {
         /// never consults the tenant table.
         ctx: TenantCtx,
         /// Index of the tenant's cache partition in the worker's cache
-        /// vector (0 when the engine runs without a tenant table).
+        /// vector (its index in the tenant table).
         cache_idx: usize,
         reply: Sender<Result<ServeResponse, ServeError>>,
     },
-    /// Park until the paired [`ShardHold`] is dropped (test hook for
-    /// deterministic backpressure).
-    Hold { gate: Receiver<()> },
+    /// Signal `parked`, then park until the paired [`ShardHold`] is
+    /// dropped (test hook for deterministic backpressure).
+    Hold {
+        parked: Sender<()>,
+        gate: Receiver<()>,
+    },
 }
 
 /// Values of one tenant's counters, for baseline/delta stats reads.
@@ -101,8 +108,8 @@ impl TenantCounters {
     }
 }
 
-/// Engine-side state of one declared tenant: its metric slice, shed
-/// budget, and per-shard in-flight accounting.
+/// Engine-side state of one tenant: its metric slice, shed budget, and
+/// per-shard in-flight accounting.
 struct TenantRuntime {
     id: TenantId,
     label: String,
@@ -155,8 +162,9 @@ impl Drop for SlotGuard {
 }
 
 /// A handle that keeps one worker parked; dropping it releases the worker.
-/// Produced by [`ServeEngine::hold_shard`] so tests can fill a queue
-/// deterministically instead of racing a flood of requests.
+/// Produced by [`ServeEngine::hold_shard`] once the worker is parked and
+/// its queue is empty, so tests can fill the queue deterministically
+/// instead of racing a flood of requests.
 pub struct ShardHold {
     /// Dropping the sender disconnects the worker's `gate.recv()`.
     _gate: Sender<()>,
@@ -170,12 +178,13 @@ impl std::fmt::Debug for ShardHold {
 
 /// An in-flight request submitted with [`ServeEngine::submit`]. Holding
 /// it holds the tenant's budget slot: the slot frees when the response is
-/// collected with [`PendingResponse::wait`] or the handle is dropped.
+/// collected with [`PendingResponse::wait`] or the handle is dropped. A
+/// dropped handle does not withdraw its task, which stays in the shard
+/// queue until the worker reaches it.
 pub struct PendingResponse {
     reply: Receiver<Result<ServeResponse, ServeError>>,
-    /// Releases the tenant budget slot on drop; `None` for untenanted
-    /// engines.
-    _slot: Option<SlotGuard>,
+    /// Releases the tenant budget slot on drop.
+    _slot: SlotGuard,
 }
 
 impl std::fmt::Debug for PendingResponse {
@@ -202,8 +211,7 @@ impl PendingResponse {
 /// in one process see each other's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requests that reached a worker (sheds are counted in
-    /// `overloaded`, not here).
+    /// Requests that reached a worker (sheds are not counted here).
     pub requests: u64,
     /// Warm artifact lookups.
     pub warm_hits: u64,
@@ -302,9 +310,12 @@ impl std::fmt::Debug for ServeEngine {
 
 impl ServeEngine {
     /// Reshards `service` across `config.n_shards` workers and starts the
-    /// pool. Fails on an invalid config or if the OS refuses a thread.
+    /// pool. A config without tenants runs one implicit `default` tenant
+    /// with every queue slot and the whole cache. Fails on an invalid
+    /// config or if the OS refuses a thread.
     pub fn start(service: MatchingService, config: ServeEngineConfig) -> Result<Self, ServeError> {
         config.validate()?;
+        let config = config.with_implicit_tenant();
         let metrics = serve_metrics();
         let baseline = EngineStats::now(metrics);
         let snapshot = Arc::new(ServingSnapshot::from_service_with(
@@ -348,19 +359,11 @@ impl ServeEngine {
             let (tx, rx) = bounded::<Task>(config.queue_capacity());
             let worker_shared = Arc::clone(&shared);
             let worker_snapshot = Arc::clone(&snapshot);
-            // One cache partition per tenant, sized by its cache share —
-            // or a single full-capacity cache when running untenanted.
-            let caches: Vec<AdmissionCache> = if cache_caps.is_empty() {
-                vec![AdmissionCache::new(
-                    config.cache_capacity(),
-                    config.cache_admit_after(),
-                )]
-            } else {
-                cache_caps
-                    .iter()
-                    .map(|&cap| AdmissionCache::new(cap, config.cache_admit_after()))
-                    .collect()
-            };
+            // One cache partition per tenant, sized by its cache share.
+            let caches: Vec<AdmissionCache> = cache_caps
+                .iter()
+                .map(|&cap| AdmissionCache::new(cap, config.cache_admit_after()))
+                .collect();
             let spawned = std::thread::Builder::new()
                 .name(format!("sisg-serve-{shard}"))
                 .spawn(move || worker_loop(shard, rx, worker_shared, worker_snapshot, caches));
@@ -389,7 +392,8 @@ impl ServeEngine {
         })
     }
 
-    /// The engine configuration.
+    /// The engine configuration, with the implicit `default` tenant in
+    /// its table when none was declared.
     pub fn config(&self) -> &ServeEngineConfig {
         &self.config
     }
@@ -414,7 +418,8 @@ impl ServeEngine {
     }
 
     /// Per-tenant counters as deltas since this engine started, in tenant
-    /// table order. Empty for an engine running without a tenant table.
+    /// table order. An engine declared without tenants reports one row,
+    /// its implicit `default` tenant.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
         self.tenant_table
             .tenants
@@ -462,71 +467,57 @@ impl ServeEngine {
         }
     }
 
-    /// Submits a request without waiting for the answer. Never blocks:
+    /// Submits a request without waiting for the answer. Never blocks.
     ///
-    /// - With a tenant table, the request first claims one of its
-    ///   tenant's in-flight budget slots on the target shard; an
-    ///   exhausted budget sheds with [`ServeError::SloBudgetExhausted`]
-    ///   (the tenant's own verdict — other tenants' slots are untouched),
-    ///   and an undeclared tenant is [`ServeError::UnknownTenant`]. The
-    ///   slot is held by the returned [`PendingResponse`] and frees when
-    ///   it is collected or dropped, so shed decisions depend only on
-    ///   submission/collection order — deterministic under any worker
-    ///   timing. Budget slots never oversubscribe the queue (validated at
-    ///   build), so tenant traffic cannot hit queue-full `Overloaded`.
-    /// - Without a tenant table, a full shard queue sheds with
-    ///   [`ServeError::Overloaded`] as before.
+    /// The request first claims one of its tenant's in-flight budget slots
+    /// on the target shard; an exhausted budget sheds with
+    /// [`ServeError::SloBudgetExhausted`] (the tenant's own verdict —
+    /// other tenants' slots are untouched), and an undeclared tenant is
+    /// [`ServeError::UnknownTenant`]. Untagged [`ServeRequest`]s belong to
+    /// [`TenantId::DEFAULT`], the implicit tenant of an engine declared
+    /// without a tenant table. The slot is held by the returned
+    /// [`PendingResponse`] and frees when it is collected or dropped, so
+    /// budget sheds depend only on submission/collection order —
+    /// deterministic under any worker timing.
     ///
-    /// Untagged [`ServeRequest`]s convert to the default tenant.
+    /// A request that gets a slot but finds the shard queue full sheds
+    /// with [`ServeError::Overloaded`]. Budget slots never oversubscribe
+    /// the queue (validated at build), so a caller that collects what it
+    /// submits never sees it; dropped responses free their slots while
+    /// their tasks stay queued, and enough of them on a stalled shard fill
+    /// the queue.
     pub fn submit(&self, req: impl Into<TenantRequest>) -> Result<PendingResponse, ServeError> {
         let TenantRequest { tenant, request } = req.into();
         let shard = self.shard_for(&request);
-        let (slot, ctx, cache_idx) = if self.tenant_table.tenants.is_empty() {
-            (
-                None,
-                TenantCtx {
-                    tenant,
-                    ..TenantCtx::untenanted()
-                },
-                0,
-            )
-        } else {
-            let idx = self
-                .tenant_table
-                .index_of(tenant)
-                .ok_or(ServeError::UnknownTenant(tenant))?;
-            let rt = &self.tenant_table.tenants[idx];
-            // ORDERING: AcqRel on success pairs with the Release decrement
-            // in `SlotGuard::drop`, so a claimed slot observes the prior
-            // holder's effects; Acquire on failure only observes the
-            // count.
-            let claimed =
-                rt.in_flight[shard].fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
-                    (v < rt.slots).then_some(v + 1)
-                });
-            if claimed.is_err() {
-                rt.metrics.shed.inc();
-                return Err(ServeError::SloBudgetExhausted { tenant, shard });
-            }
-            (
-                Some(SlotGuard {
-                    table: Arc::clone(&self.tenant_table),
-                    tenant: idx,
-                    shard,
-                }),
-                TenantCtx {
-                    tenant,
-                    si_weighting: rt.si_weighting,
-                    metrics: Some(rt.metrics),
-                },
-                idx,
-            )
+        let idx = self
+            .tenant_table
+            .index_of(tenant)
+            .ok_or(ServeError::UnknownTenant(tenant))?;
+        let rt = &self.tenant_table.tenants[idx];
+        // ORDERING: AcqRel on success pairs with the Release decrement in
+        // `SlotGuard::drop`, so a claimed slot observes the prior holder's
+        // effects; Acquire on failure only observes the count.
+        let claimed = rt.in_flight[shard].fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {
+            (v < rt.slots).then_some(v + 1)
+        });
+        if claimed.is_err() {
+            rt.metrics.shed.inc();
+            return Err(ServeError::SloBudgetExhausted { tenant, shard });
+        }
+        let slot = SlotGuard {
+            table: Arc::clone(&self.tenant_table),
+            tenant: idx,
+            shard,
         };
         let (reply_tx, reply_rx) = bounded(1);
         let task = Task::Serve {
             req: request,
-            ctx,
-            cache_idx,
+            ctx: TenantCtx {
+                tenant,
+                si_weighting: rt.si_weighting,
+                metrics: rt.metrics,
+            },
+            cache_idx: idx,
             reply: reply_tx,
         };
         match self.senders[shard].try_send(task) {
@@ -600,6 +591,8 @@ impl ServeEngine {
 
     /// Parks `shard`'s worker until the returned guard is dropped (test
     /// hook: lets a test fill the shard's bounded queue deterministically).
+    /// Blocks until the worker has drained what was queued before the hold
+    /// and parked, so the queue is empty when this returns.
     pub fn hold_shard(&self, shard: usize) -> Result<ShardHold, ServeError> {
         let sender = self.senders.get(shard).ok_or(ServeError::Rejected(
             sisg_core::CoreError::InvalidConfig {
@@ -608,11 +601,18 @@ impl ServeEngine {
             },
         ))?;
         let (gate_tx, gate_rx) = bounded(1);
-        match sender.try_send(Task::Hold { gate: gate_rx }) {
-            Ok(()) => Ok(ShardHold { _gate: gate_tx }),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded { shard }),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Disconnected),
+        let (parked_tx, parked_rx) = bounded(1);
+        let hold = Task::Hold {
+            parked: parked_tx,
+            gate: gate_rx,
+        };
+        match sender.try_send(hold) {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => return Err(ServeError::Overloaded { shard }),
+            Err(TrySendError::Disconnected(_)) => return Err(ServeError::Disconnected),
         }
+        parked_rx.recv().map_err(|_| ServeError::Disconnected)?;
+        Ok(ShardHold { _gate: gate_tx })
     }
 }
 
@@ -643,9 +643,10 @@ fn worker_loop(
     let mut epoch = shared.epoch.load(Ordering::Acquire);
     while let Ok(task) = rx.recv() {
         match task {
-            Task::Hold { gate } => {
+            Task::Hold { parked, gate } => {
                 // Parked until the ShardHold drops its sender (recv then
                 // returns Err) or sends an explicit release.
+                let _ = parked.send(());
                 let _ = gate.recv();
             }
             Task::Serve {
@@ -675,8 +676,8 @@ fn worker_loop(
                     }
                     metrics.cache_clears.inc();
                 }
-                let idx = cache_idx.min(caches.len().saturating_sub(1));
-                let result = snapshot.serve(&req, &ctx, shard, epoch, &mut caches[idx], metrics);
+                let result =
+                    snapshot.serve(&req, &ctx, shard, epoch, &mut caches[cache_idx], metrics);
                 // The caller may have abandoned its PendingResponse; a
                 // dead reply channel is not an engine error.
                 let _ = reply.try_send(result);

@@ -13,8 +13,14 @@
 //!   own answer functions with this crate's retrieval behind the cache.
 //! - **Item-routed worker pool** — [`ServeEngine::start`] spreads
 //!   requests over worker threads behind bounded queues (item
-//!   `i` → worker `i % n_shards`); a saturated shard sheds load with
-//!   [`ServeError::Overloaded`] instead of blocking.
+//!   `i` → worker `i % n_shards`). Submission never blocks.
+//! - **One admission path** — every request claims one of its tenant's
+//!   in-flight slots on the target shard and sheds with
+//!   [`ServeError::SloBudgetExhausted`] when they are taken; a full
+//!   queue sheds with [`ServeError::Overloaded`]. An engine declared
+//!   without a tenant table serves one implicit `default` tenant
+//!   ([`TenantId::DEFAULT`]) holding every slot and the whole cache, so
+//!   it reports a `serve.tenant.default.*` slice like any other tenant.
 //! - **Admission-gated cold cache** — repeated cold-item (Eq. 6) and
 //!   cold-user inferences are cached per worker behind a sighting-count
 //!   admission gate, bit-identical to the uncached computation.
@@ -68,7 +74,7 @@ pub mod snapshot;
 pub use api::{ServeError, ServeRequest, ServeResponse, TenantRequest};
 pub use cache::{AdmissionCache, CacheKey};
 pub use config::{
-    ColdPathMode, RequestMix, ServeEngineConfig, ServeEngineConfigBuilder, TenantConfig, TenantId,
+    ColdPathMode, ServeEngineConfig, ServeEngineConfigBuilder, TenantConfig, TenantId,
 };
 pub use engine::{EngineStats, PendingResponse, ServeEngine, ShardHold, TenantStats};
 pub use snapshot::{ColdIndex, ServingSnapshot};

@@ -36,23 +36,11 @@ use sisg_obs::Stopwatch;
 /// Per-request tenant context threaded from the engine's submit path into
 /// the worker's serve call: who to account the request to, how to
 /// aggregate SI on the cold path, and which per-tenant metric slice to
-/// record into (`None` when the engine runs without a tenant table).
+/// record into.
 pub(crate) struct TenantCtx {
     pub(crate) tenant: TenantId,
     pub(crate) si_weighting: SiAggregation,
-    pub(crate) metrics: Option<TenantMetrics>,
-}
-
-impl TenantCtx {
-    /// The untagged-traffic context: default tenant, Eq. 6 sum, no
-    /// per-tenant metric slice.
-    pub(crate) fn untenanted() -> Self {
-        TenantCtx {
-            tenant: TenantId::DEFAULT,
-            si_weighting: SiAggregation::Sum,
-            metrics: None,
-        }
-    }
+    pub(crate) metrics: TenantMetrics,
 }
 
 /// Per-shard quantized ANN indexes over the normalized item vectors —
@@ -254,9 +242,7 @@ impl ServingSnapshot {
     ) -> Result<ServeResponse, ServeError> {
         let watch = Stopwatch::start();
         metrics.requests.inc();
-        if let Some(tm) = &ctx.metrics {
-            tm.requests.inc();
-        }
+        ctx.metrics.requests.inc();
         let respond = |recommendations, cache_hit| ServeResponse {
             recommendations,
             epoch,
@@ -268,15 +254,11 @@ impl ServingSnapshot {
             ServeRequest::Candidates { item, si_values, k } => {
                 if let Some(list) = self.service.lookup(item)? {
                     metrics.warm_hits.inc();
-                    if let Some(tm) = &ctx.metrics {
-                        tm.warm_hits.inc();
-                    }
+                    ctx.metrics.warm_hits.inc();
                     respond(list[..k.min(list.len())].to_vec(), false)
                 } else {
                     metrics.cold_items.inc();
-                    if let Some(tm) = &ctx.metrics {
-                        tm.cold_items.inc();
-                    }
+                    ctx.metrics.cold_items.inc();
                     let key = CacheKey::ColdItem {
                         item: item.0,
                         si_values,
@@ -301,9 +283,7 @@ impl ServingSnapshot {
                 k,
             } => {
                 metrics.cold_users.inc();
-                if let Some(tm) = &ctx.metrics {
-                    tm.cold_users.inc();
-                }
+                ctx.metrics.cold_users.inc();
                 let key = CacheKey::ColdUser {
                     gender,
                     age,
@@ -324,9 +304,7 @@ impl ServingSnapshot {
         };
         let elapsed = watch.elapsed();
         metrics.request_ns.record_duration_ns(elapsed);
-        if let Some(tm) = &ctx.metrics {
-            tm.request_ns.record_duration_ns(elapsed);
-        }
+        ctx.metrics.request_ns.record_duration_ns(elapsed);
         Ok(out)
     }
 
@@ -390,9 +368,7 @@ fn through_cache(
 ) -> Result<(Vec<Recommendation>, bool), ServeError> {
     if let Some(hit) = cache.lookup(&key) {
         metrics.cache_hits.inc();
-        if let Some(tm) = &ctx.metrics {
-            tm.cache_hits.inc();
-        }
+        ctx.metrics.cache_hits.inc();
         return Ok((hit.clone(), true));
     }
     metrics.cache_misses.inc();
