@@ -45,12 +45,7 @@ fn main() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use sisg_eval::ctr::click_propensity;
         use sisg_eval::ItemRetriever;
-        let mut pop = vec![0u64; corpus.config.n_items as usize];
-        for s in corpus.sessions.iter() {
-            for &it in s.items {
-                pop[it.index()] += 1;
-            }
-        }
+        let pop = corpus.sessions.item_clicks(corpus.config.n_items);
         let mut fwd = 0u64;
         let mut tot = 0u64;
         for s in corpus.sessions.iter() {

@@ -6,8 +6,7 @@
 //! items; age groups differ, most strongly among male users.
 
 use sisg_bench::{describe_item, offline_corpus, offline_sgns_config};
-use sisg_core::cold_start::cold_user_recommendations;
-use sisg_core::{SisgModel, Variant};
+use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_eval::ExperimentTable;
 use std::collections::HashSet;
 
@@ -18,6 +17,13 @@ fn main() {
     let sgns = offline_sgns_config();
     eprintln!("training SISG-F-U...");
     let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &sgns).expect("train");
+    let svc = MatchingService::build(
+        model,
+        corpus.users.clone(),
+        &corpus.sessions.item_clicks(corpus.config.n_items),
+        ServingConfig::default(),
+    )
+    .expect("clicks cover the catalog");
 
     // The groups Figure 4 displays: gender × age × purchase power.
     type Group = (String, Option<u8>, Option<u8>, Option<u8>);
@@ -36,14 +42,14 @@ fn main() {
     );
     let mut lists: Vec<(String, Vec<u32>)> = Vec::new();
     for (name, gender, age, pp) in &groups {
-        match cold_user_recommendations(&model, &corpus.users, *gender, *age, *pp, TOP_K) {
+        match svc.cold_user_candidates(*gender, *age, *pp, TOP_K) {
             Ok(recs) => {
-                lists.push((name.clone(), recs.iter().map(|n| n.token.0).collect()));
-                for (rank, n) in recs.iter().enumerate() {
+                lists.push((name.clone(), recs.iter().map(|r| r.item.0).collect()));
+                for (rank, r) in recs.iter().enumerate() {
                     table.push_row(vec![
                         name.clone(),
                         (rank + 1).to_string(),
-                        describe_item(&corpus, sisg_corpus::ItemId(n.token.0)),
+                        describe_item(&corpus, r.item),
                     ]);
                 }
             }

@@ -8,8 +8,7 @@
 //! the trained vector is untrained noise and Eq. (6) must do all the work.
 
 use sisg_bench::{describe_item, env_usize, offline_corpus, offline_sgns_config, with_sessions};
-use sisg_core::cold_start::cold_item_recommendations;
-use sisg_core::{SisgModel, Variant};
+use sisg_core::{MatchingService, ServingConfig, SiAggregation, SisgModel, Variant};
 use sisg_corpus::{Corpus, ItemId};
 use sisg_eval::ExperimentTable;
 use std::collections::HashSet;
@@ -41,8 +40,22 @@ fn main() {
         cold_set.len(),
         dropped
     );
+    let clicks = train_sessions.item_clicks(corpus.config.n_items);
     let train_bundle = with_sessions(&corpus, train_sessions);
     let (model, _) = SisgModel::train(&train_bundle, Variant::SisgFU, &sgns).expect("train");
+    // One training click makes an item warm, so the withheld items (no
+    // clicks at all) are exactly what the service answers through Eq. (6).
+    let svc = MatchingService::build(
+        model,
+        corpus.users.clone(),
+        &clicks,
+        ServingConfig {
+            k: K,
+            min_clicks_for_warm: 1,
+        },
+    )
+    .expect("clicks cover the catalog");
+    let eq6 = |q: &[f32], n: usize| svc.model().similar_items_to_vector(q, n);
 
     // (a)+(b): warm probes — trained vector vs Eq. (6) SI-sum vector.
     let mut overlap_sum = 0usize;
@@ -54,19 +67,20 @@ fn main() {
         if cold_set.contains(&probe) {
             continue;
         }
-        let trained: Vec<ItemId> = model
+        let trained: Vec<ItemId> = svc
+            .model()
             .similar_items(probe, K)
             .into_iter()
             .map(|n| ItemId(n.token.0))
             .collect();
         let si = *corpus.catalog.si_values(probe);
-        let cold: Vec<ItemId> = cold_item_recommendations(&model, &si, K)
+        let cold: Vec<ItemId> = svc
+            .cold_item_candidates_with(probe, &si, K, SiAggregation::Sum, eq6)
             .expect("catalog SI")
             .into_iter()
-            .map(|n| ItemId(n.token.0))
-            .filter(|&i| i != probe)
-            .take(K)
+            .map(|r| r.item)
             .collect();
+        assert_eq!(cold.len(), K, "an Eq. 6 list for probe {probe} is short");
         let a: HashSet<ItemId> = trained.iter().copied().collect();
         overlap_sum += cold.iter().filter(|i| a.contains(i)).count();
         let cat = corpus.catalog.leaf_category(probe);
@@ -104,11 +118,11 @@ fn main() {
     let mut cold_probes = 0usize;
     for &item in &cold_items {
         let si = *corpus.catalog.si_values(item);
-        let recs = cold_item_recommendations(&model, &si, K).expect("catalog SI");
+        let recs = svc.candidates(item, &si, K).expect("catalog SI");
         let cat = corpus.catalog.leaf_category(item);
         cold_coherence += recs
             .iter()
-            .filter(|n| corpus.catalog.leaf_category(ItemId(n.token.0)) == cat)
+            .filter(|r| corpus.catalog.leaf_category(r.item) == cat)
             .count();
         cold_probes += 1;
     }
@@ -125,13 +139,9 @@ fn main() {
     let example = cold_items[0];
     println!("\nexample cold item: {}", describe_item(&corpus, example));
     let si = *corpus.catalog.si_values(example);
-    let example_recs = cold_item_recommendations(&model, &si, 5).expect("catalog SI");
-    for (rank, n) in example_recs.iter().enumerate() {
-        println!(
-            "  {}. {}",
-            rank + 1,
-            describe_item(&corpus, ItemId(n.token.0))
-        );
+    let example_recs = svc.candidates(example, &si, 5).expect("catalog SI");
+    for (rank, r) in example_recs.iter().enumerate() {
+        println!("  {}. {}", rank + 1, describe_item(&corpus, r.item));
     }
 
     sisg_bench::finish("fig6_cold_items", &table);

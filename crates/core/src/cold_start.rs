@@ -1,14 +1,16 @@
 //! Cold-start inference — Section IV-C of the paper.
 //!
 //! *Cold items* (Eq. 6): a new item with no interactions gets the vector
-//! `v = Σ_k SI_k(v)`, the sum of the input vectors of its SI values; its
-//! candidate set is whatever is nearest to that vector.
+//! `v = Σ_k SI_k(v)`, the sum of the input vectors of its SI values.
 //!
 //! *Cold users* (Figure 4): a user with no history but known demographics
-//! gets the average of all user-type vectors matching those demographics;
-//! items near that average are recommended.
+//! gets the average of all user-type vectors matching those demographics.
 //!
-//! Every entry point validates its token references against the model's
+//! This module builds those query vectors only. Turning one into an answer
+//! (fetch the nearest items, drop the query item, keep `k`) is
+//! [`MatchingService`](crate::MatchingService)'s one answer rule.
+//!
+//! Every builder validates its token references against the model's
 //! [`TokenSpace`](sisg_corpus::vocab::TokenSpace) and returns a typed
 //! [`CoreError`] for out-of-range SI values or unmatched demographics, so
 //! the serving layer can turn a malformed request into a client error
@@ -19,7 +21,6 @@ use crate::model::SisgModel;
 use sisg_corpus::schema::ItemFeature;
 use sisg_corpus::{UserRegistry, UserTypeId};
 use sisg_embedding::math::{add_assign, scale};
-use sisg_embedding::Neighbor;
 
 /// How the SI token vectors of a cold item are aggregated into its
 /// inferred embedding.
@@ -46,16 +47,6 @@ pub enum SiAggregation {
     /// input-vector norm (see the type-level docs for why norms stand in
     /// for the learned EGES attention).
     Weighted,
-}
-
-/// Eq. (6): the inferred embedding of an item from its SI values alone.
-/// Fails with [`CoreError::SiValueOutOfRange`] when a value exceeds the
-/// trained feature cardinality.
-pub fn cold_item_vector(
-    model: &SisgModel,
-    si_values: &[u32; ItemFeature::COUNT],
-) -> Result<Vec<f32>, CoreError> {
-    cold_item_vector_with(model, si_values, SiAggregation::Sum)
 }
 
 /// The inferred cold-item embedding under an explicit [`SiAggregation`]
@@ -96,16 +87,6 @@ pub fn cold_item_vector_with(
     Ok(v)
 }
 
-/// Top-`k` recommendations for a cold item, via Eq. (6).
-pub fn cold_item_recommendations(
-    model: &SisgModel,
-    si_values: &[u32; ItemFeature::COUNT],
-    k: usize,
-) -> Result<Vec<Neighbor>, CoreError> {
-    let v = cold_item_vector(model, si_values)?;
-    Ok(model.similar_items_to_vector(&v, k))
-}
-
 /// The averaged user-type vector for a demographic group. Fails with
 /// [`CoreError::NoMatchingUserType`] when no realized user type matches.
 pub fn cold_user_vector(
@@ -138,21 +119,6 @@ pub fn average_user_types(model: &SisgModel, types: &[UserTypeId]) -> Result<Vec
     Ok(v)
 }
 
-/// Top-`k` recommendations for a cold user described only by demographics.
-/// Fails with [`CoreError::NoMatchingUserType`] when no realized user type
-/// matches the query.
-pub fn cold_user_recommendations(
-    model: &SisgModel,
-    users: &UserRegistry,
-    gender: Option<u8>,
-    age: Option<u8>,
-    purchase: Option<u8>,
-    k: usize,
-) -> Result<Vec<Neighbor>, CoreError> {
-    let v = cold_user_vector(model, users, gender, age, purchase)?;
-    Ok(model.similar_items_to_vector(&v, k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,29 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_item_lands_near_its_category() {
-        let (corpus, model) = trained();
-        // Use an existing item's SI as a stand-in for a new item.
-        let probe = ItemId(10);
-        let si = *corpus.catalog.si_values(probe);
-        let recs = cold_item_recommendations(&model, &si, 20).expect("valid SI");
-        assert_eq!(recs.len(), 20);
-        // A solid share of recommendations should share the probe's leaf
-        // category (SI dominates the inferred vector).
-        let same_cat = recs
-            .iter()
-            .filter(|n| {
-                corpus.catalog.leaf_category(ItemId(n.token.0))
-                    == corpus.catalog.leaf_category(probe)
-            })
-            .count();
-        assert!(
-            same_cat >= 5,
-            "only {same_cat}/20 recommendations share the category"
-        );
-    }
-
-    #[test]
     fn weighted_aggregation_is_a_norm_weighted_average_of_the_sum_terms() {
         let (corpus, model) = trained();
         let si = *corpus.catalog.si_values(ItemId(3));
@@ -204,8 +147,8 @@ mod tests {
         let weighted =
             cold_item_vector_with(&model, &si, SiAggregation::Weighted).expect("weighted");
         assert_eq!(
-            sum,
-            cold_item_vector(&model, &si).expect("default"),
+            SiAggregation::default(),
+            SiAggregation::Sum,
             "Sum must be the Eq. 6 default"
         );
         // Reference computation: norm-weighted average over the SI rows.
@@ -265,7 +208,7 @@ mod tests {
         let (corpus, model) = trained();
         let mut si = *corpus.catalog.si_values(ItemId(0));
         si[ItemFeature::Brand.slot()] = u32::MAX;
-        let err = cold_item_vector(&model, &si).unwrap_err();
+        let err = cold_item_vector_with(&model, &si, SiAggregation::Sum).unwrap_err();
         assert!(matches!(
             err,
             CoreError::SiValueOutOfRange {
@@ -284,22 +227,6 @@ mod tests {
         assert_eq!(
             cold_user_vector(&model, &corpus.users, Some(9), None, None).unwrap_err(),
             CoreError::NoMatchingUserType
-        );
-    }
-
-    #[test]
-    fn different_demographics_get_different_recommendations() {
-        let (corpus, model) = trained();
-        let female =
-            cold_user_recommendations(&model, &corpus.users, Some(0), None, None, 30).unwrap();
-        let male =
-            cold_user_recommendations(&model, &corpus.users, Some(1), None, None, 30).unwrap();
-        let f: std::collections::HashSet<u32> = female.iter().map(|n| n.token.0).collect();
-        let m: std::collections::HashSet<u32> = male.iter().map(|n| n.token.0).collect();
-        let overlap = f.intersection(&m).count();
-        assert!(
-            overlap < 30,
-            "female and male cold-start lists must differ, overlap {overlap}"
         );
     }
 

@@ -17,9 +17,11 @@
 //!   `SISG-D` ablation);
 //! - [`model::SisgModel`] — training plus item-to-item retrieval in the
 //!   joint semantic space;
-//! - [`cold_start`] — Eq. (6) cold-item inference and Figure-4-style
-//!   cold-user recommendation via user-type vector averaging;
-//! - [`recommender::Recommender`] — the high-level matching-stage API.
+//! - [`cold_start`] — the query vectors of Section IV-C: Eq. (6) for a cold
+//!   item, averaged user-type vectors for a cold user;
+//! - [`serving::MatchingService`] — the matching stage: precomputed top-K
+//!   lists for warm items and the one answer rule behind every cold
+//!   query.
 
 #![warn(missing_docs)]
 
@@ -27,13 +29,11 @@ pub mod cold_start;
 pub mod error;
 pub mod interop;
 pub mod model;
-pub mod recommender;
 pub mod serving;
 pub mod variants;
 
 pub use cold_start::SiAggregation;
 pub use error::CoreError;
 pub use model::{SisgModel, SisgTrainReport};
-pub use recommender::{Recommendation, Recommender};
-pub use serving::{MatchingService, ServingConfig};
+pub use serving::{MatchingService, Recommendation, ServingConfig};
 pub use variants::{SimilarityMode, Variant};

@@ -26,10 +26,29 @@
 use crate::cold_start::{self, SiAggregation};
 use crate::error::CoreError;
 use crate::model::SisgModel;
-use crate::recommender::Recommendation;
 use sisg_corpus::schema::ItemFeature;
 use sisg_corpus::{ItemId, UserRegistry};
 use sisg_embedding::Neighbor;
+
+/// One recommended item with its similarity score.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Recommendation {
+    /// The recommended item.
+    pub item: ItemId,
+    /// Similarity under the model's retrieval rule.
+    pub score: f32,
+}
+
+/// Item retrieval scores rows `0..n_items` of the joint space, where a
+/// token id *is* the item id.
+impl From<Neighbor> for Recommendation {
+    fn from(n: Neighbor) -> Self {
+        Self {
+            item: ItemId(n.token.0),
+            score: n.score,
+        }
+    }
+}
 
 /// Build options for the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,16 +303,10 @@ mod tests {
             },
         )
         .expect("train");
-        let mut clicks = vec![0u64; corpus.config.n_items as usize];
-        for s in corpus.sessions.iter() {
-            for it in s.items {
-                clicks[it.index()] += 1;
-            }
-        }
         let svc = MatchingService::build(
             model,
             corpus.users.clone(),
-            &clicks,
+            &corpus.sessions.item_clicks(corpus.config.n_items),
             ServingConfig {
                 k: 20,
                 min_clicks_for_warm: 3,
@@ -329,8 +342,33 @@ mod tests {
         };
         let si = *corpus.catalog.si_values(cold);
         let recs = svc.candidates(cold, &si, 10).expect("known item");
-        assert!(!recs.is_empty());
+        assert_eq!(recs.len(), 10);
         assert!(recs.iter().all(|r| r.item != cold));
+    }
+
+    #[test]
+    fn an_eq6_answer_drops_its_own_item_and_still_fills_k() {
+        // A warm item's SI sum usually retrieves the item itself: the raw
+        // top-k then holds only k - 1 other items, and the answer must
+        // fetch one more to fill k.
+        let (corpus, svc) = service();
+        let k = 10;
+        let fetch = |q: &[f32], n: usize| svc.model().similar_items_to_vector(q, n);
+        let (item, si) = (0..corpus.config.n_items)
+            .map(ItemId)
+            .filter(|&i| !svc.is_cold(i))
+            .map(|i| (i, *corpus.catalog.si_values(i)))
+            .find(|(i, si)| {
+                let q = cold_start::cold_item_vector_with(svc.model(), si, SiAggregation::Sum)
+                    .expect("catalog SI");
+                fetch(&q, k).iter().any(|n| n.token.0 == i.0)
+            })
+            .expect("some warm item retrieves itself from its SI sum");
+        let recs = svc
+            .cold_item_candidates_with(item, &si, k, SiAggregation::Sum, fetch)
+            .expect("catalog SI");
+        assert_eq!(recs.len(), k);
+        assert!(recs.iter().all(|r| r.item != item));
     }
 
     #[test]

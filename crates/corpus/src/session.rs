@@ -124,6 +124,18 @@ impl Corpus {
     pub fn max_item_bound(&self) -> u32 {
         self.clicks.iter().map(|it| it.0 + 1).max().unwrap_or(0)
     }
+
+    /// Clicks per item over every session, `n_items` entries long. A click
+    /// on an id `>= n_items` lies outside the catalog and is not counted.
+    pub fn item_clicks(&self, n_items: u32) -> Vec<u64> {
+        let mut clicks = vec![0u64; n_items as usize];
+        for item in &self.clicks {
+            if let Some(slot) = clicks.get_mut(item.index()) {
+                *slot += 1;
+            }
+        }
+        clicks
+    }
 }
 
 impl<'a> IntoIterator for &'a Corpus {
@@ -198,5 +210,21 @@ mod tests {
         assert_eq!(c.max_item_bound(), 0);
         c.push(UserId(0), &items(&[0, 7, 2]));
         assert_eq!(c.max_item_bound(), 8);
+    }
+
+    #[test]
+    fn item_clicks_counts_the_catalog_and_skips_ids_outside_it() {
+        let mut c = Corpus::new();
+        c.push(UserId(0), &items(&[2, 0, 2]));
+        c.push(UserId(1), &items(&[]));
+        c.push(UserId(2), &items(&[3, 2, 9, u32::MAX]));
+        assert_eq!(c.item_clicks(4), vec![1, 0, 3, 1]);
+        assert_eq!(
+            c.item_clicks(2),
+            vec![1, 0],
+            "ids 2, 3, 9 and MAX fall outside"
+        );
+        assert!(c.item_clicks(0).is_empty());
+        assert!(Corpus::new().item_clicks(3).iter().all(|&n| n == 0));
     }
 }

@@ -144,12 +144,7 @@ pub fn simulate_ab_test(
 ) -> Vec<CtrSeries> {
     assert!(config.slate_size <= config.candidates);
     // Empirical popularity for the click model's prior.
-    let mut popularity = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for &it in s.items {
-            popularity[it.index()] += 1;
-        }
-    }
+    let popularity = corpus.sessions.item_clicks(corpus.config.n_items);
 
     let mut out: Vec<CtrSeries> = sources
         .iter()
@@ -268,15 +263,9 @@ mod tests {
     #[test]
     fn oracle_beats_random() {
         let c = corpus();
-        let mut popularity = vec![0u64; c.config.n_items as usize];
-        for s in c.sessions.iter() {
-            for &it in s.items {
-                popularity[it.index()] += 1;
-            }
-        }
         let oracle = Oracle {
             corpus: &c,
-            popularity,
+            popularity: c.sessions.item_clicks(c.config.n_items),
         };
         let sources = [
             CandidateSource {

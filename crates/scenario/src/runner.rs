@@ -354,12 +354,7 @@ pub fn run_scenario(
 
     // Empirical popularity for the click model's prior, exactly as the
     // eval A/B simulation computes it.
-    let mut popularity = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for &it in s.items {
-            popularity[it.index()] += 1;
-        }
-    }
+    let popularity = corpus.sessions.item_clicks(corpus.config.n_items);
 
     let mut runs: Vec<TenantRun> = Vec::with_capacity(profiles.len());
     for p in profiles {

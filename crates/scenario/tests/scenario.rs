@@ -13,16 +13,6 @@ use sisg_scenario::{
 use sisg_serve::{ServeEngine, ServeEngineConfig, TenantId};
 use sisg_sgns::SgnsConfig;
 
-fn click_counts(corpus: &GeneratedCorpus) -> Vec<u64> {
-    let mut clicks = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for it in s.items {
-            clicks[it.index()] += 1;
-        }
-    }
-    clicks
-}
-
 /// Deterministic training (threads = 1, fixed seed) with a real cold
 /// tail, so every request class in the matrix is exercised.
 fn build_service(corpus: &GeneratedCorpus, seed: u64) -> MatchingService {
@@ -39,7 +29,7 @@ fn build_service(corpus: &GeneratedCorpus, seed: u64) -> MatchingService {
     MatchingService::build(
         model,
         corpus.users.clone(),
-        &click_counts(corpus),
+        &corpus.sessions.item_clicks(corpus.config.n_items),
         ServingConfig {
             k: 20,
             min_clicks_for_warm: 3,

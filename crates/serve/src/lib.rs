@@ -42,12 +42,7 @@
 //! let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &SgnsConfig {
 //!     dim: 8, epochs: 1, ..Default::default()
 //! })?;
-//! let mut clicks = vec![0u64; corpus.config.n_items as usize];
-//! for s in corpus.sessions.iter() {
-//!     for it in s.items {
-//!         clicks[it.index()] += 1;
-//!     }
-//! }
+//! let clicks = corpus.sessions.item_clicks(corpus.config.n_items);
 //! let service = MatchingService::build(
 //!     model, corpus.users.clone(), &clicks, ServingConfig::default(),
 //! )?;

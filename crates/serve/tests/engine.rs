@@ -21,16 +21,6 @@ fn sgns(seed: u64) -> SgnsConfig {
     }
 }
 
-fn click_counts(corpus: &GeneratedCorpus) -> Vec<u64> {
-    let mut clicks = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for it in s.items {
-            clicks[it.index()] += 1;
-        }
-    }
-    clicks
-}
-
 /// Trains deterministically and builds a service with a cold tail
 /// (`min_clicks_for_warm: 3` leaves rarely-clicked items on the Eq. 6
 /// path).
@@ -39,7 +29,7 @@ fn build_service(corpus: &GeneratedCorpus, seed: u64) -> MatchingService {
     MatchingService::build(
         model,
         corpus.users.clone(),
-        &click_counts(corpus),
+        &corpus.sessions.item_clicks(corpus.config.n_items),
         ServingConfig {
             k: 20,
             min_clicks_for_warm: 3,

@@ -46,12 +46,7 @@ fn tenant_traffic_moves_only_its_own_metric_slice() {
         },
     )
     .expect("train");
-    let mut clicks = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for it in s.items {
-            clicks[it.index()] += 1;
-        }
-    }
+    let clicks = corpus.sessions.item_clicks(corpus.config.n_items);
     let serving = ServingConfig {
         k: 20,
         min_clicks_for_warm: 3,

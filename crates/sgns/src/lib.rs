@@ -20,8 +20,9 @@
 //!   the [`sgd::OutputRows`] access trait (exclusive `&mut Matrix`, Hogwild
 //!   `RowPtr` resolvers). The EGES baseline and both distributed TNS
 //!   engines call the same function;
-//! - [`trainer`] — the three entry points ([`train`], [`train_into`],
-//!   [`train_increment`]) over one run set-up (`EpochContext`) and one
+//! - [`trainer`] — the two entry points ([`train`] from scratch,
+//!   [`train_into`] from an existing store, which is also the stream's
+//!   per-batch fold) over one run set-up (`EpochContext`) and one
 //!   learning-rate schedule ([`linear_lr`]): the exact single-threaded path
 //!   at `threads == 1`, lock-free Hogwild above. Sharded training (paper
 //!   Section III) is `crates/distributed`.
@@ -39,6 +40,4 @@ pub use config::SgnsConfig;
 pub use noise::NoiseTable;
 pub use sampler::{PairSampler, SubsampleTable, WindowMode};
 pub use sgd::PairScratch;
-pub use trainer::{
-    count_freqs, linear_lr, train, train_increment, train_into, Sequences, TrainStats,
-};
+pub use trainer::{count_freqs, linear_lr, train, train_into, Sequences, TrainStats};

@@ -255,6 +255,12 @@ pub fn train<S: Sequences + ?Sized>(
 /// are a far better starting point than random and the job converges in a
 /// fraction of the epochs.
 ///
+/// It is also the stream's per-batch fold (`crates/stream`): `freqs` are
+/// then the cumulative counts of everything ingested so far, and the
+/// caller sets `min_learning_rate = learning_rate`, which turns the decay
+/// floor into a flat schedule. All-zero `freqs` train nothing and return
+/// the store as it came.
+///
 /// # Panics
 /// Panics when the store's token count differs from `freqs.len()` or its
 /// dimensionality differs from `config.dim`.
@@ -339,49 +345,6 @@ pub fn train_into<S: Sequences + ?Sized>(
     };
     let stats = total.finish(span.finish().as_secs_f64());
     (store, stats)
-}
-
-/// Online/streaming increment: folds one bounded batch of fresh sequences
-/// into an existing store at a **flat** learning rate — the entry point of
-/// the `crates/stream` ingest pipeline.
-///
-/// Differs from [`train_into`] (the warm-start *batch* path) in exactly
-/// the ways an endless stream requires:
-///
-/// - **Flat learning rate.** The linear word2vec decay assumes a known
-///   corpus size; a stream has none, so every increment trains at
-///   `config.learning_rate` throughout. Implemented by pinning
-///   `min_learning_rate` to `learning_rate`, which turns the decay floor
-///   into the whole schedule without touching the kernels.
-/// - **Cumulative tables.** `freqs` are the stream's *cumulative* token
-///   counts over everything ingested so far, not the batch's: the noise
-///   and subsampling tables rebuilt from them match a from-scratch build
-///   over the same event prefix exactly (the drift rule `crates/stream`
-///   documents in DESIGN.md §12 and property-tests).
-/// - **Quiet-interval tolerance.** An empty batch, or counts still all
-///   zero, is a no-op returning zeroed stats — never a panic (a from-
-///   scratch build would have nothing to train either).
-///
-/// `threads <= 1` takes the exact single-threaded kernel, so a seeded
-/// stream replays bit-identically.
-///
-/// # Panics
-/// Like [`train_into`]: when the store's token count differs from
-/// `freqs.len()` or its dimensionality differs from `config.dim`.
-pub fn train_increment<S: Sequences + ?Sized>(
-    seqs: &S,
-    freqs: &[u64],
-    config: &SgnsConfig,
-    store: EmbeddingStore,
-) -> (EmbeddingStore, TrainStats) {
-    if seqs.n_sequences() == 0 || freqs.iter().all(|&f| f == 0) {
-        return (store, TrainStats::default());
-    }
-    let flat = SgnsConfig {
-        min_learning_rate: config.learning_rate,
-        ..config.clone()
-    };
-    train_into(seqs, freqs, &flat, store)
 }
 
 /// The word2vec learning-rate schedule, shared by every trainer in the
@@ -644,59 +607,15 @@ mod tests {
     }
 
     #[test]
-    fn increment_trains_flat_and_tolerates_quiet_intervals() {
+    fn all_zero_counts_train_nothing_and_keep_the_store() {
+        // A stream's quiet interval: the counts are still all zero, so
+        // there is nothing to build a `NoiseTable` from.
         let seqs = topic_corpus(11);
-        let freqs = count_freqs(&seqs, 20);
-        let cfg = SgnsConfig {
-            epochs: 1,
-            learning_rate: 0.02,
-            ..small_config()
-        };
-        let store = EmbeddingStore::new(20, cfg.dim, cfg.seed);
+        let store = EmbeddingStore::new(20, small_config().dim, 3);
         let before = store.input(TokenId(1)).to_vec();
-        let (store, stats) = train_increment(&seqs, &freqs, &cfg, store);
-        assert!(stats.pairs > 0, "an increment with data must train");
-        assert_ne!(before, store.input(TokenId(1)), "rows must move");
-
-        // Flat schedule: bit-identical to the batch path with the decay
-        // floor pinned to the base rate — the documented implementation.
-        let flat = SgnsConfig {
-            min_learning_rate: cfg.learning_rate,
-            ..cfg.clone()
-        };
-        let (reference, _) = train_into(
-            &seqs,
-            &freqs,
-            &flat,
-            EmbeddingStore::new(20, cfg.dim, cfg.seed),
-        );
-        assert_eq!(store.input(TokenId(1)), reference.input(TokenId(1)));
-
-        // Quiet intervals: empty batch and all-zero counts are no-ops.
-        let empty: Vec<Vec<TokenId>> = Vec::new();
-        let (store, stats) = train_increment(&empty, &freqs, &cfg, store);
-        assert_eq!(stats.pairs, 0);
-        let zeros = vec![0u64; 20];
-        let (_, stats) = train_increment(&seqs, &zeros, &cfg, store);
+        let (store, stats) = train_into(&seqs, &[0; 20], &small_config(), store);
         assert_eq!(stats.pairs, 0, "all-zero counts must not reach NoiseTable");
-    }
-
-    #[test]
-    fn increment_is_deterministic_for_a_fixed_seed() {
-        let seqs = topic_corpus(12);
-        let freqs = count_freqs(&seqs, 20);
-        let cfg = SgnsConfig {
-            epochs: 1,
-            ..small_config()
-        };
-        let run = || {
-            let store = EmbeddingStore::new(20, cfg.dim, cfg.seed);
-            let (store, _) = train_increment(&seqs, &freqs, &cfg, store);
-            store
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.input(TokenId(7)), b.input(TokenId(7)));
-        assert_eq!(a.output(TokenId(7)), b.output(TokenId(7)));
+        assert_eq!(before, store.input(TokenId(1)));
     }
 
     #[test]

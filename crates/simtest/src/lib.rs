@@ -36,15 +36,17 @@
 
 #![warn(missing_docs)]
 
+use sisg_core::{CoreError, SisgModel, Variant};
 use sisg_corpus::split::{NextItemSplit, SplitStage};
-use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, ItemId, TokenId};
+use sisg_corpus::vocab::TokenSpace;
+use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog};
 use sisg_distributed::recovery::record_recovery;
 use sisg_distributed::{
     Delivered, DistConfig, FaultDecision, FaultPlan, Message, PartitionMap, RetryVerdict,
     ShardCheckpoint, Step, TnsReport, TnsRun, WorkerMachine,
 };
-use sisg_embedding::{math, retrieve_top_k, EmbeddingStore, Matrix};
-use sisg_eval::hitrate::{evaluate_hit_rates, ItemRetriever};
+use sisg_embedding::EmbeddingStore;
+use sisg_eval::hitrate::evaluate_hit_rates;
 use sisg_obs::Fnv1a;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -575,54 +577,24 @@ pub fn simulate(
     }
 }
 
-/// Brute-force cosine retrieval over a store's item rows — the evaluation
-/// backend for the fault-tolerance HitRate comparisons (small corpora, so
-/// exactness beats an ANN index here).
-pub struct StoreRetriever {
-    /// The item input rows, unit-normalized: inner product = cosine.
-    items: Matrix,
-}
-
-impl StoreRetriever {
-    /// Wraps `store`, treating tokens `0..n_items` as the item rows.
-    pub fn new(store: &EmbeddingStore, n_items: u32) -> Self {
-        let mut items = Matrix::zeros(n_items as usize, store.dim());
-        for i in 0..n_items as usize {
-            items.copy_row_from(i, store.input_matrix(), i);
-            math::normalize(items.row_mut(i));
-        }
-        Self { items }
-    }
-}
-
-impl ItemRetriever for StoreRetriever {
-    fn retrieve(&self, query: ItemId, k: usize) -> Vec<ItemId> {
-        let candidates = (0..self.items.rows() as u32).map(TokenId);
-        let exclude = Some(TokenId(query.0));
-        retrieve_top_k(
-            self.items.row(query.index()),
-            &self.items,
-            candidates,
-            k,
-            exclude,
-        )
-        .into_iter()
-        .map(|n| ItemId(n.token.0))
-        .collect()
-    }
-}
-
-/// HitRate@10 of `store` under the next-item protocol on `sessions`.
+/// HitRate@10 of `store` under the next-item protocol on `sessions`,
+/// scored by the SGNS rule (cosine over item input rows) of a
+/// [`SisgModel`] over `space`.
 ///
 /// Used for *relative* comparisons between two runs of the same corpus
 /// (faulted vs. fault-free, crashed-and-recovered vs. uninterrupted), so
 /// the eval cases are drawn from the full session set for both sides.
-pub fn hit_rate_at_10(store: &EmbeddingStore, sessions: &Corpus, n_items: u32) -> f64 {
+/// Fails when `store` does not cover `space`.
+pub fn hit_rate_at_10(
+    store: &EmbeddingStore,
+    space: &TokenSpace,
+    sessions: &Corpus,
+) -> Result<f64, CoreError> {
     let split = NextItemSplit::default().split(sessions, SplitStage::Test);
-    let retriever = StoreRetriever::new(store, n_items);
-    evaluate_hit_rates("sim", &retriever, &split.eval, &[10])
+    let model = SisgModel::from_store(Variant::Sgns, space.clone(), store.clone())?;
+    Ok(evaluate_hit_rates("sim", &model, &split.eval, &[10])
         .at(10)
-        .unwrap_or(0.0)
+        .unwrap_or(0.0))
 }
 
 #[cfg(test)]
@@ -661,24 +633,5 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash, "virtual clock must replay");
         assert_eq!(a.events, b.events);
         assert_eq!(codec::encode(&a.store), codec::encode(&b.store));
-    }
-
-    #[test]
-    fn store_retriever_ranks_by_cosine() {
-        let mut input = Matrix::zeros(4, 2);
-        let mut output = Matrix::zeros(4, 2);
-        // Item 0 points at (1, 0); item 2 nearly parallel, item 1
-        // orthogonal, item 3 opposite.
-        for (row, v) in [[1.0f32, 0.0], [0.0, 1.0], [0.9, 0.1], [-1.0, 0.0]]
-            .iter()
-            .enumerate()
-        {
-            input.row_mut(row).copy_from_slice(v);
-            output.row_mut(row).copy_from_slice(v);
-        }
-        let store = EmbeddingStore::from_matrices(input, output);
-        let r = StoreRetriever::new(&store, 4);
-        let got = r.retrieve(ItemId(0), 2);
-        assert_eq!(got, vec![ItemId(2), ItemId(1)]);
     }
 }

@@ -95,7 +95,6 @@ fn ten_percent_drop_rate_preserves_hit_rate() {
         strategy: PartitionStrategy::Hash,
         ..Default::default()
     };
-    let n_items = corpus.config.n_items;
 
     let clean = simulate(
         &enriched,
@@ -116,8 +115,10 @@ fn ten_percent_drop_rate_preserves_hit_rate() {
         "drops must trigger the retry path"
     );
 
-    let hr_clean = hit_rate_at_10(&clean.store, &corpus.sessions, n_items);
-    let hr_lossy = hit_rate_at_10(&lossy.store, &corpus.sessions, n_items);
+    let hr_clean = hit_rate_at_10(&clean.store, enriched.space(), &corpus.sessions)
+        .expect("store covers space");
+    let hr_lossy = hit_rate_at_10(&lossy.store, enriched.space(), &corpus.sessions)
+        .expect("store covers space");
     println!("HR@10 clean={hr_clean:.4} lossy={hr_lossy:.4}");
     assert!(hr_clean > 0.0, "baseline model learned nothing");
     let tolerance = (hr_clean * 0.10).max(0.05);

@@ -32,7 +32,6 @@ fn runtime_and_sim_agree_on_accounting_and_quality() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
     let config = dist();
-    let n_items = corpus.config.n_items;
     let dim = config.dim as u64;
 
     let (rt_store, rt_report) =
@@ -70,8 +69,10 @@ fn runtime_and_sim_agree_on_accounting_and_quality() {
 
     // Same data, same schedule, same hyperparameters: both models must
     // retrieve equally well.
-    let hr_rt = hit_rate_at_10(&rt_store, &corpus.sessions, n_items);
-    let hr_sim = hit_rate_at_10(&sim.store, &corpus.sessions, n_items);
+    let hr_rt =
+        hit_rate_at_10(&rt_store, enriched.space(), &corpus.sessions).expect("store covers space");
+    let hr_sim =
+        hit_rate_at_10(&sim.store, enriched.space(), &corpus.sessions).expect("store covers space");
     println!("HR@10 runtime={hr_rt:.4} sim={hr_sim:.4}");
     assert!(hr_rt > 0.0 && hr_sim > 0.0);
     let tolerance = (hr_rt.max(hr_sim) * 0.10).max(0.05);

@@ -28,7 +28,6 @@ const CRASHED: usize = 1;
 fn crash_mid_epoch_recovers_within_five_percent_hit_rate() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
-    let n_items = corpus.config.n_items;
 
     let clean = simulate(
         &enriched,
@@ -64,8 +63,10 @@ fn crash_mid_epoch_recovers_within_five_percent_hit_rate() {
     // so it trains at least as many pairs as the uninterrupted run.
     assert!(crashed.report.pairs_per_worker[CRASHED] >= total_pairs);
 
-    let hr_clean = hit_rate_at_10(&clean.store, &corpus.sessions, n_items);
-    let hr_crashed = hit_rate_at_10(&crashed.store, &corpus.sessions, n_items);
+    let hr_clean = hit_rate_at_10(&clean.store, enriched.space(), &corpus.sessions)
+        .expect("store covers space");
+    let hr_crashed = hit_rate_at_10(&crashed.store, enriched.space(), &corpus.sessions)
+        .expect("store covers space");
     println!("HR@10 clean={hr_clean:.4} crashed+recovered={hr_crashed:.4}");
     assert!(hr_clean > 0.0);
     assert!(

@@ -6,9 +6,9 @@
 //! closes that loop over the existing components:
 //!
 //! ```text
-//! EventLog ── batches ──▶ IngestPipeline ── train_increment ──▶ EmbeddingStore
-//!                              │                                     │
-//!                              └── every `publish_every` batches ────┘
+//! EventLog ── batches ──▶ IngestPipeline ── train_into ──▶ EmbeddingStore
+//!                              │                                │
+//!                              └── every `publish_every` batches┘
 //!                                        freeze → ServingSnapshot
 //!                                               │
 //!                                   ServeEngine::install (hot swap)
@@ -19,7 +19,8 @@
 //!   [`EventLog`](sisg_corpus::EventLog), folds them into cumulative
 //!   frequency/click tables, admits new vocabulary through the SI
 //!   enrichment path, and trains the shared store incrementally at a flat
-//!   learning rate (`sisg_sgns::train_increment`).
+//!   learning rate (`sisg_sgns::train_into` with the decay floor pinned to
+//!   the base rate).
 //! - Every `publish_every` batches it freezes a
 //!   [`MatchingService`](sisg_core::MatchingService), wraps it in a
 //!   [`ServingSnapshot`](sisg_serve::ServingSnapshot), and publishes it

@@ -11,13 +11,14 @@
 //!   added to the running tables, so after any prefix the tables equal a
 //!   from-scratch enrichment of that prefix, token for token.
 //! - **Noise/subsample tables are rebuilt per fold** from the cumulative
-//!   counts (inside `train_increment`), never decayed or approximated.
+//!   counts (inside `train_into`), never decayed or approximated.
 //! - **Vocabulary admission** is a token's first nonzero count within the
 //!   fixed [`TokenSpace`]: new items, SI values, and user types become
 //!   trainable the moment the enrichment path first emits them.
 //! - **Flat learning rate.** The linear word2vec decay assumes a known
-//!   corpus size; the stream has none, so increments train at
-//!   `sgns.learning_rate` throughout.
+//!   corpus size; the stream has none, so each batch trains at
+//!   `sgns.learning_rate` throughout (its fold config pins
+//!   `min_learning_rate` to that rate).
 //!
 //! Determinism: [`IngestPipeline::run_replay`] is single-threaded and
 //! seeded (per-batch seeds derive from `sgns.seed` and the batch index),
@@ -39,7 +40,7 @@ use sisg_corpus::{
 use sisg_embedding::{codec, EmbeddingStore};
 use sisg_obs::{names, span, Fnv1a};
 use sisg_serve::{ServeEngine, ServeRequest, ServingSnapshot};
-use sisg_sgns::{train_increment, train_into, SgnsConfig, TrainStats};
+use sisg_sgns::{train_into, SgnsConfig, TrainStats};
 
 /// Configuration of one streaming ingest run.
 #[derive(Debug, Clone)]
@@ -271,7 +272,7 @@ impl IngestPipeline {
             return Err(poisoned_store());
         };
         let fold_span = span(names::STREAM_TRAIN_SPAN);
-        let (store, stats) = train_increment(&enriched, &self.freqs, &cfg, store);
+        let (store, stats) = train_into(&enriched, &self.freqs, &cfg, store);
         drop(fold_span);
         self.store = Some(store);
 

@@ -8,8 +8,7 @@
 //! Run with: `cargo run --release --example cold_start`
 
 use std::collections::HashSet;
-use taobao_sisg::core::cold_start::{cold_item_recommendations, cold_user_recommendations};
-use taobao_sisg::core::{SisgModel, Variant};
+use taobao_sisg::core::{MatchingService, ServingConfig, SisgModel, Variant};
 use taobao_sisg::corpus::schema::ItemFeature;
 use taobao_sisg::corpus::{Corpus, CorpusConfig, GeneratedCorpus, ItemId};
 use taobao_sisg::sgns::SgnsConfig;
@@ -46,6 +45,15 @@ fn main() {
         &sgns,
     )
     .expect("valid config");
+    // Launching items have no training clicks, so the service marks them
+    // cold and answers them through Eq. (6).
+    let svc = MatchingService::build(
+        model,
+        corpus.users.clone(),
+        &train.item_clicks(corpus.config.n_items),
+        ServingConfig::default(),
+    )
+    .expect("clicks cover the catalog");
 
     println!("\n== cold items: Eq. (6) inference ==");
     let mut coherent = 0usize;
@@ -57,22 +65,20 @@ fn main() {
             item.0,
             si[ItemFeature::LeafCategory.slot()]
         );
-        for n in cold_item_recommendations(&model, si, 5).expect("catalog SI") {
-            let neighbor = ItemId(n.token.0);
+        for r in svc.candidates(item, si, 5).expect("catalog item") {
             println!(
                 "  -> item {:<5} leaf_category_{} (score {:.3})",
-                neighbor.0,
-                corpus.catalog.si_values(neighbor)[ItemFeature::LeafCategory.slot()],
-                n.score
+                r.item.0,
+                corpus.catalog.si_values(r.item)[ItemFeature::LeafCategory.slot()],
+                r.score
             );
         }
     }
     for &item in &launching {
         let si = corpus.catalog.si_values(item);
-        for n in cold_item_recommendations(&model, si, 10).expect("catalog SI") {
+        for r in svc.candidates(item, si, 10).expect("catalog item") {
             total += 1;
-            if corpus.catalog.leaf_category(ItemId(n.token.0)) == corpus.catalog.leaf_category(item)
-            {
+            if corpus.catalog.leaf_category(r.item) == corpus.catalog.leaf_category(item) {
                 coherent += 1;
             }
         }
@@ -89,9 +95,9 @@ fn main() {
         ("male, 19-25", 1, 1),
         ("male, 61+", 1, 6),
     ] {
-        match cold_user_recommendations(&model, &corpus.users, Some(gender), Some(age), None, 5) {
+        match svc.cold_user_candidates(Some(gender), Some(age), None, 5) {
             Ok(recs) => {
-                let items: Vec<u32> = recs.iter().map(|n| n.token.0).collect();
+                let items: Vec<u32> = recs.iter().map(|r| r.item.0).collect();
                 println!("  {label:<16} -> items {items:?}");
             }
             Err(e) => println!("  {label:<16} -> {e}"),

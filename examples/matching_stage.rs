@@ -64,12 +64,7 @@ fn main() {
     // The paper's motivation is sparsity: CF is excellent on hot items but
     // has nothing to say for the long tail. Split the evaluation by query
     // popularity to see both regimes.
-    let mut freq = vec![0u64; corpus.config.n_items as usize];
-    for s in split.train.iter() {
-        for it in s.items {
-            freq[it.index()] += 1;
-        }
-    }
+    let freq = split.train.item_clicks(corpus.config.n_items);
     let tail: Vec<_> = split
         .eval
         .iter()

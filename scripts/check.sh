@@ -38,6 +38,14 @@ step tier-1 "cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+step examples "run the quickstart and cold_start examples"
+# Tier-1 compiles examples/ but never runs them. These two drive the
+# public matching-stage API end to end (train → MatchingService → warm,
+# Eq. 6 and cold-user answers); the exit code gates. ~12 s in release.
+for example in quickstart cold_start; do
+  cargo run --release --quiet --example "$example" >/dev/null
+done
+
 step workspace-tests "cargo test --workspace --release -q"
 # Tier-1 is the root facade's tests only. The goldens, kernel and graph
 # identity pins, stream replay hashes, serve and fault-simulation suites

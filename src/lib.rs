@@ -12,14 +12,20 @@
 //! `examples/` for runnable entry points:
 //!
 //! ```no_run
-//! use taobao_sisg::corpus::{CorpusConfig, GeneratedCorpus};
-//! use taobao_sisg::core::{Recommender, Variant};
+//! use taobao_sisg::corpus::{CorpusConfig, GeneratedCorpus, ItemId};
+//! use taobao_sisg::core::{MatchingService, ServingConfig, SisgModel, Variant};
 //! use taobao_sisg::sgns::SgnsConfig;
 //!
 //! let corpus = GeneratedCorpus::generate(CorpusConfig::scaled(2_000, 42));
-//! let rec = Recommender::train(&corpus, Variant::SisgFUD, &SgnsConfig::default())
+//! let (model, _) = SisgModel::train(&corpus, Variant::SisgFUD, &SgnsConfig::default())
 //!     .expect("valid config");
-//! for r in rec.similar_items(taobao_sisg::corpus::ItemId(0), 10) {
+//! let clicks = corpus.sessions.item_clicks(corpus.config.n_items);
+//! let svc = MatchingService::build(model, corpus.users.clone(), &clicks, ServingConfig::default())
+//!     .expect("clicks cover the catalog");
+//! // A warm item answers from its precomputed list, a cold one through
+//! // Eq. (6) from its side information.
+//! let item = ItemId(0);
+//! for r in svc.candidates(item, corpus.catalog.si_values(item), 10).expect("catalog item") {
 //!     println!("{:?} score {:.3}", r.item, r.score);
 //! }
 //! ```

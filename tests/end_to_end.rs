@@ -2,7 +2,7 @@
 //! retrieval → evaluation, across all model families.
 
 use taobao_sisg::cf::{CfConfig, CfModel};
-use taobao_sisg::core::{Recommender, SisgModel, Variant};
+use taobao_sisg::core::{MatchingService, ServingConfig, SisgModel, Variant};
 use taobao_sisg::corpus::split::{NextItemSplit, SplitStage};
 use taobao_sisg::corpus::{CorpusConfig, GeneratedCorpus, ItemId};
 use taobao_sisg::eges::{EgesConfig, EgesModel, WalkConfig};
@@ -114,15 +114,30 @@ fn every_retriever_family_answers_the_same_query() {
 fn recommender_round_trips_through_codec() {
     use taobao_sisg::embedding::codec;
     let corpus = corpus();
-    let rec = Recommender::train(&corpus, Variant::SisgFUD, &sgns()).expect("train");
-    let blob = codec::encode(rec.model().store());
+    let clicks = corpus.sessions.item_clicks(corpus.config.n_items);
+    let service = |model| {
+        MatchingService::build(
+            model,
+            corpus.users.clone(),
+            &clicks,
+            ServingConfig::default(),
+        )
+        .expect("clicks cover the catalog")
+    };
+    let (model, _) = SisgModel::train(&corpus, Variant::SisgFUD, &sgns()).expect("train");
+    let blob = codec::encode(model.store());
+    let space = model.space().clone();
+    let trained = service(model);
     let store = codec::decode(&blob).expect("decode");
-    let served = SisgModel::from_store(Variant::SisgFUD, rec.model().space().clone(), store)
-        .expect("store covers space");
-    for q in [ItemId(0), ItemId(5), ItemId(42)] {
+    let served = service(SisgModel::from_store(Variant::SisgFUD, space, store).expect("covers"));
+    let cold = (0..corpus.config.n_items)
+        .map(ItemId)
+        .find(|&i| trained.is_cold(i));
+    for q in [ItemId(0), ItemId(5), ItemId(42)].into_iter().chain(cold) {
+        let si = corpus.catalog.si_values(q);
         assert_eq!(
-            rec.model().retrieve(q, 20),
-            served.retrieve(q, 20),
+            trained.candidates(q, si, 20).expect("catalog item"),
+            served.candidates(q, si, 20).expect("catalog item"),
             "served candidates diverge for query {q:?}"
         );
     }

@@ -26,12 +26,7 @@ fn train_serve_publish_and_scenario_verdicts() {
         k: 20,
         min_clicks_for_warm: 3,
     };
-    let mut clicks = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for it in s.items {
-            clicks[it.index()] += 1;
-        }
-    }
+    let clicks = corpus.sessions.item_clicks(corpus.config.n_items);
     let service = |seed| {
         let sgns = SgnsConfig {
             seed,

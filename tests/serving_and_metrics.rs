@@ -24,12 +24,7 @@ fn setup() -> (GeneratedCorpus, SisgModel, Vec<u64>) {
         },
     )
     .expect("train");
-    let mut clicks = vec![0u64; corpus.config.n_items as usize];
-    for s in corpus.sessions.iter() {
-        for it in s.items {
-            clicks[it.index()] += 1;
-        }
-    }
+    let clicks = corpus.sessions.item_clicks(corpus.config.n_items);
     (corpus, model, clicks)
 }
 
