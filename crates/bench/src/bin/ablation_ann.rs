@@ -3,10 +3,13 @@
 //! Brute-force scanning is exact but linear in the catalog; at the paper's
 //! scale (10⁹ items) the matching stage must serve from an ANN index. This
 //! experiment trains SISG, indexes the L2-normalized item vectors (the
-//! cosine retrieval space the serve shards' cold paths search) with the
-//! int8 HNSW those shards run, and sweeps `ef_search` for recall@K and
+//! cosine retrieval space the serve engine's cold paths search) with the
+//! int8 HNSW of `crates/ann`, and sweeps `ef_search` for recall@K and
 //! query latency against the exact f32 scan. The beam is
-//! `max(ef_search, k)`, so the sweep starts at `k`.
+//! `max(ef_search, k)`, so the sweep starts at `k`. The serve engine's
+//! quantized cold path is a full int8 scan, not this index: at 50 000
+//! items the scan matched the index's request time at recall@10 1.000
+//! (EXPERIMENTS.md "Negative result — QHNSW as the serving cold index").
 
 use sisg_ann::{recall_at_k, HnswConfig, QHnswIndex};
 use sisg_bench::{offline_corpus, offline_sgns_config};

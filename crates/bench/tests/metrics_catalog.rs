@@ -102,8 +102,8 @@ fn exercise_every_layer() -> GeneratedCorpus {
         MatchingService::build(model, corpus.users.clone(), &mixed_clicks, serving).expect("build");
     assert_eq!(engine.swap(next), 1);
 
-    // A quantized-ANN engine so the serve.quant.* counters, the
-    // bytes-per-item gauge, and the per-search hop histogram all record
+    // A quantized cold-path engine so the serve.quant.* counters, the
+    // bytes-per-item gauge, and the index build histogram all record
     // from a live cold path.
     let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &sgns).expect("train");
     let quant_svc =

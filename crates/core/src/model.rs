@@ -228,8 +228,8 @@ impl SisgModel {
 
     /// Re-ranks an explicit candidate set against an arbitrary query
     /// vector with the exact f32 scorer — the re-rank half of the
-    /// quantized cold path in `crates/serve`: an in-shard ANN proposes
-    /// candidate ids, this restores exact cosine order among them.
+    /// quantized cold path in `crates/serve`: an int8 scan proposes a
+    /// shortlist of ids, this restores exact cosine order among them.
     /// Candidate ids index the item matrix (`0..n_items`).
     pub fn rerank_items_to_vector(
         &self,

@@ -242,9 +242,9 @@ pub fn fused_step(g: f32, v: &[f32], vp: &mut [f32], grad: &mut [f32]) {
 
 /// Serial-sum reference for the quantized kernels. Integer addition is
 /// associative, so unlike the f32 pair ([`dot`] vs [`dot_scalar_ref`])
-/// any blocking of [`dot_q8_i32`] must return *exactly* this sum — the
-/// blocked kernel is held to it at 0 ULP (it is the same integer) for
-/// every length by the remainder-sweep test below.
+/// any blocking of [`dot_q8_i32`] or [`dot_q8_rows_i32`] must return
+/// *exactly* this sum — both are held to it at 0 ULP (it is the same
+/// integer) for every length by the remainder-sweep tests below.
 #[inline]
 pub fn dot_q8_scalar_ref(x: &[i8], y: &[i8]) -> i32 {
     assert_eq!(x.len(), y.len(), "length mismatch");
@@ -293,6 +293,127 @@ pub fn dot_q8_i32(x: &[i8], y: &[i8]) -> i32 {
 #[inline]
 pub fn dot_q8(x: &[i8], y: &[i8], combined_scale: f32) -> f32 {
     dot_q8_i32(x, y) as f32 * combined_scale
+}
+
+/// The exact i32 dot of every row of a contiguous int8 block against one
+/// int8 query: `out[r] = dot_q8_i32(row r, query)`, where row `r` is
+/// `rows[r·dim .. (r+1)·dim]` and `dim = query.len()` (any `dim`, 0
+/// included). The quantized scan's kernel.
+///
+/// On an AVX2 host it reduces eight rows at a time: each 16-byte slice is
+/// sign-extended to i16 (`cvtepi8_epi16`) and multiplied pairwise into i32
+/// lanes (`madd_epi16`), so one widened query slice serves eight rows.
+/// Elsewhere, and under Miri (which does not execute AVX2 intrinsics), it
+/// is [`dot_q8_i32`] row by row. Integer sums are exact, so both paths
+/// return [`dot_q8_scalar_ref`] for every row.
+///
+/// # Panics
+/// Panics when `rows.len() != out.len() · query.len()`.
+pub fn dot_q8_rows_i32(rows: &[i8], query: &[i8], out: &mut [i32]) {
+    assert_eq!(rows.len(), out.len() * query.len(), "length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if !cfg!(miri) && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            unsafe { avx2::dot_q8_rows_i32(rows, query, out) };
+            return;
+        }
+    }
+    dot_q8_rows_i32_scalar(rows, query, out);
+}
+
+/// The portable path of [`dot_q8_rows_i32`]: [`dot_q8_i32`] row by row.
+/// The caller has checked `rows.len() == out.len() · query.len()`.
+fn dot_q8_rows_i32_scalar(rows: &[i8], query: &[i8], out: &mut [i32]) {
+    let dim = query.len();
+    for (r, slot) in out.iter_mut().enumerate() {
+        *slot = dot_q8_i32(&rows[r * dim..(r + 1) * dim], query);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::dot_q8_i32;
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_hadd_epi32, _mm256_madd_epi16,
+        _mm256_permute2x128_si256, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
+    };
+
+    /// Rows reduced together: eight i32 accumulators plus the widened
+    /// query slice and one temporary fit the sixteen ymm registers.
+    const ROWS: usize = 8;
+    /// int8 elements per step: one 128-bit load, widened to 16 × i16.
+    const LANES: usize = 16;
+
+    /// Sign-extends 16 int8 values to 16 i16 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn widen(bytes: &[i8; LANES]) -> __m256i {
+        // SAFETY: `bytes` is 16 readable bytes, exactly what the unaligned
+        // 128-bit load reads.
+        _mm256_cvtepi8_epi16(unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) })
+    }
+
+    /// Reduces each of eight accumulators' eight i32 lanes to one sum:
+    /// lane `r` of the result is the total of `acc[r]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn reduce8(acc: &[__m256i; ROWS]) -> __m256i {
+        // Each hadd sums adjacent lane pairs within a 128-bit half, so two
+        // rounds leave, in each half, one partial sum per row of four rows.
+        let h01 = _mm256_hadd_epi32(acc[0], acc[1]);
+        let h23 = _mm256_hadd_epi32(acc[2], acc[3]);
+        let h45 = _mm256_hadd_epi32(acc[4], acc[5]);
+        let h67 = _mm256_hadd_epi32(acc[6], acc[7]);
+        let lo = _mm256_hadd_epi32(h01, h23);
+        let hi = _mm256_hadd_epi32(h45, h67);
+        // Low halves (rows 0–3 | 4–7) plus high halves, lane for lane.
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(lo, hi),
+            _mm256_permute2x128_si256::<0x31>(lo, hi),
+        )
+    }
+
+    /// The AVX2 body of [`super::dot_q8_rows_i32`]. Full groups of eight
+    /// rows run the vector loop over every whole 16-element slice; a
+    /// group's remaining `dim % 16` elements and the last `rows % 8` rows
+    /// go through [`dot_q8_i32`]. The caller has checked
+    /// `rows.len() == out.len() · query.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dot_q8_rows_i32(rows: &[i8], query: &[i8], out: &mut [i32]) {
+        let dim = query.len();
+        let (q_slices, q_tail) = query.as_chunks::<LANES>();
+        let full = dim - q_tail.len();
+        let (groups, rest) = out.as_chunks_mut::<ROWS>();
+        let grouped = groups.len() * ROWS;
+        for (g, sums) in groups.iter_mut().enumerate() {
+            let block = &rows[g * ROWS * dim..(g + 1) * ROWS * dim];
+            let mut acc = [_mm256_setzero_si256(); ROWS];
+            for (c, q) in q_slices.iter().enumerate() {
+                let q = widen(q);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: r < 8 and (c + 1)·16 ≤ full ≤ dim, so the 16
+                    // bytes at r·dim + c·16 lie inside row r of `block`,
+                    // whose 8·dim bytes the slicing above bounds-checked.
+                    // Indexing row slices instead measured ~35 % slower.
+                    let bytes =
+                        unsafe { _mm_loadu_si128(block.as_ptr().add(r * dim + c * LANES).cast()) };
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_cvtepi8_epi16(bytes), q));
+                }
+            }
+            // SAFETY: `sums` is eight i32s, exactly the 32 bytes the
+            // unaligned 256-bit store writes.
+            unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), reduce8(&acc)) };
+            if !q_tail.is_empty() {
+                for (r, sum) in sums.iter_mut().enumerate() {
+                    *sum += dot_q8_i32(&block[r * dim + full..(r + 1) * dim], q_tail);
+                }
+            }
+        }
+        for (r, slot) in (grouped..).zip(rest) {
+            *slot = dot_q8_i32(&rows[r * dim..(r + 1) * dim], query);
+        }
+    }
 }
 
 /// Four quantized dot products against a shared right-hand side, i32
@@ -467,6 +588,31 @@ mod tests {
                     dot_q8(&rows[r], &y, scales[r]).to_bits(),
                     "n={n} r={r}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn dot_q8_rows_matches_scalar_ref_on_both_paths() {
+        // Every dim through eight full 16-element slices plus each tail,
+        // and row counts around the 8-row group: the dispatched kernel
+        // (AVX2 where the host has it) and the portable path both return
+        // the serial i32 sum, row by row. Bytes cover the whole i8 range.
+        for dim in 0..=130usize {
+            for n in [0usize, 1, 7, 8, 9, 17, 300] {
+                let rows: Vec<i8> = (0..n * dim)
+                    .map(|i| (i as u32).wrapping_mul(2_654_435_761).rotate_right(13) as i8)
+                    .collect();
+                let query: Vec<i8> = (0..dim).map(|d| (d as i32 * 53 - 128) as i8).collect();
+                let mut fast = vec![i32::MIN; n];
+                let mut portable = vec![i32::MIN; n];
+                dot_q8_rows_i32(&rows, &query, &mut fast);
+                dot_q8_rows_i32_scalar(&rows, &query, &mut portable);
+                for r in 0..n {
+                    let reference = dot_q8_scalar_ref(&rows[r * dim..(r + 1) * dim], &query);
+                    assert_eq!(fast[r], reference, "dim={dim} n={n} row={r}");
+                    assert_eq!(portable[r], reference, "dim={dim} n={n} row={r}");
+                }
             }
         }
     }

@@ -20,4 +20,4 @@ pub mod word2vec;
 pub use matrix::{dot_slice_x4, Matrix, RowPtr};
 pub use quant::{dequantize_row, quantize_row, QuantMatrix, QuantQuery, QuantRows};
 pub use store::EmbeddingStore;
-pub use topk::{retrieve_top_k, retrieve_top_k_scaled, Neighbor, TopK};
+pub use topk::{retrieve_top_k, retrieve_top_k_q8, retrieve_top_k_scaled, Neighbor, TopK};

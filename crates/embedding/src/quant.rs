@@ -22,7 +22,7 @@
 use crate::matrix::Matrix;
 
 /// Row-oriented access to int8-quantized vectors — the interface the
-/// quantized kernels and the in-shard ANN index score against.
+/// quantized kernels and the int8 HNSW of `crates/ann` score against.
 pub trait QuantRows {
     /// Number of rows.
     fn rows(&self) -> usize;

@@ -7,6 +7,7 @@
 
 use crate::kernels;
 use crate::matrix::Matrix;
+use crate::quant::{QuantMatrix, QuantQuery, QuantRows};
 use sisg_corpus::TokenId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -156,8 +157,43 @@ pub fn retrieve_top_k_scaled(
     scan(query, matrix, Some(row_scales), candidates, k, exclude)
 }
 
-/// The one scan loop behind both entry points; `row_scales` is `None` for
-/// plain inner product.
+/// The int8 counterpart of [`retrieve_top_k`]: the best `k` rows of
+/// `matrix` by quantized inner product with `query`, scanning every row.
+/// Row `i` scores `dot as f32 · (row_scale · query_scale)` from its exact
+/// i32 dot ([`kernels::dot_q8_rows_i32`], a block of rows per call) — the
+/// expression [`kernels::dot_q8`] computes, so the ranking is the one the
+/// per-row kernel gives. Hits are ids `0..rows` with their int8 scores.
+///
+/// # Panics
+/// Panics when the query's length differs from the matrix's `dim`.
+pub fn retrieve_top_k_q8(query: &QuantQuery, matrix: &QuantMatrix, k: usize) -> Vec<Neighbor> {
+    /// Rows per kernel call: their i32 dots fit a 1 KiB stack buffer.
+    const BLOCK: usize = 256;
+    let (dim, n) = (matrix.dim(), matrix.rows());
+    let (weights, query_scale) = (query.weights(), query.scale());
+    assert_eq!(weights.len(), dim, "length mismatch");
+    let mut top = TopK::for_candidates(k, n);
+    // The kept worst score once `top` is full: a row scoring below it
+    // cannot enter, so most rows skip the heap.
+    let mut floor = f32::NEG_INFINITY;
+    let mut dots = [0i32; BLOCK];
+    for start in (0..n).step_by(BLOCK) {
+        let end = n.min(start + BLOCK);
+        let dots = &mut dots[..end - start];
+        kernels::dot_q8_rows_i32(&matrix.data()[start * dim..end * dim], weights, dots);
+        for ((row, &dot), &scale) in (start..).zip(&*dots).zip(&matrix.scales()[start..end]) {
+            let score = dot as f32 * (scale * query_scale);
+            if score >= floor {
+                top.push(TokenId(row as u32), score);
+                floor = top.threshold().unwrap_or(f32::NEG_INFINITY);
+            }
+        }
+    }
+    top.into_sorted()
+}
+
+/// The one scan loop behind both f32 entry points; `row_scales` is `None`
+/// for plain inner product.
 fn scan(
     query: &[f32],
     matrix: &Matrix,
@@ -232,6 +268,28 @@ mod tests {
             let mut t = TopK::new(k);
             t.push(TokenId(0), 1.0);
             assert_eq!(t.len(), 1);
+        }
+    }
+
+    #[test]
+    fn q8_scan_is_the_sorted_prefix_of_every_int8_score() {
+        let rows = QuantMatrix::from_matrix(&Matrix::uniform_init(1_000, 64, 17));
+        let query = QuantQuery::new(Matrix::uniform_init(1, 64, 23).row(0));
+        let mut all: Vec<Neighbor> = (0..rows.rows())
+            .map(|i| Neighbor {
+                token: TokenId(i as u32),
+                score: kernels::dot_q8(rows.row(i), query.weights(), rows.scale(i) * query.scale()),
+            })
+            .collect();
+        all.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.token.0.cmp(&b.token.0)));
+        for k in [0, 1, 10, 1_000, 5_000] {
+            let got = retrieve_top_k_q8(&query, &rows, k);
+            let want = &all[..k.min(all.len())];
+            assert_eq!(got.len(), want.len(), "k={k}");
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!(g.token, w.token, "k={k}");
+                assert_eq!(g.score.to_bits(), w.score.to_bits(), "k={k}");
+            }
         }
     }
 

@@ -94,25 +94,19 @@ pub const SERVE_CACHE_CLEARS_TOTAL: &str = "serve.cache_clears_total";
 /// whole-µs histogram collapses every percentile into bucket 0; ns
 /// resolution keeps p50/p90/p99 meaningful. Consumers divide by 1000.
 pub const SERVE_REQUEST_NS: &str = "serve.request.ns";
-/// Cold-path searches answered by a shard's quantized ANN index (int8
-/// HNSW + f32 re-rank) instead of a brute-force scan.
+/// Cold-path searches answered by the quantized cold index (an int8 scan
+/// of the catalog + f32 re-rank of its shortlist) instead of an f32 scan.
 pub const SERVE_QUANT_COLD_SEARCHES_TOTAL: &str = "serve.quant.cold_searches_total";
-/// ANN candidates re-ranked with the exact f32 scorer across all
-/// quantized cold-path searches.
+/// int8-shortlist items re-ranked with the exact f32 scorer, summed over
+/// quantized cold-path searches (`max(ef_search, fetch)` per search).
 pub const SERVE_QUANT_RERANKED_TOTAL: &str = "serve.quant.reranked_total";
-/// Gauge: quantized payload bytes per item in the serve shards
-/// (`dim` int8 weights + 4-byte scale; link-graph overhead excluded).
+/// Gauge: quantized payload bytes per item of the cold index (`dim` int8
+/// weights + 4-byte scale; the index has no other per-item memory).
 pub const SERVE_QUANT_BYTES_PER_ITEM: &str = "serve.quant.bytes_per_item";
-/// Histogram: nodes scored per quantized in-shard ANN search, summed over
-/// the shards a cold request fanned out to.
-pub const SERVE_ANN_HOPS: &str = "serve.ann_hops";
-/// Histogram: wall-clock **milliseconds** of one `ColdIndex` build (all
-/// shards, built in parallel) — once at engine start and once per
-/// `swap`/`install`/stream publish under `ColdPathMode::QuantAnn`.
+/// Histogram: wall-clock **milliseconds** of one `ColdIndex` build (one
+/// thread, one normalize-and-quantize pass) — once at engine start and
+/// once per `swap`/`install`/stream publish under `ColdPathMode::QuantAnn`.
 pub const SERVE_COLD_INDEX_BUILD_MS: &str = "serve.cold_index.build_ms";
-/// `ColdIndex` builds that failed on some shard, leaving the snapshot on
-/// the brute-force cold path although `QuantAnn` was configured.
-pub const SERVE_COLD_INDEX_FALLBACK_TOTAL: &str = "serve.cold_index.fallback_total";
 
 /// Prefix of the tenant-labeled `serve.tenant.<label>.<suffix>` family.
 ///
@@ -191,7 +185,8 @@ pub const STREAM_FRESHNESS_US: &str = "stream.freshness.us";
 /// Span: one incremental training fold over an ingest batch.
 pub const STREAM_TRAIN_SPAN: &str = "stream.train";
 
-/// Histogram: ANN index `search()` latency in microseconds.
+/// Histogram: int8 HNSW `search()` latency in microseconds (`crates/ann`;
+/// the serve path does not call the index).
 pub const ANN_SEARCH_US: &str = "ann.search.us";
 /// Histogram: HNSW nodes visited per search (hops).
 pub const ANN_HNSW_HOPS: &str = "ann.hnsw.hops";
@@ -245,9 +240,7 @@ pub const ALL: &[&str] = &[
     SERVE_QUANT_COLD_SEARCHES_TOTAL,
     SERVE_QUANT_RERANKED_TOTAL,
     SERVE_QUANT_BYTES_PER_ITEM,
-    SERVE_ANN_HOPS,
     SERVE_COLD_INDEX_BUILD_MS,
-    SERVE_COLD_INDEX_FALLBACK_TOTAL,
     STREAM_EVENTS_TOTAL,
     STREAM_BATCHES_TOTAL,
     STREAM_PUBLISHES_TOTAL,

@@ -19,16 +19,15 @@ use sisg_obs::names::is_valid_tenant_label;
 /// How a snapshot answers cold-item / cold-user requests (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColdPathMode {
-    /// Exact brute-force scan over the full f32 item matrix — the
-    /// pre-quantization behavior, fine at bench scale, linear in catalog
-    /// size.
+    /// Exact brute-force scan over the full f32 item matrix.
     BruteForce,
-    /// int8 scale-per-row quantized HNSW inside each shard, with an exact
-    /// f32 re-rank of the merged candidates so final scores match the
-    /// brute-force path bit-for-bit on the items both return.
+    /// A scan of an int8 scale-per-row copy of the unit-norm item matrix
+    /// (68 B/item at d64 against 256 B for the f32 row), with an exact f32
+    /// re-rank of its shortlist so final scores match the brute-force path
+    /// bit-for-bit on the items both return.
     QuantAnn {
-        /// Layer-0 beam width per shard index (≥ k for good recall; the
-        /// per-shard candidate fetch is also bounded by it). Must be ≥ 1.
+        /// int8 shortlist re-ranked at f32: a query keeps its best
+        /// `max(ef_search, fetch)` items by int8 score. Must be ≥ 1.
         ef_search: usize,
     },
 }
@@ -329,8 +328,8 @@ impl ServeEngineConfigBuilder {
         self
     }
 
-    /// Cold-path execution strategy (brute force vs in-shard quantized
-    /// ANN).
+    /// Cold-path execution strategy (f32 brute force vs int8 scan + f32
+    /// re-rank).
     pub fn cold_path(mut self, mode: ColdPathMode) -> Self {
         self.config.cold_path = mode;
         self

@@ -554,10 +554,9 @@ impl ServeEngine {
     /// pipeline's publication path: the snapshot is frozen off-thread, the
     /// engine only pays the pointer swap) and returns the new epoch.
     ///
-    /// The snapshot must have been built for this engine's worker count:
-    /// its cold index is laid out by shard, so a mismatched count would
-    /// map search hits to the wrong items, and it is rejected instead of
-    /// installed.
+    /// The snapshot must have been built for this engine's worker count;
+    /// one built for another count is rejected instead of installed, so
+    /// the installed snapshot's `n_shards()` always equals the engine's.
     pub fn install(&self, snapshot: ServingSnapshot) -> Result<u64, ServeError> {
         if snapshot.n_shards() != self.config.n_shards() {
             return Err(ServeError::Rejected(sisg_core::CoreError::InvalidConfig {

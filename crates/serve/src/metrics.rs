@@ -26,9 +26,7 @@ pub(crate) struct ServeMetrics {
     pub(crate) quant_cold_searches: &'static Counter,
     pub(crate) quant_reranked: &'static Counter,
     pub(crate) quant_bytes_per_item: &'static Gauge,
-    pub(crate) ann_hops: &'static Histogram,
     pub(crate) cold_index_build_ms: &'static Histogram,
-    pub(crate) cold_index_fallback: &'static Counter,
 }
 
 /// Per-tenant slices of the `serve.*` family, resolved once per engine
@@ -76,8 +74,6 @@ pub(crate) fn serve_metrics() -> &'static ServeMetrics {
         quant_cold_searches: registry().counter(names::SERVE_QUANT_COLD_SEARCHES_TOTAL),
         quant_reranked: registry().counter(names::SERVE_QUANT_RERANKED_TOTAL),
         quant_bytes_per_item: registry().gauge(names::SERVE_QUANT_BYTES_PER_ITEM),
-        ann_hops: registry().histogram(names::SERVE_ANN_HOPS),
         cold_index_build_ms: registry().histogram(names::SERVE_COLD_INDEX_BUILD_MS),
-        cold_index_fallback: registry().counter(names::SERVE_COLD_INDEX_FALLBACK_TOTAL),
     })
 }

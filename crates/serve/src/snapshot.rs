@@ -11,26 +11,24 @@
 //! **Cold paths** (Eq. 6 cold items, demographic cold users) score an
 //! arbitrary query vector against the whole catalog. Under
 //! [`ColdPathMode::BruteForce`] that is an exact linear scan of the f32
-//! item matrix — fine at bench scale, hopeless at millions of items.
-//! Under [`ColdPathMode::QuantAnn`] each shard instead carries a
-//! [`ColdIndex`] slice: its items' normalized vectors quantized to int8
-//! scale-per-row, serialized into the mmap-friendly codec blob
-//! (`sisg_embedding::codec`), and navigated zero-copy by a quantized HNSW
-//! (`sisg_ann::qhnsw`). A cold request fans the ANN search out over every
-//! shard's index, merges the candidates, and re-ranks them with the exact
-//! f32 scorer — so the ids it returns come from the quantized graph but
-//! the scores (and the order among surviving candidates) are identical to
-//! brute force.
+//! item matrix. Under [`ColdPathMode::QuantAnn`] the snapshot carries a
+//! [`ColdIndex`]: every item's normalized vector quantized to int8
+//! scale-per-row, one matrix in item order, a quarter of the f32 row's
+//! bytes. A cold request quantizes its query once, scans every int8 row,
+//! keeps the best `max(ef_search, fetch)` by int8 score and re-ranks that
+//! shortlist with the exact f32 scorer — so the ids it returns come from
+//! the int8 scan but the scores (and the order among surviving
+//! candidates) are identical to brute force.
 
 use crate::api::{ServeError, ServeRequest, ServeResponse};
 use crate::cache::{AdmissionCache, CacheKey};
 use crate::config::{ColdPathMode, TenantId};
 use crate::metrics::{serve_metrics, ServeMetrics, TenantMetrics};
-use sisg_ann::qhnsw::{HnswConfig, QHnswIndex};
 use sisg_core::{CoreError, MatchingService, Recommendation, SiAggregation, SisgModel};
-use sisg_corpus::{ItemId, TokenId};
-use sisg_embedding::codec::{encode_quant, QuantBlob};
-use sisg_embedding::{quantize_row, Neighbor, QuantMatrix};
+use sisg_corpus::ItemId;
+use sisg_embedding::{
+    quantize_row, retrieve_top_k_q8, Neighbor, QuantMatrix, QuantQuery, QuantRows,
+};
 use sisg_obs::Stopwatch;
 
 /// Per-request tenant context threaded from the engine's submit path into
@@ -43,102 +41,66 @@ pub(crate) struct TenantCtx {
     pub(crate) metrics: TenantMetrics,
 }
 
-/// Per-shard quantized ANN indexes over the normalized item vectors —
-/// the bounded-memory cold path (DESIGN.md §11).
+/// The quantized cold index: every item's normalized vector quantized to
+/// int8 scale-per-row, in item order, scanned whole per query
+/// (DESIGN.md §11).
 pub struct ColdIndex {
-    /// `indexes[s]` covers items `s, s + n_shards, s + 2·n_shards, …`
-    /// (local id `l` ↔ global item `l · n_shards + s`), each scoring
-    /// zero-copy out of its encoded codec blob.
-    indexes: Vec<QHnswIndex<QuantBlob>>,
-    /// Quantized payload bytes per item (`dim` int8 weights + f32 scale).
-    bytes_per_item: usize,
+    /// Row `i` is item `i`.
+    rows: QuantMatrix,
+    /// Shortest int8 shortlist a query re-ranks at f32.
+    ef_search: usize,
 }
 
 impl ColdIndex {
-    /// Quantizes and indexes the model's normalized item vectors, sharded
-    /// the way requests are routed, one scoped thread per shard. Shards
-    /// share nothing but the read-only model, so every graph is the one a
-    /// sequential build would produce. Returns `None` if a shard fails —
-    /// its encoded blob does not parse back (cannot happen for blobs we
-    /// just encoded), its thread cannot start, or it panics; the caller
-    /// degrades to brute force rather than panicking (this crate's API is
-    /// panic-free) and `serve.cold_index.fallback_total` says so.
-    fn build(model: &SisgModel, n_shards: usize, ef_search: usize) -> Option<Self> {
+    /// Normalizes and quantizes the model's item vectors one row at a time
+    /// straight into the matrix, so no f32 copy of the catalog is made.
+    fn build(model: &SisgModel, ef_search: usize) -> Self {
         let watch = Stopwatch::start();
-        let config = HnswConfig { ef_search };
-        // Every shard is joined before the first failure is acted on: a
-        // handle dropped unjoined re-raises its thread's panic at scope exit.
-        let shards: Vec<Option<_>> = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (0..n_shards)
-                .map(|s| {
-                    std::thread::Builder::new()
-                        .spawn_scoped(scope, move || build_shard(model, s, n_shards, config))
-                })
-                .collect();
-            spawned
-                .into_iter()
-                .map(|shard| shard.ok()?.join().ok()?)
-                .collect()
-        });
-        let indexes: Option<Vec<_>> = shards.into_iter().collect();
-        let metrics = serve_metrics();
-        metrics
+        let dim = model.store().dim();
+        let n_items = model.space().n_items() as usize;
+        let mut data = vec![0i8; n_items * dim];
+        let mut scales = Vec::with_capacity(n_items);
+        let mut row = vec![0.0f32; dim];
+        for i in 0..n_items {
+            model.normalized_item_into(ItemId(i as u32), &mut row);
+            scales.push(quantize_row(&row, &mut data[i * dim..(i + 1) * dim]));
+        }
+        let rows = QuantMatrix::from_parts(n_items, dim, data, scales);
+        serve_metrics()
             .cold_index_build_ms
             .record(watch.elapsed().as_millis() as u64);
-        let Some(indexes) = indexes else {
-            metrics.cold_index_fallback.inc();
-            return None;
-        };
-        Some(Self {
-            indexes,
-            bytes_per_item: model.store().dim() + std::mem::size_of::<f32>(),
-        })
+        Self { rows, ef_search }
     }
 
-    /// Quantized payload bytes per item.
+    /// The best `max(ef_search, fetch)` items for `query` by int8 score:
+    /// the shortlist the f32 re-rank orders.
+    fn shortlist(&self, query: &[f32], fetch: usize) -> Vec<Neighbor> {
+        retrieve_top_k_q8(
+            &QuantQuery::new(query),
+            &self.rows,
+            self.ef_search.max(fetch),
+        )
+    }
+
+    /// Quantized payload bytes per item (`dim` int8 weights + f32 scale).
     pub fn bytes_per_item(&self) -> usize {
-        self.bytes_per_item
+        self.rows.bytes_per_row()
     }
 
-    /// Link-graph bytes allocated across all shard indexes, reported
-    /// separately from the payload in the memory accounting.
+    /// Link-graph bytes: always 0, because the index is a flat scan with
+    /// no graph. Memory accounting that reports payload and links apart
+    /// keeps working.
     pub fn link_bytes(&self) -> usize {
-        self.indexes.iter().map(QHnswIndex::link_bytes).sum()
+        0
     }
-}
-
-/// Shard `s`'s index: items `s, s + n_shards, …` normalized one at a time
-/// into a `dim` buffer, quantized, encoded into the codec blob and
-/// navigated zero-copy from it — no f32 copy of the shard is made.
-fn build_shard(
-    model: &SisgModel,
-    s: usize,
-    n_shards: usize,
-    config: HnswConfig,
-) -> Option<QHnswIndex<QuantBlob>> {
-    let dim = model.store().dim();
-    let n_items = model.space().n_items() as usize;
-    let count = n_items.saturating_sub(s).div_ceil(n_shards);
-    let mut data = vec![0i8; count * dim];
-    let mut scales = Vec::with_capacity(count);
-    let mut row = vec![0.0f32; dim];
-    for (l, out) in data.chunks_exact_mut(dim).enumerate() {
-        model.normalized_item_into(ItemId((l * n_shards + s) as u32), &mut row);
-        scales.push(quantize_row(&row, out));
-    }
-    let rows = QuantMatrix::from_parts(count, dim, data, scales);
-    let blob = QuantBlob::new(encode_quant(&rows)).ok()?;
-    // The blob is the copy the index keeps; every shard builds at once, so
-    // holding the matrix through the build would add its size per shard.
-    drop(rows);
-    Some(QHnswIndex::build(blob, config))
 }
 
 impl std::fmt::Debug for ColdIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColdIndex")
-            .field("shards", &self.indexes.len())
-            .field("bytes_per_item", &self.bytes_per_item)
+            .field("items", &self.rows.rows())
+            .field("bytes_per_item", &self.bytes_per_item())
+            .field("ef_search", &self.ef_search)
             .finish_non_exhaustive()
     }
 }
@@ -148,7 +110,7 @@ pub struct ServingSnapshot {
     /// The list table, cold flags, model and user registry — and the
     /// answer rule itself.
     service: MatchingService,
-    /// Worker count this snapshot's [`ColdIndex`] is laid out for;
+    /// Worker count this snapshot was built for;
     /// [`ServeEngine::install`](crate::ServeEngine::install) checks it.
     n_shards: usize,
     /// Present under [`ColdPathMode::QuantAnn`]; `None` = brute force.
@@ -175,8 +137,8 @@ impl ServingSnapshot {
     }
 
     /// Wraps a built [`MatchingService`] and equips the requested cold
-    /// path. Building [`ColdPathMode::QuantAnn`] quantizes and indexes the
-    /// catalog once, here — the request path never allocates an index.
+    /// path. Building [`ColdPathMode::QuantAnn`] quantizes the catalog
+    /// once, here — the request path never quantizes an item.
     pub fn from_service_with(
         service: MatchingService,
         n_shards: usize,
@@ -186,7 +148,7 @@ impl ServingSnapshot {
         let cold_index = match cold_path {
             ColdPathMode::BruteForce => None,
             ColdPathMode::QuantAnn { ef_search } => {
-                ColdIndex::build(service.model(), n_shards, ef_search)
+                Some(ColdIndex::build(service.model(), ef_search))
             }
         };
         Self {
@@ -217,7 +179,7 @@ impl ServingSnapshot {
         self.service.model()
     }
 
-    /// The quantized in-shard cold index, when this snapshot carries one.
+    /// The quantized cold index, when this snapshot carries one.
     pub fn cold_index(&self) -> Option<&ColdIndex> {
         self.cold_index.as_ref()
     }
@@ -308,37 +270,10 @@ impl ServingSnapshot {
         Ok(out)
     }
 
-    /// Fans one cold query out over every shard's quantized index,
-    /// fetching up to `fetch` candidates per shard, and returns the merged
-    /// global item ids. Records search effort (`serve.ann_hops`, summed
-    /// over shards) and candidate volume.
-    fn quant_candidates(
-        &self,
-        index: &ColdIndex,
-        query: &[f32],
-        fetch: usize,
-        metrics: &ServeMetrics,
-    ) -> Vec<TokenId> {
-        let mut hops = 0u64;
-        let mut candidates = Vec::with_capacity(fetch * self.n_shards);
-        for (s, shard_index) in index.indexes.iter().enumerate() {
-            let (hits, h) = shard_index.search_with_effort(query, fetch);
-            hops += h;
-            candidates.extend(
-                hits.into_iter()
-                    .map(|hit| TokenId((hit.id.0 as usize * self.n_shards + s) as u32)),
-            );
-        }
-        metrics.quant_cold_searches.inc();
-        metrics.quant_reranked.add(candidates.len() as u64);
-        metrics.ann_hops.record(hops);
-        candidates
-    }
-
     /// Retrieves the `fetch` best items for an arbitrary cold query
-    /// vector: quantized ANN + exact f32 re-rank when this snapshot
-    /// carries a [`ColdIndex`], exact brute force otherwise. Either way
-    /// the returned scores come from the f32 scorer.
+    /// vector: the [`ColdIndex`] shortlist re-ranked at f32 when this
+    /// snapshot carries one, exact brute force otherwise. Either way the
+    /// returned scores come from the f32 scorer.
     fn cold_query_neighbors(
         &self,
         query: &[f32],
@@ -347,9 +282,14 @@ impl ServingSnapshot {
     ) -> Vec<Neighbor> {
         match &self.cold_index {
             Some(index) => {
-                let candidates = self.quant_candidates(index, query, fetch, metrics);
-                self.model()
-                    .rerank_items_to_vector(query, candidates.into_iter(), fetch)
+                let shortlist = index.shortlist(query, fetch);
+                metrics.quant_cold_searches.inc();
+                metrics.quant_reranked.add(shortlist.len() as u64);
+                self.model().rerank_items_to_vector(
+                    query,
+                    shortlist.into_iter().map(|hit| hit.token),
+                    fetch,
+                )
             }
             None => self.model().similar_items_to_vector(query, fetch),
         }
@@ -382,36 +322,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_cold_index_equals_sequential_per_shard_builds() {
-        const EF: usize = 48;
-        let config = HnswConfig { ef_search: EF };
-        // Uneven shards (601 % 4 ≠ 0), one shard, and more shards than
-        // items (shards 5.. are empty).
-        for (n_items, n_shards) in [(601, 4), (300, 1), (5, 8)] {
-            let cards = sisg_corpus::schema::SchemaCardinalities::for_items(n_items as u32);
-            let space = sisg_corpus::vocab::TokenSpace::new(n_items as u32, &cards, 3);
+    fn cold_index_quantizes_the_unit_norm_matrix_row_by_row() {
+        for n_items in [601, 300, 5] {
+            let cards = sisg_corpus::schema::SchemaCardinalities::for_items(n_items);
+            let space = sisg_corpus::vocab::TokenSpace::new(n_items, &cards, 3);
             let store = sisg_embedding::EmbeddingStore::new(space.len(), 8, 11);
             let model = SisgModel::from_store(sisg_core::Variant::SisgFU, space, store)
                 .expect("store covers the space");
-            let cold = ColdIndex::build(&model, n_shards, EF).expect("every shard builds");
-            assert_eq!(cold.indexes.len(), n_shards);
-            // The reference is the old construction: quantize rows of the
-            // materialized unit-norm matrix.
-            let m = model.item_norm_matrix();
-            let mut items = 0;
-            for (s, index) in cold.indexes.iter().enumerate() {
-                let count = (s..n_items).step_by(n_shards).count();
-                let rows = QuantMatrix::from_rows(count, 8, |l| m.row(l * n_shards + s));
-                let sequential = QHnswIndex::build(rows, config);
-                assert_eq!(index.len(), count, "shard {s} of {n_shards} holds {count}");
-                assert_eq!(
-                    index.graph_checksum(),
-                    sequential.graph_checksum(),
-                    "shard {s} of {n_shards} over {n_items} items"
-                );
-                items += count;
-            }
-            assert_eq!(items, n_items);
+            let cold = ColdIndex::build(&model, 48);
+            // The reference quantizes the materialized unit-norm matrix.
+            let reference = QuantMatrix::from_matrix(&model.item_norm_matrix());
+            assert_eq!(cold.rows.rows(), n_items as usize);
+            assert_eq!(cold.rows.data(), reference.data(), "{n_items} items");
+            let bits = |m: &QuantMatrix| m.scales().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cold.rows), bits(&reference), "{n_items} items");
         }
     }
 }

@@ -150,11 +150,11 @@ fn quantized_cold_path_with_saturating_ef_is_bit_identical_to_brute_force() {
         .cold_user_candidates(None, None, None, k)
         .expect("all user types match");
 
-    // ef_search ≥ the whole catalog makes every per-shard beam exhaustive:
-    // the quantized index proposes every item, and the exact f32 re-rank
-    // then reproduces the brute-force answer bit for bit. This isolates
-    // re-rank correctness from ANN recall (which crates/ann gates
-    // separately).
+    // ef_search ≥ the whole catalog makes the int8 shortlist the whole
+    // catalog: the quantized index proposes every item, and the exact f32
+    // re-rank then reproduces the brute-force answer bit for bit. This
+    // isolates re-rank correctness from int8 recall (which the
+    // serve_cold_quant benchmark workload gates).
     let config = ServeEngineConfig::builder()
         .n_shards(2)
         .cache_capacity(0)
@@ -367,8 +367,8 @@ fn repeated_installs_under_load_stay_coherent_and_clear_caches() {
         })
         .collect();
 
-    // A snapshot resharded for the wrong worker count must be rejected,
-    // not installed (it would misroute every request).
+    // A snapshot built for the wrong worker count must be rejected, not
+    // installed.
     let mismatched = sisg_serve::ServingSnapshot::from_service_with(
         build_service(&corpus, seeds[0]),
         config.n_shards() + 1,
