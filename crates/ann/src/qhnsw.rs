@@ -10,11 +10,9 @@
 //! **Scoring.** Nodes are scored by inner product with the quantized
 //! kernel `dot_q8` (exact i32 accumulation, one rescale by
 //! `row_scale · query_scale`); an external query is quantized once per
-//! search, and construction scores against a stored row. Any
-//! [`QuantRows`] storage works, so the index can navigate an owned
-//! [`sisg_embedding::QuantMatrix`] or score straight out of an encoded
-//! blob (`sisg_embedding::codec::QuantBlob`) without a deserialization
-//! pass.
+//! search, and construction scores against a stored row. The index is
+//! generic over [`QuantRows`] storage; the workspace builds it over an
+//! owned [`sisg_embedding::QuantMatrix`].
 //!
 //! **Unit-norm rows.** Greedy graph search is only navigable under a
 //! (near-)metric, and raw inner product is not one: high-norm rows become
@@ -525,7 +523,6 @@ fn hnsw_metrics() -> &'static HnswMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sisg_embedding::codec::{encode_quant, QuantBlob};
     use sisg_embedding::math::normalize;
     use sisg_embedding::{retrieve_top_k, Matrix, QuantMatrix};
 
@@ -591,27 +588,6 @@ mod tests {
                 exact,
                 "probe {probe}: HNSW disagrees with brute force"
             );
-        }
-    }
-
-    #[test]
-    fn owned_matrix_and_encoded_blob_score_identically() {
-        // The zero-copy blob path is the same index: identical graph,
-        // identical hits, bit-identical scores.
-        let m = normalized_matrix(300, 8, 7);
-        let qm = QuantMatrix::from_matrix(&m);
-        let blob = QuantBlob::new(encode_quant(&qm)).expect("valid blob");
-        let a = QHnswIndex::build(qm, HnswConfig::default());
-        let b = QHnswIndex::build(blob, HnswConfig::default());
-        for qi in [0usize, 13, 299] {
-            let (ha, hops_a) = a.search_with_effort(m.row(qi), 5);
-            let (hb, hops_b) = b.search_with_effort(m.row(qi), 5);
-            assert_eq!(hops_a, hops_b);
-            assert_eq!(ha.len(), hb.len());
-            for (x, y) in ha.iter().zip(&hb) {
-                assert_eq!(x.id, y.id);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
-            }
         }
     }
 

@@ -19,7 +19,8 @@ use sisg_eges::{EgesConfig, EgesModel, WalkConfig};
 use sisg_embedding::{Matrix, QuantMatrix};
 use sisg_obs::{names, registry};
 use sisg_serve::{
-    ColdPathMode, ServeEngine, ServeEngineConfig, ServeError, ServeRequest, TenantConfig, TenantId,
+    ColdPathMode, ServeEngine, ServeEngineConfig, ServeError, ServeRequest, ServingSnapshot,
+    TenantConfig, TenantId,
 };
 use sisg_sgns::SgnsConfig;
 use sisg_stream::{IngestPipeline, StreamConfig};
@@ -44,8 +45,8 @@ fn exercise_every_layer() -> GeneratedCorpus {
     let si = *corpus.catalog.si_values(ItemId(0));
 
     // The sharded serve engine: a warm hit, a cold miss then cache hit, a
-    // cold-user pair, a deterministic queue-full shed behind a held
-    // shard, and a snapshot hot-swap — every serve.* name records.
+    // cold-user pair, a deterministic budget shed behind a held shard,
+    // and a snapshot install — every serve.* name records.
     let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &sgns).expect("train");
     let mut mixed_clicks = vec![10u64; corpus.config.n_items as usize];
     mixed_clicks[1] = 0; // one cold item to drive the Eq. 6 cache path
@@ -87,20 +88,22 @@ fn exercise_every_layer() -> GeneratedCorpus {
         k: 5,
     };
     engine.serve(user_req).expect("cold-user engine serve");
-    // The held worker leaves the 1-deep queue empty; an abandoned
-    // response frees its slot but its task fills the queue.
+    // The held worker leaves the queue empty; an abandoned response's
+    // task keeps the one slot until the worker runs it, so the next
+    // submit sheds against the implicit tenant's budget.
     let hold = engine.hold_shard(0).expect("hold accepted");
-    drop(engine.submit(warm_req).expect("slot and queue space free"));
+    drop(engine.submit(warm_req).expect("the one slot is free"));
     match engine.submit(warm_req) {
-        Err(ServeError::Overloaded { .. }) => {}
-        Err(other) => panic!("expected Overloaded, got {other}"),
-        Ok(_) => panic!("an abandoned task fills the 1-deep queue"),
+        Err(ServeError::SloBudgetExhausted { .. }) => {}
+        Err(other) => panic!("expected a budget shed, got {other}"),
+        Ok(_) => panic!("the abandoned task holds the one slot"),
     }
     drop(hold);
     let (model, _) = SisgModel::train(&corpus, Variant::SisgFU, &sgns).expect("train");
     let next =
         MatchingService::build(model, corpus.users.clone(), &mixed_clicks, serving).expect("build");
-    assert_eq!(engine.swap(next), 1);
+    let next = ServingSnapshot::from_service_with(next, 1, ColdPathMode::BruteForce);
+    assert_eq!(engine.install(next), Ok(1));
 
     // A quantized cold-path engine so the serve.quant.* counters, the
     // bytes-per-item gauge, and the index build histogram all record

@@ -416,40 +416,6 @@ mod avx2 {
     }
 }
 
-/// Four quantized dot products against a shared right-hand side, i32
-/// accumulation chains interleaved for instruction-level parallelism —
-/// the quantized sibling of [`dot_ordered_x4`]. Each result is exactly
-/// `dot_q8(rows[i], y, scales[i])` (integer accumulation makes the
-/// interleaving invisible).
-///
-/// # Panics
-/// Panics when any row's length differs from `y.len()`.
-#[inline]
-pub fn dot_q8_x4(rows: [&[i8]; 4], scales: [f32; 4], y: &[i8]) -> [f32; 4] {
-    let n = y.len();
-    for r in rows {
-        assert_eq!(r.len(), n, "length mismatch");
-    }
-    let [r0, r1, r2, r3] = rows;
-    let mut a0 = 0i32;
-    let mut a1 = 0i32;
-    let mut a2 = 0i32;
-    let mut a3 = 0i32;
-    for d in 0..n {
-        let v = y[d] as i32;
-        a0 += r0[d] as i32 * v;
-        a1 += r1[d] as i32 * v;
-        a2 += r2[d] as i32 * v;
-        a3 += r3[d] as i32 * v;
-    }
-    [
-        a0 as f32 * scales[0],
-        a1 as f32 * scales[1],
-        a2 as f32 * scales[2],
-        a3 as f32 * scales[3],
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,23 +539,6 @@ mod tests {
         let x = vec![127i8; 4096];
         let y = vec![-127i8; 4096];
         assert_eq!(dot_q8_i32(&x, &y), -127 * 127 * 4096);
-    }
-
-    #[test]
-    fn dot_q8_x4_matches_four_single_dots() {
-        for n in [0usize, 1, 7, 16, 31] {
-            let rows: Vec<Vec<i8>> = (0..4).map(|r| qseq(n, r)).collect();
-            let y = qseq(n, 9);
-            let scales = [0.1f32, 0.2, 0.3, 0.4];
-            let got = dot_q8_x4([&rows[0], &rows[1], &rows[2], &rows[3]], scales, &y);
-            for r in 0..4 {
-                assert_eq!(
-                    got[r].to_bits(),
-                    dot_q8(&rows[r], &y, scales[r]).to_bits(),
-                    "n={n} r={r}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -9,11 +9,8 @@
 //! s_y‖x‖₁) / 2` — small enough that an f32 re-rank of the top candidates
 //! recovers exact order (see `crates/ann::qhnsw`).
 //!
-//! Two storage shapes share the [`QuantRows`] accessor trait:
-//!
-//! - [`QuantMatrix`] — owned, built by quantizing a [`Matrix`] row by row.
-//! - `codec::QuantBlob` — a zero-copy view over the little-endian
-//!   serialized form (the mmap-friendly serving path).
+//! [`QuantMatrix`] — owned, built by quantizing a [`Matrix`] row by row —
+//! is read through the [`QuantRows`] accessor trait.
 //!
 //! The hot accessors are whole-row slices, never per-element calls —
 //! `xtask lint` rule 6 (`kernel-path`) bans element accessors in this

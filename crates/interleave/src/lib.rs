@@ -4,8 +4,9 @@
 //!
 //! This crate model-checks the small concurrent protocols the serving and
 //! training stacks rely on (epoch-pointer hot swap, admission-cache
-//! swap-clear, per-(tenant, shard) admission slots, RowPtr word-width
-//! no-tearing) by enumerating **every**
+//! swap-clear, per-(tenant, shard) admission slots and their handoff
+//! through the shard queue, RowPtr word-width no-tearing) by enumerating
+//! **every**
 //! interleaving of 2–3 modeled threads and asserting an invariant after each
 //! complete execution.
 //!

@@ -15,13 +15,19 @@
 //! * [`admission_slot`] — the serve engine's per-(tenant, shard) budget
 //!   slot: a claim must be one read-modify-write or two submitters can
 //!   both take the last slot.
+//! * [`slot_handoff`] — the budget slot travels with its task and is
+//!   freed only once the worker has dequeued it, so queued tasks never
+//!   outnumber slots; freeing it when the caller drops its response lets
+//!   a queue overflow.
 //! * [`rowptr_no_tear_atomic`] / [`rowptr_no_tear_split`] — RowPtr's packed
 //!   word: a single word-width atomic cannot tear, while publishing the same
 //!   payload as two independent halves demonstrably can.
 //! * [`deadlock_demo`] — two locks acquired in opposite orders, proving the
 //!   explorer's deadlock detection fires.
 
-use crate::{explore, Body, Checker, ModelAtomicU64, ModelCell, ModelRwLock, ObsLog, Report};
+use crate::{
+    explore, Aborted, Body, Checker, Ctx, ModelAtomicU64, ModelCell, ModelRwLock, ObsLog, Report,
+};
 
 /// Epoch-pointer hot swap, as in the serve engine: a writer installs two
 /// successive snapshot generations (answer = generation × 100) under a write
@@ -181,12 +187,7 @@ pub fn admission_slot(split_claim: bool) -> Report {
 
         let releaser: Body = {
             let in_flight = in_flight.clone();
-            Box::new(move |ctx| loop {
-                let v = in_flight.load(ctx)?;
-                if in_flight.compare_exchange(ctx, v, v - 1)?.is_ok() {
-                    return Ok(());
-                }
-            })
+            Box::new(move |ctx| sub_one(ctx, &in_flight))
         };
         let mk_submitter = |in_flight: ModelAtomicU64, claims: ObsLog<()>| -> Body {
             Box::new(move |ctx| loop {
@@ -217,6 +218,112 @@ pub fn admission_slot(split_claim: bool) -> Report {
             Ok(())
         });
         (vec![releaser, submitter_a, submitter_b], checker)
+    })
+}
+
+/// Raises `a` by one with a load + compare-exchange retry loop (the model
+/// of one atomic read-modify-write) and returns the new value.
+fn add_one(ctx: &Ctx, a: &ModelAtomicU64) -> Result<u64, Aborted> {
+    loop {
+        let v = a.load(ctx)?;
+        if a.compare_exchange(ctx, v, v + 1)?.is_ok() {
+            return Ok(v + 1);
+        }
+    }
+}
+
+/// Lowers `a` by one, the same way as [`add_one`].
+fn sub_one(ctx: &Ctx, a: &ModelAtomicU64) -> Result<(), Aborted> {
+    loop {
+        let v = a.load(ctx)?;
+        if a.compare_exchange(ctx, v, v - 1)?.is_ok() {
+            return Ok(());
+        }
+    }
+}
+
+/// The serve engine's slot handoff: a tenant has one slot on the shard,
+/// held at start by a queued task whose caller is about to abandon its
+/// response. Three threads run:
+///
+/// * the caller drops its response;
+/// * the worker dequeues the task and answers it;
+/// * a second submitter of the same tenant claims a slot (as in
+///   [`admission_slot`]) and, if it got one, enqueues its task and
+///   records the queue depth it produced.
+///
+/// The reply channel is one word: empty, answered (the slot is inside),
+/// or abandoned. With `release_on_caller_drop = false` the slot travels
+/// with the task, as in the engine: the worker's answer and the caller's
+/// drop each try to move the channel out of empty, and whichever comes
+/// second frees the slot — the worker when the caller is gone, the
+/// caller's drop when the answer (and the slot in it) is already there.
+/// With `release_on_caller_drop = true` the caller's drop frees the slot
+/// at once while its task may still be queued, and the checker finds
+/// schedules where the submitter's task lands behind it.
+///
+/// Invariant: queued tasks ≤ slots at every enqueue.
+pub fn slot_handoff(release_on_caller_drop: bool) -> Report {
+    const SLOTS: u64 = 1;
+    const EMPTY: u64 = 0;
+    const ANSWERED: u64 = 1;
+    const ABANDONED: u64 = 2;
+    explore(move |_alloc| {
+        let in_flight = ModelAtomicU64::new(1);
+        let queued = ModelAtomicU64::new(1);
+        let reply = ModelAtomicU64::new(EMPTY);
+        let depths: ObsLog<u64> = ObsLog::new();
+
+        let caller: Body = {
+            let (in_flight, reply) = (in_flight.clone(), reply.clone());
+            Box::new(move |ctx| {
+                if release_on_caller_drop {
+                    return sub_one(ctx, &in_flight);
+                }
+                if reply.compare_exchange(ctx, EMPTY, ABANDONED)?.is_err() {
+                    // The answer is buffered: dropping it frees the slot.
+                    sub_one(ctx, &in_flight)?;
+                }
+                Ok(())
+            })
+        };
+        let worker: Body = {
+            let (in_flight, queued) = (in_flight.clone(), queued.clone());
+            Box::new(move |ctx| {
+                sub_one(ctx, &queued)?;
+                let sent = reply.compare_exchange(ctx, EMPTY, ANSWERED)?;
+                if sent.is_err() && !release_on_caller_drop {
+                    // The caller is gone: the failed send frees the slot.
+                    sub_one(ctx, &in_flight)?;
+                }
+                Ok(())
+            })
+        };
+        let submitter: Body = {
+            let (in_flight, queued, depths) = (in_flight.clone(), queued.clone(), depths.clone());
+            Box::new(move |ctx| loop {
+                let v = in_flight.load(ctx)?;
+                if v >= SLOTS {
+                    return Ok(()); // shed: the budget is exhausted
+                }
+                if in_flight.compare_exchange(ctx, v, v + 1)?.is_ok() {
+                    depths.push(add_one(ctx, &queued)?);
+                    return Ok(());
+                }
+            })
+        };
+
+        let checker: Checker = Box::new(move || {
+            for depth in depths.take() {
+                if depth > SLOTS {
+                    return Err(format!(
+                        "queue overflow: {depth} queued tasks on {SLOTS} slot"
+                    ));
+                }
+            }
+            Ok(())
+        });
+        (vec![caller, worker, submitter], checker)
     })
 }
 

@@ -93,6 +93,36 @@ fn admission_slot_split_claim_is_caught() {
     assert!(msg.contains("oversubscribed slot"), "{msg}");
 }
 
+/// Serve-engine slot handoff: the slot travels with the task and is freed
+/// by whichever of the worker's answer and the caller's drop comes second,
+/// so a second submit can never queue behind a task that still holds the
+/// tenant's one slot.
+#[test]
+fn slot_handoff_never_queues_past_the_slots() {
+    let r = models::slot_handoff(false);
+    assert_eq!(r.violations, 0, "unexpected: {:?}", r.first_violation);
+    assert_eq!(r.deadlocks, 0);
+    if !r.truncated {
+        assert_eq!(r.executions, 28);
+    }
+}
+
+/// Freeing the slot when the caller drops its response — while its task
+/// may still be queued — must be caught: the submitter's task lands
+/// behind it and the queue outgrows the slots.
+#[test]
+fn slot_release_on_caller_drop_is_caught() {
+    let r = models::slot_handoff(true);
+    assert!(r.violations > 0, "broken variant was not caught");
+    assert_eq!(r.deadlocks, 0);
+    if !r.truncated {
+        assert_eq!(r.executions, 136);
+        assert_eq!(r.violations, 7);
+    }
+    let msg = r.first_violation.expect("violation recorded");
+    assert!(msg.contains("queue overflow"), "{msg}");
+}
+
 /// Word-width RowPtr publication cannot tear: with steps 1 + 1 + 2 across the
 /// three threads the tree is exactly 4!/(1!·1!·2!) = 12 schedules, a closed
 /// form that doubles as a check on the enumeration itself.

@@ -68,22 +68,6 @@ pub const DIST_REQUESTS_DEDUPED_TOTAL: &str = "dist.requests_deduped";
 /// Worker restores from checkpoint (crash recovery + pipeline resumes).
 pub const DIST_RECOVERIES_TOTAL: &str = "dist.recoveries";
 
-/// Requests accepted by the sharded serve engine (all kinds).
-pub const SERVE_REQUESTS_TOTAL: &str = "serve.requests_total";
-/// Engine requests answered from a shard's precomputed warm list.
-pub const SERVE_WARM_HITS_TOTAL: &str = "serve.warm_hits_total";
-/// Engine requests that took the Eq. (6) cold-item path.
-pub const SERVE_COLD_ITEM_TOTAL: &str = "serve.cold_item_requests_total";
-/// Engine cold-user (demographic fallback) requests.
-pub const SERVE_COLD_USER_TOTAL: &str = "serve.cold_user_requests_total";
-/// Cold-path answers served from the admission-gated cache.
-pub const SERVE_CACHE_HITS_TOTAL: &str = "serve.cache_hits_total";
-/// Cold-path answers that had to be computed (cache miss or not admitted).
-pub const SERVE_CACHE_MISSES_TOTAL: &str = "serve.cache_misses_total";
-/// Requests that claimed a tenant slot but found the shard queue full
-/// (typed `ServeError::Overloaded`): tasks left queued by dropped
-/// responses on a stalled shard.
-pub const SERVE_OVERLOADED_TOTAL: &str = "serve.overloaded_total";
 /// Snapshot hot-swaps installed by the engine.
 pub const SERVE_SWAPS_TOTAL: &str = "serve.swaps_total";
 /// Admission-cache clears performed by workers after observing a new epoch.
@@ -105,7 +89,8 @@ pub const SERVE_QUANT_RERANKED_TOTAL: &str = "serve.quant.reranked_total";
 pub const SERVE_QUANT_BYTES_PER_ITEM: &str = "serve.quant.bytes_per_item";
 /// Histogram: wall-clock **milliseconds** of one `ColdIndex` build (one
 /// thread, one normalize-and-quantize pass) — once at engine start and
-/// once per `swap`/`install`/stream publish under `ColdPathMode::QuantAnn`.
+/// per snapshot built for `install` (a stream publish) under
+/// `ColdPathMode::QuantAnn`.
 pub const SERVE_COLD_INDEX_BUILD_MS: &str = "serve.cold_index.build_ms";
 
 /// Prefix of the tenant-labeled `serve.tenant.<label>.<suffix>` family.
@@ -123,8 +108,8 @@ pub const SERVE_COLD_INDEX_BUILD_MS: &str = "serve.cold_index.build_ms";
 pub const SERVE_TENANT_PREFIX: &str = "serve.tenant.";
 
 /// The declared per-tenant metric suffixes — the only names allowed
-/// after `serve.tenant.<label>.`. Each is the tenant-sliced counterpart
-/// of a global `serve.*` metric.
+/// after `serve.tenant.<label>.`. They are the engine's only per-request
+/// counters: each request is counted once, in its tenant's slice.
 pub const SERVE_TENANT_SUFFIXES: &[&str] = &[
     "requests_total",
     "shed_total",
@@ -227,13 +212,6 @@ pub const ALL: &[&str] = &[
     DIST_RETRIES_TOTAL,
     DIST_REQUESTS_DEDUPED_TOTAL,
     DIST_RECOVERIES_TOTAL,
-    SERVE_REQUESTS_TOTAL,
-    SERVE_WARM_HITS_TOTAL,
-    SERVE_COLD_ITEM_TOTAL,
-    SERVE_COLD_USER_TOTAL,
-    SERVE_CACHE_HITS_TOTAL,
-    SERVE_CACHE_MISSES_TOTAL,
-    SERVE_OVERLOADED_TOTAL,
     SERVE_SWAPS_TOTAL,
     SERVE_CACHE_CLEARS_TOTAL,
     SERVE_REQUEST_NS,
@@ -276,7 +254,7 @@ mod tests {
     #[test]
     fn split_tenant_metric_rejects_non_template_names() {
         for bad in [
-            "serve.requests_total",            // no tenant prefix
+            "serve.swaps_total",               // no tenant prefix
             "serve.tenant.browse.bogus_total", // undeclared suffix
             "serve.tenant..shed_total",        // empty label
             "serve.tenant.Browse.shed_total",  // uppercase label

@@ -92,15 +92,17 @@ pub struct ServeResponse {
 }
 
 /// Every way a request can fail. No panic is reachable from the public
-/// API: malformed queries, saturation, and shutdown all come back here.
+/// API: malformed queries, budget sheds, and shutdown all come back here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServeError {
     /// The request was structurally invalid for the served model
     /// (unknown item, out-of-range SI value, unmatched demographics).
     Rejected(CoreError),
-    /// The target shard's bounded queue was full — the engine sheds load
-    /// instead of blocking the caller.
+    /// Never returned: the tenant budget slot is the engine's only shed
+    /// rule ([`ServeError::SloBudgetExhausted`]), and every queued task
+    /// holds one, so no shard queue can fill. Kept only until its last
+    /// outside match arm is gone.
     Overloaded {
         /// The saturated shard.
         shard: usize,
@@ -159,8 +161,6 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        let overloaded = ServeError::Overloaded { shard: 3 };
-        assert!(overloaded.to_string().contains("shard 3"));
         let rejected = ServeError::Rejected(CoreError::UnknownItem(ItemId(9)));
         assert!(rejected.to_string().contains('9'));
         let shed = ServeError::SloBudgetExhausted {

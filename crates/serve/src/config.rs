@@ -144,10 +144,11 @@ impl ServeEngineConfig {
         self.n_shards
     }
 
-    /// Per-shard bounded queue depth, split into the tenants' in-flight
-    /// budget slots. A full queue sheds further requests with
-    /// [`ServeError::Overloaded`](crate::ServeError::Overloaded) instead of
-    /// blocking.
+    /// Per-shard in-flight request bound, split into the tenants' budget
+    /// slots. Every queued task holds a slot, so no shard queue ever holds
+    /// more; a tenant whose slots are taken is shed with
+    /// [`ServeError::SloBudgetExhausted`](crate::ServeError::SloBudgetExhausted)
+    /// instead of blocking.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
@@ -163,11 +164,11 @@ impl ServeEngineConfig {
         self.cache_admit_after
     }
 
-    /// Cold-path execution strategy; snapshots built by [`start`] and
-    /// [`swap`] inherit it.
+    /// Cold-path execution strategy of the snapshot [`start`] builds; a
+    /// snapshot handed to [`install`] was built with its own.
     ///
     /// [`start`]: crate::ServeEngine::start
-    /// [`swap`]: crate::ServeEngine::swap
+    /// [`install`]: crate::ServeEngine::install
     pub fn cold_path(&self) -> ColdPathMode {
         self.cold_path
     }
@@ -279,12 +280,9 @@ impl ServeEngineConfig {
                 });
             }
         }
-        // Budget slots are the engine's deterministic shed mechanism: a
-        // caller that collects what it submits is refused per tenant
-        // *before* it can fill the shard queue. A slot frees when its
-        // response is dropped but the task stays queued, so abandoned
-        // responses can still fill a queue and shed with `Overloaded`;
-        // the bound below keeps collecting callers clear of that.
+        // Budget slots are the engine's only shed rule, and every queued
+        // task holds one, so this bound is the bound on each shard's
+        // queue depth.
         let slots: usize = self.tenant_budget_slots().iter().sum();
         if slots > self.queue_capacity {
             return Err(CoreError::InvalidConfig {
@@ -310,7 +308,7 @@ impl ServeEngineConfigBuilder {
         self
     }
 
-    /// Per-shard bounded queue depth.
+    /// Per-shard in-flight request bound, split into budget slots.
     pub fn queue_capacity(mut self, cap: usize) -> Self {
         self.config.queue_capacity = cap;
         self

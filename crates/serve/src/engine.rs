@@ -2,8 +2,8 @@
 //!
 //! [`ServeEngine::start`] wraps a built
 //! [`MatchingService`] in a
-//! [`ServingSnapshot`] shared by the worker threads, each owning a bounded
-//! request queue and a worker-local admission-gated cold-path cache.
+//! [`ServingSnapshot`] shared by the worker threads, each owning a request
+//! queue and a worker-local admission-gated cold-path cache.
 //! Requests route deterministically —
 //! candidate lookups by `item % n_shards`, cold-user queries by a
 //! demographic hash — so a repeating cold key always lands on the shard
@@ -17,12 +17,16 @@
 //! its tenant's in-flight budget slots on the target shard — an engine
 //! declared without a tenant table serves one implicit `default` tenant
 //! holding all `queue_capacity` slots — and an exhausted budget sheds with
-//! [`ServeError::SloBudgetExhausted`]. A full shard queue sheds with
-//! [`ServeError::Overloaded`].
+//! [`ServeError::SloBudgetExhausted`]. That is the only shed rule: the
+//! slot travels with the task into the shard queue and back with the
+//! answer, and frees when the caller collects it (or, for an abandoned
+//! response, when the worker has answered). Every queued task holds a
+//! slot, so a shard queue never holds more than `queue_capacity` tasks and
+//! needs no bound of its own.
 //!
 //! # Hot swap
 //!
-//! [`ServeEngine::swap`] installs a new snapshot under a write lock and
+//! [`ServeEngine::install`] publishes a new snapshot under a write lock and
 //! bumps the epoch inside the same critical section, so workers always
 //! observe a coherent `(epoch, snapshot)` pair. Workers poll the epoch
 //! with one relaxed-cost atomic load per request and re-clone the `Arc`
@@ -32,9 +36,9 @@
 use crate::api::{ServeError, ServeRequest, ServeResponse, TenantRequest};
 use crate::cache::AdmissionCache;
 use crate::config::{ServeEngineConfig, TenantId};
-use crate::metrics::{serve_metrics, ServeMetrics, TenantMetrics};
-use crate::snapshot::{ServingSnapshot, TenantCtx};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crate::metrics::{serve_metrics, TenantMetrics};
+use crate::snapshot::ServingSnapshot;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use sisg_core::{MatchingService, SiAggregation};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -42,7 +46,7 @@ use std::thread::JoinHandle;
 
 /// State shared between the engine handle and every worker.
 struct EngineShared {
-    /// The current snapshot. Written only by [`ServeEngine::swap`], which
+    /// The current snapshot. Written only by [`ServeEngine::install`], which
     /// also bumps `epoch` inside the write critical section — readers
     /// that take the read lock therefore always see a coherent pair.
     snapshot: RwLock<Arc<ServingSnapshot>>,
@@ -68,13 +72,10 @@ enum Task {
     /// Answer a request and reply on the enclosed channel.
     Serve {
         req: ServeRequest,
-        /// Tenant accounting context, resolved by `submit` so the worker
-        /// never consults the tenant table.
-        ctx: TenantCtx,
-        /// Index of the tenant's cache partition in the worker's cache
-        /// vector (its index in the tenant table).
-        cache_idx: usize,
-        reply: Sender<Result<ServeResponse, ServeError>>,
+        /// The budget slot `submit` claimed; the worker reads the tenant
+        /// from it and sends it back with the answer.
+        slot: SlotGuard,
+        reply: Sender<Reply>,
     },
     /// Signal `parked`, then park until the paired [`ShardHold`] is
     /// dropped (test hook for deterministic backpressure).
@@ -83,6 +84,11 @@ enum Task {
         gate: Receiver<()>,
     },
 }
+
+/// An answer and the budget slot its request held. Whoever drops it frees
+/// the slot: [`PendingResponse::wait`] on collection, or the worker when
+/// the caller has already abandoned the response.
+type Reply = (Result<ServeResponse, ServeError>, SlotGuard);
 
 /// Values of one tenant's counters, for baseline/delta stats reads.
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,31 +112,49 @@ impl TenantCounters {
             cache_hits: m.cache_hits.get(),
         }
     }
+
+    fn since(self, baseline: Self) -> Self {
+        Self {
+            requests: self.requests.saturating_sub(baseline.requests),
+            shed: self.shed.saturating_sub(baseline.shed),
+            warm_hits: self.warm_hits.saturating_sub(baseline.warm_hits),
+            cold_items: self.cold_items.saturating_sub(baseline.cold_items),
+            cold_users: self.cold_users.saturating_sub(baseline.cold_users),
+            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
+        }
+    }
 }
 
 /// Engine-side state of one tenant: its metric slice, shed budget, and
 /// per-shard in-flight accounting.
-struct TenantRuntime {
-    id: TenantId,
+pub(crate) struct TenantRuntime {
+    pub(crate) id: TenantId,
     label: String,
     /// In-flight request slots per shard
     /// ([`ServeEngineConfig::tenant_budget_slots`]).
     slots: u32,
-    si_weighting: SiAggregation,
-    metrics: TenantMetrics,
+    pub(crate) si_weighting: SiAggregation,
+    pub(crate) metrics: TenantMetrics,
     /// Counter values at engine start, so [`ServeEngine::tenant_stats`]
     /// reports per-engine deltas off the process-global registry.
     baseline: TenantCounters,
     /// `in_flight[shard]` = requests submitted to `shard` and not yet
-    /// collected. Bounded by `slots`; the bound is what makes shed
-    /// decisions deterministic — they depend only on submission and
+    /// collected (or, if abandoned, not yet answered). Bounded by `slots`;
+    /// the bound is what makes shed decisions deterministic — for callers
+    /// that collect what they submit they depend only on submission and
     /// collection order, never on worker timing.
     in_flight: Vec<AtomicU32>,
 }
 
-/// The engine's resolved tenant table. Shared with every
-/// [`PendingResponse`] so collecting (or abandoning) a response releases
-/// its budget slot.
+impl TenantRuntime {
+    /// This tenant's counters as deltas since engine start.
+    fn counters(&self) -> TenantCounters {
+        TenantCounters::now(&self.metrics).since(self.baseline)
+    }
+}
+
+/// The engine's resolved tenant table. Shared with every budget slot, so
+/// whoever drops a slot can release it.
 struct TenantTable {
     tenants: Vec<TenantRuntime>,
 }
@@ -143,13 +167,21 @@ impl TenantTable {
     }
 }
 
-/// RAII release of one tenant budget slot; held by the
-/// [`PendingResponse`] so the slot frees exactly when the response is
-/// collected or abandoned.
+/// RAII release of one tenant budget slot. It moves with its task into
+/// the shard queue and back through the reply channel (see [`Reply`]), so
+/// a task holds its slot for as long as it is queued.
 struct SlotGuard {
     table: Arc<TenantTable>,
+    /// Index in the tenant table, and of the tenant's cache partition in
+    /// each worker.
     tenant: usize,
     shard: usize,
+}
+
+impl SlotGuard {
+    fn runtime(&self) -> &TenantRuntime {
+        &self.table.tenants[self.tenant]
+    }
 }
 
 impl Drop for SlotGuard {
@@ -157,14 +189,14 @@ impl Drop for SlotGuard {
         // ORDERING: Release — pairs with the AcqRel acquisition in
         // `ServeEngine::submit`; a submitter that observes the freed slot
         // also observes everything this request did.
-        self.table.tenants[self.tenant].in_flight[self.shard].fetch_sub(1, Ordering::Release);
+        self.runtime().in_flight[self.shard].fetch_sub(1, Ordering::Release);
     }
 }
 
 /// A handle that keeps one worker parked; dropping it releases the worker.
 /// Produced by [`ServeEngine::hold_shard`] once the worker is parked and
-/// its queue is empty, so tests can fill the queue deterministically
-/// instead of racing a flood of requests.
+/// its queue is empty, so tests can queue requests behind it
+/// deterministically instead of racing a flood of requests.
 pub struct ShardHold {
     /// Dropping the sender disconnects the worker's `gate.recv()`.
     _gate: Sender<()>,
@@ -176,15 +208,13 @@ impl std::fmt::Debug for ShardHold {
     }
 }
 
-/// An in-flight request submitted with [`ServeEngine::submit`]. Holding
-/// it holds the tenant's budget slot: the slot frees when the response is
-/// collected with [`PendingResponse::wait`] or the handle is dropped. A
-/// dropped handle does not withdraw its task, which stays in the shard
-/// queue until the worker reaches it.
+/// An in-flight request submitted with [`ServeEngine::submit`]. Its task
+/// holds the tenant's budget slot until the response is collected with
+/// [`PendingResponse::wait`]. Dropping the handle does not withdraw the
+/// task: it stays queued, holding its slot, until the worker has answered
+/// it.
 pub struct PendingResponse {
-    reply: Receiver<Result<ServeResponse, ServeError>>,
-    /// Releases the tenant budget slot on drop.
-    _slot: SlotGuard,
+    reply: Receiver<Reply>,
 }
 
 impl std::fmt::Debug for PendingResponse {
@@ -194,21 +224,24 @@ impl std::fmt::Debug for PendingResponse {
 }
 
 impl PendingResponse {
-    /// Blocks until the worker answers. Returns
-    /// [`ServeError::Disconnected`] if the engine shut down first.
+    /// Blocks until the worker answers, then frees the budget slot.
+    /// Returns [`ServeError::Disconnected`] if the engine shut down first.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
         match self.reply.recv() {
-            Ok(result) => result,
+            Ok((result, _slot)) => result,
             Err(_) => Err(ServeError::Disconnected),
         }
     }
 }
 
-/// Registry-backed engine counters, as deltas since [`ServeEngine::start`].
+/// Engine counters as deltas since [`ServeEngine::start`]: the sum of this
+/// engine's tenant slices plus the engine-level swap and cache-clear
+/// counters.
 ///
 /// The obs registry is the single source of truth; this snapshot is a
-/// convenience read of it. Deltas are per-process, so two engines running
-/// in one process see each other's traffic.
+/// convenience read of it. Deltas are per-process, so two engines in one
+/// process see each other's swaps and clears, and the traffic of each
+/// other's tenants that share a label.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests that reached a worker (sheds are not counted here).
@@ -221,49 +254,14 @@ pub struct EngineStats {
     pub cold_user_requests: u64,
     /// Cold-path answers served from the admission cache.
     pub cache_hits: u64,
-    /// Cold-path answers that had to be computed.
+    /// Cold-path answers that had to be computed: every cold request
+    /// passes the cache once, so this is cold requests minus cache hits.
     pub cache_misses: u64,
-    /// Requests shed because the target shard's queue was full.
-    pub overloaded: u64,
     /// Snapshot hot-swaps installed.
     pub swaps: u64,
     /// Worker admission-cache clears (each worker clears once per epoch
     /// it observes, so one swap yields up to `n_shards` clears).
     pub cache_clears: u64,
-}
-
-impl EngineStats {
-    fn now(m: &ServeMetrics) -> Self {
-        Self {
-            requests: m.requests.get(),
-            warm_hits: m.warm_hits.get(),
-            cold_item_requests: m.cold_items.get(),
-            cold_user_requests: m.cold_users.get(),
-            cache_hits: m.cache_hits.get(),
-            cache_misses: m.cache_misses.get(),
-            overloaded: m.overloaded.get(),
-            swaps: m.swaps.get(),
-            cache_clears: m.cache_clears.get(),
-        }
-    }
-
-    fn since(self, baseline: Self) -> Self {
-        Self {
-            requests: self.requests.saturating_sub(baseline.requests),
-            warm_hits: self.warm_hits.saturating_sub(baseline.warm_hits),
-            cold_item_requests: self
-                .cold_item_requests
-                .saturating_sub(baseline.cold_item_requests),
-            cold_user_requests: self
-                .cold_user_requests
-                .saturating_sub(baseline.cold_user_requests),
-            cache_hits: self.cache_hits.saturating_sub(baseline.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(baseline.cache_misses),
-            overloaded: self.overloaded.saturating_sub(baseline.overloaded),
-            swaps: self.swaps.saturating_sub(baseline.swaps),
-            cache_clears: self.cache_clears.saturating_sub(baseline.cache_clears),
-        }
-    }
 }
 
 /// One tenant's counters as deltas since [`ServeEngine::start`], read
@@ -296,7 +294,8 @@ pub struct ServeEngine {
     tenant_table: Arc<TenantTable>,
     senders: Vec<Sender<Task>>,
     workers: Vec<JoinHandle<()>>,
-    baseline: EngineStats,
+    /// `serve.swaps_total` and `serve.cache_clears_total` at start.
+    baseline: (u64, u64),
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -317,7 +316,7 @@ impl ServeEngine {
         config.validate()?;
         let config = config.with_implicit_tenant();
         let metrics = serve_metrics();
-        let baseline = EngineStats::now(metrics);
+        let baseline = (metrics.swaps.get(), metrics.cache_clears.get());
         let snapshot = Arc::new(ServingSnapshot::from_service_with(
             service,
             config.n_shards(),
@@ -356,7 +355,9 @@ impl ServeEngine {
         let mut senders = Vec::with_capacity(config.n_shards());
         let mut workers = Vec::with_capacity(config.n_shards());
         for shard in 0..config.n_shards() {
-            let (tx, rx) = bounded::<Task>(config.queue_capacity());
+            // Unbounded: every queued task holds a budget slot, and the
+            // slots of all tenants sum to at most `queue_capacity`.
+            let (tx, rx) = unbounded::<Task>();
             let worker_shared = Arc::clone(&shared);
             let worker_snapshot = Arc::clone(&snapshot);
             // One cache partition per tenant, sized by its cache share.
@@ -398,9 +399,9 @@ impl ServeEngine {
         &self.config
     }
 
-    /// The current snapshot epoch (0 at start, +1 per [`Self::swap`]).
+    /// The current snapshot epoch (0 at start, +1 per [`Self::install`]).
     pub fn epoch(&self) -> u64 {
-        // ORDERING: Acquire — pairs with the AcqRel bump in `swap` so a
+        // ORDERING: Acquire — pairs with the AcqRel bump in `install` so a
         // caller that observes epoch N also observes snapshot N's contents.
         self.shared.epoch.load(Ordering::Acquire)
     }
@@ -414,7 +415,23 @@ impl ServeEngine {
     /// Engine counters as deltas since this engine started (read from the
     /// obs registry — see [`EngineStats`] for the multi-engine caveat).
     pub fn stats(&self) -> EngineStats {
-        EngineStats::now(serve_metrics()).since(self.baseline)
+        let m = serve_metrics();
+        let mut stats = EngineStats {
+            swaps: m.swaps.get().saturating_sub(self.baseline.0),
+            cache_clears: m.cache_clears.get().saturating_sub(self.baseline.1),
+            ..EngineStats::default()
+        };
+        for t in &self.tenant_table.tenants {
+            let c = t.counters();
+            stats.requests += c.requests;
+            stats.warm_hits += c.warm_hits;
+            stats.cold_item_requests += c.cold_items;
+            stats.cold_user_requests += c.cold_users;
+            stats.cache_hits += c.cache_hits;
+        }
+        stats.cache_misses =
+            (stats.cold_item_requests + stats.cold_user_requests).saturating_sub(stats.cache_hits);
+        stats
     }
 
     /// Per-tenant counters as deltas since this engine started, in tenant
@@ -425,16 +442,16 @@ impl ServeEngine {
             .tenants
             .iter()
             .map(|t| {
-                let now = TenantCounters::now(&t.metrics);
+                let c = t.counters();
                 TenantStats {
                     tenant: t.id,
                     label: t.label.clone(),
-                    requests: now.requests.saturating_sub(t.baseline.requests),
-                    shed: now.shed.saturating_sub(t.baseline.shed),
-                    warm_hits: now.warm_hits.saturating_sub(t.baseline.warm_hits),
-                    cold_item_requests: now.cold_items.saturating_sub(t.baseline.cold_items),
-                    cold_user_requests: now.cold_users.saturating_sub(t.baseline.cold_users),
-                    cache_hits: now.cache_hits.saturating_sub(t.baseline.cache_hits),
+                    requests: c.requests,
+                    shed: c.shed,
+                    warm_hits: c.warm_hits,
+                    cold_item_requests: c.cold_items,
+                    cold_user_requests: c.cold_users,
+                    cache_hits: c.cache_hits,
                 }
             })
             .collect()
@@ -475,17 +492,11 @@ impl ServeEngine {
     /// other tenants' slots are untouched), and an undeclared tenant is
     /// [`ServeError::UnknownTenant`]. Untagged [`ServeRequest`]s belong to
     /// [`TenantId::DEFAULT`], the implicit tenant of an engine declared
-    /// without a tenant table. The slot is held by the returned
-    /// [`PendingResponse`] and frees when it is collected or dropped, so
-    /// budget sheds depend only on submission/collection order —
-    /// deterministic under any worker timing.
-    ///
-    /// A request that gets a slot but finds the shard queue full sheds
-    /// with [`ServeError::Overloaded`]. Budget slots never oversubscribe
-    /// the queue (validated at build), so a caller that collects what it
-    /// submits never sees it; dropped responses free their slots while
-    /// their tasks stay queued, and enough of them on a stalled shard fill
-    /// the queue.
+    /// without a tenant table. The slot travels with the task and frees
+    /// when the returned [`PendingResponse`] is collected, or — if it is
+    /// dropped — once the worker has answered. For callers that collect
+    /// what they submit, budget sheds depend only on submission/collection
+    /// order: deterministic under any worker timing.
     pub fn submit(&self, req: impl Into<TenantRequest>) -> Result<PendingResponse, ServeError> {
         let TenantRequest { tenant, request } = req.into();
         let shard = self.shard_for(&request);
@@ -512,25 +523,14 @@ impl ServeEngine {
         let (reply_tx, reply_rx) = bounded(1);
         let task = Task::Serve {
             req: request,
-            ctx: TenantCtx {
-                tenant,
-                si_weighting: rt.si_weighting,
-                metrics: rt.metrics,
-            },
-            cache_idx: idx,
+            slot,
             reply: reply_tx,
         };
-        match self.senders[shard].try_send(task) {
-            Ok(()) => Ok(PendingResponse {
-                reply: reply_rx,
-                _slot: slot,
-            }),
-            Err(TrySendError::Full(_)) => {
-                serve_metrics().overloaded.inc();
-                Err(ServeError::Overloaded { shard })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Disconnected),
-        }
+        // A failed send hands the task back; dropping it frees the slot.
+        self.senders[shard]
+            .send(task)
+            .map_err(|_| ServeError::Disconnected)?;
+        Ok(PendingResponse { reply: reply_rx })
     }
 
     /// Submits a request and blocks for the answer.
@@ -538,21 +538,11 @@ impl ServeEngine {
         self.submit(req)?.wait()
     }
 
-    /// Atomically installs a new snapshot built from `service` and returns
-    /// the new epoch. In-flight requests finish on the old snapshot;
-    /// workers pick up the new one (and drop their cold caches) on their
-    /// next request.
-    pub fn swap(&self, service: MatchingService) -> u64 {
-        self.install_unchecked(Arc::new(ServingSnapshot::from_service_with(
-            service,
-            self.config.n_shards(),
-            self.config.cold_path(),
-        )))
-    }
-
     /// Atomically installs a pre-built [`ServingSnapshot`] (the streaming
     /// pipeline's publication path: the snapshot is frozen off-thread, the
     /// engine only pays the pointer swap) and returns the new epoch.
+    /// In-flight requests finish on the old snapshot; workers pick up the
+    /// new one (and drop their cold caches) on their next request.
     ///
     /// The snapshot must have been built for this engine's worker count;
     /// one built for another count is rejected instead of installed, so
@@ -564,17 +554,12 @@ impl ServeEngine {
                 reason: "snapshot was built for a different worker count",
             }));
         }
-        Ok(self.install_unchecked(Arc::new(snapshot)))
-    }
-
-    /// The shared swap/install tail: publishes `next` under the write lock
-    /// and bumps the epoch inside the same critical section.
-    fn install_unchecked(&self, next: Arc<ServingSnapshot>) -> u64 {
-        if let Some(index) = next.cold_index() {
+        if let Some(index) = snapshot.cold_index() {
             serve_metrics()
                 .quant_bytes_per_item
                 .set(index.bytes_per_item() as f64);
         }
+        let next = Arc::new(snapshot);
         let mut guard = write_snapshot(&self.shared.snapshot);
         *guard = next;
         // The bump must happen inside the write critical section: readers
@@ -585,11 +570,11 @@ impl ServeEngine {
         let epoch = self.shared.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         drop(guard);
         serve_metrics().swaps.inc();
-        epoch
+        Ok(epoch)
     }
 
     /// Parks `shard`'s worker until the returned guard is dropped (test
-    /// hook: lets a test fill the shard's bounded queue deterministically).
+    /// hook: lets a test queue requests behind it deterministically).
     /// Blocks until the worker has drained what was queued before the hold
     /// and parked, so the queue is empty when this returns.
     pub fn hold_shard(&self, shard: usize) -> Result<ShardHold, ServeError> {
@@ -605,11 +590,7 @@ impl ServeEngine {
             parked: parked_tx,
             gate: gate_rx,
         };
-        match sender.try_send(hold) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => return Err(ServeError::Overloaded { shard }),
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::Disconnected),
-        }
+        sender.send(hold).map_err(|_| ServeError::Disconnected)?;
         parked_rx.recv().map_err(|_| ServeError::Disconnected)?;
         Ok(ShardHold { _gate: gate_tx })
     }
@@ -638,7 +619,7 @@ fn worker_loop(
     mut caches: Vec<AdmissionCache>,
 ) {
     let metrics = serve_metrics();
-    // ORDERING: Acquire — pairs with `swap`'s AcqRel bump; see `epoch()`.
+    // ORDERING: Acquire — pairs with `install`'s AcqRel bump; see `epoch()`.
     let mut epoch = shared.epoch.load(Ordering::Acquire);
     while let Ok(task) = rx.recv() {
         match task {
@@ -648,14 +629,9 @@ fn worker_loop(
                 let _ = parked.send(());
                 let _ = gate.recv();
             }
-            Task::Serve {
-                req,
-                ctx,
-                cache_idx,
-                reply,
-            } => {
+            Task::Serve { req, slot, reply } => {
                 // ORDERING: Acquire — the cheap per-request staleness probe; pairs
-                // with `swap`'s AcqRel bump.
+                // with `install`'s AcqRel bump.
                 let current = shared.epoch.load(Ordering::Acquire);
                 if current != epoch {
                     let guard = read_snapshot(&shared.snapshot);
@@ -675,11 +651,13 @@ fn worker_loop(
                     }
                     metrics.cache_clears.inc();
                 }
-                let result =
-                    snapshot.serve(&req, &ctx, shard, epoch, &mut caches[cache_idx], metrics);
-                // The caller may have abandoned its PendingResponse; a
-                // dead reply channel is not an engine error.
-                let _ = reply.try_send(result);
+                let tenant = slot.runtime();
+                let cache = &mut caches[slot.tenant];
+                let result = snapshot.serve(&req, tenant, shard, epoch, cache, metrics);
+                // The caller may have abandoned its PendingResponse: the
+                // failed send hands the reply back, and dropping it here
+                // frees the slot.
+                let _ = reply.try_send((result, slot));
             }
         }
     }

@@ -12,25 +12,27 @@
 //!   through it: warm lookups read its list table, cold answers are its
 //!   own answer functions with this crate's retrieval behind the cache.
 //! - **Item-routed worker pool** — [`ServeEngine::start`] spreads
-//!   requests over worker threads behind bounded queues (item
+//!   requests over worker threads, one queue each (item
 //!   `i` → worker `i % n_shards`). Submission never blocks.
-//! - **One admission path** — every request claims one of its tenant's
+//! - **One shed rule** — every request claims one of its tenant's
 //!   in-flight slots on the target shard and sheds with
-//!   [`ServeError::SloBudgetExhausted`] when they are taken; a full
-//!   queue sheds with [`ServeError::Overloaded`]. An engine declared
+//!   [`ServeError::SloBudgetExhausted`] when they are taken. The slot
+//!   travels with the task and back with the answer, so every queued task
+//!   holds one and the slots bound each queue's depth. An engine declared
 //!   without a tenant table serves one implicit `default` tenant
 //!   ([`TenantId::DEFAULT`]) holding every slot and the whole cache, so
 //!   it reports a `serve.tenant.default.*` slice like any other tenant.
 //! - **Admission-gated cold cache** — repeated cold-item (Eq. 6) and
 //!   cold-user inferences are cached per worker behind a sighting-count
 //!   admission gate, bit-identical to the uncached computation.
-//! - **Epoch-pointer hot swap** — [`ServeEngine::swap`] installs a fresh
-//!   snapshot with zero dropped in-flight requests; responses carry the
-//!   epoch that answered them.
+//! - **Epoch-pointer hot swap** — [`ServeEngine::install`] publishes a
+//!   fresh snapshot with zero dropped in-flight requests; responses carry
+//!   the epoch that answered them.
 //!
-//! Request accounting is the `serve.*` family in the obs registry — the
-//! only counters on the serving path; [`ServeEngine::stats`] reads deltas
-//! from it.
+//! Request accounting is one ledger in the obs registry: each request is
+//! counted once, in its tenant's `serve.tenant.<label>.*` slice;
+//! [`ServeEngine::stats`] sums this engine's slices, and [`ServeEngine::tenant_stats`]
+//! reads them one by one.
 //!
 //! ```
 //! use sisg_serve::{ServeEngine, ServeEngineConfig, ServeRequest};

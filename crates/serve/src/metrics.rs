@@ -1,8 +1,9 @@
 //! Cached obs-registry handles for the engine's `serve.*` metrics.
 //!
-//! The registry is the single source of truth for request accounting;
-//! [`EngineStats`](crate::EngineStats) reads deltas from these counters
-//! rather than keeping a second set of atomics.
+//! The registry is the single source of truth for request accounting,
+//! which is recorded once, in the request's tenant slice;
+//! [`EngineStats`](crate::EngineStats) sums deltas of those slices rather
+//! than keeping a second set of counters.
 
 use sisg_obs::{names, registry, Counter, Gauge, Histogram};
 use std::sync::OnceLock;
@@ -10,13 +11,6 @@ use std::sync::OnceLock;
 /// `&'static` metric handles, fetched once per process so the request path
 /// pays only relaxed atomic increments.
 pub(crate) struct ServeMetrics {
-    pub(crate) requests: &'static Counter,
-    pub(crate) warm_hits: &'static Counter,
-    pub(crate) cold_items: &'static Counter,
-    pub(crate) cold_users: &'static Counter,
-    pub(crate) cache_hits: &'static Counter,
-    pub(crate) cache_misses: &'static Counter,
-    pub(crate) overloaded: &'static Counter,
     pub(crate) swaps: &'static Counter,
     pub(crate) cache_clears: &'static Counter,
     /// Nanosecond-resolution service time — typical requests finish in
@@ -29,9 +23,10 @@ pub(crate) struct ServeMetrics {
     pub(crate) cold_index_build_ms: &'static Histogram,
 }
 
-/// Per-tenant slices of the `serve.*` family, resolved once per engine
-/// start from the tenant's catalog-validated label
-/// (`serve.tenant.<label>.<suffix>`; see `sisg_obs::names`).
+/// Per-tenant slices of the `serve.*` family — the only per-request
+/// counters — resolved once per engine start from the tenant's
+/// catalog-validated label (`serve.tenant.<label>.<suffix>`; see
+/// `sisg_obs::names`).
 #[derive(Clone, Copy)]
 pub(crate) struct TenantMetrics {
     pub(crate) requests: &'static Counter,
@@ -61,13 +56,6 @@ impl TenantMetrics {
 pub(crate) fn serve_metrics() -> &'static ServeMetrics {
     static M: OnceLock<ServeMetrics> = OnceLock::new();
     M.get_or_init(|| ServeMetrics {
-        requests: registry().counter(names::SERVE_REQUESTS_TOTAL),
-        warm_hits: registry().counter(names::SERVE_WARM_HITS_TOTAL),
-        cold_items: registry().counter(names::SERVE_COLD_ITEM_TOTAL),
-        cold_users: registry().counter(names::SERVE_COLD_USER_TOTAL),
-        cache_hits: registry().counter(names::SERVE_CACHE_HITS_TOTAL),
-        cache_misses: registry().counter(names::SERVE_CACHE_MISSES_TOTAL),
-        overloaded: registry().counter(names::SERVE_OVERLOADED_TOTAL),
         swaps: registry().counter(names::SERVE_SWAPS_TOTAL),
         cache_clears: registry().counter(names::SERVE_CACHE_CLEARS_TOTAL),
         request_ns: registry().histogram(names::SERVE_REQUEST_NS),

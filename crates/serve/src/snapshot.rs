@@ -22,24 +22,15 @@
 
 use crate::api::{ServeError, ServeRequest, ServeResponse};
 use crate::cache::{AdmissionCache, CacheKey};
-use crate::config::{ColdPathMode, TenantId};
+use crate::config::ColdPathMode;
+use crate::engine::TenantRuntime;
 use crate::metrics::{serve_metrics, ServeMetrics, TenantMetrics};
-use sisg_core::{CoreError, MatchingService, Recommendation, SiAggregation, SisgModel};
+use sisg_core::{CoreError, MatchingService, Recommendation, SisgModel};
 use sisg_corpus::ItemId;
 use sisg_embedding::{
     quantize_row, retrieve_top_k_q8, Neighbor, QuantMatrix, QuantQuery, QuantRows,
 };
 use sisg_obs::Stopwatch;
-
-/// Per-request tenant context threaded from the engine's submit path into
-/// the worker's serve call: who to account the request to, how to
-/// aggregate SI on the cold path, and which per-tenant metric slice to
-/// record into.
-pub(crate) struct TenantCtx {
-    pub(crate) tenant: TenantId,
-    pub(crate) si_weighting: SiAggregation,
-    pub(crate) metrics: TenantMetrics,
-}
 
 /// The quantized cold index: every item's normalized vector quantized to
 /// int8 scale-per-row, in item order, scanned whole per query
@@ -191,47 +182,46 @@ impl ServingSnapshot {
 
     /// Answers one request on the calling (worker) thread. `shard` and
     /// `epoch` are stamped into the response; `cache` is the worker-local
-    /// cold-path cache partition of the request's tenant; `ctx` carries
-    /// the tenant's identity, SI-aggregation mode, and metric slice.
+    /// cold-path cache partition of the request's tenant; `tenant` carries
+    /// its identity, SI-aggregation mode, and the metric slice that counts
+    /// the request.
     pub(crate) fn serve(
         &self,
         req: &ServeRequest,
-        ctx: &TenantCtx,
+        tenant: &TenantRuntime,
         shard: usize,
         epoch: u64,
         cache: &mut AdmissionCache,
         metrics: &ServeMetrics,
     ) -> Result<ServeResponse, ServeError> {
         let watch = Stopwatch::start();
-        metrics.requests.inc();
-        ctx.metrics.requests.inc();
+        let counts = &tenant.metrics;
+        counts.requests.inc();
         let respond = |recommendations, cache_hit| ServeResponse {
             recommendations,
             epoch,
             shard,
             cache_hit,
-            tenant: ctx.tenant,
+            tenant: tenant.id,
         };
         let out = match *req {
             ServeRequest::Candidates { item, si_values, k } => {
                 if let Some(list) = self.service.lookup(item)? {
-                    metrics.warm_hits.inc();
-                    ctx.metrics.warm_hits.inc();
+                    counts.warm_hits.inc();
                     respond(list[..k.min(list.len())].to_vec(), false)
                 } else {
-                    metrics.cold_items.inc();
-                    ctx.metrics.cold_items.inc();
+                    counts.cold_items.inc();
                     let key = CacheKey::ColdItem {
                         item: item.0,
                         si_values,
                         k,
                     };
-                    let (answer, hit) = through_cache(cache, key, ctx, metrics, || {
+                    let (answer, hit) = through_cache(cache, key, counts, || {
                         self.service.cold_item_candidates_with(
                             item,
                             &si_values,
                             k,
-                            ctx.si_weighting,
+                            tenant.si_weighting,
                             |query, fetch| self.cold_query_neighbors(query, fetch, metrics),
                         )
                     })?;
@@ -244,15 +234,14 @@ impl ServingSnapshot {
                 purchase,
                 k,
             } => {
-                metrics.cold_users.inc();
-                ctx.metrics.cold_users.inc();
+                counts.cold_users.inc();
                 let key = CacheKey::ColdUser {
                     gender,
                     age,
                     purchase,
                     k,
                 };
-                let (answer, hit) = through_cache(cache, key, ctx, metrics, || {
+                let (answer, hit) = through_cache(cache, key, counts, || {
                     self.service.cold_user_candidates_with(
                         gender,
                         age,
@@ -266,7 +255,7 @@ impl ServingSnapshot {
         };
         let elapsed = watch.elapsed();
         metrics.request_ns.record_duration_ns(elapsed);
-        ctx.metrics.request_ns.record_duration_ns(elapsed);
+        counts.request_ns.record_duration_ns(elapsed);
         Ok(out)
     }
 
@@ -298,20 +287,18 @@ impl ServingSnapshot {
 
 /// A cold answer behind the worker's admission cache: a cached answer is
 /// returned as it was admitted, a miss is computed and offered for
-/// admission. The flag says whether it was a hit.
+/// admission. The flag says whether it was a hit. Every cold request
+/// passes here exactly once, so misses are cold requests minus hits.
 fn through_cache(
     cache: &mut AdmissionCache,
     key: CacheKey,
-    ctx: &TenantCtx,
-    metrics: &ServeMetrics,
+    counts: &TenantMetrics,
     compute: impl FnOnce() -> Result<Vec<Recommendation>, CoreError>,
 ) -> Result<(Vec<Recommendation>, bool), ServeError> {
     if let Some(hit) = cache.lookup(&key) {
-        metrics.cache_hits.inc();
-        ctx.metrics.cache_hits.inc();
+        counts.cache_hits.inc();
         return Ok((hit.clone(), true));
     }
-    metrics.cache_misses.inc();
     let computed = compute()?;
     cache.admit(key, computed.clone());
     Ok((computed, false))

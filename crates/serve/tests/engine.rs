@@ -5,7 +5,10 @@
 
 use sisg_core::{CoreError, MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_corpus::{CorpusConfig, GeneratedCorpus, ItemId};
-use sisg_serve::{ColdPathMode, ServeEngine, ServeEngineConfig, ServeError, ServeRequest};
+use sisg_serve::{
+    ColdPathMode, ServeEngine, ServeEngineConfig, ServeError, ServeRequest, ServingSnapshot,
+    TenantConfig, TenantId,
+};
 use sisg_sgns::SgnsConfig;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -286,7 +289,13 @@ fn hot_swap_drops_no_requests_and_post_swap_answers_match_a_fresh_build() {
         while served.load(Ordering::Relaxed) < 200 {
             std::thread::yield_now();
         }
-        let epoch = engine.swap(service_b);
+        let epoch = engine
+            .install(ServingSnapshot::from_service_with(
+                service_b,
+                engine.config().n_shards(),
+                engine.config().cold_path(),
+            ))
+            .expect("install accepted");
         assert_eq!(epoch, 1);
         // ORDERING: Relaxed — same monotone progress probe.
         while served.load(Ordering::Relaxed) < 400 {
@@ -467,6 +476,88 @@ fn repeated_installs_under_load_stay_coherent_and_clear_caches() {
     assert!(
         stats.cache_clears >= 1,
         "workers must clear caches after observing a new epoch: {stats:?}"
+    );
+}
+
+/// Each request is counted once, in its tenant's slice; `stats()` sums
+/// the engine's slices and derives cache misses, and must equal a count
+/// kept by hand. The tenant's label is unique to this test, so engines
+/// other tests run in parallel cannot move it.
+#[test]
+fn stats_equal_the_hand_counted_traffic() {
+    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+    let service = build_service(&corpus, 1);
+    let tenant = TenantId(5);
+    let engine = ServeEngine::start(
+        service,
+        ServeEngineConfig::builder()
+            .n_shards(2)
+            .cache_capacity(64)
+            .cache_admit_after(1)
+            .tenant(TenantConfig::new(tenant, "ledger_probe"))
+            .build()
+            .expect("valid config"),
+    )
+    .expect("engine starts");
+    let snapshot = engine.snapshot();
+    let (warm, cold): (Vec<ItemId>, Vec<ItemId>) = (0..corpus.config.n_items)
+        .map(ItemId)
+        .partition(|&i| !snapshot.is_cold(i));
+    assert!(!warm.is_empty() && cold.len() >= 2, "need both paths");
+    let user = ServeRequest::ColdUser {
+        gender: Some(0),
+        age: None,
+        purchase: None,
+        k: 5,
+    };
+    let mut traffic: Vec<ServeRequest> = warm
+        .iter()
+        .take(7)
+        .map(|&i| candidates_request(&corpus, i, 5))
+        .collect();
+    for &item in &cold[..2] {
+        // A miss, then hits once admitted.
+        traffic.extend([candidates_request(&corpus, item, 5); 3]);
+    }
+    traffic.extend([user; 2]);
+
+    let mut expected = sisg_serve::EngineStats::default();
+    for req in traffic {
+        let resp = engine.serve(req.for_tenant(tenant)).expect("serves");
+        expected.requests += 1;
+        match req {
+            ServeRequest::Candidates { item, .. } if !snapshot.is_cold(item) => {
+                expected.warm_hits += 1;
+                continue;
+            }
+            ServeRequest::Candidates { .. } => expected.cold_item_requests += 1,
+            ServeRequest::ColdUser { .. } => expected.cold_user_requests += 1,
+        }
+        if resp.cache_hit {
+            expected.cache_hits += 1;
+        } else {
+            expected.cache_misses += 1;
+        }
+    }
+    assert_eq!(
+        (
+            expected.warm_hits,
+            expected.cache_hits,
+            expected.cache_misses
+        ),
+        (7, 5, 3),
+        "the traffic covers every counter"
+    );
+    assert_eq!(engine.stats(), expected);
+    let row = &engine.tenant_stats()[0];
+    assert_eq!(
+        (row.requests, row.warm_hits, row.cache_hits, row.shed),
+        (
+            expected.requests,
+            expected.warm_hits,
+            expected.cache_hits,
+            0
+        )
     );
 }
 

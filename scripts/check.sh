@@ -54,8 +54,9 @@ step workspace-tests "cargo test --workspace --release -q"
 cargo test --workspace --release -q
 
 step interleave "schedule-exhaustive protocol model checks"
-# Enumerates every interleaving of the modeled hot-swap, cache-clear and
-# RowPtr protocols and pins the exact schedule counts (DESIGN.md §7). The
+# Enumerates every interleaving of the modeled hot-swap, cache-clear,
+# admission-slot, slot-handoff and RowPtr protocols and pins the exact
+# schedule counts (DESIGN.md §7). The
 # trees are a few hundred schedules, so the exhaustive run is seconds-scale.
 # SISG_INTERLEAVE_SMOKE=<n> caps exploration (tests then skip count pinning)
 # for constrained environments; CI sets a high ceiling that leaves the
