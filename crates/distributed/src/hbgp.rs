@@ -120,7 +120,7 @@ impl HbgpTrace {
 
 /// Runs the merge heuristic: returns the partition index of every leaf
 /// category.
-pub fn partition_categories(
+fn partition_categories(
     graph: &CategoryGraph,
     workers: usize,
     beta: f64,
@@ -129,7 +129,8 @@ pub fn partition_categories(
     partition_categories_traced(graph, workers, beta, beta_relaxation).0
 }
 
-/// [`partition_categories`] plus an [`HbgpTrace`] describing the run.
+/// Runs the merge heuristic: the partition index of every leaf category
+/// plus an [`HbgpTrace`] describing the run.
 pub fn partition_categories_traced(
     graph: &CategoryGraph,
     workers: usize,

@@ -14,11 +14,11 @@
 //! - [`hotset`] — the ATNS shared set `Q` (Section III-A): tokens above a
 //!   frequency threshold are replicated on every worker and their replicas
 //!   averaged at regular intervals;
-//! - [`runtime`] — Algorithm 1 (TNS): every worker scans the corpus,
-//!   processes the pairs whose target it owns (or whose hot target falls in
-//!   its shard), draws negatives from the *context owner's* local noise
-//!   distribution over `P_j ∪ Q`, and ships input vectors/gradients across
-//!   workers — each shipment is counted;
+//! - [`runtime`] — Algorithm 1 (TNS) with threads as workers: every
+//!   worker scans the corpus, processes the pairs whose target it owns (or
+//!   whose hot target falls in its shard), draws negatives from the
+//!   *context owner's* local noise distribution over `P_j ∪ Q`, and ships
+//!   input vectors/gradients across workers — each shipment is counted;
 //! - [`report`] — communication, balance and throughput accounting used by
 //!   the Figure 7 and ablation experiments.
 //!
@@ -27,16 +27,13 @@
 //! driver-agnostic TNS worker state machine (sequence-numbered idempotent
 //! requests, bounded retries, checkpoint/restore), and [`recovery`] the
 //! stage-boundary checkpoint artifacts. The protocol has one driver, the
-//! `sisg-simtest` crate's deterministic virtual-clock scheduler: a
-//! transport around one [`protocol::TnsRun`], which owns the partition,
-//! the per-worker noise tables, the subsample/sigmoid/sampler tables and
-//! the learning-rate schedule, and assembles the store and the
-//! [`protocol::TnsReport`]. The only threaded engine is [`runtime`].
+//! `sisg-simtest` crate's deterministic virtual-clock scheduler.
 //!
-//! Both step pairs through the one SGNS kernel,
-//! `sisg_sgns::sgd::steps` ([`runtime`] over Hogwild `RowPtr` resolvers,
-//! [`protocol`] over each worker's exclusive shard matrix), and decay the
-//! learning rate through the one schedule, `sisg_sgns::linear_lr`.
+//! Algorithm 1 is written once, in the private `tns` module: [`TnsRun`],
+//! the one run set-up, one pair scan and one TNS step, which builds its
+//! step list with `sisg_sgns::sgd::build_kept` and runs the one SGNS
+//! kernel, `sisg_sgns::sgd::steps`. Both engines drive it: [`runtime`] over
+//! Hogwild `RowPtr` resolvers, [`protocol`] over each worker's shard.
 
 #![warn(missing_docs)]
 
@@ -49,6 +46,7 @@ pub mod protocol;
 pub mod recovery;
 pub mod report;
 pub mod runtime;
+mod tns;
 
 pub use fault::{CrashSpec, FaultDecision, FaultPlan, RetryPolicy, StallSpec};
 pub use hbgp::{partition_categories_traced, HbgpPartitioner, HbgpTrace};
@@ -57,8 +55,9 @@ pub use partition::{HashPartitioner, PartitionMap, Partitioner};
 pub use pipeline::{PipelinePreflight, ResumeError, TrainingPipeline};
 pub use protocol::{
     Delivered, MachineCounters, Message, RetryVerdict, Step, TnsReport, TnsRequest, TnsResponse,
-    TnsRun, WireError, WorkerMachine,
+    WireError, WorkerMachine,
 };
 pub use recovery::{PipelineCheckpoint, ShardCheckpoint};
 pub use report::{ClusterCostModel, DistReport};
 pub use runtime::{build_partition, train_distributed, DistConfig};
+pub use tns::TnsRun;

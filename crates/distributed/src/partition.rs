@@ -41,12 +41,6 @@ impl PartitionMap {
         self.owner[token.index()] as usize
     }
 
-    /// Number of partitions (workers).
-    #[inline]
-    pub fn n_partitions(&self) -> usize {
-        self.n_partitions
-    }
-
     /// Number of tokens covered.
     #[inline]
     pub fn len(&self) -> usize {

@@ -13,9 +13,9 @@
 //! and replays seeded fault schedules deterministically. A machine is
 //! single-owner by construction, so nothing here needs a thread.
 //!
-//! What surrounds the machines is a [`TnsRun`]: it builds the partition,
-//! the per-worker noise tables, the subsample/sigmoid/sampler tables and
-//! the learning-rate schedule once, every machine borrows it, and it
+//! What surrounds the machines is a [`TnsRun`], the run set-up the
+//! threaded runtime shares: every machine borrows it, pulls its pairs from
+//! a shared pair scan, steps them through the one TNS step, and the run
 //! assembles the trained store and the [`TnsReport`] from the finished
 //! machines — the driver owns only its transport.
 //!
@@ -43,44 +43,13 @@
 //! `xtask lint` panic-free set: no `unwrap`/`expect` — every fallible path
 //! returns a `Result` or degrades gracefully.
 
-use crate::fault::mix64;
 use crate::partition::PartitionMap;
 use crate::recovery::ShardCheckpoint;
-use crate::runtime::{build_partition, DistConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sisg_corpus::vocab::Vocab;
-use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, TokenId};
+use crate::tns::{PairScan, StepState, TnsRun};
+use sisg_corpus::TokenId;
 use sisg_embedding::{kernels, EmbeddingStore, Matrix};
 use sisg_obs::names as obs_names;
-use sisg_sgns::sgd::steps;
-use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{NoiseTable, PairSampler, PairScratch, SubsampleTable};
-use std::cell::Cell;
-
-/// Seed of a worker's *scan* RNG (subsampling + pair sampling) for one
-/// epoch. Shared with the shared-memory [`crate::runtime`] so the two
-/// engines' per-worker pair accounting is identical, and epoch-scoped so a
-/// worker restored from an epoch-boundary checkpoint rescans the epoch
-/// exactly as the first attempt would have.
-pub fn scan_seed(seed: u64, worker: usize, epoch: usize) -> u64 {
-    mix64(
-        seed ^ (worker as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)
-            ^ ((epoch as u64).wrapping_add(1)).wrapping_mul(0x9E6C_63D0_876A_68EE),
-    )
-}
-
-/// Seed of a worker's *noise* RNG (negative sampling). Separate from the
-/// scan stream so drawing negatives — whose count depends on message
-/// arrival order — can never perturb which pairs a worker scans.
-/// `incarnation` distinguishes a restarted worker's stream from its
-/// pre-crash one while staying a pure function of the run seed.
-pub fn noise_seed(seed: u64, worker: usize, incarnation: u64) -> u64 {
-    mix64(
-        seed ^ (worker as u64).wrapping_mul(0x6C62_272E_07BB_0142)
-            ^ incarnation.wrapping_mul(0x27D4_EB2F_1656_67C5),
-    )
-}
+use sisg_sgns::sgd::OutputRows;
 
 /// A remote TNS call: "here is my input vector for `target`; run the step
 /// against `context` on your shard and send the gradient back".
@@ -348,8 +317,21 @@ impl Shard {
         r as usize
     }
 
+    /// True when `token` is a row of this shard (false for any token
+    /// outside the token space).
+    fn owns(&self, token: TokenId) -> bool {
+        self.local_index
+            .get(token.index())
+            .is_some_and(|&r| r != u32::MAX)
+    }
+
+    #[inline]
+    fn local(&self, token: TokenId) -> TokenId {
+        TokenId(self.row(token) as u32)
+    }
+
     /// Copies this shard's owned rows into global matrices.
-    pub fn export_into(
+    pub(crate) fn export_into(
         &self,
         partition: &PartitionMap,
         me: usize,
@@ -368,83 +350,29 @@ impl Shard {
     }
 }
 
-/// Per-worker local noise distributions (Section III-C): worker `j` draws
-/// negatives over the tokens it owns plus the `shared` set every worker
-/// holds (ATNS's `Q`; empty for the message-passing protocol).
-pub(crate) fn local_noise_tables(
-    partition: &PartitionMap,
-    vocab: &Vocab,
-    shared: &[TokenId],
-    noise_exponent: f64,
-) -> Vec<NoiseTable> {
-    let mut members = partition.members();
-    for (j, tokens) in members.iter_mut().enumerate() {
-        tokens.extend(shared.iter().filter(|&&t| partition.owner(t) != j));
+impl OutputRows for Shard {
+    // Step tokens map to shard-local rows: a bijection, so distinct tokens
+    // stay distinct and the batched dot phase sees the same step list.
+    #[inline]
+    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
+        self.output.dot(self.local(t), v)
     }
-    members
-        .iter()
-        .map(|tokens| {
-            let freqs: Vec<u64> = tokens.iter().map(|t| vocab.freq(*t).max(1)).collect();
-            NoiseTable::from_token_freqs(tokens, &freqs, noise_exponent)
-        })
-        .collect()
+    #[inline]
+    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
+        self.output.dot_x4(
+            [self.local(a), self.local(b), self.local(c), self.local(d)],
+            v,
+        )
+    }
+    #[inline]
+    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
+        let local = self.local(t);
+        self.output.fused_step(local, g, v, grad);
+    }
 }
 
-/// One TNS training run: everything the worker machines share, built once
-/// from `(corpus, config)` — the token → owner map, the per-worker noise
-/// tables, the subsample/sigmoid/sampler tables and the learning-rate
-/// schedule (a global trained-pair counter over the scheduled total).
-/// Drivers create machines over it ([`WorkerMachine::new`],
-/// [`WorkerMachine::restore`]) and hand the finished ones back to
-/// [`TnsRun::assemble`].
-pub struct TnsRun<'a> {
-    config: &'a DistConfig,
-    enriched: &'a EnrichedCorpus,
-    partition: PartitionMap,
-    noise_tables: Vec<NoiseTable>,
-    subsample: SubsampleTable,
-    sampler: PairSampler,
-    sigmoid: SigmoidTable,
-    /// Pairs trained so far, across all workers (a plain cell: the
-    /// machines of one run share one owner, never a thread boundary).
-    progress: Cell<u64>,
-    /// Total scheduled pairs (denominator of the decay).
-    schedule_pairs: u64,
-}
-
-impl<'a> TnsRun<'a> {
-    /// Sets up a run of `config` over `enriched` (`config.hot_set_size` is
-    /// ignored: the message-passing machines isolate the TNS protocol).
-    ///
-    /// # Panics
-    /// Panics when `config.workers == 0`.
-    pub fn new(
-        enriched: &'a EnrichedCorpus,
-        sessions: &Corpus,
-        catalog: &ItemCatalog,
-        config: &'a DistConfig,
-    ) -> Self {
-        assert!(config.workers > 0, "need at least one worker");
-        let vocab = enriched.vocab();
-        let partition = build_partition(config, sessions, catalog, enriched.space());
-        Self {
-            noise_tables: local_noise_tables(&partition, vocab, &[], config.noise_exponent),
-            subsample: SubsampleTable::new(vocab.freqs(), config.subsample),
-            sampler: config.sampler(),
-            sigmoid: SigmoidTable::new(),
-            progress: Cell::new(0),
-            schedule_pairs: config.schedule_pairs(enriched),
-            config,
-            enriched,
-            partition,
-        }
-    }
-
-    /// The run's token → owner map.
-    pub fn partition(&self) -> &PartitionMap {
-        &self.partition
-    }
-
+/// The machine-side half of [`TnsRun`]: collecting the finished machines.
+impl TnsRun<'_> {
     /// Ends the run: exports every finished machine's shard into one
     /// global store, folds its counters into `report` (which arrives with
     /// the driver's own fields — injected faults, recoveries — filled in,
@@ -649,16 +577,8 @@ pub struct WorkerMachine<'a> {
     me: usize,
     shard: Shard,
     counters: MachineCounters,
-    scan_rng: StdRng,
-    noise_rng: StdRng,
-    epoch: usize,
-    seq_idx: usize,
-    pair_idx: usize,
-    filtered: Vec<TokenId>,
-    pair_buf: Vec<(TokenId, TokenId)>,
-    negatives: Vec<TokenId>,
-    /// Step buffers of [`WorkerMachine::tns_step`], reused across pairs.
-    scratch: PairScratch,
+    scan: PairScan<'a>,
+    state: StepState,
     next_seq: u64,
     pending: Option<Pending>,
     served: Vec<Served>,
@@ -679,15 +599,8 @@ impl<'a> WorkerMachine<'a> {
             me,
             shard: Shard::new(&run.partition, me, config.dim, config.seed),
             counters: MachineCounters::default(),
-            scan_rng: StdRng::seed_from_u64(scan_seed(config.seed, me, 0)),
-            noise_rng: StdRng::seed_from_u64(noise_seed(config.seed, me, 0)),
-            epoch: 0,
-            seq_idx: 0,
-            pair_idx: 0,
-            filtered: Vec::with_capacity(64),
-            pair_buf: Vec::with_capacity(256),
-            negatives: Vec::with_capacity(config.negatives),
-            scratch: PairScratch::new(config.dim),
+            scan: PairScan::new(run, me, 0),
+            state: StepState::new(config, me, 0),
             next_seq: 1,
             pending: None,
             served: vec![
@@ -723,59 +636,12 @@ impl<'a> WorkerMachine<'a> {
 
     /// Epochs fully completed so far.
     pub fn epoch(&self) -> usize {
-        self.epoch
+        self.scan.epoch()
     }
 
-    fn next_lr(&self) -> f32 {
-        let done = self.run.progress.replace(self.run.progress.get() + 1);
-        self.run.config.lr(done, self.run.schedule_pairs)
-    }
-
-    /// The part of a TNS step that runs on the context owner's shard:
-    /// draws the negatives from this worker's noise distribution and steps
-    /// the output rows of `context` and the negatives against the target's
-    /// input vector (already in `self.scratch.row`) through the shared
-    /// SGNS kernel, leaving the input gradient in `self.scratch.grad`.
-    fn tns_step(&mut self, context: TokenId, lr: f32) {
-        self.run.noise_tables[self.me].sample_into(
-            &mut self.negatives,
-            self.run.config.negatives,
-            &mut self.noise_rng,
-        );
-        // The shard's output matrix is indexed by shard-local row, so the
-        // step list carries local rows (a bijection: distinct tokens stay
-        // distinct).
-        let PairScratch {
-            row,
-            grad,
-            kept,
-            scores,
-        } = &mut self.scratch;
-        let shard = &self.shard;
-        let local = |t: TokenId| TokenId(shard.row(t) as u32);
-        kept.clear();
-        kept.push(local(context));
-        kept.extend(
-            self.negatives
-                .iter()
-                .filter(|&&neg| neg != context)
-                .map(|&neg| local(neg)),
-        );
-        grad.fill(0.0);
-        // The driver does not monitor loss; the return is unused.
-        let _ = steps(
-            &mut self.shard.output,
-            kept,
-            row,
-            lr,
-            &self.run.sigmoid,
-            grad,
-            scores,
-        );
-    }
-
-    /// Advances the scan by one pair (or one scan refill). Must not be
-    /// called while waiting; drivers that do get `Progress` back.
+    /// Advances the scan to the next pair this worker is responsible for
+    /// and processes it, or crosses an epoch boundary. Must not be called
+    /// while waiting; a call made while waiting gets `Progress` back.
     pub fn step(&mut self) -> Step {
         if self.done {
             return Step::Finished;
@@ -783,72 +649,49 @@ impl<'a> WorkerMachine<'a> {
         if self.pending.is_some() {
             return Step::Progress;
         }
-        loop {
-            while self.pair_idx < self.pair_buf.len() {
-                let (target, context) = self.pair_buf[self.pair_idx];
-                self.pair_idx += 1;
-                if self.run.partition.owner(target) != self.me {
-                    continue;
-                }
-                let lr = self.next_lr();
-                self.counters.pairs += 1;
-                let owner = self.run.partition.owner(context);
-                let target_row = self.shard.row(target);
-                if owner == self.me {
-                    // Fully local TNS step.
-                    self.scratch
-                        .row
-                        .copy_from_slice(self.shard.input.row(target_row));
-                    self.tns_step(context, lr);
-                    kernels::add_assign(self.shard.input.row_mut(target_row), &self.scratch.grad);
-                    return Step::Progress;
-                }
-                // Remote pair: emit the request and wait.
-                let input: Vec<f32> = self.shard.input.row(target_row).to_vec();
-                self.counters.remote_pairs += 1;
-                self.counters.messages += 1;
-                self.counters.payload_bytes += (input.len() * 4) as u64;
-                let req = TnsRequest {
-                    from: self.me,
-                    seq: self.next_seq,
-                    target,
-                    context,
-                    input,
-                    lr,
-                };
-                self.next_seq += 1;
-                self.pending = Some(Pending {
-                    req: req.clone(),
-                    attempts: 1,
-                });
-                return Step::Sent(req);
-            }
-            // Refill from the next sequence of this epoch.
-            if self.seq_idx < self.run.enriched.len() {
-                let seq = self.run.enriched.sequence(self.seq_idx);
-                self.seq_idx += 1;
-                self.pair_idx = 0;
-                self.run
-                    .subsample
-                    .filter_into(seq, &mut self.scan_rng, &mut self.filtered);
-                self.run
-                    .sampler
-                    .pairs_into(&self.filtered, &mut self.pair_buf);
-                continue;
-            }
-            // Epoch boundary.
-            self.epoch += 1;
-            self.seq_idx = 0;
-            self.pair_idx = 0;
-            self.pair_buf.clear();
-            if self.epoch >= self.run.config.epochs {
+        let Some(pair) = self.scan.next(self.run.enriched.len()) else {
+            self.scan.next_epoch();
+            if self.scan.epoch() >= self.run.config.epochs {
                 self.done = true;
                 return Step::Finished;
             }
-            self.scan_rng =
-                StdRng::seed_from_u64(scan_seed(self.run.config.seed, self.me, self.epoch));
-            return Step::EpochEnd(self.epoch);
+            return Step::EpochEnd(self.scan.epoch());
+        };
+        self.counters.pairs += 1;
+        let target_row = self.shard.row(pair.target);
+        if pair.route == self.me {
+            // Fully local TNS step.
+            let input = self.shard.input.row(target_row);
+            self.state.pair.row.copy_from_slice(input);
+            self.run.tns_step(
+                &mut self.shard,
+                self.me,
+                pair.context,
+                pair.lr,
+                &mut self.state,
+            );
+            kernels::add_assign(self.shard.input.row_mut(target_row), &self.state.pair.grad);
+            return Step::Progress;
         }
+        // Remote pair: emit the request and wait.
+        let input: Vec<f32> = self.shard.input.row(target_row).to_vec();
+        self.counters.remote_pairs += 1;
+        self.counters.messages += 1;
+        self.counters.payload_bytes += (input.len() * 4) as u64;
+        let req = TnsRequest {
+            from: self.me,
+            seq: self.next_seq,
+            target: pair.target,
+            context: pair.context,
+            input,
+            lr: pair.lr,
+        };
+        self.next_seq += 1;
+        self.pending = Some(Pending {
+            req: req.clone(),
+            attempts: 1,
+        });
+        Step::Sent(req)
     }
 
     /// Handles one incoming message: serves requests (idempotently) and
@@ -859,8 +702,8 @@ impl<'a> WorkerMachine<'a> {
                 let Some(served) = self.served.get_mut(req.from) else {
                     return Delivered::Ignored; // malformed sender index
                 };
-                if req.input.len() != self.scratch.row.len() {
-                    return Delivered::Ignored; // malformed vector length
+                if req.input.len() != self.state.pair.row.len() || !self.shard.owns(req.context) {
+                    return Delivered::Ignored; // malformed vector length or misrouted
                 }
                 if req.seq == served.last_seq {
                     // At-least-once delivery: replay the cached response
@@ -884,12 +727,18 @@ impl<'a> WorkerMachine<'a> {
                     return Delivered::Ignored;
                 }
                 // Fresh request: serve it and cache the reply.
-                self.scratch.row.copy_from_slice(&req.input);
-                self.tns_step(req.context, req.lr);
+                self.state.pair.row.copy_from_slice(&req.input);
+                self.run.tns_step(
+                    &mut self.shard,
+                    self.me,
+                    req.context,
+                    req.lr,
+                    &mut self.state,
+                );
                 let response = TnsResponse {
                     seq: req.seq,
                     target: req.target,
-                    grad: self.scratch.grad.clone(),
+                    grad: self.state.pair.grad.clone(),
                 };
                 self.counters.messages += 1;
                 self.counters.payload_bytes += (response.grad.len() * 4) as u64;
@@ -947,7 +796,7 @@ impl<'a> WorkerMachine<'a> {
     pub fn checkpoint(&self) -> ShardCheckpoint {
         ShardCheckpoint {
             worker: self.me as u32,
-            epoch: self.epoch as u32,
+            epoch: self.epoch() as u32,
             rows: self.shard.input.rows() as u32,
             dim: self.run.config.dim as u32,
             input: self.shard.input.as_slice().to_vec(),
@@ -992,10 +841,9 @@ impl<'a> WorkerMachine<'a> {
         machine.shard.input = Matrix::from_data(expected.0, expected.1, ck.input.clone());
         machine.shard.output = Matrix::from_data(expected.0, expected.1, ck.output.clone());
         machine.counters = ck.counters.clone();
-        machine.epoch = ck.epoch as usize;
-        machine.done = machine.epoch >= config.epochs;
-        machine.scan_rng = StdRng::seed_from_u64(scan_seed(config.seed, me, machine.epoch));
-        machine.noise_rng = StdRng::seed_from_u64(noise_seed(config.seed, me, incarnation));
+        machine.scan = PairScan::new(run, me, ck.epoch as usize);
+        machine.done = machine.epoch() >= config.epochs;
+        machine.state = StepState::new(config, me, incarnation);
         let incarnation_floor = incarnation << SEQ_INCARNATION_SHIFT;
         machine.next_seq = ck.next_seq.max(incarnation_floor) + 1;
         Ok(machine)
@@ -1052,11 +900,13 @@ mod tests {
         assert_eq!(Message::from_bytes(&[]), Err(WireError::Truncated));
     }
 
-    /// A request whose vector does not match the run's dimensionality is
-    /// malformed input: ignored, never stepped (the kernels would panic).
+    /// A request whose vector does not match the run's dimensionality, or
+    /// whose context this shard does not own, is malformed input: ignored,
+    /// never stepped (the kernels would panic).
     #[test]
-    fn wrong_dimension_request_is_ignored() {
-        use sisg_corpus::{CorpusConfig, EnrichOptions, GeneratedCorpus};
+    fn malformed_requests_are_ignored() {
+        use crate::runtime::DistConfig;
+        use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
         let gen = GeneratedCorpus::generate(CorpusConfig::tiny());
         let enriched = EnrichedCorpus::build(&gen, EnrichOptions::NONE);
         let config = DistConfig {
@@ -1066,8 +916,8 @@ mod tests {
         };
         let run = TnsRun::new(&enriched, &gen.sessions, &gen.catalog, &config);
         let mut machine = WorkerMachine::new(&run, 0);
-        let context = run.partition().members()[0][0];
-        let request = |dim| {
+        let members = run.partition().members();
+        let request = |dim, context| {
             Message::Request(TnsRequest {
                 from: 1,
                 seq: 1,
@@ -1075,19 +925,13 @@ mod tests {
                 ..req(dim)
             })
         };
-        assert!(matches!(machine.deliver(request(8)), Delivered::Ignored));
+        let ignored = |msg| matches!(msg, Delivered::Ignored);
+        assert!(ignored(machine.deliver(request(8, members[0][0]))));
+        assert!(ignored(machine.deliver(request(16, members[1][0]))));
+        assert!(ignored(machine.deliver(request(16, TokenId(u32::MAX)))));
         assert!(matches!(
-            machine.deliver(request(16)),
+            machine.deliver(request(16, members[0][0])),
             Delivered::Reply { to: 1, .. }
         ));
-    }
-
-    #[test]
-    fn scan_seed_varies_by_worker_and_epoch() {
-        let base = scan_seed(42, 0, 0);
-        assert_ne!(base, scan_seed(42, 1, 0));
-        assert_ne!(base, scan_seed(42, 0, 1));
-        assert_ne!(base, scan_seed(43, 0, 0));
-        assert_eq!(base, scan_seed(42, 0, 0));
     }
 }

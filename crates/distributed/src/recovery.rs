@@ -11,7 +11,7 @@
 //! - [`ShardCheckpoint`] — one worker's epoch-boundary model snapshot
 //!   (shard matrices, protocol counters, sequence state). A killed worker
 //!   restores the snapshot and rescans the epoch; the epoch-scoped scan
-//!   RNG ([`crate::protocol::scan_seed`]) makes the rescan deterministic.
+//!   RNG (`tns::scan_seed`) makes the rescan deterministic.
 //!
 //! Both serialize to a compact little-endian byte format (magic +
 //! version) whose decode path is panic-free; this module is in the

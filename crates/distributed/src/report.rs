@@ -92,11 +92,11 @@ impl DistReport {
     /// Models the wall-clock time of this run on a real cluster.
     ///
     /// This simulation runs all "workers" as threads of one process (on this
-    /// reproduction's hardware, a single core), so measured wall time cannot
-    /// show cluster scaling. The accounting, however, captures exactly what
-    /// determines cluster time: the *slowest worker's* compute (Algorithm 1
-    /// is bulk-synchronous only at ATNS barriers) plus communication. The
-    /// model is
+    /// reproduction's reference host, two cores), so measured wall time
+    /// cannot show cluster scaling. The accounting, however, captures
+    /// exactly what determines cluster time: the *slowest worker's* compute
+    /// (Algorithm 1 is bulk-synchronous only at ATNS barriers) plus
+    /// communication. The model is
     ///
     /// ```text
     /// t = max_w(pairs_w) · s_pair + (pair_bytes/w + sync_bytes) / bw + rounds · latency

@@ -20,22 +20,22 @@
 //!   averaged at a barrier every `sync_interval` sequences. Hot tokens are
 //!   additionally down-sampled more aggressively.
 //! - **HBGP vs hash** is selected by [`PartitionStrategy`].
+//!
+//! The scan and the step are the message-passing machines' own (one
+//! [`TnsRun`]); this module owns the threads, barrier and row resolver.
 
 use crate::hbgp::HbgpPartitioner;
 use crate::hotset::{HotSet, ReplicaSet};
 use crate::partition::{assign_all, HashPartitioner, PartitionMap};
-use crate::protocol::{local_noise_tables, noise_seed, scan_seed};
 use crate::report::DistReport;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::tns::{PairScan, ScanPair, StepState, TnsRun};
 use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, TokenId};
 use sisg_embedding::matrix::RowPtr;
 use sisg_embedding::EmbeddingStore;
 use sisg_obs::names as obs_names;
-use sisg_sgns::sgd::steps;
-use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{linear_lr, NoiseTable, PairSampler, PairScratch, SubsampleTable, WindowMode};
+use sisg_sgns::WindowMode;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -105,33 +105,6 @@ impl Default for DistConfig {
     }
 }
 
-impl DistConfig {
-    /// The window pair sampler both distributed engines scan with.
-    pub(crate) fn sampler(&self) -> PairSampler {
-        PairSampler {
-            window: self.window,
-            mode: self.window_mode,
-        }
-    }
-
-    /// Positive pairs one run schedules over `enriched`: the denominator
-    /// of the pair-count learning-rate decay.
-    pub(crate) fn schedule_pairs(&self, enriched: &EnrichedCorpus) -> u64 {
-        let directional = self.window_mode == WindowMode::RightOnly;
-        enriched.count_positive_pairs(self.window, directional) * self.epochs as u64
-    }
-
-    /// Learning rate after `done` of `schedule_pairs` trained pairs.
-    pub(crate) fn lr(&self, done: u64, schedule_pairs: u64) -> f32 {
-        linear_lr(
-            self.learning_rate,
-            self.min_learning_rate,
-            done,
-            schedule_pairs,
-        )
-    }
-}
-
 /// Pipeline stage 3 as a standalone artifact builder: partitions the
 /// dictionary under the configured strategy. Shared by both engines and
 /// the preparation pipeline, so one `(config, corpus)` always yields the
@@ -190,45 +163,18 @@ pub(crate) fn train_distributed_prepared(
     partition: &PartitionMap,
     hot: &HotSet,
 ) -> (EmbeddingStore, DistReport) {
-    assert!(config.workers > 0, "need at least one worker");
-    let w = config.workers;
-    let space = enriched.space();
-    let vocab = enriched.vocab();
-
-    // Per-worker local noise distributions over P_j ∪ Q.
-    let noise_tables = local_noise_tables(partition, vocab, hot.tokens(), config.noise_exponent);
-
-    // Extra keep-probability factor for hot-set tokens (< 1 = the
-    // "aggressive" down-sampling of ATNS).
-    const HOT_SUBSAMPLE_FACTOR: f32 = 0.3;
-    let mut subsample = SubsampleTable::new(vocab.freqs(), config.subsample);
-    // "High frequency words are aggressively down sampled" — but the paper
-    // notes "most high frequency words are SIs" and handles hot *items*
-    // via replication instead (Section III-A), so the extra factor applies
-    // only to non-item tokens. Nuking hot items would leave the most
-    // frequently clicked (and most frequently evaluated) items untrained.
-    let hot_non_items: Vec<TokenId> = hot
-        .tokens()
-        .iter()
-        .copied()
-        .filter(|t| !space.is_item(*t))
-        .collect();
-    subsample.scale_tokens(&hot_non_items, HOT_SUBSAMPLE_FACTOR);
-
+    let run = TnsRun::build(
+        enriched,
+        config,
+        Cow::Borrowed(partition),
+        Cow::Borrowed(hot),
+    );
+    let (w, space, vocab) = (config.workers, enriched.space(), enriched.vocab());
     let store = EmbeddingStore::new(space.len(), config.dim, config.seed);
     let ctx = RunCtx {
-        config,
-        enriched,
-        partition,
-        hot,
         replicas: ReplicaSet::init(&store, hot, w),
+        run,
         store: &store,
-        noise_tables,
-        subsample,
-        sampler: config.sampler(),
-        sigmoid: SigmoidTable::new(),
-        progress: AtomicU64::new(0),
-        schedule_pairs: config.schedule_pairs(enriched),
         barrier: Barrier::new(w),
         sync_bytes: AtomicU64::new(0),
         sync_rounds: AtomicU64::new(0),
@@ -266,7 +212,7 @@ pub(crate) fn train_distributed_prepared(
         },
         hot_set_size: hot.len(),
         pairs_per_worker: per_worker.iter().map(|c| c.pairs).collect(),
-        local_pairs: per_worker.iter().map(|c| c.local_pairs).sum(),
+        local_pairs: per_worker.iter().map(|c| c.pairs - c.remote_pairs).sum(),
         remote_pairs: per_worker.iter().map(|c| c.remote_pairs).sum(),
         item_pairs: per_worker.iter().map(|c| c.item_pairs).sum(),
         remote_item_pairs: per_worker.iter().map(|c| c.remote_item_pairs).sum(),
@@ -311,139 +257,72 @@ fn publish_report_to_obs(report: &DistReport) {
 #[derive(Debug, Default, Clone)]
 struct WorkerCounters {
     pairs: u64,
-    local_pairs: u64,
     remote_pairs: u64,
     item_pairs: u64,
     remote_item_pairs: u64,
     comm_bytes: u64,
 }
 
-/// Everything one run's workers share, built once and borrowed by every
-/// worker thread.
+impl WorkerCounters {
+    /// Accounts one pair of worker `me`; a remote one ships a row each way.
+    fn record(&mut self, me: usize, pair: &ScanPair, run: &TnsRun) {
+        let space = run.enriched.space();
+        let both_items = space.is_item(pair.target) && space.is_item(pair.context);
+        self.pairs += 1;
+        self.item_pairs += u64::from(both_items);
+        if pair.route != me {
+            self.remote_pairs += 1;
+            self.remote_item_pairs += u64::from(both_items);
+            self.comm_bytes += 2 * (run.config.dim as u64) * 4;
+        }
+    }
+}
+
+/// What the worker threads share beyond the [`TnsRun`]: the hot-set
+/// replicas, the canonical store, the sync barrier and its counters.
 struct RunCtx<'a> {
-    config: &'a DistConfig,
-    enriched: &'a EnrichedCorpus,
-    partition: &'a PartitionMap,
-    hot: &'a HotSet,
+    run: TnsRun<'a>,
     replicas: ReplicaSet,
     store: &'a EmbeddingStore,
-    noise_tables: Vec<NoiseTable>,
-    subsample: SubsampleTable,
-    sampler: PairSampler,
-    sigmoid: SigmoidTable,
-    /// Pairs trained so far, across all workers (drives the lr decay).
-    progress: AtomicU64,
-    schedule_pairs: u64,
     barrier: Barrier,
     sync_bytes: AtomicU64,
     sync_rounds: AtomicU64,
 }
 
 fn worker_loop(ctx: &RunCtx<'_>, me: usize) -> WorkerCounters {
-    let (config, enriched, partition, hot) = (ctx.config, ctx.enriched, ctx.partition, ctx.hot);
-    let w = config.workers;
-    let dim = config.dim;
+    let run = &ctx.run;
+    let config = run.config;
     let mut counters = WorkerCounters::default();
-    // Scan (subsample + pair sampling) and noise (negative draws) use
-    // separate seeded streams: the scan stream is epoch-scoped and shared
-    // with the message-passing engine (identical per-worker pair
-    // accounting), while negative draws never perturb which pairs are
-    // scanned.
-    let mut noise_rng = StdRng::seed_from_u64(noise_seed(config.seed, me, 0));
-    let mut filtered: Vec<TokenId> = Vec::with_capacity(64);
-    let mut pair_buf: Vec<(TokenId, TokenId)> = Vec::with_capacity(256);
-    let mut negatives: Vec<TokenId> = Vec::with_capacity(config.negatives);
-    let mut scratch = PairScratch::new(dim);
-
+    let mut state = StepState::new(config, me, 0);
     let resolver = RowResolver {
         me,
-        hot,
+        hot: &run.hot,
         replicas: &ctx.replicas,
         store: ctx.store,
     };
+    let mut rows = |t| resolver.output(t);
 
     // One clamped interval for the round count and both slice bounds: a
     // configured 0 means "synchronize after every sequence", like 1.
     let sync_interval = config.sync_interval.max(1);
-    let rounds_per_epoch = enriched.len().div_ceil(sync_interval).max(1);
-    for epoch in 0..config.epochs {
-        let mut scan_rng = StdRng::seed_from_u64(scan_seed(config.seed, me, epoch));
+    let sequences = run.enriched.len();
+    let rounds_per_epoch = sequences.div_ceil(sync_interval).max(1);
+    let mut scan = PairScan::new(run, me, 0);
+    for _ in 0..config.epochs {
         for round in 0..rounds_per_epoch {
-            let lo = round * sync_interval;
-            let hi = ((round + 1) * sync_interval).min(enriched.len());
-            for seq_idx in lo..hi {
-                let seq = enriched.sequence(seq_idx);
-                ctx.subsample.filter_into(seq, &mut scan_rng, &mut filtered);
-                ctx.sampler.pairs_into(&filtered, &mut pair_buf);
-                for &(target, context) in &pair_buf {
-                    // Algorithm 1 line 6: keep the pair iff this worker is
-                    // responsible for it. Hot targets are sharded by
-                    // sequence index to spread their load (ATNS).
-                    let responsible = if hot.contains(target) {
-                        seq_idx % w == me
-                    } else {
-                        partition.owner(target) == me
-                    };
-                    if !responsible {
-                        continue;
-                    }
-                    // ORDERING: Relaxed — a shared pair counter driving the lr decay;
-                    // workers tolerate slightly-stale progress and publish nothing
-                    // through it.
-                    let done = ctx.progress.fetch_add(1, Ordering::Relaxed);
-                    let lr = config.lr(done, ctx.schedule_pairs);
-
-                    // The TNS call happens on the context's owner; local when
-                    // the context is hot (every worker holds a replica).
-                    let (tns_worker, is_remote) = if hot.contains(context) {
-                        (me, false)
-                    } else {
-                        let owner = partition.owner(context);
-                        (owner, owner != me)
-                    };
-                    counters.pairs += 1;
-                    let both_items =
-                        enriched.space().is_item(target) && enriched.space().is_item(context);
-                    if both_items {
-                        counters.item_pairs += 1;
-                    }
-                    if is_remote {
-                        counters.remote_pairs += 1;
-                        if both_items {
-                            counters.remote_item_pairs += 1;
-                        }
-                        // Ship input vector there, gradient back.
-                        counters.comm_bytes += 2 * (dim as u64) * 4;
-                    } else {
-                        counters.local_pairs += 1;
-                    }
-
-                    // Batched draw plus the same collision filter the old
-                    // per-draw loop applied (order-preserving, identical
-                    // RNG consumption).
-                    ctx.noise_tables[tns_worker].sample_into(
-                        &mut negatives,
-                        config.negatives,
-                        &mut noise_rng,
-                    );
-                    negatives.retain(|&n| n != context && n != target);
-
-                    tns_step(
-                        &resolver,
-                        target,
-                        context,
-                        &negatives,
-                        lr,
-                        &ctx.sigmoid,
-                        &mut scratch,
-                    );
-                }
+            let end = ((round + 1) * sync_interval).min(sequences);
+            while let Some(pair) = scan.next(end) {
+                counters.record(me, &pair, run);
+                let input = resolver.input(pair.target);
+                input.load_into(&mut state.pair.row);
+                run.tns_step(&mut rows, pair.route, pair.context, pair.lr, &mut state);
+                input.axpy_slice(1.0, &state.pair.grad);
             }
             // ATNS synchronization barrier: worker 0 averages the replicas
             // while everyone else waits, then all resume.
             if ctx.barrier.wait().is_leader() {
                 let sync_span = sisg_obs::span(obs_names::DIST_SYNC_SPAN);
-                let bytes = ctx.replicas.synchronize(ctx.store, hot);
+                let bytes = ctx.replicas.synchronize(ctx.store, &run.hot);
                 sync_span.finish();
                 // ORDERING: Relaxed — stat counters read only after join (or by the
                 // leader itself); the surrounding barrier orders the sync payload.
@@ -452,6 +331,7 @@ fn worker_loop(ctx: &RunCtx<'_>, me: usize) -> WorkerCounters {
             }
             ctx.barrier.wait();
         }
+        scan.next_epoch();
     }
     counters
 }
@@ -485,40 +365,6 @@ impl RowResolver<'_> {
             None => self.store.output_matrix().row_ptr(token.index()),
         }
     }
-}
-
-/// The TNS SGD step over resolved rows (replica or canonical).
-///
-/// Runs the shared kernel path (DESIGN.md §8): the target row is cached
-/// into the scratch buffer once, the context + negative steps go through
-/// [`steps`] on its Hogwild path (batched ordered dots, fused gradient
-/// steps), and the accumulated gradient is applied back in one pass. Row resolution
-/// (replica vs canonical) stays in the closure, so hot tokens keep hitting
-/// worker-local replicas.
-fn tns_step(
-    resolver: &RowResolver<'_>,
-    target: TokenId,
-    context: TokenId,
-    negatives: &[TokenId],
-    lr: f32,
-    sigmoid: &SigmoidTable,
-    scratch: &mut PairScratch,
-) {
-    let PairScratch {
-        row,
-        grad,
-        kept,
-        scores,
-    } = scratch;
-    resolver.input(target).load_into(row);
-    grad.fill(0.0);
-    kept.clear();
-    kept.push(context);
-    kept.extend_from_slice(negatives);
-    // Distributed training monitors loss elsewhere; the return is unused.
-    let mut rows = |t| resolver.output(t);
-    let _ = steps(&mut rows, kept, row, lr, sigmoid, grad, scores);
-    resolver.input(target).axpy_slice(1.0, grad);
 }
 
 #[cfg(test)]

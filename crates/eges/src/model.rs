@@ -23,7 +23,7 @@ use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{GeneratedCorpus, ItemId, TokenId};
 use sisg_embedding::math::cosine;
 use sisg_embedding::{kernels, retrieve_top_k, Matrix, Neighbor};
-use sisg_sgns::sgd::steps;
+use sisg_sgns::sgd::{build_kept, steps};
 use sisg_sgns::sigmoid::SigmoidTable;
 use sisg_sgns::{linear_lr, NoiseTable, PairSampler, WindowMode};
 
@@ -157,12 +157,7 @@ impl EgesModel {
                     sampler.pairs_into(walk, &mut pair_buf);
                     epoch_pairs += pair_buf.len() as u64;
                     for &(target, context) in &pair_buf {
-                        // Batched draw, then the same collision filter the
-                        // per-draw loop applied (retain preserves order, so
-                        // the RNG consumption and surviving negatives are
-                        // identical).
                         noise.sample_into(&mut negatives, config.negatives, &mut rng);
-                        negatives.retain(|&n| n != context);
                         train_eges_pair(
                             &space,
                             corpus,
@@ -328,7 +323,8 @@ impl EgesScratch {
     }
 }
 
-/// One EGES SGD step for `(target, context)` with `negatives`.
+/// One EGES SGD step for `(target, context)` with `negatives` (a negative
+/// equal to the context is dropped by [`build_kept`]).
 ///
 /// Runs entirely on the exact non-atomic kernel path: the trainer owns its
 /// matrices, so output steps go through [`steps`] (batched ordered dots
@@ -352,9 +348,7 @@ fn train_eges_pair(
     aggregate_into(input, &buf.tokens, &buf.alpha, &mut buf.h);
     buf.grad_h.fill(0.0);
 
-    buf.kept.clear();
-    buf.kept.push(TokenId(context.0));
-    buf.kept.extend_from_slice(negatives);
+    build_kept(&mut buf.kept, TokenId(context.0), negatives);
     // EGES monitors no loss; `steps` still accumulates grad_h and steps
     // every output row exactly as the scalar reference did.
     let _ = steps(

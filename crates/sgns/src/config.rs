@@ -55,39 +55,6 @@ impl Default for SgnsConfig {
 }
 
 impl SgnsConfig {
-    /// Paper-faithful offline-evaluation settings (`d = 128`), expensive on
-    /// large corpora.
-    pub fn paper_offline() -> Self {
-        Self {
-            dim: 128,
-            ..Self::default()
-        }
-    }
-
-    /// Builder-style setter for the dimensionality.
-    pub fn with_dim(mut self, dim: usize) -> Self {
-        self.dim = dim;
-        self
-    }
-
-    /// Builder-style setter for the window mode.
-    pub fn with_window_mode(mut self, mode: WindowMode) -> Self {
-        self.window_mode = mode;
-        self
-    }
-
-    /// Builder-style setter for the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style setter for the epoch count.
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
-        self
-    }
-
     /// Builder-style setter for the thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -133,11 +100,6 @@ mod tests {
         assert_eq!(c.epochs, 2);
         assert!((c.noise_exponent - 0.75).abs() < 1e-12);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn paper_offline_uses_d128() {
-        assert_eq!(SgnsConfig::paper_offline().dim, 128);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub struct PairSampler {
 
 impl PairSampler {
     /// Calls `f(target, context)` for every sampled pair of `seq`.
-    pub fn for_each_pair(&self, seq: &[TokenId], mut f: impl FnMut(TokenId, TokenId)) {
+    fn for_each_pair(&self, seq: &[TokenId], mut f: impl FnMut(TokenId, TokenId)) {
         let n = seq.len();
         let b = self.window;
         for i in 0..n {

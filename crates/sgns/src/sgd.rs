@@ -202,9 +202,10 @@ pub fn steps<R: OutputRows + ?Sized>(
 /// Builds the step-token list: the positive context first, then every
 /// negative that does not collide with it (the original word2vec skip —
 /// updating the same row with both labels in one step would cancel the
-/// signal).
+/// signal). The one negative rule: the trainer, EGES and the distributed
+/// TNS step all build their lists here.
 #[inline]
-fn build_kept(kept: &mut Vec<TokenId>, context: TokenId, negatives: &[TokenId]) {
+pub fn build_kept(kept: &mut Vec<TokenId>, context: TokenId, negatives: &[TokenId]) {
     kept.clear();
     kept.push(context);
     for &neg in negatives {

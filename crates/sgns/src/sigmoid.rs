@@ -6,10 +6,10 @@
 //! where accuracy matters more than speed.
 
 /// Saturation bound of the table (word2vec uses 6).
-pub const MAX_EXP: f32 = 6.0;
+const MAX_EXP: f32 = 6.0;
 
 /// Number of table bins (word2vec uses 1000).
-pub const TABLE_SIZE: usize = 1024;
+const TABLE_SIZE: usize = 1024;
 
 /// The σ lookup table, with a companion `−ln σ` table for cheap loss
 /// monitoring inside the hot loop.
@@ -41,7 +41,7 @@ impl SigmoidTable {
         }
     }
 
-    /// Approximate `σ(x)`, saturating to 0/1 beyond ±[`MAX_EXP`].
+    /// Approximate `σ(x)`, saturating to 0/1 beyond ±`MAX_EXP` (6).
     #[inline]
     pub fn sigmoid(&self, x: f32) -> f32 {
         if x >= MAX_EXP {
@@ -57,7 +57,7 @@ impl SigmoidTable {
     /// Approximate `−ln σ(x)` — the per-sample negative-sampling loss term,
     /// as a table lookup instead of an `exp` + `ln` per sample.
     ///
-    /// Saturation: above [`MAX_EXP`] the loss is the (tiny) constant
+    /// Saturation: above `MAX_EXP` the loss is the (tiny) constant
     /// `−ln σ(6) ≈ 0.0025`; below `−MAX_EXP` it is `≈ −x` (the exact value
     /// is `−x + ln(1 + eˣ)`, whose correction term is below 0.0025 there).
     /// Loss is monitoring-only, so table precision suffices; gradients
@@ -77,7 +77,7 @@ impl SigmoidTable {
 
 /// Exact `ln σ(x)`, numerically stable for large |x|.
 #[inline]
-pub fn log_sigmoid(x: f64) -> f64 {
+fn log_sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         -(1.0 + (-x).exp()).ln()
     } else {

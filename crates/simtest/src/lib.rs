@@ -55,8 +55,10 @@ use std::collections::{BinaryHeap, VecDeque};
 /// a hard event budget that converts a livelock bug into a clean failure.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Training configuration (`hot_set_size` is ignored: the protocol
-    /// isolates TNS, ATNS lives in the shared-memory runtime).
+    /// Training configuration. `hot_set_size` is ignored: `TnsRun::new`
+    /// runs the machines with an empty `Q`, so they train plain TNS through
+    /// the same pair scan and TNS step the shared-memory runtime runs ATNS
+    /// with.
     pub dist: DistConfig,
     /// Seeded fault schedule. [`FaultPlan::none`] simulates a healthy
     /// cluster.

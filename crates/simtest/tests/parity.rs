@@ -1,7 +1,9 @@
 //! Engine parity: the shared-memory Hogwild runtime and the simulated
-//! message-passing cluster scan the same seeded pair streams, so with the
+//! message-passing cluster drive the same seeded pair scan, so with the
 //! hot set disabled their cross-worker pair accounting must agree
-//! *exactly*, and the models they produce must score equivalently.
+//! *exactly* — under hash over item sequences and under HBGP over
+//! SI-enriched ones — and the models they produce must score
+//! equivalently.
 //!
 //! Float bits are not compared across engines: the shared-memory runtime
 //! races its unsynchronized adds, and the message-passing protocol applies
@@ -80,6 +82,33 @@ fn runtime_and_sim_agree_on_accounting_and_quality() {
         (hr_rt - hr_sim).abs() <= tolerance,
         "sim vs runtime HR@10 beyond tolerance: {hr_sim:.4} vs {hr_rt:.4}"
     );
+}
+
+/// HBGP over SI-enriched sequences: the scans see SI tokens and a
+/// category-coherent owner map, and still agree pair for pair.
+#[test]
+fn hbgp_over_enriched_sequences_agrees_on_accounting() {
+    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+    let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::FULL);
+    let config = DistConfig {
+        strategy: PartitionStrategy::Hbgp { beta: 1.2 },
+        ..dist()
+    };
+    let (_, rt_report) = train_distributed(&enriched, &corpus.sessions, &corpus.catalog, &config);
+    let sim = simulate(
+        &enriched,
+        &corpus.sessions,
+        &corpus.catalog,
+        &SimConfig::new(config, FaultPlan::none()),
+    );
+    assert!(sim.completed);
+    assert_eq!(
+        sim.report.pairs_per_worker, rt_report.pairs_per_worker,
+        "sim vs shared-memory per-worker pair accounting diverged"
+    );
+    assert_eq!(sim.report.remote_pairs, rt_report.remote_pairs);
+    assert!(sim.report.remote_pairs > 0, "SI tokens must go remote");
+    assert_eq!(sim.report.messages, 2 * sim.report.remote_pairs);
 }
 
 #[test]
