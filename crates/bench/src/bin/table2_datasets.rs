@@ -7,7 +7,7 @@
 //! pairs = positives × (1 + 20 negatives).
 
 use sisg_bench::env_u64;
-use sisg_corpus::{CorpusConfig, DatasetStats, GeneratedCorpus};
+use sisg_corpus::{CorpusConfig, DatasetStats, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_eval::ExperimentTable;
 
 fn scales() -> Vec<u32> {
@@ -46,7 +46,8 @@ fn main() {
             // smallest corpus.
             asymmetry = Some(sisg_corpus::stats::asymmetry_rate(&corpus, 8, 2.0));
         }
-        let stats = DatasetStats::compute_streaming(&name, &corpus, window, negatives);
+        let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::FULL);
+        let stats = DatasetStats::compute(&name, &corpus, &enriched, window, negatives);
         table.push_row(vec![
             stats.name.clone(),
             stats.n_items.to_string(),

@@ -11,10 +11,19 @@
 //! *any* standard SGNS implementation — this is the paper's "practicability"
 //! point. The SISG variants of Table III correspond to toggling the two
 //! options here (and the directional window in the trainer).
+//!
+//! [`EnrichedCorpus`] is a view, not a copy: with eight SI per item the
+//! enriched corpus is about 9× its click log, so it is never stored. The
+//! view borrows the clicks and keeps a per-item token block and a
+//! per-sequence user-type token; readers expand one sequence at a time
+//! into a buffer they reuse ([`EnrichedCorpus::sequence_into`]).
 
+use crate::catalog::ItemCatalog;
 use crate::generator::GeneratedCorpus;
-use crate::schema::{ItemFeature, SchemaCardinalities};
-use crate::token::{TokenId, UserId};
+use crate::schema::ItemFeature;
+use crate::session::Corpus;
+use crate::token::{ItemId, TokenId};
+use crate::users::UserRegistry;
 use crate::vocab::{TokenSpace, Vocab, VocabBuilder};
 use serde::{Deserialize, Serialize};
 
@@ -51,21 +60,32 @@ impl EnrichOptions {
     };
 }
 
-/// Enriched training sequences in flat CSR layout over [`TokenId`]s, plus
-/// the vocabulary counted over them.
+/// Enriched training sequences as a view over the click corpus, plus the
+/// vocabulary counted over them.
+///
+/// Nothing here is sized by enriched tokens: the view borrows the sessions
+/// and keeps one token block `[item, SI¹…SI⁸]` per catalog item and one
+/// user-type token per sequence; [`EnrichedCorpus::sequence_into`] expands
+/// the `i`-th Eq. (4) sequence into a caller's buffer on demand. Heap use
+/// is O(items + sequences), on top of the click corpus it reads.
 #[derive(Debug, Clone)]
-pub struct EnrichedCorpus {
+pub struct EnrichedCorpus<'a> {
     space: TokenSpace,
     options: EnrichOptions,
-    users: Vec<UserId>,
-    tokens: Vec<TokenId>,
-    offsets: Vec<u64>,
+    sessions: &'a Corpus,
+    /// Tokens every click on an item expands to, `per_item` per item:
+    /// the item token, then its eight SI tokens when `include_si`.
+    item_tokens: Vec<TokenId>,
+    per_item: usize,
+    /// The user-type token of each sequence; empty unless
+    /// `include_user_types`.
+    user_types: Vec<TokenId>,
     vocab: Vocab,
 }
 
-impl EnrichedCorpus {
+impl<'a> EnrichedCorpus<'a> {
     /// Enriches every session of `corpus` according to `options`.
-    pub fn build(corpus: &GeneratedCorpus, options: EnrichOptions) -> Self {
+    pub fn build(corpus: &'a GeneratedCorpus, options: EnrichOptions) -> Self {
         Self::build_from_sessions(
             &corpus.sessions,
             &corpus.catalog,
@@ -77,62 +97,57 @@ impl EnrichedCorpus {
 
     /// Enriches an arbitrary session set (e.g. the training half of a
     /// next-item split) against the given catalogs.
+    ///
+    /// # Panics
+    /// Panics when a session clicks an item `>= n_items`, or, with
+    /// `include_user_types`, comes from a user outside `users`.
     pub fn build_from_sessions(
-        sessions: &crate::session::Corpus,
-        catalog: &crate::catalog::ItemCatalog,
-        users: &crate::users::UserRegistry,
+        sessions: &'a Corpus,
+        catalog: &ItemCatalog,
+        users: &UserRegistry,
         n_items: u32,
         options: EnrichOptions,
     ) -> Self {
-        let cards: &SchemaCardinalities = catalog.cardinalities();
-        let space = TokenSpace::new(n_items, cards, users.n_user_types());
+        let space = TokenSpace::new(n_items, catalog.cardinalities(), users.n_user_types());
         let per_item = 1 + if options.include_si {
             ItemFeature::COUNT
         } else {
             0
         };
-        let est = sessions.total_clicks() as usize * per_item
-            + if options.include_user_types {
-                sessions.len()
-            } else {
-                0
-            };
-        let mut tokens: Vec<TokenId> = Vec::with_capacity(est);
-        let mut offsets: Vec<u64> = Vec::with_capacity(sessions.len() + 1);
-        offsets.push(0);
-        let mut seq_users: Vec<UserId> = Vec::with_capacity(sessions.len());
-        let mut vocab = VocabBuilder::new(space.clone());
-
-        for session in sessions.iter() {
-            seq_users.push(session.user);
-            for &item in session.items {
-                let t = space.item(item);
-                tokens.push(t);
-                vocab.record(t);
-                if options.include_si {
-                    let si = catalog.si_values(item);
-                    for feature in ItemFeature::ALL {
-                        let t = space.side_info(feature, si[feature.slot()]);
-                        tokens.push(t);
-                        vocab.record(t);
-                    }
-                }
+        let mut item_tokens = Vec::with_capacity(n_items as usize * per_item);
+        for item in (0..n_items).map(ItemId) {
+            item_tokens.push(space.item(item));
+            if options.include_si {
+                let si = catalog.si_values(item);
+                item_tokens.extend(
+                    ItemFeature::ALL.map(|feature| space.side_info(feature, si[feature.slot()])),
+                );
             }
-            if options.include_user_types {
-                let ut = users.user_type(session.user);
-                let t = space.user_type(ut);
-                tokens.push(t);
-                vocab.record(t);
-            }
-            offsets.push(tokens.len() as u64);
         }
+        let user_types: Vec<TokenId> = if options.include_user_types {
+            sessions
+                .iter()
+                .map(|s| space.user_type(users.user_type(s.user)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        let mut vocab = VocabBuilder::new(space.clone());
+        for session in sessions.iter() {
+            for &item in session.items {
+                vocab.record_sequence(&item_tokens[item.index() * per_item..][..per_item]);
+            }
+        }
+        vocab.record_sequence(&user_types);
 
         Self {
             space,
             options,
-            users: seq_users,
-            tokens,
-            offsets,
+            sessions,
+            item_tokens,
+            per_item,
+            user_types,
             vocab: vocab.build(),
         }
     }
@@ -155,40 +170,54 @@ impl EnrichedCorpus {
         &self.vocab
     }
 
+    /// The click sessions the sequences expand: sequence `i` is session `i`.
+    #[inline]
+    pub fn sessions(&self) -> &'a Corpus {
+        self.sessions
+    }
+
     /// Number of sequences.
     #[inline]
     pub fn len(&self) -> usize {
-        self.users.len()
+        self.sessions.len()
     }
 
     /// True when there are no sequences.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
+        self.sessions.is_empty()
     }
 
     /// Total number of tokens — the `#Tokens` column of Table II.
     #[inline]
     pub fn total_tokens(&self) -> u64 {
-        self.tokens.len() as u64
+        self.sessions.total_clicks() * self.per_item as u64 + self.user_types.len() as u64
     }
 
-    /// The `i`-th enriched sequence.
+    /// Length of the `i`-th enriched sequence: `p·(1 + 8·si) + u` for a
+    /// session of `p` clicks.
     #[inline]
-    pub fn sequence(&self, i: usize) -> &[TokenId] {
-        let (s, e) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        &self.tokens[s..e]
+    pub fn sequence_len(&self, i: usize) -> usize {
+        self.sessions.session(i).len() * self.per_item
+            + usize::from(self.options.include_user_types)
     }
 
-    /// The user who produced the `i`-th sequence.
+    /// Writes the `i`-th enriched sequence into `out`, replacing its
+    /// contents.
+    ///
+    /// # Panics
+    /// Panics when `i >= len()`.
     #[inline]
-    pub fn user(&self, i: usize) -> UserId {
-        self.users[i]
-    }
-
-    /// Iterates over all enriched sequences.
-    pub fn iter(&self) -> impl Iterator<Item = &[TokenId]> + '_ {
-        (0..self.len()).map(move |i| self.sequence(i))
+    pub fn sequence_into(&self, i: usize, out: &mut Vec<TokenId>) {
+        out.clear();
+        for &item in self.sessions.session(i).items {
+            out.extend_from_slice(
+                &self.item_tokens[item.index() * self.per_item..][..self.per_item],
+            );
+        }
+        if let Some(&ut) = self.user_types.get(i) {
+            out.push(ut);
+        }
     }
 
     /// Writes the enriched sequences as text, one session per line, tokens
@@ -196,9 +225,11 @@ impl EnrichedCorpus {
     /// artifact the paper feeds "directly into any standard SGNS
     /// implementation, such as word2vec".
     pub fn write_text<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        for seq in self.iter() {
+        let mut seq = Vec::new();
+        for i in 0..self.len() {
+            self.sequence_into(i, &mut seq);
             let mut first = true;
-            for &t in seq {
+            for &t in &seq {
                 if !first {
                     write!(out, " ")?;
                 }
@@ -215,12 +246,9 @@ impl EnrichedCorpus {
     /// Table II. `directional` counts only right-context pairs
     /// (Section II-C).
     pub fn count_positive_pairs(&self, window: usize, directional: bool) -> u64 {
-        let mut total = 0u64;
-        for i in 0..self.len() {
-            let len = (self.offsets[i + 1] - self.offsets[i]) as usize;
-            total += pairs_in_sequence(len, window, directional);
-        }
-        total
+        (0..self.len())
+            .map(|i| pairs_in_sequence(self.sequence_len(i), window, directional))
+            .sum()
     }
 }
 
@@ -252,8 +280,11 @@ mod tests {
         let c = corpus();
         let e = EnrichedCorpus::build(&c, EnrichOptions::NONE);
         assert_eq!(e.total_tokens(), c.sessions.total_clicks());
+        let mut seq = Vec::new();
         for (i, s) in c.sessions.iter().enumerate() {
-            assert_eq!(e.sequence(i).len(), s.len());
+            e.sequence_into(i, &mut seq);
+            assert_eq!(seq.len(), s.len());
+            assert_eq!(e.sequence_len(i), s.len());
         }
     }
 
@@ -262,7 +293,9 @@ mod tests {
         let c = corpus();
         let e = EnrichedCorpus::build(&c, EnrichOptions::FULL);
         let session = c.sessions.session(0);
-        let seq = e.sequence(0);
+        let mut seq = Vec::new();
+        e.sequence_into(0, &mut seq);
+        assert_eq!(e.sequence_len(0), seq.len());
         assert_eq!(seq.len(), session.len() * (1 + ItemFeature::COUNT) + 1);
         // First token is the first item; the next 8 are its SI in ALL order.
         assert_eq!(seq[0], e.space().item(session.items[0]));
@@ -279,8 +312,10 @@ mod tests {
     fn si_only_has_no_user_types() {
         let c = corpus();
         let e = EnrichedCorpus::build(&c, EnrichOptions::SI_ONLY);
-        for seq in e.iter() {
-            for &t in seq {
+        let mut seq = Vec::new();
+        for i in 0..e.len() {
+            e.sequence_into(i, &mut seq);
+            for &t in &seq {
                 assert!(!matches!(e.space().kind(t), TokenKind::UserType(_)));
             }
         }
@@ -311,12 +346,14 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), e.len());
         // Every token string parses back to the id it came from.
+        let mut seq = Vec::new();
         for (i, line) in lines.iter().enumerate().take(20) {
             let parsed: Vec<_> = line
                 .split(' ')
                 .map(|tok| e.space().parse(tok).expect("token parses"))
                 .collect();
-            assert_eq!(parsed.as_slice(), e.sequence(i));
+            e.sequence_into(i, &mut seq);
+            assert_eq!(parsed, seq);
         }
         assert!(text.contains("leaf_category_"), "paper encoding expected");
     }

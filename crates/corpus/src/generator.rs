@@ -89,22 +89,6 @@ impl CorpusConfig {
         }
     }
 
-    /// Scaled-down analogue of the paper's Taobao25M (offline-evaluation)
-    /// dataset: 25k items, preserving the tokens-per-item ratio of Table II.
-    pub fn taobao_25k() -> Self {
-        Self::scaled(25_000, 0xA25)
-    }
-
-    /// Scaled-down analogue of Taobao100M (the online A/B dataset).
-    pub fn taobao_100k() -> Self {
-        Self::scaled(100_000, 0xA100)
-    }
-
-    /// Scaled-down analogue of Taobao800M (the full-data corpus).
-    pub fn taobao_800k() -> Self {
-        Self::scaled(800_000, 0xA800)
-    }
-
     /// A corpus of `n_items` items with Table II-like ratios: roughly
     /// 100 clicks per item (so enriched token counts land near the paper's
     /// ~900 tokens per item once 8 SI tokens are injected per click).

@@ -28,19 +28,23 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Computes the Table II row for an enriched corpus, with the paper's
-    /// production setting of 20 negatives per positive pair.
+    /// Computes the Table II row for an enriched corpus, with `negatives`
+    /// negatives per positive pair (the paper's production setting is 20).
+    /// Reads one expanded sequence at a time, so even the largest scales
+    /// need no more memory than their click log.
     pub fn compute(
         name: &str,
         corpus: &GeneratedCorpus,
-        enriched: &EnrichedCorpus,
+        enriched: &EnrichedCorpus<'_>,
         window: usize,
         negatives: u64,
     ) -> Self {
         let mut items_seen = vec![false; enriched.space().n_items() as usize];
         let mut types_seen = vec![false; enriched.space().n_user_types() as usize];
-        for seq in enriched.iter() {
-            for &t in seq {
+        let mut seq = Vec::new();
+        for i in 0..enriched.len() {
+            enriched.sequence_into(i, &mut seq);
+            for &t in &seq {
                 match enriched.space().kind(t) {
                     TokenKind::Item(item) => items_seen[item.index()] = true,
                     TokenKind::UserType(ut) => types_seen[ut.index()] = true,
@@ -62,53 +66,6 @@ impl DatasetStats {
             n_si: ItemFeature::COUNT as u64,
             n_user_types,
             n_tokens: enriched.total_tokens(),
-            n_positive_pairs: n_positive,
-            n_training_pairs: n_positive * (1 + negatives),
-        }
-    }
-}
-
-impl DatasetStats {
-    /// Computes the Table II row *without materializing* the enriched
-    /// corpus — needed for the largest dataset configurations, whose
-    /// enriched token streams would not fit in memory. Produces exactly
-    /// what [`DatasetStats::compute`] would for full enrichment
-    /// (SI + user types), using the closed-form pair count per sequence.
-    pub fn compute_streaming(
-        name: &str,
-        corpus: &GeneratedCorpus,
-        window: usize,
-        negatives: u64,
-    ) -> Self {
-        let si_per_item = ItemFeature::COUNT as u64;
-        let mut items_seen = vec![false; corpus.config.n_items as usize];
-        let mut types_seen = vec![false; corpus.users.n_user_types() as usize];
-        let mut n_tokens = 0u64;
-        let mut n_positive = 0u64;
-        for s in corpus.sessions.iter() {
-            for &item in s.items {
-                items_seen[item.index()] = true;
-            }
-            types_seen[corpus.users.user_type(s.user).index()] = true;
-            let len = s.len() as u64 * (1 + si_per_item) + 1;
-            n_tokens += len;
-            // Symmetric-window pair count for a sequence of length `len`:
-            // every position contributes min(window, distance-to-each-end).
-            let (len, m) = (len, window as u64);
-            n_positive += if len <= m + 1 {
-                len.saturating_sub(1) * len
-            } else {
-                // Positions in the interior contribute 2m; the m positions
-                // near each end contribute m + (0..m).
-                2 * m * (len - 2 * m) + 2 * (m * m + m * (m - 1) / 2)
-            };
-        }
-        Self {
-            name: name.to_owned(),
-            n_items: items_seen.iter().filter(|&&b| b).count() as u64,
-            n_si: si_per_item,
-            n_user_types: types_seen.iter().filter(|&&b| b).count() as u64,
-            n_tokens,
             n_positive_pairs: n_positive,
             n_training_pairs: n_positive * (1 + negatives),
         }
@@ -175,19 +132,6 @@ mod tests {
         // paper (~9 pairs per token with their window).
         let per_token = s.n_positive_pairs as f64 / s.n_tokens as f64;
         assert!((2.0..=10.0).contains(&per_token), "got {per_token}");
-    }
-
-    #[test]
-    fn streaming_stats_match_materialized_stats() {
-        let c = GeneratedCorpus::generate(CorpusConfig::tiny());
-        let e = EnrichedCorpus::build(&c, EnrichOptions::FULL);
-        let full = DatasetStats::compute("tiny", &c, &e, 5, 20);
-        let streaming = DatasetStats::compute_streaming("tiny", &c, 5, 20);
-        assert_eq!(streaming.n_items, full.n_items);
-        assert_eq!(streaming.n_user_types, full.n_user_types);
-        assert_eq!(streaming.n_tokens, full.n_tokens);
-        assert_eq!(streaming.n_positive_pairs, full.n_positive_pairs);
-        assert_eq!(streaming.n_training_pairs, full.n_training_pairs);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! 4. determine the shared set `Q` of tokens above a frequency threshold
 //!    ("usually … the most common SI features such as age, gender, color").
 //!
-//! [`TrainingPipeline::prepare`] materializes all four; [`TrainingPipeline::train`]
+//! [`TrainingPipeline::prepare`] builds all four (stage 1 as a view that
+//! expands `S̃` one sequence at a time); [`TrainingPipeline::train`]
 //! then runs Algorithm 1 on them. The staged form exists so deployments
 //! can checkpoint between stages and operators can inspect the partition
 //! and hot set before committing a cluster to a 13-hour run.
@@ -27,12 +28,14 @@ use crate::DistReport;
 use sisg_corpus::{EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_embedding::EmbeddingStore;
 
-/// The materialized artifacts of stages 1–4.
+/// The artifacts of stages 1–4.
 pub struct TrainingPipeline<'a> {
     corpus: &'a GeneratedCorpus,
     config: DistConfig,
-    /// Stage 1: the enriched sequences `S̃` (owns stage 2's dictionary).
-    pub enriched: EnrichedCorpus,
+    /// Stage 1: the enriched sequences `S̃`, a view over the corpus's clicks
+    /// that expands one sequence at a time into a reader's buffer; no
+    /// enriched token array exists. Owns stage 2's dictionary.
+    pub enriched: EnrichedCorpus<'a>,
     /// Stage 3: the token partition map.
     pub partition: PartitionMap,
     /// Stage 4: the shared hot set `Q`.

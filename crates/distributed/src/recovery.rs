@@ -141,14 +141,16 @@ impl ShardCheckpoint {
 /// structure, sequences and user assignments) — cheap to recompute on
 /// resume, and any divergence means the checkpointed partition would be
 /// meaningless.
-pub fn enriched_fingerprint(enriched: &EnrichedCorpus) -> u64 {
+pub fn enriched_fingerprint(enriched: &EnrichedCorpus<'_>) -> u64 {
     let mut h = sisg_obs::Fnv1a::new();
     h.u64(enriched.space().len() as u64);
     h.u64(enriched.len() as u64);
     h.u64(enriched.total_tokens());
-    for i in 0..enriched.len() {
-        h.u64(enriched.user(i).0 as u64);
-        for t in enriched.sequence(i) {
+    let mut seq = Vec::new();
+    for (i, session) in enriched.sessions().iter().enumerate() {
+        h.u64(session.user.0 as u64);
+        enriched.sequence_into(i, &mut seq);
+        for t in &seq {
             h.u64(t.0 as u64);
         }
     }

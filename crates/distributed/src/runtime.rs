@@ -141,7 +141,7 @@ pub fn build_partition(
 /// Trains the enriched corpus with the distributed engine and returns the
 /// embedding store plus the run's accounting.
 pub fn train_distributed(
-    enriched: &EnrichedCorpus,
+    enriched: &EnrichedCorpus<'_>,
     sessions: &Corpus,
     catalog: &ItemCatalog,
     config: &DistConfig,
@@ -157,7 +157,7 @@ pub fn train_distributed(
 /// pipeline and its crash-recovery resume use: a checkpointed partition
 /// and hot set are reused instead of being re-derived).
 pub(crate) fn train_distributed_prepared(
-    enriched: &EnrichedCorpus,
+    enriched: &EnrichedCorpus<'_>,
     sessions: &Corpus,
     config: &DistConfig,
     partition: &PartitionMap,

@@ -55,7 +55,7 @@ fn noise_seed(seed: u64, worker: usize, incarnation: u64) -> u64 {
 /// runtime borrows it from every worker thread.
 pub struct TnsRun<'a> {
     pub(crate) config: &'a DistConfig,
-    pub(crate) enriched: &'a EnrichedCorpus,
+    pub(crate) enriched: &'a EnrichedCorpus<'a>,
     pub(crate) partition: Cow<'a, PartitionMap>,
     pub(crate) hot: Cow<'a, HotSet>,
     noise_tables: Vec<NoiseTable>,
@@ -76,7 +76,7 @@ impl<'a> TnsRun<'a> {
     /// # Panics
     /// Panics when `config.workers == 0`.
     pub fn new(
-        enriched: &'a EnrichedCorpus,
+        enriched: &'a EnrichedCorpus<'a>,
         sessions: &Corpus,
         catalog: &ItemCatalog,
         config: &'a DistConfig,
@@ -89,7 +89,7 @@ impl<'a> TnsRun<'a> {
     /// Sets up a run of `config` over `enriched` from its stage-3/4
     /// artifacts: the partition and the shared hot set `Q`.
     pub(crate) fn build(
-        enriched: &'a EnrichedCorpus,
+        enriched: &'a EnrichedCorpus<'a>,
         config: &'a DistConfig,
         partition: Cow<'a, PartitionMap>,
         hot: Cow<'a, HotSet>,
@@ -224,6 +224,8 @@ pub(crate) struct PairScan<'r> {
     /// hot targets (`seq_idx % w == me`, ATNS).
     hot_shard: bool,
     pair_idx: usize,
+    /// The sequence being scanned, as the enriched view expands it.
+    seq: Vec<TokenId>,
     filtered: Vec<TokenId>,
     pairs: Vec<(TokenId, TokenId)>,
 }
@@ -239,6 +241,7 @@ impl<'r> PairScan<'r> {
             seq_idx: 0,
             hot_shard: false,
             pair_idx: 0,
+            seq: Vec::with_capacity(64),
             filtered: Vec::with_capacity(64),
             pairs: Vec::with_capacity(256),
         }
@@ -286,12 +289,12 @@ impl<'r> PairScan<'r> {
             if self.seq_idx >= end {
                 return None;
             }
-            let seq = run.enriched.sequence(self.seq_idx);
+            run.enriched.sequence_into(self.seq_idx, &mut self.seq);
             self.hot_shard = self.seq_idx % run.config.workers == self.me;
             self.seq_idx += 1;
             self.pair_idx = 0;
             run.subsample
-                .filter_into(seq, &mut self.rng, &mut self.filtered);
+                .filter_into(&self.seq, &mut self.rng, &mut self.filtered);
             run.sampler.pairs_into(&self.filtered, &mut self.pairs);
         }
     }
@@ -349,12 +352,12 @@ mod tests {
         }
 
         let mut rng = StdRng::seed_from_u64(scan_seed(config.seed, me, 0));
-        let (mut filtered, mut pairs) = (Vec::new(), Vec::new());
+        let (mut seq, mut filtered, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
         let mut want = Vec::new();
         let (mut hot_targets, mut hot_contexts) = (0, 0);
         for seq_idx in 0..enriched.len() {
-            run.subsample
-                .filter_into(enriched.sequence(seq_idx), &mut rng, &mut filtered);
+            enriched.sequence_into(seq_idx, &mut seq);
+            run.subsample.filter_into(&seq, &mut rng, &mut filtered);
             run.sampler.pairs_into(&filtered, &mut pairs);
             for &(t, c) in &pairs {
                 let keep = if run.hot.contains(t) {

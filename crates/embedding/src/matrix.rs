@@ -539,22 +539,6 @@ impl Matrix {
         // SAFETY: same layout argument as `row`, over the whole buffer.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<f32>(), self.data.len()) }
     }
-
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-            .iter()
-            // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
-            .map(|cell| f32::from_bits(cell.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Copies row `src` of `other` into row `dst` of `self`.
-    pub fn copy_row_from(&mut self, dst: usize, other: &Matrix, src: usize) {
-        assert_eq!(self.dim, other.dim, "dim mismatch");
-        let row = other.row(src).to_vec();
-        self.row_mut(dst).copy_from_slice(&row);
-    }
 }
 
 impl Clone for Matrix {
@@ -607,7 +591,7 @@ mod tests {
             assert_eq!(view.row(0), &[0.0, 7.0, 0.0]);
             assert_eq!(view.row(4), &[0.0; 3], "unwritten rows stay zero");
         }
-        assert_eq!(m.into_data().len(), 15);
+        assert_eq!(m.as_slice().len(), 15);
     }
 
     #[test]
@@ -616,7 +600,7 @@ mod tests {
             let m = Matrix::zeros(rows, dim);
             assert_eq!((m.rows(), m.dim()), (rows, dim));
             assert!(m.as_slice().is_empty());
-            assert!(m.clone().into_data().is_empty());
+            assert!(m.clone().as_slice().is_empty());
         }
         assert!(Matrix::zeros(4, 0).row(3).is_empty());
     }
@@ -724,14 +708,6 @@ mod tests {
         let m = Matrix::zeros(2, 2);
         assert!(m.try_row_ptr(1).is_some());
         assert!(m.try_row_ptr(2).is_none());
-    }
-
-    #[test]
-    fn copy_row_from_other() {
-        let src = Matrix::uniform_init(2, 3, 9);
-        let mut dst = Matrix::zeros(2, 3);
-        dst.copy_row_from(0, &src, 1);
-        assert_eq!(dst.row(0), src.row(1));
     }
 
     #[test]

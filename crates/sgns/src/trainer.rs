@@ -22,27 +22,33 @@ use sisg_obs::{names, registry, Counter, Gauge};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// A source of training sequences.
+/// A source of training sequences. Readers expand one sequence at a time
+/// into a buffer they reuse, so a source never has to hold its sequences
+/// as one token array (an [`EnrichedCorpus`] expands Eq. 4 on demand).
 pub trait Sequences: Sync {
     /// Number of sequences.
     fn n_sequences(&self) -> usize;
-    /// The `i`-th sequence.
-    fn sequence(&self, i: usize) -> &[TokenId];
+    /// Writes the `i`-th sequence into `out`, replacing its contents.
+    fn sequence_into(&self, i: usize, out: &mut Vec<TokenId>);
 
     /// Total tokens across all sequences (used for LR scheduling).
     fn total_tokens(&self) -> u64 {
+        let mut seq = Vec::new();
         (0..self.n_sequences())
-            .map(|i| self.sequence(i).len() as u64)
+            .map(|i| {
+                self.sequence_into(i, &mut seq);
+                seq.len() as u64
+            })
             .sum()
     }
 }
 
-impl Sequences for EnrichedCorpus {
+impl Sequences for EnrichedCorpus<'_> {
     fn n_sequences(&self) -> usize {
         self.len()
     }
-    fn sequence(&self, i: usize) -> &[TokenId] {
-        EnrichedCorpus::sequence(self, i)
+    fn sequence_into(&self, i: usize, out: &mut Vec<TokenId>) {
+        EnrichedCorpus::sequence_into(self, i, out)
     }
     fn total_tokens(&self) -> u64 {
         EnrichedCorpus::total_tokens(self)
@@ -53,8 +59,9 @@ impl Sequences for Vec<Vec<TokenId>> {
     fn n_sequences(&self) -> usize {
         self.len()
     }
-    fn sequence(&self, i: usize) -> &[TokenId] {
-        &self[i]
+    fn sequence_into(&self, i: usize, out: &mut Vec<TokenId>) {
+        out.clear();
+        out.extend_from_slice(&self[i]);
     }
 }
 
@@ -207,8 +214,10 @@ fn sgns_metrics() -> &'static SgnsMetrics {
 /// Counts per-token frequencies of `seqs` over a vocabulary of `n_tokens`.
 pub fn count_freqs<S: Sequences + ?Sized>(seqs: &S, n_tokens: usize) -> Vec<u64> {
     let mut freqs = vec![0u64; n_tokens];
+    let mut seq = Vec::new();
     for i in 0..seqs.n_sequences() {
-        for t in seqs.sequence(i) {
+        seqs.sequence_into(i, &mut seq);
+        for t in &seq {
             freqs[t.index()] += 1;
         }
     }
@@ -403,6 +412,8 @@ impl<'a> EpochContext<'a> {
 /// thread, reused across every sequence and epoch — the hot loop itself
 /// never allocates.
 struct ChunkBuffers {
+    /// The sequence being trained, as its source expands it.
+    seq: Vec<TokenId>,
     filtered: Vec<TokenId>,
     negatives: Vec<TokenId>,
     /// One sequence's pairs, collected before the step loop draws
@@ -414,6 +425,7 @@ struct ChunkBuffers {
 impl ChunkBuffers {
     fn new(dim: usize, negatives: usize) -> Self {
         Self {
+            seq: Vec::with_capacity(64),
             filtered: Vec::with_capacity(64),
             negatives: Vec::with_capacity(negatives),
             pair_buf: Vec::with_capacity(256),
@@ -445,12 +457,14 @@ where
     for _epoch in 0..config.epochs {
         let mut stats = ChunkStats::default();
         for i in range.clone() {
-            let seq = seqs.sequence(i);
-            ctx.subsample.filter_into(seq, &mut rng, &mut buf.filtered);
+            seqs.sequence_into(i, &mut buf.seq);
+            ctx.subsample
+                .filter_into(&buf.seq, &mut rng, &mut buf.filtered);
+            let len = buf.seq.len() as u64;
             // ORDERING: Relaxed — shared token counter for the lr decay; Hogwild
             // workers tolerate stale progress and publish nothing through it.
-            let done = ctx.progress.fetch_add(seq.len() as u64, Ordering::Relaxed);
-            stats.raw_tokens += seq.len() as u64;
+            let done = ctx.progress.fetch_add(len, Ordering::Relaxed);
+            stats.raw_tokens += len;
             stats.tokens += buf.filtered.len() as u64;
             let lr = ctx.lr(done);
             stats.last_lr = lr;

@@ -536,7 +536,7 @@ fn machine_turn(
 /// fault-free plan even the float bits) is a function of
 /// `(enriched, sessions, catalog, sim)` alone.
 pub fn simulate(
-    enriched: &EnrichedCorpus,
+    enriched: &EnrichedCorpus<'_>,
     sessions: &Corpus,
     catalog: &ItemCatalog,
     sim: &SimConfig,

@@ -48,6 +48,7 @@ pub use pipeline::{IngestPipeline, ReplayOutcome, StreamConfig};
 pub use trace::store_checksum;
 
 use sisg_core::CoreError;
+use sisg_corpus::{ItemId, UserId};
 use sisg_serve::ServeError;
 
 /// Every way the streaming pipeline can fail. No panic is reachable from
@@ -69,6 +70,22 @@ pub enum StreamError {
     },
     /// The embedded SGNS hyper-parameters failed validation.
     Sgns(String),
+    /// A session clicked an item outside the pipeline's catalog. The whole
+    /// batch was rejected before any state changed.
+    UnknownItem {
+        /// The offending item id.
+        item: ItemId,
+        /// Items in the catalog; valid ids are below this.
+        n_items: u32,
+    },
+    /// A session came from a user outside the pipeline's registry. The
+    /// whole batch was rejected before any state changed.
+    UnknownUser {
+        /// The offending user id.
+        user: UserId,
+        /// Users in the registry; valid ids are below this.
+        n_users: u32,
+    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -80,6 +97,15 @@ impl std::fmt::Display for StreamError {
                 write!(f, "invalid stream config: {field} {reason}")
             }
             StreamError::Sgns(reason) => write!(f, "invalid sgns config: {reason}"),
+            StreamError::UnknownItem { item, n_items } => {
+                write!(
+                    f,
+                    "event clicks item {item}, outside a catalog of {n_items}"
+                )
+            }
+            StreamError::UnknownUser { user, n_users } => {
+                write!(f, "event from user {user}, outside a registry of {n_users}")
+            }
         }
     }
 }

@@ -35,7 +35,7 @@ use sisg_core::model::enriched_stride;
 use sisg_core::{MatchingService, ServingConfig, SisgModel, Variant};
 use sisg_corpus::vocab::TokenSpace;
 use sisg_corpus::{
-    Corpus, EnrichedCorpus, EventLog, ItemCatalog, ItemId, SessionEvent, UserRegistry,
+    Corpus, EnrichedCorpus, EventLog, ItemCatalog, ItemId, SessionEvent, UserId, UserRegistry,
 };
 use sisg_embedding::{codec, EmbeddingStore};
 use sisg_obs::{names, span, Fnv1a};
@@ -217,8 +217,11 @@ impl IngestPipeline {
 
     /// Folds an offline base corpus with the full *decaying* batch
     /// schedule — "yesterday's" model the stream then keeps fresh. Counts
-    /// fold into the same cumulative tables as streamed batches.
+    /// fold into the same cumulative tables as streamed batches. A corpus
+    /// naming an unknown item or user is rejected whole, before any state
+    /// changes.
     pub fn warm_start(&mut self, sessions: &Corpus) -> Result<TrainStats, StreamError> {
+        self.check_ids(sessions.iter().map(|s| (s.user, s.items)))?;
         let enriched = self.enrich(sessions);
         let admitted = self.fold_counts(&enriched);
         self.fold_clicks(sessions);
@@ -237,8 +240,11 @@ impl IngestPipeline {
 
     /// Folds one batch of stream events: enrich → update cumulative
     /// tables → one flat-rate training increment. Arrival stamps queue up
-    /// for the freshness histogram at the next publication.
+    /// for the freshness histogram at the next publication. A batch naming
+    /// an unknown item or user is rejected whole, before any state changes:
+    /// it is not counted, folded or traced.
     pub fn ingest_batch(&mut self, events: &[SessionEvent]) -> Result<TrainStats, StreamError> {
+        self.check_ids(events.iter().map(|e| (e.user, e.items.as_slice())))?;
         let batch_idx = self.batches;
         self.batches += 1;
         stream_metrics().batches.inc();
@@ -374,9 +380,28 @@ impl IngestPipeline {
         Ok(self.outcome(final_epoch))
     }
 
+    /// The stream boundary: every user must be in the registry and every
+    /// clicked item in the catalog. Enrichment indexes both by id, so an
+    /// unchecked id would panic there or train as an unrelated token.
+    fn check_ids<'a>(
+        &self,
+        sessions: impl Iterator<Item = (UserId, &'a [ItemId])>,
+    ) -> Result<(), StreamError> {
+        let (n_items, n_users) = (self.space.n_items(), self.users.n_users());
+        for (user, items) in sessions {
+            if user.0 >= n_users {
+                return Err(StreamError::UnknownUser { user, n_users });
+            }
+            if let Some(&item) = items.iter().find(|item| item.0 >= n_items) {
+                return Err(StreamError::UnknownItem { item, n_items });
+            }
+        }
+        Ok(())
+    }
+
     /// Enriches a session batch through the same SI path as offline
     /// training — the vocabulary-admission mechanism.
-    fn enrich(&self, sessions: &Corpus) -> EnrichedCorpus {
+    fn enrich<'s>(&self, sessions: &'s Corpus) -> EnrichedCorpus<'s> {
         EnrichedCorpus::build_from_sessions(
             sessions,
             &self.catalog,
@@ -388,7 +413,7 @@ impl IngestPipeline {
 
     /// Adds a batch's vocabulary counts to the cumulative tables and
     /// returns how many tokens were admitted (first nonzero count).
-    fn fold_counts(&mut self, enriched: &EnrichedCorpus) -> u64 {
+    fn fold_counts(&mut self, enriched: &EnrichedCorpus<'_>) -> u64 {
         let mut admitted = 0u64;
         for (slot, &add) in self.freqs.iter_mut().zip(enriched.vocab().freqs()) {
             if add > 0 && *slot == 0 {

@@ -8,11 +8,11 @@
 //! run-to-run through `store_checksum` and the encoded codec bytes.
 
 use sisg_core::{ServingConfig, Variant};
-use sisg_corpus::{CorpusConfig, EventLog, GeneratedCorpus};
+use sisg_corpus::{Corpus, CorpusConfig, EventLog, GeneratedCorpus, ItemId, SessionEvent, UserId};
 use sisg_obs::{names, registry};
 use sisg_serve::{EngineStats, ServeEngine, ServeEngineConfig};
 use sisg_sgns::SgnsConfig;
-use sisg_stream::{IngestPipeline, ReplayOutcome, StreamConfig};
+use sisg_stream::{IngestPipeline, ReplayOutcome, StreamConfig, StreamError};
 
 fn stream_config(seed: u64) -> StreamConfig {
     StreamConfig {
@@ -38,14 +38,46 @@ fn stream_config(seed: u64) -> StreamConfig {
 /// One full seeded run: cold engine from the untrained freeze, then the
 /// whole event log through the pipeline under the virtual clock.
 fn replay(seed: u64) -> (ReplayOutcome, EngineStats, u64) {
+    replay_with(seed, Variant::SisgFU, &[])
+}
+
+/// [`replay`] of `variant`, after every `hostile` batch was offered to the
+/// pipeline, first as a warm-start corpus and then as a stream batch, and
+/// rejected with a typed error.
+fn replay_with(
+    seed: u64,
+    variant: Variant,
+    hostile: &[Vec<SessionEvent>],
+) -> (ReplayOutcome, EngineStats, u64) {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let log = EventLog::from_sessions(&corpus.sessions, seed, 500);
     let mut pipeline = IngestPipeline::new(
         corpus.catalog.clone(),
         corpus.users.clone(),
-        stream_config(seed),
+        StreamConfig {
+            variant,
+            ..stream_config(seed)
+        },
     )
     .expect("pipeline config is valid");
+    for batch in hostile {
+        let mut sessions = Corpus::new();
+        for e in batch {
+            sessions.push(e.user, &e.items);
+        }
+        for err in [
+            pipeline.warm_start(&sessions).expect_err("warm start"),
+            pipeline.ingest_batch(batch).expect_err("ingest"),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    StreamError::UnknownItem { .. } | StreamError::UnknownUser { .. }
+                ),
+                "{err}"
+            );
+        }
+    }
     let engine = ServeEngine::start(
         pipeline.freeze().expect("cold freeze"),
         ServeEngineConfig::builder()
@@ -146,4 +178,38 @@ fn replay_closes_the_swap_accounting_loop() {
             > 0,
         "incremental folds must record their span"
     );
+}
+
+/// An event naming an item outside the catalog or a user outside the
+/// registry is rejected at the stream boundary with its whole batch. It
+/// once panicked inside enrichment (SISG-F-U) or trained silently as an
+/// SI or user-type row (SGNS). The replay that continues after the
+/// rejects is the replay that never saw them: same trace, same bits.
+#[test]
+fn unknown_ids_are_rejected_whole_and_leave_the_replay_untouched() {
+    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+    let (n_items, n_users) = (corpus.config.n_items, corpus.users.n_users());
+    let event = |user: u32, items: &[u32]| SessionEvent {
+        time: 1,
+        user: UserId(user),
+        items: items.iter().copied().map(ItemId).collect(),
+    };
+    let hostile = [
+        // A valid session first: nothing of the batch may be folded.
+        vec![event(0, &[0, 1]), event(1, &[2, n_items + 5])],
+        vec![event(0, &[n_items])],
+        vec![event(n_users + 1, &[0])],
+    ];
+    for variant in [Variant::SisgFU, Variant::Sgns] {
+        let (clean, ..) = replay_with(7, variant, &[]);
+        let (after, ..) = replay_with(7, variant, &hostile);
+        assert_eq!(after.trace_hash, clean.trace_hash, "{variant:?}");
+        assert_eq!(after.store_checksum, clean.store_checksum, "{variant:?}");
+        assert_eq!(after.codec, clean.codec, "{variant:?}");
+        assert_eq!(
+            (after.events, after.batches, after.vocab_admitted),
+            (clean.events, clean.batches, clean.vocab_admitted),
+            "{variant:?}"
+        );
+    }
 }

@@ -35,7 +35,8 @@ else
 fi
 
 step tier-1 "cargo build --release && cargo test -q"
-cargo build --release
+# --locked: a dependency change fails here instead of rewriting Cargo.lock.
+cargo build --release --locked
 cargo test -q
 
 step examples "run the quickstart and cold_start examples"
@@ -108,12 +109,14 @@ step benchmark "its unit tests + a 1 s correctness-gate smoke of every workload"
 # workload, parsed from the last-line JSON, keeps the end-to-end metrics in
 # the log — peak_rss_mb repeats to 0.3 % even at one second, so the logs
 # record the memory trajectory. Nothing is asserted on them: timings come
-# from full runs on a quiet host.
-cargo test --release --quiet --manifest-path benchmark/Cargo.toml
+# from full runs on a quiet host. --locked: a dependency change fails the
+# gate instead of silently rewriting benchmark/Cargo.lock, which only a
+# benchmark change may touch.
+cargo test --release --quiet --locked --manifest-path benchmark/Cargo.toml
 printf '%-18s %9s %14s %12s\n' workload setup_s quality_at_10 peak_rss_mb
 for workload in $(python3 -c \
   'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])'); do
-  cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+  cargo run --release --quiet --locked --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1 | python3 -c '
 import json, sys
 m = {k: v["value"] for k, v in json.loads(sys.stdin.read())["metrics"].items()}
