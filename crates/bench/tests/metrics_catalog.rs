@@ -260,7 +260,7 @@ fn exercise_every_layer() -> GeneratedCorpus {
         },
         plan,
     );
-    let out = sisg_simtest::simulate(enriched, &corpus.sessions, &corpus.catalog, &faulted);
+    let out = sisg_simtest::simulate(enriched, &corpus.catalog, &faulted);
     assert!(out.completed, "faulted simulation did not drain");
     assert!(out.report.retries > 0 && out.report.recoveries == 1);
 

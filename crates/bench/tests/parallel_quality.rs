@@ -90,7 +90,7 @@ fn averaged_hot_set_hr10_is_within_tolerance_of_no_replication() {
             strategy: PartitionStrategy::Hbgp { beta: 1.2 },
             ..Default::default()
         };
-        let (store, report) = train_distributed(&enriched, &split.train, &corpus.catalog, &cfg);
+        let (store, report) = train_distributed(&enriched, &corpus.catalog, &cfg);
         assert_eq!(report.hot_set_size, hot_set_size);
         let model =
             SisgModel::from_store(Variant::Sgns, space.clone(), store).expect("store covers space");

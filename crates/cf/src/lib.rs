@@ -141,25 +141,6 @@ impl CfModel {
         let list = &self.neighbors[item.index()];
         &list[..k.min(list.len())]
     }
-
-    /// Mean neighbor-list length — a coverage diagnostic: cold items have
-    /// empty lists, which is the sparsity problem SI addresses.
-    pub fn mean_list_len(&self) -> f64 {
-        if self.neighbors.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.neighbors.iter().map(Vec::len).sum();
-        total as f64 / self.neighbors.len() as f64
-    }
-
-    /// Fraction of items with an empty neighbor list (pure cold start).
-    pub fn cold_item_fraction(&self) -> f64 {
-        if self.neighbors.is_empty() {
-            return 0.0;
-        }
-        let cold = self.neighbors.iter().filter(|l| l.is_empty()).count();
-        cold as f64 / self.neighbors.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +198,6 @@ mod tests {
         let c = corpus(&[&[0, 1]]);
         let m = CfModel::train(&c, 5, &CfConfig::default());
         assert!(m.similar(ItemId(4), 10).is_empty());
-        assert!(m.cold_item_fraction() > 0.5);
     }
 
     #[test]
@@ -314,17 +294,6 @@ mod tests {
             top[0].score
         );
         assert!((top[1].score - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn coverage_metrics_track_training_data() {
-        let c = corpus(&[&[0, 1, 2]]);
-        let m = CfModel::train(&c, 6, &CfConfig::default());
-        assert!(
-            (m.cold_item_fraction() - 0.5).abs() < 1e-9,
-            "3 of 6 items cold"
-        );
-        assert!(m.mean_list_len() > 0.0);
     }
 
     #[test]

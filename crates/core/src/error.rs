@@ -9,7 +9,7 @@
 //! back as values the caller can route, count, and degrade on.
 
 use sisg_corpus::schema::ItemFeature;
-use sisg_corpus::{ItemId, UserTypeId};
+use sisg_corpus::{ItemId, UserId, UserTypeId};
 
 /// Errors raised by model construction and the serving paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +37,10 @@ pub enum CoreError {
         /// Rows the store actually has.
         store_tokens: usize,
     },
-    /// A query named an item outside the trained catalog.
+    /// A query or a training session named an item outside the catalog.
     UnknownItem(ItemId),
+    /// A training session came from a user outside the registry.
+    UnknownUser(UserId),
     /// A query named a user type outside the trained registry.
     UnknownUserType(UserTypeId),
     /// A cold-item query carried an SI value outside the feature's
@@ -73,6 +75,7 @@ impl std::fmt::Display for CoreError {
                 "embedding store has {store_tokens} rows but the token space needs {space_tokens}"
             ),
             CoreError::UnknownItem(item) => write!(f, "unknown item {}", item.0),
+            CoreError::UnknownUser(user) => write!(f, "unknown user {}", user.0),
             CoreError::UnknownUserType(ut) => write!(f, "unknown user type {}", ut.0),
             CoreError::SiValueOutOfRange {
                 feature,
@@ -120,6 +123,7 @@ mod tests {
                 "3",
             ),
             (CoreError::UnknownItem(ItemId(7)), "7"),
+            (CoreError::UnknownUser(UserId(5)), "user 5"),
             (CoreError::UnknownUserType(UserTypeId(3)), "3"),
             (
                 CoreError::SiValueOutOfRange {

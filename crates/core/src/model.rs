@@ -80,8 +80,10 @@ impl SisgModel {
     }
 
     /// Trains `variant` on an explicit session set (e.g. the training part
-    /// of a next-item split). Fails on degenerate hyper-parameters instead
-    /// of asserting mid-training.
+    /// of a next-item split, or session logs read from disk). Fails on
+    /// degenerate hyper-parameters, on a click outside `0..n_items`, and —
+    /// when the variant injects user types — on a user outside `users`,
+    /// instead of panicking mid-enrichment.
     pub fn train_on_sessions(
         sessions: &Corpus,
         catalog: &ItemCatalog,
@@ -91,6 +93,15 @@ impl SisgModel {
         sgns: &SgnsConfig,
     ) -> Result<(Self, SisgTrainReport), CoreError> {
         validate_sgns(sgns)?;
+        let item_bound = sessions.max_item_bound();
+        if item_bound > u64::from(n_items) {
+            return Err(CoreError::UnknownItem(ItemId((item_bound - 1) as u32)));
+        }
+        if variant.uses_user_types() {
+            if let Some(s) = sessions.iter().find(|s| s.user.0 >= users.n_users()) {
+                return Err(CoreError::UnknownUser(s.user));
+            }
+        }
         let enriched = EnrichedCorpus::build_from_sessions(
             sessions,
             catalog,
@@ -333,7 +344,7 @@ pub fn enriched_stride(freqs: &[u64], n_items: usize, subsample: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sisg_corpus::CorpusConfig;
+    use sisg_corpus::{CorpusConfig, UserId};
 
     fn small_sgns() -> SgnsConfig {
         SgnsConfig {
@@ -387,6 +398,41 @@ mod tests {
                 other => panic!("{want}: not rejected: {:?}", other.map(|_| ())),
             }
         }
+    }
+
+    /// Session logs from disk can name any id: an item outside the
+    /// catalog, or an unknown user under a user-type variant, is a typed
+    /// error before enrichment runs. A variant without user-type tokens
+    /// never looks the user up, so it still trains.
+    #[test]
+    fn out_of_range_session_ids_are_typed_errors() {
+        let c = corpus();
+        let n_items = c.config.n_items;
+        let train = |sessions: &Corpus, variant| {
+            SisgModel::train_on_sessions(
+                sessions,
+                &c.catalog,
+                &c.users,
+                n_items,
+                variant,
+                &small_sgns(),
+            )
+            .err()
+        };
+        let mut stray_item = Corpus::new();
+        stray_item.push(UserId(0), &[ItemId(0), ItemId(n_items), ItemId(1)]);
+        assert_eq!(
+            train(&stray_item, Variant::Sgns),
+            Some(CoreError::UnknownItem(ItemId(n_items)))
+        );
+        let stranger = UserId(c.users.n_users());
+        let mut stray_user = Corpus::new();
+        stray_user.push(stranger, &[ItemId(0), ItemId(1)]);
+        assert_eq!(
+            train(&stray_user, Variant::SisgFU),
+            Some(CoreError::UnknownUser(stranger))
+        );
+        assert_eq!(train(&stray_user, Variant::SisgF), None);
     }
 
     #[test]

@@ -129,12 +129,10 @@ pub struct GeneratedCorpus {
 
 /// The synthetic workload generator.
 #[derive(Debug)]
-pub struct Generator {
+struct Generator {
     config: CorpusConfig,
     catalog: ItemCatalog,
     users: UserRegistry,
-    /// Global popularity weight per item.
-    popularity: Vec<f64>,
     /// Per-leaf-category popularity sampler over member items.
     cat_samplers: Vec<Option<CumulativeSampler>>,
     /// Per-leaf-category related categories (for cross-category jumps).
@@ -251,27 +249,11 @@ impl Generator {
             config,
             catalog,
             users,
-            popularity,
             cat_samplers,
             related,
             type_prefs,
             user_extra,
         }
-    }
-
-    /// The generated item catalog.
-    pub fn catalog(&self) -> &ItemCatalog {
-        &self.catalog
-    }
-
-    /// The generated user registry.
-    pub fn users(&self) -> &UserRegistry {
-        &self.users
-    }
-
-    /// Global popularity weight of an item.
-    pub fn popularity(&self, item: ItemId) -> f64 {
-        self.popularity[item.index()]
     }
 
     /// Generates the full corpus.

@@ -12,7 +12,7 @@ use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
 /// Writes `corpus` in the one-session-per-line text format.
-pub fn write_sessions<W: Write>(corpus: &Corpus, out: &mut W) -> io::Result<()> {
+fn write_sessions<W: Write>(corpus: &Corpus, out: &mut W) -> io::Result<()> {
     for s in corpus.iter() {
         write!(out, "{}\t", s.user.0)?;
         let mut first = true;
@@ -59,7 +59,7 @@ impl From<io::Error> for LogReadError {
 
 /// Reads a session log written by [`write_sessions`], appending into
 /// `corpus`.
-pub fn read_sessions<R: BufRead>(input: R, corpus: &mut Corpus) -> Result<(), LogReadError> {
+fn read_sessions<R: BufRead>(input: R, corpus: &mut Corpus) -> Result<(), LogReadError> {
     let mut items: Vec<ItemId> = Vec::with_capacity(32);
     for (i, line) in input.lines().enumerate() {
         let line = line?;

@@ -39,9 +39,9 @@ pub mod zipf;
 
 pub use catalog::ItemCatalog;
 pub use enrich::{EnrichOptions, EnrichedCorpus};
-pub use generator::{CorpusConfig, GeneratedCorpus, Generator};
-pub use schema::{ItemFeature, UserFeature};
-pub use session::{Corpus, Session, SessionRef};
+pub use generator::{CorpusConfig, GeneratedCorpus};
+pub use schema::ItemFeature;
+pub use session::{Corpus, SessionRef};
 pub use split::{NextItemSplit, SplitSequences};
 pub use stats::DatasetStats;
 pub use stream::{EventLog, SessionEvent};

@@ -74,16 +74,6 @@ impl ItemFeature {
     }
 }
 
-/// The two user features of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum UserFeature {
-    /// Cross feature: gender × age bucket.
-    AgeGender,
-    /// Free-form behavioral tags (`t1`, `t2`, …).
-    UserTags,
-}
-
 /// Gender values used in user-type strings. `Null` models users who have not
 /// provided a gender — the paper notes "Gender" takes three values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -8,15 +8,6 @@
 
 use crate::token::{ItemId, UserId};
 
-/// An owned behavior sequence, used at construction time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Session {
-    /// The user who produced this session.
-    pub user: UserId,
-    /// The clicked items, in click order.
-    pub items: Vec<ItemId>,
-}
-
 /// A borrowed view of one session inside a [`Corpus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionRef<'a> {
@@ -78,11 +69,6 @@ impl Corpus {
         self.offsets.push(self.clicks.len() as u64);
     }
 
-    /// Appends an owned [`Session`].
-    pub fn push_session(&mut self, session: &Session) {
-        self.push(session.user, &session.items);
-    }
-
     /// Number of sessions.
     #[inline]
     pub fn len(&self) -> usize {
@@ -121,8 +107,12 @@ impl Corpus {
     }
 
     /// The largest item id referenced, plus one; zero for an empty corpus.
-    pub fn max_item_bound(&self) -> u32 {
-        self.clicks.iter().map(|it| it.0 + 1).max().unwrap_or(0)
+    pub fn max_item_bound(&self) -> u64 {
+        self.clicks
+            .iter()
+            .map(|it| u64::from(it.0) + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Clicks per item over every session, `n_items` entries long. A click
@@ -144,16 +134,6 @@ impl<'a> IntoIterator for &'a Corpus {
 
     fn into_iter(self) -> Self::IntoIter {
         Box::new(self.iter())
-    }
-}
-
-impl FromIterator<Session> for Corpus {
-    fn from_iter<T: IntoIterator<Item = Session>>(iter: T) -> Self {
-        let mut corpus = Corpus::new();
-        for s in iter {
-            corpus.push_session(&s);
-        }
-        corpus
     }
 }
 
@@ -188,18 +168,9 @@ mod tests {
 
     #[test]
     fn iterator_visits_in_order() {
-        let c: Corpus = vec![
-            Session {
-                user: UserId(0),
-                items: items(&[1]),
-            },
-            Session {
-                user: UserId(1),
-                items: items(&[2, 3]),
-            },
-        ]
-        .into_iter()
-        .collect();
+        let mut c = Corpus::new();
+        c.push(UserId(0), &items(&[1]));
+        c.push(UserId(1), &items(&[2, 3]));
         let users: Vec<UserId> = c.iter().map(|s| s.user).collect();
         assert_eq!(users, vec![UserId(0), UserId(1)]);
     }
@@ -210,6 +181,8 @@ mod tests {
         assert_eq!(c.max_item_bound(), 0);
         c.push(UserId(0), &items(&[0, 7, 2]));
         assert_eq!(c.max_item_bound(), 8);
+        c.push(UserId(1), &items(&[u32::MAX]));
+        assert_eq!(c.max_item_bound(), 1 << 32);
     }
 
     #[test]

@@ -20,15 +20,6 @@ macro_rules! id_newtype {
             pub fn index(self) -> usize {
                 self.0 as usize
             }
-
-            /// Builds an id from a raw array offset.
-            ///
-            /// # Panics
-            /// Panics if `index` does not fit into `u32`.
-            #[inline]
-            pub fn from_index(index: usize) -> Self {
-                Self(u32::try_from(index).expect("id overflows u32"))
-            }
         }
 
         impl From<u32> for $name {
@@ -82,20 +73,12 @@ mod tests {
 
     #[test]
     fn roundtrip_index() {
-        let id = ItemId::from_index(42);
-        assert_eq!(id.index(), 42);
-        assert_eq!(id, ItemId(42));
+        assert_eq!(ItemId(42).index(), 42);
     }
 
     #[test]
     fn display_is_raw_value() {
         assert_eq!(TokenId(7).to_string(), "7");
-    }
-
-    #[test]
-    #[should_panic(expected = "id overflows u32")]
-    fn from_index_overflow_panics() {
-        let _ = ItemId::from_index(u32::MAX as usize + 1);
     }
 
     #[test]

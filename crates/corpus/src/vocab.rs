@@ -107,12 +107,6 @@ impl TokenSpace {
         TokenId(self.si_offsets[slot] + value)
     }
 
-    /// Non-panicking [`Self::item`]: `None` when `item` is out of range.
-    #[inline]
-    pub fn try_item(&self, item: ItemId) -> Option<TokenId> {
-        (item.0 < self.n_items).then_some(TokenId(item.0))
-    }
-
     /// Non-panicking [`Self::side_info`]: `None` when `value` exceeds the
     /// feature's cardinality. The serving path uses this so a malformed
     /// request becomes a typed error instead of an out-of-bounds panic.

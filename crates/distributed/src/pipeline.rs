@@ -162,13 +162,7 @@ impl<'a> TrainingPipeline<'a> {
     /// pipeline's own partition and hot set, so a resumed pipeline trains
     /// on exactly the checkpointed stage-3/4 plan.
     pub fn train(&self) -> (EmbeddingStore, DistReport) {
-        train_distributed_prepared(
-            &self.enriched,
-            &self.corpus.sessions,
-            &self.config,
-            &self.partition,
-            &self.hot_set,
-        )
+        train_distributed_prepared(&self.enriched, &self.config, &self.partition, &self.hot_set)
     }
 }
 

@@ -274,7 +274,7 @@ impl Message {
 /// One worker's disjoint shard of the model: dense rows for the tokens it
 /// owns, indexed through the global partition map.
 #[derive(Debug)]
-pub struct Shard {
+struct Shard {
     /// Row index within the shard for each global token (`u32::MAX` = not
     /// owned).
     local_index: Vec<u32>,
@@ -914,7 +914,7 @@ mod tests {
             dim: 16,
             ..Default::default()
         };
-        let run = TnsRun::new(&enriched, &gen.sessions, &gen.catalog, &config);
+        let run = TnsRun::new(&enriched, &gen.catalog, &config);
         let mut machine = WorkerMachine::new(&run, 0);
         let members = run.partition().members();
         let request = |dim, context| {

@@ -142,15 +142,14 @@ pub fn build_partition(
 /// embedding store plus the run's accounting.
 pub fn train_distributed(
     enriched: &EnrichedCorpus<'_>,
-    sessions: &Corpus,
     catalog: &ItemCatalog,
     config: &DistConfig,
 ) -> (EmbeddingStore, DistReport) {
     // Pipeline stages 3–4, through the two calls `TrainingPipeline::prepare`
     // makes: partition + the shared set Q.
-    let partition = build_partition(config, sessions, catalog, enriched.space());
+    let partition = build_partition(config, enriched.sessions(), catalog, enriched.space());
     let hot = HotSet::top_k(enriched.vocab(), config.hot_set_size);
-    train_distributed_prepared(enriched, sessions, config, &partition, &hot)
+    train_distributed_prepared(enriched, config, &partition, &hot)
 }
 
 /// Trains from pre-built stage artifacts (the path the preparation
@@ -158,7 +157,6 @@ pub fn train_distributed(
 /// and hot set are reused instead of being re-derived).
 pub(crate) fn train_distributed_prepared(
     enriched: &EnrichedCorpus<'_>,
-    sessions: &Corpus,
     config: &DistConfig,
     partition: &PartitionMap,
     hot: &HotSet,
@@ -223,7 +221,7 @@ pub(crate) fn train_distributed_prepared(
         sync_rounds: ctx.sync_rounds.load(Ordering::Relaxed),
         tokens_processed: enriched.total_tokens() * config.epochs as u64,
         seconds,
-        cut_fraction: partition.cut_fraction(sessions),
+        cut_fraction: partition.cut_fraction(enriched.sessions()),
         imbalance: item_map.imbalance(item_freqs),
     };
     publish_report_to_obs(&report);

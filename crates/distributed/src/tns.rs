@@ -14,7 +14,7 @@ use crate::partition::PartitionMap;
 use crate::runtime::{build_partition, DistConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sisg_corpus::{Corpus, EnrichedCorpus, ItemCatalog, TokenId};
+use sisg_corpus::{EnrichedCorpus, ItemCatalog, TokenId};
 use sisg_sgns::sgd::{build_kept, steps, OutputRows};
 use sisg_sgns::sigmoid::SigmoidTable;
 use sisg_sgns::{linear_lr, NoiseTable, PairSampler, PairScratch, SubsampleTable, WindowMode};
@@ -77,11 +77,10 @@ impl<'a> TnsRun<'a> {
     /// Panics when `config.workers == 0`.
     pub fn new(
         enriched: &'a EnrichedCorpus<'a>,
-        sessions: &Corpus,
         catalog: &ItemCatalog,
         config: &'a DistConfig,
     ) -> Self {
-        let partition = build_partition(config, sessions, catalog, enriched.space());
+        let partition = build_partition(config, enriched.sessions(), catalog, enriched.space());
         let hot = HotSet::from_tokens(enriched.space().len(), Vec::new());
         Self::build(enriched, config, Cow::Owned(partition), Cow::Owned(hot))
     }
@@ -397,7 +396,7 @@ mod tests {
             negatives: 3,
             ..Default::default()
         };
-        let mut run = TnsRun::new(&enriched, &gen.sessions, &gen.catalog, &config);
+        let mut run = TnsRun::new(&enriched, &gen.catalog, &config);
         let (target, context) = (TokenId(3), TokenId(5));
         let mut rows = Matrix::zeros(enriched.space().len(), config.dim);
         let mut state = StepState::new(&config, 0, 0);

@@ -59,12 +59,6 @@ impl ItemGraph {
         self.n_items
     }
 
-    /// Number of directed edges.
-    #[inline]
-    pub fn n_edges(&self) -> u64 {
-        self.targets.len() as u64
-    }
-
     /// Outgoing edges of `item` as `(targets, weights)` slices.
     #[inline]
     pub fn out_edges(&self, item: ItemId) -> (&[ItemId], &[f32]) {
@@ -166,7 +160,6 @@ mod tests {
         let (split, lost) = g.split_by_top_category(&gen.catalog);
         assert!(lost > 0.0, "synthetic corpus has cross-category edges");
         assert!(lost < 0.5, "most weight stays within top-level categories");
-        assert!(split.n_edges() < g.n_edges());
         // Every surviving edge stays within one top-level category.
         for a in 0..split.n_items() {
             let item = ItemId(a);

@@ -28,7 +28,7 @@ use sisg_sgns::sigmoid::SigmoidTable;
 use sisg_sgns::{linear_lr, NoiseTable, PairSampler, WindowMode};
 
 /// Number of aggregated channels: the ID embedding plus the 8 SI features.
-pub const CHANNELS: usize = 1 + ItemFeature::COUNT;
+const CHANNELS: usize = 1 + ItemFeature::COUNT;
 
 /// EGES hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,16 +76,8 @@ impl Default for EgesConfig {
 
 /// A trained EGES model.
 pub struct EgesModel {
-    space: TokenSpace,
     /// Aggregated per-item representation `H_v`, L2-normalized.
     aggregated: Matrix,
-    /// Shared channel embeddings over the token space (items = ID channel,
-    /// SI ranges = SI channels).
-    input: Matrix,
-    /// Per-item attention logits.
-    attention: Matrix,
-    /// Fraction of edge weight lost when the category split is enabled.
-    split_loss: f64,
 }
 
 impl EgesModel {
@@ -97,10 +89,10 @@ impl EgesModel {
             corpus.users.n_user_types(),
         );
         let full_graph = ItemGraph::from_corpus(&corpus.sessions, corpus.config.n_items);
-        let (graph, split_loss) = if config.split_by_category {
-            full_graph.split_by_top_category(&corpus.catalog)
+        let graph = if config.split_by_category {
+            full_graph.split_by_top_category(&corpus.catalog).0
         } else {
-            (full_graph, 0.0)
+            full_graph
         };
         let walks = generate_walks(&graph, &config.walk);
 
@@ -196,25 +188,12 @@ impl EgesModel {
             sisg_embedding::math::normalize(aggregated.row_mut(v));
         }
 
-        Self {
-            space,
-            aggregated,
-            input,
-            attention,
-            split_loss,
-        }
+        Self { aggregated }
     }
 
     /// The normalized aggregated embedding `H_v` of an item.
-    pub fn embedding(&self, item: ItemId) -> &[f32] {
+    fn embedding(&self, item: ItemId) -> &[f32] {
         self.aggregated.row(item.index())
-    }
-
-    /// Attention weights (softmaxed) of an item, ID channel first.
-    pub fn attention_weights(&self, item: ItemId) -> [f32; CHANNELS] {
-        let mut alpha = [0.0f32; CHANNELS];
-        softmax_into(&self.attention, item.index(), &mut alpha);
-        alpha
     }
 
     /// Cosine similarity between two items' aggregated embeddings.
@@ -231,25 +210,6 @@ impl EgesModel {
             k,
             Some(TokenId(query.0)),
         )
-    }
-
-    /// Cold-start embedding from SI values only (uniform attention over the
-    /// SI channels; there is no trained ID embedding for a new item).
-    pub fn cold_embedding(&self, si_values: &[u32; ItemFeature::COUNT]) -> Vec<f32> {
-        let dim = self.aggregated.dim();
-        let mut h = vec![0.0f32; dim];
-        for f in ItemFeature::ALL {
-            let t = self.space.side_info(f, si_values[f.slot()]);
-            sisg_embedding::math::add_assign(&mut h, self.input.row(t.index()));
-        }
-        sisg_embedding::math::scale(&mut h, 1.0 / ItemFeature::COUNT as f32);
-        sisg_embedding::math::normalize(&mut h);
-        h
-    }
-
-    /// Edge-weight fraction dropped by the category split (0 when disabled).
-    pub fn split_loss(&self) -> f64 {
-        self.split_loss
     }
 }
 
@@ -418,19 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn attention_weights_are_a_distribution() {
-        let (_, model) = small_model(false);
-        let alpha = model.attention_weights(ItemId(0));
-        let sum: f32 = alpha.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        assert!(alpha.iter().all(|&a| a >= 0.0));
-    }
-
-    #[test]
     fn embeddings_are_normalized() {
-        let (_, model) = small_model(false);
-        let n = sisg_embedding::math::norm(model.embedding(ItemId(1)));
-        assert!((n - 1.0).abs() < 1e-4 || n == 0.0);
+        for split in [false, true] {
+            let (_, model) = small_model(split);
+            let n = sisg_embedding::math::norm(model.embedding(ItemId(1)));
+            assert!((n - 1.0).abs() < 1e-4 || n == 0.0);
+        }
     }
 
     #[test]
@@ -474,35 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn category_split_records_loss() {
-        let (_, model) = small_model(true);
-        assert!(model.split_loss() > 0.0);
-        let (_, unsplit) = small_model(false);
-        assert_eq!(unsplit.split_loss(), 0.0);
-    }
-
-    #[test]
-    fn attention_starts_uniform_and_moves() {
-        // Zero logits -> uniform attention before training touches an item.
-        let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
-        let config = EgesConfig {
-            dim: 8,
-            epochs: 0,
-            walk: WalkConfig {
-                walks_per_node: 1,
-                walk_length: 2,
-                seed: 1,
-            },
-            ..Default::default()
-        };
-        let model = EgesModel::train(&corpus, &config);
-        let alpha = model.attention_weights(ItemId(0));
-        for a in alpha {
-            assert!((a - 1.0 / CHANNELS as f32).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn similarity_is_symmetric() {
         let (_, model) = small_model(false);
         for a in 0..20u32 {
@@ -512,26 +436,5 @@ mod tests {
                 assert!((f - r).abs() < 1e-5, "EGES must be symmetric");
             }
         }
-    }
-
-    #[test]
-    fn cold_embedding_is_unit_and_si_driven() {
-        let (corpus, model) = small_model(false);
-        let si = *corpus.catalog.si_values(ItemId(3));
-        let cold = model.cold_embedding(&si);
-        let n = sisg_embedding::math::norm(&cold);
-        assert!((n - 1.0).abs() < 1e-4);
-        // The cold embedding of item 3's SI should resemble item 3 itself
-        // more than a random different-category item.
-        let sim_self = sisg_embedding::math::cosine(&cold, model.embedding(ItemId(3)));
-        let other = (0..corpus.config.n_items)
-            .map(ItemId)
-            .find(|&i| corpus.catalog.leaf_category(i) != corpus.catalog.leaf_category(ItemId(3)))
-            .unwrap();
-        let sim_other = sisg_embedding::math::cosine(&cold, model.embedding(other));
-        assert!(
-            sim_self > sim_other,
-            "cold {sim_self} should beat unrelated {sim_other}"
-        );
     }
 }

@@ -13,12 +13,12 @@ use crate::store::EmbeddingStore;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// File magic; bump the trailing digit on layout changes.
-pub const MAGIC: &[u8; 8] = b"SISGEMB1";
+const MAGIC: &[u8; 8] = b"SISGEMB1";
 
 /// Errors produced while decoding an embedding blob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The blob does not start with [`MAGIC`].
+    /// The blob does not start with the `SISGEMB1` magic.
     BadMagic,
     /// The blob is shorter than its header claims.
     Truncated {

@@ -240,17 +240,6 @@ pub fn fused_step(g: f32, v: &[f32], vp: &mut [f32], grad: &mut [f32]) {
     }
 }
 
-/// Serial-sum reference for the quantized kernels. Integer addition is
-/// associative, so unlike the f32 pair ([`dot`] vs [`dot_scalar_ref`])
-/// any blocking of [`dot_q8_i32`] or [`dot_q8_rows_i32`] must return
-/// *exactly* this sum — both are held to it at 0 ULP (it is the same
-/// integer) for every length by the remainder-sweep tests below.
-#[inline]
-pub fn dot_q8_scalar_ref(x: &[i8], y: &[i8]) -> i32 {
-    assert_eq!(x.len(), y.len(), "length mismatch");
-    x.iter().zip(y).map(|(&a, &b)| a as i32 * b as i32).sum()
-}
-
 /// Raw quantized dot product: i32 accumulation over i8 weights in
 /// 32-element blocks, each block a plain widening multiply-add loop that
 /// LLVM's loop vectorizer turns into SIMD code. The f32 [`dot`]'s manual
@@ -258,14 +247,14 @@ pub fn dot_q8_scalar_ref(x: &[i8], y: &[i8]) -> i32 {
 /// vectorization and measures ~3× slower at baseline x86-64 than this
 /// shape. Unlike the f32 kernels the blocking is invisible in the result
 /// — integer addition is associative, so every shape returns exactly the
-/// serial sum of [`dot_q8_scalar_ref`] (i8·i8 products and their sums
+/// serial sum (i8·i8 products and their sums
 /// never overflow i32 below 2³¹/127² ≈ 133k elements, far past any
 /// embedding dim here).
 ///
 /// # Panics
 /// Panics when the slices differ in length.
 #[inline]
-pub fn dot_q8_i32(x: &[i8], y: &[i8]) -> i32 {
+fn dot_q8_i32(x: &[i8], y: &[i8]) -> i32 {
     assert_eq!(x.len(), y.len(), "length mismatch");
     let mut acc = 0i32;
     let mut xc = x.chunks_exact(32);
@@ -284,7 +273,7 @@ pub fn dot_q8_i32(x: &[i8], y: &[i8]) -> i32 {
 }
 
 /// Quantized dot product rescaled to f32 score space: accumulates in i32
-/// via [`dot_q8_i32`] and multiplies by the *combined* scale
+/// via `dot_q8_i32` and multiplies by the *combined* scale
 /// (`row_scale · query_scale`) exactly once. The serving-side quantized
 /// scorer.
 ///
@@ -304,8 +293,8 @@ pub fn dot_q8(x: &[i8], y: &[i8], combined_scale: f32) -> f32 {
 /// sign-extended to i16 (`cvtepi8_epi16`) and multiplied pairwise into i32
 /// lanes (`madd_epi16`), so one widened query slice serves eight rows.
 /// Elsewhere, and under Miri (which does not execute AVX2 intrinsics), it
-/// is [`dot_q8_i32`] row by row. Integer sums are exact, so both paths
-/// return [`dot_q8_scalar_ref`] for every row.
+/// is `dot_q8_i32` row by row. Integer sums are exact, so both paths
+/// return the serial sum for every row.
 ///
 /// # Panics
 /// Panics when `rows.len() != out.len() · query.len()`.
@@ -419,6 +408,16 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serial-sum reference for the quantized kernels. Integer addition
+    /// is associative, so unlike the f32 pair ([`dot`] vs
+    /// [`dot_scalar_ref`]) any blocking of [`dot_q8_i32`] or
+    /// [`dot_q8_rows_i32`] must return *exactly* this sum — both are held
+    /// to it at 0 ULP for every length by the remainder sweeps below.
+    fn dot_q8_scalar_ref(x: &[i8], y: &[i8]) -> i32 {
+        assert_eq!(x.len(), y.len(), "length mismatch");
+        x.iter().zip(y).map(|(&a, &b)| a as i32 * b as i32).sum()
+    }
 
     fn seq(n: usize, salt: f32) -> Vec<f32> {
         (0..n).map(|i| ((i as f32) * 0.37 + salt).sin()).collect()

@@ -14,10 +14,10 @@ pub mod math;
 pub mod matrix;
 pub mod quant;
 pub mod store;
-pub mod topk;
+mod topk;
 pub mod word2vec;
 
 pub use matrix::{dot_slice_x4, Matrix, RowPtr};
-pub use quant::{dequantize_row, quantize_row, QuantMatrix, QuantQuery, QuantRows};
+pub use quant::{quantize_row, QuantMatrix, QuantQuery, QuantRows};
 pub use store::EmbeddingStore;
 pub use topk::{retrieve_top_k, retrieve_top_k_q8, retrieve_top_k_scaled, Neighbor, TopK};

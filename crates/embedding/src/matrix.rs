@@ -84,22 +84,18 @@ impl<'a> RowPtr<'a> {
         self.cells.is_empty()
     }
 
-    /// Reads element `d` (relaxed atomic load). Cold-path accessor: hot
-    /// loops must use the batched kernels (enforced by `xtask lint` in
-    /// the training crates).
-    ///
-    /// # Panics
-    /// Panics when `d >= len()`.
+    /// Reads element `d` (relaxed atomic load).
     #[inline]
-    pub fn get_elem(&self, d: usize) -> f32 {
+    fn get_elem(&self, d: usize) -> f32 {
         // ORDERING: Relaxed — independent f32 bit-cells; Hogwild tolerates stale
         // reads and lost updates, and no other memory is published through these
         // atomics (DESIGN.md §4). Word-width atomicity alone rules out tearing.
         f32::from_bits(self.cells[d].load(Ordering::Relaxed))
     }
 
-    /// Writes element `d` (relaxed atomic store). Cold-path accessor;
-    /// see [`RowPtr::get_elem`].
+    /// Writes element `d` (relaxed atomic store). Cold-path accessor: hot
+    /// loops must use the batched kernels (enforced by `xtask lint` in
+    /// the training crates).
     ///
     /// # Panics
     /// Panics when `d >= len()`.
@@ -110,7 +106,7 @@ impl<'a> RowPtr<'a> {
     }
 
     /// Adds `delta` to element `d` as a load/add/store sequence.
-    /// Cold-path accessor; see [`RowPtr::get_elem`].
+    /// Cold-path accessor; see [`RowPtr::set_elem`].
     ///
     /// Not an atomic fetch-add: a concurrent update between the load and
     /// the store is overwritten (a lost update, permitted by Hogwild).
@@ -196,52 +192,6 @@ impl<'a> RowPtr<'a> {
             acc += f32::from_bits(cell.load(Ordering::Relaxed)) * x;
         }
         acc
-    }
-
-    /// `self += a · x` over a whole row — the batched row-row update.
-    /// One length check instead of a bounds check per element; each
-    /// element update is still an independent relaxed load/add/store
-    /// (lost updates possible, tearing not). Unrolled 4-wide: elementwise,
-    /// so results are bit-identical to the scalar loop.
-    ///
-    /// # Examples
-    /// ```
-    /// use sisg_embedding::Matrix;
-    ///
-    /// let m = Matrix::from_data(2, 2, vec![1.0, 2.0, 10.0, 20.0]);
-    /// // row 1 += 0.5 · row 0
-    /// m.row_ptr(1).axpy_row(0.5, &m.row_ptr(0));
-    /// assert_eq!(m.row(1), &[10.5, 21.0]);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics when the rows differ in length.
-    #[inline]
-    pub fn axpy_row(&self, a: f32, x: &RowPtr<'_>) {
-        assert_eq!(self.len(), x.len(), "length mismatch");
-        let mut cc = self.cells.chunks_exact(4);
-        let mut xc = x.cells.chunks_exact(4);
-        // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
-        for (cells, xs) in (&mut cc).zip(&mut xc) {
-            let v0 = f32::from_bits(cells[0].load(Ordering::Relaxed))
-                + a * f32::from_bits(xs[0].load(Ordering::Relaxed));
-            let v1 = f32::from_bits(cells[1].load(Ordering::Relaxed))
-                + a * f32::from_bits(xs[1].load(Ordering::Relaxed));
-            let v2 = f32::from_bits(cells[2].load(Ordering::Relaxed))
-                + a * f32::from_bits(xs[2].load(Ordering::Relaxed));
-            let v3 = f32::from_bits(cells[3].load(Ordering::Relaxed))
-                + a * f32::from_bits(xs[3].load(Ordering::Relaxed));
-            cells[0].store(v0.to_bits(), Ordering::Relaxed);
-            cells[1].store(v1.to_bits(), Ordering::Relaxed);
-            cells[2].store(v2.to_bits(), Ordering::Relaxed);
-            cells[3].store(v3.to_bits(), Ordering::Relaxed);
-        }
-        // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
-        for (cell, xcell) in cc.remainder().iter().zip(xc.remainder()) {
-            let v = f32::from_bits(cell.load(Ordering::Relaxed))
-                + a * f32::from_bits(xcell.load(Ordering::Relaxed));
-            cell.store(v.to_bits(), Ordering::Relaxed);
-        }
     }
 
     /// `self += a · xs` with a plain-slice right-hand side. Unrolled
@@ -655,7 +605,7 @@ mod tests {
         let r1 = m.row_ptr(1);
         assert_eq!(r0.dot_slice(&[4.0, 5.0, 6.0]), r0.dot(&r1));
 
-        r1.axpy_row(2.0, &r0);
+        r1.axpy_slice(2.0, &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(1), &[6.0, 9.0, 12.0]);
 
         r1.axpy_slice(-1.0, &[1.0, 1.0, 1.0]);
@@ -761,7 +711,7 @@ mod tests {
             for d in 0..dim {
                 assert_eq!(m.row(0)[d], 2.0 * (d as f32 + 1.0));
             }
-            m.row_ptr(1).axpy_row(0.5, &m.row_ptr(0));
+            m.row_ptr(1).axpy_slice(0.5, m.row(0));
             for d in 0..dim {
                 assert_eq!(m.row(1)[d], d as f32 + 1.0);
             }

@@ -66,17 +66,6 @@ pub fn quantize_row(row: &[f32], out: &mut [i8]) -> f32 {
     scale
 }
 
-/// Dequantizes a row produced by [`quantize_row`] into `out`.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-pub fn dequantize_row(q: &[i8], scale: f32, out: &mut [f32]) {
-    assert_eq!(q.len(), out.len(), "length mismatch");
-    for (slot, &b) in out.iter_mut().zip(q) {
-        *slot = b as f32 * scale;
-    }
-}
-
 /// An owned int8 scale-per-row quantized matrix.
 #[derive(Debug, Clone)]
 pub struct QuantMatrix {
@@ -189,6 +178,14 @@ impl QuantQuery {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Dequantizes a row produced by [`quantize_row`] into `out`.
+    fn dequantize_row(q: &[i8], scale: f32, out: &mut [f32]) {
+        assert_eq!(q.len(), out.len(), "length mismatch");
+        for (slot, &b) in out.iter_mut().zip(q) {
+            *slot = b as f32 * scale;
+        }
+    }
 
     #[test]
     fn zero_row_roundtrips_exactly() {

@@ -78,12 +78,6 @@ impl EmbeddingStore {
         &mut self.input
     }
 
-    /// Mutable output matrix (single-threaded updates).
-    #[inline]
-    pub fn output_matrix_mut(&mut self) -> &mut Matrix {
-        &mut self.output
-    }
-
     /// Both matrices mutably at once — the entry point of the non-atomic
     /// exact training path (`threads == 1`), which needs simultaneous
     /// `&mut` access to input and output rows.

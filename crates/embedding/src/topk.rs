@@ -59,7 +59,7 @@ impl TopK {
     /// A collector for the best `k` of at least `offered` candidates,
     /// allocated once for `min(k, offered)` entries — never more than the
     /// caller already holds candidates for, whatever `k` a request names.
-    pub fn for_candidates(k: usize, offered: usize) -> Self {
+    fn for_candidates(k: usize, offered: usize) -> Self {
         Self {
             k,
             heap: BinaryHeap::with_capacity(k.min(offered)),

@@ -202,7 +202,7 @@ where
 
 /// [`explore`] with an explicit execution cap instead of the environment
 /// variable (used by tests so parallel tests never race on the process env).
-pub fn explore_with_cap<F>(cap: Option<u64>, build: F) -> Report
+fn explore_with_cap<F>(cap: Option<u64>, build: F) -> Report
 where
     F: Fn(&mut Alloc) -> (Vec<Body>, Checker),
 {

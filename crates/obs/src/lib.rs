@@ -12,9 +12,7 @@
 //!   ≤ 12.5% mid-point error) so p50/p90/p99 extraction never sorts samples
 //!   and recording never allocates.
 //! - [`Span`] wraps [`Stopwatch`] and records its duration into the
-//!   `<name>.us` histogram on [`Span::finish`]; an optional process-global
-//!   JSON-lines sink ([`set_span_sink`]) additionally appends one line per
-//!   finished span.
+//!   `<name>.us` histogram on [`Span::finish`].
 //!
 //! Instrumented crates must never record per training pair: they accumulate
 //! locally and flush per chunk / epoch / request, which is what keeps the
@@ -40,9 +38,9 @@
 //! let elapsed = s.finish();
 //! assert!(elapsed.as_nanos() > 0);
 //!
-//! // Snapshots serialize the whole registry to JSON.
+//! // Snapshots capture the whole registry (`Snapshot::write` saves JSON).
 //! let snap = registry().snapshot("demo");
-//! assert!(snap.to_json().contains("example.pairs_total"));
+//! assert!(snap.counters.iter().any(|(name, _)| name == "example.pairs_total"));
 //! ```
 
 mod fnv;
@@ -56,7 +54,7 @@ pub use fnv::Fnv1a;
 pub use metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{registry, Registry};
 pub use snapshot::{write_snapshot, HistogramSnapshot, Snapshot};
-pub use span::{clear_span_sink, set_span_sink, span, Span, Stopwatch};
+pub use span::{span, Span, Stopwatch};
 
 use std::sync::{Mutex, MutexGuard};
 

@@ -105,7 +105,7 @@ pub const SERVE_COLD_INDEX_BUILD_MS: &str = "serve.cold_index.build_ms";
 /// [`is_valid_tenant_label`] (lowercase ascii, digits, `_`; nonempty) so
 /// a tenant name can never collide with the `.`-separated catalog
 /// grammar.
-pub const SERVE_TENANT_PREFIX: &str = "serve.tenant.";
+const SERVE_TENANT_PREFIX: &str = "serve.tenant.";
 
 /// The declared per-tenant metric suffixes — the only names allowed
 /// after `serve.tenant.<label>.`. They are the engine's only per-request

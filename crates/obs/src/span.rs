@@ -4,12 +4,6 @@
 //! `xtask lint` bans raw `Instant::now()` elsewhere so a report struct and
 //! an obs snapshot can never disagree about the same wall-clock.
 
-use crate::lock;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A plain monotonic timer: report structs (`TrainStats.seconds`,
@@ -104,48 +98,6 @@ fn record_span(name: &'static str, elapsed: Duration) {
     crate::registry()
         .histogram(&format!("{name}.us"))
         .record_duration(elapsed);
-    // ORDERING: Relaxed — SINK_ACTIVE is only a fast-path hint; the sink
-    // itself is read under the SINK mutex, whose lock/unlock provides all
-    // the synchronization the writer handoff needs.
-    if SINK_ACTIVE.load(Ordering::Relaxed) {
-        let micros = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let mut guard = lock(&SINK);
-        if let Some(w) = guard.as_mut() {
-            // Best-effort: a full disk must not take training down.
-            let _ = writeln!(w, "{{\"span\":\"{name}\",\"us\":{micros}}}");
-            let _ = w.flush();
-        }
-    }
-}
-
-static SINK_ACTIVE: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
-
-/// Routes finished spans to a JSON-lines file (one
-/// `{"span":"<name>","us":<micros>}` object per line), creating parent
-/// directories. Replaces any previously installed sink.
-pub fn set_span_sink(path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let file = File::create(path)?;
-    *lock(&SINK) = Some(BufWriter::new(file));
-    // ORDERING: Relaxed — the flag is advisory (see record_span); the sink
-    // installation above is published by the SINK mutex, not this store.
-    SINK_ACTIVE.store(true, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Removes the span sink (flushing it) — spans keep feeding histograms.
-pub fn clear_span_sink() {
-    // ORDERING: Relaxed — advisory flag; the mutex-guarded take() below is
-    // what actually retires the writer.
-    SINK_ACTIVE.store(false, Ordering::Relaxed);
-    if let Some(mut w) = lock(&SINK).take() {
-        let _ = w.flush();
-    }
 }
 
 #[cfg(test)]
@@ -168,20 +120,6 @@ mod tests {
         }
         let after = crate::registry().histogram("span.test.drop.us").count();
         assert_eq!(after, before + 1);
-    }
-
-    #[test]
-    fn sink_writes_one_json_line_per_span() {
-        let dir = std::env::temp_dir().join("sisg_obs_sink_test");
-        let path = dir.join("spans.jsonl");
-        set_span_sink(&path).unwrap();
-        span("span.test.sink").finish();
-        clear_span_sink();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let line = content.lines().next().unwrap();
-        assert!(line.starts_with("{\"span\":\"span.test.sink\",\"us\":"));
-        assert!(line.ends_with('}'));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,12 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod profile;
-pub mod runner;
+mod runner;
 
-pub use profile::{
-    adversarial_hot_key, cold_start_heavy, head_heavy, promo_burst, standard_matrix,
-    ArrivalProcess, RequestMix, TenantProfile, TenantSlo,
-};
+pub use profile::{standard_matrix, ArrivalProcess, RequestMix, TenantProfile, TenantSlo};
 pub use runner::{
     engine_config, run_scenario, ScenarioConfig, ScenarioError, ScenarioReport, SloVerdict,
     TenantOutcome,

@@ -148,7 +148,7 @@ pub struct TenantProfile {
 /// shed-budget and cache shares, a steady arrival rate, and a strict
 /// zero-shed SLO — the tenant whose isolation the scenario matrix
 /// demonstrates.
-pub fn head_heavy(id: TenantId) -> TenantProfile {
+fn head_heavy(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "head_heavy")
             .shed_budget(8)
@@ -170,7 +170,7 @@ pub fn head_heavy(id: TenantId) -> TenantProfile {
 
 /// A "new arrivals" surface: mostly cold-item (Eq. 6) traffic under the
 /// EGES-style norm-weighted SI aggregation, ramping diurnally.
-pub fn cold_start_heavy(id: TenantId) -> TenantProfile {
+fn cold_start_heavy(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "cold_start")
             .shed_budget(4)
@@ -189,7 +189,7 @@ pub fn cold_start_heavy(id: TenantId) -> TenantProfile {
 
 /// A flash-sale promo page: browse-like mix, quiet between sales, sharp
 /// periodic bursts during them.
-pub fn promo_burst(id: TenantId) -> TenantProfile {
+fn promo_burst(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "promo_burst")
             .shed_budget(2)
@@ -214,7 +214,7 @@ pub fn promo_burst(id: TenantId) -> TenantProfile {
 /// and a hot-key hammer aimed at one shard. Its declared shed SLO is
 /// deliberately tight, so the scenario report shows it *failing its own
 /// verdict* while the other tenants stay green — the isolation claim.
-pub fn adversarial_hot_key(id: TenantId) -> TenantProfile {
+fn adversarial_hot_key(id: TenantId) -> TenantProfile {
     TenantProfile {
         config: TenantConfig::new(id, "adversarial")
             .shed_budget(1)

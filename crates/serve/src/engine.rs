@@ -458,7 +458,7 @@ impl ServeEngine {
     }
 
     /// The shard a request routes to.
-    pub fn shard_for(&self, req: &ServeRequest) -> usize {
+    fn shard_for(&self, req: &ServeRequest) -> usize {
         match *req {
             ServeRequest::Candidates { item, .. } => item.index() % self.config.n_shards(),
             ServeRequest::ColdUser {

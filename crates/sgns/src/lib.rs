@@ -40,4 +40,4 @@ pub use config::SgnsConfig;
 pub use noise::NoiseTable;
 pub use sampler::{PairSampler, SubsampleTable, WindowMode};
 pub use sgd::PairScratch;
-pub use trainer::{count_freqs, linear_lr, train, train_into, Sequences, TrainStats};
+pub use trainer::{linear_lr, train, train_into, Sequences, TrainStats};

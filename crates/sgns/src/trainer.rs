@@ -212,7 +212,7 @@ fn sgns_metrics() -> &'static SgnsMetrics {
 }
 
 /// Counts per-token frequencies of `seqs` over a vocabulary of `n_tokens`.
-pub fn count_freqs<S: Sequences + ?Sized>(seqs: &S, n_tokens: usize) -> Vec<u64> {
+fn count_freqs<S: Sequences + ?Sized>(seqs: &S, n_tokens: usize) -> Vec<u64> {
     let mut freqs = vec![0u64; n_tokens];
     let mut seq = Vec::new();
     for i in 0..seqs.n_sequences() {

@@ -534,14 +534,13 @@ fn machine_turn(
 /// Pure virtual time: no wall clock, no OS scheduling, no thread entropy —
 /// the outcome (trace hash, counters, and with `workers == 1` or a
 /// fault-free plan even the float bits) is a function of
-/// `(enriched, sessions, catalog, sim)` alone.
+/// `(enriched, catalog, sim)` alone.
 pub fn simulate(
     enriched: &EnrichedCorpus<'_>,
-    sessions: &Corpus,
     catalog: &ItemCatalog,
     sim: &SimConfig,
 ) -> SimOutcome {
-    let run = TnsRun::new(enriched, sessions, catalog, &sim.dist);
+    let run = TnsRun::new(enriched, catalog, &sim.dist);
     let mut engine = Sim::new(&run, sim.dist.workers, &sim.plan);
     let drained = engine.run(sim.max_events);
     let completed = drained
@@ -625,13 +624,13 @@ mod tests {
         let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
         let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
         let cfg = SimConfig::new(dist(3), FaultPlan::none());
-        let a = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
+        let a = simulate(&enriched, &corpus.catalog, &cfg);
         assert!(a.completed, "fault-free run must drain");
         assert!(a.report.pairs > 0);
         assert_eq!(a.report.messages, a.report.remote_pairs * 2);
         assert_eq!(a.report.retries, 0);
         assert_eq!(a.report.faults_injected, 0);
-        let b = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
+        let b = simulate(&enriched, &corpus.catalog, &cfg);
         assert_eq!(a.trace_hash, b.trace_hash, "virtual clock must replay");
         assert_eq!(a.events, b.events);
         assert_eq!(codec::encode(&a.store), codec::encode(&b.store));

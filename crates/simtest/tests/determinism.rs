@@ -37,8 +37,8 @@ fn same_seed_replays_to_identical_trace_and_bits() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
     let cfg = faulted(0xDEAD_BEEF);
-    let a = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
-    let b = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
+    let a = simulate(&enriched, &corpus.catalog, &cfg);
+    let b = simulate(&enriched, &corpus.catalog, &cfg);
     assert!(a.completed && b.completed);
     assert!(a.report.faults_injected > 0, "plan must actually inject");
     assert_eq!(a.trace_hash, b.trace_hash, "event traces diverged");
@@ -56,8 +56,8 @@ fn same_seed_replays_to_identical_trace_and_bits() {
 fn different_seeds_explore_different_schedules() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
-    let a = simulate(&enriched, &corpus.sessions, &corpus.catalog, &faulted(1));
-    let b = simulate(&enriched, &corpus.sessions, &corpus.catalog, &faulted(2));
+    let a = simulate(&enriched, &corpus.catalog, &faulted(1));
+    let b = simulate(&enriched, &corpus.catalog, &faulted(2));
     assert_ne!(
         a.trace_hash, b.trace_hash,
         "distinct seeds should produce distinct traces"
@@ -80,7 +80,7 @@ fn pinned_fault_seeds_reproduce_their_traces() {
     let got: Vec<(u64, u64, bool)> = PINNED
         .iter()
         .map(|&(seed, _)| {
-            let out = simulate(&enriched, &corpus.sessions, &corpus.catalog, &faulted(seed));
+            let out = simulate(&enriched, &corpus.catalog, &faulted(seed));
             (seed, out.trace_hash, out.completed)
         })
         .collect();

@@ -63,7 +63,7 @@ proptest! {
         }
 
         let sim = SimConfig::new(small_dist(workers), plan);
-        let out = simulate(&enriched, &corpus.sessions, &corpus.catalog, &sim);
+        let out = simulate(&enriched, &corpus.catalog, &sim);
         prop_assert!(
             out.completed,
             "schedule deadlocked: seed {seed:#x}, drop {drop_centi}%, dup {dup_centi}%, \
@@ -98,13 +98,11 @@ fn ten_percent_drop_rate_preserves_hit_rate() {
 
     let clean = simulate(
         &enriched,
-        &corpus.sessions,
         &corpus.catalog,
         &SimConfig::new(dist.clone(), FaultPlan::none()),
     );
     let lossy = simulate(
         &enriched,
-        &corpus.sessions,
         &corpus.catalog,
         &SimConfig::new(dist, FaultPlan::message_faults(0xD20D, 0.10, 0.0, 0.0)),
     );

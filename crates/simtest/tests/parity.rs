@@ -36,11 +36,9 @@ fn runtime_and_sim_agree_on_accounting_and_quality() {
     let config = dist();
     let dim = config.dim as u64;
 
-    let (rt_store, rt_report) =
-        train_distributed(&enriched, &corpus.sessions, &corpus.catalog, &config);
+    let (rt_store, rt_report) = train_distributed(&enriched, &corpus.catalog, &config);
     let sim = simulate(
         &enriched,
-        &corpus.sessions,
         &corpus.catalog,
         &SimConfig::new(config, FaultPlan::none()),
     );
@@ -94,10 +92,9 @@ fn hbgp_over_enriched_sequences_agrees_on_accounting() {
         strategy: PartitionStrategy::Hbgp { beta: 1.2 },
         ..dist()
     };
-    let (_, rt_report) = train_distributed(&enriched, &corpus.sessions, &corpus.catalog, &config);
+    let (_, rt_report) = train_distributed(&enriched, &corpus.catalog, &config);
     let sim = simulate(
         &enriched,
-        &corpus.sessions,
         &corpus.catalog,
         &SimConfig::new(config, FaultPlan::none()),
     );
@@ -121,7 +118,6 @@ fn one_simulated_worker_passes_no_messages() {
     };
     let sim = simulate(
         &enriched,
-        &corpus.sessions,
         &corpus.catalog,
         &SimConfig::new(config, FaultPlan::none()),
     );

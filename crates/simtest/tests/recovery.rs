@@ -31,7 +31,6 @@ fn crash_mid_epoch_recovers_within_five_percent_hit_rate() {
 
     let clean = simulate(
         &enriched,
-        &corpus.sessions,
         &corpus.catalog,
         &SimConfig::new(dist(), FaultPlan::none()),
     );
@@ -50,12 +49,7 @@ fn crash_mid_epoch_recovers_within_five_percent_hit_rate() {
         after_pairs: total_pairs * 3 / 4,
         down_ticks: 128,
     });
-    let crashed = simulate(
-        &enriched,
-        &corpus.sessions,
-        &corpus.catalog,
-        &SimConfig::new(dist(), plan),
-    );
+    let crashed = simulate(&enriched, &corpus.catalog, &SimConfig::new(dist(), plan));
     assert!(crashed.completed, "cluster never drained after the crash");
     assert_eq!(crashed.report.recoveries, 1, "exactly one restart expected");
     assert_eq!(crashed.report.faults_injected, 1);
@@ -87,12 +81,12 @@ fn crash_in_first_epoch_restores_from_initial_checkpoint() {
         down_ticks: 64,
     });
     let cfg = SimConfig::new(dist(), plan);
-    let a = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
+    let a = simulate(&enriched, &corpus.catalog, &cfg);
     assert!(a.completed);
     assert_eq!(a.report.recoveries, 1);
 
     // A crashy schedule replays just as deterministically as a clean one.
-    let b = simulate(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
+    let b = simulate(&enriched, &corpus.catalog, &cfg);
     assert_eq!(a.trace_hash, b.trace_hash);
     assert_eq!(a.events, b.events);
     assert_eq!(a.report, b.report);

@@ -205,11 +205,6 @@ impl IngestPipeline {
         &self.space
     }
 
-    /// Events ingested so far.
-    pub fn events_ingested(&self) -> u64 {
-        self.events
-    }
-
     /// Snapshots published so far.
     pub fn publishes(&self) -> u64 {
         self.publishes

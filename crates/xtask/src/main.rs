@@ -6,10 +6,11 @@
 //! ([`lexer`]), so keywords inside string literals and comments neither
 //! trip nor mask a rule. `cargo run -p xtask -- lint --list` prints the
 //! rule table (the same markdown table embedded in DESIGN.md §7 — a test
-//! keeps them identical); see [`rules::RULES`] for ids, scopes and the
-//! enforced invariants, from `safety-comment` (rule 1) through the
+//! keeps them identical); see `RULES` in [`rules`] for ids, scopes and
+//! the enforced invariants, from `safety-comment` (rule 1) through the
 //! concurrency-discipline rules `ordering-justified`,
-//! `guard-across-channel` and `no-sleep` (rules 8–10).
+//! `guard-across-channel` and `no-sleep` (rules 8–10) to the
+//! reachability gate `pub-reached` (rule 11).
 //!
 //! `cargo run -p xtask -- validate-metrics [--catalog <md>] <file>...`
 //! checks that emitted metrics files (`results/metrics/*.json`) parse

@@ -8,25 +8,26 @@
 //! it and a test pins DESIGN.md §7 to the same table verbatim.
 
 use crate::lexer::{lex, Token, TokenKind};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// One row of the rule table: stable id, rule name (the tag printed in
 /// violations), where it applies, and the enforced invariant.
-pub struct RuleInfo {
+struct RuleInfo {
     /// Stable numeric id (rule N in DESIGN.md §7).
-    pub id: u8,
+    id: u8,
     /// The short name violations are tagged with.
-    pub name: &'static str,
+    name: &'static str,
     /// Where the rule applies.
-    pub scope: &'static str,
+    scope: &'static str,
     /// One-line statement of the invariant.
-    pub summary: &'static str,
+    summary: &'static str,
 }
 
 /// The full rule table — the single source of truth for `lint --list`,
 /// DESIGN.md §7 (pinned by a test) and the scanner below.
-pub const RULES: [RuleInfo; 10] = [
+const RULES: [RuleInfo; 11] = [
     RuleInfo {
         id: 1,
         name: "safety-comment",
@@ -86,6 +87,12 @@ pub const RULES: [RuleInfo; 10] = [
         name: "no-sleep",
         scope: "non-test library code, compat/ exempt",
         summary: "`thread::sleep` and `yield_now` banned; block on channels/condvars or the simtest virtual clock",
+    },
+    RuleInfo {
+        id: 11,
+        name: "pub-reached",
+        scope: "non-test code of crates/*/src",
+        summary: "every `pub` item is named by another `.rs` file or by the signature of a reached `pub` item in its own file, else it carries a reasoned `REACH_ALLOWLIST` entry; a stale entry is an error too",
     },
 ];
 
@@ -151,7 +158,7 @@ const ASSERT_FREE_CRATES: &[&str] = &["crates/core", "crates/serve", "crates/sce
 /// plus the streaming ingest pipeline, which feeds live serve engines
 /// and must poison itself with a typed error rather than take down the
 /// ingest thread.
-pub const PANIC_FREE_FILES: &[&str] = &[
+const PANIC_FREE_FILES: &[&str] = &[
     "crates/distributed/src/protocol.rs",
     "crates/distributed/src/tns.rs",
     "crates/distributed/src/fault.rs",
@@ -169,7 +176,7 @@ const KERNEL_PATH_CRATES: &[&str] = &["crates/sgns", "crates/eges"];
 /// is scored on every cold-path ANN hop (DESIGN.md §11) and the streaming
 /// pipeline folds an incremental train step per ingest batch (DESIGN.md
 /// §12), so both stay on the slice kernels too.
-pub const KERNEL_PATH_FILES: &[&str] = &[
+const KERNEL_PATH_FILES: &[&str] = &[
     "crates/embedding/src/quant.rs",
     "crates/stream/src/pipeline.rs",
 ];
@@ -189,28 +196,30 @@ fn instant_exempt(rel_crate: &str) -> bool {
 /// Which rules apply to one file; computed per crate/file by
 /// [`run_lint`], injected directly by the rule self-tests.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ScanScope {
+struct ScanScope {
     /// The whole file is test code (`tests/`, `benches/`).
-    pub all_test: bool,
+    all_test: bool,
     /// Rule 4 applies.
-    pub panic_free: bool,
+    panic_free: bool,
     /// Rule 7 applies.
-    pub assert_free: bool,
+    assert_free: bool,
     /// Rule 5 applies.
-    pub obs_timing: bool,
+    obs_timing: bool,
     /// Rule 6 applies.
-    pub kernel_path: bool,
+    kernel_path: bool,
     /// Rule 8 applies.
-    pub ordering: bool,
+    ordering: bool,
     /// Rule 9 applies.
-    pub guard_channel: bool,
+    guard_channel: bool,
     /// Rule 10 applies.
-    pub no_sleep: bool,
+    no_sleep: bool,
 }
 
 /// Runs every rule over the workspace tree rooted at `root`.
 pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
+    // Every lexed `.rs` file, for rule 11's workspace-wide name index.
+    let mut lexed: Vec<(String, Vec<Token>)> = Vec::new();
     let mut crate_dirs = Vec::new();
     for holder in ["crates", "compat"] {
         crate_dirs.extend(list_crate_dirs(&root.join(holder))?);
@@ -253,6 +262,7 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
                 no_sleep: !compat,
             };
             violations.extend(scan_tokens(&rel, &tokens, scope));
+            lexed.push((rel_str, tokens));
         }
         if !saw_root {
             violations.push(Violation {
@@ -263,6 +273,17 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
             });
         }
     }
+    for dir in REACH_EXTRA_ROOTS {
+        if root.join(dir).is_dir() {
+            for file in rust_files(&root.join(dir))? {
+                let rel = file.strip_prefix(root).unwrap_or(&file);
+                let content = std::fs::read_to_string(&file)
+                    .map_err(|e| format!("read {}: {e}", file.display()))?;
+                lexed.push((rel.to_string_lossy().replace('\\', "/"), lex(&content)));
+            }
+        }
+    }
+    violations.extend(check_reachability(&lexed, REACH_ALLOWLIST));
     Ok(violations)
 }
 
@@ -407,12 +428,46 @@ impl TestRegionTracker {
     fn in_test(&self) -> bool {
         self.region_close_depth.is_some() || self.pending_attr
     }
+
+    /// Steps over `code[i]`: tracks the brace `depth` and opens or
+    /// closes a `#[cfg(test)]` region.
+    fn advance(&mut self, code: &[&Token], i: usize, depth: &mut i64) {
+        if code[i].kind != TokenKind::Punct {
+            return;
+        }
+        match code[i].text.as_str() {
+            "#" if punct(code, i + 1, "[")
+                && ident_is(code, i + 2, "cfg")
+                && punct(code, i + 3, "(")
+                && ident_is(code, i + 4, "test")
+                && punct(code, i + 5, ")")
+                && punct(code, i + 6, "]")
+                && self.region_close_depth.is_none() =>
+            {
+                self.pending_attr = true;
+            }
+            "{" => {
+                if self.pending_attr {
+                    self.pending_attr = false;
+                    self.region_close_depth = Some(*depth);
+                }
+                *depth += 1;
+            }
+            "}" => {
+                *depth -= 1;
+                if self.region_close_depth == Some(*depth) {
+                    self.region_close_depth = None;
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Rules 1, 2, 4, 5, 6, 7, 8, 9 and 10 over one file's source text
 /// (the self-test entry point; [`run_lint`] lexes once per file).
 #[cfg(test)]
-pub fn scan_file(rel: &Path, content: &str, scope: ScanScope) -> Vec<Violation> {
+fn scan_file(rel: &Path, content: &str, scope: ScanScope) -> Vec<Violation> {
     scan_tokens(rel, &lex(content), scope)
 }
 
@@ -439,34 +494,9 @@ fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation>
         let line = tok.line;
 
         // ---- structure tracking -------------------------------------
-        if tok.kind == TokenKind::Punct {
-            match tok.text.as_str() {
-                "#" if punct(&code, i + 1, "[")
-                    && ident_is(&code, i + 2, "cfg")
-                    && punct(&code, i + 3, "(")
-                    && ident_is(&code, i + 4, "test")
-                    && punct(&code, i + 5, ")")
-                    && punct(&code, i + 6, "]")
-                    && regions.region_close_depth.is_none() =>
-                {
-                    regions.pending_attr = true;
-                }
-                "{" => {
-                    if regions.pending_attr {
-                        regions.pending_attr = false;
-                        regions.region_close_depth = Some(depth);
-                    }
-                    depth += 1;
-                }
-                "}" => {
-                    depth -= 1;
-                    if regions.region_close_depth == Some(depth) {
-                        regions.region_close_depth = None;
-                    }
-                    guards.retain(|g| g.depth <= depth);
-                }
-                _ => {}
-            }
+        regions.advance(&code, i, &mut depth);
+        if punct(&code, i, "}") {
+            guards.retain(|g| g.depth <= depth);
         }
         let in_test = scope.all_test || regions.in_test();
 
@@ -734,6 +764,272 @@ fn detect_guard_binding(code: &[&Token], i: usize, depth: i64) -> Option<Guard> 
         depth,
         kind,
     })
+}
+
+/// Top-level directories outside `crates/` and `compat/` whose `.rs`
+/// files can reach a `pub` item for rule 11: the frozen benchmark, the
+/// root facade, its integration tests and the examples.
+const REACH_EXTRA_ROOTS: &[&str] = &["benchmark", "src", "tests", "examples"];
+
+/// Rule 11's exceptions: `(file, item, reason)` for a `pub` item that no
+/// other file names and no reached signature in its file mentions, kept
+/// on purpose. An entry whose item is gone or is now reached is itself a
+/// violation, so the list cannot rot.
+const REACH_ALLOWLIST: &[(&str, &str, &str)] = &[(
+    "crates/distributed/src/pipeline.rs",
+    "resume",
+    "coordinator-crash recovery (DESIGN.md §9): only its own test calls it, and recovery code stays",
+)];
+
+/// Item keywords whose next ident is a definition, not a use.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+];
+
+/// One non-test `pub` item (rule 11).
+struct PubItem {
+    kind: String,
+    name: String,
+    line: usize,
+    /// Idents of its signature: a fn's header, a type's fields or
+    /// variants, a const's type.
+    signature: HashSet<String>,
+}
+
+/// True for the files whose `pub` surface rule 11 checks:
+/// `crates/<crate>/src/…`.
+fn defines_surface(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
+}
+
+/// The idents a file *uses*: every ident except the names its own item
+/// definitions introduce and the paths of its `use` declarations (an
+/// import or re-export reaches nothing by itself).
+fn used_names<'a>(code: &[&'a Token]) -> HashSet<&'a str> {
+    let mut names = HashSet::new();
+    let mut i = 0;
+    while i < code.len() {
+        if ident_is(code, i, "use") {
+            while i < code.len() && !punct(code, i, ";") {
+                i += 1;
+            }
+        } else if code[i].kind == TokenKind::Ident
+            && !(i > 0 && ident_in(code, i - 1, ITEM_KEYWORDS))
+        {
+            names.insert(code[i].text.as_str());
+        }
+        i += 1;
+    }
+    names
+}
+
+/// The non-test `pub` items of one file: `pub` (not `pub(crate)`) plus
+/// optional `const`/`unsafe`/`async`/`extern "C"` qualifiers, then an
+/// item keyword other than `mod`.
+fn pub_items(code: &[&Token]) -> Vec<PubItem> {
+    let mut items = Vec::new();
+    let mut depth = 0;
+    let mut regions = TestRegionTracker::default();
+    for i in 0..code.len() {
+        regions.advance(code, i, &mut depth);
+        if regions.in_test() || !ident_is(code, i, "pub") || punct(code, i + 1, "(") {
+            continue;
+        }
+        let mut j = i + 1;
+        loop {
+            if ident_in(code, j, &["unsafe", "async"])
+                || (ident_is(code, j, "const") && ident_in(code, j + 1, &["fn", "unsafe", "async"]))
+            {
+                j += 1;
+            } else if ident_is(code, j, "extern") {
+                j += 1;
+                if code.get(j).is_some_and(|t| t.kind == TokenKind::Str) {
+                    j += 1;
+                }
+            } else {
+                break;
+            }
+        }
+        if !ident_in(code, j, ITEM_KEYWORDS) || ident_is(code, j, "mod") {
+            continue;
+        }
+        let Some(name) = code.get(j + 1).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        let kind = code[j].text.as_str();
+        let end = signature_end(code, j + 2, kind);
+        items.push(PubItem {
+            kind: kind.to_string(),
+            name: name.text.clone(),
+            line: name.line,
+            signature: signature_names(code, j + 2, end, kind),
+        });
+    }
+    items
+}
+
+/// One past the last token of an item's signature, scanning from
+/// `start`: a fn, type alias, const or static stops at its body, `=` or
+/// `;`; a struct, enum, union or trait runs through its braced body.
+fn signature_end(code: &[&Token], start: usize, kind: &str) -> usize {
+    let body_is_signature = matches!(kind, "struct" | "enum" | "union" | "trait");
+    let mut nest = 0i64;
+    for (j, t) in code.iter().enumerate().skip(start) {
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "{" if nest == 0 && !body_is_signature => return j,
+            "(" | "[" | "{" => nest += 1,
+            ")" | "]" => nest -= 1,
+            "}" => {
+                nest -= 1;
+                if nest == 0 {
+                    return j + 1;
+                }
+            }
+            ";" if nest == 0 => return j,
+            "=" if nest == 0 && matches!(kind, "const" | "static") => return j,
+            _ => {}
+        }
+    }
+    code.len()
+}
+
+/// The idents of the signature `code[start..end]` that name other items:
+/// binding names (`name: Type` parameters and fields) are dropped, and so
+/// are the types of a struct's non-`pub` fields.
+fn signature_names(code: &[&Token], start: usize, end: usize, kind: &str) -> HashSet<String> {
+    let has_fields = matches!(kind, "struct" | "union");
+    let mut names = HashSet::new();
+    let mut braces = 0;
+    let mut public_field = true;
+    for k in start..end {
+        if punct(code, k, "{") {
+            braces += 1;
+        } else if punct(code, k, "}") {
+            braces -= 1;
+        }
+        if code[k].kind != TokenKind::Ident {
+            continue;
+        }
+        if punct(code, k + 1, ":") && !punct(code, k + 2, ":") {
+            if has_fields && braces == 1 {
+                public_field = ident_is(code, k.saturating_sub(1), "pub");
+            }
+            continue;
+        }
+        if !has_fields || braces == 0 || public_field {
+            names.insert(code[k].text.clone());
+        }
+    }
+    names
+}
+
+/// Marks the items a reached item's signature names as reached, until
+/// nothing changes.
+fn close_over_signatures(items: &[PubItem], reached: &mut [bool]) {
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in 0..items.len() {
+            if !reached[i] {
+                continue;
+            }
+            for k in 0..items.len() {
+                if !reached[k] && items[i].signature.contains(&items[k].name) {
+                    reached[k] = true;
+                    changed = true;
+                }
+            }
+        }
+    }
+}
+
+/// Rule 11 over every lexed file (`(workspace-relative path, tokens)`):
+/// each `pub` item of `crates/*/src` must be named by another file, by a
+/// reached signature in its own file, or by an `allow` entry — and every
+/// entry must name a present, otherwise unreached item.
+fn check_reachability(
+    files: &[(String, Vec<Token>)],
+    allow: &[(&str, &str, &str)],
+) -> Vec<Violation> {
+    let code: Vec<Vec<&Token>> = files
+        .iter()
+        .map(|(_, tokens)| tokens.iter().filter(|t| !is_comment(t)).collect())
+        .collect();
+    let used: Vec<HashSet<&str>> = code.iter().map(|c| used_names(c)).collect();
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for names in &used {
+        for name in names {
+            *files_naming.entry(name).or_default() += 1;
+        }
+    }
+    let mut violations = Vec::new();
+    let mut entry_seen = vec![false; allow.len()];
+    for (f, (path, _)) in files.iter().enumerate() {
+        if !defines_surface(path) {
+            continue;
+        }
+        let items = pub_items(&code[f]);
+        let mut reached: Vec<bool> = items
+            .iter()
+            .map(|it| {
+                let own = usize::from(used[f].contains(it.name.as_str()));
+                files_naming.get(it.name.as_str()).copied().unwrap_or(0) > own
+            })
+            .collect();
+        close_over_signatures(&items, &mut reached);
+        let mut kept = reached.clone();
+        for (e, (entry_path, entry_item, _)) in allow.iter().enumerate() {
+            if entry_path != path {
+                continue;
+            }
+            let matching: Vec<usize> = (0..items.len())
+                .filter(|&i| items[i].name == *entry_item)
+                .collect();
+            entry_seen[e] = !matching.is_empty();
+            if matching.iter().any(|&i| reached[i]) {
+                violations.push(Violation {
+                    path: PathBuf::from(path),
+                    line: items[matching[0]].line,
+                    rule: "pub-reached",
+                    message: format!(
+                        "REACH_ALLOWLIST entry `{entry_item}` is stale: the item is reached now; drop the entry"
+                    ),
+                });
+            }
+            for i in matching {
+                kept[i] = true;
+            }
+        }
+        close_over_signatures(&items, &mut kept);
+        for (item, _) in items.iter().zip(&kept).filter(|(_, &k)| !k) {
+            violations.push(Violation {
+                path: PathBuf::from(path),
+                line: item.line,
+                rule: "pub-reached",
+                message: format!(
+                    "`pub {} {}` is named by no other `.rs` file and by no reached signature in this file; delete it, narrow it, or add a reasoned REACH_ALLOWLIST entry",
+                    item.kind, item.name
+                ),
+            });
+        }
+    }
+    for ((entry_path, entry_item, _), seen) in allow.iter().zip(entry_seen) {
+        if !seen {
+            violations.push(Violation {
+                path: PathBuf::from(entry_path),
+                line: 1,
+                rule: "pub-reached",
+                message: format!(
+                    "REACH_ALLOWLIST entry `{entry_item}` is stale: no non-test `pub` item of that name is left here; drop the entry"
+                ),
+            });
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -1022,7 +1318,6 @@ mod tests {
         let test_src = "#[cfg(test)]\nmod tests {\n fn f() { Instant::now(); }\n}\n";
         assert!(scan(test_src, false).is_empty());
         assert!(instant_exempt("crates/obs"));
-        assert!(instant_exempt("compat/criterion"));
         assert!(!instant_exempt("crates/sgns"));
     }
 
@@ -1195,6 +1490,106 @@ mod tests {
         // Mentions in comments/strings never fire.
         let ok = "// callers must not sleep() here\nfn f() { let s = \"yield_now()\"; }\n";
         assert!(scan_no_sleep(ok).is_empty());
+    }
+
+    // ---- rule 11: pub-reached --------------------------------------
+
+    fn reach(files: &[(&str, &str)], allow: &[(&str, &str, &str)]) -> Vec<Violation> {
+        let lexed: Vec<(String, Vec<Token>)> = files
+            .iter()
+            .map(|(path, src)| (path.to_string(), lex(src)))
+            .collect();
+        check_reachability(&lexed, allow)
+    }
+
+    #[test]
+    fn seeded_unused_pub_fn_fails() {
+        let lib = "pub fn used() {}\npub fn orphan() {}\n";
+        let v = reach(
+            &[
+                ("crates/a/src/lib.rs", lib),
+                ("crates/b/src/lib.rs", "fn f() { a::used(); }\n"),
+            ],
+            &[],
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("pub-reached", 2));
+        assert!(v[0].message.contains("orphan"));
+    }
+
+    #[test]
+    fn a_name_in_benchmark_or_another_crates_tests_reaches() {
+        for user in ["benchmark/src/main.rs", "crates/b/tests/t.rs"] {
+            let v = reach(
+                &[
+                    ("crates/a/src/lib.rs", "pub fn probe() {}\n"),
+                    (user, "fn main() { a::probe(); }\n"),
+                ],
+                &[],
+            );
+            assert!(v.is_empty(), "{user}: {v:?}");
+        }
+        // A re-export, a same-named definition and the item's own test
+        // module reach nothing.
+        let lib =
+            "pub fn probe() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::probe(); }\n}\n";
+        let other = "pub use a::probe;\nfn probe() {}\n// probe()\n";
+        let v = reach(
+            &[("crates/a/src/lib.rs", lib), ("crates/b/src/x.rs", other)],
+            &[],
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("probe"));
+    }
+
+    #[test]
+    fn a_type_named_by_a_live_signature_is_reached() {
+        let lib = "pub enum LoadError { Bad }\n\
+                   pub const WIDTH: usize = 4;\n\
+                   pub fn load(buf: Inner) -> Result<[u8; WIDTH], LoadError> { todo!() }\n\
+                   pub struct Inner { hidden: Hidden }\n\
+                   pub struct Hidden;\n\
+                   pub fn buf() {}\n";
+        let v = reach(
+            &[
+                ("crates/a/src/lib.rs", lib),
+                ("tests/t.rs", "fn t() { a::load(); }\n"),
+            ],
+            &[],
+        );
+        // `Inner` is reached through `load`; a private field's type and a
+        // parameter name are not signatures.
+        let flagged: Vec<&str> = v.iter().map(|v| v.message.as_str()).collect();
+        assert_eq!(v.len(), 2, "{flagged:?}");
+        assert!(flagged[0].contains("struct Hidden") && flagged[1].contains("fn buf"));
+    }
+
+    #[test]
+    fn an_allowlist_entry_for_a_gone_or_reached_item_fails() {
+        let lib = (
+            "crates/a/src/lib.rs",
+            "pub fn kept() {}\npub fn live() {}\n",
+        );
+        let user = ("src/lib.rs", "fn f() { a::live(); }\n");
+        let kept = ("crates/a/src/lib.rs", "kept", "reason");
+        assert!(reach(&[lib, user], &[kept]).is_empty());
+        for (stale, needle) in [("live", "reached now"), ("gone", "no non-test")] {
+            let v = reach(
+                &[lib, user],
+                &[kept, ("crates/a/src/lib.rs", stale, "reason")],
+            );
+            assert_eq!(v.len(), 1, "{stale}: {v:?}");
+            assert!(v[0].message.contains(stale) && v[0].message.contains(needle));
+        }
+    }
+
+    #[test]
+    fn allowlist_is_short_and_reasoned() {
+        assert!(REACH_ALLOWLIST.len() <= 10);
+        for (path, item, reason) in REACH_ALLOWLIST {
+            assert!(defines_surface(path), "{path}");
+            assert!(!item.is_empty() && !reason.trim().is_empty(), "{item}");
+        }
     }
 
     // ---- rule table / registry -------------------------------------

@@ -79,11 +79,6 @@ else
   skip tsan "nightly + rust-src unavailable"
 fi
 
-step benches-compile
-# Criterion benches are not run in CI (too slow, too noisy) but must keep
-# compiling — they pin the public kernel/trainer APIs.
-cargo build --release --benches -p sisg-bench
-
 step metrics-smoke "emit a snapshot and validate its shape"
 # A fast instrumented experiment writes its obs snapshot into a scratch
 # results tree; validate-metrics fails on unparsable or misshapen JSON.

@@ -58,7 +58,7 @@ fn distributed_hit_rate_is_comparable_to_single_process() {
         strategy: PartitionStrategy::Hbgp { beta: 1.2 },
         ..Default::default()
     };
-    let (store, report) = train_distributed(&enriched, &split.train, &corpus.catalog, &dist_cfg);
+    let (store, report) = train_distributed(&enriched, &corpus.catalog, &dist_cfg);
     let space = TokenSpace::new(
         corpus.config.n_items,
         corpus.catalog.cardinalities(),
@@ -93,7 +93,7 @@ fn comm_structure_matches_design_claims() {
             strategy,
             ..Default::default()
         };
-        train_distributed(&enriched, &corpus.sessions, &corpus.catalog, &cfg).1
+        train_distributed(&enriched, &corpus.catalog, &cfg).1
     };
     let hbgp_q = run(PartitionStrategy::Hbgp { beta: 1.2 }, 64);
     let hash_q = run(PartitionStrategy::Hash, 64);
@@ -122,7 +122,7 @@ fn distributed_store_serves_all_token_kinds() {
         sync_interval: 500,
         ..Default::default()
     };
-    let (store, _) = train_distributed(&enriched, &corpus.sessions, &corpus.catalog, &cfg);
+    let (store, _) = train_distributed(&enriched, &corpus.catalog, &cfg);
     assert_eq!(store.n_tokens(), enriched.space().len());
     // Retrieval over the full joint space works.
     let hits = retrieve_top_k(
