@@ -282,6 +282,8 @@ struct Shard {
     pub(crate) input: Matrix,
     /// Output (context-side) rows of the owned tokens.
     pub(crate) output: Matrix,
+    /// Shard-local rows of the step tokens of the current TNS call.
+    step_rows: Vec<TokenId>,
 }
 
 impl Shard {
@@ -302,6 +304,7 @@ impl Shard {
             // row-for-row equality with a single-process initialization.
             input: Matrix::uniform_init(count as usize, dim, seed ^ (me as u64) << 17),
             output: Matrix::zeros(count as usize, dim),
+            step_rows: Vec::new(),
         }
     }
 
@@ -317,17 +320,28 @@ impl Shard {
         r as usize
     }
 
+    /// Fills `step_rows` with the shard-local rows of `ts`.
+    #[inline]
+    fn map_step_rows(&mut self, ts: &[TokenId]) {
+        let Shard {
+            local_index,
+            step_rows,
+            ..
+        } = self;
+        step_rows.clear();
+        step_rows.extend(ts.iter().map(|t| {
+            let r = local_index[t.index()];
+            debug_assert_ne!(r, u32::MAX, "token not owned by this shard");
+            TokenId(r)
+        }));
+    }
+
     /// True when `token` is a row of this shard (false for any token
     /// outside the token space).
     fn owns(&self, token: TokenId) -> bool {
         self.local_index
             .get(token.index())
             .is_some_and(|&r| r != u32::MAX)
-    }
-
-    #[inline]
-    fn local(&self, token: TokenId) -> TokenId {
-        TokenId(self.row(token) as u32)
     }
 
     /// Copies this shard's owned rows into global matrices.
@@ -352,22 +366,16 @@ impl Shard {
 
 impl OutputRows for Shard {
     // Step tokens map to shard-local rows: a bijection, so distinct tokens
-    // stay distinct and the batched dot phase sees the same step list.
+    // stay distinct and every run of `steps` sees the same step list.
     #[inline]
-    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
-        self.output.dot(self.local(t), v)
+    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]) {
+        self.map_step_rows(ts);
+        self.output.dot_rows(&self.step_rows, v, scores);
     }
     #[inline]
-    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
-        self.output.dot_x4(
-            [self.local(a), self.local(b), self.local(c), self.local(d)],
-            v,
-        )
-    }
-    #[inline]
-    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
-        let local = self.local(t);
-        self.output.fused_step(local, g, v, grad);
+    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
+        self.map_step_rows(ts);
+        self.output.fused_step_rows(&self.step_rows, gs, v, grad);
     }
 }
 
@@ -933,5 +941,47 @@ mod tests {
             machine.deliver(request(16, members[0][0])),
             Delivered::Reply { to: 1, .. }
         ));
+    }
+
+    /// The TNS shard scores and steps through the same kernels as the
+    /// global matrices: shard-local scores are `dot_scalar_ref` of the
+    /// owned rows, bit for bit, and a step lands on exactly the rows the
+    /// per-row `fused_step` would write, repeated tokens included.
+    #[test]
+    fn shard_scores_and_steps_like_the_reference_kernels() {
+        use sisg_embedding::kernels;
+        let dim = 37;
+        // Tokens 0..40, worker 1 owns the odd ones.
+        let owners: Vec<u16> = (0..40).map(|t| (t % 2) as u16).collect();
+        let partition = PartitionMap::new(owners, 2);
+        let mut shard = Shard::new(&partition, 1, dim, 9);
+        for t in (1..40).step_by(2) {
+            let row = shard.row(TokenId(t));
+            let values: Vec<f32> = (0..dim)
+                .map(|d| ((t as usize * 31 + d) as f32 * 0.37).sin())
+                .collect();
+            shard.output.row_mut(row).copy_from_slice(&values);
+        }
+        let v: Vec<f32> = (0..dim).map(|d| (d as f32 * 0.11).cos()).collect();
+        let ts: Vec<TokenId> = [3, 17, 5, 39, 1, 17, 23].map(TokenId).to_vec();
+
+        let mut scores = vec![0.0f32; ts.len()];
+        shard.dots(&ts, &v, &mut scores);
+        for (t, got) in ts.iter().zip(&scores) {
+            let want = kernels::dot_scalar_ref(shard.output.row(shard.row(*t)), &v);
+            assert_eq!(got.to_bits(), want.to_bits(), "token {t}");
+        }
+
+        let gs: Vec<f32> = (0..ts.len()).map(|k| 0.01 * (k as f32 - 3.0)).collect();
+        let mut reference = shard.output.clone();
+        let mut want_grad = vec![0.0f32; dim];
+        for (t, &g) in ts.iter().zip(&gs) {
+            kernels::fused_step(g, &v, reference.row_mut(shard.row(*t)), &mut want_grad);
+        }
+        let mut grad = vec![0.0f32; dim];
+        shard.fused_steps(&ts, &gs, &v, &mut grad);
+        let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(shard.output.as_slice()), bits(reference.as_slice()));
+        assert_eq!(bits(&grad), bits(&want_grad));
     }
 }

@@ -1,27 +1,23 @@
 //! The batched, unrolled kernel layer behind every SGD inner loop and
 //! serving-side scorer (DESIGN.md §8).
 //!
-//! Two kernel families live here, split by *numeric contract*:
+//! Two dot orders live here, each a contract:
 //!
-//! - **Order-preserving kernels** (`dot_ordered`, `dot_ordered_x4`, their
-//!   `_scaled` siblings, `fused_step`, `axpy`, `add_assign`, `scale`):
-//!   every f32 operation on a given element happens in exactly the order
-//!   the naive scalar loop performs it, so results are *bit-identical* to
-//!   the reference implementation. The training paths use only these —
-//!   single-threaded training output is reproducible across kernel-layer
-//!   versions (enforced by the golden checksum test in `crates/sgns`).
-//!   `dot_ordered_x4` gets its speed without reordering: it interleaves
-//!   four *independent* serial accumulation chains, one per row, which
-//!   hides the ~4-cycle FP-add latency that makes a single serial dot
-//!   throughput-starved.
-//! - **Reduction-reordering kernels** (`dot`, with [`dot_scalar_ref`] as
-//!   its semantic definition): 8-wide unrolled with 4 independent
-//!   accumulators (`acc[i % 4] += x[i] * y[i]`, combined as
-//!   `(a0 + a1) + (a2 + a3)`). Up to ~4× faster than the serial chain, but
-//!   the reordered reduction shifts low-order bits, so these serve the
-//!   retrieval / evaluation / serving scorers where bit-reproducibility
-//!   across versions is not contractual (results are still deterministic
-//!   within a build).
+//! - **Serial order** (`dot_ordered`, `dot_ordered_x4`, their `_scaled`
+//!   siblings): one left-to-right accumulation chain per row, the order of
+//!   the naive scalar loop. The serving scan (`topk`) uses it;
+//!   `dot_ordered_x4` gets its speed without reordering by interleaving
+//!   four *independent* chains, one per row.
+//! - **Lane order** (`dot`, `dot_rows`, with [`dot_scalar_ref`] as their
+//!   semantic definition): four accumulators (`acc[i % 4] += x[i] * y[i]`,
+//!   combined as `(a0 + a1) + (a2 + a3)`), so one dot is a chain of
+//!   `len / 4` adds instead of `len`. Every training score uses it —
+//!   `dot_rows` on the exact path, `RowPtr::dot_slice(_x4)` on the Hogwild
+//!   one — and so do the evaluation and serving scorers behind
+//!   [`crate::math::dot`]. Each kernel returns exactly `dot_scalar_ref`'s
+//!   bits, so single-threaded training output is reproducible across
+//!   kernel-layer versions (enforced by the golden checksum test in
+//!   `crates/sgns`).
 //!
 //! Elementwise kernels (`axpy` and friends) have no reduction, so loop
 //! unrolling and auto-vectorization cannot change their results: each
@@ -34,8 +30,10 @@
 //! soundness rules there (per-element relaxed atomics, no SIMD over
 //! atomic memory) are why the two implementations are separate.
 
-/// Strict left-to-right dot product — the order-preserving reference used
-/// by the training paths.
+use sisg_corpus::TokenId;
+
+/// Strict left-to-right dot product — the serial order of the serving
+/// scan.
 ///
 /// # Panics
 /// Panics when the slices differ in length.
@@ -155,7 +153,7 @@ pub fn dot_scalar_ref(x: &[f32], y: &[f32]) -> f32 {
 /// Dot product, 8-wide unrolled with 4 independent accumulators — the
 /// throughput kernel behind [`crate::math::dot`] and the serving scorers.
 /// Reduction order is [`dot_scalar_ref`]'s lane order, *not* the serial
-/// order; training paths use [`dot_ordered`] instead.
+/// order: the order of every training score ([`dot_rows`]).
 ///
 /// # Panics
 /// Panics when the slices differ in length.
@@ -185,6 +183,157 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         acc[i % 4] += a * b;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// The lane-order dots of listed rows of a row-major block:
+/// `out[k] = dot(row rows[k], y)` bit for bit, where row `t` is
+/// `block[t·dim ..][..dim]` and `dim = y.len()` — the training paths'
+/// scoring pass. Four rows share one pass over `y`, each with its own
+/// four lane accumulators, which turns the latency-bound chain of one dot
+/// into a throughput-bound pass; the last one to three rows share one
+/// more.
+///
+/// # Panics
+/// Panics when `out.len() != rows.len()` or a row lies outside the block.
+#[inline]
+pub fn dot_rows(block: &[f32], rows: &[TokenId], y: &[f32], out: &mut [f32]) {
+    assert_eq!(rows.len(), out.len(), "length mismatch");
+    let dim = y.len();
+    let row = |t: &TokenId| &block[t.index() * dim..][..dim];
+    let (quads, rest) = rows.as_chunks::<DOT_GROUP>();
+    let (out_quads, out_rest) = out.as_chunks_mut::<DOT_GROUP>();
+    for (q, o) in quads.iter().zip(out_quads) {
+        *o = dot_block(q.each_ref().map(row), y);
+    }
+    match rest {
+        [] => {}
+        [a] => out_rest.copy_from_slice(&dot_block([row(a)], y)),
+        [a, b] => out_rest.copy_from_slice(&dot_block([row(a), row(b)], y)),
+        [a, b, c] => out_rest.copy_from_slice(&dot_block([row(a), row(b), row(c)], y)),
+        _ => unreachable!("as_chunks leaves fewer than {DOT_GROUP} rows"),
+    }
+}
+
+/// Rows [`dot_rows`] scores in one pass over `y`.
+const DOT_GROUP: usize = 4;
+
+/// `K` [`dot`]s against a shared right-hand side, each in
+/// [`dot_scalar_ref`]'s lane order: row `r` keeps its own four lane
+/// accumulators, element `i` goes to lane `i % 4`, and the lanes combine as
+/// `(a0 + a1) + (a2 + a3)`. Result `r` is bit-identical to
+/// `dot(rows[r], y)`. Every row is as long as `y` (sliced so by the caller).
+#[inline]
+fn dot_block<const K: usize>(rows: [&[f32]; K], y: &[f32]) -> [f32; K] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: SSE is part of the x86_64 baseline, so every x86_64 CPU
+        // runs it.
+        unsafe { sse::dot_block(rows, y) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        dot_block_portable(rows, y)
+    }
+}
+
+/// The portable path of [`dot_block`]: the four lanes of every row as a
+/// plain array.
+#[cfg(any(not(target_arch = "x86_64"), test))]
+fn dot_block_portable<const K: usize>(rows: [&[f32]; K], y: &[f32]) -> [f32; K] {
+    let (ys, y_tail) = y.as_chunks::<4>();
+    let full = y.len() - y_tail.len();
+    let mut acc = [[0.0f32; 4]; K];
+    for (c, yc) in ys.iter().enumerate() {
+        for (a, r) in acc.iter_mut().zip(rows) {
+            for j in 0..4 {
+                a[j] += r[c * 4 + j] * yc[j];
+            }
+        }
+    }
+    lane_tails(&mut acc, rows, full, y_tail);
+    acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
+}
+
+/// The elements past the last whole chunk of four, added into their lanes:
+/// the tail starts at a multiple of four, so its element `j` is lane `j`.
+#[inline]
+fn lane_tails<const K: usize>(
+    acc: &mut [[f32; 4]; K],
+    rows: [&[f32]; K],
+    full: usize,
+    y_tail: &[f32],
+) {
+    for (a, r) in acc.iter_mut().zip(rows) {
+        for (j, (&x, &yv)) in r[full..].iter().zip(y_tail).enumerate() {
+            a[j] += x * yv;
+        }
+    }
+}
+
+/// SSE body of the lane-order dots. SSE is part of the x86_64 baseline, so
+/// no run-time detection is needed; one 128-bit register holds a row's
+/// four lane accumulators, which is the lane order itself (the plain-array
+/// form vectorizes across rows instead, with a shuffle per product).
+#[cfg(target_arch = "x86_64")]
+mod sse {
+    use super::lane_tails;
+    use std::arch::x86_64::{
+        __m128, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_mul_ps,
+        _mm_setzero_ps, _mm_shuffle_ps, _mm_storeu_ps,
+    };
+
+    /// Loads four f32s.
+    #[inline(always)]
+    fn load(x: &[f32; 4]) -> __m128 {
+        // SAFETY: `x` is four readable f32s, exactly the 16 bytes the
+        // unaligned 128-bit load reads.
+        unsafe { _mm_loadu_ps(x.as_ptr()) }
+    }
+
+    /// The register's four lanes as an array.
+    #[inline(always)]
+    fn lanes(v: __m128) -> [f32; 4] {
+        let mut out = [0.0f32; 4];
+        // SAFETY: `out` is four writable f32s, exactly the 16 bytes the
+        // unaligned 128-bit store writes.
+        unsafe { _mm_storeu_ps(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// [`super::dot_block`] with each row's lanes in one register.
+    ///
+    /// # Panics
+    /// Panics when a row's length differs from `y.len()`.
+    #[inline]
+    #[target_feature(enable = "sse")]
+    pub(super) fn dot_block<const K: usize>(rows: [&[f32]; K], y: &[f32]) -> [f32; K] {
+        for r in rows {
+            assert_eq!(r.len(), y.len(), "length mismatch");
+        }
+        let (ys, y_tail) = y.as_chunks::<4>();
+        let starts = rows.map(<[f32]>::as_ptr);
+        let mut acc = [_mm_setzero_ps(); K];
+        for (c, yc) in ys.iter().enumerate() {
+            let yv = load(yc);
+            for (a, &p) in acc.iter_mut().zip(&starts) {
+                // SAFETY: every row is as long as `y` (asserted above) and
+                // (c + 1)·4 ≤ y.len(), so the four f32s at c·4 are in the row.
+                let x = unsafe { _mm_loadu_ps(p.add(c * 4)) };
+                *a = _mm_add_ps(*a, _mm_mul_ps(x, yv));
+            }
+        }
+        if y_tail.is_empty() {
+            // (a0 + a1) + (a2 + a3) in registers: pairwise sums, then the
+            // high pair onto the low one.
+            return acc.map(|a| {
+                let pairs = _mm_add_ps(a, _mm_shuffle_ps::<0b10_11_00_01>(a, a));
+                _mm_cvtss_f32(_mm_add_ss(pairs, _mm_movehl_ps(pairs, pairs)))
+            });
+        }
+        let mut acc = acc.map(lanes);
+        lane_tails(&mut acc, rows, y.len() - y_tail.len(), y_tail);
+        acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
+    }
 }
 
 /// `y += a · x`. Elementwise, so unrolling cannot change results; the
@@ -237,6 +386,107 @@ pub fn fused_step(g: f32, v: &[f32], vp: &mut [f32], grad: &mut [f32]) {
         let old = *out;
         *slot += g * old;
         *out = old + g * x;
+    }
+}
+
+/// [`fused_step`] over several rows of one row-major block, in one pass
+/// per eight-element chunk: for each chunk the input gradient is loaded
+/// once, every row `rows[k]` (`block[rows[k]·dim ..][..dim]`, with
+/// `dim = v.len()`) takes its step with `gs[k]` in list order, and the
+/// gradient is stored once — instead of a load and a store of `grad` per
+/// row. Every element sees the same operations in the same order as
+/// `fused_step(gs[k], v, row k, grad)` called for `k = 0, 1, …`, so the
+/// result is bit-identical to that loop, repeated rows included (a
+/// repeated row reads back what its earlier step stored).
+///
+/// On an AVX2 host the chunks are 256-bit registers (multiply and add,
+/// never a fused multiply-add, so the rounding is the scalar loop's).
+/// Elsewhere, and under Miri, the portable twin runs the same chunks on
+/// plain arrays. Every row index is bounds-checked before either path runs.
+///
+/// # Panics
+/// Panics when `gs.len() != rows.len()`, `grad.len() != v.len()`, or a
+/// row lies outside the block.
+pub fn fused_step_rows(
+    block: &mut [f32],
+    rows: &[TokenId],
+    gs: &[f32],
+    v: &[f32],
+    grad: &mut [f32],
+) {
+    assert_eq!(rows.len(), gs.len(), "length mismatch");
+    assert_eq!(v.len(), grad.len(), "length mismatch");
+    let dim = v.len();
+    if dim == 0 {
+        return;
+    }
+    if let Some(top) = rows.iter().map(|t| t.index()).max() {
+        let end = (top + 1).checked_mul(dim);
+        assert!(
+            end.is_some_and(|end| end <= block.len()),
+            "row {top} out of bounds"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if !cfg!(miri) && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above; every
+            // row index was checked against the block just before.
+            unsafe { avx2::fused_step_rows(block, rows, gs, v, grad) };
+            return;
+        }
+    }
+    fused_step_rows_portable(block, rows, gs, v, grad);
+}
+
+/// Elements per chunk of [`fused_step_rows`]: one 256-bit register.
+const STEP_CHUNK: usize = 8;
+
+/// The portable path of [`fused_step_rows`]: the same chunk-outer loop on
+/// plain arrays. The caller has checked the lengths and every row index.
+fn fused_step_rows_portable(
+    block: &mut [f32],
+    rows: &[TokenId],
+    gs: &[f32],
+    v: &[f32],
+    grad: &mut [f32],
+) {
+    let dim = v.len();
+    let (v_chunks, v_tail) = v.as_chunks::<STEP_CHUNK>();
+    let (g_chunks, g_tail) = grad.as_chunks_mut::<STEP_CHUNK>();
+    for (c, (acc, x)) in g_chunks.iter_mut().zip(v_chunks).enumerate() {
+        let off = c * STEP_CHUNK;
+        for (t, &g) in rows.iter().zip(gs) {
+            let start = t.index() * dim + off;
+            let row = &mut block[start..start + STEP_CHUNK];
+            for j in 0..STEP_CHUNK {
+                let old = row[j];
+                acc[j] += g * old;
+                row[j] = old + g * x[j];
+            }
+        }
+    }
+    fused_step_rows_tail(block, rows, gs, v_tail, g_tail, dim);
+}
+
+/// The last `dim % 8` elements of every row of [`fused_step_rows`], one
+/// element at a time (both paths).
+fn fused_step_rows_tail(
+    block: &mut [f32],
+    rows: &[TokenId],
+    gs: &[f32],
+    v_tail: &[f32],
+    g_tail: &mut [f32],
+    dim: usize,
+) {
+    let off = dim - v_tail.len();
+    for (j, (slot, &x)) in g_tail.iter_mut().zip(v_tail).enumerate() {
+        for (t, &g) in rows.iter().zip(gs) {
+            let cell = &mut block[t.index() * dim + off + j];
+            let old = *cell;
+            *slot += g * old;
+            *cell = old + g * x;
+        }
     }
 }
 
@@ -322,11 +572,96 @@ fn dot_q8_rows_i32_scalar(rows: &[i8], query: &[i8], out: &mut [i32]) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::dot_q8_i32;
+    use super::{dot_q8_i32, fused_step_rows_tail, STEP_CHUNK};
+    use sisg_corpus::TokenId;
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_hadd_epi32, _mm256_madd_epi16,
-        _mm256_permute2x128_si256, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
+        __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi8_epi16, _mm256_hadd_epi32,
+        _mm256_loadu_ps, _mm256_madd_epi16, _mm256_mul_ps, _mm256_permute2x128_si256,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps,
+        _mm256_storeu_si256, _mm_loadu_si128,
     };
+
+    /// The AVX2 body of [`super::fused_step_rows`]: the gradient stays in
+    /// registers across every row, 32 elements (four registers) at a time,
+    /// then 8, then the scalar tail. The caller has checked the lengths and
+    /// that every row lies inside `block`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fused_step_rows(
+        block: &mut [f32],
+        rows: &[TokenId],
+        gs: &[f32],
+        v: &[f32],
+        grad: &mut [f32],
+    ) {
+        let dim = v.len();
+        let base = block.as_mut_ptr();
+        let mut off = 0;
+        while off + 4 * STEP_CHUNK <= dim {
+            // SAFETY: rows are in bounds (caller) and off + 32 ≤ dim.
+            unsafe { step_block::<4>(base, dim, rows, gs, off, v, grad) };
+            off += 4 * STEP_CHUNK;
+        }
+        while off + STEP_CHUNK <= dim {
+            // SAFETY: rows are in bounds (caller) and off + 8 ≤ dim.
+            unsafe { step_block::<1>(base, dim, rows, gs, off, v, grad) };
+            off += STEP_CHUNK;
+        }
+        if off < dim {
+            fused_step_rows_tail(block, rows, gs, &v[off..], &mut grad[off..], dim);
+        }
+    }
+
+    /// Elements `off .. off + 8·K` of every row's step, with that slice of
+    /// the gradient held in `K` registers across the rows.
+    ///
+    /// # Safety
+    /// `base` points at a block of whole rows of `dim` f32s that only this
+    /// pointer touches while the call runs, every row in `rows` lies inside
+    /// it, and `off + 8·K ≤ dim == v.len() == grad.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn step_block<const K: usize>(
+        base: *mut f32,
+        dim: usize,
+        rows: &[TokenId],
+        gs: &[f32],
+        off: usize,
+        v: &[f32],
+        grad: &mut [f32],
+    ) {
+        let (xs, _) = v[off..off + K * STEP_CHUNK].as_chunks::<STEP_CHUNK>();
+        let (acc_slots, _) = grad[off..off + K * STEP_CHUNK].as_chunks_mut::<STEP_CHUNK>();
+        let mut x = [_mm256_setzero_ps(); K];
+        let mut acc = [_mm256_setzero_ps(); K];
+        for ((xk, ak), (src, slot)) in x.iter_mut().zip(&mut acc).zip(xs.iter().zip(&*acc_slots)) {
+            // SAFETY: both are arrays of eight f32s, exactly the 32 bytes the
+            // unaligned 256-bit loads read.
+            unsafe {
+                *xk = _mm256_loadu_ps(src.as_ptr());
+                *ak = _mm256_loadu_ps(slot.as_ptr());
+            }
+        }
+        for (t, &g) in rows.iter().zip(gs) {
+            let g = _mm256_set1_ps(g);
+            // SAFETY: the row lies inside the block and off + 8·K ≤ dim (the
+            // contract above), so the 8·K f32s at t·dim + off are row t's.
+            let p = unsafe { base.add(t.index() * dim + off) };
+            for (k, (ak, xk)) in acc.iter_mut().zip(&x).enumerate() {
+                // SAFETY: as above, `p + k·8` starts eight f32s of row t.
+                unsafe {
+                    let q = p.add(k * STEP_CHUNK);
+                    let old = _mm256_loadu_ps(q);
+                    *ak = _mm256_add_ps(*ak, _mm256_mul_ps(g, old));
+                    _mm256_storeu_ps(q, _mm256_add_ps(old, _mm256_mul_ps(g, *xk)));
+                }
+            }
+        }
+        for (ak, slot) in acc.iter().zip(acc_slots) {
+            // SAFETY: `slot` is eight f32s, exactly the 32 bytes the
+            // unaligned 256-bit store writes.
+            unsafe { _mm256_storeu_ps(slot.as_mut_ptr(), *ak) };
+        }
+    }
 
     /// Rows reduced together: eight i32 accumulators plus the widened
     /// query slice and one temporary fit the sixteen ymm registers.
@@ -562,6 +897,88 @@ mod tests {
                     assert_eq!(portable[r], reference, "dim={dim} n={n} row={r}");
                 }
             }
+        }
+    }
+
+    /// The dispatched lane-order block (SSE on x86_64) and its portable
+    /// twin return `dot_scalar_ref`'s bits for every group size and length.
+    #[test]
+    fn dot_block_matches_scalar_ref_on_both_paths() {
+        fn check<const K: usize>(dim: usize) {
+            let rows: Vec<Vec<f32>> = (0..K).map(|r| seq(dim, r as f32 + 0.25)).collect();
+            let refs: [&[f32]; K] = std::array::from_fn(|r| rows[r].as_slice());
+            let y = seq(dim, 7.5);
+            let (fast, portable) = (dot_block(refs, &y), dot_block_portable(refs, &y));
+            for r in 0..K {
+                let want = dot_scalar_ref(refs[r], &y).to_bits();
+                assert_eq!(fast[r].to_bits(), want, "K={K} dim={dim} row={r}");
+                assert_eq!(portable[r].to_bits(), want, "K={K} dim={dim} row={r}");
+            }
+        }
+        for dim in 0..=40 {
+            check::<1>(dim);
+            check::<2>(dim);
+            check::<3>(dim);
+            check::<4>(dim);
+        }
+    }
+
+    /// The dispatched register-blocked step (AVX2 where the host has it)
+    /// and the portable twin both equal `fused_step` row by row, repeated
+    /// rows included, for dims 1..=40 and 1..=24 rows.
+    #[test]
+    fn fused_step_rows_matches_sequential_on_both_paths() {
+        for dim in 1..=40 {
+            for n in 1..=24 {
+                let block = seq(9 * dim, n as f32 * 0.1);
+                let rows: Vec<TokenId> = (0..n)
+                    .map(|k| TokenId(((k * 4 + dim) % 9) as u32))
+                    .collect();
+                let gs: Vec<f32> = (0..n).map(|k| 0.01 * (k as f32 - 7.5)).collect();
+                let v = seq(dim, 3.3);
+                let grad = seq(dim, 4.4);
+                let mut want = (block.clone(), grad.clone());
+                for (t, &g) in rows.iter().zip(&gs) {
+                    let r = t.index() * dim;
+                    fused_step(g, &v, &mut want.0[r..r + dim], &mut want.1);
+                }
+                let mut fast = (block.clone(), grad.clone());
+                fused_step_rows(&mut fast.0, &rows, &gs, &v, &mut fast.1);
+                let mut portable = (block, grad);
+                fused_step_rows_portable(&mut portable.0, &rows, &gs, &v, &mut portable.1);
+                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                for (got, path) in [(&fast, "dispatched"), (&portable, "portable")] {
+                    assert_eq!(bits(&got.0), bits(&want.0), "{path} dim={dim} n={n}");
+                    assert_eq!(bits(&got.1), bits(&want.1), "{path} dim={dim} n={n}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Dispatched vs portable on arbitrary values, like the int8 block
+        /// kernel's sweep above: the step kernel and the dot block agree
+        /// bit for bit whichever path the host takes.
+        #[test]
+        fn dispatched_and_portable_kernels_agree(
+            data in proptest::collection::vec(-3.0f32..3.0, 48..600),
+            picks in proptest::collection::vec(0u32..8, 1..24),
+            dim in 1usize..72,
+        ) {
+            let dim = dim.min(data.len() / 8);
+            let (block, v) = (&data[..8 * dim], &data[data.len() - dim..]);
+            let rows: Vec<TokenId> = picks.iter().map(|&p| TokenId(p)).collect();
+            let gs: Vec<f32> = picks.iter().map(|&p| (p as f32 - 3.5) * 0.02).collect();
+            let mut fast = (block.to_vec(), vec![0.0f32; dim]);
+            fused_step_rows(&mut fast.0, &rows, &gs, v, &mut fast.1);
+            let mut portable = (block.to_vec(), vec![0.0f32; dim]);
+            fused_step_rows_portable(&mut portable.0, &rows, &gs, v, &mut portable.1);
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            proptest::prelude::prop_assert_eq!(bits(&fast.0), bits(&portable.0));
+            proptest::prelude::prop_assert_eq!(bits(&fast.1), bits(&portable.1));
+            let quad: [&[f32]; 4] = std::array::from_fn(|r| &block[r * dim..(r + 1) * dim]);
+            let (a, b) = (dot_block(quad, v), dot_block_portable(quad, v));
+            proptest::prelude::prop_assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
         }
     }
 

@@ -1,15 +1,13 @@
 //! Vector math for the retrieval / evaluation / serving paths, backed by
 //! the unrolled kernels in [`crate::kernels`].
 //!
-//! [`dot`] here uses the reduction-reordering 4-accumulator kernel — fast,
-//! deterministic within a build, but *not* the bit-reproducible serial
-//! order the training loops require. Training goes through the
-//! order-preserving kernels on [`crate::matrix::RowPtr`] and in
-//! [`crate::kernels`] instead (see DESIGN.md §8).
+//! [`dot`] here uses the 4-accumulator lane-order kernel, the order the
+//! training scores use too (`kernels::dot_rows`, `RowPtr::dot_slice`);
+//! the serving scan keeps the serial order (see DESIGN.md §8).
 
 use crate::kernels;
 
-/// Inner product `x · y` (unrolled, reduction-reordered — serving path).
+/// Inner product `x · y` (unrolled, lane order).
 ///
 /// # Panics
 /// Panics when the slices differ in length.

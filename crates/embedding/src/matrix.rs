@@ -35,6 +35,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sisg_corpus::TokenId;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A dense `rows × dim` matrix of `f32`, stored as atomic bit cells so
@@ -59,13 +60,13 @@ pub struct Matrix {
 /// The batched methods ([`RowPtr::dot_slice`], [`RowPtr::axpy_slice`],
 /// [`RowPtr::fused_grad_step`], [`RowPtr::accumulate_scaled`], …) are the
 /// *only* way hot loops should touch a row; per-element access through
-/// `get_elem`/`set_elem`/`add_elem` in `crates/sgns` and `crates/eges` is
-/// rejected by `xtask lint`. Reductions here preserve strict serial
-/// summation order so the single-threaded training path stays
-/// bit-reproducible — the batched speedup comes from [`dot_slice_x4`],
-/// which interleaves four *independent* serial chains, never from
-/// reordering one chain. Elementwise kernels are unrolled 4-wide, which
-/// cannot change results (each element's ops keep their order).
+/// `get_elem`/`set_elem`/`add_elem` in the training crates and the TNS
+/// files is rejected by `xtask lint`. The training dots reduce in
+/// [`crate::kernels::dot_scalar_ref`]'s lane order, the order of the
+/// exact path's `kernels::dot_rows`, so the Hogwild and exact training
+/// paths score alike bit for bit; [`dot_slice_x4`] runs four rows' lanes
+/// side by side. Elementwise kernels are unrolled 4-wide, which cannot
+/// change results (each element's ops keep their order).
 #[derive(Clone, Copy)]
 pub struct RowPtr<'a> {
     cells: &'a [AtomicU32],
@@ -167,11 +168,12 @@ impl<'a> RowPtr<'a> {
     }
 
     /// Dot product of the row with a plain slice via relaxed loads —
-    /// THE training dot kernel. Accumulation is a strict left-to-right
-    /// serial chain; this order is contractual (the golden-checksum test
-    /// in `crates/sgns` pins it). To compute several dots fast, batch
-    /// independent rows through [`dot_slice_x4`] rather than reordering
-    /// this reduction.
+    /// THE Hogwild training dot. It reduces in
+    /// [`crate::kernels::dot_scalar_ref`]'s lane order (element `i` into
+    /// accumulator `i % 4`, combined as `(a0 + a1) + (a2 + a3)`), so it
+    /// returns the bits of `kernels::dot` over the same values: the Hogwild
+    /// and exact training paths score alike. Four rows at once go through
+    /// [`dot_slice_x4`].
     ///
     /// # Examples
     /// ```
@@ -186,12 +188,21 @@ impl<'a> RowPtr<'a> {
     #[inline]
     pub fn dot_slice(&self, xs: &[f32]) -> f32 {
         assert_eq!(self.len(), xs.len(), "length mismatch");
-        let mut acc = 0.0f32;
+        let (cells, cell_tail) = self.cells.as_chunks::<4>();
+        let (xc, x_tail) = xs.as_chunks::<4>();
+        let mut acc = [0.0f32; 4];
         // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
-        for (cell, &x) in self.cells.iter().zip(xs) {
-            acc += f32::from_bits(cell.load(Ordering::Relaxed)) * x;
+        for (cs, x) in cells.iter().zip(xc) {
+            for j in 0..4 {
+                acc[j] += f32::from_bits(cs[j].load(Ordering::Relaxed)) * x[j];
+            }
         }
-        acc
+        // The tail starts at a multiple of four: its element `j` is lane `j`.
+        // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
+        for (j, (cell, &x)) in cell_tail.iter().zip(x_tail).enumerate() {
+            acc[j] += f32::from_bits(cell.load(Ordering::Relaxed)) * x;
+        }
+        (acc[0] + acc[1]) + (acc[2] + acc[3])
     }
 
     /// `self += a · xs` with a plain-slice right-hand side. Unrolled
@@ -311,15 +322,11 @@ impl<'a> RowPtr<'a> {
     }
 }
 
-/// Four order-preserving [`RowPtr::dot_slice`] products against a shared
-/// right-hand side, with the four serial accumulation chains interleaved
-/// for instruction-level parallelism — the batched dot phase of the SGD
-/// step. Each result is bit-identical to `rows[i].dot_slice(xs)`; only
-/// the scheduling changes, so this is safe on the bit-reproducible
-/// training path *when the four rows are known to be distinct* (a row fed
-/// to two lanes would observe no writes either way — the kernel only
-/// loads — but callers batch steps, and steps write; the distinctness
-/// requirement lives in the caller, see `sisg-sgns`).
+/// Four [`RowPtr::dot_slice`] products against a shared right-hand side
+/// — the Hogwild twin of [`crate::kernels::dot_rows`]: every row keeps its
+/// own four lane accumulators, so result `r` is bit-identical to
+/// `rows[r].dot_slice(xs)` and the sixteen independent chains only change
+/// the scheduling. The kernel only loads; rows may repeat.
 ///
 /// # Panics
 /// Panics when any row's length differs from `xs.len()`.
@@ -328,26 +335,25 @@ pub fn dot_slice_x4(rows: [RowPtr<'_>; 4], xs: &[f32]) -> [f32; 4] {
     for r in &rows {
         assert_eq!(r.len(), xs.len(), "length mismatch");
     }
-    let [r0, r1, r2, r3] = rows;
-    let mut a0 = 0.0f32;
-    let mut a1 = 0.0f32;
-    let mut a2 = 0.0f32;
-    let mut a3 = 0.0f32;
-    let it = r0
-        .cells
-        .iter()
-        .zip(r1.cells)
-        .zip(r2.cells)
-        .zip(r3.cells)
-        .zip(xs);
-    // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
-    for ((((c0, c1), c2), c3), &x) in it {
-        a0 += f32::from_bits(c0.load(Ordering::Relaxed)) * x;
-        a1 += f32::from_bits(c1.load(Ordering::Relaxed)) * x;
-        a2 += f32::from_bits(c2.load(Ordering::Relaxed)) * x;
-        a3 += f32::from_bits(c3.load(Ordering::Relaxed)) * x;
+    let (xc, x_tail) = xs.as_chunks::<4>();
+    let full = xs.len() - x_tail.len();
+    let mut acc = [[0.0f32; 4]; 4];
+    for (c, x) in xc.iter().enumerate() {
+        for (a, r) in acc.iter_mut().zip(&rows) {
+            let cells = &r.cells[c * 4..c * 4 + 4];
+            // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
+            for j in 0..4 {
+                a[j] += f32::from_bits(cells[j].load(Ordering::Relaxed)) * x[j];
+            }
+        }
     }
-    [a0, a1, a2, a3]
+    for (a, r) in acc.iter_mut().zip(&rows) {
+        // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
+        for (j, (cell, &x)) in r.cells[full..].iter().zip(x_tail).enumerate() {
+            a[j] += f32::from_bits(cell.load(Ordering::Relaxed)) * x;
+        }
+    }
+    acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
 }
 
 impl std::fmt::Debug for RowPtr<'_> {
@@ -481,6 +487,38 @@ impl Matrix {
         // no other view of the cells exists, so a unique `&mut [f32]` is
         // sound.
         unsafe { std::slice::from_raw_parts_mut(cells.as_mut_ptr().cast::<f32>(), cells.len()) }
+    }
+
+    /// The training scores of several rows at once, exact path:
+    /// [`crate::kernels::dot_rows`] over this matrix's buffer —
+    /// `out[k]` is `kernels::dot(self.row(rows[k]), v)`, bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `v.len() != dim()`, `out.len() != rows.len()`, or a row
+    /// is out of bounds.
+    #[inline]
+    pub fn dot_rows(&self, rows: &[TokenId], v: &[f32], out: &mut [f32]) {
+        assert_eq!(v.len(), self.dim, "length mismatch");
+        crate::kernels::dot_rows(self.as_slice(), rows, v, out);
+    }
+
+    /// The fused SGD steps of several rows at once, exact path:
+    /// [`crate::kernels::fused_step_rows`] over this matrix's buffer —
+    /// bit-identical to [`crate::kernels::fused_step`] on `rows[k]` with
+    /// `gs[k]`, for `k` in order.
+    ///
+    /// # Panics
+    /// Panics when `v.len() != dim()`, on any length mismatch, or when a
+    /// row is out of bounds.
+    #[inline]
+    pub fn fused_step_rows(&mut self, rows: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
+        assert_eq!(v.len(), self.dim, "length mismatch");
+        // SAFETY: same layout argument as `row_mut`, over the whole buffer;
+        // `&mut self` makes the plain slice unique.
+        let block = unsafe {
+            std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast::<f32>(), self.data.len())
+        };
+        crate::kernels::fused_step_rows(block, rows, gs, v, grad);
     }
 
     /// The full row-major buffer as a plain slice (quiescent-phase

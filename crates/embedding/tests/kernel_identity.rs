@@ -7,10 +7,12 @@
 //!
 //! Deterministic loops pin every remainder length `0..=17` (all residues
 //! of the 8-wide and 4-wide unroll factors, twice over; `0..=70` for the
-//! scaled dots); proptests then sweep longer lengths and arbitrary values.
+//! scaled dots, `1..=40` for the training dots and the register-blocked
+//! step); proptests then sweep longer lengths and arbitrary values.
 
 use proptest::collection::vec;
 use proptest::prelude::{prop_assert_eq, proptest};
+use sisg_corpus::TokenId;
 use sisg_embedding::{dot_slice_x4, kernels, math, Matrix};
 
 /// Deterministic, irregular test values — sums are inexact so any
@@ -98,17 +100,81 @@ fn scaled_dots_equal_ordered_dots_over_prescaled_rows_for_all_lengths() {
     }
 }
 
+/// The training dot on both row access paths — the exact `Matrix`
+/// batch and the Hogwild `RowPtr` one and four at a time — reduces in
+/// `dot_scalar_ref`'s lane order, so all of them agree with it, and with
+/// `kernels::dot`, at 0 ULP.
 #[test]
-fn row_ptr_dot_slice_is_the_serial_fold_for_all_remainders() {
-    for len in 1..=17 {
-        let m = Matrix::from_data(1, len, values(len, 5));
-        let y = values(len, 6);
-        assert_eq!(
-            m.row_ptr(0).dot_slice(&y).to_bits(),
-            dot_serial(m.row(0), &y).to_bits(),
-            "len {len}"
-        );
+fn training_dots_match_lane_reference_on_every_row_access_path() {
+    for dim in 1..=40 {
+        let rows = 13;
+        let m = Matrix::from_data(rows, dim, values(rows * dim, dim as u32));
+        let y = values(dim, 6);
+        for n in 0..=rows {
+            // Row lists with repeats: scoring only loads, so a repeated row
+            // scores the same twice.
+            let ts: Vec<TokenId> = (0..n).map(|k| TokenId(((k * 5) % rows) as u32)).collect();
+            let mut out = vec![f32::NAN; n];
+            m.dot_rows(&ts, &y, &mut out);
+            for (k, t) in ts.iter().enumerate() {
+                let want = kernels::dot_scalar_ref(m.row(t.index()), &y).to_bits();
+                assert_eq!(out[k].to_bits(), want, "dim {dim} n {n} row {k}");
+                assert_eq!(kernels::dot(m.row(t.index()), &y).to_bits(), want);
+                assert_eq!(m.row_ptr(t.index()).dot_slice(&y).to_bits(), want);
+            }
+        }
+        let quad = [0, 3, 3, 7].map(|r| m.row_ptr(r));
+        let got = dot_slice_x4(quad, &y);
+        for (j, r) in [0, 3, 3, 7].into_iter().enumerate() {
+            let want = kernels::dot_scalar_ref(m.row(r), &y);
+            assert_eq!(got[j].to_bits(), want.to_bits(), "x4 dim {dim} lane {j}");
+        }
     }
+}
+
+/// The register-blocked step equals `fused_step` applied row by row in
+/// list order, bit for bit, for dims 1..=40 (every chunk width and tail)
+/// and 1..=24 rows — repeated rows included, where a later step must read
+/// what an earlier one stored.
+#[test]
+fn blocked_step_equals_sequential_fused_steps() {
+    for dim in 1..=40 {
+        for n in 1..=24 {
+            let rows = 9;
+            let block = values(rows * dim, (dim * 31 + n) as u32);
+            let ts: Vec<TokenId> = (0..n)
+                .map(|k| TokenId(((k * 7 + dim) % rows) as u32))
+                .collect();
+            let gs: Vec<f32> = values(n, 77).iter().map(|g| g * 0.01).collect();
+            let v = values(dim, 78);
+            let grad0 = values(dim, 79);
+
+            let (mut got_block, mut got_grad) = (block.clone(), grad0.clone());
+            kernels::fused_step_rows(&mut got_block, &ts, &gs, &v, &mut got_grad);
+
+            let (mut want_block, mut want_grad) = (block, grad0);
+            for (t, &g) in ts.iter().zip(&gs) {
+                let row = &mut want_block[t.index() * dim..(t.index() + 1) * dim];
+                kernels::fused_step(g, &v, row, &mut want_grad);
+            }
+            assert_eq!(bits(&got_block), bits(&want_block), "dim {dim} n {n}");
+            assert_eq!(bits(&got_grad), bits(&want_grad), "dim {dim} n {n}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn blocked_step_rejects_a_row_past_the_block() {
+    let mut block = vec![0.0f32; 3 * 4];
+    let mut grad = vec![0.0f32; 4];
+    kernels::fused_step_rows(
+        &mut block,
+        &[TokenId(1), TokenId(3)],
+        &[0.1, 0.1],
+        &[1.0; 4],
+        &mut grad,
+    );
 }
 
 #[test]
@@ -195,6 +261,28 @@ proptest! {
             kernels::dot_ordered_scaled(x, math::inv_norm(x), y).to_bits(),
             kernels::dot_ordered(&unit, y).to_bits()
         );
+    }
+
+    #[test]
+    fn blocked_step_matches_sequential_fused_steps(
+        data in vec(-3.0f32..3.0, 64..400),
+        picks in vec(0usize..6, 1..24),
+        g in -0.5f32..0.5,
+        dim in 1usize..48,
+    ) {
+        let dim = dim.min(data.len() / 6);
+        let block = data[..6 * dim].to_vec();
+        let ts: Vec<TokenId> = picks.iter().map(|&p| TokenId(p as u32)).collect();
+        let gs: Vec<f32> = (0..ts.len()).map(|k| g * (k as f32 + 1.0) / 8.0).collect();
+        let v = data[data.len() - dim..].to_vec();
+        let (mut got, mut got_grad) = (block.clone(), vec![0.0f32; dim]);
+        kernels::fused_step_rows(&mut got, &ts, &gs, &v, &mut got_grad);
+        let (mut want, mut want_grad) = (block, vec![0.0f32; dim]);
+        for (t, &gk) in ts.iter().zip(&gs) {
+            kernels::fused_step(gk, &v, &mut want[t.index() * dim..(t.index() + 1) * dim], &mut want_grad);
+        }
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(bits(&got_grad), bits(&want_grad));
     }
 
     #[test]

@@ -4,18 +4,31 @@
 //! (Section III-C). We implement Walker's alias method: O(n) construction,
 //! O(1) per draw — the per-pair cost matters because every positive pair
 //! draws `N_neg = 20` negatives.
+//!
+//! Each slot of the table is one packed entry — the slot's threshold, its
+//! own token and its alias token side by side — so a draw is one uniform
+//! slot index, one 12-byte load and one compare against a uniform `f32`,
+//! where the textbook layout reads three arrays (`prob[i]`, then
+//! `alias[i]`, then `tokens[slot]`). The RNG is consumed exactly as that
+//! layout consumes it, so the same seed draws the same tokens
+//! (`tests/noise_packed.rs` holds the two to the same stream).
 
 use rand::Rng;
 use sisg_corpus::TokenId;
 
+/// One slot of the alias table: keep `own` when the uniform draw falls
+/// below `threshold`, else take `alias`.
+#[derive(Debug, Clone, Copy)]
+struct AliasEntry {
+    threshold: f32,
+    own: TokenId,
+    alias: TokenId,
+}
+
 /// An alias-method sampler over the unigram^α distribution.
 #[derive(Debug, Clone)]
 pub struct NoiseTable {
-    prob: Vec<f32>,
-    alias: Vec<u32>,
-    /// Tokens the table was built over; `alias[i]`/`prob[i]` refer to
-    /// positions in this list (identity when built over the full vocab).
-    tokens: Vec<TokenId>,
+    entries: Vec<AliasEntry>,
 }
 
 impl NoiseTable {
@@ -70,35 +83,39 @@ impl NoiseTable {
             prob[i] = 1.0;
         }
 
-        Self {
-            prob,
-            alias,
-            tokens: tokens.to_vec(),
-        }
+        let entries = tokens
+            .iter()
+            .zip(prob.iter().zip(&alias))
+            .map(|(&own, (&threshold, &a))| AliasEntry {
+                threshold,
+                own,
+                alias: tokens[a as usize],
+            })
+            .collect();
+        Self { entries }
     }
 
     /// Number of tokens in the support.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.entries.len()
     }
 
     /// True when the support is empty (never constructible).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.entries.is_empty()
     }
 
     /// Draws one negative sample.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> TokenId {
-        let i = rng.gen_range(0..self.prob.len());
-        let slot = if rng.gen::<f32>() < self.prob[i] {
-            i
+        let entry = self.entries[rng.gen_range(0..self.entries.len())];
+        if rng.gen::<f32>() < entry.threshold {
+            entry.own
         } else {
-            self.alias[i] as usize
-        };
-        self.tokens[slot]
+            entry.alias
+        }
     }
 
     /// Draws `n` samples into `dst` (cleared first) — the batched draw of

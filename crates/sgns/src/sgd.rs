@@ -10,31 +10,35 @@
 //!
 //! # Kernel-layer structure (DESIGN.md §8)
 //!
-//! A pair is processed in three phases against a *cached* copy of the
-//! target's input row (loaded once into [`PairScratch::row`], valid for
-//! the whole pair because `v` is only written after the last step):
+//! A pair is processed against the target's input row `v`, which stays
+//! fixed for the whole pair because it is only written after the last
+//! step: the Hogwild and TNS paths snapshot it once into
+//! [`PairScratch::row`], the exclusive path reads it in place. [`steps`] splits the
+//! step tokens into maximal runs of pairwise distinct tokens — the whole
+//! list in the common case (the positive is filtered out of the
+//! negatives, so only negative-negative collisions remain) — and gives
+//! each run two passes:
 //!
-//! 1. **Dot phase** — the 1+N scores `f_i = v·v'_i`. When the step tokens
-//!    are pairwise distinct (the common case; the positive is filtered out
-//!    of the negatives, so only negative-negative collisions remain), no
-//!    step writes a row a later step reads, so all dots are independent
-//!    and are computed four at a time via
-//!    [`sisg_embedding::dot_slice_x4`] — four *interleaved serial chains*,
-//!    each bit-identical to `dot_slice`, turning the latency-bound serial
-//!    dot into a throughput-bound one. With duplicates present the code
-//!    falls back to computing each dot right before its step.
-//! 2. **Update phase**, in original step order: `g = (y − σ(f))·lr`, then
-//!    one fused pass per output row (`grad += g·v'` with the pre-update
-//!    row, `v' += g·v`) instead of two.
-//! 3. **Write-back** — `v += grad` once.
+//! 1. **Scoring pass** — the run's scores `f_i = v·v'_i`, four rows at a
+//!    time, each dot in the lane order of
+//!    [`sisg_embedding::kernels::dot_scalar_ref`]; then, per score in step
+//!    order, the loss term and `g = (y − σ(f))·lr`.
+//! 2. **Step pass** — one fused update per row (`grad += g·v'` with the
+//!    pre-update row, `v' += g·v`), all rows of the run in one
+//!    d-chunk-outer loop that keeps the input gradient in registers
+//!    ([`sisg_embedding::kernels::fused_step_rows`]).
 //!
-//! Every phase preserves the per-element operation order of the classic
-//! three-pass loop, so single-threaded output is bit-identical to it
-//! (pinned by the golden-checksum test). The phases are written once, in
-//! [`steps`], over the [`OutputRows`] access trait: the Hogwild path over
-//! [`RowPtr`] (relaxed per-element atomics, sound under concurrent
-//! writers) and the exact non-atomic one over `&mut Matrix`, where
-//! plain-slice arithmetic lets LLVM vectorize the elementwise passes.
+//! Then the caller writes `v += grad` back once.
+//!
+//! Within a run no step writes a row another step of the run reads, so
+//! scoring the run before stepping it gives every score the value the
+//! dot-before-step loop gives; a repeated token opens a new run, scored
+//! after the earlier runs stepped. The step pass keeps every element's
+//! operation order. Single-threaded output therefore equals the classic
+//! dot-before-step loop with lane-order dots, bit for bit. The passes are
+//! written once, in [`steps`], over the [`OutputRows`] access trait: the
+//! Hogwild path over [`RowPtr`] (relaxed per-element atomics, sound under
+//! concurrent writers) and the exact non-atomic one over `&mut Matrix`.
 
 use crate::sigmoid::SigmoidTable;
 use sisg_corpus::TokenId;
@@ -48,13 +52,14 @@ use sisg_embedding::Matrix;
 /// reuse across every pair.
 #[derive(Debug)]
 pub struct PairScratch {
-    /// Snapshot of the target's input row, taken once per pair.
+    /// Snapshot of the target's input row, taken once per pair on the
+    /// Hogwild and TNS paths.
     pub row: Vec<f32>,
     /// Accumulated input gradient, written back once per pair.
     pub grad: Vec<f32>,
     /// Step tokens: the positive context first, then the kept negatives.
     pub kept: Vec<TokenId>,
-    /// Scores `f_i` of the batched dot phase.
+    /// Scores `f_i` of the scoring pass, turned into the step sizes `g_i`.
     pub scores: Vec<f32>,
 }
 
@@ -70,37 +75,31 @@ impl PairScratch {
     }
 }
 
-/// True when no token appears twice. O(n²) with early exit — `n` is
-/// 1 + negatives (≈ 6–21), far below the crossover where a hash set wins.
+/// End of the run of pairwise distinct tokens that starts at `start`: the
+/// first index whose token already occurs in `kept[start..end]`, or
+/// `kept.len()`. A 64-bit mask of token residues filters the scan: only a
+/// token whose residue is already in the mask (a repeat, or one residue
+/// collision in ~64) is looked up in the run so far, so a list without
+/// repeats — nearly every list — costs one pass and no search.
 #[inline]
-fn pairwise_distinct(kept: &[TokenId]) -> bool {
-    for i in 1..kept.len() {
-        for j in 0..i {
-            if kept[i] == kept[j] {
-                return false;
-            }
+fn distinct_run_end(kept: &[TokenId], start: usize) -> usize {
+    let mut seen = 0u64;
+    for (i, t) in kept.iter().enumerate().skip(start) {
+        let bit = 1u64 << (t.0 % 64);
+        if seen & bit != 0 && kept[start..i].contains(t) {
+            return i;
         }
+        seen |= bit;
     }
-    true
-}
-
-/// Loss term of one step (monitoring only): `−ln σ(f)` for the positive,
-/// `−ln σ(−f)` for a negative.
-#[inline]
-fn step_loss(sigmoid: &SigmoidTable, f: f32, label: f32) -> f64 {
-    if label > 0.5 {
-        sigmoid.neg_log_sigmoid(f)
-    } else {
-        sigmoid.neg_log_sigmoid(-f)
-    }
+    kept.len()
 }
 
 /// Access to the output rows a pair's steps touch. [`steps`] is written
 /// once against this trait and monomorphised per access path, so every
-/// engine runs the same phases in the same order:
+/// engine runs the same passes in the same order:
 ///
 /// - `&mut Matrix` — rows owned exclusively (`threads == 1`, EGES, a TNS
-///   worker's shard): plain-slice kernels that vectorize;
+///   worker's shard): plain-slice kernels, the step pass register-blocked;
 /// - any `Fn(TokenId) -> RowPtr` resolver — the Hogwild path (relaxed
 ///   per-element atomics, sound under concurrent writers); for plain SGNS
 ///   that is `output.row_ptr`, for shared-memory TNS the replica-aware
@@ -109,60 +108,54 @@ fn step_loss(sigmoid: &SigmoidTable, f: f32, label: f32) -> f64 {
 /// Both produce bit-identical results single-threaded (pinned by a test
 /// below).
 pub trait OutputRows {
-    /// `v'_t · v` for one step token.
-    fn dot(&self, t: TokenId, v: &[f32]) -> f32;
-    /// Four independent dots as interleaved serial chains, each
-    /// bit-identical to [`OutputRows::dot`].
-    fn dot_x4(&self, ts: [TokenId; 4], v: &[f32]) -> [f32; 4];
-    /// One fused pass over row `t`: `grad += g·v'` with the pre-update
-    /// row, then `v' += g·v`.
-    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]);
+    /// `scores[k] = v'_{ts[k]} · v` for every `k`, each dot in
+    /// [`kernels::dot_scalar_ref`]'s lane order.
+    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]);
+    /// The fused steps of rows `ts` with step sizes `gs`, in list order:
+    /// per row, `grad += g·v'` with the pre-update row, then `v' += g·v`.
+    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]);
 }
 
 impl OutputRows for Matrix {
     #[inline]
-    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
-        kernels::dot_ordered(self.row(t.index()), v)
+    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]) {
+        self.dot_rows(ts, v, scores);
     }
     #[inline]
-    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
-        let rows = [
-            self.row(a.index()),
-            self.row(b.index()),
-            self.row(c.index()),
-            self.row(d.index()),
-        ];
-        kernels::dot_ordered_x4(rows, v)
-    }
-    #[inline]
-    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
-        kernels::fused_step(g, v, self.row_mut(t.index()), grad);
+    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
+        self.fused_step_rows(ts, gs, v, grad);
     }
 }
 
 impl<'m, F: Fn(TokenId) -> RowPtr<'m>> OutputRows for F {
     #[inline]
-    fn dot(&self, t: TokenId, v: &[f32]) -> f32 {
-        self(t).dot_slice(v)
+    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]) {
+        let (quads, rest) = ts.as_chunks::<4>();
+        let (score_quads, score_rest) = scores.as_chunks_mut::<4>();
+        for (q, out) in quads.iter().zip(score_quads) {
+            *out = dot_slice_x4(q.map(&*self), v);
+        }
+        for (&t, out) in rest.iter().zip(score_rest) {
+            *out = self(t).dot_slice(v);
+        }
     }
     #[inline]
-    fn dot_x4(&self, [a, b, c, d]: [TokenId; 4], v: &[f32]) -> [f32; 4] {
-        dot_slice_x4([self(a), self(b), self(c), self(d)], v)
-    }
-    #[inline]
-    fn fused_step(&mut self, t: TokenId, g: f32, v: &[f32], grad: &mut [f32]) {
-        self(t).fused_grad_step(g, v, grad);
+    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
+        for (&t, &g) in ts.iter().zip(gs) {
+            self(t).fused_grad_step(g, v, grad);
+        }
     }
 }
 
 /// The step phase — Algorithm 1's inner loop, written once for every
 /// engine. `kept[0]` is the positive, the rest are negatives; `rows` is
 /// the engine's output-row access path. Accumulates the input gradient
-/// into `grad` and returns the summed loss.
+/// into `grad` and returns the summed loss, computed from the scores in
+/// the scoring pass.
 ///
-/// Batches the dot phase four at a time when the step tokens are pairwise
-/// distinct; otherwise falls back to dot-before-step. Both modes produce
-/// bit-identical results single-threaded.
+/// Each maximal run of pairwise distinct tokens is scored, then stepped
+/// (see the module docs); the result is bit-identical to scoring each
+/// token right before its own step.
 pub fn steps<R: OutputRows + ?Sized>(
     rows: &mut R,
     kept: &[TokenId],
@@ -173,28 +166,18 @@ pub fn steps<R: OutputRows + ?Sized>(
     scores: &mut Vec<f32>,
 ) -> f64 {
     let n = kept.len();
+    scores.clear();
+    scores.resize(n, 0.0);
     let mut loss = 0.0f64;
-    let batched = pairwise_distinct(kept);
-    if batched {
-        scores.clear();
-        scores.resize(n, 0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let out = rows.dot_x4([kept[i], kept[i + 1], kept[i + 2], kept[i + 3]], v);
-            scores[i..i + 4].copy_from_slice(&out);
-            i += 4;
-        }
-        while i < n {
-            scores[i] = rows.dot(kept[i], v);
-            i += 1;
-        }
-    }
-    for (i, &t) in kept.iter().enumerate() {
-        let label = if i == 0 { 1.0f32 } else { 0.0 };
-        let f = if batched { scores[i] } else { rows.dot(t, v) };
-        let g = (label - sigmoid.sigmoid(f)) * lr;
-        rows.fused_step(t, g, v, grad);
-        loss += step_loss(sigmoid, f, label);
+    let mut start = 0;
+    while start < n {
+        let end = distinct_run_end(kept, start);
+        let run = &kept[start..end];
+        let gs = &mut scores[start..end];
+        rows.dots(run, v, gs);
+        sigmoid.step_sizes(gs, start == 0, lr, &mut loss);
+        rows.fused_steps(run, gs, v, grad);
+        start = end;
     }
     loss
 }
@@ -265,14 +248,15 @@ pub(crate) fn train_pair_mut(
     sigmoid: &SigmoidTable,
     scratch: &mut PairScratch,
 ) -> f64 {
-    debug_assert_eq!(scratch.row.len(), input.dim());
+    debug_assert_eq!(scratch.grad.len(), input.dim());
     scratch.grad.fill(0.0);
-    scratch.row.copy_from_slice(input.row(target.index()));
     build_kept(&mut scratch.kept, context, negatives);
+    // The steps write only `output`, so the target's input row is read in
+    // place: no snapshot needed on the exclusive path.
     let loss = steps(
         output,
         &scratch.kept,
-        &scratch.row,
+        input.row(target.index()),
         lr,
         sigmoid,
         &mut scratch.grad,
@@ -413,22 +397,34 @@ mod tests {
         assert_eq!(input.row(0), snapshot.as_slice());
     }
 
+    /// Step-list shapes for the parity tests, over a 30-row matrix: no
+    /// negative, one, a batch of four, lists with repeated tokens (several
+    /// runs, the duplicate path), and 23 negatives (24 kept rows) with and
+    /// without repeats.
+    fn neg_sets() -> Vec<Vec<TokenId>> {
+        let ids = |xs: &[u32]| xs.iter().map(|&x| TokenId(x)).collect::<Vec<_>>();
+        vec![
+            ids(&[]),
+            ids(&[2]),
+            ids(&[2, 3, 4, 5]),
+            ids(&[2, 3, 2, 4, 5]),
+            ids(&[2, 2, 2, 3, 3]),
+            (2..25).map(TokenId).collect(),
+            (0..23).map(|k| TokenId(2 + (k * 7) % 11)).collect(),
+        ]
+    }
+
+    /// Dims covering every lane, chunk and register-block remainder.
+    const DIMS: [usize; 9] = [1, 4, 7, 8, 16, 31, 32, 33, 40];
+
     /// The Hogwild path and the exact `&mut` path must produce bit-identical
     /// matrices — they are the same algorithm over two access paths.
     #[test]
     fn hogwild_and_mut_paths_are_bit_identical() {
-        // 17 negatives with a duplicate exercise the batched phase, the
-        // x4 remainder, and the sequential fallback.
-        let neg_sets: &[&[TokenId]] = &[
-            &[],
-            &[TokenId(2)],
-            &[TokenId(2), TokenId(3), TokenId(4), TokenId(5)],
-            &[TokenId(2), TokenId(3), TokenId(2), TokenId(4), TokenId(5)],
-        ];
-        for (case, negatives) in neg_sets.iter().enumerate() {
-            for dim in [4usize, 7, 8] {
-                let input_h = Matrix::uniform_init(6, dim, 11);
-                let output_h = Matrix::uniform_init(6, dim, 12);
+        for (case, negatives) in neg_sets().iter().enumerate() {
+            for dim in DIMS {
+                let input_h = Matrix::uniform_init(30, dim, 11);
+                let output_h = Matrix::uniform_init(30, dim, 12);
                 let mut input_m = input_h.clone();
                 let mut output_m = output_h.clone();
                 let sig = SigmoidTable::new();
@@ -469,62 +465,75 @@ mod tests {
     }
 
     /// [`steps`] over both [`OutputRows`] impls — `&mut Matrix` and a
-    /// `RowPtr` resolver — must not differ in a single bit.
+    /// `RowPtr` resolver — must not differ in a single bit, and both must
+    /// equal the dot-before-step loop: each token scored with
+    /// `dot_scalar_ref` right before its own `fused_step`.
     #[test]
     fn steps_are_bit_identical_over_every_row_access_path() {
-        // Same negative-set shapes as the hogwild/mut parity test: batch,
-        // x4 remainder, and the duplicate-token sequential fallback.
-        let neg_sets: &[&[TokenId]] = &[
-            &[],
-            &[TokenId(2)],
-            &[TokenId(2), TokenId(3), TokenId(4), TokenId(5)],
-            &[TokenId(2), TokenId(3), TokenId(2), TokenId(4), TokenId(5)],
-        ];
-        for (case, negatives) in neg_sets.iter().enumerate() {
-            for dim in [4usize, 7, 8] {
-                let mut output_m = Matrix::uniform_init(6, dim, 31);
+        for (case, negatives) in neg_sets().iter().enumerate() {
+            for dim in DIMS {
+                let mut output_m = Matrix::uniform_init(30, dim, 31);
                 let output_h = output_m.clone();
-                let input = Matrix::uniform_init(6, dim, 32);
+                let mut output_r = output_m.clone();
+                let input = Matrix::uniform_init(30, dim, 32);
                 let sig = SigmoidTable::new();
                 let v = input.row(0).to_vec();
-                let (mut grad_m, mut grad_h) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+                let mut grads = [vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]];
                 let mut scores = Vec::new();
                 let mut kept = Vec::new();
                 build_kept(&mut kept, TokenId(1), negatives);
 
-                let (mut loss_m, mut loss_h) = (0.0f64, 0.0f64);
+                let mut losses = [0.0f64; 3];
                 for _ in 0..5 {
-                    loss_m += steps(
-                        &mut output_m,
-                        &kept,
-                        &v,
-                        0.07,
-                        &sig,
-                        &mut grad_m,
-                        &mut scores,
-                    );
+                    let [grad_m, grad_h, grad_r] = &mut grads;
+                    losses[0] += steps(&mut output_m, &kept, &v, 0.07, &sig, grad_m, &mut scores);
                     let mut hogwild = |t: TokenId| output_h.row_ptr(t.index());
-                    loss_h += steps(
-                        &mut hogwild,
-                        &kept,
-                        &v,
-                        0.07,
-                        &sig,
-                        &mut grad_h,
-                        &mut scores,
-                    );
+                    losses[1] += steps(&mut hogwild, &kept, &v, 0.07, &sig, grad_h, &mut scores);
+                    // Reference: score each token right before its step.
+                    let mut call_loss = 0.0f64;
+                    for (i, &t) in kept.iter().enumerate() {
+                        let label = if i == 0 { 1.0f32 } else { 0.0 };
+                        let f = kernels::dot_scalar_ref(output_r.row(t.index()), &v);
+                        call_loss += if i == 0 {
+                            sig.neg_log_sigmoid(f)
+                        } else {
+                            sig.neg_log_sigmoid(-f)
+                        };
+                        let g = (label - sig.sigmoid(f)) * 0.07;
+                        kernels::fused_step(g, &v, output_r.row_mut(t.index()), grad_r);
+                    }
+                    losses[2] += call_loss;
                 }
                 let bits = |s: &[f32]| -> Vec<u32> { s.iter().map(|v| v.to_bits()).collect() };
                 let at = format!("case {case} dim {dim}");
-                assert_eq!(loss_m.to_bits(), loss_h.to_bits(), "{at}");
-                assert_eq!(bits(&grad_m), bits(&grad_h), "{at}");
+                for k in 1..3 {
+                    assert_eq!(losses[0].to_bits(), losses[k].to_bits(), "{at} path {k}");
+                    assert_eq!(bits(&grads[0]), bits(&grads[k]), "{at} path {k}");
+                }
                 assert_eq!(bits(output_m.as_slice()), bits(output_h.as_slice()), "{at}");
+                assert_eq!(bits(output_m.as_slice()), bits(output_r.as_slice()), "{at}");
             }
         }
     }
 
-    /// Duplicated negatives must behave as repeated sequential steps
-    /// (the fallback), not as independent batched dots.
+    /// A run ends at the first token already in it, so repeated tokens
+    /// split the list exactly there — including residue collisions of the
+    /// 64-bit filter that are not repeats.
+    #[test]
+    fn distinct_runs_end_at_the_first_repeat() {
+        let ids = |xs: &[u32]| xs.iter().map(|&x| TokenId(x)).collect::<Vec<_>>();
+        let kept = ids(&[1, 65, 129, 2, 65, 3, 1]);
+        assert_eq!(distinct_run_end(&kept, 0), 4);
+        assert_eq!(distinct_run_end(&kept, 4), 7);
+        assert_eq!(distinct_run_end(&ids(&[5]), 0), 1);
+        assert_eq!(distinct_run_end(&ids(&[5, 5]), 0), 1);
+        assert_eq!(distinct_run_end(&ids(&[5, 5]), 1), 2);
+        let long: Vec<TokenId> = (0..200).map(|k| TokenId(k * 64)).collect();
+        assert_eq!(distinct_run_end(&long, 0), 200, "residue collisions only");
+    }
+
+    /// Duplicated negatives must behave as repeated sequential steps (a
+    /// repeat opens a new run), not as independent batched dots.
     #[test]
     fn duplicate_negatives_use_sequential_semantics() {
         let dim = 8;
@@ -547,7 +556,8 @@ mod tests {
             &mut scratch,
         );
 
-        // Reference: naive scalar re-implementation of the pre-kernel loop.
+        // Reference: the dot-before-step loop, scored with the lane-order
+        // reference dot, over the Hogwild row accessors.
         let v = input_ref.row_ptr(0);
         let mut grad = vec![0.0f32; dim];
         let mut row = vec![0.0f32; dim];
@@ -558,7 +568,7 @@ mod tests {
         for (i, &t) in kept.iter().enumerate() {
             let label = if i == 0 { 1.0f32 } else { 0.0 };
             let vp = output_ref.row_ptr(t.index());
-            let f = vp.dot_slice(&row);
+            let f = kernels::dot_scalar_ref(output_ref.row(t.index()), &row);
             let g = (label - sig.sigmoid(f)) * 0.1;
             vp.accumulate_scaled(g, &mut grad);
             vp.axpy_slice(g, &row);

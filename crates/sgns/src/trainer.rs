@@ -70,6 +70,11 @@ impl Sequences for Vec<Vec<TokenId>> {
 pub struct TrainStats {
     /// Positive pairs processed (negatives excluded).
     pub pairs: u64,
+    /// Negatives drawn from the noise table: `negatives` per pair.
+    pub noise_draws: u64,
+    /// Output rows stepped: per pair the context plus every negative that
+    /// is not the context, so at most `1 + negatives` per pair.
+    pub rows_stepped: u64,
     /// Tokens surviving subsampling, summed over epochs.
     pub tokens: u64,
     /// Tokens seen before subsampling, summed over epochs.
@@ -116,6 +121,8 @@ impl TrainStats {
 #[derive(Debug, Clone, Default)]
 struct ChunkStats {
     pairs: u64,
+    noise_draws: u64,
+    rows_stepped: u64,
     /// Tokens surviving subsampling.
     tokens: u64,
     /// Tokens seen before subsampling.
@@ -129,6 +136,8 @@ struct ChunkStats {
 impl ChunkStats {
     fn merge(&mut self, o: &ChunkStats) {
         self.pairs += o.pairs;
+        self.noise_draws += o.noise_draws;
+        self.rows_stepped += o.rows_stepped;
         self.tokens += o.tokens;
         self.raw_tokens += o.raw_tokens;
         self.loss_sum += o.loss_sum;
@@ -149,6 +158,8 @@ impl ChunkStats {
     fn finish(&self, seconds: f64) -> TrainStats {
         let stats = TrainStats {
             pairs: self.pairs,
+            noise_draws: self.noise_draws,
+            rows_stepped: self.rows_stepped,
             tokens: self.tokens,
             raw_tokens: self.raw_tokens,
             avg_loss: self.avg_loss(),
@@ -436,9 +447,10 @@ impl ChunkBuffers {
 
 /// One worker's whole run: every epoch over the sequences `range`,
 /// applying `pair_fn` to every sampled pair (the Hogwild [`train_pair`] or
-/// the exact [`train_pair_mut`], pre-bound to its matrices). Bookkeeping
-/// lands in plain locals flushed to obs once per epoch, keeping the pair
-/// loop instrumentation-free.
+/// the exact [`train_pair_mut`], pre-bound to its matrices; either leaves
+/// the pair's step list in `scratch.kept`, which the rows-stepped count
+/// reads). Bookkeeping lands in plain locals flushed to obs once per epoch,
+/// keeping the pair loop instrumentation-free.
 fn run_epochs<S, F>(
     seqs: &S,
     range: std::ops::Range<usize>,
@@ -476,6 +488,8 @@ where
                     .sample_into(&mut buf.negatives, config.negatives, &mut rng);
                 let loss = pair_fn(target, context, &buf.negatives, lr, &mut buf.scratch);
                 stats.pairs += 1;
+                stats.noise_draws += buf.negatives.len() as u64;
+                stats.rows_stepped += buf.scratch.kept.len() as u64;
                 stats.loss_sum += loss;
                 stats.loss_count += 1;
             }

@@ -1,12 +1,21 @@
 //! Bit-identity regression guard for the single-threaded training path.
 //!
-//! The kernel layer (DESIGN.md §8) promises that every refactor of the SGD
-//! inner loop keeps the `threads == 1` output *byte-identical*: the batched
-//! dot phase preserves each dot's serial summation order, the fused update
-//! preserves per-element op order, and RNG draw order is untouched. These
-//! checksums were recorded from the pre-kernel-layer implementation
-//! (commit 99fbcfb); any low-order-bit drift in the trained embeddings
+//! The kernel layer (DESIGN.md §8) promises that a refactor of the SGD
+//! inner loop changes the `threads == 1` output only where it says so:
+//! the step pass keeps every element's operation order, the scoring pass
+//! keeps the lane order of `kernels::dot_scalar_ref`, and the RNG draw
+//! order is untouched. Any low-order-bit drift in the trained embeddings
 //! fails the FNV comparison below.
+//!
+//! Provenance. Both checksums were recorded from the pre-kernel-layer
+//! implementation (commit 99fbcfb), whose training dots were strict serial
+//! chains. Scoring moved to the four-lane order in the change that made
+//! every training path score like `kernels::dot`. A score reaches the
+//! update only through its σ table bin (1 024 bins over [−6, 6]), so a
+//! changed low-order bit moves the output only when it crosses a bin edge:
+//! on the `dim 16` run 3 of 82 855 scores did, and that checksum was
+//! re-pinned; on the subsampled `dim 8` run none of 1 039 did, and its
+//! checksum still holds from 99fbcfb.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,8 +64,8 @@ fn single_thread_output_is_bit_identical_to_reference() {
     };
     let got = checksum(&cfg);
     assert_eq!(
-        got, 0xf92e_3bf0_95de_34cc,
-        "single-thread SGNS output drifted from the pre-kernel reference (got {got:#x})"
+        got, 0x18a7_d938_6ae7_ec4d,
+        "single-thread SGNS output drifted from the lane-order reference (got {got:#x})"
     );
 }
 

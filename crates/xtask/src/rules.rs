@@ -61,7 +61,7 @@ const RULES: [RuleInfo; 11] = [
     RuleInfo {
         id: 6,
         name: "kernel-path",
-        scope: "crates/sgns, crates/eges, embedding/quant.rs, stream/pipeline.rs, non-test",
+        scope: "crates/sgns, crates/eges, embedding/quant.rs, stream/pipeline.rs, distributed/{tns,runtime,protocol}.rs, non-test",
         summary: "per-element `RowPtr` accessors banned in training crates and their hot-path support files; hot loops use the DESIGN.md §8 kernels",
     },
     RuleInfo {
@@ -173,13 +173,23 @@ const KERNEL_PATH_CRATES: &[&str] = &["crates/sgns", "crates/eges"];
 
 /// Individual files under the same kernel-path rule: support code of hot
 /// paths that lives outside the kernel-path crates. The quantized store
-/// is scored on every cold-path ANN hop (DESIGN.md §11) and the streaming
+/// is scored on every cold-path ANN hop (DESIGN.md §11), the streaming
 /// pipeline folds an incremental train step per ingest batch (DESIGN.md
-/// §12), so both stay on the slice kernels too.
+/// §12), and the TNS scan, step and shard of both Section III engines are
+/// a training hot loop, so all of them stay on the slice kernels too.
 const KERNEL_PATH_FILES: &[&str] = &[
     "crates/embedding/src/quant.rs",
     "crates/stream/src/pipeline.rs",
+    "crates/distributed/src/tns.rs",
+    "crates/distributed/src/runtime.rs",
+    "crates/distributed/src/protocol.rs",
 ];
+
+/// Whether rule 6 applies to `rel_file` of the crate at `rel_crate`
+/// (both workspace-relative, `/`-separated).
+fn kernel_path_applies(rel_crate: &str, rel_file: &str) -> bool {
+    KERNEL_PATH_CRATES.contains(&rel_crate) || KERNEL_PATH_FILES.contains(&rel_file)
+}
 
 /// Crates whose non-test code is checked for lock guards held across
 /// channel/thread operations (rule 9): the two crates whose bounded
@@ -234,7 +244,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
         let panic_free = PANIC_FREE_CRATES.contains(&rel_crate.as_str());
         let assert_free = ASSERT_FREE_CRATES.contains(&rel_crate.as_str());
         let obs_timing = !instant_exempt(&rel_crate);
-        let kernel_path = KERNEL_PATH_CRATES.contains(&rel_crate.as_str());
         let guard_channel = GUARD_CHANNEL_CRATES.contains(&rel_crate.as_str());
 
         let mut saw_root = false;
@@ -256,7 +265,7 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
                 panic_free: panic_free || PANIC_FREE_FILES.contains(&rel_str.as_str()),
                 assert_free,
                 obs_timing,
-                kernel_path: kernel_path || KERNEL_PATH_FILES.contains(&rel_str.as_str()),
+                kernel_path: kernel_path_applies(&rel_crate, &rel_str),
                 ordering: !compat,
                 guard_channel,
                 no_sleep: !compat,
@@ -1643,6 +1652,41 @@ mod tests {
                 "PANIC_FREE_FILES entry `{f}` does not exist"
             );
         }
+    }
+
+    #[test]
+    fn seeded_per_element_access_in_the_tns_files_fails() {
+        // Each TNS hot-path file of the real tree, with one per-element
+        // accessor appended, must fail rule 6; unchanged, it passes.
+        let root = crate::workspace_root();
+        for f in [
+            "crates/distributed/src/tns.rs",
+            "crates/distributed/src/runtime.rs",
+            "crates/distributed/src/protocol.rs",
+        ] {
+            assert!(kernel_path_applies("crates/distributed", f), "{f}");
+            let scope = ScanScope {
+                kernel_path: kernel_path_applies("crates/distributed", f),
+                ..ScanScope::default()
+            };
+            let real = std::fs::read_to_string(root.join(f)).expect("read TNS file");
+            let kernel = |src: &str| -> Vec<Violation> {
+                scan_file(Path::new(f), src, scope)
+                    .into_iter()
+                    .filter(|v| v.rule == "kernel-path")
+                    .collect()
+            };
+            assert!(kernel(&real).is_empty(), "{f} is clean today");
+            let seeded = format!("{real}\nfn seeded(r: RowPtr) {{ r.add_elem(0, 0.1); }}\n");
+            let v = kernel(&seeded);
+            assert_eq!(v.len(), 1, "{f}: {v:?}");
+            assert_eq!(v[0].line, seeded.lines().count(), "{f}");
+        }
+        // The rest of the crate stays outside the rule.
+        assert!(!kernel_path_applies(
+            "crates/distributed",
+            "crates/distributed/src/hbgp.rs"
+        ));
     }
 
     #[test]
