@@ -1,8 +1,9 @@
 //! Regenerates **Figure 7(a)**: training time vs number of workers on the
 //! A/B-test-scale corpus, expected to track `y = 1/x`.
 //!
-//! This host has a single core, so measured wall time cannot show cluster
-//! scaling; instead the run *measures* per-worker work and communication
+//! All workers share one host, so measured wall time cannot show cluster
+//! scaling (the last column reports it: w threads on the host's cores);
+//! instead the run *measures* per-worker work and communication
 //! exactly, then reports cluster time under the calibrated cost model of
 //! [`sisg_distributed::ClusterCostModel`] (see DESIGN.md §2 — hardware
 //! substitution). The single-worker run calibrates seconds-per-pair from
@@ -49,6 +50,7 @@ fn main() {
             "modeled time (s)",
             "speedup",
             "ideal 1/x",
+            "host wall (s)",
         ],
     );
 
@@ -91,9 +93,11 @@ fn main() {
             format!("{t:.2}"),
             format!("{:.2}x", t1 / t),
             format!("{:.2}x", w as f64),
+            format!("{:.2}", report.seconds),
         ]);
         eprintln!(
-            "w={w}: modeled {t:.2}s, remote fraction {:.3}",
+            "w={w}: modeled {t:.2}s, host wall {:.2}s, remote fraction {:.3}",
+            report.seconds,
             report.remote_fraction()
         );
     }

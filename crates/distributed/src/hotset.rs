@@ -9,8 +9,6 @@
 use sisg_corpus::vocab::Vocab;
 use sisg_corpus::TokenId;
 use sisg_embedding::kernels;
-use sisg_embedding::matrix::RowPtr;
-use sisg_embedding::Matrix;
 
 /// The shared hot set: a dense membership/slot index over the token space.
 #[derive(Debug, Clone)]
@@ -73,84 +71,43 @@ impl HotSet {
     }
 }
 
-/// Per-worker replicas of the input and output vectors of every hot token.
-#[derive(Debug)]
-pub struct ReplicaSet {
-    /// `input[w]` is worker `w`'s replica matrix (`|Q| × dim`).
-    input: Vec<Matrix>,
-    output: Vec<Matrix>,
-    dim: usize,
-}
-
-impl ReplicaSet {
-    /// Initializes every worker's replicas from the canonical store rows.
-    pub fn init(store: &sisg_embedding::EmbeddingStore, hot: &HotSet, workers: usize) -> Self {
-        let dim = store.dim();
-        let make = |src: &Matrix| -> Vec<Matrix> {
-            let mut m = Matrix::zeros(hot.len(), dim);
-            for (slot, t) in hot.tokens().iter().enumerate() {
-                m.row_mut(slot).copy_from_slice(src.row(t.index()));
-            }
-            vec![m; workers]
-        };
-        Self {
-            input: make(store.input_matrix()),
-            output: make(store.output_matrix()),
-            dim,
-        }
-    }
-
-    /// Worker `w`'s replica of the *input* vector in `slot`, as a sound
-    /// shared Hogwild view ([`RowPtr`]). Workers conventionally touch only
-    /// their own replica index; violating that loses updates but cannot
-    /// corrupt memory.
-    #[inline]
-    pub fn input_row(&self, worker: usize, slot: usize) -> RowPtr<'_> {
-        self.input[worker].row_ptr(slot)
-    }
-
-    /// Worker `w`'s replica of the *output* vector in `slot` — same
-    /// contract as [`Self::input_row`].
-    #[inline]
-    pub fn output_row(&self, worker: usize, slot: usize) -> RowPtr<'_> {
-        self.output[worker].row_ptr(slot)
-    }
-
-    /// Averages all replicas slot-wise (Section III-A), writing the mean
-    /// back to every replica and to the canonical store rows. Must be
-    /// called while no worker is training (the runtime does this at a
-    /// barrier). Returns the number of bytes a cluster would move for this
-    /// all-reduce.
-    pub fn synchronize(&self, store: &sisg_embedding::EmbeddingStore, hot: &HotSet) -> u64 {
-        let workers = self.input.len();
-        if workers == 0 || hot.is_empty() {
+impl HotSet {
+    /// Bytes a cluster moves for one averaging round of `workers` replicas
+    /// of both matrices at `dim`: an all-reduce in which every worker
+    /// sends and receives its `|Q| × dim` block of each matrix once.
+    pub(crate) fn sync_bytes(&self, workers: usize, dim: usize) -> u64 {
+        if workers == 0 {
             return 0;
         }
-        let mut acc = vec![0.0f32; self.dim];
-        for (matrices, canonical) in [
-            (&self.input, store.input_matrix()),
-            (&self.output, store.output_matrix()),
-        ] {
-            for (slot, t) in hot.tokens().iter().enumerate() {
-                // The unrolled kernels are elementwise (per-lane order is
-                // unchanged), so the documented reconciliation order — and
-                // the bit-identity test below — is preserved.
-                acc.fill(0.0);
-                for m in matrices.iter() {
-                    kernels::add_assign(&mut acc, m.row(slot));
-                }
-                kernels::scale(&mut acc, 1.0 / workers as f32);
-                // Callers guarantee quiescence at a barrier; the relaxed
-                // atomic stores are sound even if they don't.
-                for m in matrices.iter() {
-                    m.row_ptr(slot).store_from(&acc);
-                }
-                canonical.row_ptr(t.index()).store_from(&acc);
-            }
+        (workers as u64) * (self.len() as u64) * (dim as u64) * 4 * 2 * 2
+    }
+}
+
+/// Averages the workers' replicas of one matrix slot-wise (Section III-A)
+/// and writes the mean back to every replica. `replicas[w]` is worker
+/// `w`'s `|Q| × dim` replica block, rows in slot order. Per element, the
+/// replicas are summed in worker order from zero, then multiplied by
+/// `1/w`. Callers hold every block exclusively (the runtime does this at
+/// a barrier).
+pub(crate) fn average_replicas(replicas: &mut [&mut [f32]], dim: usize) {
+    let workers = replicas.len();
+    let Some(rows) = replicas.first().map(|r| r.len() / dim.max(1)) else {
+        return;
+    };
+    let mut acc = vec![0.0f32; dim];
+    for slot in 0..rows {
+        let span = slot * dim..(slot + 1) * dim;
+        // The unrolled kernels are elementwise (per-lane order is
+        // unchanged), so the documented reconciliation order — and the
+        // bit-identity test below — is preserved.
+        acc.fill(0.0);
+        for r in replicas.iter() {
+            kernels::add_assign(&mut acc, &r[span.clone()]);
         }
-        // All-reduce cost: every worker sends and receives its |Q|×dim×2
-        // block once.
-        (workers as u64) * (hot.len() as u64) * (self.dim as u64) * 4 * 2 * 2
+        kernels::scale(&mut acc, 1.0 / workers as f32);
+        for r in replicas.iter_mut() {
+            r[span.clone()].copy_from_slice(&acc);
+        }
     }
 }
 
@@ -159,7 +116,6 @@ mod tests {
     use super::*;
     use sisg_corpus::schema::SchemaCardinalities;
     use sisg_corpus::vocab::{TokenSpace, VocabBuilder};
-    use sisg_embedding::EmbeddingStore;
 
     fn vocab() -> Vocab {
         let space = TokenSpace::new(50, &SchemaCardinalities::for_items(50), 5);
@@ -186,29 +142,21 @@ mod tests {
     }
 
     #[test]
-    fn replicas_start_identical_and_average() {
-        let v = vocab();
-        let hot = HotSet::top_k(&v, 2);
-        let store = EmbeddingStore::new(v.len(), 4, 9);
-        let replicas = ReplicaSet::init(&store, &hot, 3);
-        // Diverge worker replicas.
-        replicas.input_row(0, 0).store_from(&[1.0; 4]);
-        replicas.input_row(1, 0).store_from(&[2.0; 4]);
-        replicas.input_row(2, 0).store_from(&[3.0; 4]);
-        let bytes = replicas.synchronize(&store, &hot);
-        assert!(bytes > 0);
-        let expected = [2.0f32; 4];
-        let mut got = [0.0f32; 4];
-        replicas.input_row(0, 0).load_into(&mut got);
-        assert_eq!(got, expected);
-        replicas.input_row(2, 0).load_into(&mut got);
-        assert_eq!(got, expected);
-        // Canonical row of the hottest token also holds the average.
-        assert_eq!(store.input(hot.tokens()[0]), &expected);
+    fn replicas_average_in_place() {
+        let mut blocks = [[1.0f32; 8], [2.0; 8], [3.0; 8]];
+        blocks[1][5] = 5.0;
+        let mut views: Vec<&mut [f32]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+        average_replicas(&mut views, 4);
+        for b in &blocks {
+            assert_eq!(b[..4], [2.0; 4]);
+            assert_eq!(b[4..], [2.0, 3.0, 2.0, 2.0]);
+        }
+        let hot = HotSet::top_k(&vocab(), 2);
+        assert_eq!(hot.sync_bytes(3, 4), 3 * 2 * 4 * 4 * 2 * 2);
     }
 
     /// Sequential reference for one slot's reconciliation, mirroring the
-    /// documented op order of [`ReplicaSet::synchronize`]: worker rows are
+    /// documented op order of [`average_replicas`]: worker rows are
     /// summed in worker order, then multiplied by `1/w`.
     fn reference_sync(rows: &[Vec<f32>]) -> Vec<f32> {
         let mut acc = vec![0.0f32; rows[0].len()];
@@ -225,39 +173,31 @@ mod tests {
     }
 
     #[test]
-    fn synchronize_is_bit_identical_to_sequential_reference() {
+    fn averaging_is_bit_identical_to_sequential_reference() {
         // Values chosen so that float op *order* matters: the sums are
-        // inexact, so any reordering inside `synchronize` would change
-        // low-order bits and fail the `to_bits` comparison below.
-        let v = vocab();
-        let hot = HotSet::top_k(&v, 2);
-        let store = EmbeddingStore::new(v.len(), 4, 9);
-        let replicas = ReplicaSet::init(&store, &hot, 3);
+        // inexact, so any reordering inside `average_replicas` would
+        // change low-order bits and fail the `to_bits` comparison below.
+        let (workers, slots, dim) = (3, 2, 4);
+        let value = |w: usize, slot: usize, d: usize| {
+            0.1 + 0.3 * w as f32 + 0.7 * slot as f32 + 0.013 * d as f32
+        };
+        let mut blocks: Vec<Vec<f32>> = (0..workers)
+            .map(|w| {
+                (0..slots * dim)
+                    .map(|i| value(w, i / dim, i % dim))
+                    .collect()
+            })
+            .collect();
+        let mut views: Vec<&mut [f32]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+        average_replicas(&mut views, dim);
 
-        let mut worker_rows: Vec<Vec<Vec<f32>>> = Vec::new();
-        for slot in 0..hot.len() {
-            let mut base = [0.0f32; 4];
-            replicas.input_row(0, slot).load_into(&mut base);
-            let mut rows = Vec::new();
-            for w in 0..3 {
-                // Perturb each replica with values whose sums are
-                // inexact in f32.
-                let row: Vec<f32> = (0..4)
-                    .map(|d| base[d] + 0.1 + 0.3 * w as f32 + 0.7 * slot as f32 + 0.013 * d as f32)
-                    .collect();
-                replicas.input_row(w, slot).store_from(&row);
-                rows.push(row);
-            }
-            worker_rows.push(rows);
-        }
-
-        replicas.synchronize(&store, &hot);
-
-        for (slot, rows) in worker_rows.iter().enumerate() {
-            let expected = reference_sync(rows);
-            let mut got = [0.0f32; 4];
-            for w in 0..3 {
-                replicas.input_row(w, slot).load_into(&mut got);
+        for slot in 0..slots {
+            let rows: Vec<Vec<f32>> = (0..workers)
+                .map(|w| (0..dim).map(|d| value(w, slot, d)).collect())
+                .collect();
+            let expected = reference_sync(&rows);
+            for (w, block) in blocks.iter().enumerate() {
+                let got = &block[slot * dim..(slot + 1) * dim];
                 for (g, e) in got.iter().zip(&expected) {
                     assert_eq!(
                         g.to_bits(),
@@ -266,20 +206,14 @@ mod tests {
                     );
                 }
             }
-            // The canonical store row must hold the same bits too.
-            let canonical = store.input(hot.tokens()[slot]);
-            for (g, e) in canonical.iter().zip(&expected) {
-                assert_eq!(g.to_bits(), e.to_bits(), "canonical slot {slot}");
-            }
         }
     }
 
     #[test]
     fn empty_hot_set_syncs_for_free() {
-        let v = vocab();
-        let hot = HotSet::top_k(&v, 0);
-        let store = EmbeddingStore::new(v.len(), 4, 9);
-        let replicas = ReplicaSet::init(&store, &hot, 2);
-        assert_eq!(replicas.synchronize(&store, &hot), 0);
+        let hot = HotSet::top_k(&vocab(), 0);
+        assert_eq!(hot.sync_bytes(2, 4), 0);
+        let mut views: Vec<&mut [f32]> = vec![&mut [], &mut []];
+        average_replicas(&mut views, 4);
     }
 }

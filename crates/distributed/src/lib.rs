@@ -15,10 +15,14 @@
 //!   frequency threshold are replicated on every worker and their replicas
 //!   averaged at regular intervals;
 //! - [`runtime`] — Algorithm 1 (TNS) with threads as workers: every
-//!   worker scans the corpus, processes the pairs whose target it owns (or
-//!   whose hot target falls in its shard), draws negatives from the
-//!   *context owner's* local noise distribution over `P_j ∪ Q`, and ships
-//!   input vectors/gradients across workers — each shipment is counted;
+//!   worker scans the corpus and processes the pairs whose target it owns
+//!   (or whose hot target falls in its shard) on the rows it holds
+//!   exclusively; a pair whose context another worker owns becomes a TNS
+//!   request that the owner serves — negatives from its local noise
+//!   distribution over `P_j ∪ Q`, its own output rows stepped, the
+//!   gradient sent back — in a bulk-synchronous exchange after every block
+//!   of sequences. Each shipment is counted as the bytes a cluster would
+//!   move, and a run is bit-deterministic;
 //! - [`report`] — communication, balance and throughput accounting used by
 //!   the Figure 7 and ablation experiments.
 //!
@@ -32,8 +36,9 @@
 //! Algorithm 1 is written once, in the private `tns` module: [`TnsRun`],
 //! the one run set-up, one pair scan and one TNS step, which builds its
 //! step list with `sisg_sgns::sgd::build_kept` and runs the one SGNS
-//! kernel, `sisg_sgns::sgd::steps`. Both engines drive it: [`runtime`] over
-//! Hogwild `RowPtr` resolvers, [`protocol`] over each worker's shard.
+//! kernel, `sisg_sgns::sgd::steps`, over one exclusive row access path.
+//! Both engines drive it: [`runtime`] over each thread's block of the
+//! store, [`protocol`] over each machine's shard.
 
 #![warn(missing_docs)]
 

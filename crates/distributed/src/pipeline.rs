@@ -319,13 +319,19 @@ mod tests {
         assert_eq!(resumed.partition.owners(), pipeline.partition.owners());
         assert_eq!(resumed.hot_set.tokens(), pipeline.hot_set.tokens());
         assert_eq!(resumed.preflight(), pipeline.preflight());
-        // ...and trains over the same pair schedule: per-worker pair
-        // accounting is deterministic even though Hogwild float races keep
-        // multi-worker runs from being bit-identical.
-        let (_, report_a) = pipeline.train();
-        let (_, report_b) = resumed.train();
+        // ...and trains identically: the same pair schedule, and — every
+        // worker stepping only its own rows in a fixed order — the same
+        // store, bit for bit, at 4 workers with Q on.
+        let (store_a, report_a) = pipeline.train();
+        let (store_b, report_b) = resumed.train();
         assert_eq!(report_a.pairs_per_worker, report_b.pairs_per_worker);
         assert_eq!(report_a.remote_pairs, report_b.remote_pairs);
+        assert!(report_a.remote_pairs > 0 && report_a.sync_rounds > 0);
+        let bits = |m: &sisg_embedding::Matrix| -> Vec<u32> {
+            m.as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert!(bits(store_a.input_matrix()) == bits(store_b.input_matrix()));
+        assert!(bits(store_a.output_matrix()) == bits(store_b.output_matrix()));
     }
 
     #[test]

@@ -45,11 +45,10 @@
 
 use crate::partition::PartitionMap;
 use crate::recovery::ShardCheckpoint;
-use crate::tns::{PairScan, StepState, TnsRun};
+use crate::tns::{LocalRows, PairScan, StepState, TnsRun};
 use sisg_corpus::TokenId;
 use sisg_embedding::{kernels, EmbeddingStore, Matrix};
 use sisg_obs::names as obs_names;
-use sisg_sgns::sgd::OutputRows;
 
 /// A remote TNS call: "here is my input vector for `target`; run the step
 /// against `context` on your shard and send the gradient back".
@@ -320,20 +319,14 @@ impl Shard {
         r as usize
     }
 
-    /// Fills `step_rows` with the shard-local rows of `ts`.
+    /// The output rows as the TNS step's row access path.
     #[inline]
-    fn map_step_rows(&mut self, ts: &[TokenId]) {
-        let Shard {
-            local_index,
-            step_rows,
-            ..
-        } = self;
-        step_rows.clear();
-        step_rows.extend(ts.iter().map(|t| {
-            let r = local_index[t.index()];
-            debug_assert_ne!(r, u32::MAX, "token not owned by this shard");
-            TokenId(r)
-        }));
+    fn output_rows(&mut self) -> LocalRows<'_> {
+        LocalRows {
+            rows: self.output.as_mut_slice(),
+            local: &self.local_index,
+            step_rows: &mut self.step_rows,
+        }
     }
 
     /// True when `token` is a row of this shard (false for any token
@@ -361,21 +354,6 @@ impl Shard {
                     .copy_from_slice(self.output.row(r as usize));
             }
         }
-    }
-}
-
-impl OutputRows for Shard {
-    // Step tokens map to shard-local rows: a bijection, so distinct tokens
-    // stay distinct and every run of `steps` sees the same step list.
-    #[inline]
-    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]) {
-        self.map_step_rows(ts);
-        self.output.dot_rows(&self.step_rows, v, scores);
-    }
-    #[inline]
-    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
-        self.map_step_rows(ts);
-        self.output.fused_step_rows(&self.step_rows, gs, v, grad);
     }
 }
 
@@ -666,16 +644,17 @@ impl<'a> WorkerMachine<'a> {
             return Step::EpochEnd(self.scan.epoch());
         };
         self.counters.pairs += 1;
+        let lr = self.run.next_machine_lr();
         let target_row = self.shard.row(pair.target);
         if pair.route == self.me {
             // Fully local TNS step.
             let input = self.shard.input.row(target_row);
             self.state.pair.row.copy_from_slice(input);
             self.run.tns_step(
-                &mut self.shard,
+                &mut self.shard.output_rows(),
                 self.me,
                 pair.context,
-                pair.lr,
+                lr,
                 &mut self.state,
             );
             kernels::add_assign(self.shard.input.row_mut(target_row), &self.state.pair.grad);
@@ -692,7 +671,7 @@ impl<'a> WorkerMachine<'a> {
             target: pair.target,
             context: pair.context,
             input,
-            lr: pair.lr,
+            lr,
         };
         self.next_seq += 1;
         self.pending = Some(Pending {
@@ -737,7 +716,7 @@ impl<'a> WorkerMachine<'a> {
                 // Fresh request: serve it and cache the reply.
                 self.state.pair.row.copy_from_slice(&req.input);
                 self.run.tns_step(
-                    &mut self.shard,
+                    &mut self.shard.output_rows(),
                     self.me,
                     req.context,
                     req.lr,
@@ -950,6 +929,7 @@ mod tests {
     #[test]
     fn shard_scores_and_steps_like_the_reference_kernels() {
         use sisg_embedding::kernels;
+        use sisg_sgns::sgd::OutputRows;
         let dim = 37;
         // Tokens 0..40, worker 1 owns the odd ones.
         let owners: Vec<u16> = (0..40).map(|t| (t % 2) as u16).collect();
@@ -966,7 +946,7 @@ mod tests {
         let ts: Vec<TokenId> = [3, 17, 5, 39, 1, 17, 23].map(TokenId).to_vec();
 
         let mut scores = vec![0.0f32; ts.len()];
-        shard.dots(&ts, &v, &mut scores);
+        shard.output_rows().dots(&ts, &v, &mut scores);
         for (t, got) in ts.iter().zip(&scores) {
             let want = kernels::dot_scalar_ref(shard.output.row(shard.row(*t)), &v);
             assert_eq!(got.to_bits(), want.to_bits(), "token {t}");
@@ -979,7 +959,7 @@ mod tests {
             kernels::fused_step(g, &v, reference.row_mut(shard.row(*t)), &mut want_grad);
         }
         let mut grad = vec![0.0f32; dim];
-        shard.fused_steps(&ts, &gs, &v, &mut grad);
+        shard.output_rows().fused_steps(&ts, &gs, &v, &mut grad);
         let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(shard.output.as_slice()), bits(reference.as_slice()));
         assert_eq!(bits(&grad), bits(&want_grad));

@@ -28,6 +28,11 @@ pub struct DistReport {
     pub sync_comm_bytes: u64,
     /// Number of hot-set averaging rounds performed.
     pub sync_rounds: u64,
+    /// TNS requests the owners served: one per remote pair.
+    pub requests_served: u64,
+    /// Output rows stepped, local pairs and served requests alike: every
+    /// pair's context plus its kept negatives.
+    pub rows_stepped: u64,
     /// Enriched tokens scanned (× epochs).
     pub tokens_processed: u64,
     /// Wall-clock seconds of the parallel phase.
@@ -153,6 +158,8 @@ mod tests {
             pair_comm_bytes: 1000,
             sync_comm_bytes: 200,
             sync_rounds: 3,
+            requests_served: 20,
+            rows_stepped: 540,
             tokens_processed: 500,
             seconds: 2.0,
             cut_fraction: 0.1,

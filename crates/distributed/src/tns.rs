@@ -1,10 +1,11 @@
 //! Algorithm 1 of the paper (TNS, extended by ATNS), written once for both
 //! Section III engines: the one run set-up ([`TnsRun`]), one worker's
 //! resumable pair scan ([`PairScan`], lines 1–6) and the one TNS call
-//! ([`TnsRun::tns_step`], lines 7–12). The threaded runtime iterates a scan
-//! in sync-round slices over Hogwild row resolvers; each message-passing
-//! machine pulls one pair per step over its exclusive shard. So both keep
-//! the same pairs, route them the same way and drop the same negatives.
+//! ([`TnsRun::tns_step`], lines 7–12), stepped over one exclusive row
+//! access path ([`LocalRows`]). The threaded runtime iterates a scan in
+//! exchange blocks over each thread's own row block; each message-passing
+//! machine pulls one pair per step over its shard. So both keep the same
+//! pairs, route them the same way and drop the same negatives.
 //!
 //! This module is in the `xtask lint` panic-free set: the machines run it.
 
@@ -15,6 +16,7 @@ use crate::runtime::{build_partition, DistConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sisg_corpus::{EnrichedCorpus, ItemCatalog, TokenId};
+use sisg_embedding::kernels;
 use sisg_sgns::sgd::{build_kept, steps, OutputRows};
 use sisg_sgns::sigmoid::SigmoidTable;
 use sisg_sgns::{linear_lr, NoiseTable, PairSampler, PairScratch, SubsampleTable, WindowMode};
@@ -51,7 +53,7 @@ fn noise_seed(seed: u64, worker: usize, incarnation: u64) -> u64 {
 /// One TNS training run: everything the workers of either engine share,
 /// built once. The simulator creates message-passing machines over it
 /// ([`crate::WorkerMachine::new`], [`crate::WorkerMachine::restore`]) and
-/// hand the finished ones back to [`TnsRun::assemble`]; the threaded
+/// hands the finished ones back to [`TnsRun::assemble`]; the threaded
 /// runtime borrows it from every worker thread.
 pub struct TnsRun<'a> {
     pub(crate) config: &'a DistConfig,
@@ -62,7 +64,8 @@ pub struct TnsRun<'a> {
     subsample: SubsampleTable,
     sampler: PairSampler,
     sigmoid: SigmoidTable,
-    /// Pairs trained so far, across all workers (drives the lr decay).
+    /// Pairs the machines have trained so far, across all workers (drives
+    /// their lr decay; the threaded runtime counts per exchange block).
     progress: AtomicU64,
     /// Total scheduled pairs (denominator of the decay).
     schedule_pairs: u64,
@@ -143,12 +146,28 @@ impl<'a> TnsRun<'a> {
         &self.partition
     }
 
+    /// The learning rate after `done` of the run's scheduled pairs.
+    pub(crate) fn lr_at(&self, done: u64) -> f32 {
+        let (lr0, lr_min) = (self.config.learning_rate, self.config.min_learning_rate);
+        linear_lr(lr0, lr_min, done, self.schedule_pairs)
+    }
+
+    /// A machine's learning rate for its next pair, from the progress all
+    /// machines share: one count per pair.
+    pub(crate) fn next_machine_lr(&self) -> f32 {
+        // ORDERING: Relaxed — a shared pair counter driving the lr decay;
+        // the simulator steps its machines on one thread, and the counter
+        // publishes nothing.
+        self.lr_at(self.progress.fetch_add(1, Ordering::Relaxed))
+    }
+
     /// The TNS call on worker `route`: draws `config.negatives` negatives
     /// from `route`'s local noise distribution, steps the output rows of
     /// `context` (the positive) and of every negative that is not the
     /// context — the target included, as in word2vec — against the target's
     /// input row cached in `state.pair.row`, and leaves the input gradient
-    /// in `state.pair.grad` for the target's owner to apply.
+    /// in `state.pair.grad` for the target's owner to apply. The rows it
+    /// stepped are `state.pair.kept`.
     pub(crate) fn tns_step<R: OutputRows>(
         &self,
         rows: &mut R,
@@ -175,6 +194,46 @@ impl<'a> TnsRun<'a> {
             &mut pair.grad,
             &mut pair.scores,
         );
+    }
+}
+
+/// A worker's exclusive output rows, addressed by token: token `t` is row
+/// `local[t]` of the row-major block `rows`. Both engines step through it —
+/// a machine over its shard, a runtime thread over its row block — so every
+/// TNS step runs the exact slice kernels ([`kernels::dot_rows`],
+/// [`kernels::fused_step_rows`]). Step tokens map to local rows one to one,
+/// so distinct tokens stay distinct and every run of `steps` sees the same
+/// step list.
+pub(crate) struct LocalRows<'a> {
+    pub(crate) rows: &'a mut [f32],
+    pub(crate) local: &'a [u32],
+    /// Local rows of the step tokens of the current call.
+    pub(crate) step_rows: &'a mut Vec<TokenId>,
+}
+
+impl LocalRows<'_> {
+    #[inline]
+    fn map_step_rows(&mut self, ts: &[TokenId]) {
+        let local = self.local;
+        self.step_rows.clear();
+        self.step_rows.extend(ts.iter().map(|t| {
+            let r = local[t.index()];
+            debug_assert_ne!(r, u32::MAX, "token not owned by this worker");
+            TokenId(r)
+        }));
+    }
+}
+
+impl OutputRows for LocalRows<'_> {
+    #[inline]
+    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]) {
+        self.map_step_rows(ts);
+        kernels::dot_rows(self.rows, self.step_rows, v, scores);
+    }
+    #[inline]
+    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
+        self.map_step_rows(ts);
+        kernels::fused_step_rows(self.rows, self.step_rows, gs, v, grad);
     }
 }
 
@@ -207,8 +266,6 @@ pub(crate) struct ScanPair {
     /// call: the scanning worker when the context is hot (every worker
     /// holds a replica), the context's owner otherwise.
     pub(crate) route: usize,
-    /// Learning rate from the shared progress counter.
-    pub(crate) lr: f32,
 }
 
 /// One worker's resumable Algorithm 1 scan over one epoch at a time.
@@ -219,9 +276,6 @@ pub(crate) struct PairScan<'r> {
     epoch: usize,
     /// Next sequence to refill from.
     seq_idx: usize,
-    /// True when the sequence in `pairs` falls in this worker's shard of
-    /// hot targets (`seq_idx % w == me`, ATNS).
-    hot_shard: bool,
     pair_idx: usize,
     /// The sequence being scanned, as the enriched view expands it.
     seq: Vec<TokenId>,
@@ -238,7 +292,6 @@ impl<'r> PairScan<'r> {
             rng: StdRng::seed_from_u64(scan_seed(run.config.seed, me, epoch)),
             epoch,
             seq_idx: 0,
-            hot_shard: false,
             pair_idx: 0,
             seq: Vec::with_capacity(64),
             filtered: Vec::with_capacity(64),
@@ -255,25 +308,14 @@ impl<'r> PairScan<'r> {
     /// before `end`, or `None` once the scan has consumed them all.
     /// Responsibility (line 6): a hot target is handled by the worker
     /// whose sequence shard it falls in, spreading the hot load; any other
-    /// target by its owner.
+    /// target by its owner. Only the responsible targets' windows are
+    /// built; the pairs and their order are the filtered whole-sequence
+    /// pair list's.
     pub(crate) fn next(&mut self, end: usize) -> Option<ScanPair> {
         let run = self.run;
         loop {
-            while let Some(&(target, context)) = self.pairs.get(self.pair_idx) {
+            if let Some(&(target, context)) = self.pairs.get(self.pair_idx) {
                 self.pair_idx += 1;
-                let responsible = if run.hot.contains(target) {
-                    self.hot_shard
-                } else {
-                    run.partition.owner(target) == self.me
-                };
-                if !responsible {
-                    continue;
-                }
-                // ORDERING: Relaxed — a shared pair counter driving the lr
-                // decay; workers tolerate slightly-stale progress and
-                // publish nothing through it.
-                let done = run.progress.fetch_add(1, Ordering::Relaxed);
-                let (lr0, lr_min) = (run.config.learning_rate, run.config.min_learning_rate);
                 return Some(ScanPair {
                     target,
                     context,
@@ -282,19 +324,27 @@ impl<'r> PairScan<'r> {
                     } else {
                         run.partition.owner(context)
                     },
-                    lr: linear_lr(lr0, lr_min, done, run.schedule_pairs),
                 });
             }
             if self.seq_idx >= end {
                 return None;
             }
             run.enriched.sequence_into(self.seq_idx, &mut self.seq);
-            self.hot_shard = self.seq_idx % run.config.workers == self.me;
+            let hot_shard = self.seq_idx % run.config.workers == self.me;
             self.seq_idx += 1;
             self.pair_idx = 0;
             run.subsample
                 .filter_into(&self.seq, &mut self.rng, &mut self.filtered);
-            run.sampler.pairs_into(&self.filtered, &mut self.pairs);
+            let me = self.me;
+            let responsible = |t: TokenId| {
+                if run.hot.contains(t) {
+                    hot_shard
+                } else {
+                    run.partition.owner(t) == me
+                }
+            };
+            run.sampler
+                .pairs_where_into(&self.filtered, responsible, &mut self.pairs);
         }
     }
 
@@ -325,9 +375,8 @@ mod tests {
 
     /// With `Q` on, a worker's scan yields exactly its filter + pairs
     /// stream restricted to owned non-hot targets and hot targets of its
-    /// sequence shard, routes hot contexts locally and every other context
-    /// to its owner, and counts each yielded pair once in the shared
-    /// progress.
+    /// sequence shard, and routes hot contexts locally and every other
+    /// context to its owner.
     #[test]
     fn scan_keeps_owned_and_hot_shard_pairs_and_routes_hot_contexts_locally() {
         let gen = corpus();
@@ -380,8 +429,24 @@ mod tests {
         assert!(hot_targets > 0, "the corpus must yield hot targets");
         assert!(hot_contexts > 0, "the corpus must yield hot contexts");
         assert_eq!(got, want);
-        // ORDERING: Relaxed — one thread wrote the counter.
-        assert_eq!(run.progress.load(Ordering::Relaxed), got.len() as u64);
+    }
+
+    /// A machine's learning rate follows the shared count, one pair per
+    /// call, on the schedule `lr_at` gives every engine.
+    #[test]
+    fn machine_lr_counts_one_pair_per_call() {
+        let gen = corpus();
+        let enriched = EnrichedCorpus::build(&gen, EnrichOptions::NONE);
+        let config = DistConfig {
+            workers: 2,
+            ..Default::default()
+        };
+        let run = TnsRun::new(&enriched, &gen.catalog, &config);
+        assert_eq!(run.lr_at(0), config.learning_rate);
+        assert!(run.lr_at(run.schedule_pairs / 2) < config.learning_rate);
+        for done in 0..3 {
+            assert_eq!(run.next_machine_lr(), run.lr_at(done));
+        }
     }
 
     /// A negative equal to the target is stepped (word2vec's rule); a

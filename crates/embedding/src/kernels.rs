@@ -150,39 +150,19 @@ pub fn dot_scalar_ref(x: &[f32], y: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Dot product, 8-wide unrolled with 4 independent accumulators — the
-/// throughput kernel behind [`crate::math::dot`] and the serving scorers.
-/// Reduction order is [`dot_scalar_ref`]'s lane order, *not* the serial
-/// order: the order of every training score ([`dot_rows`]).
+/// Dot product in [`dot_scalar_ref`]'s lane order — the kernel behind
+/// [`crate::math::dot`] and the serving scorers, and the order of every
+/// training score ([`dot_rows`]), *not* the serial order. One row of
+/// `dot_block`: on x86_64 its four lane accumulators are one SSE
+/// register.
 ///
 /// # Panics
 /// Panics when the slices differ in length.
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "length mismatch");
-    let mut a0 = 0.0f32;
-    let mut a1 = 0.0f32;
-    let mut a2 = 0.0f32;
-    let mut a3 = 0.0f32;
-    let mut xc = x.chunks_exact(8);
-    let mut yc = y.chunks_exact(8);
-    for (xs, ys) in (&mut xc).zip(&mut yc) {
-        a0 += xs[0] * ys[0];
-        a1 += xs[1] * ys[1];
-        a2 += xs[2] * ys[2];
-        a3 += xs[3] * ys[3];
-        a0 += xs[4] * ys[4];
-        a1 += xs[5] * ys[5];
-        a2 += xs[6] * ys[6];
-        a3 += xs[7] * ys[7];
-    }
-    // Remainder elements continue the `i % 4` lane pattern: a full chunk
-    // is 8 elements, so the first remainder element is lane 0 again.
-    let mut acc = [a0, a1, a2, a3];
-    for (i, (&a, &b)) in xc.remainder().iter().zip(yc.remainder()).enumerate() {
-        acc[i % 4] += a * b;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
+    let [d] = dot_block([x], y);
+    d
 }
 
 /// The lane-order dots of listed rows of a row-major block:

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// A dense `rows × dim` matrix of `f32`, stored as atomic bit cells so
 /// that Hogwild updates are defined behavior.
 pub struct Matrix {
-    data: Box<[AtomicU32]>,
+    data: Vec<AtomicU32>,
     rows: usize,
     dim: usize,
 }
@@ -126,19 +126,6 @@ impl<'a> RowPtr<'a> {
         // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
         for (out, cell) in dst.iter_mut().zip(self.cells) {
             *out = f32::from_bits(cell.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Overwrites the row from `src`.
-    ///
-    /// # Panics
-    /// Panics when `src.len() != len()`.
-    #[inline]
-    pub fn store_from(&self, src: &[f32]) {
-        assert_eq!(src.len(), self.cells.len(), "length mismatch");
-        // ORDERING: Relaxed — same Hogwild bit-cell argument as above.
-        for (cell, &v) in self.cells.iter().zip(src) {
-            cell.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -364,7 +351,7 @@ impl std::fmt::Debug for RowPtr<'_> {
     }
 }
 
-fn to_cells(data: Vec<f32>) -> Box<[AtomicU32]> {
+fn to_cells(data: Vec<f32>) -> Vec<AtomicU32> {
     data.into_iter()
         .map(|v| AtomicU32::new(v.to_bits()))
         .collect()
@@ -382,7 +369,7 @@ impl Matrix {
             // `u32` (guaranteed by std), for which all-zero bytes are the
             // valid value 0 — the bit pattern of `0.0f32` — so every cell
             // of the zeroed allocation is initialized.
-            data: unsafe { cells.assume_init() },
+            data: unsafe { cells.assume_init() }.into_vec(),
             rows,
             dim,
         }
@@ -513,12 +500,7 @@ impl Matrix {
     #[inline]
     pub fn fused_step_rows(&mut self, rows: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
         assert_eq!(v.len(), self.dim, "length mismatch");
-        // SAFETY: same layout argument as `row_mut`, over the whole buffer;
-        // `&mut self` makes the plain slice unique.
-        let block = unsafe {
-            std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast::<f32>(), self.data.len())
-        };
-        crate::kernels::fused_step_rows(block, rows, gs, v, grad);
+        crate::kernels::fused_step_rows(self.as_mut_slice(), rows, gs, v, grad);
     }
 
     /// The full row-major buffer as a plain slice (quiescent-phase
@@ -526,6 +508,34 @@ impl Matrix {
     pub fn as_slice(&self) -> &[f32] {
         // SAFETY: same layout argument as `row`, over the whole buffer.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<f32>(), self.data.len()) }
+    }
+
+    /// The full row-major buffer as a mutable plain slice — exclusive by
+    /// construction, so it can be split into disjoint row blocks that
+    /// threads own outright.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        // SAFETY: same layout argument as `row_mut`, over the whole buffer;
+        // `&mut self` makes the plain slice unique.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast::<f32>(), self.data.len())
+        }
+    }
+
+    /// Drops every row from `rows` on, in place: no row is copied and the
+    /// allocation keeps its size, so a later matrix of the original shape
+    /// can reuse it once this one is freed.
+    ///
+    /// # Panics
+    /// Panics when `rows > self.rows()`.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        assert!(
+            rows <= self.rows,
+            "cannot grow {} rows to {rows}",
+            self.rows
+        );
+        self.data.truncate(rows * self.dim);
+        self.rows = rows;
     }
 }
 
@@ -551,6 +561,17 @@ impl std::fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn truncate_rows_keeps_the_leading_rows() {
+        let mut m = Matrix::from_data(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        m.as_mut_slice()[5] = 7.0;
+        m.truncate_rows(2);
+        assert_eq!(m.rows(), 2);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        m.truncate_rows(0);
+        assert!(m.as_slice().is_empty());
+    }
 
     #[test]
     fn zeros_and_rows() {
@@ -624,8 +645,6 @@ mod tests {
         let mut buf = [0.0f32; 3];
         r.load_into(&mut buf);
         assert_eq!(buf, [9.0, 5.5, 6.0]);
-        r.store_from(&[1.0, 1.0, 1.0]);
-        assert_eq!(m.row(1), &[1.0, 1.0, 1.0]);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0], "row 0 untouched");
     }
 

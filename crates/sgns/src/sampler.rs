@@ -100,11 +100,20 @@ pub struct PairSampler {
 }
 
 impl PairSampler {
-    /// Calls `f(target, context)` for every sampled pair of `seq`.
-    fn for_each_pair(&self, seq: &[TokenId], mut f: impl FnMut(TokenId, TokenId)) {
+    /// Calls `f(target, context)` for every sampled pair of `seq` whose
+    /// target passes `keep`; a rejected target costs one call of `keep`.
+    fn for_each_pair(
+        &self,
+        seq: &[TokenId],
+        mut keep: impl FnMut(TokenId) -> bool,
+        mut f: impl FnMut(TokenId, TokenId),
+    ) {
         let n = seq.len();
         let b = self.window;
         for i in 0..n {
+            if !keep(seq[i]) {
+                continue;
+            }
             let right_end = (i + b).min(n.saturating_sub(1));
             if self.mode == WindowMode::Symmetric {
                 let left_start = i.saturating_sub(b);
@@ -120,8 +129,20 @@ impl PairSampler {
 
     /// Collects all pairs of `seq` into `out` (cleared first).
     pub fn pairs_into(&self, seq: &[TokenId], out: &mut Vec<(TokenId, TokenId)>) {
+        self.pairs_where_into(seq, |_| true, out);
+    }
+
+    /// Collects the pairs of `seq` whose target passes `keep` into `out`
+    /// (cleared first): [`Self::pairs_into`]'s pairs, filtered, in the
+    /// same order, without building the rejected targets' windows.
+    pub fn pairs_where_into(
+        &self,
+        seq: &[TokenId],
+        keep: impl FnMut(TokenId) -> bool,
+        out: &mut Vec<(TokenId, TokenId)>,
+    ) {
         out.clear();
-        self.for_each_pair(seq, |t, c| out.push((t, c)));
+        self.for_each_pair(seq, keep, |t, c| out.push((t, c)));
     }
 }
 
@@ -173,6 +194,20 @@ mod tests {
                 (TokenId(2), TokenId(3)),
             ]
         );
+    }
+
+    #[test]
+    fn pairs_where_keeps_the_filtered_pairs_in_order() {
+        let s = seq(&[0, 1, 2, 1, 3]);
+        for mode in [WindowMode::Symmetric, WindowMode::RightOnly] {
+            let sampler = PairSampler { window: 2, mode };
+            let (mut all, mut some) = (Vec::new(), Vec::new());
+            sampler.pairs_into(&s, &mut all);
+            sampler.pairs_where_into(&s, |t| t.0 % 2 == 1, &mut some);
+            all.retain(|(t, _)| t.0 % 2 == 1);
+            assert!(!some.is_empty());
+            assert_eq!(some, all, "{mode:?}");
+        }
     }
 
     #[test]

@@ -98,12 +98,12 @@ fn distinct_run_end(kept: &[TokenId], start: usize) -> usize {
 /// once against this trait and monomorphised per access path, so every
 /// engine runs the same passes in the same order:
 ///
-/// - `&mut Matrix` — rows owned exclusively (`threads == 1`, EGES, a TNS
-///   worker's shard): plain-slice kernels, the step pass register-blocked;
-/// - any `Fn(TokenId) -> RowPtr` resolver — the Hogwild path (relaxed
-///   per-element atomics, sound under concurrent writers); for plain SGNS
-///   that is `output.row_ptr`, for shared-memory TNS the replica-aware
-///   resolver.
+/// - `&mut Matrix` — rows owned exclusively (`threads == 1`, EGES):
+///   plain-slice kernels, the step pass register-blocked; the distributed
+///   engines' worker-owned row blocks run the same kernels;
+/// - any `Fn(TokenId) -> RowPtr` resolver — the Hogwild path of plain
+///   SGNS with `threads > 1` (`output.row_ptr`; relaxed per-element
+///   atomics, sound under concurrent writers).
 ///
 /// Both produce bit-identical results single-threaded (pinned by a test
 /// below).

@@ -1,14 +1,15 @@
-//! Engine parity: the shared-memory Hogwild runtime and the simulated
-//! message-passing cluster drive the same seeded pair scan, so with the
-//! hot set disabled their cross-worker pair accounting must agree
-//! *exactly* — under hash over item sequences and under HBGP over
-//! SI-enriched ones — and the models they produce must score
-//! equivalently.
+//! Engine parity: the threaded runtime and the simulated message-passing
+//! cluster drive the same seeded pair scan, so with the hot set disabled
+//! their cross-worker pair accounting must agree *exactly* — under hash
+//! over item sequences and under HBGP over SI-enriched ones — and the
+//! models they produce must score equivalently.
 //!
-//! Float bits are not compared across engines: the shared-memory runtime
-//! races its unsynchronized adds, and the message-passing protocol applies
-//! remote gradients at delivery time — only the *accounting* is required
-//! to be identical.
+//! Float bits are not compared across engines, although each engine is
+//! deterministic on its own: the runtime exchanges remote requests in
+//! blocks of sequences, serves them with the owner's noise stream and
+//! steps its learning rate per block, while a machine waits for each
+//! response and applies the gradient at delivery time, on a per-pair
+//! learning rate. Only the *accounting* is required to be identical.
 
 use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_distributed::runtime::PartitionStrategy;

@@ -61,8 +61,8 @@ const RULES: [RuleInfo; 11] = [
     RuleInfo {
         id: 6,
         name: "kernel-path",
-        scope: "crates/sgns, crates/eges, embedding/quant.rs, stream/pipeline.rs, distributed/{tns,runtime,protocol}.rs, non-test",
-        summary: "per-element `RowPtr` accessors banned in training crates and their hot-path support files; hot loops use the DESIGN.md §8 kernels",
+        scope: "crates/sgns, crates/eges, embedding/quant.rs, stream/pipeline.rs, distributed/{tns,runtime,protocol}.rs, non-test; all of crates/distributed for `RowPtr`/`row_ptr`",
+        summary: "per-element `RowPtr` accessors banned in training crates and their hot-path support files; hot loops use the DESIGN.md §8 kernels. crates/distributed steps only rows it owns exclusively, so it may not name `RowPtr` or `row_ptr` at all",
     },
     RuleInfo {
         id: 7,
@@ -191,6 +191,12 @@ fn kernel_path_applies(rel_crate: &str, rel_file: &str) -> bool {
     KERNEL_PATH_CRATES.contains(&rel_crate) || KERNEL_PATH_FILES.contains(&rel_file)
 }
 
+/// Crates whose non-test code may not name `RowPtr` or `row_ptr` at all
+/// (rule 6, widened): every worker of the Section III runtime steps rows
+/// it owns exclusively, through the slice kernels, so the shared Hogwild
+/// view has no use there.
+const ROW_PTR_FREE_CRATES: &[&str] = &["crates/distributed"];
+
 /// Crates whose non-test code is checked for lock guards held across
 /// channel/thread operations (rule 9): the two crates whose bounded
 /// queues make the lock-then-blocking-send deadlock shape reachable.
@@ -217,6 +223,8 @@ struct ScanScope {
     obs_timing: bool,
     /// Rule 6 applies.
     kernel_path: bool,
+    /// Rule 6's crate-wide ban on naming `RowPtr`/`row_ptr` applies.
+    row_ptr_free: bool,
     /// Rule 8 applies.
     ordering: bool,
     /// Rule 9 applies.
@@ -266,6 +274,7 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
                 assert_free,
                 obs_timing,
                 kernel_path: kernel_path_applies(&rel_crate, &rel_str),
+                row_ptr_free: ROW_PTR_FREE_CRATES.contains(&rel_crate.as_str()),
                 ordering: !compat,
                 guard_channel,
                 no_sleep: !compat,
@@ -647,6 +656,22 @@ fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation>
                 message: format!(
                     "per-element `{}(..)` banned in training crates; use the row-granular kernels (DESIGN.md §8)",
                     code[i + 1].text
+                ),
+            });
+        }
+
+        // ---- rule 6, widened: no shared row views in crates/distributed.
+        if scope.row_ptr_free
+            && tok.kind == TokenKind::Ident
+            && (tok.text == "RowPtr" || tok.text == "row_ptr")
+        {
+            violations.push(Violation {
+                path: rel.to_path_buf(),
+                line,
+                rule: "kernel-path",
+                message: format!(
+                    "`{}` banned in crates/distributed: workers step the rows they own through the slice kernels (DESIGN.md §8)",
+                    tok.text
                 ),
             });
         }
@@ -1687,6 +1712,48 @@ mod tests {
             "crates/distributed",
             "crates/distributed/src/hbgp.rs"
         ));
+    }
+
+    #[test]
+    fn naming_a_shared_row_view_anywhere_in_the_distributed_crate_fails() {
+        // Every source file of crates/distributed, under the scope the lint
+        // gives it, is clean; with a seeded `RowPtr` or `row_ptr` in
+        // non-test code it fails once, and the same lines in a test module
+        // pass.
+        let root = crate::workspace_root();
+        let files = rust_files(&root.join("crates/distributed/src")).expect("list the crate");
+        assert!(files.len() > 5, "{files:?}");
+        for file in files {
+            let rel = file.strip_prefix(&root).expect("inside the workspace");
+            let rel_str = rel.to_string_lossy().replace('\\', "/");
+            let scope = ScanScope {
+                kernel_path: kernel_path_applies("crates/distributed", &rel_str),
+                row_ptr_free: ROW_PTR_FREE_CRATES.contains(&"crates/distributed"),
+                ..ScanScope::default()
+            };
+            let real = std::fs::read_to_string(&file).expect("read the file");
+            let kernel = |src: &str| -> Vec<Violation> {
+                scan_file(rel, src, scope)
+                    .into_iter()
+                    .filter(|v| v.rule == "kernel-path")
+                    .collect()
+            };
+            assert!(kernel(&real).is_empty(), "{rel_str} is clean today");
+            for seed in [
+                "fn seeded(m: &Matrix) -> usize { m.row_ptr(0).len() }",
+                "fn seeded(r: RowPtr<'_>) -> usize { r.len() }",
+            ] {
+                let seeded = format!("{real}\n{seed}\n");
+                let v = kernel(&seeded);
+                assert_eq!(v.len(), 1, "{rel_str}: {v:?}");
+                assert_eq!(v[0].line, seeded.lines().count(), "{rel_str}");
+                let in_test = format!("{real}\n#[cfg(test)]\nmod seeded {{\n{seed}\n}}\n");
+                assert!(
+                    kernel(&in_test).is_empty(),
+                    "{rel_str}: test code is exempt"
+                );
+            }
+        }
     }
 
     #[test]
