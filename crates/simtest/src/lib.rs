@@ -57,7 +57,7 @@ use std::collections::{BinaryHeap, VecDeque};
 pub struct SimConfig {
     /// Training configuration. `hot_set_size` is ignored: `TnsRun::new`
     /// runs the machines with an empty `Q`, so they train plain TNS through
-    /// the same pair scan and TNS step the shared-memory runtime runs ATNS
+    /// the same pair scan and TNS step the threaded runtime runs ATNS
     /// with.
     pub dist: DistConfig,
     /// Seeded fault schedule. [`FaultPlan::none`] simulates a healthy
