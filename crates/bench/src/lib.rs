@@ -11,7 +11,6 @@
 //! | `SISG_WINDOW` | item-level window half-width | 3 |
 //! | `SISG_NEG` | negatives per positive | 5 |
 //! | `SISG_EPOCHS` | training epochs | 2 |
-//! | `SISG_THREADS` | Hogwild threads | 1 |
 //! | `SISG_SEED` | master seed | 42 |
 
 #![warn(missing_docs)]
@@ -52,7 +51,6 @@ pub fn offline_sgns_config() -> SgnsConfig {
         window: env_usize("SISG_WINDOW", 3),
         negatives: env_usize("SISG_NEG", 5),
         epochs: env_usize("SISG_EPOCHS", 2),
-        threads: env_usize("SISG_THREADS", 1),
         seed: env_u64("SISG_SEED", 42),
         ..Default::default()
     }

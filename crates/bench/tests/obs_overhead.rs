@@ -7,7 +7,7 @@
 //! 1. **Training** — a counter add / gauge set against one `train_pair`
 //!    step at the paper's production shape (d=128, 20 negatives). The
 //!    trainers are even cheaper than this bound suggests: they accumulate
-//!    in plain locals and touch the registry once per epoch per thread.
+//!    in plain locals and touch the registry once per epoch.
 //! 2. **Serving / retrieval** — the full per-request recording bundle
 //!    (stopwatch start + read, latency histogram record, two counter
 //!    increments) against one ANN search over a small index, the retrieval
@@ -41,15 +41,15 @@ fn ns_per_op<F: FnMut()>(iters: u32, rounds: u32, mut op: F) -> f64 {
 #[test]
 fn counter_and_gauge_cost_under_2_percent_of_a_training_step() {
     let dim = 128;
-    let input = Matrix::uniform_init(1000, dim, 1);
-    let output = Matrix::uniform_init(1000, dim, 2);
+    let mut input = Matrix::uniform_init(1000, dim, 1);
+    let mut output = Matrix::uniform_init(1000, dim, 2);
     let sigmoid = SigmoidTable::new();
     let negs: Vec<TokenId> = (2..22).map(TokenId).collect();
     let mut scratch = sisg_sgns::PairScratch::new(dim);
     let pair_ns = ns_per_op(2_000, 5, || {
         train_pair(
-            &input,
-            &output,
+            &mut input,
+            &mut output,
             TokenId(0),
             TokenId(1),
             black_box(&negs),

@@ -379,7 +379,7 @@ mod tests {
     fn rejected_sgns_configs_are_typed_errors() {
         let c = corpus();
         type Spoil = fn(&mut SgnsConfig);
-        let cases: [(&str, Spoil); 9] = [
+        let cases: [(&str, Spoil); 10] = [
             ("dim", |s| s.dim = 0),
             ("window", |s| s.window = 0),
             ("epochs", |s| s.epochs = 0),
@@ -389,6 +389,7 @@ mod tests {
             ("min_learning_rate", |s| s.min_learning_rate = 0.5),
             ("subsample", |s| s.subsample = -1.0),
             ("threads", |s| s.threads = 0),
+            ("threads", |s| s.threads = 2),
         ];
         for (want, spoil) in cases {
             let mut cfg = small_sgns();

@@ -6,9 +6,9 @@
 //! working set that stays far below that array.
 //!
 //! Its own test binary because it installs a counting global allocator.
-//! Live and peak bytes are counted per thread, and training runs with
-//! `threads: 1` on the test's own thread, so the harness's other threads
-//! cannot disturb the measurement.
+//! Live and peak bytes are counted per thread, and training runs on the
+//! test's own thread, so the harness's other threads cannot disturb the
+//! measurement.
 
 use sisg_core::{SisgModel, Variant};
 use sisg_corpus::{CorpusConfig, EnrichedCorpus, GeneratedCorpus};
@@ -69,7 +69,6 @@ fn training_peak_heap_is_the_store_plus_less_than_the_enriched_tokens() {
         window: 2,
         negatives: 2,
         epochs: 1,
-        threads: 1,
         ..Default::default()
     };
     // The figures the budget is stated in, read off a view that is dropped

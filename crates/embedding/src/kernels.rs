@@ -11,24 +11,17 @@
 //! - **Lane order** (`dot`, `dot_rows`, with [`dot_scalar_ref`] as their
 //!   semantic definition): four accumulators (`acc[i % 4] += x[i] * y[i]`,
 //!   combined as `(a0 + a1) + (a2 + a3)`), so one dot is a chain of
-//!   `len / 4` adds instead of `len`. Every training score uses it —
-//!   `dot_rows` on the exact path, `RowPtr::dot_slice(_x4)` on the Hogwild
-//!   one — and so do the evaluation and serving scorers behind
+//!   `len / 4` adds instead of `len`. Every training score uses it, through
+//!   `dot_rows`, and so do the evaluation and serving scorers behind
 //!   [`crate::math::dot`]. Each kernel returns exactly `dot_scalar_ref`'s
-//!   bits, so single-threaded training output is reproducible across
-//!   kernel-layer versions (enforced by the golden checksum test in
-//!   `crates/sgns`).
+//!   bits, so training output is reproducible across kernel-layer versions
+//!   (enforced by the golden checksum test in `crates/sgns`).
 //!
 //! Elementwise kernels (`axpy` and friends) have no reduction, so loop
 //! unrolling and auto-vectorization cannot change their results: each
 //! element's value is computed by the same ops in the same order
 //! regardless of how many lanes execute at once. They are safe in both
 //! families.
-//!
-//! Atomic (Hogwild) counterparts of these kernels live on
-//! [`crate::matrix::RowPtr`], which owns the `AtomicU32` cells; the
-//! soundness rules there (per-element relaxed atomics, no SIMD over
-//! atomic memory) are why the two implementations are separate.
 
 use sisg_corpus::TokenId;
 
@@ -350,11 +343,11 @@ pub fn scale(x: &mut [f32], a: f32) {
     }
 }
 
-/// The fused SGD update of one sample step, non-atomic exact path:
-/// for every element, `grad[d] += g · vp[d]` (pre-update value) and then
+/// The fused SGD update of one sample step: for every element,
+/// `grad[d] += g · vp[d]` (pre-update value) and then
 /// `vp[d] = vp[d] + g · v[d]` — one pass over the output row instead of
-/// the separate `accumulate_scaled` + `axpy` passes, preserving exactly
-/// their per-element op order.
+/// a gradient pass and an [`axpy`] pass, preserving exactly their
+/// per-element op order.
 ///
 /// # Panics
 /// Panics when the slices differ in length.

@@ -17,7 +17,7 @@ pub mod store;
 mod topk;
 pub mod word2vec;
 
-pub use matrix::{dot_slice_x4, Matrix, RowPtr};
+pub use matrix::Matrix;
 pub use quant::{quantize_row, QuantMatrix, QuantQuery, QuantRows};
 pub use store::EmbeddingStore;
 pub use topk::{retrieve_top_k, retrieve_top_k_q8, retrieve_top_k_scaled, Neighbor, TopK};

@@ -2,7 +2,7 @@
 //! the unrolled kernels in [`crate::kernels`].
 //!
 //! [`dot`] here uses the 4-accumulator lane-order kernel, the order the
-//! training scores use too (`kernels::dot_rows`, `RowPtr::dot_slice`);
+//! training scores use too (`kernels::dot_rows`);
 //! the serving scan keeps the serial order (see DESIGN.md §8).
 
 use crate::kernels;

@@ -78,9 +78,8 @@ impl EmbeddingStore {
         &mut self.input
     }
 
-    /// Both matrices mutably at once — the entry point of the non-atomic
-    /// exact training path (`threads == 1`), which needs simultaneous
-    /// `&mut` access to input and output rows.
+    /// Both matrices mutably at once — the entry point of the trainer,
+    /// which needs simultaneous `&mut` access to input and output rows.
     #[inline]
     pub fn matrices_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
         (&mut self.input, &mut self.output)

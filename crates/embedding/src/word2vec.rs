@@ -71,6 +71,11 @@ impl std::fmt::Display for W2vParseError {
 impl std::error::Error for W2vParseError {}
 
 /// Reads a word2vec text file into `(names, matrix)`.
+///
+/// The header is untrusted: a `rows × dim` no buffer can hold is a
+/// [`W2vParseError::BadHeader`], and no buffer is sized from it, so the
+/// buffers grow only with the rows the input really holds. A header that
+/// promises more rows than follow is [`W2vParseError::Truncated`].
 pub fn read_text<R: BufRead>(input: R) -> Result<(Vec<String>, Matrix), W2vParseError> {
     let mut lines = input.lines();
     let header = lines
@@ -86,12 +91,15 @@ pub fn read_text<R: BufRead>(input: R) -> Result<(Vec<String>, Matrix), W2vParse
         .next()
         .and_then(|p| p.parse().ok())
         .ok_or(W2vParseError::BadHeader)?;
-    if dim == 0 && rows > 0 {
+    // A shape no `f32` buffer can have (`rows × dim` overflows, or its
+    // bytes exceed `isize::MAX`) is a bad header, not a panic.
+    let cells = rows.checked_mul(dim).ok_or(W2vParseError::BadHeader)?;
+    if (dim == 0 && rows > 0) || std::alloc::Layout::array::<f32>(cells).is_err() {
         return Err(W2vParseError::BadHeader);
     }
 
-    let mut names = Vec::with_capacity(rows);
-    let mut data = Vec::with_capacity(rows * dim);
+    let mut names = Vec::new();
+    let mut data = Vec::new();
     for (i, line) in lines.enumerate() {
         if names.len() == rows {
             break;
@@ -150,6 +158,26 @@ mod tests {
             W2vParseError::BadHeader
         );
         assert_eq!(read_text(&b""[..]).unwrap_err(), W2vParseError::BadHeader);
+    }
+
+    #[test]
+    fn hostile_headers_are_typed_errors() {
+        // Header-only inputs: a shape no host can allocate, a `rows × dim`
+        // that overflows `usize`, and one whose bytes exceed `isize::MAX`.
+        let cases: [(&[u8], W2vParseError); 3] = [
+            (
+                b"1000000000000 1\n",
+                W2vParseError::Truncated {
+                    expected: 1_000_000_000_000,
+                    actual: 0,
+                },
+            ),
+            (b"18446744073709551615 2\n", W2vParseError::BadHeader),
+            (b"3 4611686018427387904\n", W2vParseError::BadHeader),
+        ];
+        for (text, want) in cases {
+            assert_eq!(read_text(text).unwrap_err(), want);
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Bit-identity regression suite for the DESIGN.md §8 kernel layer.
 //!
 //! Every unrolled or batched kernel must agree with its scalar reference
-//! to the last bit (`to_bits` equality, i.e. 0 ULP): the single-threaded
-//! trainer's golden-checksum test depends on it, and a silent reduction
-//! reorder in a "faster" kernel would change training trajectories.
+//! to the last bit (`to_bits` equality, i.e. 0 ULP): the trainer's
+//! golden-checksum test depends on it, and a silent reduction reorder in a
+//! "faster" kernel would change training trajectories.
 //!
 //! Deterministic loops pin every remainder length `0..=17` (all residues
 //! of the 8-wide and 4-wide unroll factors, twice over; `0..=70` for the
@@ -13,7 +13,7 @@
 use proptest::collection::vec;
 use proptest::prelude::{prop_assert_eq, proptest};
 use sisg_corpus::TokenId;
-use sisg_embedding::{dot_slice_x4, kernels, math, Matrix};
+use sisg_embedding::{kernels, math, Matrix};
 
 /// Deterministic, irregular test values — sums are inexact so any
 /// reduction reorder flips low-order bits.
@@ -100,12 +100,11 @@ fn scaled_dots_equal_ordered_dots_over_prescaled_rows_for_all_lengths() {
     }
 }
 
-/// The training dot on both row access paths — the exact `Matrix`
-/// batch and the Hogwild `RowPtr` one and four at a time — reduces in
-/// `dot_scalar_ref`'s lane order, so all of them agree with it, and with
-/// `kernels::dot`, at 0 ULP.
+/// The training dot — `Matrix::dot_rows`, the batch every trainer
+/// scores with — reduces in `dot_scalar_ref`'s lane order, so it agrees
+/// with it, and with `kernels::dot`, at 0 ULP.
 #[test]
-fn training_dots_match_lane_reference_on_every_row_access_path() {
+fn training_dots_match_lane_reference() {
     for dim in 1..=40 {
         let rows = 13;
         let m = Matrix::from_data(rows, dim, values(rows * dim, dim as u32));
@@ -120,14 +119,7 @@ fn training_dots_match_lane_reference_on_every_row_access_path() {
                 let want = kernels::dot_scalar_ref(m.row(t.index()), &y).to_bits();
                 assert_eq!(out[k].to_bits(), want, "dim {dim} n {n} row {k}");
                 assert_eq!(kernels::dot(m.row(t.index()), &y).to_bits(), want);
-                assert_eq!(m.row_ptr(t.index()).dot_slice(&y).to_bits(), want);
             }
-        }
-        let quad = [0, 3, 3, 7].map(|r| m.row_ptr(r));
-        let got = dot_slice_x4(quad, &y);
-        for (j, r) in [0, 3, 3, 7].into_iter().enumerate() {
-            let want = kernels::dot_scalar_ref(m.row(r), &y);
-            assert_eq!(got[j].to_bits(), want.to_bits(), "x4 dim {dim} lane {j}");
         }
     }
 }
@@ -178,34 +170,16 @@ fn blocked_step_rejects_a_row_past_the_block() {
 }
 
 #[test]
-fn unrolled_axpy_slice_matches_scalar_reference_for_all_remainders() {
-    for len in 1..=17 {
-        let m = Matrix::from_data(1, len, values(len, 7));
+fn unrolled_axpy_matches_scalar_reference_for_all_remainders() {
+    for len in 0..=17 {
         let x = values(len, 8);
-        let mut expect: Vec<f32> = m.row(0).to_vec();
+        let mut got = values(len, 7);
+        let mut expect = got.clone();
         for (e, &xi) in expect.iter_mut().zip(&x) {
             *e += 0.37 * xi;
         }
-        m.row_ptr(0).axpy_slice(0.37, &x);
-        let got: Vec<u32> = m.row(0).iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "len {len}");
-    }
-}
-
-#[test]
-fn accumulate_scaled_matches_scalar_reference_for_all_remainders() {
-    for len in 1..=17 {
-        let m = Matrix::from_data(1, len, values(len, 9));
-        let mut acc = values(len, 10);
-        let mut expect = acc.clone();
-        for (e, &v) in expect.iter_mut().zip(m.row(0)) {
-            *e += -0.81 * v;
-        }
-        m.row_ptr(0).accumulate_scaled(-0.81, &mut acc);
-        let got: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "len {len}");
+        kernels::axpy(0.37, &x, &mut got);
+        assert_eq!(bits(&got), bits(&expect), "len {len}");
     }
 }
 
@@ -286,29 +260,14 @@ proptest! {
     }
 
     #[test]
-    fn row_ptr_x4_dots_match_four_dot_slices(
-        data in vec(-3.0f32..3.0, 4..256),
-        y in vec(-3.0f32..3.0, 1..64),
-    ) {
-        let dim = (data.len() / 4).min(y.len()).max(1);
-        let m = Matrix::from_data(4, dim, data[..4 * dim].to_vec());
-        let got = dot_slice_x4(
-            [m.row_ptr(0), m.row_ptr(1), m.row_ptr(2), m.row_ptr(3)],
-            &y[..dim],
-        );
-        for (j, &g) in got.iter().enumerate() {
-            prop_assert_eq!(g.to_bits(), m.row_ptr(j).dot_slice(&y[..dim]).to_bits());
-        }
-    }
-
-    #[test]
     fn fused_step_matches_two_pass_reference(
         out in vec(-3.0f32..3.0, 1..64),
         x in vec(-3.0f32..3.0, 1..64),
         g in -0.5f32..0.5,
     ) {
         let n = out.len().min(x.len());
-        // Reference: accumulate_scaled then axpy over the same initial row.
+        // Reference: per element, the gradient from the pre-update value,
+        // then the axpy.
         let mut expect_out = out[..n].to_vec();
         let mut expect_grad = vec![0.0f32; n];
         for ((eg, eo), &xi) in expect_grad.iter_mut().zip(expect_out.iter_mut()).zip(&x[..n]) {
@@ -324,22 +283,27 @@ proptest! {
     }
 
     #[test]
-    fn fused_grad_step_matches_accumulate_then_axpy(
+    fn fused_step_matches_accumulate_then_axpy(
         row in vec(-3.0f32..3.0, 1..64),
         x in vec(-3.0f32..3.0, 1..64),
         g in -0.5f32..0.5,
     ) {
         let n = row.len().min(x.len());
-        let fused = Matrix::from_data(1, n, row[..n].to_vec());
-        let two_pass = Matrix::from_data(1, n, row[..n].to_vec());
+        let mut fused = row[..n].to_vec();
         let mut fused_grad = vec![0.0f32; n];
+        kernels::fused_step(g, &x[..n], &mut fused, &mut fused_grad);
+        // Reference: the whole gradient pass over the pre-update row, then
+        // the whole axpy pass, each a scalar loop.
+        let mut two_pass = row[..n].to_vec();
         let mut ref_grad = vec![0.0f32; n];
-        fused.row_ptr(0).fused_grad_step(g, &x[..n], &mut fused_grad);
-        two_pass.row_ptr(0).accumulate_scaled(g, &mut ref_grad);
-        two_pass.row_ptr(0).axpy_slice(g, &x[..n]);
-        let gb: Vec<u32> = fused.row(0).iter().chain(&fused_grad).map(|v| v.to_bits()).collect();
-        let wb: Vec<u32> = two_pass.row(0).iter().chain(&ref_grad).map(|v| v.to_bits()).collect();
-        prop_assert_eq!(gb, wb);
+        for (slot, &o) in ref_grad.iter_mut().zip(&two_pass) {
+            *slot += g * o;
+        }
+        for (o, &xi) in two_pass.iter_mut().zip(&x[..n]) {
+            *o += g * xi;
+        }
+        prop_assert_eq!(bits(&fused), bits(&two_pass));
+        prop_assert_eq!(bits(&fused_grad), bits(&ref_grad));
     }
 
     #[test]

@@ -20,16 +20,6 @@ fn main() {
         "cache broken:     exec={} viol={} dead={} first={:?}",
         r.executions, r.violations, r.deadlocks, r.first_violation
     );
-    let r = sisg_interleave::models::rowptr_no_tear_atomic();
-    println!(
-        "rowptr atomic:    exec={} viol={} dead={}",
-        r.executions, r.violations, r.deadlocks
-    );
-    let r = sisg_interleave::models::rowptr_no_tear_split();
-    println!(
-        "rowptr split:     exec={} viol={} dead={} first={:?}",
-        r.executions, r.violations, r.deadlocks, r.first_violation
-    );
     let r = sisg_interleave::models::deadlock_demo();
     println!(
         "deadlock demo:    exec={} viol={} dead={}",

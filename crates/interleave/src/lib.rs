@@ -2,13 +2,11 @@
 
 //! Loom-lite schedule-exhaustive interleaving checker.
 //!
-//! This crate model-checks the small concurrent protocols the serving and
-//! training stacks rely on (epoch-pointer hot swap, admission-cache
-//! swap-clear, per-(tenant, shard) admission slots and their handoff
-//! through the shard queue, RowPtr word-width no-tearing) by enumerating
-//! **every**
-//! interleaving of 2–3 modeled threads and asserting an invariant after each
-//! complete execution.
+//! This crate model-checks the small concurrent protocols the serving stack
+//! relies on (epoch-pointer hot swap, admission-cache swap-clear,
+//! per-(tenant, shard) admission slots and their handoff through the shard
+//! queue) by enumerating **every** interleaving of 2–3 modeled threads and
+//! asserting an invariant after each complete execution.
 //!
 //! # How it works
 //!

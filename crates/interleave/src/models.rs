@@ -19,9 +19,6 @@
 //!   freed only once the worker has dequeued it, so queued tasks never
 //!   outnumber slots; freeing it when the caller drops its response lets
 //!   a queue overflow.
-//! * [`rowptr_no_tear_atomic`] / [`rowptr_no_tear_split`] — RowPtr's packed
-//!   word: a single word-width atomic cannot tear, while publishing the same
-//!   payload as two independent halves demonstrably can.
 //! * [`deadlock_demo`] — two locks acquired in opposite orders, proving the
 //!   explorer's deadlock detection fires.
 
@@ -324,99 +321,6 @@ pub fn slot_handoff(release_on_caller_drop: bool) -> Report {
             Ok(())
         });
         (vec![caller, worker, submitter], checker)
-    })
-}
-
-/// RowPtr no-tearing, word-width variant: two writers publish complete packed
-/// words (`0x1111`, `0x2222`) with single atomic stores while a reader loads
-/// the word twice. Every observed value must be one of the three complete
-/// words — with one step per store there is no interleaving that can tear.
-///
-/// Steps are 1 + 1 + 2 across the three threads, so the schedule tree has
-/// exactly 4!/(1!·1!·2!) = 12 executions; the test pins that closed form,
-/// which doubles as a correctness check on the explorer's enumeration.
-pub fn rowptr_no_tear_atomic() -> Report {
-    explore(|_alloc| {
-        let word = ModelAtomicU64::new(0);
-        let obs: ObsLog<u64> = ObsLog::new();
-
-        let writer_a: Body = {
-            let word = word.clone();
-            Box::new(move |ctx| word.store(ctx, 0x1111))
-        };
-        let writer_b: Body = {
-            let word = word.clone();
-            Box::new(move |ctx| word.store(ctx, 0x2222))
-        };
-        let reader: Body = {
-            let obs = obs.clone();
-            Box::new(move |ctx| {
-                for _ in 0..2 {
-                    let v = word.load(ctx)?;
-                    obs.push(v);
-                }
-                Ok(())
-            })
-        };
-
-        let checker: Checker = Box::new(move || {
-            for v in obs.take() {
-                if v != 0 && v != 0x1111 && v != 0x2222 {
-                    return Err(format!("torn word: {v:#x}"));
-                }
-            }
-            Ok(())
-        });
-        (vec![writer_a, writer_b, reader], checker)
-    })
-}
-
-/// RowPtr no-tearing, broken split-halves variant: the same payloads
-/// published as two independent halves (writer A stores lo=1 then hi=1,
-/// writer B lo=2 then hi=2) while a reader composes (lo, hi) twice.
-///
-/// Invariant: a composed pair must have matching halves. Splitting the word
-/// makes torn pairs like (1, 2) reachable, which is exactly why RowPtr packs
-/// its bits into one word-width atomic.
-///
-/// Steps are 2 + 2 + 4, so the tree has 8!/(2!·2!·4!) = 420 executions; the
-/// test pins that closed form too.
-pub fn rowptr_no_tear_split() -> Report {
-    explore(|_alloc| {
-        let lo = ModelAtomicU64::new(0);
-        let hi = ModelAtomicU64::new(0);
-        let obs: ObsLog<(u64, u64)> = ObsLog::new();
-
-        let mk_writer = |lo: ModelAtomicU64, hi: ModelAtomicU64, val: u64| -> Body {
-            Box::new(move |ctx| {
-                lo.store(ctx, val)?;
-                hi.store(ctx, val)?;
-                Ok(())
-            })
-        };
-        let writer_a = mk_writer(lo.clone(), hi.clone(), 1);
-        let writer_b = mk_writer(lo.clone(), hi.clone(), 2);
-        let reader: Body = {
-            let obs = obs.clone();
-            Box::new(move |ctx| {
-                for _ in 0..2 {
-                    let l = lo.load(ctx)?;
-                    let h = hi.load(ctx)?;
-                    obs.push((l, h));
-                }
-                Ok(())
-            })
-        };
-
-        let checker: Checker = Box::new(move || {
-            for (l, h) in obs.take() {
-                if l != h {
-                    return Err(format!("torn composite: lo {l} / hi {h}"));
-                }
-            }
-            Ok(())
-        });
-        (vec![writer_a, writer_b, reader], checker)
     })
 }
 

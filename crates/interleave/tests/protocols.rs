@@ -123,34 +123,6 @@ fn slot_release_on_caller_drop_is_caught() {
     assert!(msg.contains("queue overflow"), "{msg}");
 }
 
-/// Word-width RowPtr publication cannot tear: with steps 1 + 1 + 2 across the
-/// three threads the tree is exactly 4!/(1!·1!·2!) = 12 schedules, a closed
-/// form that doubles as a check on the enumeration itself.
-#[test]
-fn rowptr_word_width_publication_cannot_tear() {
-    let r = models::rowptr_no_tear_atomic();
-    assert_eq!(r.violations, 0, "unexpected: {:?}", r.first_violation);
-    assert_eq!(r.deadlocks, 0);
-    if !r.truncated {
-        assert_eq!(r.executions, 12);
-    }
-}
-
-/// Publishing the same payload as two independent halves can tear — the
-/// closed-form 8!/(2!·2!·4!) = 420 schedules include compositions of halves
-/// from different writers. This is why RowPtr packs its bits into one word.
-#[test]
-fn rowptr_split_halves_publication_tears() {
-    let r = models::rowptr_no_tear_split();
-    assert!(r.violations > 0, "split publication was not caught tearing");
-    if !r.truncated {
-        assert_eq!(r.executions, 420);
-        assert_eq!(r.violations, 300);
-    }
-    let msg = r.first_violation.expect("violation recorded");
-    assert!(msg.contains("torn composite"), "{msg}");
-}
-
 /// Opposite-order lock acquisition deadlocks in exactly the schedules where
 /// each thread holds one lock before the other wants its second; the explorer
 /// must detect those without hanging and still complete the rest of the tree.

@@ -1,9 +1,8 @@
 //! Concurrency soundness for the obs primitives.
 //!
-//! Unlike the Hogwild matrix (which tolerates lost updates), metrics use
-//! `fetch_add`: **no** update may ever be lost, from any number of threads.
-//! These tests drive counters and histograms hard from many threads and
-//! check exact totals, in the same spirit as `hogwild_soundness`.
+//! Metrics use `fetch_add`: **no** update may ever be lost, from any
+//! number of threads. These tests drive counters and histograms hard from
+//! many threads and check exact totals.
 
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
 use sisg_obs::{registry, Histogram, HISTOGRAM_BUCKETS};

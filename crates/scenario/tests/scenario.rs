@@ -13,15 +13,14 @@ use sisg_scenario::{
 use sisg_serve::{ServeEngine, ServeEngineConfig, TenantId};
 use sisg_sgns::SgnsConfig;
 
-/// Deterministic training (threads = 1, fixed seed) with a real cold
-/// tail, so every request class in the matrix is exercised.
+/// Deterministic training with a real cold tail, so every request class
+/// in the matrix is exercised.
 fn build_service(corpus: &GeneratedCorpus, seed: u64) -> MatchingService {
     let cfg = SgnsConfig {
         dim: 16,
         window: 3,
         negatives: 3,
         epochs: 1,
-        threads: 1,
         seed,
         ..Default::default()
     };

@@ -22,7 +22,6 @@ fn engine(corpus: &GeneratedCorpus, config: ServeEngineConfigBuilder) -> ServeEn
         &SgnsConfig {
             dim: 16,
             epochs: 1,
-            threads: 1,
             ..Default::default()
         },
     )

@@ -18,7 +18,6 @@ fn sgns(seed: u64) -> SgnsConfig {
         window: 3,
         negatives: 3,
         epochs: 1,
-        threads: 1, // exact single-threaded path: same seed => same model
         seed,
         ..Default::default()
     }
@@ -211,8 +210,8 @@ fn hot_swap_drops_no_requests_and_post_swap_answers_match_a_fresh_build() {
     let k = 10;
     let service_a = build_service(&corpus, 1);
     let service_b = build_service(&corpus, 2);
-    // Training is deterministic (threads = 1, fixed seed), so a second
-    // build from seed 2 is the fresh-build reference for post-swap parity.
+    // Training is deterministic, so a second build from seed 2 is the
+    // fresh-build reference for post-swap parity.
     let reference_b = build_service(&corpus, 2);
 
     let items: Vec<ItemId> = (0..corpus.config.n_items).map(ItemId).collect();

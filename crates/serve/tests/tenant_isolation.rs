@@ -41,7 +41,6 @@ fn tenant_traffic_moves_only_its_own_metric_slice() {
         &SgnsConfig {
             dim: 16,
             epochs: 1,
-            threads: 1,
             ..Default::default()
         },
     )

@@ -32,7 +32,8 @@ pub struct SgnsConfig {
     pub noise_exponent: f64,
     /// Seed for init, sampling and shuffling.
     pub seed: u64,
-    /// Number of training threads (1 = exact reference path, more = Hogwild).
+    /// Training threads: must be 1, the one exact trainer. Parallel
+    /// training is Section III's TNS runtime (`crates/distributed`).
     pub threads: usize,
 }
 
@@ -55,12 +56,6 @@ impl Default for SgnsConfig {
 }
 
 impl SgnsConfig {
-    /// Builder-style setter for the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Validates parameter ranges — the one rule list for SGNS
     /// hyper-parameters. Returns the first offending `(field, reason)`.
     pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
@@ -82,8 +77,11 @@ impl SgnsConfig {
         if self.subsample < 0.0 {
             return Err(("subsample", "must be non-negative"));
         }
-        if self.threads == 0 {
-            return Err(("threads", "must be positive"));
+        if self.threads != 1 {
+            return Err((
+                "threads",
+                "must be 1; parallel training is crates/distributed",
+            ));
         }
         Ok(())
     }
@@ -129,10 +127,13 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn with_threads_floors_at_one() {
-        assert_eq!(SgnsConfig::default().with_threads(0).threads, 1);
+        let (field, reason) = SgnsConfig {
+            threads: 2,
+            ..Default::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(field, "threads");
+        assert!(reason.contains("crates/distributed"), "{reason}");
     }
 }

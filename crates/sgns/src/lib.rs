@@ -17,14 +17,14 @@
 //!   frequency subsampling;
 //! - [`sigmoid::SigmoidTable`] — the classic 1000-entry σ lookup table;
 //! - [`sgd`] — Algorithm 1's inner loop, written once: [`sgd::steps`] over
-//!   the [`sgd::OutputRows`] access trait (exclusive `&mut Matrix`, Hogwild
-//!   `RowPtr` resolvers). The EGES baseline and both distributed TNS
+//!   the [`sgd::OutputRows`] access trait (`&mut Matrix`, or a Section III
+//!   worker's own row block). The EGES baseline and both distributed TNS
 //!   engines call the same function;
 //! - [`trainer`] — the two entry points ([`train`] from scratch,
 //!   [`train_into`] from an existing store, which is also the stream's
 //!   per-batch fold) over one run set-up (`EpochContext`) and one
-//!   learning-rate schedule ([`linear_lr`]): the exact single-threaded path
-//!   at `threads == 1`, lock-free Hogwild above. Sharded training (paper
+//!   learning-rate schedule ([`linear_lr`]): one exact, single-threaded
+//!   trainer, bit-reproducible run to run. Parallel training (paper
 //!   Section III) is `crates/distributed`.
 
 #![warn(missing_docs)]

@@ -12,8 +12,8 @@
 //!
 //! A pair is processed against the target's input row `v`, which stays
 //! fixed for the whole pair because it is only written after the last
-//! step: the Hogwild and TNS paths snapshot it once into
-//! [`PairScratch::row`], the exclusive path reads it in place. [`steps`] splits the
+//! step: the trainer reads it in place, the TNS engines snapshot it once
+//! into [`PairScratch::row`]. [`steps`] splits the
 //! step tokens into maximal runs of pairwise distinct tokens — the whole
 //! list in the common case (the positive is filtered out of the
 //! negatives, so only negative-negative collisions remain) — and gives
@@ -34,16 +34,14 @@
 //! scoring the run before stepping it gives every score the value the
 //! dot-before-step loop gives; a repeated token opens a new run, scored
 //! after the earlier runs stepped. The step pass keeps every element's
-//! operation order. Single-threaded output therefore equals the classic
+//! operation order. The output therefore equals the classic
 //! dot-before-step loop with lane-order dots, bit for bit. The passes are
 //! written once, in [`steps`], over the [`OutputRows`] access trait: the
-//! Hogwild path over [`RowPtr`] (relaxed per-element atomics, sound under
-//! concurrent writers) and the exact non-atomic one over `&mut Matrix`.
+//! trainer's `&mut Matrix` and the Section III worker's own row block.
 
 use crate::sigmoid::SigmoidTable;
 use sisg_corpus::TokenId;
 use sisg_embedding::kernels;
-use sisg_embedding::matrix::{dot_slice_x4, RowPtr};
 use sisg_embedding::Matrix;
 
 /// Caller-provided scratch for [`train_pair`] and every other caller of
@@ -52,8 +50,8 @@ use sisg_embedding::Matrix;
 /// reuse across every pair.
 #[derive(Debug)]
 pub struct PairScratch {
-    /// Snapshot of the target's input row, taken once per pair on the
-    /// Hogwild and TNS paths.
+    /// Snapshot of the target's input row, taken once per pair by the TNS
+    /// engines.
     pub row: Vec<f32>,
     /// Accumulated input gradient, written back once per pair.
     pub grad: Vec<f32>,
@@ -96,17 +94,10 @@ fn distinct_run_end(kept: &[TokenId], start: usize) -> usize {
 
 /// Access to the output rows a pair's steps touch. [`steps`] is written
 /// once against this trait and monomorphised per access path, so every
-/// engine runs the same passes in the same order:
-///
-/// - `&mut Matrix` — rows owned exclusively (`threads == 1`, EGES):
-///   plain-slice kernels, the step pass register-blocked; the distributed
-///   engines' worker-owned row blocks run the same kernels;
-/// - any `Fn(TokenId) -> RowPtr` resolver — the Hogwild path of plain
-///   SGNS with `threads > 1` (`output.row_ptr`; relaxed per-element
-///   atomics, sound under concurrent writers).
-///
-/// Both produce bit-identical results single-threaded (pinned by a test
-/// below).
+/// engine runs the same passes in the same order: `&mut Matrix` (the
+/// trainer, EGES) and the row block a Section III worker owns
+/// (`crates/distributed`). Both run the plain-slice kernels, the step pass
+/// register-blocked.
 pub trait OutputRows {
     /// `scores[k] = v'_{ts[k]} · v` for every `k`, each dot in
     /// [`kernels::dot_scalar_ref`]'s lane order.
@@ -124,26 +115,6 @@ impl OutputRows for Matrix {
     #[inline]
     fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
         self.fused_step_rows(ts, gs, v, grad);
-    }
-}
-
-impl<'m, F: Fn(TokenId) -> RowPtr<'m>> OutputRows for F {
-    #[inline]
-    fn dots(&mut self, ts: &[TokenId], v: &[f32], scores: &mut [f32]) {
-        let (quads, rest) = ts.as_chunks::<4>();
-        let (score_quads, score_rest) = scores.as_chunks_mut::<4>();
-        for (q, out) in quads.iter().zip(score_quads) {
-            *out = dot_slice_x4(q.map(&*self), v);
-        }
-        for (&t, out) in rest.iter().zip(score_rest) {
-            *out = self(t).dot_slice(v);
-        }
-    }
-    #[inline]
-    fn fused_steps(&mut self, ts: &[TokenId], gs: &[f32], v: &[f32], grad: &mut [f32]) {
-        for (&t, &g) in ts.iter().zip(gs) {
-            self(t).fused_grad_step(g, v, grad);
-        }
     }
 }
 
@@ -199,46 +170,11 @@ pub fn build_kept(kept: &mut Vec<TokenId>, context: TokenId, negatives: &[TokenI
 }
 
 /// One SGD update for `(target, context)` with `negatives`, at learning
-/// rate `lr`, over the Hogwild access path — sound under concurrent calls
-/// from many threads (lost updates remain possible, which is the Hogwild
-/// approximation). Returns the sampled negative-sampling loss (monitoring
-/// only).
+/// rate `lr`: the positive and every kept negative stepped through
+/// [`steps`], then the accumulated gradient added to the target's input
+/// row. Returns the sampled negative-sampling loss (monitoring only).
 #[allow(clippy::too_many_arguments)]
 pub fn train_pair(
-    input: &Matrix,
-    output: &Matrix,
-    target: TokenId,
-    context: TokenId,
-    negatives: &[TokenId],
-    lr: f32,
-    sigmoid: &SigmoidTable,
-    scratch: &mut PairScratch,
-) -> f64 {
-    debug_assert_eq!(scratch.row.len(), input.dim());
-    scratch.grad.fill(0.0);
-    // Rows are in bounds because TokenIds come from the vocabulary the
-    // matrices were sized for (row_ptr asserts it).
-    let v = input.row_ptr(target.index());
-    v.load_into(&mut scratch.row);
-    build_kept(&mut scratch.kept, context, negatives);
-    let loss = steps(
-        &mut |t: TokenId| output.row_ptr(t.index()),
-        &scratch.kept,
-        &scratch.row,
-        lr,
-        sigmoid,
-        &mut scratch.grad,
-        &mut scratch.scores,
-    );
-    v.axpy_slice(1.0, &scratch.grad);
-    loss
-}
-
-/// [`train_pair`] over the exact non-atomic path: `threads == 1` (and any
-/// worker-owned shard that never shares rows). Bit-identical results,
-/// no atomics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn train_pair_mut(
     input: &mut Matrix,
     output: &mut Matrix,
     target: TokenId,
@@ -252,7 +188,7 @@ pub(crate) fn train_pair_mut(
     scratch.grad.fill(0.0);
     build_kept(&mut scratch.kept, context, negatives);
     // The steps write only `output`, so the target's input row is read in
-    // place: no snapshot needed on the exclusive path.
+    // place: no snapshot needed.
     let loss = steps(
         output,
         &scratch.kept,
@@ -282,12 +218,12 @@ mod tests {
 
     #[test]
     fn positive_pairs_attract_input_to_output() {
-        let (input, output, sig, mut scratch) = setup(8);
+        let (mut input, mut output, sig, mut scratch) = setup(8);
         let before = cosine(input.row(0), output.row(1));
         for _ in 0..200 {
             train_pair(
-                &input,
-                &output,
+                &mut input,
+                &mut output,
                 TokenId(0),
                 TokenId(1),
                 &[],
@@ -303,11 +239,11 @@ mod tests {
 
     #[test]
     fn negatives_repel() {
-        let (input, output, sig, mut scratch) = setup(8);
+        let (mut input, mut output, sig, mut scratch) = setup(8);
         for _ in 0..200 {
             train_pair(
-                &input,
-                &output,
+                &mut input,
+                &mut output,
                 TokenId(0),
                 TokenId(1),
                 &[TokenId(2), TokenId(3)],
@@ -323,42 +259,36 @@ mod tests {
 
     #[test]
     fn loss_decreases_with_training() {
-        let (input, output, sig, mut scratch) = setup(8);
-        let first = train_pair(
-            &input,
-            &output,
-            TokenId(0),
-            TokenId(1),
-            &[TokenId(4)],
-            0.1,
-            &sig,
-            &mut scratch,
-        );
-        let mut last = first;
-        for _ in 0..100 {
-            last = train_pair(
-                &input,
-                &output,
+        let (mut input, mut output, sig, mut scratch) = setup(8);
+        let mut pair = || {
+            train_pair(
+                &mut input,
+                &mut output,
                 TokenId(0),
                 TokenId(1),
                 &[TokenId(4)],
                 0.1,
                 &sig,
                 &mut scratch,
-            );
+            )
+        };
+        let first = pair();
+        let mut last = first;
+        for _ in 0..100 {
+            last = pair();
         }
         assert!(last < first, "loss should fall: {first} -> {last}");
     }
 
     #[test]
     fn negative_equal_to_context_is_skipped() {
-        let (input, output, sig, mut scratch) = setup(4);
+        let (mut input, mut output, sig, mut scratch) = setup(4);
         let mut scratch2 = PairScratch::new(4);
-        let input2 = input.clone();
-        let output2 = output.clone();
+        let mut input2 = input.clone();
+        let mut output2 = output.clone();
         train_pair(
-            &input,
-            &output,
+            &mut input,
+            &mut output,
             TokenId(0),
             TokenId(1),
             &[TokenId(1), TokenId(1)],
@@ -367,8 +297,8 @@ mod tests {
             &mut scratch,
         );
         train_pair(
-            &input2,
-            &output2,
+            &mut input2,
+            &mut output2,
             TokenId(0),
             TokenId(1),
             &[],
@@ -382,11 +312,11 @@ mod tests {
 
     #[test]
     fn zero_lr_changes_nothing() {
-        let (input, output, sig, mut scratch) = setup(4);
+        let (mut input, mut output, sig, mut scratch) = setup(4);
         let snapshot = input.row(0).to_vec();
         train_pair(
-            &input,
-            &output,
+            &mut input,
+            &mut output,
             TokenId(0),
             TokenId(1),
             &[TokenId(2)],
@@ -397,7 +327,7 @@ mod tests {
         assert_eq!(input.row(0), snapshot.as_slice());
     }
 
-    /// Step-list shapes for the parity tests, over a 30-row matrix: no
+    /// Step-list shapes for the parity test, over a 30-row matrix: no
     /// negative, one, a batch of four, lists with repeated tokens (several
     /// runs, the duplicate path), and 23 negatives (24 kept rows) with and
     /// without repeats.
@@ -417,78 +347,27 @@ mod tests {
     /// Dims covering every lane, chunk and register-block remainder.
     const DIMS: [usize; 9] = [1, 4, 7, 8, 16, 31, 32, 33, 40];
 
-    /// The Hogwild path and the exact `&mut` path must produce bit-identical
-    /// matrices — they are the same algorithm over two access paths.
+    /// [`steps`] over `&mut Matrix` must not differ in a single bit from
+    /// the dot-before-step loop: each token scored with `dot_scalar_ref`
+    /// right before its own `fused_step`.
     #[test]
-    fn hogwild_and_mut_paths_are_bit_identical() {
-        for (case, negatives) in neg_sets().iter().enumerate() {
-            for dim in DIMS {
-                let input_h = Matrix::uniform_init(30, dim, 11);
-                let output_h = Matrix::uniform_init(30, dim, 12);
-                let mut input_m = input_h.clone();
-                let mut output_m = output_h.clone();
-                let sig = SigmoidTable::new();
-                let mut s_h = PairScratch::new(dim);
-                let mut s_m = PairScratch::new(dim);
-
-                let mut loss_h = 0.0;
-                let mut loss_m = 0.0;
-                for _ in 0..5 {
-                    loss_h += train_pair(
-                        &input_h,
-                        &output_h,
-                        TokenId(0),
-                        TokenId(1),
-                        negatives,
-                        0.07,
-                        &sig,
-                        &mut s_h,
-                    );
-                    loss_m += train_pair_mut(
-                        &mut input_m,
-                        &mut output_m,
-                        TokenId(0),
-                        TokenId(1),
-                        negatives,
-                        0.07,
-                        &sig,
-                        &mut s_m,
-                    );
-                }
-                assert_eq!(loss_h.to_bits(), loss_m.to_bits(), "case {case} dim {dim}");
-                let bits =
-                    |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
-                assert_eq!(bits(&input_h), bits(&input_m), "case {case} dim {dim}");
-                assert_eq!(bits(&output_h), bits(&output_m), "case {case} dim {dim}");
-            }
-        }
-    }
-
-    /// [`steps`] over both [`OutputRows`] impls — `&mut Matrix` and a
-    /// `RowPtr` resolver — must not differ in a single bit, and both must
-    /// equal the dot-before-step loop: each token scored with
-    /// `dot_scalar_ref` right before its own `fused_step`.
-    #[test]
-    fn steps_are_bit_identical_over_every_row_access_path() {
+    fn steps_equal_the_dot_before_step_loop() {
         for (case, negatives) in neg_sets().iter().enumerate() {
             for dim in DIMS {
                 let mut output_m = Matrix::uniform_init(30, dim, 31);
-                let output_h = output_m.clone();
                 let mut output_r = output_m.clone();
                 let input = Matrix::uniform_init(30, dim, 32);
                 let sig = SigmoidTable::new();
                 let v = input.row(0).to_vec();
-                let mut grads = [vec![0.0f32; dim], vec![0.0f32; dim], vec![0.0f32; dim]];
+                let mut grads = [vec![0.0f32; dim], vec![0.0f32; dim]];
                 let mut scores = Vec::new();
                 let mut kept = Vec::new();
                 build_kept(&mut kept, TokenId(1), negatives);
 
-                let mut losses = [0.0f64; 3];
+                let mut losses = [0.0f64; 2];
                 for _ in 0..5 {
-                    let [grad_m, grad_h, grad_r] = &mut grads;
+                    let [grad_m, grad_r] = &mut grads;
                     losses[0] += steps(&mut output_m, &kept, &v, 0.07, &sig, grad_m, &mut scores);
-                    let mut hogwild = |t: TokenId| output_h.row_ptr(t.index());
-                    losses[1] += steps(&mut hogwild, &kept, &v, 0.07, &sig, grad_h, &mut scores);
                     // Reference: score each token right before its step.
                     let mut call_loss = 0.0f64;
                     for (i, &t) in kept.iter().enumerate() {
@@ -502,15 +381,12 @@ mod tests {
                         let g = (label - sig.sigmoid(f)) * 0.07;
                         kernels::fused_step(g, &v, output_r.row_mut(t.index()), grad_r);
                     }
-                    losses[2] += call_loss;
+                    losses[1] += call_loss;
                 }
                 let bits = |s: &[f32]| -> Vec<u32> { s.iter().map(|v| v.to_bits()).collect() };
                 let at = format!("case {case} dim {dim}");
-                for k in 1..3 {
-                    assert_eq!(losses[0].to_bits(), losses[k].to_bits(), "{at} path {k}");
-                    assert_eq!(bits(&grads[0]), bits(&grads[k]), "{at} path {k}");
-                }
-                assert_eq!(bits(output_m.as_slice()), bits(output_h.as_slice()), "{at}");
+                assert_eq!(losses[0].to_bits(), losses[1].to_bits(), "{at}");
+                assert_eq!(bits(&grads[0]), bits(&grads[1]), "{at}");
                 assert_eq!(bits(output_m.as_slice()), bits(output_r.as_slice()), "{at}");
             }
         }
@@ -537,17 +413,17 @@ mod tests {
     #[test]
     fn duplicate_negatives_use_sequential_semantics() {
         let dim = 8;
-        let input = Matrix::uniform_init(6, dim, 21);
-        let output = Matrix::uniform_init(6, dim, 22);
-        let input_ref = input.clone();
-        let output_ref = output.clone();
+        let mut input = Matrix::uniform_init(6, dim, 21);
+        let mut output = Matrix::uniform_init(6, dim, 22);
+        let mut input_ref = input.as_slice().to_vec();
+        let mut output_ref = output.as_slice().to_vec();
         let sig = SigmoidTable::new();
         let mut scratch = PairScratch::new(dim);
 
         let negatives = [TokenId(2), TokenId(2), TokenId(3), TokenId(2)];
         let loss = train_pair(
-            &input,
-            &output,
+            &mut input,
+            &mut output,
             TokenId(0),
             TokenId(1),
             &negatives,
@@ -556,33 +432,38 @@ mod tests {
             &mut scratch,
         );
 
-        // Reference: the dot-before-step loop, scored with the lane-order
-        // reference dot, over the Hogwild row accessors.
-        let v = input_ref.row_ptr(0);
+        // Reference: the dot-before-step loop over plain row slices, scored
+        // with the lane-order reference dot, the gradient accumulated and
+        // the row stepped in two scalar passes.
+        let row = input_ref[..dim].to_vec();
         let mut grad = vec![0.0f32; dim];
-        let mut row = vec![0.0f32; dim];
-        v.load_into(&mut row);
         let mut ref_loss = 0.0f64;
         let mut kept = vec![TokenId(1)];
         kept.extend(negatives.iter().copied().filter(|&n| n != TokenId(1)));
         for (i, &t) in kept.iter().enumerate() {
             let label = if i == 0 { 1.0f32 } else { 0.0 };
-            let vp = output_ref.row_ptr(t.index());
-            let f = kernels::dot_scalar_ref(output_ref.row(t.index()), &row);
+            let vp = &mut output_ref[t.index() * dim..(t.index() + 1) * dim];
+            let f = kernels::dot_scalar_ref(vp, &row);
             let g = (label - sig.sigmoid(f)) * 0.1;
-            vp.accumulate_scaled(g, &mut grad);
-            vp.axpy_slice(g, &row);
+            for (slot, &o) in grad.iter_mut().zip(vp.iter()) {
+                *slot += g * o;
+            }
+            for (o, &x) in vp.iter_mut().zip(&row) {
+                *o += g * x;
+            }
             ref_loss += if label > 0.5 {
                 sig.neg_log_sigmoid(f)
             } else {
                 sig.neg_log_sigmoid(-f)
             };
         }
-        v.axpy_slice(1.0, &grad);
+        for (x, &d) in input_ref[..dim].iter_mut().zip(&grad) {
+            *x += d;
+        }
 
         assert_eq!(loss.to_bits(), ref_loss.to_bits());
-        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&input), bits(&input_ref));
-        assert_eq!(bits(&output), bits(&output_ref));
+        let bits = |s: &[f32]| -> Vec<u32> { s.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(input.as_slice()), bits(&input_ref));
+        assert_eq!(bits(output.as_slice()), bits(&output_ref));
     }
 }

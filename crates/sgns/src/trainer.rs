@@ -1,31 +1,30 @@
-//! Training drivers: the exact single-threaded path (`threads <= 1`) and
-//! lock-free Hogwild over relaxed-atomic `RowPtr` rows (`threads > 1`).
-//! Sharded training — vocabulary partitions, hot-row replicas, barrier
-//! reconciliation (paper Section III) — lives in `crates/distributed`.
+//! The training driver: one exact, single-threaded pass over exclusively
+//! owned matrices, bit-reproducible run to run. Parallel training —
+//! vocabulary partitions, hot-row replicas, barrier reconciliation (paper
+//! Section III) — lives in `crates/distributed`.
 //!
-//! All drivers consume any [`Sequences`] source — enriched SISG sequences,
-//! plain item sequences, or EGES random-walk corpora — and produce an
-//! [`EmbeddingStore`]. Learning rate decays linearly with processed-token
-//! progress, exactly as in word2vec ([`linear_lr`]); the tables and the
-//! schedule both paths share are built once, in `EpochContext::new`.
+//! Both entry points consume any [`Sequences`] source — enriched SISG
+//! sequences, plain item sequences, or EGES random-walk corpora — and
+//! produce an [`EmbeddingStore`]. Learning rate decays linearly with
+//! processed-token progress, exactly as in word2vec ([`linear_lr`]); the
+//! tables and the schedule are built once, in `EpochContext::new`.
 
 use crate::config::SgnsConfig;
 use crate::noise::NoiseTable;
 use crate::sampler::{PairSampler, SubsampleTable};
-use crate::sgd::{train_pair, train_pair_mut, PairScratch};
+use crate::sgd::{train_pair, PairScratch};
 use crate::sigmoid::SigmoidTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sisg_corpus::{EnrichedCorpus, TokenId};
-use sisg_embedding::EmbeddingStore;
+use sisg_embedding::{EmbeddingStore, Matrix};
 use sisg_obs::{names, registry, Counter, Gauge};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// A source of training sequences. Readers expand one sequence at a time
 /// into a buffer they reuse, so a source never has to hold its sequences
 /// as one token array (an [`EnrichedCorpus`] expands Eq. 4 on demand).
-pub trait Sequences: Sync {
+pub trait Sequences {
     /// Number of sequences.
     fn n_sequences(&self) -> usize;
     /// Writes the `i`-th sequence into `out`, replacing its contents.
@@ -115,11 +114,11 @@ impl TrainStats {
     }
 }
 
-/// Per-chunk accumulator: the hot loop writes plain locals here and the
-/// driver flushes them to the obs registry once per epoch per thread, so
+/// Per-epoch accumulator: the hot loop writes plain locals here and the
+/// driver flushes them to the obs registry once per epoch, so
 /// instrumentation costs nothing inside the pair loop.
 #[derive(Debug, Clone, Default)]
-struct ChunkStats {
+struct EpochStats {
     pairs: u64,
     noise_draws: u64,
     rows_stepped: u64,
@@ -133,8 +132,8 @@ struct ChunkStats {
     last_lr: f32,
 }
 
-impl ChunkStats {
-    fn merge(&mut self, o: &ChunkStats) {
+impl EpochStats {
+    fn merge(&mut self, o: &EpochStats) {
         self.pairs += o.pairs;
         self.noise_draws += o.noise_draws;
         self.rows_stepped += o.rows_stepped;
@@ -174,7 +173,7 @@ impl ChunkStats {
         stats
     }
 
-    /// Publishes this chunk's deltas to the global registry.
+    /// Publishes this epoch's deltas to the global registry.
     fn flush_to_obs(&self) {
         let m = sgns_metrics();
         m.pairs.add(self.pairs);
@@ -186,9 +185,7 @@ impl ChunkStats {
                 .set(1.0 - self.tokens as f64 / self.raw_tokens as f64);
         }
         if self.loss_count > 0 {
-            // Approximate EMA across flushes; concurrent flushers may
-            // interleave get/set, which only blurs the smoothing — fine
-            // for a convergence-trend gauge.
+            // EMA across flushes: a convergence-trend gauge.
             let prev = m.loss_ema.get();
             let cur = self.avg_loss();
             m.loss_ema.set(if prev == 0.0 {
@@ -237,9 +234,8 @@ fn count_freqs<S: Sequences + ?Sized>(seqs: &S, n_tokens: usize) -> Vec<u64> {
 
 /// Trains SGNS embeddings over `seqs` with vocabulary size `n_tokens`.
 ///
-/// With `config.threads == 1` this is the exact, deterministic reference
-/// path; larger thread counts run lock-free Hogwild over the shared
-/// matrices (not bit-reproducible: threads race on rows).
+/// The run is exact and deterministic: the same sequences, counts and
+/// config give the same store, bit for bit.
 ///
 /// ```
 /// use sisg_corpus::TokenId;
@@ -297,72 +293,9 @@ pub fn train_into<S: Sequences + ?Sized>(
         return (store, TrainStats::default());
     }
     let ctx = EpochContext::new(freqs, config, seqs.total_tokens());
-    let n = seqs.n_sequences();
     let span = sisg_obs::span(names::SGNS_TRAIN_SPAN);
-    let total = if config.threads <= 1 {
-        // Single-threaded ⇒ exclusive matrices ⇒ the exact non-atomic path
-        // (bit-identical to the Hogwild path, see `crate::sgd`, but the
-        // plain-slice kernels vectorize).
-        let (input, output) = store.matrices_mut();
-        run_epochs(
-            seqs,
-            0..n,
-            &ctx,
-            config.seed ^ 0x7124,
-            |target, context, negatives, lr, scratch| {
-                train_pair_mut(
-                    input,
-                    output,
-                    target,
-                    context,
-                    negatives,
-                    lr,
-                    &ctx.sigmoid,
-                    scratch,
-                )
-            },
-        )
-    } else {
-        // Hogwild: threads share the matrices without locks and split the
-        // sequence range.
-        let threads = config.threads.min(n.max(1));
-        let chunk = n.div_ceil(threads);
-        let (input, output) = (store.input_matrix(), store.output_matrix());
-        let ctx = &ctx;
-        let mut total = ChunkStats::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let range = (t * chunk).min(n)..((t + 1) * chunk).min(n);
-                    let seed = config.seed ^ (t as u64).wrapping_mul(0x9E37_79B9);
-                    scope.spawn(move || {
-                        run_epochs(
-                            seqs,
-                            range,
-                            ctx,
-                            seed,
-                            |target, context, negatives, lr, scratch| {
-                                train_pair(
-                                    input,
-                                    output,
-                                    target,
-                                    context,
-                                    negatives,
-                                    lr,
-                                    &ctx.sigmoid,
-                                    scratch,
-                                )
-                            },
-                        )
-                    })
-                })
-                .collect();
-            for h in handles {
-                total.merge(&h.join().expect("training thread panicked"));
-            }
-        });
-        total
-    };
+    let (input, output) = store.matrices_mut();
+    let total = run_epochs(seqs, &ctx, input, output);
     let stats = total.finish(span.finish().as_secs_f64());
     (store, stats)
 }
@@ -377,8 +310,8 @@ pub fn linear_lr(learning_rate: f32, min_learning_rate: f32, done: u64, total: u
     (learning_rate as f64 * (1.0 - frac)).max(min_learning_rate as f64) as f32
 }
 
-/// What a run needs and no worker mutates: the tables built from the
-/// corpus frequencies plus the learning-rate schedule.
+/// What a run needs and never mutates: the tables built from the corpus
+/// frequencies plus the learning-rate schedule.
 struct EpochContext<'a> {
     config: &'a SgnsConfig,
     subsample: SubsampleTable,
@@ -387,9 +320,6 @@ struct EpochContext<'a> {
     sigmoid: SigmoidTable,
     /// Corpus tokens per epoch; the schedule runs over `epochs ×` this.
     total_tokens: u64,
-    /// Tokens handed out so far, across threads and epochs — the decay's
-    /// numerator.
-    progress: AtomicU64,
 }
 
 impl<'a> EpochContext<'a> {
@@ -404,7 +334,6 @@ impl<'a> EpochContext<'a> {
             },
             sigmoid: SigmoidTable::new(),
             total_tokens,
-            progress: AtomicU64::new(0),
         }
     }
 
@@ -419,10 +348,9 @@ impl<'a> EpochContext<'a> {
     }
 }
 
-/// Per-worker reusable buffers of the chunk loop: allocated once per
-/// thread, reused across every sequence and epoch — the hot loop itself
-/// never allocates.
-struct ChunkBuffers {
+/// Reusable buffers of the epoch loop: allocated once per run, reused
+/// across every sequence and epoch — the hot loop itself never allocates.
+struct RunBuffers {
     /// The sequence being trained, as its source expands it.
     seq: Vec<TokenId>,
     filtered: Vec<TokenId>,
@@ -433,7 +361,7 @@ struct ChunkBuffers {
     scratch: PairScratch,
 }
 
-impl ChunkBuffers {
+impl RunBuffers {
     fn new(dim: usize, negatives: usize) -> Self {
         Self {
             seq: Vec::with_capacity(64),
@@ -445,40 +373,34 @@ impl ChunkBuffers {
     }
 }
 
-/// One worker's whole run: every epoch over the sequences `range`,
-/// applying `pair_fn` to every sampled pair (the Hogwild [`train_pair`] or
-/// the exact [`train_pair_mut`], pre-bound to its matrices; either leaves
-/// the pair's step list in `scratch.kept`, which the rows-stepped count
-/// reads). Bookkeeping lands in plain locals flushed to obs once per epoch,
-/// keeping the pair loop instrumentation-free.
-fn run_epochs<S, F>(
+/// The whole run: every epoch over every sequence, [`train_pair`] on
+/// every sampled pair (it leaves the pair's step list in `scratch.kept`,
+/// which the rows-stepped count reads). Bookkeeping lands in plain locals
+/// flushed to obs once per epoch, keeping the pair loop
+/// instrumentation-free.
+fn run_epochs<S: Sequences + ?Sized>(
     seqs: &S,
-    range: std::ops::Range<usize>,
     ctx: &EpochContext<'_>,
-    seed: u64,
-    mut pair_fn: F,
-) -> ChunkStats
-where
-    S: Sequences + ?Sized,
-    F: FnMut(TokenId, TokenId, &[TokenId], f32, &mut PairScratch) -> f64,
-{
+    input: &mut Matrix,
+    output: &mut Matrix,
+) -> EpochStats {
     let config = ctx.config;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut buf = ChunkBuffers::new(config.dim, config.negatives);
-    let mut total = ChunkStats::default();
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7124);
+    let mut buf = RunBuffers::new(config.dim, config.negatives);
+    let mut total = EpochStats::default();
+    // Tokens handed out so far, across epochs — the decay's numerator.
+    let mut done = 0u64;
     for _epoch in 0..config.epochs {
-        let mut stats = ChunkStats::default();
-        for i in range.clone() {
+        let mut stats = EpochStats::default();
+        for i in 0..seqs.n_sequences() {
             seqs.sequence_into(i, &mut buf.seq);
             ctx.subsample
                 .filter_into(&buf.seq, &mut rng, &mut buf.filtered);
             let len = buf.seq.len() as u64;
-            // ORDERING: Relaxed — shared token counter for the lr decay; Hogwild
-            // workers tolerate stale progress and publish nothing through it.
-            let done = ctx.progress.fetch_add(len, Ordering::Relaxed);
             stats.raw_tokens += len;
             stats.tokens += buf.filtered.len() as u64;
             let lr = ctx.lr(done);
+            done += len;
             stats.last_lr = lr;
 
             ctx.sampler.pairs_into(&buf.filtered, &mut buf.pair_buf);
@@ -486,7 +408,16 @@ where
                 let (target, context) = buf.pair_buf[idx];
                 ctx.noise
                     .sample_into(&mut buf.negatives, config.negatives, &mut rng);
-                let loss = pair_fn(target, context, &buf.negatives, lr, &mut buf.scratch);
+                let loss = train_pair(
+                    input,
+                    output,
+                    target,
+                    context,
+                    &buf.negatives,
+                    lr,
+                    &ctx.sigmoid,
+                    &mut buf.scratch,
+                );
                 stats.pairs += 1;
                 stats.noise_draws += buf.negatives.len() as u64;
                 stats.rows_stepped += buf.scratch.kept.len() as u64;
@@ -558,20 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_learns_too() {
-        let seqs = topic_corpus(3);
-        let cfg = small_config().with_threads(4);
-        let (store, stats) = train(&seqs, 20, &cfg);
-        assert!(stats.pairs > 1_000);
-        let within = cosine(store.input(TokenId(3)), store.input(TokenId(4)));
-        let cross = cosine(store.input(TokenId(3)), store.input(TokenId(14)));
-        assert!(
-            within > cross + 0.15,
-            "within {within} should beat cross {cross}"
-        );
-    }
-
-    #[test]
     fn directional_mode_trains() {
         // Chain corpus: 0 → 1 → 2 → 3; directional training should place
         // output(successor) near input(predecessor).
@@ -611,27 +528,24 @@ mod tests {
     fn warm_start_converges_faster() {
         let seqs = topic_corpus(9);
         let freqs = count_freqs(&seqs, 20);
-        // The exact path and Hogwild both continue from the store.
-        for threads in [1, 2] {
-            let mut cfg = small_config().with_threads(threads);
-            cfg.epochs = 3;
-            let (warm_store, _) = train(&seqs, 20, &cfg);
-            // One extra epoch, warm vs cold.
-            let one_epoch = SgnsConfig {
-                epochs: 1,
-                learning_rate: 0.01,
-                ..small_config().with_threads(threads)
-            };
-            let (_, warm_stats) = train_into(&seqs, &freqs, &one_epoch, warm_store);
-            let cold_store = EmbeddingStore::new(20, one_epoch.dim, one_epoch.seed);
-            let (_, cold_stats) = train_into(&seqs, &freqs, &one_epoch, cold_store);
-            assert!(
-                warm_stats.avg_loss < cold_stats.avg_loss,
-                "warm start should sit at lower loss at {threads} threads: {} vs {}",
-                warm_stats.avg_loss,
-                cold_stats.avg_loss
-            );
-        }
+        let mut cfg = small_config();
+        cfg.epochs = 3;
+        let (warm_store, _) = train(&seqs, 20, &cfg);
+        // One extra epoch, warm vs cold.
+        let one_epoch = SgnsConfig {
+            epochs: 1,
+            learning_rate: 0.01,
+            ..small_config()
+        };
+        let (_, warm_stats) = train_into(&seqs, &freqs, &one_epoch, warm_store);
+        let cold_store = EmbeddingStore::new(20, one_epoch.dim, one_epoch.seed);
+        let (_, cold_stats) = train_into(&seqs, &freqs, &one_epoch, cold_store);
+        assert!(
+            warm_stats.avg_loss < cold_stats.avg_loss,
+            "warm start should sit at lower loss: {} vs {}",
+            warm_stats.avg_loss,
+            cold_stats.avg_loss
+        );
     }
 
     #[test]
@@ -661,8 +575,6 @@ mod tests {
         let (store, stats) = train(&seqs, 10, &small_config());
         assert_eq!(store.n_tokens(), 10);
         assert_eq!(stats.pairs, 0);
-        let (store2, _) = train(&seqs, 10, &small_config().with_threads(3));
-        assert_eq!(store2.n_tokens(), 10);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Bit-identity regression guard for the single-threaded training path.
+//! Bit-identity regression guard for the trainer.
 //!
 //! The kernel layer (DESIGN.md §8) promises that a refactor of the SGD
-//! inner loop changes the `threads == 1` output only where it says so:
+//! inner loop changes the trained output only where it says so:
 //! the step pass keeps every element's operation order, the scoring pass
 //! keeps the lane order of `kernels::dot_scalar_ref`, and the RNG draw
 //! order is untouched. Any low-order-bit drift in the trained embeddings
@@ -59,7 +59,6 @@ fn single_thread_output_is_bit_identical_to_reference() {
         epochs: 2,
         subsample: 0.0,
         seed: 42,
-        threads: 1,
         ..Default::default()
     };
     let got = checksum(&cfg);
@@ -79,7 +78,6 @@ fn single_thread_output_with_subsampling_is_bit_identical_to_reference() {
         epochs: 1,
         subsample: 1e-3,
         seed: 7,
-        threads: 1,
         ..Default::default()
     };
     let got = checksum(&cfg);

@@ -24,7 +24,6 @@ fn stream_config() -> StreamConfig {
             window: 2,
             negatives: 3,
             epochs: 1,
-            threads: 1,
             seed: 5,
             ..Default::default()
         },

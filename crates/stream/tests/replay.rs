@@ -22,7 +22,6 @@ fn stream_config(seed: u64) -> StreamConfig {
             window: 2,
             negatives: 5,
             epochs: 1,
-            threads: 1,
             seed,
             ..Default::default()
         },

@@ -27,7 +27,7 @@ struct RuleInfo {
 
 /// The full rule table — the single source of truth for `lint --list`,
 /// DESIGN.md §7 (pinned by a test) and the scanner below.
-const RULES: [RuleInfo; 11] = [
+const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: 1,
         name: "safety-comment",
@@ -57,12 +57,6 @@ const RULES: [RuleInfo; 11] = [
         name: "no-instant",
         scope: "non-test code outside crates/obs and compat/",
         summary: "`Instant::now()` banned; timing flows through `sisg_obs::Stopwatch`/`span`",
-    },
-    RuleInfo {
-        id: 6,
-        name: "kernel-path",
-        scope: "crates/sgns, crates/eges, embedding/quant.rs, stream/pipeline.rs, distributed/{tns,runtime,protocol}.rs, non-test; all of crates/distributed for `RowPtr`/`row_ptr`",
-        summary: "per-element `RowPtr` accessors banned in training crates and their hot-path support files; hot loops use the DESIGN.md §8 kernels. crates/distributed steps only rows it owns exclusively, so it may not name `RowPtr` or `row_ptr` at all",
     },
     RuleInfo {
         id: 7,
@@ -167,36 +161,6 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/stream/src/pipeline.rs",
 ];
 
-/// Crates whose non-test code must not use per-element `RowPtr` accessors
-/// (rule 6) — their hot loops go through the DESIGN.md §8 kernels.
-const KERNEL_PATH_CRATES: &[&str] = &["crates/sgns", "crates/eges"];
-
-/// Individual files under the same kernel-path rule: support code of hot
-/// paths that lives outside the kernel-path crates. The quantized store
-/// is scored on every cold-path ANN hop (DESIGN.md §11), the streaming
-/// pipeline folds an incremental train step per ingest batch (DESIGN.md
-/// §12), and the TNS scan, step and shard of both Section III engines are
-/// a training hot loop, so all of them stay on the slice kernels too.
-const KERNEL_PATH_FILES: &[&str] = &[
-    "crates/embedding/src/quant.rs",
-    "crates/stream/src/pipeline.rs",
-    "crates/distributed/src/tns.rs",
-    "crates/distributed/src/runtime.rs",
-    "crates/distributed/src/protocol.rs",
-];
-
-/// Whether rule 6 applies to `rel_file` of the crate at `rel_crate`
-/// (both workspace-relative, `/`-separated).
-fn kernel_path_applies(rel_crate: &str, rel_file: &str) -> bool {
-    KERNEL_PATH_CRATES.contains(&rel_crate) || KERNEL_PATH_FILES.contains(&rel_file)
-}
-
-/// Crates whose non-test code may not name `RowPtr` or `row_ptr` at all
-/// (rule 6, widened): every worker of the Section III runtime steps rows
-/// it owns exclusively, through the slice kernels, so the shared Hogwild
-/// view has no use there.
-const ROW_PTR_FREE_CRATES: &[&str] = &["crates/distributed"];
-
 /// Crates whose non-test code is checked for lock guards held across
 /// channel/thread operations (rule 9): the two crates whose bounded
 /// queues make the lock-then-blocking-send deadlock shape reachable.
@@ -221,10 +185,6 @@ struct ScanScope {
     assert_free: bool,
     /// Rule 5 applies.
     obs_timing: bool,
-    /// Rule 6 applies.
-    kernel_path: bool,
-    /// Rule 6's crate-wide ban on naming `RowPtr`/`row_ptr` applies.
-    row_ptr_free: bool,
     /// Rule 8 applies.
     ordering: bool,
     /// Rule 9 applies.
@@ -273,8 +233,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
                 panic_free: panic_free || PANIC_FREE_FILES.contains(&rel_str.as_str()),
                 assert_free,
                 obs_timing,
-                kernel_path: kernel_path_applies(&rel_crate, &rel_str),
-                row_ptr_free: ROW_PTR_FREE_CRATES.contains(&rel_crate.as_str()),
                 ordering: !compat,
                 guard_channel,
                 no_sleep: !compat,
@@ -640,39 +598,6 @@ fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation>
                 line,
                 rule: "no-instant",
                 message: "`Instant::now()` banned outside crates/obs; use sisg_obs::Stopwatch or span (docs/OBSERVABILITY.md)".into(),
-            });
-        }
-
-        // ---- rule 6: no per-element RowPtr loops in training crates.
-        if scope.kernel_path
-            && punct(&code, i, ".")
-            && ident_in(&code, i + 1, &["get_elem", "set_elem", "add_elem"])
-            && punct(&code, i + 2, "(")
-        {
-            violations.push(Violation {
-                path: rel.to_path_buf(),
-                line: code[i + 1].line,
-                rule: "kernel-path",
-                message: format!(
-                    "per-element `{}(..)` banned in training crates; use the row-granular kernels (DESIGN.md §8)",
-                    code[i + 1].text
-                ),
-            });
-        }
-
-        // ---- rule 6, widened: no shared row views in crates/distributed.
-        if scope.row_ptr_free
-            && tok.kind == TokenKind::Ident
-            && (tok.text == "RowPtr" || tok.text == "row_ptr")
-        {
-            violations.push(Violation {
-                path: rel.to_path_buf(),
-                line,
-                rule: "kernel-path",
-                message: format!(
-                    "`{}` banned in crates/distributed: workers step the rows they own through the slice kernels (DESIGN.md §8)",
-                    tok.text
-                ),
             });
         }
 
@@ -1095,18 +1020,6 @@ mod tests {
         )
     }
 
-    fn scan_kernel(content: &str) -> Vec<Violation> {
-        scan_file(
-            Path::new("x.rs"),
-            content,
-            ScanScope {
-                obs_timing: true,
-                kernel_path: true,
-                ..ScanScope::default()
-            },
-        )
-    }
-
     fn scan_ordering(content: &str) -> Vec<Violation> {
         scan_file(
             Path::new("x.rs"),
@@ -1308,33 +1221,6 @@ mod tests {
             },
         );
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn per_element_accessors_in_kernel_path_crates_are_flagged() {
-        for bad in [
-            "fn f(r: RowPtr) { let x = r.get_elem(0); }\n",
-            "fn f(r: RowPtr) { r.set_elem(0, 1.0); }\n",
-            "fn f(r: RowPtr) { for d in 0..r.len() { r.add_elem(d, 0.1); } }\n",
-        ] {
-            let v = scan_kernel(bad);
-            assert_eq!(v.len(), 1, "missed: {bad}");
-            assert_eq!(v[0].rule, "kernel-path");
-        }
-    }
-
-    #[test]
-    fn per_element_accessors_pass_outside_kernel_path_or_in_tests() {
-        // Non-training crates (e.g. crates/embedding, where the accessors
-        // live) are exempt.
-        let src = "fn f(r: RowPtr) { r.add_elem(0, 0.1); }\n";
-        assert!(scan(src, false).is_empty());
-        // Test modules inside training crates are exempt too.
-        let test_src = "#[cfg(test)]\nmod tests {\n fn f(r: RowPtr) { r.add_elem(0, 0.1); }\n}\n";
-        assert!(scan_kernel(test_src).is_empty());
-        // Row-granular kernels never fire the rule.
-        let good = "fn f(r: RowPtr, x: &[f32]) { r.axpy_slice(0.1, x); }\n";
-        assert!(scan_kernel(good).is_empty());
     }
 
     #[test]
@@ -1629,9 +1515,12 @@ mod tests {
     // ---- rule table / registry -------------------------------------
 
     #[test]
-    fn rule_ids_are_dense_and_names_unique() {
-        for (i, r) in RULES.iter().enumerate() {
-            assert_eq!(r.id as usize, i + 1);
+    fn rule_ids_are_stable_and_names_unique() {
+        // Ids never move: a retired rule leaves its number unused (6, the
+        // `RowPtr` kernel-path rule, went with `RowPtr` itself).
+        let ids: Vec<u8> = RULES.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]);
+        for r in &RULES {
             assert!(!r.summary.contains('|'), "summary breaks the md table");
             assert!(!r.scope.contains('|'), "scope breaks the md table");
         }
@@ -1675,96 +1564,6 @@ mod tests {
             assert!(
                 root.join(f).is_file(),
                 "PANIC_FREE_FILES entry `{f}` does not exist"
-            );
-        }
-    }
-
-    #[test]
-    fn seeded_per_element_access_in_the_tns_files_fails() {
-        // Each TNS hot-path file of the real tree, with one per-element
-        // accessor appended, must fail rule 6; unchanged, it passes.
-        let root = crate::workspace_root();
-        for f in [
-            "crates/distributed/src/tns.rs",
-            "crates/distributed/src/runtime.rs",
-            "crates/distributed/src/protocol.rs",
-        ] {
-            assert!(kernel_path_applies("crates/distributed", f), "{f}");
-            let scope = ScanScope {
-                kernel_path: kernel_path_applies("crates/distributed", f),
-                ..ScanScope::default()
-            };
-            let real = std::fs::read_to_string(root.join(f)).expect("read TNS file");
-            let kernel = |src: &str| -> Vec<Violation> {
-                scan_file(Path::new(f), src, scope)
-                    .into_iter()
-                    .filter(|v| v.rule == "kernel-path")
-                    .collect()
-            };
-            assert!(kernel(&real).is_empty(), "{f} is clean today");
-            let seeded = format!("{real}\nfn seeded(r: RowPtr) {{ r.add_elem(0, 0.1); }}\n");
-            let v = kernel(&seeded);
-            assert_eq!(v.len(), 1, "{f}: {v:?}");
-            assert_eq!(v[0].line, seeded.lines().count(), "{f}");
-        }
-        // The rest of the crate stays outside the rule.
-        assert!(!kernel_path_applies(
-            "crates/distributed",
-            "crates/distributed/src/hbgp.rs"
-        ));
-    }
-
-    #[test]
-    fn naming_a_shared_row_view_anywhere_in_the_distributed_crate_fails() {
-        // Every source file of crates/distributed, under the scope the lint
-        // gives it, is clean; with a seeded `RowPtr` or `row_ptr` in
-        // non-test code it fails once, and the same lines in a test module
-        // pass.
-        let root = crate::workspace_root();
-        let files = rust_files(&root.join("crates/distributed/src")).expect("list the crate");
-        assert!(files.len() > 5, "{files:?}");
-        for file in files {
-            let rel = file.strip_prefix(&root).expect("inside the workspace");
-            let rel_str = rel.to_string_lossy().replace('\\', "/");
-            let scope = ScanScope {
-                kernel_path: kernel_path_applies("crates/distributed", &rel_str),
-                row_ptr_free: ROW_PTR_FREE_CRATES.contains(&"crates/distributed"),
-                ..ScanScope::default()
-            };
-            let real = std::fs::read_to_string(&file).expect("read the file");
-            let kernel = |src: &str| -> Vec<Violation> {
-                scan_file(rel, src, scope)
-                    .into_iter()
-                    .filter(|v| v.rule == "kernel-path")
-                    .collect()
-            };
-            assert!(kernel(&real).is_empty(), "{rel_str} is clean today");
-            for seed in [
-                "fn seeded(m: &Matrix) -> usize { m.row_ptr(0).len() }",
-                "fn seeded(r: RowPtr<'_>) -> usize { r.len() }",
-            ] {
-                let seeded = format!("{real}\n{seed}\n");
-                let v = kernel(&seeded);
-                assert_eq!(v.len(), 1, "{rel_str}: {v:?}");
-                assert_eq!(v[0].line, seeded.lines().count(), "{rel_str}");
-                let in_test = format!("{real}\n#[cfg(test)]\nmod seeded {{\n{seed}\n}}\n");
-                assert!(
-                    kernel(&in_test).is_empty(),
-                    "{rel_str}: test code is exempt"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_path_file_list_points_at_real_files() {
-        // Same anchoring for rule 6's file-scoped entries: a moved file
-        // must not silently escape the kernel-path ban.
-        let root = crate::workspace_root();
-        for f in KERNEL_PATH_FILES {
-            assert!(
-                root.join(f).is_file(),
-                "KERNEL_PATH_FILES entry `{f}` does not exist"
             );
         }
     }

@@ -24,7 +24,8 @@ step xtask-lint
 cargo run -p xtask --quiet -- lint
 
 step miri "(single-threaded embedding + sgns unit tests)"
-# Miri proves the refactored Hogwild core UB-free on the non-racy tests.
+# Miri checks the embedding kernels' SIMD and raw-pointer paths and the
+# trainer for undefined behaviour.
 # The component only exists on nightly toolchains; skip gracefully where
 # it is unavailable instead of failing the whole gate.
 if cargo miri --version >/dev/null 2>&1; then
@@ -56,15 +57,15 @@ cargo test --workspace --release -q
 
 step interleave "schedule-exhaustive protocol model checks"
 # Enumerates every interleaving of the modeled hot-swap, cache-clear,
-# admission-slot, slot-handoff and RowPtr protocols and pins the exact
-# schedule counts (DESIGN.md §7). The
-# trees are a few hundred schedules, so the exhaustive run is seconds-scale.
+# admission-slot and slot-handoff protocols and pins the exact schedule
+# counts (DESIGN.md §7). The trees are a few hundred schedules, so the
+# exhaustive run is seconds-scale.
 # SISG_INTERLEAVE_SMOKE=<n> caps exploration (tests then skip count pinning)
 # for constrained environments; CI sets a high ceiling that leaves the
 # current models exhaustive while bounding runaway tree growth.
 cargo test --release -q -p sisg-interleave
 
-step tsan "(best effort): interleave models + hogwild stress under ThreadSanitizer"
+step tsan "(best effort): interleave models + embedding tests under ThreadSanitizer"
 # ThreadSanitizer needs a nightly toolchain with rust-src (-Zbuild-std).
 # Skip cleanly when either is absent instead of failing the gate — the
 # exhaustive interleave pass above is the authoritative concurrency check.

@@ -19,7 +19,6 @@ fn train_serve_publish_and_scenario_verdicts() {
         window: 3,
         negatives: 3,
         epochs: 1,
-        threads: 1,
         ..Default::default()
     };
     let serving = ServingConfig {

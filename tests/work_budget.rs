@@ -29,11 +29,11 @@ const NOISE_DRAWS_PER_PAIR: u64 = NEGATIVES as u64;
 /// A negative that draws the pair's own context is dropped, so the exact
 /// total below sits a little under `pairs × MAX_ROWS_STEPPED_PER_PAIR`.
 const MAX_ROWS_STEPPED_PER_PAIR: u64 = 1 + NEGATIVES as u64;
-/// Output rows stepped over the single-threaded run (seed 7): every
-/// pair's context plus its kept negatives.
+/// Output rows stepped over the run (seed 7): every pair's context plus
+/// its kept negatives.
 const ROWS_STEPPED: u64 = 6_738_723;
 
-fn config(threads: usize) -> SgnsConfig {
+fn config() -> SgnsConfig {
     SgnsConfig {
         dim: 8,
         window: WINDOW,
@@ -41,22 +41,21 @@ fn config(threads: usize) -> SgnsConfig {
         epochs: EPOCHS,
         subsample: 0.0,
         seed: 7,
-        threads,
         ..Default::default()
     }
 }
 
-fn run(threads: usize) -> (u64, TrainStats) {
+fn run() -> (u64, TrainStats) {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::FULL);
     let per_epoch = enriched.count_positive_pairs(WINDOW, false);
-    let (_, stats) = train(&enriched, enriched.space().len(), &config(threads));
+    let (_, stats) = train(&enriched, enriched.space().len(), &config());
     (per_epoch, stats)
 }
 
 #[test]
 fn training_work_per_pair_is_pinned() {
-    let (per_epoch, stats) = run(1);
+    let (per_epoch, stats) = run();
     assert_eq!(per_epoch, PAIRS_PER_EPOCH, "pairs per epoch moved");
     assert_eq!(
         stats.pairs,
@@ -77,18 +76,6 @@ fn training_work_per_pair_is_pinned() {
         stats.rows_stepped >= stats.pairs,
         "every pair steps its context"
     );
-}
-
-/// Hogwild splits the same sequences between threads: the same pairs and
-/// draws, while which negatives collide with a context follows each
-/// thread's own stream.
-#[test]
-fn hogwild_does_the_same_work_per_pair() {
-    let (_, stats) = run(2);
-    assert_eq!(stats.pairs, PAIRS_PER_EPOCH * EPOCHS as u64);
-    assert_eq!(stats.noise_draws, stats.pairs * NOISE_DRAWS_PER_PAIR);
-    assert!(stats.rows_stepped <= stats.pairs * MAX_ROWS_STEPPED_PER_PAIR);
-    assert!(stats.rows_stepped >= stats.pairs);
 }
 
 // ---- Section III: one fixed 2-worker run of the threaded runtime ----
