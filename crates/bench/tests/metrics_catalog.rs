@@ -241,7 +241,7 @@ fn exercise_every_layer() -> GeneratedCorpus {
     pipeline.train();
     let enriched = &pipeline.enriched;
 
-    // The message-passing protocol and its fault layer: a simulated
+    // The Section III machines under their fault layer: a simulated
     // cluster under message loss plus one crash, so the message, retry,
     // dedup, fault-injection, and recovery counters all record from a
     // genuine fault path.

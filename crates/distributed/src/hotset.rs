@@ -83,31 +83,37 @@ impl HotSet {
     }
 }
 
-/// Averages the workers' replicas of one matrix slot-wise (Section III-A)
-/// and writes the mean back to every replica. `replicas[w]` is worker
-/// `w`'s `|Q| × dim` replica block, rows in slot order. Per element, the
-/// replicas are summed in worker order from zero, then multiplied by
-/// `1/w`. Callers hold every block exclusively (the runtime does this at
-/// a barrier).
-pub(crate) fn average_replicas(replicas: &mut [&mut [f32]], dim: usize) {
-    let workers = replicas.len();
-    let Some(rows) = replicas.first().map(|r| r.len() / dim.max(1)) else {
-        return;
-    };
+/// Averages worker `me`'s replicas of one matrix with every other
+/// worker's, slot-wise (Section III-A), into `own`. `own` is `me`'s
+/// `|Q| × dim` replica block and `replica(j)` worker `j`'s, rows in slot
+/// order. Per element, the `workers` replicas are summed in worker order
+/// from zero, then multiplied by `1/w` — the same sum on every worker.
+pub(crate) fn average_replicas<'r>(
+    own: &mut [f32],
+    me: usize,
+    workers: usize,
+    replica: impl Fn(usize) -> &'r [f32],
+    dim: usize,
+) {
     let mut acc = vec![0.0f32; dim];
-    for slot in 0..rows {
+    for (slot, row) in own.chunks_exact_mut(dim.max(1)).enumerate() {
         let span = slot * dim..(slot + 1) * dim;
         // The unrolled kernels are elementwise (per-lane order is
         // unchanged), so the documented reconciliation order — and the
         // bit-identity test below — is preserved.
         acc.fill(0.0);
-        for r in replicas.iter() {
-            kernels::add_assign(&mut acc, &r[span.clone()]);
+        for j in 0..workers {
+            kernels::add_assign(
+                &mut acc,
+                if j == me {
+                    row
+                } else {
+                    &replica(j)[span.clone()]
+                },
+            );
         }
         kernels::scale(&mut acc, 1.0 / workers as f32);
-        for r in replicas.iter_mut() {
-            r[span.clone()].copy_from_slice(&acc);
-        }
+        row.copy_from_slice(&acc);
     }
 }
 
@@ -141,12 +147,21 @@ mod tests {
         assert_eq!(hot.slot(TokenId(3)), Some(0));
     }
 
+    /// Averages every worker's block the way each machine does: its own
+    /// against everyone's as they stood before any was averaged.
+    fn average_all(blocks: &mut [Vec<f32>], dim: usize) {
+        let before = blocks.to_vec();
+        let workers = blocks.len();
+        for (me, own) in blocks.iter_mut().enumerate() {
+            average_replicas(own, me, workers, |j| &before[j], dim);
+        }
+    }
+
     #[test]
     fn replicas_average_in_place() {
-        let mut blocks = [[1.0f32; 8], [2.0; 8], [3.0; 8]];
+        let mut blocks = vec![vec![1.0f32; 8], vec![2.0; 8], vec![3.0; 8]];
         blocks[1][5] = 5.0;
-        let mut views: Vec<&mut [f32]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-        average_replicas(&mut views, 4);
+        average_all(&mut blocks, 4);
         for b in &blocks {
             assert_eq!(b[..4], [2.0; 4]);
             assert_eq!(b[4..], [2.0, 3.0, 2.0, 2.0]);
@@ -188,8 +203,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut views: Vec<&mut [f32]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-        average_replicas(&mut views, dim);
+        average_all(&mut blocks, dim);
 
         for slot in 0..slots {
             let rows: Vec<Vec<f32>> = (0..workers)
@@ -213,7 +227,6 @@ mod tests {
     fn empty_hot_set_syncs_for_free() {
         let hot = HotSet::top_k(&vocab(), 0);
         assert_eq!(hot.sync_bytes(2, 4), 0);
-        let mut views: Vec<&mut [f32]> = vec![&mut [], &mut []];
-        average_replicas(&mut views, 4);
+        average_all(&mut [Vec::new(), Vec::new()], 4);
     }
 }

@@ -14,31 +14,24 @@
 //! - [`hotset`] — the ATNS shared set `Q` (Section III-A): tokens above a
 //!   frequency threshold are replicated on every worker and their replicas
 //!   averaged at regular intervals;
-//! - [`runtime`] — Algorithm 1 (TNS) with threads as workers: every
-//!   worker scans the corpus and processes the pairs whose target it owns
-//!   (or whose hot target falls in its shard) on the rows it holds
-//!   exclusively; a pair whose context another worker owns becomes a TNS
-//!   request that the owner serves — negatives from its local noise
-//!   distribution over `P_j ∪ Q`, its own output rows stepped, the
-//!   gradient sent back — in a bulk-synchronous exchange after every block
-//!   of sequences. Each shipment is counted as the bytes a cluster would
-//!   move, and a run is bit-deterministic;
-//! - [`report`] — communication, balance and throughput accounting used by
-//!   the Figure 7 and ablation experiments.
+//! - [`protocol`] — Algorithm 1's one worker, [`WorkerMachine`]: it owns
+//!   a row block (its replicas of `Q`, then the tokens it owns), steps its
+//!   local pairs in place and trades each exchange block's remote pairs
+//!   with their owners — one batch per peer, one answer of summed
+//!   gradients back — then averages the replicas of `Q` every sync round,
+//!   with tags, retries, dedup and block checkpoints (DESIGN.md §9);
+//! - [`runtime`] — the threaded driver: one thread per worker, messages
+//!   carried through in-process mailboxes between barriers. The
+//!   `sisg-simtest` crate is the other: the same machines under a virtual
+//!   clock and a seeded fault plan, training the same store bit for bit;
+//! - [`report`] — the Figure 7 and ablation accounting, and the
+//!   exchange's message and fault counters; [`fault`] the deterministic
+//!   fault injector; [`recovery`] the stage and block checkpoints.
 //!
-//! Fault tolerance (DESIGN.md §9) spans three modules: [`fault`] holds the
-//! deterministic fault injector and retry policy, [`protocol`] the
-//! driver-agnostic TNS worker state machine (sequence-numbered idempotent
-//! requests, bounded retries, checkpoint/restore), and [`recovery`] the
-//! stage-boundary checkpoint artifacts. The protocol has one driver, the
-//! `sisg-simtest` crate's deterministic virtual-clock scheduler.
-//!
-//! Algorithm 1 is written once, in the private `tns` module: [`TnsRun`],
-//! the one run set-up, one pair scan and one TNS step, which builds its
-//! step list with `sisg_sgns::sgd::build_kept` and runs the one SGNS
-//! kernel, `sisg_sgns::sgd::steps`, over one exclusive row access path.
-//! Both engines drive it: [`runtime`] over each thread's block of the
-//! store, [`protocol`] over each machine's shard.
+//! The run set-up is written once, in the private `tns` module: [`TnsRun`]
+//! (partition, `Q`, noise tables, learning-rate schedule, row layout), one
+//! pair scan and one TNS step over `sisg_sgns::sgd::steps`, the one SGNS
+//! kernel.
 
 #![warn(missing_docs)]
 
@@ -59,10 +52,10 @@ pub use hotset::HotSet;
 pub use partition::{HashPartitioner, PartitionMap, Partitioner};
 pub use pipeline::{PipelinePreflight, ResumeError, TrainingPipeline};
 pub use protocol::{
-    Delivered, MachineCounters, Message, RetryVerdict, Step, TnsReport, TnsRequest, TnsResponse,
-    WireError, WorkerMachine,
+    Advance, Answer, Batch, Delivered, MachineCounters, Message, Replicas, Tag, WireError,
+    WorkerMachine, EXCHANGE_TOKENS,
 };
-pub use recovery::{PipelineCheckpoint, ShardCheckpoint};
+pub use recovery::{BlockCheckpoint, PipelineCheckpoint};
 pub use report::{ClusterCostModel, DistReport};
 pub use runtime::{build_partition, train_distributed, DistConfig};
 pub use tns::TnsRun;

@@ -1,10 +1,12 @@
 //! Accounting of a distributed training run: the quantities Figures 7(a),
-//! 7(b) and the partitioning/ATNS ablations report.
+//! 7(b) and the partitioning/ATNS ablations report, and the message and
+//! fault counters of the exchange that trained it.
 
 use serde::{Deserialize, Serialize};
+use sisg_obs::names as obs_names;
 
 /// Everything measured during one distributed run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DistReport {
     /// Number of workers.
     pub workers: usize,
@@ -33,6 +35,22 @@ pub struct DistReport {
     /// Output rows stepped, local pairs and served requests alike: every
     /// pair's context plus its kept negatives.
     pub rows_stepped: u64,
+    /// Exchange blocks each worker went through.
+    pub exchange_blocks: u64,
+    /// Messages sent (batches, answers, replicas, retransmissions, replays).
+    pub messages: u64,
+    /// Vector payload bytes in those messages.
+    pub payload_bytes: u64,
+    /// Messages sent again after a timeout.
+    pub retries: u64,
+    /// Duplicate messages absorbed (and answered from the cache).
+    pub deduped: u64,
+    /// Malformed or stale messages ignored.
+    pub ignored: u64,
+    /// Faults a fault plan injected; 0 outside the simulator.
+    pub faults_injected: u64,
+    /// Worker restores from a block checkpoint; 0 outside the simulator.
+    pub recoveries: u64,
     /// Enriched tokens scanned (× epochs).
     pub tokens_processed: u64,
     /// Wall-clock seconds of the parallel phase.
@@ -86,12 +104,43 @@ impl DistReport {
             return 1.0;
         }
         let mean = total as f64 / self.pairs_per_worker.len() as f64;
-        *self.pairs_per_worker.iter().max().expect("non-empty") as f64 / mean
+        self.pairs_per_worker.iter().copied().max().unwrap_or(0) as f64 / mean
     }
 
     /// Total bytes moved (pairs + synchronization).
     pub fn total_comm_bytes(&self) -> u64 {
         self.pair_comm_bytes + self.sync_comm_bytes
+    }
+
+    /// Mirrors the run's accounting into the global obs registry, so the
+    /// same numbers reach snapshots without any per-pair instrumentation.
+    pub(crate) fn publish_to_obs(&self) {
+        let reg = sisg_obs::registry();
+        for (name, v) in [
+            (obs_names::DIST_PAIRS_TOTAL, self.total_pairs()),
+            (obs_names::DIST_REMOTE_PAIRS_TOTAL, self.remote_pairs),
+            (obs_names::DIST_SYNC_ROUNDS_TOTAL, self.sync_rounds),
+            (obs_names::DIST_SYNC_BYTES_TOTAL, self.sync_comm_bytes),
+            (obs_names::DIST_CHANNEL_MESSAGES_TOTAL, self.messages),
+            (
+                obs_names::DIST_CHANNEL_PAYLOAD_BYTES_TOTAL,
+                self.payload_bytes,
+            ),
+            (obs_names::DIST_RETRIES_TOTAL, self.retries),
+            (obs_names::DIST_REQUESTS_DEDUPED_TOTAL, self.deduped),
+        ] {
+            reg.counter(name).add(v);
+        }
+        reg.gauge(obs_names::DIST_REMOTE_FRACTION)
+            .set(self.remote_fraction());
+        reg.gauge(obs_names::DIST_PAIR_IMBALANCE)
+            .set(self.pair_imbalance());
+        reg.gauge(obs_names::DIST_CUT_FRACTION)
+            .set(self.cut_fraction);
+        let worker_pairs = reg.histogram(obs_names::DIST_WORKER_PAIRS);
+        for &pairs in &self.pairs_per_worker {
+            worker_pairs.record(pairs);
+        }
     }
 
     /// Models the wall-clock time of this run on a real cluster.
@@ -164,6 +213,7 @@ mod tests {
             seconds: 2.0,
             cut_fraction: 0.1,
             imbalance: 1.1,
+            ..Default::default()
         }
     }
 

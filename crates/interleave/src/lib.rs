@@ -5,13 +5,15 @@
 //! This crate model-checks the small concurrent protocols the serving stack
 //! relies on (epoch-pointer hot swap, admission-cache swap-clear,
 //! per-(tenant, shard) admission slots and their handoff through the shard
-//! queue) by enumerating **every** interleaving of 2–3 modeled threads and
+//! queue) and the Section III runtime's in-process block exchange, by
+//! enumerating **every** interleaving of 2–3 modeled threads and
 //! asserting an invariant after each complete execution.
 //!
 //! # How it works
 //!
 //! Model threads are real OS threads, but they never run concurrently: each
-//! shim operation ([`ModelAtomicU64`], [`ModelRwLock`], [`ModelCell`]) first
+//! shim operation ([`ModelAtomicU64`], [`ModelRwLock`], [`ModelBarrier`],
+//! [`ModelCell`]) first
 //! parks the thread at a *decision point* and waits for the controller to
 //! grant it. The controller waits until every thread is parked (or finished),
 //! computes the set of *enabled* threads (lock acquisitions are disabled while
@@ -57,6 +59,9 @@ enum Intent {
     AcquireWrite(usize),
     /// Release a held lock; always enabled.
     Release { rid: usize, write: bool },
+    /// Pass barrier `bid` in its generation `gen`; enabled once every party
+    /// waits there (or one has already passed it).
+    Barrier { bid: usize, gen: u64 },
 }
 
 /// Lifecycle of one model thread as seen by the controller.
@@ -79,9 +84,17 @@ struct LockState {
     writer: bool,
 }
 
+/// One modeled barrier: its party count and how many times it opened.
+#[derive(Debug, Clone, Copy)]
+struct BarrierState {
+    parties: usize,
+    generation: u64,
+}
+
 struct SchedInner {
     phases: Vec<Phase>,
     locks: Vec<LockState>,
+    barriers: Vec<BarrierState>,
     aborted: bool,
 }
 
@@ -138,10 +151,12 @@ pub type Body = Box<dyn FnOnce(&Ctx) -> Result<(), Aborted> + Send + 'static>;
 /// (non-deadlocked) execution. Returns `Err(description)` on a violation.
 pub type Checker = Box<dyn FnOnce() -> Result<(), String>>;
 
-/// Allocator for per-execution scheduler resources (lock ids). A fresh one is
-/// handed to the model builder for every execution.
+/// Allocator for per-execution scheduler resources (lock and barrier ids).
+/// A fresh one is handed to the model builder for every execution.
 pub struct Alloc {
     locks: usize,
+    /// Party count of every barrier.
+    barriers: Vec<usize>,
 }
 
 impl Alloc {
@@ -213,7 +228,10 @@ where
         truncated: false,
     };
     loop {
-        let mut alloc = Alloc { locks: 0 };
+        let mut alloc = Alloc {
+            locks: 0,
+            barriers: Vec::new(),
+        };
         let (bodies, checker) = build(&mut alloc);
         let sched = Arc::new(Sched {
             inner: Mutex::new(SchedInner {
@@ -225,6 +243,14 @@ where
                     };
                     alloc.locks
                 ],
+                barriers: alloc
+                    .barriers
+                    .iter()
+                    .map(|&parties| BarrierState {
+                        parties,
+                        generation: 0,
+                    })
+                    .collect(),
                 aborted: false,
             }),
             cv: Condvar::new(),
@@ -308,6 +334,15 @@ fn run_one(sched: &Arc<Sched>, bodies: Vec<Body>, schedule: &mut Vec<(usize, usi
                     Intent::AcquireWrite(rid) => {
                         (!g.locks[*rid].writer && g.locks[*rid].readers == 0).then_some(tid)
                     }
+                    Intent::Barrier { bid, gen } => {
+                        let b = g.barriers[*bid];
+                        let waiting = g
+                            .phases
+                            .iter()
+                            .filter(|p| matches!(p, Phase::Wants(i) if i == intent))
+                            .count();
+                        (b.generation > *gen || waiting == b.parties).then_some(tid)
+                    }
                 },
                 _ => None,
             })
@@ -348,6 +383,12 @@ fn run_one(sched: &Arc<Sched>, bodies: Vec<Body>, schedule: &mut Vec<(usize, usi
                     } else {
                         g.locks[rid].readers -= 1;
                     }
+                }
+                Intent::Barrier { bid, gen } => {
+                    // The first party through opens this generation for
+                    // the others.
+                    let b = &mut g.barriers[bid];
+                    b.generation = b.generation.max(gen + 1);
                 }
             }
         }
@@ -413,6 +454,32 @@ impl ModelAtomicU64 {
         // ORDERING: Relaxed — called after all model threads have been
         // joined, so there is nothing left to order against.
         self.v.load(Ordering::Relaxed)
+    }
+}
+
+/// Model of `std::sync::Barrier`: `wait` is one scheduler step, enabled
+/// once every party has arrived at the same generation.
+#[derive(Clone)]
+pub struct ModelBarrier {
+    bid: usize,
+}
+
+impl ModelBarrier {
+    /// Register a barrier for `parties` threads with the execution's
+    /// scheduler.
+    pub fn new(alloc: &mut Alloc, parties: usize) -> Self {
+        alloc.barriers.push(parties);
+        Self {
+            bid: alloc.barriers.len() - 1,
+        }
+    }
+
+    /// Blocks (as a scheduler step) until every party waits here.
+    pub fn wait(&self, ctx: &Ctx) -> Result<(), Aborted> {
+        // Read while this thread is the only one running: the generation
+        // it arrives in.
+        let gen = lock_inner(&ctx.sched).barriers[self.bid].generation;
+        ctx.step(Intent::Barrier { bid: self.bid, gen })
     }
 }
 

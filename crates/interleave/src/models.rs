@@ -19,11 +19,17 @@
 //!   freed only once the worker has dequeued it, so queued tasks never
 //!   outnumber slots; freeing it when the caller drops its response lets
 //!   a queue overflow.
+//! * [`block_exchange`] — the Section III runtime's in-process transport
+//!   (`crates/distributed/src/runtime.rs`): a requester posts its block's
+//!   batch before the barrier, so the owner serves that block's batch and
+//!   no other; posting after it lets the owner serve an empty or the last
+//!   block's mailbox.
 //! * [`deadlock_demo`] — two locks acquired in opposite orders, proving the
 //!   explorer's deadlock detection fires.
 
 use crate::{
-    explore, Aborted, Body, Checker, Ctx, ModelAtomicU64, ModelCell, ModelRwLock, ObsLog, Report,
+    explore, Aborted, Body, Checker, Ctx, ModelAtomicU64, ModelBarrier, ModelCell, ModelRwLock,
+    ObsLog, Report,
 };
 
 /// Epoch-pointer hot swap, as in the serve engine: a writer installs two
@@ -321,6 +327,76 @@ pub fn slot_handoff(release_on_caller_drop: bool) -> Report {
             Ok(())
         });
         (vec![caller, worker, submitter], checker)
+    })
+}
+
+/// The Section III runtime's block exchange over its in-process mailboxes,
+/// for two blocks between one requester and one owner. Each block, the
+/// requester posts its batch into the mailbox, both wait at the barrier,
+/// the owner takes the mailbox and posts its answer, both wait again, and
+/// the requester collects the answer.
+///
+/// Invariant: the answer the requester collects in block `b` is the
+/// owner's serve of the requester's batch of block `b`.
+///
+/// With `post_after_barrier = false` the batch is posted before the first
+/// barrier, as in the runtime, and every block's answer is its own. With
+/// `post_after_barrier = true` the post moves after it, and the checker
+/// finds schedules where the owner takes the mailbox before the post and
+/// serves it empty, or serves the batch the last block left there.
+pub fn block_exchange(post_after_barrier: bool) -> Report {
+    const BLOCKS: u64 = 2;
+    const EMPTY: u64 = 0;
+    let batch = |block: u64| block + 1;
+    let serve = |batch: u64| 100 + batch;
+    explore(move |alloc| {
+        let barrier = ModelBarrier::new(alloc, 2);
+        let batches = ModelAtomicU64::new(EMPTY);
+        let answers = ModelAtomicU64::new(EMPTY);
+        let collected: ObsLog<u64> = ObsLog::new();
+
+        let requester: Body = {
+            let (barrier, batches, answers) = (barrier.clone(), batches.clone(), answers.clone());
+            let collected = collected.clone();
+            Box::new(move |ctx| {
+                for block in 0..BLOCKS {
+                    if !post_after_barrier {
+                        batches.store(ctx, batch(block))?;
+                    }
+                    barrier.wait(ctx)?;
+                    if post_after_barrier {
+                        batches.store(ctx, batch(block))?;
+                    }
+                    barrier.wait(ctx)?;
+                    collected.push(answers.load(ctx)?);
+                }
+                Ok(())
+            })
+        };
+        let owner: Body = Box::new(move |ctx| {
+            for _ in 0..BLOCKS {
+                barrier.wait(ctx)?;
+                let taken = batches.load(ctx)?;
+                batches.store(ctx, EMPTY)?;
+                answers.store(ctx, serve(taken))?;
+                barrier.wait(ctx)?;
+            }
+            Ok(())
+        });
+
+        let checker: Checker = Box::new(move || {
+            for (block, got) in (0..BLOCKS).zip(collected.take()) {
+                let want = serve(batch(block));
+                if got != want {
+                    return Err(format!(
+                        "block {block} collected answer {got}, not {want}: the owner served \
+                         an empty or stale mailbox"
+                    ));
+                }
+            }
+            Ok(())
+        });
+        (vec![requester, owner], checker)
     })
 }
 

@@ -123,6 +123,34 @@ fn slot_release_on_caller_drop_is_caught() {
     assert!(msg.contains("queue overflow"), "{msg}");
 }
 
+/// The Section III runtime's block exchange: a requester that posts its
+/// batch before the barrier gets, in every schedule, the answer to that
+/// block's batch.
+#[test]
+fn block_exchange_serves_each_block_its_own_batch() {
+    let r = models::block_exchange(false);
+    assert_eq!(r.violations, 0, "unexpected: {:?}", r.first_violation);
+    assert_eq!(r.deadlocks, 0);
+    if !r.truncated {
+        assert_eq!(r.executions, 300);
+    }
+}
+
+/// Posting after the barrier must be caught: the owner can take the
+/// mailbox first and serve it empty, or serve the last block's batch.
+#[test]
+fn block_exchange_with_post_after_barrier_is_caught() {
+    let r = models::block_exchange(true);
+    assert!(r.violations > 0, "broken variant was not caught");
+    assert_eq!(r.deadlocks, 0);
+    if !r.truncated {
+        assert_eq!(r.executions, 2025);
+        assert_eq!(r.violations, 1944);
+    }
+    let msg = r.first_violation.expect("violation recorded");
+    assert!(msg.contains("empty or stale mailbox"), "{msg}");
+}
+
 /// Opposite-order lock acquisition deadlocks in exactly the schedules where
 /// each thread holds one lock before the other wants its second; the explorer
 /// must detect those without hanging and still complete the rest of the tree.

@@ -1,129 +1,114 @@
-//! Engine parity: the threaded runtime and the simulated message-passing
-//! cluster drive the same seeded pair scan, so with the hot set disabled
-//! their cross-worker pair accounting must agree *exactly* — under hash
-//! over item sequences and under HBGP over SI-enriched ones — and the
-//! models they produce must score equivalently.
-//!
-//! Float bits are not compared across engines, although each engine is
-//! deterministic on its own: the runtime exchanges remote requests in
-//! blocks of sequences, serves them with the owner's noise stream and
-//! steps its learning rate per block, while a machine waits for each
-//! response and applies the gradient at delivery time, on a per-pair
-//! learning rate. Only the *accounting* is required to be identical.
+//! Engine parity: the threaded runtime and the simulator drive the same
+//! `WorkerMachine`s, and a machine computes nothing from the order its
+//! messages arrive in. So on a fault-free plan the two train the same
+//! store bit for bit, with the same accounting — at one, two and four
+//! workers, with the hot set `Q` off and on, under hash over item
+//! sequences and under HBGP over SI-enriched ones — and drops,
+//! duplicates and delays change no bit either.
 
 use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_distributed::runtime::PartitionStrategy;
-use sisg_distributed::{train_distributed, DistConfig, FaultPlan};
-use sisg_simtest::{hit_rate_at_10, simulate, SimConfig};
+use sisg_distributed::{train_distributed, DistConfig, DistReport, FaultPlan};
+use sisg_embedding::codec;
+use sisg_simtest::{simulate, SimConfig};
 
-fn dist() -> DistConfig {
+fn dist(workers: usize, hot_set_size: usize, strategy: PartitionStrategy) -> DistConfig {
     DistConfig {
-        workers: 3,
-        dim: 16,
+        workers,
+        dim: 8,
         window: 3,
         negatives: 3,
-        epochs: 2,
-        hot_set_size: 0,
-        sync_interval: 1_000,
-        strategy: PartitionStrategy::Hash,
+        epochs: 1,
+        hot_set_size,
+        sync_interval: 500,
+        strategy,
         ..Default::default()
     }
 }
 
-#[test]
-fn runtime_and_sim_agree_on_accounting_and_quality() {
-    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
-    let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
-    let config = dist();
-    let dim = config.dim as u64;
-
-    let (rt_store, rt_report) = train_distributed(&enriched, &corpus.catalog, &config);
-    let sim = simulate(
-        &enriched,
-        &corpus.catalog,
-        &SimConfig::new(config, FaultPlan::none()),
-    );
-    assert!(sim.completed);
-
-    // Identical seeded scans => identical per-worker pair loads and
-    // identical cross-worker traffic in both engines.
-    assert_eq!(
-        sim.report.pairs_per_worker, rt_report.pairs_per_worker,
-        "sim vs shared-memory per-worker pair accounting diverged"
-    );
-    assert_eq!(sim.report.remote_pairs, rt_report.remote_pairs);
-    assert!(
-        sim.report.remote_pairs > 1_000,
-        "hash partition must go remote"
-    );
-    // Message ledger of a fault-free run: one request + one response per
-    // remote pair, input vector out + gradient back at dim × 4 bytes each,
-    // and nothing retransmitted, replayed or abandoned.
-    assert_eq!(sim.report.messages, 2 * sim.report.remote_pairs);
-    assert_eq!(
-        sim.report.payload_bytes,
-        sim.report.remote_pairs * 2 * dim * 4
-    );
-    assert_eq!(sim.report.retries, 0, "fault-free run must not retransmit");
-    assert_eq!(sim.report.requests_deduped, 0);
-    assert_eq!(sim.report.gave_up, 0);
-
-    // Same data, same schedule, same hyperparameters: both models must
-    // retrieve equally well.
-    let hr_rt =
-        hit_rate_at_10(&rt_store, enriched.space(), &corpus.sessions).expect("store covers space");
-    let hr_sim =
-        hit_rate_at_10(&sim.store, enriched.space(), &corpus.sessions).expect("store covers space");
-    println!("HR@10 runtime={hr_rt:.4} sim={hr_sim:.4}");
-    assert!(hr_rt > 0.0 && hr_sim > 0.0);
-    let tolerance = (hr_rt.max(hr_sim) * 0.10).max(0.05);
-    assert!(
-        (hr_rt - hr_sim).abs() <= tolerance,
-        "sim vs runtime HR@10 beyond tolerance: {hr_sim:.4} vs {hr_rt:.4}"
-    );
+/// The report fields both drivers fill from the machines' counters.
+fn shared(r: &DistReport) -> Vec<u64> {
+    let mut v = r.pairs_per_worker.clone();
+    v.extend([
+        r.local_pairs,
+        r.remote_pairs,
+        r.item_pairs,
+        r.remote_item_pairs,
+        r.pair_comm_bytes,
+        r.sync_comm_bytes,
+        r.sync_rounds,
+        r.requests_served,
+        r.rows_stepped,
+        r.exchange_blocks,
+        r.messages,
+        r.payload_bytes,
+    ]);
+    v
 }
 
-/// HBGP over SI-enriched sequences: the scans see SI tokens and a
-/// category-coherent owner map, and still agree pair for pair.
 #[test]
-fn hbgp_over_enriched_sequences_agrees_on_accounting() {
+fn runtime_and_sim_train_the_same_store_bit_for_bit() {
+    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
+    let cases = [
+        (EnrichOptions::NONE, PartitionStrategy::Hash),
+        (EnrichOptions::FULL, PartitionStrategy::Hbgp { beta: 1.2 }),
+    ];
+    for (options, strategy) in cases {
+        let enriched = EnrichedCorpus::build(&corpus, options);
+        for workers in [1, 2, 4] {
+            for hot in [0, 32] {
+                let config = dist(workers, hot, strategy);
+                let case = format!("{strategy:?}, {workers} workers, |Q| = {hot}");
+                let (rt_store, rt) = train_distributed(&enriched, &corpus.catalog, &config);
+                let sim = simulate(
+                    &enriched,
+                    &corpus.catalog,
+                    &SimConfig::new(config, FaultPlan::none()),
+                );
+                assert!(sim.completed, "{case}: the simulation did not drain");
+                assert!(
+                    codec::encode(&rt_store) == codec::encode(&sim.store),
+                    "{case}: stores differ"
+                );
+                assert_eq!(shared(&rt), shared(&sim.report), "{case}: reports differ");
+                assert!(
+                    workers == 1 || rt.remote_pairs > 0,
+                    "{case}: nothing remote"
+                );
+                // The fault-free ledger: one batch and one answer per
+                // ordered pair of workers per block, one set of replicas
+                // per ordered pair per averaging of Q, nothing resent.
+                let per_step = (workers * (workers - 1)) as u64;
+                let averagings = if hot == 0 { 0 } else { sim.report.sync_rounds };
+                assert_eq!(
+                    sim.report.messages,
+                    (2 * sim.report.exchange_blocks + averagings) * per_step,
+                    "{case}"
+                );
+                let r = &sim.report;
+                assert_eq!((r.retries, r.deduped, r.ignored), (0, 0, 0), "{case}");
+            }
+        }
+    }
+}
+
+/// Drops, duplicates and delays cost retransmissions and replays, never a
+/// bit of the store: every machine still computes from the same messages.
+#[test]
+fn message_faults_change_no_bit() {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::FULL);
-    let config = DistConfig {
-        strategy: PartitionStrategy::Hbgp { beta: 1.2 },
-        ..dist()
-    };
-    let (_, rt_report) = train_distributed(&enriched, &corpus.catalog, &config);
-    let sim = simulate(
+    let config = dist(3, 32, PartitionStrategy::Hbgp { beta: 1.2 });
+    let clean = simulate(
         &enriched,
         &corpus.catalog,
-        &SimConfig::new(config, FaultPlan::none()),
+        &SimConfig::new(config.clone(), FaultPlan::none()),
     );
-    assert!(sim.completed);
-    assert_eq!(
-        sim.report.pairs_per_worker, rt_report.pairs_per_worker,
-        "sim vs shared-memory per-worker pair accounting diverged"
-    );
-    assert_eq!(sim.report.remote_pairs, rt_report.remote_pairs);
-    assert!(sim.report.remote_pairs > 0, "SI tokens must go remote");
-    assert_eq!(sim.report.messages, 2 * sim.report.remote_pairs);
-}
-
-#[test]
-fn one_simulated_worker_passes_no_messages() {
-    let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
-    let enriched = EnrichedCorpus::build(&corpus, EnrichOptions::NONE);
-    let config = DistConfig {
-        workers: 1,
-        ..dist()
-    };
-    let sim = simulate(
-        &enriched,
-        &corpus.catalog,
-        &SimConfig::new(config, FaultPlan::none()),
-    );
-    assert!(sim.completed);
-    assert!(sim.report.pairs > 10_000, "the run must train");
-    assert_eq!(sim.report.remote_pairs, 0);
-    assert_eq!(sim.report.messages, 0);
+    let plan = FaultPlan::message_faults(0xFA17, 0.15, 0.10, 0.10);
+    let faulted = simulate(&enriched, &corpus.catalog, &SimConfig::new(config, plan));
+    assert!(clean.completed && faulted.completed);
+    let r = &faulted.report;
+    assert!(r.faults_injected > 0 && r.retries > 0 && r.deduped > 0);
+    assert!(codec::encode(&clean.store) == codec::encode(&faulted.store));
+    assert_eq!(clean.report.rows_stepped, r.rows_stepped);
 }

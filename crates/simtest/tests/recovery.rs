@@ -1,7 +1,8 @@
-//! Crash recovery: a worker killed mid-epoch restarts from its last
-//! epoch-boundary checkpoint with a bumped incarnation, replays the lost
-//! partial epoch, and the cluster still converges — the acceptance
-//! criterion is HitRate@10 within 5% relative of the uninterrupted run.
+//! Crash recovery with the hot set on: a worker killed mid-epoch restarts
+//! from its last block checkpoint with a bumped incarnation, replays the
+//! lost blocks, and the cluster still converges — the acceptance criterion
+//! is HitRate@10 within 5% relative of the uninterrupted run, with exactly
+//! one recovery.
 
 use sisg_corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_distributed::runtime::PartitionStrategy;
@@ -15,7 +16,7 @@ fn dist() -> DistConfig {
         window: 3,
         negatives: 3,
         epochs: 2,
-        hot_set_size: 0,
+        hot_set_size: 16,
         sync_interval: 1_000,
         strategy: PartitionStrategy::Hash,
         ..Default::default()
@@ -42,7 +43,7 @@ fn crash_mid_epoch_recovers_within_five_percent_hit_rate() {
     );
 
     // Kill the worker three quarters of the way through its pair stream —
-    // mid second epoch, past the epoch-boundary checkpoint it will restore.
+    // mid second epoch, past the block checkpoint it will restore.
     let mut plan = FaultPlan::none();
     plan.crashes.push(CrashSpec {
         worker: CRASHED,
@@ -53,8 +54,8 @@ fn crash_mid_epoch_recovers_within_five_percent_hit_rate() {
     assert!(crashed.completed, "cluster never drained after the crash");
     assert_eq!(crashed.report.recoveries, 1, "exactly one restart expected");
     assert_eq!(crashed.report.faults_injected, 1);
-    // The restored worker replays the checkpointed epoch from its start,
-    // so it trains at least as many pairs as the uninterrupted run.
+    // The restored worker rescans from its checkpointed block, so it
+    // trains at least as many pairs as the uninterrupted run.
     assert!(crashed.report.pairs_per_worker[CRASHED] >= total_pairs);
 
     let hr_clean = hit_rate_at_10(&clean.store, enriched.space(), &corpus.sessions)

@@ -145,9 +145,10 @@ const PANIC_FREE_CRATES: &[&str] = &[
 /// vanishes in release builds.
 const ASSERT_FREE_CRATES: &[&str] = &["crates/core", "crates/serve", "crates/scenario"];
 
-/// Individual files under the same panic-free rule: the retry, recovery
-/// and fault-simulation paths, and the TNS scan and step the
-/// message-passing machines run — a panic while absorbing a fault turns a
+/// Individual files under the same panic-free rule: every file holding
+/// code the Section III machines run under both drivers (the exchange,
+/// its retry and recovery paths, the TNS scan and step, the averaging of
+/// `Q`) and the fault simulator — a panic while absorbing a fault turns a
 /// recoverable event into a crash, so these propagate errors instead —
 /// plus the streaming ingest pipeline, which feeds live serve engines
 /// and must poison itself with a typed error rather than take down the
@@ -155,6 +156,8 @@ const ASSERT_FREE_CRATES: &[&str] = &["crates/core", "crates/serve", "crates/sce
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/distributed/src/protocol.rs",
     "crates/distributed/src/tns.rs",
+    "crates/distributed/src/hotset.rs",
+    "crates/distributed/src/report.rs",
     "crates/distributed/src/fault.rs",
     "crates/distributed/src/recovery.rs",
     "crates/simtest/src/lib.rs",

@@ -57,9 +57,9 @@ cargo test --workspace --release -q
 
 step interleave "schedule-exhaustive protocol model checks"
 # Enumerates every interleaving of the modeled hot-swap, cache-clear,
-# admission-slot and slot-handoff protocols and pins the exact schedule
-# counts (DESIGN.md §7). The trees are a few hundred schedules, so the
-# exhaustive run is seconds-scale.
+# admission-slot, slot-handoff and Section III block-exchange protocols and
+# pins the exact schedule counts (DESIGN.md §7). The trees are at most a
+# few thousand schedules, so the exhaustive run is seconds-scale.
 # SISG_INTERLEAVE_SMOKE=<n> caps exploration (tests then skip count pinning)
 # for constrained environments; CI sets a high ceiling that leaves the
 # current models exhaustive while bounding runaway tree growth.

@@ -1,5 +1,5 @@
 //! Exact work budgets of the training loop and of Section III's threaded
-//! runtime.
+//! runtime, its exchange included.
 //!
 //! Time cannot be gated on a noisy host; work can, because work is
 //! deterministic. Each budget below is a named constant next to the
@@ -9,7 +9,7 @@
 //! must edit the constant, and say so.
 
 use taobao_sisg::corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
-use taobao_sisg::distributed::{DistConfig, DistReport, TrainingPipeline};
+use taobao_sisg::distributed::{DistConfig, DistReport, TrainingPipeline, EXCHANGE_TOKENS};
 use taobao_sisg::sgns::{train, SgnsConfig, TrainStats};
 
 /// Window half-width of the pinned run (symmetric windows).
@@ -101,6 +101,15 @@ const DIST_BYTES_PER_REMOTE_PAIR: u64 = 2 * DIST_DIM as u64 * 4;
 /// Averagings of `Q`: one per started block of `DIST_SYNC_INTERVAL`
 /// sequences, per epoch (one epoch).
 const DIST_SYNC_ROUNDS: u64 = DIST_SEQUENCES.div_ceil(DIST_SYNC_INTERVAL) as u64;
+/// Exchange blocks per epoch: inside each sync round, the runs of whole
+/// sequences that first reach `EXCHANGE_TOKENS` enriched tokens, or the
+/// end of the round ([`exchange_blocks_per_epoch`]).
+const DIST_EXCHANGE_BLOCKS_PER_EPOCH: u64 = 92;
+/// Messages of the fault-free run: a batch and its answer per ordered pair
+/// of workers per block, and one set of replicas per ordered pair per
+/// averaging of `Q` (one epoch).
+const DIST_MESSAGES: u64 = (2 * DIST_EXCHANGE_BLOCKS_PER_EPOCH + DIST_SYNC_ROUNDS)
+    * (DIST_WORKERS * (DIST_WORKERS - 1)) as u64;
 /// Output rows stepped per pair at most, local or served: the context
 /// plus `NEGATIVES`.
 const DIST_MAX_ROWS_STEPPED_PER_PAIR: u64 = 1 + NEGATIVES as u64;
@@ -108,7 +117,26 @@ const DIST_MAX_ROWS_STEPPED_PER_PAIR: u64 = 1 + NEGATIVES as u64;
 /// kept negatives, on the owners' noise streams.
 const DIST_ROWS_STEPPED: u64 = 1_625_425;
 
-fn dist_run() -> (usize, DistReport) {
+/// The exchange blocks every worker cuts from `enriched` in one epoch.
+fn exchange_blocks_per_epoch(enriched: &EnrichedCorpus<'_>) -> u64 {
+    let n = enriched.len();
+    let mut blocks = 0;
+    for round in (0..n).step_by(DIST_SYNC_INTERVAL) {
+        let round_end = (round + DIST_SYNC_INTERVAL).min(n);
+        let mut start = round;
+        while start < round_end {
+            let mut tokens = 0;
+            while start < round_end && tokens < EXCHANGE_TOKENS {
+                tokens += enriched.sequence_len(start);
+                start += 1;
+            }
+            blocks += 1;
+        }
+    }
+    blocks
+}
+
+fn dist_run() -> (usize, u64, DistReport) {
     let corpus = GeneratedCorpus::generate(CorpusConfig::tiny());
     let config = DistConfig {
         workers: DIST_WORKERS,
@@ -123,13 +151,20 @@ fn dist_run() -> (usize, DistReport) {
     };
     let pipeline = TrainingPipeline::prepare(&corpus, EnrichOptions::FULL, config);
     let sequences = pipeline.enriched.len();
-    (sequences, pipeline.train().1)
+    let blocks = exchange_blocks_per_epoch(&pipeline.enriched);
+    (sequences, blocks, pipeline.train().1)
 }
 
 #[test]
 fn section_iii_work_per_pair_is_pinned() {
-    let (sequences, report) = dist_run();
+    let (sequences, blocks, report) = dist_run();
     assert_eq!(sequences, DIST_SEQUENCES, "sequences moved");
+    assert_eq!(
+        blocks, DIST_EXCHANGE_BLOCKS_PER_EPOCH,
+        "exchange blocks per epoch moved"
+    );
+    assert_eq!(report.exchange_blocks, blocks, "blocks exchanged");
+    assert_eq!(report.messages, DIST_MESSAGES, "messages per block moved");
     assert_eq!(
         report.pairs_per_worker, DIST_PAIRS_PER_WORKER,
         "pairs per worker moved"
