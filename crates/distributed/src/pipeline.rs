@@ -23,10 +23,12 @@
 use crate::hotset::HotSet;
 use crate::partition::PartitionMap;
 use crate::recovery::{enriched_fingerprint, record_recovery, PipelineCheckpoint};
-use crate::runtime::{build_partition, train_distributed_prepared, DistConfig};
+use crate::runtime::{build_partition, train_run, DistConfig};
+use crate::tns::TnsRun;
 use crate::DistReport;
 use sisg_corpus::{EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use sisg_embedding::EmbeddingStore;
+use std::borrow::Cow;
 
 /// The artifacts of stages 1–4.
 pub struct TrainingPipeline<'a> {
@@ -162,7 +164,8 @@ impl<'a> TrainingPipeline<'a> {
     /// pipeline's own partition and hot set, so a resumed pipeline trains
     /// on exactly the checkpointed stage-3/4 plan.
     pub fn train(&self) -> (EmbeddingStore, DistReport) {
-        train_distributed_prepared(&self.enriched, &self.config, &self.partition, &self.hot_set)
+        let (partition, hot) = (Cow::Borrowed(&self.partition), Cow::Borrowed(&self.hot_set));
+        train_run(&TnsRun::build(&self.enriched, &self.config, partition, hot))
     }
 }
 
