@@ -5,7 +5,6 @@
 //! little-endian getters of [`Buf`] for `&[u8]`, and the little-endian
 //! putters of [`BufMut`]. No refcounted zero-copy slicing — the codec
 //! never splits buffers.
-#![warn(missing_docs)]
 
 use std::ops::Deref;
 

@@ -1,6 +1,5 @@
 //! Offline stand-in for the [`crossbeam`](https://crates.io/crates/crossbeam)
 //! crate — just the [`channel`] module, which is all the workspace uses.
-#![warn(missing_docs)]
 
 /// Multi-producer multi-consumer FIFO channels.
 ///
@@ -228,6 +227,8 @@ pub mod channel {
 
         /// Blocks until a message arrives, every sender is dropped, or
         /// `timeout` elapses.
+        // Mirrors upstream crossbeam: the deadline is wall-clock by contract.
+        #[allow(clippy::disallowed_methods)]
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
             let mut queue = self.shared.queue.lock().expect("channel poisoned");

@@ -10,10 +10,9 @@
 //!
 //! - **Deterministic**: cases are generated from a fixed seed, never from
 //!   OS entropy, matching the repo-wide determinism rule (DESIGN.md §5)
-//!   that `cargo run -p xtask -- lint` enforces.
+//!   that `compat/rand` enforces by having no entropy source.
 //! - **No shrinking**: a failing case panics with its inputs via the
 //!   assertion message instead of being minimized.
-#![warn(missing_docs)]
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -9,9 +9,25 @@
 //!
 //! Deliberately **not** implemented: `thread_rng`, `from_entropy`, OS
 //! entropy of any kind. The repo's determinism guarantee (DESIGN.md §5)
-//! bans unseeded randomness, and `cargo run -p xtask -- lint` enforces the
-//! ban; this stub makes unseeded paths unrepresentable as well.
-#![warn(missing_docs)]
+//! bans unseeded randomness, and this stub makes it unrepresentable: a
+//! call to either does not compile, in test code or not (DESIGN.md §7).
+//!
+//! ```compile_fail,E0425
+//! let _rng = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail,E0599
+//! use rand::SeedableRng;
+//! let _rng = rand::rngs::StdRng::from_entropy();
+//! ```
+//!
+//! An explicit seed is the one way in:
+//!
+//! ```
+//! use rand::{Rng, SeedableRng};
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+//! let _draw: u32 = rng.gen();
+//! ```
 
 use std::ops::{Range, RangeInclusive};
 

@@ -8,7 +8,6 @@
 //! `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros that cover the
 //! shapes this workspace declares: named-field structs, tuple structs, and
 //! unit-variant enums.
-#![warn(missing_docs)]
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};

@@ -11,7 +11,6 @@
 //! Anything else — generics, data-carrying enum variants, `#[serde(...)]`
 //! attributes — is rejected with a compile error rather than silently
 //! mis-serialized.
-#![warn(missing_docs)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 

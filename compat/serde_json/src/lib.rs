@@ -3,7 +3,6 @@
 //! Emits and parses JSON over the [`serde::Value`] tree of the workspace's
 //! vendored serde stub. Covers the workspace surface: [`to_string`],
 //! [`to_string_pretty`], and [`from_str`].
-#![warn(missing_docs)]
 
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};

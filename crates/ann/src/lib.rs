@@ -12,8 +12,7 @@
 //!
 //! The index scores by **inner product** (higher = better) over unit-norm
 //! rows, so it ranks by cosine, matching how `sisg_core`'s retrieval works.
-
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod qhnsw;
 pub mod recall;

@@ -13,8 +13,6 @@
 //! | `SISG_EPOCHS` | training epochs | 2 |
 //! | `SISG_SEED` | master seed | 42 |
 
-#![warn(missing_docs)]
-
 use sisg_corpus::{Corpus, CorpusConfig, GeneratedCorpus};
 use sisg_eval::ExperimentTable;
 use sisg_sgns::SgnsConfig;

@@ -17,8 +17,6 @@
 //! The model stores the full top-`max_neighbors` similarity lists, which is
 //! exactly the artifact the production matching stage serves.
 
-#![warn(missing_docs)]
-
 use sisg_corpus::{Corpus, ItemId};
 use std::collections::HashMap;
 

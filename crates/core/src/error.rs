@@ -3,8 +3,9 @@
 //! Every fallible public path of this crate — model construction, the
 //! matching-stage artifact, and the two cold-start fallbacks — returns
 //! [`CoreError`] instead of asserting. The serving layer must never be
-//! able to panic out from under a request (`xtask lint` bans
-//! `unwrap`/`expect`/`assert!` in this crate's non-test code), so invalid
+//! able to panic out from under a request (clippy's `unwrap_used` and
+//! `expect_used` and `xtask lint`'s `no-assert` ban `unwrap`/`expect`/
+//! `assert!` in this crate's non-test code), so invalid
 //! configurations are rejected at build time and malformed queries come
 //! back as values the caller can route, count, and degrade on.
 

@@ -22,8 +22,7 @@
 //! - [`serving::MatchingService`] — the matching stage: precomputed top-K
 //!   lists for warm items and the one answer rule behind every cold
 //!   query.
-
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cold_start;
 pub mod error;

@@ -21,8 +21,6 @@
 //!   in a replayable [`stream::EventLog`] — the seeded click-stream source of
 //!   the online-learning pipeline (`crates/stream`).
 
-#![warn(missing_docs)]
-
 pub mod catalog;
 pub mod enrich;
 pub mod generator;

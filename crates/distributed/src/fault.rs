@@ -11,6 +11,7 @@
 //!
 //! Crash and stall injection ([`CrashSpec`]/[`StallSpec`]) rewind a worker
 //! to a checkpoint or freeze it for a window of virtual time.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 /// SplitMix64 finalizer — the workspace's standard seed/decision mixer.
 #[inline]

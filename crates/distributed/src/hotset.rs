@@ -5,6 +5,7 @@
 //! vectors are then synchronized (averaged) at regular intervals." In
 //! practice `Q` "usually contains the most common SI features such as age,
 //! gender, color, etc." (Section III-C stage 4).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use sisg_corpus::vocab::Vocab;
 use sisg_corpus::TokenId;

@@ -33,8 +33,6 @@
 //! pair scan and one TNS step over `sisg_sgns::sgd::steps`, the one SGNS
 //! kernel.
 
-#![warn(missing_docs)]
-
 pub mod fault;
 pub mod hbgp;
 pub mod hotset;

@@ -37,7 +37,8 @@
 //! says whether its sender still waits for the receiver's.
 //!
 //! This module (with `tns`, `hotset`, `report`, [`crate::fault`] and
-//! [`crate::recovery`]) is in the `xtask lint` panic-free set.
+//! [`crate::recovery`]) is panic-free code (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::hotset::average_replicas;
 use crate::recovery::BlockCheckpoint;

@@ -16,8 +16,9 @@
 //!   the rescan deterministic.
 //!
 //! Both serialize to a compact little-endian byte format (magic +
-//! version) whose decode path is panic-free; this module is in the
-//! `xtask lint` panic-free set.
+//! version) whose decode path is panic-free; this module is panic-free
+//! code (DESIGN.md §7).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::protocol::wire::{put_f32s, put_u32, put_u64, Reader};
 use crate::protocol::{Answer, MachineCounters, Message, Replicas, WireError};

@@ -1,6 +1,7 @@
 //! Accounting of a distributed training run: the quantities Figures 7(a),
 //! 7(b) and the partitioning/ATNS ablations report, and the message and
 //! fault counters of the exchange that trained it.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::{Deserialize, Serialize};
 use sisg_obs::names as obs_names;

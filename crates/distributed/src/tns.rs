@@ -6,7 +6,8 @@
 //! worker that runs them is [`crate::WorkerMachine`], whichever transport
 //! carries its messages.
 //!
-//! This module is in the `xtask lint` panic-free set: the machines run it.
+//! This module is panic-free code (DESIGN.md §7): the machines run it.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::fault::mix64;
 use crate::hotset::HotSet;

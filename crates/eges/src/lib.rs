@@ -23,8 +23,6 @@
 //! - in deployment the graph is split along categories and cross-edges are
 //!   dropped ([`graph::ItemGraph::split_by_top_category`]).
 
-#![warn(missing_docs)]
-
 pub mod graph;
 pub mod model;
 pub mod walk;

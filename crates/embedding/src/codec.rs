@@ -128,47 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        assert!(matches!(
-            decode(b"NOTSISG0\0\0\0\0\0\0\0\0"),
-            Err(CodecError::BadMagic)
-        ));
-        assert!(matches!(decode(b""), Err(CodecError::BadMagic)));
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let blob = encode(&EmbeddingStore::new(4, 4, 1));
-        let cut = &blob[..blob.len() - 5];
-        assert!(matches!(decode(cut), Err(CodecError::Truncated { .. })));
-    }
-
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn hostile_header_is_a_typed_error() {
-        let header = |rows: u32, dim: u32| {
-            let mut blob = MAGIC.to_vec();
-            blob.extend_from_slice(&rows.to_le_bytes());
-            blob.extend_from_slice(&dim.to_le_bytes());
-            blob
-        };
-        // rows·dim·2 fits a usize, the byte count does not.
-        assert_eq!(
-            decode(&header(1 << 31, 1 << 31)).unwrap_err(),
-            CodecError::BadShape
-        );
-        // rows·dim = 2^61 − 2, the largest count whose bytes still fit:
-        // a truncated blob, and the reported size must not wrap either.
-        assert_eq!(
-            decode(&header(2 * ((1 << 30) - 1), (1 << 30) + 1)).unwrap_err(),
-            CodecError::Truncated {
-                expected: usize::MAX,
-                actual: 16,
-            }
-        );
-    }
-
-    #[test]
     fn empty_store_roundtrips() {
         let store = EmbeddingStore::new(0, 3, 1);
         let back = decode(&encode(&store)).unwrap();

@@ -277,6 +277,10 @@ mod sse {
     ///
     /// # Panics
     /// Panics when a row's length differs from `y.len()`.
+    ///
+    /// # Safety
+    /// Call only where SSE is available: always on x86_64, where it is
+    /// baseline.
     #[inline]
     #[target_feature(enable = "sse")]
     pub(super) fn dot_block<const K: usize>(rows: [&[f32]; K], y: &[f32]) -> [f32; K] {
@@ -558,6 +562,9 @@ mod avx2 {
     /// registers across every row, 32 elements (four registers) at a time,
     /// then 8, then the scalar tail. The caller has checked the lengths and
     /// that every row lies inside `block`.
+    ///
+    /// # Safety
+    /// Call only where AVX2 was detected at run time.
     #[target_feature(enable = "avx2")]
     pub(super) fn fused_step_rows(
         block: &mut [f32],
@@ -643,6 +650,9 @@ mod avx2 {
     const LANES: usize = 16;
 
     /// Sign-extends 16 int8 values to 16 i16 lanes.
+    ///
+    /// # Safety
+    /// Call only where AVX2 was detected at run time.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn widen(bytes: &[i8; LANES]) -> __m256i {
@@ -653,6 +663,9 @@ mod avx2 {
 
     /// Reduces each of eight accumulators' eight i32 lanes to one sum:
     /// lane `r` of the result is the total of `acc[r]`.
+    ///
+    /// # Safety
+    /// Call only where AVX2 was detected at run time.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn reduce8(acc: &[__m256i; ROWS]) -> __m256i {
@@ -676,6 +689,9 @@ mod avx2 {
     /// group's remaining `dim % 16` elements and the last `rows % 8` rows
     /// go through [`dot_q8_i32`]. The caller has checked
     /// `rows.len() == out.len() · query.len()`.
+    ///
+    /// # Safety
+    /// Call only where AVX2 was detected at run time.
     #[target_feature(enable = "avx2")]
     pub(super) fn dot_q8_rows_i32(rows: &[i8], query: &[i8], out: &mut [i32]) {
         let dim = query.len();

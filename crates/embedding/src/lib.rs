@@ -6,8 +6,6 @@
 //! by `input(v) · output(c)` rather than the usual input·input cosine, so
 //! both matrices are first-class here and survive serialization.
 
-#![warn(missing_docs)]
-
 pub mod codec;
 pub mod kernels;
 pub mod math;

@@ -12,9 +12,8 @@
 //! [`QuantMatrix`] — owned, built by quantizing a [`Matrix`] row by row —
 //! is read through the [`QuantRows`] accessor trait.
 //!
-//! The hot accessors are whole-row slices, never per-element calls —
-//! `xtask lint` rule 6 (`kernel-path`) bans element accessors in this
-//! file so scoring loops stay vectorizable.
+//! The hot accessors are whole-row slices, never per-element calls, so
+//! scoring loops stay vectorizable.
 
 use crate::matrix::Matrix;
 

@@ -10,8 +10,6 @@
 //!   scoring for the Figure 5 user-type-embedding case study;
 //! - [`report`] — text/JSON experiment tables shared by the bench binaries.
 
-#![warn(missing_docs)]
-
 pub mod ctr;
 pub mod hitrate;
 pub mod metrics;

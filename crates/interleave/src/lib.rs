@@ -1,5 +1,3 @@
-#![warn(missing_docs)]
-
 //! Loom-lite schedule-exhaustive interleaving checker.
 //!
 //! This crate model-checks the small concurrent protocols the serving stack

@@ -1,4 +1,3 @@
-#![warn(missing_docs)]
 //! Observability for the SISG reproduction: counters, gauges, log-bucketed
 //! latency histograms, and span timers — with zero external dependencies,
 //! matching the workspace's offline compat policy.

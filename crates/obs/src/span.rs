@@ -1,8 +1,9 @@
 //! Wall-clock primitives: [`Stopwatch`] and the histogram-feeding [`Span`].
 //!
-//! These are the only sanctioned sources of elapsed time outside tests —
-//! `xtask lint` bans raw `Instant::now()` elsewhere so a report struct and
-//! an obs snapshot can never disagree about the same wall-clock.
+//! These are the only sanctioned sources of elapsed time — clippy's
+//! `disallowed-methods` (`clippy.toml`) bans raw `Instant::now()`
+//! elsewhere so a report struct and an obs snapshot can never disagree
+//! about the same wall-clock.
 
 use std::time::{Duration, Instant};
 
@@ -23,6 +24,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
+    #[allow(clippy::disallowed_methods)] // The one clock every other timer reads through.
     pub fn start() -> Self {
         Self {
             start: Instant::now(),

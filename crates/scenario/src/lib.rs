@@ -26,8 +26,7 @@
 //! [`ScenarioConfig`] reproduce the same per-tenant request streams, the
 //! same shed counts, and the same [`ScenarioReport::trace_hash`], which
 //! is what lets CI pin scenario outcomes.
-
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod profile;
 mod runner;

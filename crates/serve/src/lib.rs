@@ -6,7 +6,8 @@
 //!
 //! - **Typed surface** — [`ServeRequest`] in, [`ServeResponse`] or
 //!   [`ServeError`] out. Every fallible path returns `Result`; no panic is
-//!   reachable from the public API (enforced by `cargo xtask lint`).
+//!   reachable from the public API (enforced by clippy's `unwrap_used`
+//!   and `expect_used`, denied below, and `xtask lint`'s `no-assert`).
 //! - **One answer path** — a [`ServingSnapshot`] keeps the built
 //!   [`MatchingService`](sisg_core::MatchingService) whole and answers
 //!   through it: warm lookups read its list table, cold answers are its
@@ -58,8 +59,7 @@
 //! assert_eq!(resp.epoch, 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod api;
 pub mod cache;

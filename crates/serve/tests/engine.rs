@@ -40,6 +40,17 @@ fn build_service(corpus: &GeneratedCorpus, seed: u64) -> MatchingService {
     .expect("build")
 }
 
+/// Spins until the client threads have served `n` requests. A test-side
+/// progress probe that waits on real threads, so `yield_now` is the point.
+#[allow(clippy::disallowed_methods)]
+fn wait_for_served(served: &AtomicU64, n: u64) {
+    // ORDERING: Relaxed — a monotone progress probe; no data is published
+    // through the counter.
+    while served.load(Ordering::Relaxed) < n {
+        std::thread::yield_now();
+    }
+}
+
 fn candidates_request(corpus: &GeneratedCorpus, item: ItemId, k: usize) -> ServeRequest {
     ServeRequest::Candidates {
         item,
@@ -284,10 +295,7 @@ fn hot_swap_drops_no_requests_and_post_swap_answers_match_a_fresh_build() {
         }
         // Let the clients build up steady-state traffic, then swap
         // mid-flight.
-        // ORDERING: Relaxed — monotone progress probe; see the counter note.
-        while served.load(Ordering::Relaxed) < 200 {
-            std::thread::yield_now();
-        }
+        wait_for_served(&served, 200);
         let epoch = engine
             .install(ServingSnapshot::from_service_with(
                 service_b,
@@ -296,10 +304,7 @@ fn hot_swap_drops_no_requests_and_post_swap_answers_match_a_fresh_build() {
             ))
             .expect("install accepted");
         assert_eq!(epoch, 1);
-        // ORDERING: Relaxed — same monotone progress probe.
-        while served.load(Ordering::Relaxed) < 400 {
-            std::thread::yield_now();
-        }
+        wait_for_served(&served, 400);
         // ORDERING: Relaxed — see the counter note above.
         stop.store(true, Ordering::Relaxed);
     });
@@ -432,18 +437,12 @@ fn repeated_installs_under_load_stay_coherent_and_clear_caches() {
         // Repeated publications, each landing mid-traffic.
         let mut watermark = 150u64;
         for (i, snapshot) in publications.into_iter().enumerate() {
-            // ORDERING: Relaxed — monotone progress probe; counter note above.
-            while served.load(Ordering::Relaxed) < watermark {
-                std::thread::yield_now();
-            }
+            wait_for_served(&served, watermark);
             let epoch = engine.install(snapshot).expect("install accepted");
             assert_eq!(epoch, i as u64 + 1);
             watermark += 150;
         }
-        // ORDERING: Relaxed — monotone progress probe; counter note above.
-        while served.load(Ordering::Relaxed) < watermark {
-            std::thread::yield_now();
-        }
+        wait_for_served(&served, watermark);
         // ORDERING: Relaxed — see the counter note above.
         stop.store(true, Ordering::Relaxed);
     });

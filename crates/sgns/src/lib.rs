@@ -27,8 +27,6 @@
 //!   trainer, bit-reproducible run to run. Parallel training (paper
 //!   Section III) is `crates/distributed`.
 
-#![warn(missing_docs)]
-
 pub mod config;
 pub mod noise;
 pub mod sampler;

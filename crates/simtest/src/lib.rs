@@ -30,8 +30,7 @@
 //! event queue drained with every worker finished.
 //!
 //! [`RetryPolicy::timeout_ticks`]: sisg_distributed::RetryPolicy
-
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use sisg_core::{CoreError, SisgModel, Variant};
 use sisg_corpus::split::{NextItemSplit, SplitStage};

@@ -38,8 +38,6 @@
 //! the same prefix) are documented in DESIGN.md §12 and property-tested in
 //! this crate's test suite.
 
-#![warn(missing_docs)]
-
 mod metrics;
 pub mod pipeline;
 pub mod trace;

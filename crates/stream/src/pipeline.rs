@@ -27,6 +27,7 @@
 //! arrival clocks drives [`IngestPipeline::warm_start`] /
 //! [`IngestPipeline::ingest_batch`] / [`IngestPipeline::publish`] on its
 //! own clock (the repo benchmark's `stream_fresh` workload does).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::metrics::stream_metrics;
 use crate::trace::{store_checksum, TAG_BATCH, TAG_DONE, TAG_PUBLISH, TAG_WARM_START};

@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn string_contents_are_one_token() {
-        let toks = kinds(r#"let s = "unsafe .unwrap() // SAFETY:";"#);
+        let toks = kinds(r#"let s = "unsafe .unwrap() // ORDERING:";"#);
         let strs: Vec<_> = toks.iter().filter(|t| t.0 == TokenKind::Str).collect();
         assert_eq!(strs.len(), 1);
         assert!(strs[0].1.contains("unsafe"));

@@ -1,16 +1,13 @@
 //! Workspace automation tasks (the cargo-xtask pattern).
 //!
-//! `cargo run -p xtask -- lint` runs the repo's static-analysis rules —
-//! invariants that `rustc`/`clippy` cannot express — as hard errors. The
-//! rules pattern-match the token stream of a small hand-rolled Rust lexer
-//! ([`lexer`]), so keywords inside string literals and comments neither
-//! trip nor mask a rule. `cargo run -p xtask -- lint --list` prints the
-//! rule table (the same markdown table embedded in DESIGN.md §7 — a test
-//! keeps them identical); see `RULES` in [`rules`] for ids, scopes and
-//! the enforced invariants, from `safety-comment` (rule 1) through the
-//! concurrency-discipline rules `ordering-justified`,
-//! `guard-across-channel` and `no-sleep` (rules 8–10) to the
-//! reachability gate `pub-reached` (rule 11).
+//! `cargo run -p xtask -- lint` runs the repo's static-analysis rules that
+//! `rustc`/`clippy` cannot express (theirs are `[workspace.lints]` and
+//! `clippy.toml`) as hard errors. The rules pattern-match the token stream
+//! of a small hand-rolled Rust lexer ([`lexer`]), so keywords inside
+//! string literals and comments neither trip nor mask a rule. `cargo run
+//! -p xtask -- lint --list` prints the rule table, the same markdown table
+//! DESIGN.md §7 embeds (a test keeps them identical); see `RULES` in
+//! [`rules`] for ids, scopes and the enforced invariants.
 //!
 //! `cargo run -p xtask -- validate-metrics [--catalog <md>] <file>...`
 //! checks that emitted metrics files (`results/metrics/*.json`) parse
@@ -18,11 +15,6 @@
 //! docs/OBSERVABILITY.md` every snapshot metric must also be declared in
 //! the doc's metric table. Failure classes exit distinctly: usage 2,
 //! unreadable/malformed JSON 3, wrong shape 4, undeclared metric 5.
-#![warn(missing_docs)]
-// This crate talks *about* SAFETY comments (it implements the lint that
-// requires them); clippy's `unnecessary_safety_comment` misreads that
-// prose as misplaced safety comments.
-#![allow(clippy::unnecessary_safety_comment)]
 
 mod lexer;
 mod metrics;

@@ -1,11 +1,12 @@
-//! The lint rules, re-based on the token stream of [`crate::lexer`].
+//! The lint rules no rustc or clippy lint can check (DESIGN.md §7), over
+//! the token stream of [`crate::lexer`], plus rule 3, which keeps every
+//! package under the compiler-owned ones.
 //!
 //! Every rule pattern-matches short token sequences instead of raw line
 //! text, so keywords inside string literals and comments can neither
-//! *trip* a rule (no more `"unsafe"`-in-a-string false positives) nor
-//! *mask* one (a `SAFETY:` inside a string no longer satisfies rule 1).
-//! The rule table itself is data ([`RULES`]): `xtask lint --list` renders
-//! it and a test pins DESIGN.md §7 to the same table verbatim.
+//! *trip* a rule nor *mask* one (an `ORDERING:` inside a string does not
+//! satisfy rule 8). The rule table itself is data ([`RULES`]): `xtask lint
+//! --list` renders it and a test pins DESIGN.md §7 to the same table.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{HashMap, HashSet};
@@ -27,36 +28,12 @@ struct RuleInfo {
 
 /// The full rule table — the single source of truth for `lint --list`,
 /// DESIGN.md §7 (pinned by a test) and the scanner below.
-const RULES: [RuleInfo; 10] = [
-    RuleInfo {
-        id: 1,
-        name: "safety-comment",
-        scope: "all code, tests included",
-        summary: "every `unsafe` carries a `// SAFETY:` comment (or `# Safety` doc) within 12 preceding lines",
-    },
-    RuleInfo {
-        id: 2,
-        name: "seeded-rng",
-        scope: "non-test code, all crates",
-        summary: "`thread_rng`/`from_entropy` banned; RNG must be seeded explicitly (DESIGN.md §5)",
-    },
+const RULES: [RuleInfo; 5] = [
     RuleInfo {
         id: 3,
-        name: "missing-docs",
-        scope: "every crate root",
-        summary: "crate root declares `#![warn(missing_docs)]`",
-    },
-    RuleInfo {
-        id: 4,
-        name: "no-unwrap",
-        scope: "crates/core, crates/ann, crates/serve, crates/scenario + fault-path files, non-test",
-        summary: "`.unwrap()`/`.expect()` banned on the serving and fault-tolerance paths; propagate typed errors",
-    },
-    RuleInfo {
-        id: 5,
-        name: "no-instant",
-        scope: "non-test code outside crates/obs and compat/",
-        summary: "`Instant::now()` banned; timing flows through `sisg_obs::Stopwatch`/`span`",
+        name: "workspace-lints",
+        scope: "every workspace member and the root package",
+        summary: "its `Cargo.toml` has `[lints]` with `workspace = true`, so the compiler-owned rules reach it",
     },
     RuleInfo {
         id: 7,
@@ -75,12 +52,6 @@ const RULES: [RuleInfo; 10] = [
         name: "guard-across-channel",
         scope: "crates/serve, crates/distributed, non-test",
         summary: "no lock guard live across channel `send`/`recv`/`try_send` or `thread::spawn`/`join` (the bounded-queue deadlock shape)",
-    },
-    RuleInfo {
-        id: 10,
-        name: "no-sleep",
-        scope: "non-test library code, compat/ exempt",
-        summary: "`thread::sleep` and `yield_now` banned; block on channels/condvars or the simtest virtual clock",
     },
     RuleInfo {
         id: 11,
@@ -130,14 +101,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Crates whose non-test library code must be `unwrap()`/`expect()`-free.
-const PANIC_FREE_CRATES: &[&str] = &[
-    "crates/core",
-    "crates/ann",
-    "crates/serve",
-    "crates/scenario",
-];
-
 /// Crates whose non-test library code must also be `assert!`-free
 /// (rule 7): these are the online serving crates, where a failed
 /// invariant must surface as a typed error on one request, not abort the
@@ -145,36 +108,10 @@ const PANIC_FREE_CRATES: &[&str] = &[
 /// vanishes in release builds.
 const ASSERT_FREE_CRATES: &[&str] = &["crates/core", "crates/serve", "crates/scenario"];
 
-/// Individual files under the same panic-free rule: every file holding
-/// code the Section III machines run under both drivers (the exchange,
-/// its retry and recovery paths, the TNS scan and step, the averaging of
-/// `Q`) and the fault simulator — a panic while absorbing a fault turns a
-/// recoverable event into a crash, so these propagate errors instead —
-/// plus the streaming ingest pipeline, which feeds live serve engines
-/// and must poison itself with a typed error rather than take down the
-/// ingest thread.
-const PANIC_FREE_FILES: &[&str] = &[
-    "crates/distributed/src/protocol.rs",
-    "crates/distributed/src/tns.rs",
-    "crates/distributed/src/hotset.rs",
-    "crates/distributed/src/report.rs",
-    "crates/distributed/src/fault.rs",
-    "crates/distributed/src/recovery.rs",
-    "crates/simtest/src/lib.rs",
-    "crates/stream/src/pipeline.rs",
-];
-
 /// Crates whose non-test code is checked for lock guards held across
 /// channel/thread operations (rule 9): the two crates whose bounded
 /// queues make the lock-then-blocking-send deadlock shape reachable.
 const GUARD_CHANNEL_CRATES: &[&str] = &["crates/serve", "crates/distributed"];
-
-/// Crates allowed to call `Instant::now()` directly: the observability
-/// layer itself (it implements `Stopwatch`) and the offline dependency
-/// stubs (they mirror upstream APIs verbatim).
-fn instant_exempt(rel_crate: &str) -> bool {
-    rel_crate == "crates/obs" || rel_crate.starts_with("compat/")
-}
 
 /// Which rules apply to one file; computed per crate/file by
 /// [`run_lint`], injected directly by the rule self-tests.
@@ -182,18 +119,12 @@ fn instant_exempt(rel_crate: &str) -> bool {
 struct ScanScope {
     /// The whole file is test code (`tests/`, `benches/`).
     all_test: bool,
-    /// Rule 4 applies.
-    panic_free: bool,
     /// Rule 7 applies.
     assert_free: bool,
-    /// Rule 5 applies.
-    obs_timing: bool,
     /// Rule 8 applies.
     ordering: bool,
     /// Rule 9 applies.
     guard_channel: bool,
-    /// Rule 10 applies.
-    no_sleep: bool,
 }
 
 /// Runs every rule over the workspace tree rooted at `root`.
@@ -201,64 +132,42 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
     // Every lexed `.rs` file, for rule 11's workspace-wide name index.
     let mut lexed: Vec<(String, Vec<Token>)> = Vec::new();
-    let mut crate_dirs = Vec::new();
+    let mut crate_dirs = vec![root.to_path_buf()];
     for holder in ["crates", "compat"] {
         crate_dirs.extend(list_crate_dirs(&root.join(holder))?);
     }
-    for crate_dir in crate_dirs {
+    for manifest in crate_dirs.iter().map(|dir| dir.join("Cargo.toml")) {
+        let text = std::fs::read_to_string(&manifest)
+            .map_err(|e| format!("read {}: {e}", manifest.display()))?;
+        let rel = manifest.strip_prefix(root).unwrap_or(&manifest);
+        violations.extend(check_workspace_lints(rel, &text));
+    }
+    for crate_dir in &crate_dirs[1..] {
         let rel_crate = crate_dir
             .strip_prefix(root)
-            .unwrap_or(&crate_dir)
+            .unwrap_or(crate_dir)
             .to_string_lossy()
             .replace('\\', "/");
-        let compat = rel_crate.starts_with("compat/");
-        let panic_free = PANIC_FREE_CRATES.contains(&rel_crate.as_str());
         let assert_free = ASSERT_FREE_CRATES.contains(&rel_crate.as_str());
-        let obs_timing = !instant_exempt(&rel_crate);
         let guard_channel = GUARD_CHANNEL_CRATES.contains(&rel_crate.as_str());
-
-        let mut saw_root = false;
-        for file in rust_files(&crate_dir)? {
-            let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-            let content = std::fs::read_to_string(&file)
-                .map_err(|e| format!("read {}: {e}", file.display()))?;
-            let tokens = lex(&content);
-            let is_crate_root = file.ends_with("src/lib.rs") || file.ends_with("src/main.rs");
-            if is_crate_root {
-                saw_root = true;
-                violations.extend(check_missing_docs_attr(&rel, &tokens));
-            }
+        for file in rust_files(crate_dir)? {
+            let (rel, tokens) = lex_file(root, &file)?;
             // Integration tests and benches are test code end to end.
-            let rel_str = rel.to_string_lossy().replace('\\', "/");
-            let all_test = rel_str.contains("/tests/") || rel_str.contains("/benches/");
+            let all_test = rel.contains("/tests/") || rel.contains("/benches/");
             let scope = ScanScope {
                 all_test,
-                panic_free: panic_free || PANIC_FREE_FILES.contains(&rel_str.as_str()),
                 assert_free,
-                obs_timing,
-                ordering: !compat,
+                ordering: !rel_crate.starts_with("compat/"),
                 guard_channel,
-                no_sleep: !compat,
             };
-            violations.extend(scan_tokens(&rel, &tokens, scope));
-            lexed.push((rel_str, tokens));
-        }
-        if !saw_root {
-            violations.push(Violation {
-                path: PathBuf::from(&rel_crate),
-                line: 1,
-                rule: "missing-docs",
-                message: "crate has no src/lib.rs or src/main.rs".into(),
-            });
+            violations.extend(scan_tokens(Path::new(&rel), &tokens, scope));
+            lexed.push((rel, tokens));
         }
     }
     for dir in REACH_EXTRA_ROOTS {
         if root.join(dir).is_dir() {
             for file in rust_files(&root.join(dir))? {
-                let rel = file.strip_prefix(root).unwrap_or(&file);
-                let content = std::fs::read_to_string(&file)
-                    .map_err(|e| format!("read {}: {e}", file.display()))?;
-                lexed.push((rel.to_string_lossy().replace('\\', "/"), lex(&content)));
+                lexed.push(lex_file(root, &file)?);
             }
         }
     }
@@ -266,29 +175,24 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
     Ok(violations)
 }
 
-/// Workspace member directories under `crates/` (one level, plus
-/// `crates/compat/*`).
-fn list_crate_dirs(crates_dir: &Path) -> Result<Vec<PathBuf>, String> {
+/// `file`'s workspace-relative path and its tokens.
+fn lex_file(root: &Path, file: &Path) -> Result<(String, Vec<Token>), String> {
+    let content =
+        std::fs::read_to_string(file).map_err(|e| format!("read {}: {e}", file.display()))?;
+    let rel = file.strip_prefix(root).unwrap_or(file).to_string_lossy();
+    Ok((rel.replace('\\', "/"), lex(&content)))
+}
+
+/// Workspace member directories: those of `holder` (`crates/`,
+/// `compat/`) that hold a `Cargo.toml`, the root manifest's `members`.
+fn list_crate_dirs(holder: &Path) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
-    let entries = std::fs::read_dir(crates_dir)
-        .map_err(|e| format!("read_dir {}: {e}", crates_dir.display()))?;
+    let entries =
+        std::fs::read_dir(holder).map_err(|e| format!("read_dir {}: {e}", holder.display()))?;
     for entry in entries {
         let path = entry.map_err(|e| e.to_string())?.path();
-        if !path.is_dir() {
-            continue;
-        }
         if path.join("Cargo.toml").is_file() {
             out.push(path);
-        } else {
-            // A holder of nested members (crates/compat/*).
-            let nested = std::fs::read_dir(&path)
-                .map_err(|e| format!("read_dir {}: {e}", path.display()))?;
-            for sub in nested {
-                let sub = sub.map_err(|e| e.to_string())?.path();
-                if sub.is_dir() && sub.join("Cargo.toml").is_file() {
-                    out.push(sub);
-                }
-            }
         }
     }
     out.sort();
@@ -318,36 +222,30 @@ fn rust_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(out)
 }
 
-/// Rule 3: the crate root must opt into missing-docs warnings. Token
-/// match for `#![warn(missing_docs)]` / `#![deny(missing_docs)]`, so a
-/// string literal mentioning the attribute no longer satisfies the rule.
-fn check_missing_docs_attr(rel: &Path, tokens: &[Token]) -> Option<Violation> {
-    let code: Vec<&Token> = tokens.iter().filter(|t| !is_comment(t)).collect();
-    for i in 0..code.len() {
-        if punct(&code, i, "#")
-            && punct(&code, i + 1, "!")
-            && punct(&code, i + 2, "[")
-            && (ident_is(&code, i + 3, "warn") || ident_is(&code, i + 3, "deny"))
-            && punct(&code, i + 4, "(")
-            && ident_is(&code, i + 5, "missing_docs")
-        {
+/// Rule 3: the manifest's `[lints]` table says `workspace = true`. A
+/// member without it escapes every rustc and clippy lint the workspace
+/// sets, silently. Comments are stripped first, so a commented-out table
+/// does not count.
+fn check_workspace_lints(rel: &Path, manifest: &str) -> Option<Violation> {
+    let mut in_lints = false;
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.split_whitespace().collect::<String>() == "workspace=true" {
             return None;
         }
     }
     Some(Violation {
         path: rel.to_path_buf(),
         line: 1,
-        rule: "missing-docs",
-        message: "crate root lacks #![warn(missing_docs)]".into(),
+        rule: "workspace-lints",
+        message: "manifest lacks `[lints]` with `workspace = true`; the workspace lints (DESIGN.md §7) do not reach this package".into(),
     })
 }
 
-/// How many lines above an `unsafe` occurrence we look for a SAFETY note.
-const SAFETY_LOOKBACK: usize = 12;
-
 /// How many lines above an `Ordering::*` use we look for an ORDERING
-/// note. Slightly deeper than [`SAFETY_LOOKBACK`]: one justification is
-/// allowed to cover a whole unrolled kernel body.
+/// note: one justification may cover a whole unrolled kernel body.
 const ORDERING_LOOKBACK: usize = 16;
 
 /// The five atomic memory-ordering levels rule 8 watches.
@@ -443,8 +341,8 @@ impl TestRegionTracker {
     }
 }
 
-/// Rules 1, 2, 4, 5, 6, 7, 8, 9 and 10 over one file's source text
-/// (the self-test entry point; [`run_lint`] lexes once per file).
+/// Rules 7, 8 and 9 over one file's source text (the self-test entry
+/// point; [`run_lint`] lexes once per file).
 #[cfg(test)]
 fn scan_file(rel: &Path, content: &str, scope: ScanScope) -> Vec<Violation> {
     scan_tokens(rel, &lex(content), scope)
@@ -452,8 +350,8 @@ fn scan_file(rel: &Path, content: &str, scope: ScanScope) -> Vec<Violation> {
 
 fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation> {
     let mut violations = Vec::new();
-    // Comments feed the SAFETY/ORDERING justification lookups; everything
-    // else is the code stream the rules pattern-match.
+    // Comments feed the ORDERING justification lookup; everything else is
+    // the code stream the rules pattern-match.
     let comments: Vec<&Token> = tokens.iter().filter(|t| is_comment(t)).collect();
     let code: Vec<&Token> = tokens.iter().filter(|t| !is_comment(t)).collect();
 
@@ -478,23 +376,6 @@ fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation>
             guards.retain(|g| g.depth <= depth);
         }
         let in_test = scope.all_test || regions.in_test();
-
-        // ---- rule 1: `unsafe` requires a nearby justification. Applies
-        // in test code too — tests exercising unsafe APIs document why
-        // they are sound just like production call sites. Only *comment*
-        // tokens can satisfy the rule: a `SAFETY:` inside a string
-        // literal neither trips nor masks it.
-        if tok.kind == TokenKind::Ident && tok.text == "unsafe" {
-            let lo = line.saturating_sub(SAFETY_LOOKBACK);
-            if !comment_in(lo, line, "SAFETY:") && !comment_in(lo, line, "# Safety") {
-                violations.push(Violation {
-                    path: rel.to_path_buf(),
-                    line,
-                    rule: "safety-comment",
-                    message: "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc) on this or a preceding line".into(),
-                });
-            }
-        }
 
         // ---- rule 8: atomic orderings carry an ORDERING justification.
         // Applies in tests too: a test that hand-rolls an atomic protocol
@@ -543,34 +424,6 @@ fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation>
             continue;
         }
 
-        // ---- rule 2: determinism — no ambient-entropy RNG constructors.
-        if tok.kind == TokenKind::Ident && (tok.text == "thread_rng" || tok.text == "from_entropy")
-        {
-            violations.push(Violation {
-                path: rel.to_path_buf(),
-                line,
-                rule: "seeded-rng",
-                message: format!(
-                    "`{}` is banned outside tests; seed explicitly (DESIGN.md §5)",
-                    tok.text
-                ),
-            });
-        }
-
-        // ---- rule 4: panic-free serving path (`.unwrap()`/`.expect(`).
-        if scope.panic_free
-            && punct(&code, i, ".")
-            && (ident_is(&code, i + 1, "unwrap") || ident_is(&code, i + 1, "expect"))
-            && punct(&code, i + 2, "(")
-        {
-            violations.push(Violation {
-                path: rel.to_path_buf(),
-                line: code[i + 1].line,
-                rule: "no-unwrap",
-                message: "`.unwrap()`/`.expect()` banned in panic-free library code (serving and fault-tolerance paths); propagate the error".into(),
-            });
-        }
-
         // ---- rule 7: assert-free serving crates — a request-path
         // invariant failure must be a typed error, not an abort.
         if scope.assert_free
@@ -584,39 +437,6 @@ fn scan_tokens(rel: &Path, tokens: &[Token], scope: ScanScope) -> Vec<Violation>
                 rule: "no-assert",
                 message: format!(
                     "`{}!` banned in assert-free serving code; return a typed error (`debug_assert!` is allowed)",
-                    tok.text
-                ),
-            });
-        }
-
-        // ---- rule 5: timing goes through sisg-obs so it is observable.
-        if scope.obs_timing
-            && ident_is(&code, i, "Instant")
-            && punct(&code, i + 1, ":")
-            && punct(&code, i + 2, ":")
-            && ident_is(&code, i + 3, "now")
-        {
-            violations.push(Violation {
-                path: rel.to_path_buf(),
-                line,
-                rule: "no-instant",
-                message: "`Instant::now()` banned outside crates/obs; use sisg_obs::Stopwatch or span (docs/OBSERVABILITY.md)".into(),
-            });
-        }
-
-        // ---- rule 10: no real-time waits in library code — timing must
-        // stay visible to the virtual clock (simtest) and the obs layer.
-        if scope.no_sleep
-            && tok.kind == TokenKind::Ident
-            && (tok.text == "sleep" || tok.text == "yield_now")
-            && punct(&code, i + 1, "(")
-        {
-            violations.push(Violation {
-                path: rel.to_path_buf(),
-                line,
-                rule: "no-sleep",
-                message: format!(
-                    "`{}` banned in non-test library code; block on a channel/condvar or use the simtest virtual clock",
                     tok.text
                 ),
             });
@@ -998,26 +818,12 @@ fn check_reachability(
 mod tests {
     use super::*;
 
-    fn scan(content: &str, panic_free: bool) -> Vec<Violation> {
+    fn scan(content: &str, assert_free: bool) -> Vec<Violation> {
         scan_file(
             Path::new("x.rs"),
             content,
             ScanScope {
-                panic_free,
-                obs_timing: true,
-                ..ScanScope::default()
-            },
-        )
-    }
-
-    fn scan_assert_free(content: &str) -> Vec<Violation> {
-        scan_file(
-            Path::new("x.rs"),
-            content,
-            ScanScope {
-                panic_free: true,
-                assert_free: true,
-                obs_timing: true,
+                assert_free,
                 ..ScanScope::default()
             },
         )
@@ -1045,124 +851,22 @@ mod tests {
         )
     }
 
-    fn scan_no_sleep(content: &str) -> Vec<Violation> {
-        scan_file(
-            Path::new("x.rs"),
-            content,
-            ScanScope {
-                no_sleep: true,
-                ..ScanScope::default()
-            },
-        )
-    }
-
     #[test]
-    fn unsafe_without_safety_comment_is_flagged() {
-        let bad = "fn f(p: *mut f32) {\n    unsafe { *p = 1.0; }\n}\n";
-        let v = scan(bad, false);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "safety-comment");
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn unsafe_with_safety_comment_passes() {
-        let good =
-            "fn f(p: *mut f32) {\n    // SAFETY: p is valid and exclusive here.\n    unsafe { *p = 1.0; }\n}\n";
-        assert!(scan(good, false).is_empty());
-    }
-
-    #[test]
-    fn unsafe_fn_with_safety_doc_section_passes() {
-        let good = "/// Does things.\n///\n/// # Safety\n/// Caller must uphold X.\npub unsafe fn f() {}\n";
-        assert!(scan(good, false).is_empty());
-    }
-
-    #[test]
-    fn unsafe_in_string_or_comment_is_ignored() {
-        let ok = "// this mentions unsafe in prose\nlet s = \"unsafe\";\n";
-        assert!(scan(ok, false).is_empty());
-    }
-
-    #[test]
-    fn safety_inside_a_string_does_not_mask_rule_1() {
-        // The line scanner's masking false negative: a `SAFETY:` inside a
-        // string literal used to satisfy the lookback. Token-aware
-        // lookback only accepts comments.
-        let bad = "fn f(p: *mut f32) {\n    let s = \"SAFETY: not a comment\";\n    unsafe { *p = 1.0; }\n}\n";
-        let v = scan(bad, false);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "safety-comment");
-    }
-
-    #[test]
-    fn multiline_string_contents_do_not_trip_rules() {
+    fn multiline_and_raw_string_contents_do_not_trip_rules() {
         // The line scanner reset its string state per line, so the second
         // line of a multi-line literal was scanned as code.
-        let ok = "fn f() -> &'static str {\n    \"first line\n     unsafe thread_rng Instant::now() .unwrap()\"\n}\n";
-        assert!(scan(ok, true).is_empty());
-    }
-
-    #[test]
-    fn raw_string_contents_do_not_trip_rules() {
-        let ok = "fn f() -> &'static str {\n    r#\"unsafe { thread_rng().unwrap() } \"quoted\" \"#\n}\n";
-        assert!(scan(ok, true).is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_comment_does_not_trip_rule_4() {
-        let ok = "fn f() {\n    // never call .unwrap() here\n    /* nor .expect(\"x\") */\n}\n";
-        assert!(scan(ok, true).is_empty());
-    }
-
-    #[test]
-    fn thread_rng_outside_tests_is_flagged() {
-        let bad = "fn f() { let mut r = rand::thread_rng(); }\n";
-        let v = scan(bad, false);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "seeded-rng");
-    }
-
-    #[test]
-    fn from_entropy_outside_tests_is_flagged() {
-        let bad = "fn f() { let r = StdRng::from_entropy(); }\n";
-        let v = scan(bad, false);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "seeded-rng");
-    }
-
-    #[test]
-    fn thread_rng_inside_cfg_test_module_passes() {
-        let ok = "#[cfg(test)]\nmod tests {\n    fn f() { let r = rand::thread_rng(); }\n}\n";
-        assert!(scan(ok, false).is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_panic_free_crate_is_flagged() {
-        let bad = "fn f() { let x: Option<u32> = None; x.unwrap(); }\n";
-        let v = scan(bad, true);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-unwrap");
-    }
-
-    #[test]
-    fn expect_in_panic_free_crate_is_flagged() {
-        let bad = "fn f() { let x: Option<u32> = None; x.expect(\"boom\"); }\n";
-        let v = scan(bad, true);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-unwrap");
-    }
-
-    #[test]
-    fn unwrap_in_test_module_of_panic_free_crate_passes() {
-        let ok = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-        assert!(scan(ok, true).is_empty());
-    }
-
-    #[test]
-    fn unwrap_outside_panic_free_crates_passes() {
-        let ok = "fn f() { Some(1).unwrap(); }\n";
-        assert!(scan(ok, false).is_empty());
+        for ok in [
+            "fn f(tx: &Sender<u32>) -> &'static str {\n    \"first line\n     assert!(x) Ordering::SeqCst let g = l.lock(); tx.send(1)\"\n}\n",
+            "fn f() -> &'static str {\n    r#\"assert_eq!(a.load(Ordering::Relaxed), 0) \"quoted\" \"#\n}\n",
+        ] {
+            let every_rule = ScanScope {
+                all_test: false,
+                assert_free: true,
+                ordering: true,
+                guard_channel: true,
+            };
+            assert!(scan_file(Path::new("x.rs"), ok, every_rule).is_empty(), "{ok}");
+        }
     }
 
     #[test]
@@ -1172,7 +876,7 @@ mod tests {
             "fn f(x: usize) { assert_eq!(x, 1); }\n",
             "fn f(x: usize) { assert_ne!(x, 0); }\n",
         ] {
-            let v = scan_assert_free(bad);
+            let v = scan(bad, true);
             assert_eq!(v.len(), 1, "missed: {bad}");
             assert_eq!(v[0].rule, "no-assert");
         }
@@ -1182,66 +886,88 @@ mod tests {
     fn debug_assert_and_test_asserts_pass_the_assert_rule() {
         // debug_assert! compiles out of release builds — allowed.
         let ok = "fn f(x: usize) { debug_assert!(x > 0); }\n";
-        assert!(scan_assert_free(ok).is_empty());
+        assert!(scan(ok, true).is_empty());
         // Test modules keep their asserts.
         let test_src =
             "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(1, 1); }\n}\n";
-        assert!(scan_assert_free(test_src).is_empty());
+        assert!(scan(test_src, true).is_empty());
         // Crates outside the assert-free set are untouched.
         let other = "fn f(x: usize) { assert!(x > 0); }\n";
         assert!(scan(other, false).is_empty());
     }
 
     #[test]
-    fn missing_docs_attr_detected() {
-        let check = |src: &str| check_missing_docs_attr(Path::new("x.rs"), &lex(src));
-        assert!(check("//! Docs.\nfn f() {}\n").is_some());
-        assert!(check("//! Docs.\n#![warn(missing_docs)]\nfn f() {}\n").is_none());
-        assert!(check("//! Docs.\n#![deny(missing_docs)]\nfn f() {}\n").is_none());
-        // A string mentioning the attribute no longer satisfies rule 3.
-        assert!(check("fn f() { let s = \"#![warn(missing_docs)]\"; }\n").is_some());
+    fn manifests_must_inherit_the_workspace_lints() {
+        let check = |toml: &str| check_workspace_lints(Path::new("Cargo.toml"), toml);
+        let package = "[package]\nname = \"a\"\n";
+        for bad in [
+            String::from(package),
+            format!("{package}[lints]\nworkspace = false\n"),
+            format!("{package}# [lints]\n# workspace = true\n"),
+            format!("{package}[lints]\n[lints.rust]\nworkspace = true\n"),
+            format!("{package}[dependencies]\nworkspace = true\n"),
+        ] {
+            let v = check(&bad).unwrap_or_else(|| panic!("missed:\n{bad}"));
+            assert_eq!(v.rule, "workspace-lints");
+        }
+        for good in [
+            format!("{package}[lints]\nworkspace = true\n"),
+            format!("{package}\n[lints]\nworkspace=true # every lint\n[dev-dependencies]\n"),
+        ] {
+            assert!(check(&good).is_none(), "flagged:\n{good}");
+        }
+    }
+
+    #[test]
+    fn a_member_without_workspace_lints_fails_the_walk() {
+        // The seeded tree: a root package and two members, one of which
+        // lacks the table until the second pass.
+        let root = std::env::temp_dir().join(format!("xtask-lint-seed-{}", std::process::id()));
+        let inherit = "[package]\nname = \"a\"\n\n[lints]\nworkspace = true\n";
+        for dir in ["crates/a", "compat/b"] {
+            std::fs::create_dir_all(root.join(dir).join("src")).expect("create seed tree");
+            std::fs::write(root.join(dir).join("Cargo.toml"), inherit).expect("write manifest");
+            std::fs::write(root.join(dir).join("src/lib.rs"), "//! Seed.\n").expect("write lib");
+        }
+        std::fs::write(root.join("Cargo.toml"), inherit).expect("write root manifest");
+        let member = root.join("crates/a");
+        // Rule 11 reports the workspace's allowlist entry as stale here.
+        let walk = |manifest: &str| -> Vec<Violation> {
+            std::fs::write(member.join("Cargo.toml"), manifest).expect("write manifest");
+            let all = run_lint(&root).expect("lint walks the seed tree");
+            all.into_iter()
+                .filter(|v| v.rule == "workspace-lints")
+                .collect()
+        };
+        let v = walk("[package]\nname = \"a\"\n");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].path, Path::new("crates/a/Cargo.toml"));
+        assert!(walk(inherit).is_empty());
+        std::fs::remove_dir_all(&root).expect("remove seed tree");
     }
 
     #[test]
     fn test_region_tracker_handles_nesting() {
-        let src = "mod a {\n#[cfg(test)]\nmod tests {\n fn f() { let x = { 1 }; }\n}\nfn g() { thread_rng(); }\n}\n";
-        let v = scan(src, false);
-        // Only the call *outside* the test module fires.
+        let src = "mod a {\n#[cfg(test)]\nmod tests {\n fn f() { let x = { 1 }; assert!(x > 0); }\n}\nfn g() { assert!(true); }\n}\n";
+        let v = scan(src, true);
+        // Only the assert *outside* the test module fires.
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 6);
     }
 
     #[test]
-    fn integration_test_files_are_exempt_from_rng_rule() {
-        let src = "fn f() { thread_rng(); }\n";
+    fn integration_test_files_are_exempt_from_the_assert_rule() {
+        let src = "fn f(x: usize) { assert!(x > 0); }\n";
         let v = scan_file(
             Path::new("crates/x/tests/t.rs"),
             src,
             ScanScope {
                 all_test: true,
-                obs_timing: true,
+                assert_free: true,
                 ..ScanScope::default()
             },
         );
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn instant_now_outside_obs_is_flagged() {
-        let bad = "fn f() { let t = std::time::Instant::now(); }\n";
-        let v = scan(bad, false);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-instant");
-    }
-
-    #[test]
-    fn instant_now_in_exempt_crate_or_test_passes() {
-        let src = "fn f() { let t = Instant::now(); }\n";
-        assert!(scan_file(Path::new("o.rs"), src, ScanScope::default()).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests {\n fn f() { Instant::now(); }\n}\n";
-        assert!(scan(test_src, false).is_empty());
-        assert!(instant_exempt("crates/obs"));
-        assert!(!instant_exempt("crates/sgns"));
     }
 
     // ---- rule 8: ordering-justified --------------------------------
@@ -1389,32 +1115,6 @@ mod tests {
         assert!(scan_guard(&test_src).is_empty());
     }
 
-    // ---- rule 10: no-sleep -----------------------------------------
-
-    #[test]
-    fn sleep_and_yield_now_are_flagged() {
-        for bad in [
-            "fn f() { std::thread::sleep(Duration::from_millis(1)); }\n",
-            "fn f() { thread::sleep(Duration::from_millis(1)); }\n",
-            "fn f() { std::thread::yield_now(); }\n",
-        ] {
-            let v = scan_no_sleep(bad);
-            assert_eq!(v.len(), 1, "missed: {bad}");
-            assert_eq!(v[0].rule, "no-sleep");
-        }
-    }
-
-    #[test]
-    fn sleep_in_tests_or_out_of_scope_passes() {
-        let src = "fn f() { thread::sleep(Duration::from_millis(1)); }\n";
-        assert!(scan(src, false).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn t() { thread::yield_now(); }\n}\n";
-        assert!(scan_no_sleep(test_src).is_empty());
-        // Mentions in comments/strings never fire.
-        let ok = "// callers must not sleep() here\nfn f() { let s = \"yield_now()\"; }\n";
-        assert!(scan_no_sleep(ok).is_empty());
-    }
-
     // ---- rule 11: pub-reached --------------------------------------
 
     fn reach(files: &[(&str, &str)], allow: &[(&str, &str, &str)]) -> Vec<Violation> {
@@ -1520,9 +1220,10 @@ mod tests {
     #[test]
     fn rule_ids_are_stable_and_names_unique() {
         // Ids never move: a retired rule leaves its number unused (6, the
-        // `RowPtr` kernel-path rule, went with `RowPtr` itself).
+        // `RowPtr` kernel-path rule, went with `RowPtr` itself; 1, 2, 4, 5
+        // and 10 moved to rustc, clippy and `compat/rand`, DESIGN.md §7).
         let ids: Vec<u8> = RULES.iter().map(|r| r.id).collect();
-        assert_eq!(ids, [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]);
+        assert_eq!(ids, [3, 7, 8, 9, 11]);
         for r in &RULES {
             assert!(!r.summary.contains('|'), "summary breaks the md table");
             assert!(!r.scope.contains('|'), "scope breaks the md table");
@@ -1552,23 +1253,10 @@ mod tests {
         let v = Violation {
             path: PathBuf::from("crates/x/src/lib.rs"),
             line: 7,
-            rule: "no-sleep",
+            rule: "no-assert",
             message: "msg".into(),
         };
-        assert_eq!(v.to_string(), "crates/x/src/lib.rs:7: [no-sleep] msg");
-    }
-
-    #[test]
-    fn panic_free_file_list_points_at_real_files() {
-        // A renamed or moved fault-path file would silently drop out of
-        // rule 4; keep the list anchored to the tree.
-        let root = crate::workspace_root();
-        for f in PANIC_FREE_FILES {
-            assert!(
-                root.join(f).is_file(),
-                "PANIC_FREE_FILES entry `{f}` does not exist"
-            );
-        }
+        assert_eq!(v.to_string(), "crates/x/src/lib.rs:7: [no-assert] msg");
     }
 
     #[test]

@@ -153,10 +153,10 @@ fn lint_list_prints_the_rule_table() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", text(&out.stderr));
     let table = text(&out.stdout);
     for rule in [
-        "safety-comment",
+        "workspace-lints",
         "ordering-justified",
         "guard-across-channel",
-        "no-sleep",
+        "pub-reached",
     ] {
         assert!(table.contains(rule), "missing `{rule}` in:\n{table}");
     }

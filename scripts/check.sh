@@ -23,6 +23,45 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 step xtask-lint
 cargo run -p xtask --quiet -- lint
 
+step lint-seeds "the compiler-owned lint rules fire on their seeds and nowhere else"
+# crates/xtask/lint_seeds.rs keeps the violation and pass-case seeds of the
+# rules rustc and clippy took over from xtask (DESIGN.md §7). It is linted
+# with the workspace's own [workspace.lints] and clippy.toml, in a fresh
+# target dir: clippy does not re-lint a cached crate when clippy.toml
+# changes. The step fails unless every `// lint: <name>` line is reported
+# under that lint, and nothing else is reported. The seeds do not compile,
+# so cargo's own exit status is not the verdict.
+rm -rf target/lint-seeds
+{ CARGO_TARGET_DIR=target/lint-seeds cargo clippy --quiet -p xtask --test lint_seeds \
+    --message-format=json 2>/dev/null || true; } | python3 -c '
+import json, re, sys
+seeds = "crates/xtask/lint_seeds.rs"
+want = {(seeds, n, m.group(1)) for n, line in enumerate(open(seeds), 1)
+        for m in [re.search(r"// lint: (\S+)", line)] if m}
+got = set()
+for raw in sys.stdin:
+    msg = json.loads(raw)
+    d = msg.get("message") or {}
+    spans = [s for s in d.get("spans", []) if s["is_primary"]]
+    if msg.get("reason") != "compiler-message" or not spans:
+        continue
+    name = (d.get("code") or {}).get("code")
+    # A lint raised as a hard error (E0133 for unsafe_op_in_unsafe_fn)
+    # names itself in a note.
+    for note in d["children"]:
+        m = re.search(r"`-[DW] ([a-z0-9-]+)`", note["message"])
+        if m and name and re.fullmatch(r"E[0-9]{4}", name):
+            name = m.group(1).replace("-", "_")
+    got.add((spans[0]["file_name"], spans[0]["line_start"], name))
+for path, line, name in sorted(want - got, key=str):
+    print(f"{path}:{line}: violation seed not reported as {name}")
+for path, line, name in sorted(got - want, key=str):
+    print(f"{path}:{line}: unexpected {name}")
+if want != got:
+    sys.exit(1)
+print(f"lint-seeds: {len(want)} violation seeds reported under their lints; pass-case seeds clean")
+'
+
 step miri "(single-threaded embedding + sgns unit tests)"
 # Miri checks the embedding kernels' SIMD and raw-pointer paths and the
 # trainer for undefined behaviour.

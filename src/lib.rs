@@ -30,8 +30,6 @@
 //! }
 //! ```
 
-#![warn(missing_docs)]
-
 pub use sisg_ann as ann;
 pub use sisg_cf as cf;
 pub use sisg_core as core;
