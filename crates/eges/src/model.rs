@@ -25,7 +25,7 @@ use sisg_embedding::math::cosine;
 use sisg_embedding::{kernels, retrieve_top_k, Matrix, Neighbor};
 use sisg_sgns::sgd::{build_kept, steps};
 use sisg_sgns::sigmoid::SigmoidTable;
-use sisg_sgns::{linear_lr, NoiseTable, PairSampler, WindowMode};
+use sisg_sgns::{count_freqs, linear_lr, NoiseTable, PairSampler, PairStream, WindowMode};
 
 /// Number of aggregated channels: the ID embedding plus the 8 SI features.
 const CHANNELS: usize = 1 + ItemFeature::COUNT;
@@ -104,12 +104,7 @@ impl EgesModel {
         let mut attention = Matrix::zeros(n_items, CHANNELS);
 
         // Noise over item frequency in the walk corpus.
-        let mut freqs = vec![0u64; n_items];
-        for w in &walks {
-            for t in w {
-                freqs[t.index()] += 1;
-            }
-        }
+        let freqs = count_freqs(&walks, n_items);
         let total_tokens: u64 = freqs.iter().sum();
         let span = sisg_obs::span(sisg_obs::names::EGES_TRAIN_SPAN);
         let obs_pairs = sisg_obs::registry().counter(sisg_obs::names::EGES_PAIRS_TOTAL);
@@ -124,52 +119,48 @@ impl EgesModel {
             let sigmoid = SigmoidTable::new();
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0xE635);
             let schedule = total_tokens * config.epochs as u64;
-            let mut processed = 0u64;
+            // Walk tokens of the epochs before this one.
+            let mut done = 0u64;
 
             let mut scratch = EgesScratch::new(config.dim, config.negatives);
-            let mut pair_buf: Vec<(TokenId, TokenId)> = Vec::new();
             let mut negatives: Vec<TokenId> = Vec::with_capacity(config.negatives);
 
             // Accumulated locally and flushed to obs once per epoch so the
             // pair loop stays instrumentation-free.
-            let mut epoch_pairs = 0u64;
-            let mut epoch_tokens = 0u64;
             let mut last_lr = config.learning_rate;
             for _epoch in 0..config.epochs {
-                for walk in &walks {
-                    processed += walk.len() as u64;
-                    epoch_tokens += walk.len() as u64;
+                // Walks are not subsampled: the identity draws nothing.
+                let mut stream = PairStream::new(&walks, None, sampler);
+                let mut epoch_pairs = 0u64;
+                while let Some((target, context)) = stream.next(&mut rng) {
+                    // The sgns rule: the walk tokens before this pair's walk.
                     let lr = linear_lr(
                         config.learning_rate,
                         config.min_learning_rate,
-                        processed,
+                        done + stream.tokens_before(),
                         schedule,
                     );
                     last_lr = lr;
-                    sampler.pairs_into(walk, &mut pair_buf);
-                    epoch_pairs += pair_buf.len() as u64;
-                    for &(target, context) in &pair_buf {
-                        noise.sample_into(&mut negatives, config.negatives, &mut rng);
-                        train_eges_pair(
-                            &space,
-                            corpus,
-                            &mut input,
-                            &mut output,
-                            &mut attention,
-                            ItemId(target.0),
-                            ItemId(context.0),
-                            &negatives,
-                            lr,
-                            &sigmoid,
-                            &mut scratch,
-                        );
-                    }
+                    epoch_pairs += 1;
+                    noise.sample_into(&mut negatives, config.negatives, &mut rng);
+                    train_eges_pair(
+                        &space,
+                        corpus,
+                        &mut input,
+                        &mut output,
+                        &mut attention,
+                        ItemId(target.0),
+                        ItemId(context.0),
+                        &negatives,
+                        lr,
+                        &sigmoid,
+                        &mut scratch,
+                    );
                 }
+                done += total_tokens;
                 obs_pairs.add(epoch_pairs);
-                obs_tokens.add(epoch_tokens);
+                obs_tokens.add(total_tokens);
                 obs_lr.set(last_lr as f64);
-                epoch_pairs = 0;
-                epoch_tokens = 0;
             }
         }
         span.finish();
@@ -192,7 +183,7 @@ impl EgesModel {
     }
 
     /// The normalized aggregated embedding `H_v` of an item.
-    fn embedding(&self, item: ItemId) -> &[f32] {
+    pub fn embedding(&self, item: ItemId) -> &[f32] {
         self.aggregated.row(item.index())
     }
 

@@ -69,14 +69,9 @@ impl SubsampleTable {
         self.keep[token.index()]
     }
 
-    /// Randomized keep decision for one occurrence of `token`.
-    #[inline]
-    pub fn keep<R: Rng + ?Sized>(&self, token: TokenId, rng: &mut R) -> bool {
-        let p = self.keep[token.index()];
-        p >= 1.0 || rng.gen::<f32>() < p
-    }
-
-    /// Copies the surviving tokens of `seq` into `out` (cleared first).
+    /// Copies the surviving tokens of `seq` into `out` (cleared first):
+    /// each occurrence is kept with its token's probability, one draw from
+    /// `rng` per occurrence whose probability is below 1.
     pub fn filter_into<R: Rng + ?Sized>(
         &self,
         seq: &[TokenId],
@@ -84,7 +79,10 @@ impl SubsampleTable {
         out: &mut Vec<TokenId>,
     ) {
         out.clear();
-        out.extend(seq.iter().copied().filter(|&t| self.keep(t, rng)));
+        out.extend(seq.iter().copied().filter(|&t| {
+            let p = self.keep[t.index()];
+            p >= 1.0 || rng.gen::<f32>() < p
+        }));
     }
 }
 
@@ -100,14 +98,17 @@ pub struct PairSampler {
 }
 
 impl PairSampler {
-    /// Calls `f(target, context)` for every sampled pair of `seq` whose
-    /// target passes `keep`; a rejected target costs one call of `keep`.
-    fn for_each_pair(
+    /// Collects the pairs of `seq` whose target passes `keep` into `out`
+    /// (cleared first), target by target in sequence order, each target's
+    /// left context before its right; a rejected target costs one call of
+    /// `keep` and builds no window.
+    pub fn pairs_where_into(
         &self,
         seq: &[TokenId],
         mut keep: impl FnMut(TokenId) -> bool,
-        mut f: impl FnMut(TokenId, TokenId),
+        out: &mut Vec<(TokenId, TokenId)>,
     ) {
+        out.clear();
         let n = seq.len();
         let b = self.window;
         for i in 0..n {
@@ -118,31 +119,13 @@ impl PairSampler {
             if self.mode == WindowMode::Symmetric {
                 let left_start = i.saturating_sub(b);
                 for j in left_start..i {
-                    f(seq[i], seq[j]);
+                    out.push((seq[i], seq[j]));
                 }
             }
             for j in (i + 1)..=right_end {
-                f(seq[i], seq[j]);
+                out.push((seq[i], seq[j]));
             }
         }
-    }
-
-    /// Collects all pairs of `seq` into `out` (cleared first).
-    pub fn pairs_into(&self, seq: &[TokenId], out: &mut Vec<(TokenId, TokenId)>) {
-        self.pairs_where_into(seq, |_| true, out);
-    }
-
-    /// Collects the pairs of `seq` whose target passes `keep` into `out`
-    /// (cleared first): [`Self::pairs_into`]'s pairs, filtered, in the
-    /// same order, without building the rejected targets' windows.
-    pub fn pairs_where_into(
-        &self,
-        seq: &[TokenId],
-        keep: impl FnMut(TokenId) -> bool,
-        out: &mut Vec<(TokenId, TokenId)>,
-    ) {
-        out.clear();
-        self.for_each_pair(seq, keep, |t, c| out.push((t, c)));
     }
 }
 
@@ -164,7 +147,7 @@ mod tests {
             mode: WindowMode::Symmetric,
         };
         let mut out = Vec::new();
-        sampler.pairs_into(&s, &mut out);
+        sampler.pairs_where_into(&s, |_| true, &mut out);
         let expect = vec![
             (TokenId(0), TokenId(1)),
             (TokenId(1), TokenId(0)),
@@ -182,7 +165,7 @@ mod tests {
             mode: WindowMode::RightOnly,
         };
         let mut out = Vec::new();
-        sampler.pairs_into(&s, &mut out);
+        sampler.pairs_where_into(&s, |_| true, &mut out);
         // Every context index must exceed its target index in the sequence.
         assert_eq!(
             out,
@@ -202,7 +185,7 @@ mod tests {
         for mode in [WindowMode::Symmetric, WindowMode::RightOnly] {
             let sampler = PairSampler { window: 2, mode };
             let (mut all, mut some) = (Vec::new(), Vec::new());
-            sampler.pairs_into(&s, &mut all);
+            sampler.pairs_where_into(&s, |_| true, &mut all);
             sampler.pairs_where_into(&s, |t| t.0 % 2 == 1, &mut some);
             all.retain(|(t, _)| t.0 % 2 == 1);
             assert!(!some.is_empty());
@@ -217,9 +200,9 @@ mod tests {
             mode: WindowMode::Symmetric,
         };
         let mut out = Vec::new();
-        sampler.pairs_into(&[], &mut out);
+        sampler.pairs_where_into(&[], |_| true, &mut out);
         assert!(out.is_empty());
-        sampler.pairs_into(&seq(&[9]), &mut out);
+        sampler.pairs_where_into(&seq(&[9]), |_| true, &mut out);
         assert!(out.is_empty());
     }
 
@@ -237,13 +220,9 @@ mod tests {
         // sqrt(0.1) + 0.1 ≈ 0.416 — the cooler token is kept far more often.
         assert!(t.keep_prob(TokenId(1)) > 4.0 * t.keep_prob(TokenId(0)));
         let mut rng = StdRng::seed_from_u64(2);
-        let mut kept = 0;
-        for _ in 0..10_000 {
-            if t.keep(TokenId(0), &mut rng) {
-                kept += 1;
-            }
-        }
-        let rate = kept as f64 / 10_000.0;
+        let mut kept = Vec::new();
+        t.filter_into(&[TokenId(0); 10_000], &mut rng, &mut kept);
+        let rate = kept.len() as f64 / 10_000.0;
         assert!((rate - t.keep_prob(TokenId(0)) as f64).abs() < 0.02);
     }
 

@@ -184,7 +184,7 @@ proptest! {
         let seq: Vec<TokenId> = (0..len as u32).map(TokenId).collect();
         let sampler = PairSampler { window, mode: WindowMode::RightOnly };
         let mut out = Vec::new();
-        sampler.pairs_into(&seq, &mut out);
+        sampler.pairs_where_into(&seq, |_| true, &mut out);
         for (target, context) in out {
             prop_assert!(context.0 > target.0, "pair looks backward");
             prop_assert!((context.0 - target.0) as usize <= window);
