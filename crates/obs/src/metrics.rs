@@ -1,7 +1,11 @@
 //! The three metric primitives: [`Counter`], [`Gauge`], [`Histogram`].
 //!
 //! All recording is a handful of relaxed atomic operations; nothing here
-//! allocates or locks after construction.
+//! allocates or locks after construction. Each metric sits on its own two
+//! cache lines (`align(128)`): the registry allocates them one by one, so
+//! two metrics that different threads write would otherwise share a line
+//! (a counter add cost 17 ns instead of 1 ns beside another thread's hot
+//! counter in `obs_overhead.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,6 +24,7 @@ pub const HISTOGRAM_BUCKETS: usize = 252;
 /// assert_eq!(c.get(), 10);
 /// ```
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct Counter {
     cell: AtomicU64,
 }
@@ -73,6 +78,7 @@ impl Counter {
 /// assert!((g.get() - 3.5).abs() < 1e-12);
 /// ```
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct Gauge {
     bits: AtomicU64,
 }
@@ -125,6 +131,7 @@ impl Gauge {
 /// assert!((2.0..=4.0).contains(&p50), "p50 {p50} should sit near 3");
 /// ```
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
