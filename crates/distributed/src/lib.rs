@@ -54,6 +54,6 @@ pub use protocol::{
     WorkerMachine, EXCHANGE_TOKENS,
 };
 pub use recovery::{BlockCheckpoint, PipelineCheckpoint};
-pub use report::{ClusterCostModel, DistReport};
+pub use report::{ClusterCostModel, DistReport, PhaseNs};
 pub use runtime::{build_partition, train_distributed, DistConfig};
 pub use tns::TnsRun;

@@ -29,8 +29,9 @@ use sisg_obs::names as obs_names;
 const BLOCK_MAGIC: &[u8; 8] = b"SISGBKCK";
 /// Magic prefix of a serialized [`PipelineCheckpoint`].
 const PIPELINE_MAGIC: &[u8; 8] = b"SISGPLCK";
-/// Format version both checkpoint kinds currently write.
-const VERSION: u32 = 1;
+/// Format version both checkpoint kinds currently write: 2 since a block
+/// checkpoint's counters count pairs by kind (17 counters, 14 in 1).
+const VERSION: u32 = 2;
 
 /// Records one recovery event (worker restore or pipeline resume) in the
 /// observability registry (`dist.recoveries`).
@@ -137,7 +138,7 @@ impl BlockCheckpoint {
         let (worker, epoch, block) = (r.u32()?, r.u32()?, r.u32()?);
         let progress = r.u64()?;
         let (rows, dim) = (r.u32()?, r.u32()?);
-        let mut counters = [0u64; 14];
+        let mut counters = [0u64; 17];
         for c in counters.iter_mut() {
             *c = r.u64()?;
         }

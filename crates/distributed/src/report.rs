@@ -25,6 +25,10 @@ pub struct DistReport {
     pub item_pairs: u64,
     /// Item-item pairs that crossed workers.
     pub remote_item_pairs: u64,
+    /// Pairs per worker by the kinds of their tokens, in `PairKinds` order:
+    /// `[item→item, item↔SI, SI↔SI, user]`. A worker's four sum to its
+    /// `pairs_per_worker`.
+    pub pair_kinds_per_worker: Vec<[u64; 4]>,
     /// Bytes a cluster would move for remote pairs.
     pub pair_comm_bytes: u64,
     /// Bytes a cluster would move for hot-set synchronization.
@@ -60,6 +64,46 @@ pub struct DistReport {
     pub cut_fraction: f64,
     /// Max/mean per-worker item-frequency load.
     pub imbalance: f64,
+    /// Each worker's wall time by phase of the exchange; empty for a
+    /// simulated run, whose time is virtual.
+    pub phases_per_worker: Vec<PhaseNs>,
+}
+
+/// One worker's wall time in each phase of the block exchange, in ns. The
+/// machine charges every nanosecond from its start to its finish to
+/// exactly one phase, so the five add up to its run time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseNs {
+    /// Scanning a block — the pair stream and the local steps — posting
+    /// its batches, and cutting the next block.
+    pub scan: u64,
+    /// Serving the peers' batches.
+    pub serve: u64,
+    /// Adding the answers' gradients to the target rows.
+    pub apply: u64,
+    /// Trading and averaging the replicas of `Q` at a round's end.
+    pub average: u64,
+    /// Outside the machine, between two of its steps: waiting at the
+    /// driver's barrier and taking the peers' messages.
+    pub barrier_wait: u64,
+}
+
+impl PhaseNs {
+    /// The phases in `sisg_obs::names::DIST_PHASE_NS` order.
+    pub(crate) fn to_array(self) -> [u64; 5] {
+        [
+            self.scan,
+            self.serve,
+            self.apply,
+            self.average,
+            self.barrier_wait,
+        ]
+    }
+
+    /// All five phases: the worker's run time.
+    pub fn total(&self) -> u64 {
+        self.to_array().iter().sum()
+    }
 }
 
 impl DistReport {
@@ -106,6 +150,14 @@ impl DistReport {
         }
         let mean = total as f64 / self.pairs_per_worker.len() as f64;
         self.pairs_per_worker.iter().copied().max().unwrap_or(0) as f64 / mean
+    }
+
+    /// Barrier wait's share of the workers' summed run time: the exchange
+    /// idle time (0 without phase times).
+    pub fn exchange_idle_share(&self) -> f64 {
+        let total: u64 = self.phases_per_worker.iter().map(PhaseNs::total).sum();
+        let idle: u64 = self.phases_per_worker.iter().map(|p| p.barrier_wait).sum();
+        idle as f64 / total.max(1) as f64
     }
 
     /// Total bytes moved (pairs + synchronization).

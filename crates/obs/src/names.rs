@@ -13,6 +13,15 @@ pub const SGNS_PAIRS_TOTAL: &str = "sgns.pairs_total";
 pub const SGNS_TOKENS_TOTAL: &str = "sgns.tokens_total";
 /// Tokens removed by Mikolov subsampling.
 pub const SGNS_TOKENS_DROPPED_TOTAL: &str = "sgns.tokens_dropped_total";
+/// Skip-gram pairs trained by the kinds of their tokens, flushed per
+/// epoch: item→item, item↔SI, SI↔SI, and any pair with a user type. They
+/// sum to `sgns.pairs_total`.
+pub const SGNS_PAIR_KINDS_TOTAL: [&str; 4] = [
+    "sgns.pairs.item_item_total",
+    "sgns.pairs.item_si_total",
+    "sgns.pairs.si_si_total",
+    "sgns.pairs.user_total",
+];
 /// Exponential moving average of the per-pair SGNS loss.
 pub const SGNS_LOSS_EMA: &str = "sgns.loss_ema";
 /// Effective (decayed) learning rate at the last flush.
@@ -67,6 +76,20 @@ pub const DIST_RETRIES_TOTAL: &str = "dist.retries";
 pub const DIST_REQUESTS_DEDUPED_TOTAL: &str = "dist.requests_deduped";
 /// Worker restores from checkpoint (crash recovery + pipeline resumes).
 pub const DIST_RECOVERIES_TOTAL: &str = "dist.recoveries";
+/// Histograms: one Section III worker's wall time in each phase of the
+/// block exchange, summed per sync round, in **nanoseconds**: scan (the
+/// pair stream and the local steps), serve, apply, average, and
+/// barrier wait (time outside the machine).
+pub const DIST_PHASE_NS: [&str; 5] = [
+    "dist.phase.scan.ns",
+    "dist.phase.serve.ns",
+    "dist.phase.apply.ns",
+    "dist.phase.average.ns",
+    "dist.phase.barrier_wait.ns",
+];
+/// Barrier wait's share of the workers' summed run time in the last
+/// threaded Section III run.
+pub const DIST_EXCHANGE_IDLE_SHARE: &str = "dist.exchange_idle_share";
 
 /// Snapshot hot-swaps installed by the engine.
 pub const SERVE_SWAPS_TOTAL: &str = "serve.swaps_total";
@@ -186,6 +209,10 @@ pub const ALL: &[&str] = &[
     SGNS_PAIRS_TOTAL,
     SGNS_TOKENS_TOTAL,
     SGNS_TOKENS_DROPPED_TOTAL,
+    SGNS_PAIR_KINDS_TOTAL[0],
+    SGNS_PAIR_KINDS_TOTAL[1],
+    SGNS_PAIR_KINDS_TOTAL[2],
+    SGNS_PAIR_KINDS_TOTAL[3],
     SGNS_LOSS_EMA,
     SGNS_LR,
     SGNS_SUBSAMPLE_DROP_RATE,
@@ -212,6 +239,12 @@ pub const ALL: &[&str] = &[
     DIST_RETRIES_TOTAL,
     DIST_REQUESTS_DEDUPED_TOTAL,
     DIST_RECOVERIES_TOTAL,
+    DIST_PHASE_NS[0],
+    DIST_PHASE_NS[1],
+    DIST_PHASE_NS[2],
+    DIST_PHASE_NS[3],
+    DIST_PHASE_NS[4],
+    DIST_EXCHANGE_IDLE_SHARE,
     SERVE_SWAPS_TOTAL,
     SERVE_CACHE_CLEARS_TOTAL,
     SERVE_REQUEST_NS,

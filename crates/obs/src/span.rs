@@ -40,6 +40,16 @@ impl Stopwatch {
     pub fn elapsed_seconds(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
+
+    /// Time since the start or the previous lap, on one clock read: the
+    /// next lap counts from now, so consecutive laps add up to the time
+    /// since the start.
+    pub fn lap(&mut self) -> Duration {
+        let now = Self::start();
+        let lap = now.start.duration_since(self.start);
+        *self = now;
+        lap
+    }
 }
 
 /// A named timed scope. On [`Span::finish`] (or drop) the elapsed time is

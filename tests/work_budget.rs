@@ -10,7 +10,7 @@
 
 use taobao_sisg::corpus::{CorpusConfig, EnrichOptions, EnrichedCorpus, GeneratedCorpus};
 use taobao_sisg::distributed::{DistConfig, DistReport, TrainingPipeline, EXCHANGE_TOKENS};
-use taobao_sisg::sgns::{train, SgnsConfig, TrainStats};
+use taobao_sisg::sgns::{train, PairKinds, SgnsConfig, TrainStats};
 
 /// Window half-width of the pinned run (symmetric windows).
 const WINDOW: usize = 3;
@@ -23,6 +23,18 @@ const EPOCHS: usize = 2;
 /// so this is `EnrichedCorpus::count_positive_pairs(WINDOW, false)` of the
 /// tiny corpus enriched with `EnrichOptions::FULL`.
 const PAIRS_PER_EPOCH: u64 = 564_696;
+/// Those pairs by the kinds of their tokens (`PairKinds`, counted by the
+/// `PairStream`): Eq. 4's enrichment turns a click sequence into mostly
+/// SI↔SI work. The four sum to `PAIRS_PER_EPOCH`. No item→item pair: a
+/// FULL sequence puts eight SI tokens between two clicks, more than
+/// `WINDOW` positions.
+const PAIR_KINDS_PER_EPOCH: PairKinds = PairKinds {
+    item_item: 0,
+    item_si: 118_488,
+    si_si: 437_208,
+    user: 9_000,
+};
+const _: () = assert!(PAIR_KINDS_PER_EPOCH.total() == PAIRS_PER_EPOCH);
 /// Noise draws per pair: exactly `NEGATIVES`, none skipped, none redrawn.
 const NOISE_DRAWS_PER_PAIR: u64 = NEGATIVES as u64;
 /// Output rows stepped per pair at most: the context plus `NEGATIVES`.
@@ -57,6 +69,18 @@ fn run() -> (u64, TrainStats) {
 fn training_work_per_pair_is_pinned() {
     let (per_epoch, stats) = run();
     assert_eq!(per_epoch, PAIRS_PER_EPOCH, "pairs per epoch moved");
+    let epochs = EPOCHS as u64;
+    let k = PAIR_KINDS_PER_EPOCH;
+    assert_eq!(
+        stats.pair_kinds,
+        PairKinds {
+            item_item: k.item_item * epochs,
+            item_si: k.item_si * epochs,
+            si_si: k.si_si * epochs,
+            user: k.user * epochs,
+        },
+        "pairs by kind moved"
+    );
     assert_eq!(
         stats.pairs,
         PAIRS_PER_EPOCH * EPOCHS as u64,
@@ -91,6 +115,14 @@ const DIST_SEQUENCES: usize = 1_500;
 /// Pairs each worker is responsible for: its owned targets plus the hot
 /// targets of its sequence shard, after subsampling (scan seed 7).
 const DIST_PAIRS_PER_WORKER: [u64; DIST_WORKERS] = [130_352, 142_004];
+/// Each worker's pairs by kind, `[item→item, item↔SI, SI↔SI, user]`
+/// (`DistReport::pair_kinds_per_worker`); a row sums to that worker's
+/// `DIST_PAIRS_PER_WORKER`. Subsampling drops SI tokens, so some clicks
+/// come within `WINDOW` of each other.
+const DIST_PAIR_KINDS_PER_WORKER: [[u64; 4]; DIST_WORKERS] = [
+    [2_541, 55_003, 68_317, 4_491],
+    [1_515, 51_542, 84_504, 4_443],
+];
 /// Pairs whose context another worker owns: one TNS request each.
 const DIST_REMOTE_PAIRS: u64 = 121_020;
 /// Requests the owners serve: exactly one per remote pair.
@@ -169,6 +201,13 @@ fn section_iii_work_per_pair_is_pinned() {
         report.pairs_per_worker, DIST_PAIRS_PER_WORKER,
         "pairs per worker moved"
     );
+    assert_eq!(
+        report.pair_kinds_per_worker, DIST_PAIR_KINDS_PER_WORKER,
+        "pairs by kind per worker moved"
+    );
+    for (kinds, pairs) in DIST_PAIR_KINDS_PER_WORKER.iter().zip(DIST_PAIRS_PER_WORKER) {
+        assert_eq!(kinds.iter().sum::<u64>(), pairs, "kinds must sum to pairs");
+    }
     assert_eq!(report.remote_pairs, DIST_REMOTE_PAIRS, "remote pairs moved");
     assert_eq!(
         report.requests_served, DIST_REQUESTS_SERVED,
