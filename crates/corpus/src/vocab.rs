@@ -141,12 +141,18 @@ impl TokenSpace {
         token.0 < self.n_items
     }
 
+    /// True when `token` denotes a user type.
+    #[inline]
+    pub fn is_user_type(&self, token: TokenId) -> bool {
+        token.0 >= self.user_type_offset
+    }
+
     /// Classifies a token id.
     pub fn kind(&self, token: TokenId) -> TokenKind {
-        if token.0 < self.n_items {
+        if self.is_item(token) {
             return TokenKind::Item(ItemId(token.0));
         }
-        if token.0 >= self.user_type_offset {
+        if self.is_user_type(token) {
             debug_assert!(token.0 < self.user_type_offset + self.n_user_types);
             return TokenKind::UserType(UserTypeId(token.0 - self.user_type_offset));
         }
